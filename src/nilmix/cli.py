@@ -85,13 +85,21 @@ def _load_system(cfg: dict):
     entries = {}
     for item in entry.get("brackets", []):
         _check_keys(item, {"i", "j", "k", "value"}, "brackets entry")
-        key = (int(item["i"]), int(item["j"]))
-        entries.setdefault(key, {})[int(item["k"])] = Fraction(str(item["value"]))
+        try:
+            key = (int(item["i"]), int(item["j"]))
+            entries.setdefault(key, {})[int(item["k"])] = Fraction(str(item["value"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad brackets entry {item}: {e!r}")
     algebra = NilpotentAlgebra.from_sparse(dim, layers, entries)
     diag = validate_algebra(algebra)
     if not diag.ok:
         raise ConfigError(f"inline algebra invalid: {diag.failures()}")
-    mats = tuple(RationalMatrix(g) for g in gens)
+    try:
+        mats = tuple(RationalMatrix(g) for g in gens)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad generator: {e}")
+    if any(g.dim != dim for g in mats):
+        raise ConfigError(f"generators must be {dim}x{dim} matrices")
     from .catalog import System
     return System(entry.get("name", "inline"), algebra, mats, "inline system")
 
@@ -101,8 +109,11 @@ def _load_observable(cfg, key: str) -> FourierObservable:
     if data is None:
         raise ConfigError(f"config needs an observable under '{key}'")
     if isinstance(data, str):
-        with open(data) as fh:
-            data = json.load(fh)
+        try:
+            with open(data) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigError(f"cannot read observable under '{key}': {e}")
     try:
         return FourierObservable.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as e:
@@ -287,9 +298,11 @@ def _cmd_threshold(cfg, outdir, precision, seed):
     orders = cfg.get("orders", [0.25, 0.5, 0.75])
     cutoffs = cfg.get("cutoffs", [1e-2, 1e-4, 1e-6])
     if "profile_csv" in cfg:
-        with open(cfg["profile_csv"]) as fh:
-            samples = [(float(a), float(b)) for a, b in csv.reader(fh)]
-        profile = samples
+        try:
+            with open(cfg["profile_csv"]) as fh:
+                profile = [(float(a), float(b)) for a, b in csv.reader(fh)]
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read profile_csv: {e}")
     else:
         name = cfg.get("profile", "one")
         profiles = {"one": lambda x: 1.0, "square": lambda x: x * x,

@@ -52,8 +52,9 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
                  for i in range(n))
 
 
-def _mat_pow(m: RationalMatrix, e: int) -> tuple:
-    """Exact integer matrix power (negative powers via the exact inverse)."""
+def transported_power(m: RationalMatrix, e: int) -> tuple:
+    """Exact integer matrix of M^e as nested int tuples; frequencies transport
+    by its transpose.  Negative powers go through the exact inverse."""
     if e < 0:
         m = m.inverse()
         if not m.is_integer():
@@ -77,11 +78,6 @@ def _transport(mt: tuple, k: tuple) -> tuple:
     return tuple(sum(mt[i][j] * k[i] for i in range(n)) for j in range(n))
 
 
-def transported_power(m: RationalMatrix, e: int):
-    """Exact integer matrix of (M^e); frequencies transport by its transpose."""
-    return _mat_pow(m, e)
-
-
 # ---------------------------------------------------------------------------
 # Two-point correlation
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
         raise ValueError("dimension mismatch")
     if not m.is_unimodular_integer():
         raise ValueError("need an integer matrix with determinant +-1")
-    mt = _mat_pow(m, power)
+    mt = transported_power(m, power)
     exact = f.exact and g.exact
     acc = ExactComplex() if exact else 0j
     for k, c in f.items():
@@ -141,7 +137,7 @@ def correlation_n(observables: Sequence[FourierObservable],
         mt = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
         for g, e in zip(generators, z):
             if e:
-                mt = _mat_mul(mt, _mat_pow(g, e))
+                mt = _mat_mul(mt, transported_power(g, e))
         transported.append([( _transport(mt, k), c) for k, c in f.items()])
 
     exact = all(f.exact for f in observables)
@@ -349,7 +345,7 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
         exact=g.exact)
     # F must fix the lifted observable: its transpose transport on the
     # block frequencies must be the identity
-    mt = _mat_pow(fgen, 1)
+    mt = transported_power(fgen, 1)
     for z in lifted.coeffs:
         if _transport(mt, z) != z:
             raise ValueError("second generator does not fix the block observable")

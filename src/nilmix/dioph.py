@@ -70,10 +70,30 @@ def _ball_point_count(dim: int, radius: float) -> float:
 
 
 def _canonical_sign(m: Sequence[int]) -> tuple:
+    """The representative of {m, -m} whose first nonzero coordinate is positive."""
     for x in m:
         if x != 0:
             return tuple(m) if x > 0 else tuple(-y for y in m)
     return tuple(m)
+
+
+def _first_sign(pts: np.ndarray) -> np.ndarray:
+    """Sign of each row's first nonzero coordinate (0 for a zero row)."""
+    first = (pts != 0).argmax(axis=1)
+    return np.sign(pts[np.arange(len(pts)), first])
+
+
+def _ball_points(dim: int, r_sq: int) -> np.ndarray:
+    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order."""
+    b = math.isqrt(r_sq)
+    n = 2 * b + 1
+    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
+    return grid[(grid * grid).sum(axis=1) <= r_sq]
+
+
+def _radius_sq(radius: float) -> int:
+    """Integer bound on ||m||^2 for the ball of a float radius (1e-9 slack)."""
+    return math.floor(radius * radius + 1e-9)
 
 
 def _is_rational_input(vs) -> bool:
@@ -150,17 +170,8 @@ def _lattice_ball(dim: int, radius: float):
     key = (dim, float(radius))
     if key in _BALL_CACHE:
         return _BALL_CACHE[key]
-    b = int(math.floor(radius))
-    axes = [np.arange(-b, b + 1, dtype=np.int64)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    keep = (grid.astype(np.float64) ** 2).sum(axis=1) <= radius * radius + 1e-9
-    grid = grid[keep]
-    # symmetry reduction: first nonzero coordinate positive
-    sign = np.zeros(len(grid), dtype=np.int64)
-    for j in range(dim):
-        undecided = sign == 0
-        sign[undecided] = np.sign(grid[undecided, j])
-    grid = grid[sign > 0]
+    grid = _ball_points(dim, _radius_sq(radius))
+    grid = grid[_first_sign(grid) > 0]    # symmetry reduction
     g = grid.astype(_LONG)
     nsq = (g * g).sum(axis=1)
     npow = _ipow_half(nsq, dim)
@@ -203,15 +214,7 @@ def _sub_lattice(dim: int, radius: float, seed_radius: float):
     key = (dim, float(radius), float(seed_radius))
     if key in _SUB_CACHE:
         return _SUB_CACHE[key]
-    sdim = dim - 1
-    if sdim == 0:
-        sub = np.zeros((1, 0), dtype=np.int64)
-    else:
-        b = int(math.floor(radius))
-        axes = [np.arange(-b, b + 1, dtype=np.int64)] * sdim
-        sub = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sdim)
-        keep = (sub.astype(np.float64) ** 2).sum(axis=1) <= radius * radius + 1e-9
-        sub = sub[keep]
+    sub = _ball_points(dim - 1, _radius_sq(radius))
     sub_f = sub.astype(np.float64)
     sub_norm_f64 = (sub_f ** 2).sum(axis=1)
     denom = np.maximum(np.sqrt(sub_norm_f64), float(seed_radius))
@@ -261,11 +264,7 @@ def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float
         pts = np.vstack(chunks)
         pts = pts[pts.any(axis=1)]
         # canonicalize signs, dedupe
-        sign = np.zeros(len(pts), dtype=np.int64)
-        for j in range(dim):
-            undecided = sign == 0
-            sign[undecided] = np.sign(pts[undecided, j])
-        pts = np.where(sign[:, None] < 0, -pts, pts)
+        pts = np.where(_first_sign(pts)[:, None] < 0, -pts, pts)
         if len(pts):
             pts = np.unique(pts, axis=0)
             f, _ = _eval_objective(pts, vs_arr, dim)

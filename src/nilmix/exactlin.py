@@ -42,6 +42,10 @@ class PrecisionError(ArithmeticError):
     """Raised when certified intervals cannot separate or merge eigenvalue moduli."""
 
 
+# entries kept by each per-matrix memo (primary_decomposition, lyapunov_data)
+_MEMO_SIZE = 256
+
+
 # ---------------------------------------------------------------------------
 # Rational matrices
 # ---------------------------------------------------------------------------
@@ -337,12 +341,6 @@ class IntPolynomial:
             return IntPolynomial([0])
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def gcd(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def evaluate(self, x):
         out = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
         for c in reversed(self.coeffs):
@@ -403,43 +401,8 @@ def char_poly(m: RationalMatrix) -> IntPolynomial:
 # Factorization over Q
 # ---------------------------------------------------------------------------
 
-def _squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm: list of (squarefree factor, multiplicity)."""
-    p = p.monic()
-    out = []
-    d = p.derivative()
-    a = p.gcd(d)
-    b = p // a
-    c = d // a
-    i = 1
-    while b.degree > 0:
-        step = b.gcd(c - b.derivative())
-        if step.degree > 0:
-            out.append((step.monic(), i))
-        b2 = b // step
-        c = (c - b.derivative()) // step
-        b = b2
-        i += 1
-    return out
-
-
-def _factor_squarefree(p: IntPolynomial) -> list[IntPolynomial]:
-    """Irreducible factors of a squarefree monic rational polynomial."""
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-               for i, c in enumerate(p.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
-    out = []
-    for poly, mult in factors:
-        coeffs = [Fraction(int(c.numerator), int(c.denominator))
-                  for c in reversed(sympy.Poly(poly, x).all_coeffs())]
-        q = IntPolynomial(coeffs).monic()
-        out.extend([q] * mult)
-    return out
-
-
 def factor_over_q(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Exact irreducible factorization over Q.
+    """Exact irreducible factorization over Q, with multiplicities.
 
     Factors are returned monic, in canonical order (degree, then the
     ascending coefficient tuple); the constant content is discarded.
@@ -448,12 +411,15 @@ def factor_over_q(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    found: dict[IntPolynomial, int] = {}
-    for sf, mult in _squarefree_decomposition(p):
-        for q in _factor_squarefree(sf):
-            found[q] = found.get(q, 0) + mult
-    items = sorted(found.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
-    return items
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _, factors = sympy.factor_list(sympy.Poly(coeffs, x, domain="QQ"))
+    out = []
+    for poly, mult in factors:
+        q = IntPolynomial([Fraction(int(c.numerator), int(c.denominator))
+                           for c in reversed(poly.all_coeffs())])
+        out.append((q.monic(), mult))
+    return sorted(out, key=lambda kv: (kv[0].degree, kv[0].coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +581,13 @@ class PrimaryDecomposition:
         raise KeyError(f"no block with factor {q}")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def primary_decomposition(m: RationalMatrix) -> PrimaryDecomposition:
-    """Split Q^n into exact M-invariant blocks ker q_i(M)^{c_i}."""
+    """Split Q^n into exact M-invariant blocks ker q_i(M)^{c_i}.
+
+    Memoized per matrix, so the spectral pipeline factors each distinct
+    matrix once per process; the result is immutable and shared by all callers.
+    """
     p = char_poly(m)
     blocks = []
     for q, c in factor_over_q(p):
@@ -725,16 +696,16 @@ class LyapunovBlock:
     exponent: float
     exponent_err: float
     multiplicity: int
-    basis: np.ndarray            # shape (multiplicity, dim), rows are basis vectors
+    basis: np.ndarray            # shape (multiplicity, dim), rows are basis vectors; read-only
     invariance_residual: float
     primary_factors: tuple       # indices of primary blocks contributing
 
 
-@dataclass
+@dataclass(frozen=True)
 class LyapunovSplitting:
     matrix: RationalMatrix
     primary: PrimaryDecomposition
-    blocks: list                  # LyapunovBlock, exponents ascending
+    blocks: tuple                 # LyapunovBlock, exponents ascending
     precision_bits: int
 
     def _union(self, pred) -> np.ndarray:
@@ -830,6 +801,7 @@ def _real_annihilator_basis(m_f: np.ndarray, prim_basis: np.ndarray,
     return vt[:dim_expected]
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def lyapunov_data(m: RationalMatrix, precision_bits: int = 128,
                   max_precision_bits: int = 2048) -> LyapunovSplitting:
     """Certified Lyapunov splitting of an invertible rational matrix.
@@ -838,7 +810,10 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128,
     working precision with error bounds.  Classes are merged only on proven
     equality (conjugate pairs, negation-related factors, proven modulus one,
     equal rational moduli); overlapping-but-unproven intervals escalate the
-    precision and finally raise PrecisionError.
+    precision and finally raise PrecisionError.  Every attempt reuses the
+    memoized primary decomposition.  Memoized per (matrix, precisions); the
+    splitting is frozen and its block bases are read-only, since callers
+    share it.
     """
     if m.determinant() == 0:
         raise ValueError("matrix must be invertible")
@@ -907,6 +882,7 @@ def _lyapunov_attempt(m: RationalMatrix, prec: int) -> LyapunovSplitting:
                                                blk.multiplicity, dim_expected)
             basis_rows.append(rows)
         basis = np.vstack(basis_rows)
+        basis.setflags(write=False)
         residual = _invariance_residual(m_f, basis)
         if residual > 1e-9:
             raise PrecisionError(f"block invariance residual {residual:.3e} exceeds 1e-9")
@@ -914,7 +890,7 @@ def _lyapunov_attempt(m: RationalMatrix, prec: int) -> LyapunovSplitting:
 
     blocks.sort(key=lambda b: b.exponent)
     _check_disjoint(blocks)
-    split = LyapunovSplitting(m, primary, blocks, prec)
+    split = LyapunovSplitting(m, primary, tuple(blocks), prec)
     _check_det_sum(m, split)
     return split
 

@@ -20,10 +20,8 @@ import numpy as np
 
 from .exactlin import (
     PrecisionError,
+    PrimaryDecomposition,
     RationalMatrix,
-    char_poly,
-    factor_over_q,
-    is_cyclotomic,
     lyapunov_data,
     primary_decomposition,
 )
@@ -307,32 +305,23 @@ def abelianization_action(algebra: NilpotentAlgebra, m: RationalMatrix) -> Ratio
 # Spectral classification
 # ---------------------------------------------------------------------------
 
+def _blocks_span(pd: PrimaryDecomposition, root_of_unity: bool) -> list[tuple]:
+    """Exact basis of the sum of the primary blocks with (or without)
+    root-of-unity eigenvalues."""
+    return _span_rows([v for blk in pd.blocks
+                       if (blk.cyclotomic_order is not None) == root_of_unity
+                       for v in blk.basis])
+
+
 def cyclotomic_part(m: RationalMatrix) -> list[tuple]:
     """Exact basis of the sum of primary blocks with root-of-unity eigenvalues."""
-    pd = primary_decomposition(m)
-    rows = []
-    for blk in pd.blocks:
-        if blk.cyclotomic_order is not None:
-            rows.extend(blk.basis)
-    return _span_rows(rows)
-
-
-def _noncyclotomic_part(m: RationalMatrix) -> list[tuple]:
-    pd = primary_decomposition(m)
-    rows = []
-    for blk in pd.blocks:
-        if blk.cyclotomic_order is None:
-            rows.extend(blk.basis)
-    return _span_rows(rows)
+    return _blocks_span(primary_decomposition(m), True)
 
 
 def is_ergodic(algebra: NilpotentAlgebra, m: RationalMatrix) -> bool:
     """Ergodicity criterion: no root-of-unity eigenvalue on the abelianization."""
     ab = abelianization_action(algebra, m)
-    for q, _ in factor_over_q(char_poly(ab)):
-        if is_cyclotomic(q.primitive_int(), assume_irreducible=True) is not None:
-            return False
-    return True
+    return all(blk.cyclotomic_order is None for blk in primary_decomposition(ab).blocks)
 
 
 @dataclass
@@ -356,8 +345,9 @@ def classify(algebra: NilpotentAlgebra, m: RationalMatrix,
     diag = validate_automorphism(algebra, m)
     if not diag.ok:
         raise ValueError(f"not a lattice automorphism: {diag.failures()}")
-    n_z2 = cyclotomic_part(m)
-    n_z1 = _noncyclotomic_part(m)
+    pd = primary_decomposition(m)
+    n_z2 = _blocks_span(pd, True)
+    n_z1 = _blocks_span(pd, False)
     if len(n_z1) + len(n_z2) != algebra.dim:
         raise ArithmeticError("root-of-unity splitting does not fill the space")
     split = lyapunov_data(m, precision_bits)

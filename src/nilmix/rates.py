@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dioph import _ball_points, _canonical_sign
 from .exactlin import RationalMatrix, lyapunov_data
 from .nilalg import (
     NilpotentAlgebra,
@@ -333,7 +334,7 @@ class _BadDifferenceTest:
             return True
         if self.prefilter_clear(w):
             return False
-        canon = w if next(x for x in w if x) > 0 else tuple(-x for x in w)
+        canon = _canonical_sign(w)
         if canon not in self.cache:
             self.cache[canon] = _is_bad_difference(canon, self.generators)
         return self.cache[canon]
@@ -393,13 +394,6 @@ def _shifted_ball_count(dim: int, center, r_sq_float: float) -> int:
 _DIRECT_LIMIT = 3_000_000
 
 
-def _lattice_ball_rows(dim: int, r_sq: int) -> np.ndarray:
-    b = math.isqrt(r_sq)
-    axes = [np.arange(-b, b + 1, dtype=np.int64)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    return grid[(grid.astype(np.float64) ** 2).sum(axis=1) <= r_sq]
-
-
 def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float,
                      eps: float, samples: int = 1_000_000,
                      seed: int = DEFAULT_DENSITY_SEED,
@@ -439,7 +433,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         if total > _DIRECT_LIMIT:
             raise ValueError(f"ball of {total} points is too large for direct "
                              f"enumeration; reduce the radius")
-        grid = _lattice_ball_rows(dim_total, r_sq)
+        grid = _ball_points(dim_total, r_sq)
         bad_mask = np.zeros(len(grid), dtype=bool)
         bad_w_cache: dict = {}
         for i, j in itertools.combinations(range(n), 2):
@@ -503,7 +497,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
                                                    (r_eff_sq - wn / 2.0) / 2.0)
             thick = thick_count / total
         elif total <= _DIRECT_LIMIT:
-            grid = _lattice_ball_rows(dim_total, r_sq)
+            grid = _ball_points(dim_total, r_sq)
             nz = (grid != 0).any(axis=1)
             pts = grid[nz].astype(np.float64)
             dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)

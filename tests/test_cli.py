@@ -57,6 +57,28 @@ def test_malformed_json_exits_2(tmp_path):
     assert code == 2
 
 
+_HEIS = {"name": "inline-heis", "dim": 3, "layers": [2, 1],
+         "brackets": [{"i": 0, "j": 1, "k": 2, "value": 1}],
+         "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, 1]]]}
+
+
+@pytest.mark.parametrize("command, make_cfg", [
+    ("analyze", lambda tmp: {"system": {**_HEIS, "brackets": [{"i": 0, "j": 1, "k": 2}]}}),
+    ("analyze", lambda tmp: {"system": {**_HEIS,
+                                        "generators": [[[2.5, 1, 0], [1, 1, 0], [0, 0, 1]]]}}),
+    ("analyze", lambda tmp: {"system": {**_HEIS, "generators": [[[2, 1, 0], [1, 1, 0]]]}}),
+    ("analyze", lambda tmp: {"system": {**_HEIS, "generators": [[[2, 1], [1, 1]]]}}),
+    ("solve", lambda tmp: {"observable": str(tmp / "missing.json"),
+                           "directions": [[1.0, 0.5]]}),
+    ("threshold", lambda tmp: {"profile_csv": str(tmp / "missing.csv")}),
+], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
+        "generator-size-not-dim", "missing-observable-file", "missing-profile-csv"])
+def test_invalid_config_exits_2(tmp_path, command, make_cfg):
+    code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
+    assert code == 2
+    assert report is None
+
+
 def test_computation_error_exits_1(tmp_path):
     # solving across an exact resonance raises an obstruction -> exit 1
     cfg = {"observable": {"dim": 2, "coeffs": [{"z": [1, -1], "re": 1.0, "im": 0.0}]},

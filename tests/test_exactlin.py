@@ -316,3 +316,53 @@ def test_block_overlap_escalates_then_raises():
     ]
     with pytest.raises(PrecisionError):
         _check_disjoint(blocks)
+
+
+# ---------------------------------------------------------------------------
+# per-matrix memo of the spectral pipeline
+# ---------------------------------------------------------------------------
+
+def _clear_memo():
+    primary_decomposition.cache_clear()
+    lyapunov_data.cache_clear()
+
+
+@pytest.mark.parametrize("name, matrices", [("cubic3", 1), ("heisenberg-cat", 2)])
+def test_one_factorization_per_distinct_matrix(name, matrices):
+    # heisenberg-cat factors its 3x3 matrix and the 2x2 abelianization
+    from unittest import mock
+
+    from nilmix import exactlin
+    from nilmix.catalog import get_system
+    from nilmix.nilalg import classify
+    from nilmix.rates import rho_chi
+
+    system = get_system(name)
+    _clear_memo()
+    with mock.patch.object(exactlin, "factor_over_q", wraps=exactlin.factor_over_q) as spy:
+        classify(system.algebra, system.matrix)
+        lyapunov_data(system.matrix)
+        rho_chi(system.algebra, system.matrix)
+    assert spy.call_count == matrices
+
+
+def test_cached_splitting_is_immutable_and_reproducible(cubic):
+    import dataclasses
+
+    def fields(split):
+        return (split.matrix, split.primary, split.precision_bits,
+                [(b.exponent, b.exponent_err, b.multiplicity, b.basis.tolist(),
+                  b.invariance_residual, b.primary_factors) for b in split.blocks])
+
+    _clear_memo()
+    split = lyapunov_data(cubic)
+    assert lyapunov_data(cubic) is split
+    assert primary_decomposition(cubic) is split.primary
+    with pytest.raises(ValueError):
+        split.blocks[0].basis[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.blocks = ()
+    _clear_memo()
+    fresh = lyapunov_data(cubic)
+    assert fresh is not split
+    assert fields(fresh) == fields(split)
