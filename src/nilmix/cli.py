@@ -84,10 +84,15 @@ def _load_system(cfg: dict):
     layers = entry.get("layers", [dim])
     entries = {}
     for item in entry.get("brackets", []):
+        if not isinstance(item, dict):
+            raise ConfigError(f"bad brackets entry {item!r}: must be an object")
         _check_keys(item, {"i", "j", "k", "value"}, "brackets entry")
+        idx = [item.get(c) for c in "ijk"]
+        if not all(type(x) is int and 0 <= x < dim for x in idx):
+            raise ConfigError(f"bad brackets entry {item}: 'i', 'j', 'k' must be "
+                              f"integers in [0, {dim})")
         try:
-            key = (int(item["i"]), int(item["j"]))
-            entries.setdefault(key, {})[int(item["k"])] = Fraction(str(item["value"]))
+            entries.setdefault((idx[0], idx[1]), {})[idx[2]] = Fraction(str(item["value"]))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad brackets entry {item}: {e!r}")
     algebra = NilpotentAlgebra.from_sparse(dim, layers, entries)

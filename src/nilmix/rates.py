@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dioph import _ball_points, _canonical_sign
+from .dioph import _ball_points, _first_sign, _radius_sq
 from .exactlin import RationalMatrix, lyapunov_data
 from .nilalg import (
     NilpotentAlgebra,
@@ -311,43 +311,46 @@ class _BadDifferenceTest:
 
     |chi(w)| well away from zero (beyond the certified error budget)
     proves w is not in the kernel; only near-zero values reach the exact
-    combined-matrix factorization.
+    combined-matrix factorization.  The functionals are linear and
+    |mu^g| = 1 exactly when |mu| = 1, so w is bad exactly when its
+    primitive direction w / gcd(w) is: one confirmation per direction.
     """
 
-    def __init__(self, generators, precision_bits):
+    def __init__(self, generators, funcs):
         self.generators = list(generators)
-        funcs = [f for f in lyapunov_functionals(self.generators, precision_bits)
-                 if not f.is_zero()]
         self.func_arr = np.array([f.exponents for f in funcs], dtype=float)
         self.cache: dict = {}
 
-    def prefilter_clear(self, w) -> bool:
-        """True when every nonzero functional is certainly nonzero at w."""
+    def bad_mask(self, ws: np.ndarray) -> np.ndarray:
+        """Per integer row w of ws: does some nonzero functional vanish at w?
+        The zero row is always bad."""
+        mask = ~ws.any(axis=1)
         if self.func_arr.size == 0:
-            return True
-        vals = self.func_arr @ np.asarray(w, dtype=float)
-        budget = 1e-9 * (1.0 + float(np.sum(np.abs(w))))
-        return bool(np.min(np.abs(vals)) > budget)
+            return mask
+        vals = np.abs(ws.astype(float) @ self.func_arr.T).min(axis=1)
+        budget = 1e-9 * (1.0 + np.abs(ws).sum(axis=1))
+        unclear = np.flatnonzero((vals <= budget) & ~mask)
+        if len(unclear) == 0:
+            return mask
+        prim = ws[unclear] // np.gcd.reduce(ws[unclear], axis=1)[:, None]
+        prim *= _first_sign(prim)[:, None]
+        keys, inv = np.unique(prim, axis=0, return_inverse=True)
+        flags = np.array([self._confirm(tuple(int(x) for x in k)) for k in keys])
+        mask[unclear] = flags[inv.ravel()]
+        return mask
 
-    def __call__(self, w: tuple) -> bool:
-        if not any(w):
-            return True
-        if self.prefilter_clear(w):
-            return False
-        canon = _canonical_sign(w)
-        if canon not in self.cache:
-            self.cache[canon] = _is_bad_difference(canon, self.generators)
-        return self.cache[canon]
+    def _confirm(self, key: tuple) -> bool:
+        if key not in self.cache:
+            self.cache[key] = _is_bad_difference(key, self.generators)
+        return self.cache[key]
 
 
-def _hyperplane_normals(generators, precision_bits: int, n: int) -> list[np.ndarray]:
+def _hyperplane_normals(funcs, n: int) -> list[np.ndarray]:
     """Unit normals of the bad direction loci in R^{n*l}.
 
     Each nonzero functional chi and pair i < j contributes the locus
     chi(z_i - z_j) = 0, whose normal embeds chi at slot i and -chi at j.
     """
-    funcs = [f for f in lyapunov_functionals(list(generators), precision_bits)
-             if not f.is_zero()]
     normals = []
     for f in funcs:
         v = np.array(f.exponents, dtype=float)
@@ -375,20 +378,30 @@ def _ball_count(dim: int, r_sq: int) -> int:
     return int(acc.sum())
 
 
-def _shifted_ball_count(dim: int, center, r_sq_float: float) -> int:
-    """Integer points with ||x - center||^2 <= r_sq (center may be half-integral)."""
-    if r_sq_float < 0:
-        return 0
-    if dim == 1:
-        c = float(center[0])
-        r = math.sqrt(r_sq_float)
-        return max(0, math.floor(c + r) - math.ceil(c - r) + 1)
-    total = 0
-    c0 = float(center[0])
-    r = math.sqrt(r_sq_float)
-    for x in range(math.ceil(c0 - r), math.floor(c0 + r) + 1):
-        total += _shifted_ball_count(dim - 1, center[1:], r_sq_float - (x - c0) ** 2)
-    return total
+def _shifted_ball_counts(centers: np.ndarray, r_sq: np.ndarray) -> np.ndarray:
+    """Per row c of centers: integer points x with ||x - c||^2 <= r_sq.
+
+    Loops over the integer offsets of the leading coordinate for all rows
+    at once, with the float steps of a scalar recursion (sqrt, ceil, floor,
+    (x - c0) ** 2).  Exact when the centers are half-integral and r_sq is
+    quarter-integral: the squares and remainders are then float-exact, and
+    a lattice point lies on a sphere only when its radius is a half-integer,
+    whose sqrt is float-exact too.
+    """
+    counts = np.zeros(len(r_sq), dtype=np.int64)
+    live = np.flatnonzero(r_sq >= 0)
+    c0, rs = centers[live, 0], r_sq[live]
+    r = np.sqrt(rs)
+    lo, hi = np.ceil(c0 - r), np.floor(c0 + r)
+    if centers.shape[1] == 1:
+        counts[live] = np.maximum(0, hi - lo + 1)
+        return counts
+    for k in range(int(np.max(hi - lo, initial=-1)) + 1):
+        x = lo + k
+        on = x <= hi
+        counts[live[on]] += _shifted_ball_counts(centers[live[on], 1:],
+                                                 rs[on] - (x[on] - c0[on]) ** 2)
+    return counts
 
 
 _DIRECT_LIMIT = 3_000_000
@@ -411,46 +424,40 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         raise ValueError("need n >= 2")
     ell = len(generators)
     dim_total = n * ell
-    r_sq = int(radius * radius)
-    bad = _BadDifferenceTest(generators, precision_bits)
+    r_sq = _radius_sq(radius)
+    funcs = [f for f in lyapunov_functionals(list(generators), precision_bits)
+             if not f.is_zero()]
+    bad = _BadDifferenceTest(generators, funcs)
 
     total = _ball_count(dim_total, r_sq)
-    thick_exact = None
     if n == 2:
         method = "difference-weighted exact count"
-        bad_ws = []
-        wb = math.isqrt(2 * r_sq)
-        for w in itertools.product(range(-wb, wb + 1), repeat=ell):
-            if sum(x * x for x in w) <= 2 * r_sq and bad(w):
-                bad_ws.append(w)
-        bad_total = 0
-        for w in bad_ws:
-            wn = sum(x * x for x in w)
-            center = [x / 2.0 for x in w]
-            bad_total += _shifted_ball_count(ell, center, (r_sq - wn / 2.0) / 2.0)
+        # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2
+        ws = _ball_points(ell, 2 * r_sq)
+        wn = (ws * ws).sum(axis=1)
+        centers = ws / 2.0
+        bad_rows = bad.bad_mask(ws)
+        bad_total = int(_shifted_ball_counts(centers[bad_rows],
+                                             (r_sq - wn[bad_rows] / 2.0) / 2.0).sum())
     else:
         method = "direct enumeration"
         if total > _DIRECT_LIMIT:
             raise ValueError(f"ball of {total} points is too large for direct "
                              f"enumeration; reduce the radius")
         grid = _ball_points(dim_total, r_sq)
-        bad_mask = np.zeros(len(grid), dtype=bool)
-        bad_w_cache: dict = {}
+        bad_rows = np.zeros(len(grid), dtype=bool)
         for i, j in itertools.combinations(range(n), 2):
             diffs = grid[:, i * ell:(i + 1) * ell] - grid[:, j * ell:(j + 1) * ell]
             uniq, inv = np.unique(diffs, axis=0, return_inverse=True)
-            flags = np.array([bad_w_cache.setdefault(tuple(int(x) for x in u),
-                                                     bad(tuple(int(x) for x in u)))
-                              for u in uniq])
-            bad_mask |= flags[inv]
-        bad_total = int(bad_mask.sum())
+            bad_rows |= bad.bad_mask(uniq)[inv.ravel()]
+        bad_total = int(bad_rows.sum())
 
     good_fraction = 1.0 - bad_total / total
 
     # delta(eps): bisection on the Monte Carlo spherical measure of the
     # delta-neighborhood of the bad directions; a vacuous requirement
     # (eps >= 1) keeps the full set with delta = 0
-    normals = _hyperplane_normals(generators, precision_bits, n)
+    normals = _hyperplane_normals(funcs, n)
     if eps >= 1.0:
         return DensityReport(n=n, rank=ell, radius=float(radius),
                              good_fraction=good_fraction, total_points=total,
@@ -470,6 +477,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         else:
             hi = mid
     delta = lo
+    del u, margins  # free the Monte Carlo samples before the lattice counts
 
     # fraction of lattice directions with margin >= delta
     thick = None
@@ -478,24 +486,16 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         if n == 2 and delta > 0:
             # directional margin of (z1, z2) against the pair hyperplane of a
             # unit functional is |chi(w)| / (sqrt(2) ||z||): count per
-            # difference w with a capped effective radius
+            # difference w with a capped effective radius; the zero
+            # difference has margin 0
             func_unit = bad.func_arr / np.linalg.norm(bad.func_arr, axis=1, keepdims=True)
-            thick_count = 0
-            wb = math.isqrt(2 * r_sq)
-            for w in itertools.product(range(-wb, wb + 1), repeat=ell):
-                wn = sum(x * x for x in w)
-                if wn > 2 * r_sq:
-                    continue
-                if not any(w):
-                    continue  # zero difference has margin 0
-                mv = float(np.min(np.abs(func_unit @ np.asarray(w, dtype=float))))
-                if mv <= 0:
-                    continue
-                r_eff_sq = min(float(r_sq), (mv / (math.sqrt(2.0) * delta)) ** 2)
-                center = [x / 2.0 for x in w]
-                thick_count += _shifted_ball_count(ell, center,
-                                                   (r_eff_sq - wn / 2.0) / 2.0)
-            thick = thick_count / total
+            nz = np.flatnonzero(wn > 0)
+            mv = np.abs(ws[nz].astype(float) @ func_unit.T).min(axis=1)
+            nz, mv = nz[mv > 0], mv[mv > 0]
+            r_eff_sq = np.minimum(float(r_sq), (mv / (math.sqrt(2.0) * delta)) ** 2)
+            thick_count = _shifted_ball_counts(centers[nz],
+                                               (r_eff_sq - wn[nz] / 2.0) / 2.0).sum()
+            thick = int(thick_count) / total
         elif total <= _DIRECT_LIMIT:
             grid = _ball_points(dim_total, r_sq)
             nz = (grid != 0).any(axis=1)

@@ -68,11 +68,16 @@ _HEIS = {"name": "inline-heis", "dim": 3, "layers": [2, 1],
                                         "generators": [[[2.5, 1, 0], [1, 1, 0], [0, 0, 1]]]}}),
     ("analyze", lambda tmp: {"system": {**_HEIS, "generators": [[[2, 1, 0], [1, 1, 0]]]}}),
     ("analyze", lambda tmp: {"system": {**_HEIS, "generators": [[[2, 1], [1, 1]]]}}),
+    ("analyze", lambda tmp: {"system": {**_HEIS, "brackets": [
+        {"i": 0.5, "j": 1, "k": 2, "value": 1}]}}),
+    ("analyze", lambda tmp: {"system": {**_HEIS, "brackets": [
+        {"i": 0, "j": 5, "k": 2, "value": 1}]}}),
     ("solve", lambda tmp: {"observable": str(tmp / "missing.json"),
                            "directions": [[1.0, 0.5]]}),
     ("threshold", lambda tmp: {"profile_csv": str(tmp / "missing.csv")}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
-        "generator-size-not-dim", "missing-observable-file", "missing-profile-csv"])
+        "generator-size-not-dim", "fractional-bracket-index",
+        "bracket-index-out-of-range", "missing-observable-file", "missing-profile-csv"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2

@@ -1,11 +1,16 @@
+import itertools
 import math
+import random
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from nilmix import rates
 from nilmix.catalog import CAT, CUBIC, get_system
 from nilmix.exactlin import RationalMatrix
-from nilmix.nilalg import abelian_algebra, heisenberg_algebra
+from nilmix.nilalg import abelian_algebra, heisenberg_algebra, lyapunov_functionals
 from nilmix.rates import (
     TimeTuple,
     density_estimate,
@@ -244,3 +249,80 @@ def test_density_cubic_rank2():
                              0.05, samples=50_000) for r in (25, 50)]
     assert reps[0].good_fraction <= reps[1].good_fraction
     assert reps[1].good_fraction >= 0.95
+
+
+def test_density_radius_rounds_like_certify():
+    # sqrt(3) ** 2 is 2.9999999999999996; the ball of radius sqrt(3) holds
+    # all 27 points of {-1, 0, 1}^3
+    rep = density_estimate([CAT], 3, math.sqrt(3), 0.2, samples=1000)
+    assert rep.total_points == 27
+
+
+def _shifted_ball_brute(h, q):
+    """Integer x with ||2x - h||^2 <= q: the ball about h / 2 of radius^2
+    q / 4, scaled by 4 into Python integers."""
+    if q < 0:
+        return 0
+    b = math.isqrt(q)
+    ranges = [range(-((b - hi) // 2), (hi + b) // 2 + 1) for hi in h]
+    return sum(1 for x in itertools.product(*ranges)
+               if sum((2 * xi - hi) ** 2 for xi, hi in zip(x, h)) <= q)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shifted_ball_counts_match_integer_brute_force(dim):
+    rng = random.Random(dim)
+    hs, qs = [], []
+    for _ in range(150):
+        h = [rng.randint(-12, 12) for _ in range(dim)]
+        s = rng.randint(0, 14)
+        # perfect squares put lattice points exactly on the sphere
+        for q in (rng.randint(-8, 200), s * s, s * s - 1, 0, -1, -4):
+            hs.append(h)
+            qs.append(q)
+    centers = np.array(hs, dtype=float) / 2.0
+    r_sq = np.array(qs, dtype=float) / 4.0
+    got = rates._shifted_ball_counts(centers, r_sq)
+    want = [_shifted_ball_brute(h, q) for h, q in zip(hs, qs)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["product-t2xt2", "cubic-rank2"])
+def test_bad_mask_matches_exact_test(name):
+    gens = list(get_system(name).generators)
+    funcs = [f for f in lyapunov_functionals(gens) if not f.is_zero()]
+    test = rates._BadDifferenceTest(gens, funcs)
+    rng = random.Random(7)
+    base = [(0, 1), (1, -1), (0, 0)] + [(rng.randint(-6, 6), rng.randint(-6, 6))
+                                        for _ in range(8)]
+    ws = sorted({(k * a, k * b) for a, b in base for k in (1, 2, -3)})
+    got = test.bad_mask(np.array(ws, dtype=np.int64)).tolist()
+    assert got == [rates._is_bad_difference(w, gens) for w in ws]
+    assert got[ws.index((0, 0))]
+
+
+def test_density_product_bad_points_oracle():
+    # every (z1, z2) of the ball, each distinct difference decided by the
+    # exact per-difference test: no prefilter, no shifted-ball counts
+    gens = list(get_system("product-t2xt2").generators)
+    rep = density_estimate(gens, 2, 6, 0.2, samples=10_000)
+    verdict = {}
+    total = bad = 0
+    for z in itertools.product(range(-6, 7), repeat=4):
+        if sum(x * x for x in z) > 36:
+            continue
+        total += 1
+        w = (z[0] - z[2], z[1] - z[3])
+        if w not in verdict:
+            verdict[w] = rates._is_bad_difference(w, gens)
+        bad += verdict[w]
+    assert (rep.total_points, rep.bad_points) == (total, bad)
+
+
+def test_density_confirms_each_primitive_direction_once():
+    gens = list(get_system("product-t2xt2").generators)
+    with mock.patch.object(rates, "_is_bad_difference",
+                           wraps=rates._is_bad_difference) as exact:
+        density_estimate(gens, 2, 50, 0.05, samples=10_000)
+    keys = [c.args[0] for c in exact.call_args_list]
+    assert sorted(keys) == [(0, 1), (1, -1)]
