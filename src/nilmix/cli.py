@@ -82,8 +82,13 @@ def _load_system(cfg: dict):
     if not isinstance(dim, int) or not isinstance(gens, list) or not gens:
         raise ConfigError("inline system needs integer 'dim' and nonempty 'generators'")
     layers = entry.get("layers", [dim])
+    if not isinstance(layers, list) or not all(type(x) is int for x in layers):
+        raise ConfigError(f"bad 'layers' {layers!r}: must be a list of integers")
+    brackets = entry.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ConfigError(f"bad 'brackets' {brackets!r}: must be a list")
     entries = {}
-    for item in entry.get("brackets", []):
+    for item in brackets:
         if not isinstance(item, dict):
             raise ConfigError(f"bad brackets entry {item!r}: must be an object")
         _check_keys(item, {"i", "j", "k", "value"}, "brackets entry")

@@ -13,12 +13,17 @@ Two scan engines produce the identical ball minimum:
 
 * a literal full scan (exact Fractions for rational directions, 80-bit
   extended floats otherwise) for balls up to a size threshold;
-* an interval-pruned scan for large balls: after a seed full scan out to
-  a small radius, any lattice point that could still attain the running
-  minimum must satisfy |m . v| <= C/||m||^dimE for the dominant
-  direction, which confines the last coordinate to an interval of width
-  < 1 per (d-1)-dimensional lattice point.  Every candidate at or below
-  the seed minimum is provably evaluated.
+* a pruned scan for large balls: after a seed full scan out to a small
+  radius s, a lattice point that could still attain the running minimum C
+  must satisfy |m . v| <= C / max(||p||, s)^dimE for the dominant direction
+  v, where p are the coordinates of m off the largest axis of v.  Split by
+  ||p|| into dyadic shells, these candidates lie in one thin ellipsoid per
+  shell, whose lattice points are enumerated (LLL reduction in exact
+  integers, then a vectorized Fincke-Pohst search) and admitted by the same
+  float64 test that decided them when the scan swept every p.  Every
+  candidate at or below the seed minimum is provably evaluated.  Work and
+  memory follow the number of candidates; a scan whose candidate bound
+  exceeds a fixed limit raises MemoryError before it allocates.
 """
 
 from __future__ import annotations
@@ -155,7 +160,6 @@ def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
 
 
 _BALL_CACHE: dict = {}
-_SUB_CACHE: dict = {}
 
 
 def _cache_put(cache: dict, key, value, limit: int = 4):
@@ -192,9 +196,8 @@ def _eval_objective(grid: np.ndarray, vs_arr: np.ndarray, dim: int):
 
 def _lex_best(grid: np.ndarray, f: np.ndarray):
     """Minimum of f with lexicographic tie-break on the lattice point."""
-    fmin = f.min()
-    near = np.nonzero(f <= fmin * _LONG(1 + 1e-16) + _LONG(1e-300))[0]
-    best_i = min(near, key=lambda i: (f[i], tuple(int(x) for x in grid[i])))
+    ties = np.nonzero(f == f.min())[0]
+    best_i = ties[np.lexsort(grid[ties].T[::-1])[0]]
     return float(f[best_i]), tuple(int(x) for x in grid[best_i])
 
 
@@ -206,20 +209,137 @@ def _scan_full_float(vs_arr: np.ndarray, dim: int, radius: float):
 
 
 # ---------------------------------------------------------------------------
-# Interval-pruned scan (large balls)
+# Pruned scan (large balls): shelled lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _sub_lattice(dim: int, radius: float, seed_radius: float):
-    """Cached (dim-1)-ball with precomputed pruning denominators max(|p|, seed)^dim."""
-    key = (dim, float(radius), float(seed_radius))
-    if key in _SUB_CACHE:
-        return _SUB_CACHE[key]
-    sub = _ball_points(dim - 1, _radius_sq(radius))
-    sub_f = sub.astype(np.float64)
-    sub_norm_f64 = (sub_f ** 2).sum(axis=1)
-    denom = np.maximum(np.sqrt(sub_norm_f64), float(seed_radius))
-    denom_pow = _ipow_half(denom * denom, dim)
-    return _cache_put(_SUB_CACHE, key, (sub, sub_f, sub_norm_f64, denom_pow))
+_ENUM_LIMIT = 60_000_000   # candidate bound above which a pruned scan is refused
+_ENUM_SLACK = 1e-6         # over-cover of the enumerated ellipsoids (relative and absolute)
+
+
+def _lll(gram: list) -> tuple:
+    """Integral LLL reduction (delta = 99/100) of a positive-definite integer Gram matrix.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7,
+    in Python integers.  Returns ``(h, dets, lam)``: the rows of the
+    unimodular ``h`` are the reduced basis in the input basis, ``dets[i]`` is
+    the Gram determinant of its first ``i`` vectors and ``lam[k][j] =
+    dets[j + 1] * mu_kj`` are its Gram-Schmidt coefficients.
+    """
+    n = len(gram)
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    dets = [1, gram[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > dets[l + 1]:
+            q = (2 * lam[k][l] + dets[l + 1]) // (2 * dets[l + 1])
+            h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+            lam[k][l] -= q * dets[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:                      # row k is still e_k: Gram-Schmidt it
+            kmax = k
+            for j in range(k + 1):
+                u = sum(gram[k][t] * h[j][t] for t in range(n))
+                for i in range(j):
+                    u = (dets[i + 1] * u - lam[k][i] * lam[j][i]) // dets[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    dets[k + 1] = u
+        red(k, k - 1)
+        if 100 * dets[k + 1] * dets[k - 1] < 99 * dets[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            h[k], h[k - 1] = h[k - 1], h[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            mu = lam[k][k - 1]
+            b = (dets[k - 1] * dets[k + 1] + mu * mu) // dets[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (dets[k + 1] * lam[i][k - 1] - mu * t) // dets[k]
+                lam[i][k - 1] = (b * t + mu * lam[i][k]) // dets[k + 1]
+            dets[k] = b
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return h, dets, lam
+
+
+def _enumerate(dn: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """One of each pair +-x of integer x with sum_i dn_i (x_i + sum_{k>i} mu_ki x_k)^2 <= 1.
+
+    Fincke-Pohst enumeration, level by level from the outermost coordinate:
+    each level is one numpy step over all open nodes, and each node adds one
+    integer range.  Of x and -x only the one whose outermost nonzero
+    coordinate is positive is kept (and x = 0).  Budgets and ranges are
+    widened by ``_ENUM_SLACK``, far beyond the float64 rounding of a
+    size-reduced basis, so no point is lost; a few beyond the bound come too.
+    """
+    n = len(dn)
+    xs = np.zeros((1, n), dtype=np.int64)
+    zero = np.ones(1, dtype=bool)          # nodes whose coordinates so far are all 0
+    part = np.zeros(1)
+    cen = np.zeros((1, n))                 # cen[:, j] = sum_{k set} mu_kj x_k
+    for i in range(n - 1, -1, -1):
+        c = cen[:, i]
+        w = np.sqrt(np.maximum(1.0 + _ENUM_SLACK - part, 0.0) / dn[i]) + _ENUM_SLACK
+        lo = np.ceil(-c - w).astype(np.int64)
+        lo[zero] = np.maximum(lo[zero], 0)
+        cnt = np.maximum(np.floor(-c + w).astype(np.int64) - lo + 1, 0)
+        node = np.repeat(np.arange(len(cnt)), cnt)
+        x = lo[node] + np.arange(len(node)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        xs = xs[node]
+        xs[:, i] = x
+        if i:
+            zero = zero[node] & (x == 0)
+            part = part[node] + dn[i] * (x + c[node]) ** 2
+            cen = cen[node] + x[:, None] * mu[i]
+    return xs
+
+
+def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) -> list:
+    """Reduced ellipsoids covering the pruned candidates, one per dyadic shell.
+
+    With p the coordinates of m off the pivot axis, shell j holds the m with
+    n_lo < ||p||^2 <= n_hi, that is ||p|| in (s 2^(j-1), s 2^j] (s the seed
+    radius), the last shell cut at the ball.  A candidate there has
+    |m . u| <= t = c / max(lo, s)^d, with u the pivot direction scaled to
+    u_ax = 1 and c the running minimum over |piv_ax|, so it lies in the
+    ellipsoid ||p||^2 / n_hi + (m . u)^2 / t^2 <= 2.  t carries slack for the
+    sweep's float64 admission test.  Each form is LLL-reduced in exact
+    integers (its condition number reaches ~1e24 at R = 1000, d = 3), starting
+    from the previous shell's basis; its Gram-Schmidt data are then rounded
+    once to float64.
+    """
+    dim = len(u)
+    rsq = _radius_sq(radius)
+    h = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    forms, n_lo, hi = [], -1, float(seed_radius)
+    while n_lo < rsq:
+        n_hi = min(math.floor(hi * hi), rsq)
+        lo = max(hi / 2, seed_radius)
+        t = c / lo ** dim * (1 + _ENUM_SLACK) + hi * dim * 1e-11
+        inv_t2 = Fraction(1.0 / (t * t))
+        form = [[Fraction(int(i == j != ax), n_hi) + inv_t2 * u[i] * u[j]
+                 for j in range(dim)] for i in range(dim)]
+        scale = math.lcm(*(x.denominator for row in form for x in row))
+        g = [[int(x * scale) for x in row] for row in form]
+        gh = [[sum(g[i][q] * b[q] for q in range(dim)) for b in h] for i in range(dim)]
+        warm = [[sum(a[i] * gh[i][j] for i in range(dim)) for j in range(dim)] for a in h]
+        red, dets, lam = _lll(warm)
+        h = [[sum(r[i] * h[i][j] for i in range(dim)) for j in range(dim)] for r in red]
+        dn = np.array([float(Fraction(dets[i + 1], 2 * scale * dets[i]))
+                       for i in range(dim)])
+        mu = np.array([[float(Fraction(lam[i][j], dets[j + 1])) if j < i else 0.0
+                        for j in range(dim)] for i in range(dim)])
+        forms.append((n_lo, n_hi, np.array(h, dtype=np.int64), dn, mu))
+        n_lo, hi = n_hi, 2 * hi
+    return forms
 
 
 def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float):
@@ -233,46 +353,52 @@ def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float
     vi, ax = np.unravel_index(np.argmax(flat), flat.shape)
     piv = vs_arr[vi]
     piv_ax = piv[ax]
-
     other_axes = [j for j in range(dim) if j != ax]
-    sub, sub_f, sub_norm_f64, denom_pow = _sub_lattice(dim, radius, seed_radius)
-    if len(sub) == 0:
-        return val, arg, count
-    # the interval cover runs in float64 with explicit slack (valid over-cover);
-    # the objective itself is evaluated in extended precision on the survivors
+
+    u = [Fraction(float(x)) / Fraction(float(piv_ax)) for x in piv]
+    forms = _shell_forms(u, ax, c_cur / abs(float(piv_ax)), seed_radius, radius)
+    # every level of an enumeration has at most this many nodes (box bound)
+    estimate = sum(float(np.prod(np.floor(2 * (np.sqrt((1 + _ENUM_SLACK) / dn)
+                                               + _ENUM_SLACK)) + 1))
+                   for _, _, _, dn, _ in forms)
+    if estimate > _ENUM_LIMIT:
+        raise MemoryError(f"pruned scan in d={dim} to R={radius:g} would enumerate "
+                          f"~{estimate:.3g} candidates (limit {_ENUM_LIMIT:.3g})")
+
+    chunks = []
+    for n_lo, n_hi, basis, dn, mu in forms:
+        pts = _enumerate(dn, mu) @ basis
+        sub = pts[:, other_axes]
+        n_sq = (sub * sub).sum(axis=1)
+        chunks.append(pts[(n_sq > n_lo) & (n_sq <= n_hi)])
+    pts = np.vstack(chunks)
+
+    # the admission test of the (d-1)-ball sweep, which decides every
+    # candidate in float64 with explicit slack; the objective is evaluated in
+    # extended precision on the survivors.  sub_f is C-ordered like the
+    # sweep's ball: BLAS rounds an F-ordered matrix-vector product
+    # differently, and a resonant candidate is decided by its last bit
+    sub_f = np.ascontiguousarray(pts[:, other_axes], dtype=np.float64)
+    sub_norm_f64 = (sub_f ** 2).sum(axis=1)
+    denom = np.maximum(np.sqrt(sub_norm_f64), float(seed_radius))
+    denom_pow = _ipow_half(denom * denom, dim)
     tau = float(c_cur) / denom_pow
     proj = sub_f @ np.asarray(piv[other_axes], dtype=np.float64)
     center = -proj / float(piv_ax)
     width = tau / abs(float(piv_ax)) * (1 + 1e-9) + np.abs(center) * 1e-12 + 1e-290
-    if float(width.max()) >= 1.0:
-        raise ArithmeticError("pruning width >= 1; enlarge the seed radius")
-    base = np.rint(center).astype(np.int64)
+    cand_f = pts[:, ax].astype(np.float64)
     r_sq = radius * radius + 1e-9
-
-    chunks = []
-    for off in (-1, 0, 1):
-        cand_ax = base + off
-        cand_f = cand_ax.astype(np.float64)
-        keep = (np.abs(cand_f - center) <= width) & (sub_norm_f64 + cand_f ** 2 <= r_sq)
-        if keep.any():
-            pts = np.empty((int(keep.sum()), dim), dtype=np.int64)
-            pts[:, other_axes] = sub[keep]
-            pts[:, ax] = cand_ax[keep]
-            chunks.append(pts)
-    count_extra = 0
-    if chunks:
-        pts = np.vstack(chunks)
-        pts = pts[pts.any(axis=1)]
-        # canonicalize signs, dedupe
-        pts = np.where(_first_sign(pts)[:, None] < 0, -pts, pts)
-        if len(pts):
-            pts = np.unique(pts, axis=0)
-            f, _ = _eval_objective(pts, vs_arr, dim)
-            v2, a2 = _lex_best(pts, f)
-            count_extra = len(pts)
-            if (v2, a2) < (val, arg):
-                val, arg = v2, a2
-    return val, arg, count + count_extra
+    keep = (np.abs(cand_f - center) <= width) & (sub_norm_f64 + cand_f ** 2 <= r_sq)
+    pts = pts[keep & pts.any(axis=1)]
+    if len(pts) == 0:
+        return val, arg, count
+    # every +-m pair was enumerated once, in one shell: no duplicates
+    pts = np.where(_first_sign(pts)[:, None] < 0, -pts, pts)
+    f, _ = _eval_objective(pts, vs_arr, dim)
+    v2, a2 = _lex_best(pts, f)
+    if (v2, a2) < (val, arg):
+        val, arg = v2, a2
+    return val, arg, count + len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +442,7 @@ def diophantine_certificate(directions: Sequence[Sequence], dim_ambient: int,
 def _seed_radius(dim: int) -> float:
     target = float(_FULL_SCAN_LIMIT) / 4.0
     r = (target / _ball_point_count(dim, 1.0)) ** (1.0 / dim)
-    grid_cap = ((3e7) ** (1.0 / dim) - 1.0) / 2.0   # meshgrid memory bound
-    return float(max(8.0, min(r, grid_cap, 512.0)))
+    return float(max(8.0, min(r, 512.0)))
 
 
 def _normalize_rows(rows: np.ndarray) -> list[list[float]]:

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+import nilmix
 from nilmix.catalog import CAT, CUBIC, get_system, random_ergodic_gl3
 from nilmix.dioph import (
+    _scan_exact,
     _scan_full_float,
     _scan_pruned,
     diophantine_certificate,
@@ -86,16 +92,18 @@ def test_pruned_scan_matches_full_scan():
         v /= np.max(np.abs(v))
         vs = np.asarray(v, dtype=np.longdouble)
         full_val, full_arg, _ = _scan_full_float(vs, 3, 60.0)
-        pr_val, pr_arg, _ = _scan_pruned(vs, 3, 60.0, seed_radius=17.0)
+        pr_val, pr_arg, count = _scan_pruned(vs, 3, 60.0, seed_radius=17.0)
         assert pr_arg == full_arg
         assert pr_val == pytest.approx(full_val, rel=1e-15)
+        assert count == 10239
 
 
 def test_pruned_scan_matches_full_scan_2d():
     vs = np.asarray([[1.0, PHI_INV]], dtype=np.longdouble)
     full_val, full_arg, _ = _scan_full_float(vs, 2, 700.0)
-    pr_val, pr_arg, _ = _scan_pruned(vs, 2, 700.0, seed_radius=25.0)
+    pr_val, pr_arg, count = _scan_pruned(vs, 2, 700.0, seed_radius=25.0)
     assert pr_arg == full_arg and pr_val == pytest.approx(full_val, rel=1e-15)
+    assert count == 980
 
 
 def test_pruned_scan_near_rational_direction():
@@ -103,6 +111,7 @@ def test_pruned_scan_near_rational_direction():
     # near-minima far outside the seed ball; the pruned engine must still
     # reproduce the full scan exactly
     rng = np.random.default_rng(42)
+    counts = [1558, 1536, 1535, 1566, 1535, 1535, 1540, 1536]   # the (d-1)-ball sweep's
     for trial in range(8):
         v = rng.normal(size=(1 + trial % 2, 3))
         v /= np.max(np.abs(v))
@@ -110,9 +119,88 @@ def test_pruned_scan_near_rational_direction():
             v[0] = np.array([1.0, 355.0 / 113.0, 0.5]) * (0.9 + 0.2 * rng.random())
         vs = np.asarray(v, dtype=np.longdouble)
         f_val, f_arg, _ = _scan_full_float(vs, 3, 70.0)
-        p_val, p_arg, _ = _scan_pruned(vs, 3, 70.0, seed_radius=9.0)
+        p_val, p_arg, count = _scan_pruned(vs, 3, 70.0, seed_radius=9.0)
         assert p_arg == f_arg
         assert p_val == pytest.approx(f_val, rel=1e-14)
+        assert count == counts[trial]
+
+
+@pytest.mark.parametrize("dim, radius, seed_radius, counts", [
+    (2, 700.0, 25.0, [980, 980, 980, 1680, 980]),
+    (3, 60.0, 9.0, [1535, 1535, 1535, 2438, 1595]),
+    (4, 22.0, 5.0, [1560, 1561, 1560, 6998, 2318]),
+])
+def test_pruned_scan_is_exactly_the_full_scan(dim, radius, seed_radius, counts):
+    # the whole ball fits the full scan, so the shelled enumeration out of a
+    # small seed ball must give the identical minimum and argmin, including
+    # the lexicographic tie-break among exact zeros of resonant directions;
+    # the counts are those of the (d-1)-ball sweep
+    rng = np.random.default_rng(dim)
+    cases = [rng.normal(size=(1, dim)), rng.normal(size=(2, dim)),
+             np.round(rng.normal(size=(1, dim)) * 7) / 7 + rng.normal(size=(1, dim)) * 1e-5,
+             rng.integers(-3, 4, size=(1, dim)) / 3 + np.eye(dim)[:1],
+             np.array([[1.0, PHI_INV] + [0.0] * (dim - 2)])]
+    for v, want in zip(cases, counts):
+        vs = np.asarray(v / np.max(np.abs(v)), dtype=np.longdouble)
+        full_val, full_arg, _ = _scan_full_float(vs, dim, radius)
+        pr_val, pr_arg, count = _scan_pruned(vs, dim, radius, seed_radius)
+        assert (pr_val, pr_arg, count) == (full_val, full_arg, want)
+
+
+@pytest.mark.parametrize("dim, vs, radius, seed_radius, want", [
+    (2, [[41, 29]], 60.0, 6.0, 57),
+    (3, [[7, 11, 13]], 14.0, 3.0, 76),
+    (3, [[40, -17, 29], [3, 1, -2]], 14.0, 4.0, 132),
+    (4, [[2, 3, 5, 7], [1, -1, 2, 0]], 8.0, 3.0, 330),
+])
+def test_pruned_scan_matches_exact_scan(dim, vs, radius, seed_radius, want):
+    fsq, exact_arg, _ = _scan_exact([[Fraction(x) for x in v] for v in vs], dim, radius)
+    val, arg, count = _scan_pruned(np.asarray(vs, dtype=np.longdouble), dim, radius,
+                                   seed_radius)
+    assert arg == exact_arg
+    assert Fraction(val) ** 2 == fsq
+    assert count == want
+
+
+def test_resonant_float_direction():
+    # a float direction with a plane of exact zeros (~R^2 lattice points):
+    # the sweep scanned 474890 points in 1.08 s; the enumeration must match
+    # it and stay faster
+    start = time.perf_counter()
+    cert = diophantine_certificate([[1.0, 1.0, 0.0]], 3, 300)
+    elapsed = time.perf_counter() - start
+    assert (cert.points_scanned, cert.argmin, cert.passed) == (474890, (0, 0, 1), False)
+    assert elapsed < 1.0
+
+
+def test_oversized_scan_is_refused_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match=r"d=3 to R=1e\+06 .* candidates"):
+        diophantine_certificate([[1.0, 1.0, 0.0]], 3, 1e6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_certifies_under_a_4_gib_address_space():
+    # the child alone runs under RLIMIT_AS = 4 GiB: cubic3 at R = 1e4 and the
+    # dim-4 companion of x^4 - 4x^2 + x + 1 at R = 1000 certify every subspace
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from nilmix.catalog import CUBIC
+from nilmix.dioph import certify_structural_subspaces
+from nilmix.exactlin import IntPolynomial, RationalMatrix
+dim4 = RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1]))
+for m, radius in ((CUBIC, 1e4), (dim4, 1000)):
+    report = certify_structural_subspaces(m, radius)
+    assert report and all(c.passed for c in report.values()), report
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilmix.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=240, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------
