@@ -19,6 +19,7 @@ import numpy as np
 
 from .exactlin import RationalMatrix
 from .fourier import ExactComplex, FourierObservable
+from .nilalg import action_matrix, check_commuting
 
 __all__ = [
     "BudgetError",
@@ -42,37 +43,7 @@ class BudgetError(RuntimeError):
 # Exact integer transport
 # ---------------------------------------------------------------------------
 
-def _int_matrix(m: RationalMatrix) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in m.rows)
-
-
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def transported_power(m: RationalMatrix, e: int) -> tuple:
-    """Exact integer matrix of M^e as nested int tuples; frequencies transport
-    by its transpose.  Negative powers go through the exact inverse."""
-    if e < 0:
-        m = m.inverse()
-        if not m.is_integer():
-            raise ValueError("negative powers need a unimodular matrix")
-        e = -e
-    base = _int_matrix(m)
-    n = len(base)
-    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    while e:
-        if e & 1:
-            out = _mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-    return out
-
-
-def _transport(mt: tuple, k: tuple) -> tuple:
+def _transport(mt: Sequence[Sequence[int]], k: tuple) -> tuple:
     """Apply the transpose of the integer matrix to a frequency vector."""
     n = len(mt)
     return tuple(sum(mt[i][j] * k[i] for i in range(n)) for j in range(n))
@@ -92,16 +63,13 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
         raise ValueError("dimension mismatch")
     if not m.is_unimodular_integer():
         raise ValueError("need an integer matrix with determinant +-1")
-    mt = transported_power(m, power)
+    mt = (m ** power).to_int_array()
     exact = f.exact and g.exact
+    if not exact:
+        f, g = (h.to_float() if h.exact else h for h in (f, g))
     acc = ExactComplex() if exact else 0j
     for k, c in f.items():
-        target = _transport(mt, k)
-        gz = g[target]
-        if exact:
-            acc = acc + c * gz.conjugate()
-        else:
-            acc = acc + complex(c) * complex(gz).conjugate()
+        acc = acc + c * g[_transport(mt, k)].conjugate()
     return acc
 
 
@@ -119,8 +87,6 @@ def correlation_n(observables: Sequence[FourierObservable],
     The enumeration meets in the middle: the transported partial sums of
     the first half are hashed, the second half looks up the negation.
     """
-    from .nilalg import check_commuting
-
     n = len(observables)
     if n < 1 or len(times) != n:
         raise ValueError("need one time per observable")
@@ -129,18 +95,18 @@ def correlation_n(observables: Sequence[FourierObservable],
     if any(f.dim != dim for f in observables):
         raise ValueError("observables live on different lattices")
 
+    exact = all(f.exact for f in observables)
+    if not exact:
+        observables = [f.to_float() if f.exact else f for f in observables]
+
     transported = []
     for f, z in zip(observables, times):
         z = tuple(int(t) for t in z)
         if len(z) != len(generators):
             raise ValueError("time vectors must match the number of generators")
-        mt = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-        for g, e in zip(generators, z):
-            if e:
-                mt = _mat_mul(mt, transported_power(g, e))
-        transported.append([( _transport(mt, k), c) for k, c in f.items()])
+        mt = action_matrix(generators, z).to_int_array()
+        transported.append([(_transport(mt, k), c) for k, c in f.items()])
 
-    exact = all(f.exact for f in observables)
     sizes = [len(t) for t in transported]
     if 0 in sizes:
         return ExactComplex() if exact else 0j
@@ -169,7 +135,7 @@ def correlation_n(observables: Sequence[FourierObservable],
             ksum = tuple(sum(k[j] for k, _ in combo) for j in range(dim))
             coeff = combo[0][1]
             for _, c in combo[1:]:
-                coeff = coeff * c if exact else complex(coeff) * complex(c)
+                coeff = coeff * c
             table[ksum] = table.get(ksum, zero) + coeff
         return table
 
@@ -183,8 +149,8 @@ def correlation_n(observables: Sequence[FourierObservable],
                 continue
             coeff = combo[0][1]
             for _, c in combo[1:]:
-                coeff = coeff * c if exact else complex(coeff) * complex(c)
-            acc = acc + (ta[neg] * coeff if exact else complex(ta[neg]) * complex(coeff))
+                coeff = coeff * c
+            acc = acc + ta[neg] * coeff
     else:
         acc = ta.get(tuple([0] * dim), zero)
     return acc
@@ -345,7 +311,7 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
         exact=g.exact)
     # F must fix the lifted observable: its transpose transport on the
     # block frequencies must be the identity
-    mt = transported_power(fgen, 1)
+    mt = fgen.to_int_array()
     for z in lifted.coeffs:
         if _transport(mt, z) != z:
             raise ValueError("second generator does not fix the block observable")

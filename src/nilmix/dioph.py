@@ -35,8 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, lyapunov_data
-from .nilalg import NilpotentAlgebra, is_ergodic
+from .exactlin import RationalMatrix, _restrict_to_primary, lyapunov_data
+from .nilalg import NilpotentAlgebra, abelian_algebra, is_ergodic
 
 __all__ = [
     "DiophantineCertificate",
@@ -466,7 +466,7 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
     """
     if not m.is_unimodular_integer():
         raise ValueError("matrix must be integer with determinant +-1")
-    algebra = algebra or _abelian(m.dim)
+    algebra = algebra or abelian_algebra(m.dim)
     if not is_ergodic(algebra, m):
         raise ValueError("matrix is not ergodic (root-of-unity eigenvalue present)")
 
@@ -490,7 +490,7 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
         for b in split.blocks:
             if i not in b.primary_factors:
                 continue
-            rows = _restrict_rows_to_block(split, b, i)
+            rows = _restrict_to_primary(split, b, i)
             coords = rows @ lattice.T @ ginv   # coordinates in the block lattice basis
             resid = np.linalg.norm(coords @ lattice - rows)
             if resid > 1e-9 * max(1.0, np.linalg.norm(rows)):
@@ -500,16 +500,6 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
             report[key] = diophantine_certificate(
                 _normalize_rows(coords), len(blk.lattice_basis), radius)
     return report
-
-
-def _restrict_rows_to_block(split, block, i):
-    from .exactlin import _restrict_to_primary
-    return _restrict_to_primary(split, block, i)
-
-
-def _abelian(dim: int) -> NilpotentAlgebra:
-    from .nilalg import abelian_algebra
-    return abelian_algebra(dim)
 
 
 def type_i_subspace(algebra: NilpotentAlgebra, layer: int,

@@ -9,6 +9,7 @@ carry certified error bounds obtained from high-precision root isolation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -121,9 +122,9 @@ class RationalMatrix:
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             self._check_dim(other)
-            cols = list(zip(*other.rows))
-            return RationalMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                                   for row in self.rows])
+            a, da = self._numerators()
+            b, db = other._numerators()
+            return RationalMatrix._from_numerators(_int_matmul(a, b), da * db)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -136,15 +137,27 @@ class RationalMatrix:
     def __pow__(self, m: int) -> "RationalMatrix":
         if not isinstance(m, int):
             raise TypeError("integer powers only")
-        base = self if m >= 0 else self.inverse()
+        base, den = (self if m >= 0 else self.inverse())._numerators()
         m = abs(m)
-        out = RationalMatrix.identity(self.dim)
+        den **= m
+        out = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         while m:
             if m & 1:
-                out = out * base
-            base = base * base if m > 1 else base
+                out = _int_matmul(out, base)
             m >>= 1
-        return out
+            if m:
+                base = _int_matmul(base, base)
+        return RationalMatrix._from_numerators(out, den)
+
+    def _numerators(self) -> tuple[list[list[int]], int]:
+        """Integer numerators over one common denominator: self = nums / den."""
+        den = math.lcm(*(x.denominator for row in self.rows for x in row))
+        return [[x.numerator * (den // x.denominator) for x in row] for row in self.rows], den
+
+    @staticmethod
+    def _from_numerators(nums: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
+        """The matrix nums / den, building one Fraction per entry."""
+        return RationalMatrix([[Fraction(x, den) for x in row] for row in nums])
 
     def _check_dim(self, other: "RationalMatrix"):
         if self.dim != other.dim:
@@ -163,42 +176,17 @@ class RationalMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def determinant(self) -> Fraction:
-        """Fraction-free style Gaussian elimination determinant."""
-        a = [list(row) for row in self.rows]
-        n = self.dim
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f:
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return det
+        """Exact determinant, the signed product of the row reduction's pivots."""
+        return _rref(self.rows)[2]
 
     def inverse(self) -> "RationalMatrix":
+        """Exact inverse, by reducing [A | I]; ZeroDivisionError if A is singular."""
         n = self.dim
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return RationalMatrix([row[n:] for row in a])
+        red, pivots, _ = _rref([row + tuple(Fraction(int(i == j)) for j in range(n))
+                                for i, row in enumerate(self.rows)])
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return RationalMatrix([row[n:] for row in red])
 
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.dim))
@@ -221,6 +209,44 @@ class RationalMatrix:
         with mpmath.workprec(prec):
             return mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
                                   for row in self.rows])
+
+
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan reduction of a list of int or Fraction rows of any shape.
+
+    Returns the reduced row echelon form (unique, so every basis read from
+    it is canonical), the pivot columns, and the determinant: the signed
+    product of the pivots, or 0 when some row has no pivot (meaningful
+    for square input only).
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][col]
+        inv = 1 / Fraction(a[r][col])
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots, det if len(pivots) == nrows else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,32 +509,18 @@ def is_cyclotomic(q: IntPolynomial, *, assume_irreducible: bool = False) -> Opti
 # Primary decomposition
 # ---------------------------------------------------------------------------
 
-def rational_kernel(m: RationalMatrix) -> list[tuple]:
-    """Exact basis of ker(M) over Q (list of Fraction tuples)."""
-    n = m.dim
-    a = [list(row) for row in m.rows]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
+def rational_kernel(m: RationalMatrix | Sequence[Sequence[Fraction]]) -> list[tuple]:
+    """Exact basis of ker(M) over Q (list of Fraction tuples); M may be a
+    RationalMatrix or a rectangular list of rows."""
+    rows = m.rows if isinstance(m, RationalMatrix) else m
+    red, pivots, _ = _rref(rows)
+    n = len(rows[0])
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+            v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return basis
 

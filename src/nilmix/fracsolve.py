@@ -80,13 +80,6 @@ def _dot_exact(z: tuple, v: Sequence) -> Optional[Fraction]:
     return None
 
 
-def selector_index(z: tuple, directions: Sequence[Sequence]) -> int:
-    """Smallest index attaining max_j |z.v_j| (hence >= the average)."""
-    dots = [abs(_dot(z, v)) for v in directions]
-    m = max(dots)
-    return dots.index(m)
-
-
 @dataclass
 class SmallDivisorSplit:
     large: FourierObservable       # sum_j |z.v_j| >= 1
@@ -109,8 +102,10 @@ def split_small_divisor(f: FourierObservable, directions: Sequence[Sequence]) \
         if z == origin:
             zero[z] = c
             continue
-        total = math.fsum(abs(_dot(z, v)) for v in directions)
-        selector[z] = selector_index(z, directions)
+        dots = [abs(_dot(z, v)) for v in directions]
+        total = math.fsum(dots)
+        # first index attaining max_j |z.v_j| (hence >= the average)
+        selector[z] = dots.index(max(dots))
         if total >= 1.0:
             large[z] = c
         else:

@@ -22,8 +22,10 @@ from .exactlin import (
     PrecisionError,
     PrimaryDecomposition,
     RationalMatrix,
+    _rref,
     lyapunov_data,
     primary_decomposition,
+    rational_kernel,
 )
 
 __all__ = [
@@ -150,26 +152,8 @@ class Diagnostics:
 
 def _span_rows(vectors: Sequence[Sequence[Fraction]]) -> list[tuple]:
     """Reduced row-echelon basis of the rational span."""
-    rows = [list(v) for v in vectors if any(x != 0 for x in v)]
-    basis: list[list[Fraction]] = []
-    for vec in rows:
-        v = list(vec)
-        for b in basis:
-            piv = next(i for i, x in enumerate(b) if x != 0)
-            if v[piv]:
-                f = v[piv] / b[piv]
-                v = [x - f * y for x, y in zip(v, b)]
-        if any(x != 0 for x in v):
-            piv = next(i for i, x in enumerate(v) if x != 0)
-            v = [x / v[piv] for x in v]
-            for b in basis:
-                if b[piv]:
-                    f = b[piv]
-                    for i in range(len(b)):
-                        b[i] -= f * v[i]
-            basis.append(v)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x != 0))
-    return [tuple(b) for b in basis]
+    red, pivots, _ = _rref(vectors)
+    return [tuple(row) for row in red[: len(pivots)]]
 
 
 def _in_span(v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
@@ -387,28 +371,10 @@ def intersect_spans(a: Sequence[tuple], b: Sequence[tuple], dim: int) -> list[tu
     """Exact intersection of two rational spans (both given by bases)."""
     if not a or not b:
         return []
-    # solve x in span(a) and x in span(b): nullspace of stacked [A^T | -B^T]
-    rows = len(a) + len(b)
-    mat = []
-    for d in range(dim):
-        mat.append([a[i][d] for i in range(len(a))] + [-b[j][d] for j in range(len(b))])
-    # kernel of (dim x rows) matrix: pad to square for rational_kernel
-    from .exactlin import rational_kernel
-    size = max(dim, rows)
-    padded = [[mat[r][c] if r < dim and c < rows else Fraction(0) for c in range(size)]
-              for r in range(size)]
-    combos = rational_kernel(RationalMatrix(padded))
-    out = []
-    for v in combos:
-        coeff_a = v[: len(a)]
-        if all(c == 0 for c in v[len(a): rows]) and all(c == 0 for c in coeff_a):
-            continue
-        if any(c != 0 for c in v[rows:]):
-            continue  # padding coordinates must stay zero
-        vec = tuple(sum(c * a[i][d] for i, c in enumerate(coeff_a)) for d in range(dim))
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    return _span_rows(out)
+    # x = A^T c lies in span(b) iff x = B^T d for some d: (c, d) in ker [A^T | -B^T]
+    mat = [[v[d] for v in a] + [-w[d] for w in b] for d in range(dim)]
+    return _span_rows([tuple(sum(c * v[d] for c, v in zip(combo, a)) for d in range(dim))
+                       for combo in rational_kernel(mat)])
 
 
 def n2_of_family(generators: Sequence[RationalMatrix]) -> list[tuple]:

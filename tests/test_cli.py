@@ -179,6 +179,16 @@ def test_counterexample_commands(tmp_path):
     vals = [e["re"] for e in report["result"]["entries"]]
     assert vals == pytest.approx([1.0, 1.0])
 
+    # the default exact observable beside a float observable2 from the config
+    shifted_cos = {"dim": 2, "coeffs": [{"z": [0, 0], "re": 1.0, "im": 0.0},
+                                        {"z": [1, 0], "re": 0.5, "im": 0.0},
+                                        {"z": [-1, 0], "re": 0.5, "im": 0.0}]}
+    code, report, _ = run(tmp_path, "counterexample",
+                          {"kind": "max-gap", "observable2": shifted_cos,
+                           "powers": [1, 30]})
+    assert code == 0
+    assert report["result"]["entries"][-1]["re"] == pytest.approx(0.75, abs=1e-10)
+
 
 def test_inline_system(tmp_path):
     cfg = {"system": {"name": "inline-heis", "dim": 3, "layers": [2, 1],

@@ -13,7 +13,6 @@ from nilmix.correlate import (
     counterexample_maxgap,
     decay_fit,
     no_uniform_bound_demo,
-    transported_power,
 )
 from nilmix.exactlin import RationalMatrix
 from nilmix.fourier import ExactComplex, FourierObservable, real_cosine, real_sine
@@ -63,7 +62,7 @@ def test_against_grid_quadrature():
                 entries[(a, b)] = math.exp(-math.hypot(a, b))
     f = obs(entries)
     val = correlation2(f, f, CAT, 2)
-    oracle = quadrature_oracle(f, f, transported_power(CAT, 2))
+    oracle = quadrature_oracle(f, f, (CAT ** 2).to_int_array())
     assert complex(val) == pytest.approx(oracle, abs=1e-8)
 
 
@@ -118,7 +117,7 @@ def test_two_block_consistency():
     full = correlation_n([f1, f2, f3], [CAT], times)
 
     def transported(f, e):
-        mt = transported_power(CAT, e)
+        mt = (CAT ** e).to_int_array()
         out = {}
         for k, c in f.items():
             kk = tuple(sum(mt[i][j] * k[i] for i in range(2)) for j in range(2))
@@ -148,6 +147,28 @@ def test_permutation_symmetry():
         v = complex(correlation_n([fs[i] for i in perm], [CAT],
                                   [times[i] for i in perm]))
         assert v == pytest.approx(base, abs=1e-14)
+
+
+def test_mixed_exact_and_float_observables():
+    # one exact and one float observable are summed in floats, with the
+    # same value as when both are float
+    cos = real_cosine(2, (1, 0))
+    shifted_cos = obs({(0, 0): 1.0, (1, 0): 0.5, (-1, 0): 0.5})
+    f1, f2 = cos.power(2), shifted_cos.power(2)
+    for times in ([(1,), (2,)], [(0,), (0,)], [(3,), (-1,)]):
+        mixed = correlation_n([f1, f2], [CAT], times)
+        assert isinstance(mixed, complex)
+        assert mixed == correlation_n([f1.to_float(), f2], [CAT], times)
+    assert correlation2(f2, f1, CAT, 1) == correlation2(f2, f1.to_float(), CAT, 1)
+    series = counterexample_maxgap(cos, shifted_cos, 2, CAT, [1, 20])
+    assert series.values()[-1] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_non_integer_generator_is_refused():
+    # frequencies transport only by integer matrices; entries are not truncated
+    g = RationalMatrix([[Fraction(3, 2), 0], [0, Fraction(2, 3)]])
+    with pytest.raises(ValueError):
+        correlation_n([obs({(1, 0): 1.0}), obs({(-1, 0): 1.0})], [g], [(1,), (0,)])
 
 
 def test_rank2_generators():

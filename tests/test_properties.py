@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nilmix.catalog import CAT, CUBIC, get_system, random_ergodic_gl3
-from nilmix.correlate import correlation2, correlation_n, transported_power
+from nilmix.correlate import correlation2, correlation_n
 from nilmix.dioph import diophantine_certificate
 from nilmix.exactlin import (
     IntPolynomial,
@@ -392,7 +392,7 @@ def test_two_block_consistency(f1, f2, f3, t1, t2):
     full = correlation_n([f1, f2, f3], [CAT], times)
 
     def transported(f, e):
-        mt = transported_power(CAT, e)
+        mt = (CAT ** e).to_int_array()
         out = {}
         for k, c in f.items():
             kk = tuple(sum(mt[i][j] * k[i] for i in range(2)) for j in range(2))
