@@ -68,6 +68,26 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
 
 
+def _number(cfg: dict, key: str, default, kind=float):
+    """cfg[key], or default when absent, cast to kind (int or float); a list
+    default asks for a list of such numbers.  Bools, strings, non-finite
+    numbers and fractional values of an int field raise ConfigError."""
+    value = cfg.get(key, default)
+    many = isinstance(default, list)
+    items = value if many and isinstance(value, list) else [value]
+
+    def ok(x) -> bool:
+        return (type(x) in (int, float) and math.isfinite(x)
+                and (kind is float or float(x).is_integer()))
+
+    if many != isinstance(value, list) or not all(map(ok, items)):
+        noun = "integer" if kind is int else "finite number"
+        raise ConfigError(f"bad {key!r} {value!r}: must be "
+                          + (f"a list of {noun}s" if many else f"one {noun}"))
+    out = [kind(x) for x in items]
+    return out if many else out[0]
+
+
 def _load_system(cfg: dict):
     entry = cfg.get("system")
     if entry is None:
@@ -222,9 +242,9 @@ def _cmd_analyze(cfg, outdir, precision, seed):
 def _cmd_rates(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system", "s", "r", "eps"}, "rates config")
     system = _load_system(cfg)
-    s = float(cfg.get("s", 0.5))
-    r = float(cfg.get("r", 1.0))
-    eps = float(cfg.get("eps", 0.01))
+    s = _number(cfg, "s", 0.5)
+    r = _number(cfg, "r", 1.0)
+    eps = _number(cfg, "eps", 0.01)
     rep = rho_chi(system.algebra, system.matrix, precision)
     env = order2_envelope(system.algebra, system.matrix, r, eps, precision)
     gamma = holder_rate(system.algebra, system.matrix, s, precision)
@@ -244,13 +264,11 @@ def _cmd_rates(cfg, outdir, precision, seed):
 
 def _cmd_certify(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system", "radius", "directions", "dim_ambient"}, "certify config")
-    radius = float(cfg.get("radius", 1000.0))
+    radius = _number(cfg, "radius", 1000.0)
     rows = []
     out = {"radius": radius}
     if "directions" in cfg:
-        dims = cfg.get("dim_ambient")
-        if not isinstance(dims, int):
-            raise ConfigError("explicit 'directions' need integer 'dim_ambient'")
+        dims = _number(cfg, "dim_ambient", None, int)
         cert = diophantine_certificate(cfg["directions"], dims, radius)
         out["certificate"] = {"c_emp": cert.c_emp, "argmin": cert.argmin,
                               "passed": cert.passed, "points": cert.points_scanned}
@@ -271,7 +289,7 @@ def _cmd_certify(cfg, outdir, precision, seed):
 def _cmd_solve(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system", "observable", "directions", "r", "mode", "radius"},
                 "solve config")
-    r = float(cfg.get("r", 0.5))
+    r = _number(cfg, "r", 0.5)
     mode = cfg.get("mode", "modulus")
     f = _load_observable(cfg, "observable")
     if "directions" in cfg:
@@ -282,7 +300,7 @@ def _cmd_solve(cfg, outdir, precision, seed):
         w = split.w_plus()
         directions = [tuple(float(x) for x in row) for row in w]
     cert = diophantine_certificate(directions, f.dim,
-                                   float(cfg.get("radius", max(8.0, f.support_radius() + 1))))
+                                   _number(cfg, "radius", max(8.0, f.support_radius() + 1)))
     sol = solve_fractional(f, directions, r, mode=mode, certificate=cert)
     out = {
         "order": r, "mode": mode, "residual": sol.residual,
@@ -305,8 +323,8 @@ def _cmd_solve(cfg, outdir, precision, seed):
 
 def _cmd_threshold(cfg, outdir, precision, seed):
     _check_keys(cfg, {"profile", "profile_csv", "orders", "cutoffs"}, "threshold config")
-    orders = cfg.get("orders", [0.25, 0.5, 0.75])
-    cutoffs = cfg.get("cutoffs", [1e-2, 1e-4, 1e-6])
+    orders = _number(cfg, "orders", [0.25, 0.5, 0.75])
+    cutoffs = _number(cfg, "cutoffs", [1e-2, 1e-4, 1e-6])
     if "profile_csv" in cfg:
         try:
             with open(cfg["profile_csv"]) as fh:
@@ -326,7 +344,7 @@ def _cmd_threshold(cfg, outdir, precision, seed):
     out = {"runs": []}
     for r in orders:
         for h in cutoffs:
-            rep = schrodinger_threshold(profile, float(r), float(h))
+            rep = schrodinger_threshold(profile, r, h)
             out["runs"].append({"r": r, "h": h, "value": rep.value,
                                 "verdict": rep.verdict})
             rows.append([r, h, rep.value, rep.verdict])
@@ -339,7 +357,7 @@ def _cmd_correlate(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system", "observables", "times", "powers", "fit_rate",
                       "budget"}, "correlate config")
     system = _load_system(cfg)
-    budget = int(cfg.get("budget", 10_000_000))
+    budget = _number(cfg, "budget", 10_000_000, int)
     obs_list = cfg.get("observables")
     if not isinstance(obs_list, list) or not obs_list:
         raise ConfigError("'observables' must be a nonempty list")
@@ -348,10 +366,10 @@ def _cmd_correlate(cfg, outdir, precision, seed):
     if "powers" in cfg:
         if len(observables) != 2:
             raise ConfigError("'powers' mode needs exactly two observables")
-        for p in cfg["powers"]:
-            v = correlation2(observables[0], observables[1], system.matrix, int(p))
+        for p in _number(cfg, "powers", [], int):
+            v = correlation2(observables[0], observables[1], system.matrix, p)
             series.append(((0,) * len(system.generators),
-                           tuple([int(p)] + [0] * (len(system.generators) - 1))),
+                           tuple([p] + [0] * (len(system.generators) - 1))),
                           complex(v))
     else:
         tuples = cfg.get("times")
@@ -368,7 +386,7 @@ def _cmd_correlate(cfg, outdir, precision, seed):
                         "im": e.value.imag, "gap": e.gap, "max_gap": e.max_gap}
                        for e in series.entries]}
     if "fit_rate" in cfg:
-        fit = decay_fit(series, float(cfg["fit_rate"]))
+        fit = decay_fit(series, _number(cfg, "fit_rate", None))
         out["fit"] = {"C": fit.c_fit, "slope": fit.slope, "r_squared": fit.r_squared,
                       "rate": fit.rate, "envelope_satisfied": fit.envelope_satisfied}
     header = ["times", "gap", "maxgap", "re", "im", "abs"]
@@ -381,10 +399,10 @@ def _cmd_correlate(cfg, outdir, precision, seed):
 def _cmd_density(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system", "n", "radius", "eps", "samples"}, "density config")
     system = _load_system(cfg)
-    n = int(cfg.get("n", 2))
-    radius = float(cfg.get("radius", 100.0))
-    eps = float(cfg.get("eps", 0.05))
-    samples = int(cfg.get("samples", 1_000_000))
+    n = _number(cfg, "n", 2, int)
+    radius = _number(cfg, "radius", 100.0)
+    eps = _number(cfg, "eps", 0.05)
+    samples = _number(cfg, "samples", 1_000_000, int)
     rep = density_estimate(list(system.generators), n, radius, eps, samples,
                            seed if seed is not None else DEFAULT_DENSITY_SEED,
                            precision)
@@ -402,21 +420,20 @@ def _cmd_counterexample(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system", "kind", "n", "powers", "observable", "observable2"},
                 "counterexample config")
     kind = cfg.get("kind", "max-gap")
-    powers = cfg.get("powers", list(range(1, 41)))
+    powers = _number(cfg, "powers", list(range(1, 41)), int)
     if kind == "max-gap":
         system = _load_system(cfg if "system" in cfg else {"system": "catmap"})
         from .fourier import real_cosine
         f1 = (_load_observable(cfg, "observable") if "observable" in cfg
               else real_cosine(system.matrix.dim, (1,) + (0,) * (system.matrix.dim - 1)))
         f2 = _load_observable(cfg, "observable2") if "observable2" in cfg else f1
-        series = counterexample_maxgap(f1, f2, int(cfg.get("n", 2)),
-                                       system.matrix, [int(p) for p in powers])
+        series = counterexample_maxgap(f1, f2, _number(cfg, "n", 2, int),
+                                       system.matrix, powers)
     elif kind == "no-uniform-bound":
         system = _load_system(cfg if "system" in cfg else {"system": "product-t2xt2"})
         g = (_load_observable(cfg, "observable") if "observable" in cfg
              else FourierObservable(2, {(1, 0): 1.0}))
-        series = no_uniform_bound_demo(list(system.generators), g,
-                                       [int(p) for p in powers])
+        series = no_uniform_bound_demo(list(system.generators), g, powers)
     else:
         raise ConfigError(f"unknown counterexample kind {kind!r}")
     out = {"meta": _jsonable(series.meta),

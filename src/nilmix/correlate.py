@@ -191,14 +191,6 @@ class CorrelationSeries:
     def gaps(self) -> list[float]:
         return [e.gap for e in self.entries]
 
-    def to_csv_rows(self):
-        rows = []
-        for e in self.entries:
-            flat = [x for t in e.times for x in t]
-            rows.append(flat + [e.gap, e.max_gap, e.value.real, e.value.imag,
-                                abs(e.value)])
-        return rows
-
 
 @dataclass
 class DecayFit:

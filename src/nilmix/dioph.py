@@ -11,8 +11,10 @@ representative has positive first nonzero coordinate).
 
 Two scan engines produce the identical ball minimum:
 
-* a literal full scan (exact Fractions for rational directions, 80-bit
-  extended floats otherwise) for balls up to a size threshold;
+* a literal full scan over one cached symmetry-reduced grid of the ball
+  (exact Python-int keys over one common denominator for rational
+  directions, 80-bit extended floats otherwise) for balls up to a size
+  threshold;
 * a pruned scan for large balls: after a seed full scan out to a small
   radius s, a lattice point that could still attain the running minimum C
   must satisfy |m . v| <= C / max(||p||, s)^dimE for the dominant direction
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,14 +77,6 @@ def _ball_point_count(dim: int, radius: float) -> float:
     return v * radius ** dim
 
 
-def _canonical_sign(m: Sequence[int]) -> tuple:
-    """The representative of {m, -m} whose first nonzero coordinate is positive."""
-    for x in m:
-        if x != 0:
-            return tuple(m) if x > 0 else tuple(-y for y in m)
-    return tuple(m)
-
-
 def _first_sign(pts: np.ndarray) -> np.ndarray:
     """Sign of each row's first nonzero coordinate (0 for a zero row)."""
     first = (pts != 0).argmax(axis=1)
@@ -110,33 +105,19 @@ def _is_rational_input(vs) -> bool:
 # ---------------------------------------------------------------------------
 
 def _scan_exact(vs: list[list[Fraction]], dim: int, radius: float):
-    r2 = Fraction(radius).limit_denominator(10**9) ** 2 if not float(radius).is_integer() \
-        else Fraction(int(radius)) ** 2
-    best = None  # (fsq, argmin)
-    count = 0
+    """Exact minimum over the symmetry-reduced ball of the float engines.
 
-    def rec(prefix, norm_sq):
-        nonlocal best, count
-        if len(prefix) == dim:
-            m = tuple(prefix)
-            if norm_sq == 0 or _canonical_sign(m) != m:
-                return
-            count += 1
-            s = sum(abs(sum(Fraction(a) * b for a, b in zip(m, v))) for v in vs)
-            fsq = (Fraction(norm_sq)) ** dim * s * s
-            key = (fsq, m)
-            if best is None or key < best:
-                best = key
-            return
-        rest = int(math.isqrt(int(r2 - norm_sq))) if r2 >= norm_sq else -1
-        for x in range(-rest, rest + 1):
-            rec(prefix + [x], norm_sq + x * x)
-
-    rec([], Fraction(0))
-    if best is None:
-        raise ValueError("radius too small: no lattice points in the ball")
-    fsq, arg = best
-    return fsq, arg, count
+    The directions become integer numerators W over one common denominator
+    den; each point's key (||m||^2)^d (sum_i |m . W_i|)^2 is a Python int,
+    and the minimum over den^2 is f(m)^2.
+    """
+    den = math.lcm(*(x.denominator for v in vs for x in v))
+    w = np.array([[x.numerator * (den // x.denominator) for x in v] for v in vs], dtype=object)
+    grid = _lattice_ball(dim, radius)[0]
+    nsq = (grid * grid).sum(axis=1).astype(object)
+    s = np.abs(grid.astype(object) @ w.T).sum(axis=1)
+    key, arg = _lex_best(grid, nsq ** dim * s * s)
+    return Fraction(key, den * den), arg, len(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -159,53 +140,36 @@ def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-_BALL_CACHE: dict = {}
-
-
-def _cache_put(cache: dict, key, value, limit: int = 4):
-    if key not in cache and len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-    return value
-
-
+@lru_cache(maxsize=4)
 def _lattice_ball(dim: int, radius: float):
-    """Symmetry-reduced ball grid with cached longdouble norm powers."""
-    key = (dim, float(radius))
-    if key in _BALL_CACHE:
-        return _BALL_CACHE[key]
+    """Symmetry-reduced ball grid with its longdouble copy and norm powers
+    (read-only: cached and shared by all three engines)."""
     grid = _ball_points(dim, _radius_sq(radius))
     grid = grid[_first_sign(grid) > 0]    # symmetry reduction
     g = grid.astype(_LONG)
-    nsq = (g * g).sum(axis=1)
-    npow = _ipow_half(nsq, dim)
-    return _cache_put(_BALL_CACHE, key, (grid, g, npow))
+    npow = _ipow_half((g * g).sum(axis=1), dim)
+    for a in (grid, g, npow):
+        a.setflags(write=False)
+    return grid, g, npow
 
 
-def _eval_cached(g: np.ndarray, npow: np.ndarray, vs_arr: np.ndarray):
-    s = np.abs(g @ vs_arr.T).sum(axis=1)
-    return npow * s
-
-
-def _eval_objective(grid: np.ndarray, vs_arr: np.ndarray, dim: int):
-    g = grid.astype(_LONG)
-    s = np.abs(g @ vs_arr.T).sum(axis=1)
-    f = _ipow_half((g * g).sum(axis=1), dim) * s
-    return f, s
+def _objective(g: np.ndarray, npow: np.ndarray, vs_arr: np.ndarray) -> np.ndarray:
+    """f(m) = ||m||^d sum_i |m . v_i| in extended precision, from the
+    longdouble points g and their norm powers npow."""
+    return npow * np.abs(g @ vs_arr.T).sum(axis=1)
 
 
 def _lex_best(grid: np.ndarray, f: np.ndarray):
     """Minimum of f with lexicographic tie-break on the lattice point."""
     ties = np.nonzero(f == f.min())[0]
     best_i = ties[np.lexsort(grid[ties].T[::-1])[0]]
-    return float(f[best_i]), tuple(int(x) for x in grid[best_i])
+    return f[best_i], tuple(int(x) for x in grid[best_i])
 
 
 def _scan_full_float(vs_arr: np.ndarray, dim: int, radius: float):
     grid, g, npow = _lattice_ball(dim, radius)
-    f = _eval_cached(g, npow, vs_arr)
-    val, arg = _lex_best(grid, f)
-    return val, arg, len(grid)
+    val, arg = _lex_best(grid, _objective(g, npow, vs_arr))
+    return float(val), arg, len(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +358,9 @@ def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float
         return val, arg, count
     # every +-m pair was enumerated once, in one shell: no duplicates
     pts = np.where(_first_sign(pts)[:, None] < 0, -pts, pts)
-    f, _ = _eval_objective(pts, vs_arr, dim)
-    v2, a2 = _lex_best(pts, f)
-    if (v2, a2) < (val, arg):
-        val, arg = v2, a2
+    g = pts.astype(_LONG)
+    v2, a2 = _lex_best(pts, _objective(g, _ipow_half((g * g).sum(axis=1), dim), vs_arr))
+    val, arg = min((val, arg), (float(v2), a2))
     return val, arg, count + len(pts)
 
 

@@ -25,11 +25,13 @@ __all__ = [
     "IntPolynomial",
     "PrimaryBlock",
     "PrimaryDecomposition",
+    "FactorRoots",
     "LyapunovBlock",
     "LyapunovSplitting",
     "char_poly",
     "factor_over_q",
     "primary_decomposition",
+    "factor_roots",
     "is_cyclotomic",
     "cyclotomic_polynomial",
     "inverse_totient",
@@ -45,6 +47,8 @@ class PrecisionError(ArithmeticError):
 
 # entries kept by each per-matrix memo (primary_decomposition, lyapunov_data)
 _MEMO_SIZE = 256
+# working precision at which lyapunov_data stops escalating
+_MAX_PRECISION_BITS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +170,6 @@ class RationalMatrix:
     def scale(self, c) -> "RationalMatrix":
         c = _as_fraction(c)
         return RationalMatrix([[c * x for x in row] for row in self.rows])
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
 
     def apply(self, v: Sequence[Fraction]) -> tuple:
         if len(v) != self.dim:
@@ -586,12 +587,6 @@ class PrimaryDecomposition:
     char: IntPolynomial
     blocks: tuple
 
-    def block_for_factor(self, q: IntPolynomial) -> PrimaryBlock:
-        for b in self.blocks:
-            if b.factor == q:
-                return b
-        raise KeyError(f"no block with factor {q}")
-
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def primary_decomposition(m: RationalMatrix) -> PrimaryDecomposition:
@@ -702,6 +697,25 @@ def _prove_modulus_one(q: IntPolynomial, roots, partner, idx, cyc_order) -> bool
 
 
 @dataclass(frozen=True)
+class FactorRoots:
+    """Certified roots of one irreducible factor at one working precision."""
+
+    roots: tuple      # (complex root, error bound) per root
+    partner: tuple    # index of each root's complex conjugate (itself for a real root)
+    unit: tuple       # per root: |root| == 1 is proven
+
+
+def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
+    """The root record of an irreducible factor: certified roots and errors,
+    their conjugate pairing, and which roots provably lie on the unit circle."""
+    roots = _certified_roots(q, prec)
+    partner = _pair_conjugates(roots)
+    cyc = is_cyclotomic(q.primitive_int(), assume_irreducible=True) if q.is_integer() else None
+    unit = [_prove_modulus_one(q, roots, partner, i, cyc) for i in range(len(roots))]
+    return FactorRoots(tuple(roots), tuple(partner), tuple(unit))
+
+
+@dataclass(frozen=True)
 class LyapunovBlock:
     """Eigenvalue-modulus class: exponent with certified error, multiplicity, real basis."""
 
@@ -776,30 +790,27 @@ def _restrict_to_primary(split: LyapunovSplitting, block: LyapunovBlock, i: int)
     return vt[:rank]
 
 
-def _real_annihilator_basis(m_f: np.ndarray, prim_basis: np.ndarray,
-                            keep_roots: list, other_roots: list, mult: int,
-                            dim_expected: int) -> np.ndarray:
+def _real_annihilator_basis(m_f: np.ndarray, prim_basis: np.ndarray, rec: FactorRoots,
+                            other: list, mult: int, dim_expected: int) -> np.ndarray:
     """Real basis of the modulus class inside one primary block.
 
-    Applies the product over excluded roots of (M - lambda) (conjugate pairs combined
-    into real quadratics), each to the power of the factor multiplicity, to the
+    Applies the product over the excluded roots ``other`` (indices into the
+    factor's root record) of (M - lambda), each conjugate pair combined into
+    one real quadratic, each to the power of the factor multiplicity, to the
     exact primary basis; the column space is the wanted class.
     """
     n = m_f.shape[0]
     op = np.eye(n)
     done = set()
-    for idx, (lam, _) in enumerate(other_roots):
+    for idx in other:
         if idx in done:
             continue
-        conj_idx = next((j for j, (mu, _) in enumerate(other_roots)
-                         if j != idx and j not in done and abs(mu - lam.conjugate()) < 1e-8), None)
-        if abs(lam.imag) > 1e-12 and conj_idx is not None:
-            quad = m_f @ m_f - 2 * lam.real * m_f + (abs(lam) ** 2) * np.eye(n)
-            factor = quad
-            done.add(conj_idx)
+        lam = rec.roots[idx][0]
+        if rec.partner[idx] != idx:
+            factor = m_f @ m_f - 2 * lam.real * m_f + (abs(lam) ** 2) * np.eye(n)
+            done.add(rec.partner[idx])
         else:
             factor = m_f - lam.real * np.eye(n)
-        done.add(idx)
         for _ in range(mult):
             op = factor @ op
     cols = op @ prim_basis.T
@@ -814,18 +825,17 @@ def _real_annihilator_basis(m_f: np.ndarray, prim_basis: np.ndarray,
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def lyapunov_data(m: RationalMatrix, precision_bits: int = 128,
-                  max_precision_bits: int = 2048) -> LyapunovSplitting:
+def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplitting:
     """Certified Lyapunov splitting of an invertible rational matrix.
 
     Moduli of the exact characteristic roots are computed at >= precision_bits
     working precision with error bounds.  Classes are merged only on proven
     equality (conjugate pairs, negation-related factors, proven modulus one,
     equal rational moduli); overlapping-but-unproven intervals escalate the
-    precision and finally raise PrecisionError.  Every attempt reuses the
-    memoized primary decomposition.  Memoized per (matrix, precisions); the
-    splitting is frozen and its block bases are read-only, since callers
-    share it.
+    precision up to _MAX_PRECISION_BITS and then raise PrecisionError.
+    Every attempt reuses the memoized primary decomposition.  Memoized per
+    (matrix, precision); the splitting is frozen and its block bases are
+    read-only, since callers share it.
     """
     if m.determinant() == 0:
         raise ValueError("matrix must be invertible")
@@ -834,31 +844,21 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128,
         try:
             return _lyapunov_attempt(m, prec)
         except PrecisionError:
-            if prec >= max_precision_bits:
+            if prec >= _MAX_PRECISION_BITS:
                 raise
-            prec = min(2 * prec, max_precision_bits)
+            prec = min(2 * prec, _MAX_PRECISION_BITS)
 
 
 def _lyapunov_attempt(m: RationalMatrix, prec: int) -> LyapunovSplitting:
     primary = primary_decomposition(m)
-    roots_by_factor = []
-    partners = []
-    for fi, blk in enumerate(primary.blocks):
-        rts = _certified_roots(blk.factor, prec)
-        roots_by_factor.append(rts)
-        partners.append(_pair_conjugates(rts))
+    records = [factor_roots(blk.factor, prec) for blk in primary.blocks]
+    entries = []  # one per root: factor index, root index, modulus, error, proven |root| = 1
+    for fi, rec in enumerate(records):
+        for ri, ((r, err), one) in enumerate(zip(rec.roots, rec.unit)):
+            entries.append({"fi": fi, "ri": ri, "mod": 1.0 if one else abs(r),
+                            "err": 0.0 if one else err, "one": one})
 
-    entries = []  # (factor_index, root_index, modulus, mod_err, modulus_one)
-    for fi, blk in enumerate(primary.blocks):
-        rts = roots_by_factor[fi]
-        prt = partners[fi]
-        for ri, (r, err) in enumerate(rts):
-            mod = abs(r)
-            mod_one = _prove_modulus_one(blk.factor, rts, prt, ri, blk.cyclotomic_order)
-            entries.append({"fi": fi, "ri": ri, "mod": 1.0 if mod_one else mod,
-                            "err": 0.0 if mod_one else err, "one": mod_one})
-
-    classes = _merge_modulus_classes(entries, primary, roots_by_factor, partners)
+    classes = _merge_modulus_classes(entries, primary, records)
 
     m_f = m.to_float()
     blocks = []
@@ -882,15 +882,13 @@ def _lyapunov_attempt(m: RationalMatrix, prec: int) -> LyapunovSplitting:
         for fi in fis:
             blk = primary.blocks[fi]
             keep_idx = [e["ri"] for e in cls if e["fi"] == fi]
-            other = [roots_by_factor[fi][ri] for ri in range(len(roots_by_factor[fi]))
-                     if ri not in keep_idx]
-            keep = [roots_by_factor[fi][ri] for ri in keep_idx]
+            other = [ri for ri in range(len(records[fi].roots)) if ri not in keep_idx]
             pbasis = np.array([[float(x) for x in v] for v in blk.basis])
             dim_expected = blk.multiplicity * len(keep_idx)
             if not other:
                 rows = _orthonormal_rows(pbasis)
             else:
-                rows = _real_annihilator_basis(m_f, pbasis, keep, other,
+                rows = _real_annihilator_basis(m_f, pbasis, records[fi], other,
                                                blk.multiplicity, dim_expected)
             basis_rows.append(rows)
         basis = np.vstack(basis_rows)
@@ -924,7 +922,7 @@ def _invariance_residual(m_f: np.ndarray, basis: np.ndarray) -> float:
     return worst
 
 
-def _merge_modulus_classes(entries, primary, roots_by_factor, partners):
+def _merge_modulus_classes(entries, primary, records):
     """Group roots into exact-equal-modulus classes; raise on unprovable overlap."""
     items = sorted(entries, key=lambda e: e["mod"])
     classes = []
@@ -936,8 +934,7 @@ def _merge_modulus_classes(entries, primary, roots_by_factor, partners):
             hi2 = max(x["mod"] + x["err"] for x in cls)
             if hi1 < lo2 or hi2 < lo1:
                 continue
-            if any(_prove_equal_modulus(e, member, primary, roots_by_factor, partners)
-                   for member in cls):
+            if any(_prove_equal_modulus(e, member, primary, records) for member in cls):
                 cls.append(e)
                 placed = True
                 break
@@ -948,18 +945,18 @@ def _merge_modulus_classes(entries, primary, roots_by_factor, partners):
     return classes
 
 
-def _prove_equal_modulus(e1, e2, primary, roots_by_factor, partners) -> bool:
+def _prove_equal_modulus(e1, e2, primary, records) -> bool:
     if e1["one"] and e2["one"]:
         return True
     if e1["one"] != e2["one"]:
         return False
     q1 = primary.blocks[e1["fi"]].factor
     q2 = primary.blocks[e2["fi"]].factor
-    r1, err1 = roots_by_factor[e1["fi"]][e1["ri"]]
-    r2, err2 = roots_by_factor[e2["fi"]][e2["ri"]]
+    r1, err1 = records[e1["fi"]].roots[e1["ri"]]
+    r2, err2 = records[e2["fi"]].roots[e2["ri"]]
     if e1["fi"] == e2["fi"]:
         # conjugate pair within the same irreducible factor
-        if partners[e1["fi"]][e1["ri"]] == e2["ri"]:
+        if records[e1["fi"]].partner[e1["ri"]] == e2["ri"]:
             return True
         # negation symmetry within an even/odd factor
         if q1.compose_neg() in (q1, q1.scale(-1)) and abs(r1 + r2) <= err1 + err2 + 1e-12:

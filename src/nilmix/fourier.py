@@ -191,16 +191,6 @@ class FourierObservable:
             return sum((c.abs_sq() for c in self.coeffs.values()), Fraction(0))
         return math.fsum(abs(c) ** 2 for _, c in self.items())
 
-    def inner(self, other: "FourierObservable"):
-        """<f, g> = integral of f * conj(g) = sum f_z conj(g_z)."""
-        self._compat(other)
-        if self.exact and other.exact:
-            acc = ExactComplex()
-            for z, c in self.items():
-                acc = acc + c * other[z].conjugate()
-            return acc
-        return sum(complex(c) * complex(other[z]).conjugate() for z, c in self.items())
-
     def to_float(self) -> "FourierObservable":
         return FourierObservable(self.dim, {z: complex(c) for z, c in self.coeffs.items()})
 

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_REL_TOL = 1e-6        # relative convergence tolerance of each threshold quadrature cell
 
 
 class ObstructionError(ArithmeticError):
@@ -86,9 +87,7 @@ class SmallDivisorSplit:
     small: FourierObservable       # 0 < sum_j |z.v_j| < 1 (nonzero modes)
     zero_mode: FourierObservable   # the invariant z = 0 coefficient
     selector: dict                 # frequency -> chosen direction index
-
-    def pieces(self):
-        return self.large, self.small, self.zero_mode
+    dots: dict                     # frequency -> z . v of its chosen direction
 
 
 def split_small_divisor(f: FourierObservable, directions: Sequence[Sequence]) \
@@ -96,17 +95,18 @@ def split_small_divisor(f: FourierObservable, directions: Sequence[Sequence]) \
     if not directions:
         raise ValueError("need at least one direction")
     large, small, zero = {}, {}, {}
-    selector = {}
+    selector, chosen = {}, {}
     origin = tuple([0] * f.dim)
     for z, c in f.items():
         if z == origin:
             zero[z] = c
             continue
-        dots = [abs(_dot(z, v)) for v in directions]
-        total = math.fsum(dots)
+        dots = [_dot(z, v) for v in directions]
+        sizes = [abs(d) for d in dots]
         # first index attaining max_j |z.v_j| (hence >= the average)
-        selector[z] = dots.index(max(dots))
-        if total >= 1.0:
+        i = sizes.index(max(sizes))
+        selector[z], chosen[z] = i, dots[i]
+        if math.fsum(sizes) >= 1.0:
             large[z] = c
         else:
             small[z] = c
@@ -115,6 +115,7 @@ def split_small_divisor(f: FourierObservable, directions: Sequence[Sequence]) \
         FourierObservable(f.dim, small, exact=f.exact),
         FourierObservable(f.dim, zero, exact=f.exact),
         selector,
+        chosen,
     )
 
 
@@ -150,10 +151,10 @@ class FractionalSolution:
         return self.residual <= tol * max(scale, 1e-300)
 
 
-def _divisor(z: tuple, v: Sequence, r: float, mode: str):
-    """Mode-wise symbol: |2 pi z.v|^r, or (2 pi i z.v)^r for integer r."""
+def _divisor(z: tuple, v: Sequence, d: float, r: float, mode: str):
+    """Mode-wise symbol: |2 pi z.v|^r, or (2 pi i z.v)^r for integer r; d is
+    the float z.v."""
     exact_dot = _dot_exact(z, v)
-    d = _dot(z, v)
     if exact_dot is not None:
         resonant = exact_dot == 0
     else:
@@ -190,36 +191,36 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
                       stacklevel=2)
         dropped_mean = True
 
-    per_direction = []
+    # one pass over the modes: each goes to its selected direction
+    phis = [({}, {}) for _ in dirs]
     recon: dict = {}
-    for i, v in enumerate(dirs):
-        phi_l, phi_s = {}, {}
-        for part, out in ((split.large, phi_l), (split.small, phi_s)):
-            for z, c in part.items():
-                if split.selector[z] != i:
-                    continue
-                d = _divisor(z, v, r, mode)
-                if d is None:
-                    raise ObstructionError(z, i)
-                val = complex(c) / d
-                out[z] = val
-                recon[z] = recon.get(z, 0j) + val * d
+    for part, k in ((split.large, 0), (split.small, 1)):
+        for z, c in part.items():
+            i = split.selector[z]
+            d = _divisor(z, dirs[i], split.dots[z], r, mode)
+            if d is None:
+                raise ObstructionError(z, i)
+            val = complex(c) / d
+            phis[i][k][z] = val
+            recon[z] = val * d
+
+    bound = None
+    if certificate is not None and certificate.c_emp > 0:
+        # mode-wise: |z.v_i| >= (C/t) ||z||^{-dimE}  =>
+        # ||phi_small|| <= (C/t)^-r (2 pi)^-r ||f||_{dimE * r}
+        c_eff = certificate.c_emp / len(dirs)
+        bound = (c_eff ** (-r)) * (_TWO_PI ** (-r)) * sobolev_norm(
+            f, r * certificate.dim_ambient)
+    per_direction = []
+    for i, (v, (phi_l, phi_s)) in enumerate(zip(dirs, phis)):
         phi_large = FourierObservable(f.dim, phi_l)
         phi_small = FourierObservable(f.dim, phi_s)
         phi = phi_large + phi_small
-        sol = DirectionSolution(
+        per_direction.append(DirectionSolution(
             index=i, direction=v, order=r, phi=phi,
             phi_large=phi_large, phi_small=phi_small,
-            norm=math.sqrt(phi.l2_sq()), norm_small=math.sqrt(phi_small.l2_sq()))
-        if certificate is not None and certificate.c_emp > 0:
-            # mode-wise: |z.v_i| >= (C/t) ||z||^{-dimE}  =>
-            # ||phi_small|| <= (C/t)^-r (2 pi)^-r ||f||_{dimE * r}
-            t = len(dirs)
-            c_eff = certificate.c_emp / t
-            bound = (c_eff ** (-r)) * (_TWO_PI ** (-r)) * sobolev_norm(
-                f, r * certificate.dim_ambient)
-            sol.predicted_small_bound = bound
-        per_direction.append(sol)
+            norm=math.sqrt(phi.l2_sq()), norm_small=math.sqrt(phi_small.l2_sq()),
+            predicted_small_bound=bound))
 
     residual = 0.0
     for z, c in f.items():
@@ -277,8 +278,7 @@ def _profile_callable(profile: Profile) -> Callable[[float], float]:
     return interp
 
 
-def _dyadic_integral(g: Callable[[float], float], r: float, h: float,
-                     rel_tol: float = 1e-6) -> float:
+def _dyadic_integral(g: Callable[[float], float], r: float, h: float) -> float:
     """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx.
 
     Composite midpoint on dyadic cells [2^-j-1, 2^-j] (the cell containing
@@ -294,7 +294,7 @@ def _dyadic_integral(g: Callable[[float], float], r: float, h: float,
             xs = a + (b - a) * (np.arange(n) + 0.5) / n
             vals = np.array([g(float(x)) ** 2 for x in xs]) * np.abs(xs) ** (-2.0 * r)
             out = float(vals.sum() * (b - a) / n)
-            if prev is not None and abs(out - prev) <= rel_tol * max(abs(out), 1e-300):
+            if prev is not None and abs(out - prev) <= _REL_TOL * max(abs(out), 1e-300):
                 return out
             prev = out
             n *= 2
@@ -322,8 +322,7 @@ class ThresholdReport:
     details: str = ""
 
 
-def schrodinger_threshold(profile: Profile, r: float, h: float,
-                          rel_tol: float = 1e-6) -> ThresholdReport:
+def schrodinger_threshold(profile: Profile, r: float, h: float) -> ThresholdReport:
     """Quadrature value of the line-model quadratic form with origin cutoff.
 
     The verdict classifies the h -> 0 behavior from three refinements:
@@ -334,12 +333,12 @@ def schrodinger_threshold(profile: Profile, r: float, h: float,
         raise ValueError("order must be positive")
     g = _profile_callable(profile)
     hs = [h, h / 4.0, h / 16.0]
-    vals = [_dyadic_integral(g, r, hk, rel_tol) for hk in hs]
+    vals = [_dyadic_integral(g, r, hk) for hk in hs]
     d1 = vals[1] - vals[0]
     d2 = vals[2] - vals[1]
     scale = max(abs(vals[0]), 1e-300)
 
-    if abs(d1) <= 64.0 * rel_tol * scale and abs(d2) <= 64.0 * rel_tol * scale:
+    if abs(d1) <= 64.0 * _REL_TOL * scale and abs(d2) <= 64.0 * _REL_TOL * scale:
         verdict, details = "convergent", f"Cauchy differences {d1:.3e}, {d2:.3e}"
     else:
         # tail of the cutoff integral scales like h^q: the refinement ratio

@@ -19,14 +19,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dioph import _ball_points, _first_sign, _radius_sq
-from .exactlin import RationalMatrix, lyapunov_data
+from .exactlin import RationalMatrix, char_poly, factor_over_q, factor_roots, lyapunov_data
 from .nilalg import (
     NilpotentAlgebra,
     abelianization_action,
+    action_matrix,
     check_commuting,
     cyclotomic_part,
     is_ergodic,
     lyapunov_functionals,
+    n2_of_family,
 )
 
 __all__ = [
@@ -130,10 +132,6 @@ class Envelope:
     @property
     def rates(self) -> list[float]:
         return [self.rate1] + ([self.rate2] if self.rate2 is not None else [])
-
-    @property
-    def slowest_rate(self) -> float:
-        return min(self.rates)
 
     def bound(self, gap: float, c1: float, c2: float = 0.0) -> float:
         out = c1 * math.exp(-self.rate1 * gap)
@@ -272,38 +270,29 @@ class DensityReport:
     method: str
 
 
-def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix]) -> bool:
+def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix],
+                       precision_bits: int = 128) -> bool:
     """Exact test: does some nonzero functional vanish on w?
 
     Equivalent to the combined matrix having an eigenvalue of modulus one
-    on a block where not all exponents vanish; detected exactly through
-    the primary factors (root-of-unity factors are excluded: those
-    blocks carry identically-zero functionals).
+    off the family's common root-of-unity core, where every functional is
+    zero.  The core's characteristic polynomial is divided out; every
+    remaining irreducible factor with a proven unit-modulus root makes w
+    bad, cyclotomic factors included.
     """
     if not any(w):
         return True
-    from .nilalg import action_matrix
-    from .exactlin import factor_over_q, char_poly, is_cyclotomic
-    combined = action_matrix(list(generators), list(w))
-    for q, _ in factor_over_q(char_poly(combined)):
-        qi = q.primitive_int()
-        if is_cyclotomic(qi, assume_irreducible=True) is not None:
-            continue  # identically-zero functionals do not count
-        if _has_unit_modulus_root(qi):
-            return True
-    return False
-
-
-def _has_unit_modulus_root(q) -> bool:
-    """Exact: does the irreducible non-cyclotomic q have a root with |root| = 1?"""
-    from .exactlin import _certified_roots, _pair_conjugates, _prove_modulus_one
-    if q.degree == 1:
-        return abs(q.coeffs[0]) == 1 and abs(q.coeffs[1]) == 1
-    if not q.is_self_reciprocal():
-        return False
-    roots = _certified_roots(q, 128)
-    partner = _pair_conjugates(roots)
-    return any(_prove_modulus_one(q, roots, partner, i, None) for i in range(len(roots)))
+    gens = list(generators)
+    combined = action_matrix(gens, list(w))
+    poly = char_poly(combined)
+    core = n2_of_family(gens)
+    if core:
+        # core rows are reduced row echelon: coordinates sit at the pivots
+        pivots = [next(j for j, x in enumerate(b) if x) for b in core]
+        images = [combined.apply(b) for b in core]
+        poly = poly // char_poly(RationalMatrix([[img[p] for img in images]
+                                                 for p in pivots]))
+    return any(any(factor_roots(q, precision_bits).unit) for q, _ in factor_over_q(poly))
 
 
 class _BadDifferenceTest:
@@ -316,9 +305,10 @@ class _BadDifferenceTest:
     primitive direction w / gcd(w) is: one confirmation per direction.
     """
 
-    def __init__(self, generators, funcs):
+    def __init__(self, generators, funcs, precision_bits: int = 128):
         self.generators = list(generators)
         self.func_arr = np.array([f.exponents for f in funcs], dtype=float)
+        self.precision_bits = precision_bits
         self.cache: dict = {}
 
     def bad_mask(self, ws: np.ndarray) -> np.ndarray:
@@ -341,7 +331,7 @@ class _BadDifferenceTest:
 
     def _confirm(self, key: tuple) -> bool:
         if key not in self.cache:
-            self.cache[key] = _is_bad_difference(key, self.generators)
+            self.cache[key] = _is_bad_difference(key, self.generators, self.precision_bits)
         return self.cache[key]
 
 
@@ -427,7 +417,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     r_sq = _radius_sq(radius)
     funcs = [f for f in lyapunov_functionals(list(generators), precision_bits)
              if not f.is_zero()]
-    bad = _BadDifferenceTest(generators, funcs)
+    bad = _BadDifferenceTest(generators, funcs, precision_bits)
 
     total = _ball_count(dim_total, r_sq)
     if n == 2:

@@ -78,10 +78,17 @@ _HEIS = {"name": "inline-heis", "dim": 3, "layers": [2, 1],
     ("solve", lambda tmp: {"observable": str(tmp / "missing.json"),
                            "directions": [[1.0, 0.5]]}),
     ("threshold", lambda tmp: {"profile_csv": str(tmp / "missing.csv")}),
+    ("density", lambda tmp: {"system": "catmap", "n": 2.5, "radius": 5, "samples": 1000}),
+    ("counterexample", lambda tmp: {"kind": "max-gap", "powers": [1.7, 2]}),
+    ("density", lambda tmp: {"system": "catmap", "radius": "abc", "samples": 1000}),
+    ("certify", lambda tmp: {"system": "catmap", "radius": "abc"}),
+    ("threshold", lambda tmp: {"orders": ["a"]}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
-        "bool-layer", "missing-observable-file", "missing-profile-csv"])
+        "bool-layer", "missing-observable-file", "missing-profile-csv",
+        "fractional-n", "fractional-powers", "string-density-radius",
+        "string-certify-radius", "string-orders"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2

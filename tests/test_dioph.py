@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 import nilmix
 from nilmix.catalog import CAT, CUBIC, get_system, random_ergodic_gl3
 from nilmix.dioph import (
+    _lattice_ball,
     _scan_exact,
     _scan_full_float,
     _scan_pruned,
@@ -160,6 +162,64 @@ def test_pruned_scan_matches_exact_scan(dim, vs, radius, seed_radius, want):
     assert arg == exact_arg
     assert Fraction(val) ** 2 == fsq
     assert count == want
+
+
+def _recursive_exact_scan(vs, dim, radius):
+    # the former exact engine, kept as the reference: its own recursive
+    # enumeration of the ball, Fraction arithmetic throughout
+    r2 = Fraction(radius).limit_denominator(10**9) ** 2 if not float(radius).is_integer() \
+        else Fraction(int(radius)) ** 2
+    best = None
+    count = 0
+
+    def rec(prefix, norm_sq):
+        nonlocal best, count
+        if len(prefix) == dim:
+            m = tuple(prefix)
+            if norm_sq == 0 or next(x for x in m if x) < 0:
+                return
+            count += 1
+            s = sum(abs(sum(Fraction(a) * b for a, b in zip(m, v))) for v in vs)
+            key = (Fraction(norm_sq) ** dim * s * s, m)
+            if best is None or key < best:
+                best = key
+            return
+        rest = int(math.isqrt(int(r2 - norm_sq))) if r2 >= norm_sq else -1
+        for x in range(-rest, rest + 1):
+            rec(prefix + [x], norm_sq + x * x)
+
+    rec([], Fraction(0))
+    return best[0], best[1], count
+
+
+def test_exact_scan_matches_recursive_reference():
+    rng = random.Random(2024)
+    for trial in range(60):
+        dim = 2 + trial % 3
+        radius = rng.randint(1, {2: 25, 3: 9, 4: 5}[dim])
+        vs = [[Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 97]))
+               for _ in range(dim)] for _ in range(rng.randint(1, 2))]
+        if trial % 5 == 0:   # small entries: exact resonances inside the ball
+            vs = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]]
+        if all(x == 0 for v in vs for x in v):
+            continue
+        assert _scan_exact(vs, dim, radius) == _recursive_exact_scan(vs, dim, radius)
+
+
+def test_exact_scan_uses_the_float_engines_ball():
+    # r = sqrt(3) in d = 3: the ball holds the 27 points with ||m||^2 <= 3,
+    # 13 of them canonical; the recursive scan's rounded radius kept 9
+    vs = [[Fraction(1), Fraction(2, 3), Fraction(5)]]
+    fsq, arg, count = _scan_exact(vs, 3, math.sqrt(3))
+    assert count == 13
+    assert count == _scan_full_float(np.asarray(vs, dtype=np.longdouble), 3, math.sqrt(3))[2]
+
+
+def test_lattice_ball_arrays_are_read_only():
+    for a in _lattice_ball(3, 5.0):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_resonant_float_direction():

@@ -11,6 +11,7 @@ from nilmix.exactlin import (
     char_poly,
     cyclotomic_polynomial,
     factor_over_q,
+    factor_roots,
     integer_kernel,
     inverse_totient,
     is_cyclotomic,
@@ -289,10 +290,32 @@ def test_lyapunov_non_unimodular_determinant_sum():
     assert exps[1][0] == pytest.approx(math.log(3), abs=1e-12) and exps[1][1] == 1
 
 
+@pytest.mark.parametrize("coeffs, real, units", [
+    ((1, -3, 1), 2, 0),             # x^2 - 3x + 1: two real roots off the circle
+    ((1, 1, 1), 0, 2),              # third cyclotomic polynomial
+    ((1, 0, 1), 0, 2),              # x^2 + 1
+    ((1, -3, 3, -3, 1), 2, 2),      # Salem: lambda, 1/lambda and a unit pair
+    ((-1, -1, 0, 1), 1, 0),         # x^3 - x - 1: one real root, one complex pair
+    ((-1, 1), 1, 1),                # x - 1
+    ((-2, 1), 1, 0),                # x - 2
+])
+def test_factor_roots_record(coeffs, real, units):
+    rec = factor_roots(poly(*coeffs), 128)
+    n = len(coeffs) - 1
+    assert len(rec.roots) == len(rec.partner) == len(rec.unit) == n
+    assert sum(rec.partner[i] == i for i in range(n)) == real
+    assert all(rec.partner[rec.partner[i]] == i for i in range(n))
+    for i, j in enumerate(rec.partner):
+        (r, err), (s, serr) = rec.roots[i], rec.roots[j]
+        assert abs(r - s.conjugate()) <= err + serr
+        assert rec.unit[i] == rec.unit[j]
+    assert sum(rec.unit) == units
+
+
 def test_modulus_merge_rejects_unprovable_overlap():
     # white-box: two entries from unrelated factors with overlapping
     # certified intervals and no proving identity must raise
-    from nilmix.exactlin import PrecisionError, _merge_modulus_classes
+    from nilmix.exactlin import FactorRoots, PrecisionError, _merge_modulus_classes
     q1 = poly(1, -3, 1)
     q2 = poly(-1, -1, 0, 1)
     primary = primary_decomposition(
@@ -301,10 +324,10 @@ def test_modulus_merge_rejects_unprovable_overlap():
         {"fi": 0, "ri": 0, "mod": 2.0, "err": 1e-3, "one": False},
         {"fi": 1, "ri": 0, "mod": 2.0005, "err": 1e-3, "one": False},
     ]
-    fake_roots = [[(2.0 + 0j, 1e-3)], [(2.0005 + 0j, 1e-3)]]
-    partners = [[0], [0]]
+    records = [FactorRoots(((2.0 + 0j, 1e-3),), (0,), (False,)),
+               FactorRoots(((2.0005 + 0j, 1e-3),), (0,), (False,))]
     with pytest.raises(PrecisionError):
-        _merge_modulus_classes(entries, primary, fake_roots, partners)
+        _merge_modulus_classes(entries, primary, records)
 
 
 def test_block_overlap_escalates_then_raises():

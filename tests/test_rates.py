@@ -326,3 +326,34 @@ def test_density_confirms_each_primitive_direction_once():
         density_estimate(gens, 2, 50, 0.05, samples=10_000)
     keys = [c.args[0] for c in exact.call_args_list]
     assert sorted(keys) == [(0, 1), (1, -1)]
+
+
+@pytest.mark.parametrize("name, want", [("product-t2xt2", 1055), ("cubic-rank2", 61)])
+def test_density_bad_points_match_theta_flags(name, want):
+    # every (z1, z2) of the ball at R = 6, decided by theta's per-pair
+    # regularity flag: one theta call on all times of the rank-2 ball flags
+    # every pair of distinct times; equal times are the bad diagonal
+    gens = list(get_system(name).generators)
+    times = [z for z in itertools.product(range(-6, 7), repeat=2) if z[0] ** 2 + z[1] ** 2 <= 36]
+    index = {z: i for i, z in enumerate(times)}
+    report = theta(abelian_algebra(4), gens, TimeTuple.of(*times))
+    regular = {pair: flag for pair, _, flag in report.per_pair}
+    bad = 0
+    for z in itertools.product(range(-6, 7), repeat=4):
+        if sum(x * x for x in z) > 36:
+            continue
+        i, j = sorted((index[z[:2]], index[z[2:]]))
+        bad += i == j or not regular[(i, j)]
+    assert bad == want
+    assert density_estimate(gens, 2, 6, 0.2, samples=10_000).bad_points == want
+
+
+def test_bad_difference_divides_out_the_root_of_unity_core():
+    # CAT + 1 and CAT^2 + 1 on Z^3 share the core e3, where both act as 1;
+    # the one nonzero functional pair is +-(1, 2) log(lambda), so w is bad
+    # iff w0 + 2 w1 = 0, though every combined matrix keeps the factor x - 1
+    a = RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    gens = [a, a * a]
+    for w in itertools.product(range(-4, 5), repeat=2):
+        if any(w):
+            assert rates._is_bad_difference(w, gens) == (w[0] + 2 * w[1] == 0), w
