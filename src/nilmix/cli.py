@@ -41,9 +41,11 @@ from .fracsolve import schrodinger_threshold, solve_fractional
 from .nilalg import (
     NilpotentAlgebra,
     central_series,
+    check_commuting,
     classify,
     find_regular_element,
     validate_algebra,
+    validate_automorphism,
 )
 from .rates import (
     DEFAULT_DENSITY_SEED,
@@ -130,6 +132,13 @@ def _load_system(cfg: dict):
         raise ConfigError(f"bad generator: {e}")
     if any(g.dim != dim for g in mats):
         raise ConfigError(f"generators must be {dim}x{dim} matrices")
+    failures = [f for g in mats for f in validate_automorphism(algebra, g).failures()]
+    if failures:
+        raise ConfigError(f"generators are not lattice automorphisms: {failures}")
+    try:
+        check_commuting(mats)
+    except ValueError as e:
+        raise ConfigError(str(e))
     from .catalog import System
     return System(entry.get("name", "inline"), algebra, mats, "inline system")
 
@@ -175,6 +184,17 @@ def _write_csv(path: str, header: list, rows: list):
     for row in rows:
         writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
     _atomic_write(path, buf.getvalue())
+
+
+def _write_series(outdir: str, name: str, series: CorrelationSeries) -> list:
+    """Write a correlation series to the CSV table name in outdir and return
+    its report entries."""
+    _write_csv(os.path.join(outdir, name), ["times", "gap", "maxgap", "re", "im", "abs"],
+               [[";".join(",".join(map(str, t)) for t in e.times), e.gap, e.max_gap,
+                 e.value.real, e.value.imag, abs(e.value)] for e in series.entries])
+    return [{"times": [list(t) for t in e.times], "re": e.value.real,
+             "im": e.value.imag, "gap": e.gap, "max_gap": e.max_gap}
+            for e in series.entries]
 
 
 def _jsonable(x):
@@ -226,16 +246,14 @@ def _cmd_analyze(cfg, outdir, precision, seed):
     out["ergodic"] = cls.ergodic
     out["type"] = cls.type_name
     out["root_of_unity_core"] = cls.n_z2
-    split = lyapunov_data(system.matrix, precision)
-    out["exponents"] = [
-        {"exponent": b.exponent, "error": b.exponent_err, "multiplicity": b.multiplicity}
-        for b in split.blocks]
+    header = ["exponent", "error", "multiplicity"]
+    rows = [[b.exponent, b.exponent_err, b.multiplicity]
+            for b in lyapunov_data(system.matrix, precision).blocks]
+    out["exponents"] = [dict(zip(header, row)) for row in rows]
     if len(system.generators) > 1:
         reg = find_regular_element(system.algebra, list(system.generators), precision)
         out["regular_element"] = {"z": reg.z, "margin": reg.certificate_margin}
-    _write_csv(os.path.join(outdir, "exponents.csv"),
-               ["exponent", "error", "multiplicity"],
-               [[b.exponent, b.exponent_err, b.multiplicity] for b in split.blocks])
+    _write_csv(os.path.join(outdir, "exponents.csv"), header, rows)
     return out
 
 
@@ -331,6 +349,8 @@ def _cmd_threshold(cfg, outdir, precision, seed):
                 profile = [(float(a), float(b)) for a, b in csv.reader(fh)]
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read profile_csv: {e}")
+        if len(profile) < 2 or not all(math.isfinite(x) for row in profile for x in row):
+            raise ConfigError("profile_csv needs at least two rows of finite numbers")
     else:
         name = cfg.get("profile", "one")
         profiles = {"one": lambda x: 1.0, "square": lambda x: x * x,
@@ -381,18 +401,12 @@ def _cmd_correlate(cfg, outdir, precision, seed):
             v = correlation_n(observables, list(system.generators),
                               [tuple(t) for t in tup], budget)
             series.append(tuple(tuple(t) for t in tup), complex(v))
-    out = {"budget": budget,
-           "entries": [{"times": [list(t) for t in e.times], "re": e.value.real,
-                        "im": e.value.imag, "gap": e.gap, "max_gap": e.max_gap}
-                       for e in series.entries]}
+    out = {"budget": budget}
     if "fit_rate" in cfg:
         fit = decay_fit(series, _number(cfg, "fit_rate", None))
         out["fit"] = {"C": fit.c_fit, "slope": fit.slope, "r_squared": fit.r_squared,
                       "rate": fit.rate, "envelope_satisfied": fit.envelope_satisfied}
-    header = ["times", "gap", "maxgap", "re", "im", "abs"]
-    _write_csv(os.path.join(outdir, "correlations.csv"), header,
-               [[";".join(",".join(map(str, t)) for t in e.times), e.gap, e.max_gap,
-                 e.value.real, e.value.imag, abs(e.value)] for e in series.entries])
+    out["entries"] = _write_series(outdir, "correlations.csv", series)
     return out
 
 
@@ -436,15 +450,8 @@ def _cmd_counterexample(cfg, outdir, precision, seed):
         series = no_uniform_bound_demo(list(system.generators), g, powers)
     else:
         raise ConfigError(f"unknown counterexample kind {kind!r}")
-    out = {"meta": _jsonable(series.meta),
-           "entries": [{"times": [list(t) for t in e.times], "re": e.value.real,
-                        "im": e.value.imag, "gap": e.gap, "max_gap": e.max_gap}
-                       for e in series.entries]}
-    _write_csv(os.path.join(outdir, "counterexample.csv"),
-               ["times", "gap", "maxgap", "re", "im", "abs"],
-               [[";".join(",".join(map(str, t)) for t in e.times), e.gap, e.max_gap,
-                 e.value.real, e.value.imag, abs(e.value)] for e in series.entries])
-    return out
+    return {"meta": _jsonable(series.meta),
+            "entries": _write_series(outdir, "counterexample.csv", series)}
 
 
 _COMMANDS = {

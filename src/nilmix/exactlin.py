@@ -45,7 +45,7 @@ class PrecisionError(ArithmeticError):
     """Raised when certified intervals cannot separate or merge eigenvalue moduli."""
 
 
-# entries kept by each per-matrix memo (primary_decomposition, lyapunov_data)
+# entries kept by each memo (primary_decomposition, factor_roots, lyapunov_data)
 _MEMO_SIZE = 256
 # working precision at which lyapunov_data stops escalating
 _MAX_PRECISION_BITS = 2048
@@ -174,7 +174,7 @@ class RationalMatrix:
     def apply(self, v: Sequence[Fraction]) -> tuple:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple(sum((a * b for a, b in zip(row, v) if b), Fraction(0)) for row in self.rows)
 
     def determinant(self) -> Fraction:
         """Exact determinant, the signed product of the row reduction's pivots."""
@@ -205,11 +205,6 @@ class RationalMatrix:
 
     def to_float(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
-
-    def to_mp(self, prec: int) -> mpmath.matrix:
-        with mpmath.workprec(prec):
-            return mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
-                                  for row in self.rows])
 
 
 def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -705,6 +700,7 @@ class FactorRoots:
     unit: tuple       # per root: |root| == 1 is proven
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
     """The root record of an irreducible factor: certified roots and errors,
     their conjugate pairing, and which roots provably lie on the unit circle."""
@@ -958,13 +954,9 @@ def _prove_equal_modulus(e1, e2, primary, records) -> bool:
         # conjugate pair within the same irreducible factor
         if records[e1["fi"]].partner[e1["ri"]] == e2["ri"]:
             return True
-        # negation symmetry within an even/odd factor
-        if q1.compose_neg() in (q1, q1.scale(-1)) and abs(r1 + r2) <= err1 + err2 + 1e-12:
-            return True
-        # conjugate-of-negation: q(-x) symmetric and r2 == -conj(r1)
-        if q1.compose_neg() in (q1, q1.scale(-1)) and abs(r1.conjugate() + r2) <= err1 + err2 + 1e-12:
-            return True
-        return False
+        # negation symmetry within an even/odd factor: r2 == -r1 or -conj(r1)
+        return (q1.compose_neg() in (q1, q1.scale(-1))
+                and min(abs(r1 + r2), abs(r1.conjugate() + r2)) <= err1 + err2 + 1e-12)
     # rational roots: exact comparison
     if q1.degree == 1 and q2.degree == 1:
         v1 = -q1.coeffs[0] / q1.coeffs[1]

@@ -12,17 +12,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .exactlin import (
+    _MEMO_SIZE,
+    IntPolynomial,
+    LyapunovSplitting,
     PrecisionError,
     PrimaryDecomposition,
     RationalMatrix,
     _rref,
+    factor_roots,
     lyapunov_data,
     primary_decomposition,
     rational_kernel,
@@ -78,18 +84,17 @@ class NilpotentAlgebra:
         frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
         return NilpotentAlgebra(dim, frozen, tuple(layer_dims))
 
+    @cached_property
+    def _nonzero(self) -> dict:
+        """(i, j) -> its nonzero (k, c[i][j][k]), for every pair with one."""
+        return {(i, j): tuple((k, c) for k, c in enumerate(cs) if c)
+                for i, plane in enumerate(self.brackets) for j, cs in enumerate(plane) if any(cs)}
+
     def bracket(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> tuple:
         out = [Fraction(0)] * self.dim
-        for i, a in enumerate(v):
-            if a == 0:
-                continue
-            for j, b in enumerate(w):
-                if b == 0:
-                    continue
-                for k in range(self.dim):
-                    cijk = self.brackets[i][j][k]
-                    if cijk:
-                        out[k] += a * b * cijk
+        for (i, j), terms in self._nonzero.items():
+            for k, c in terms:
+                out[k] += v[i] * w[j] * c
         return tuple(out)
 
     def basis_bracket(self, i: int, j: int) -> tuple:
@@ -189,17 +194,10 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
     diag.record("jacobi", bad is None, f"offending triple {bad}" if bad else "")
 
     # bracket of layers p, q must land strictly deeper than max(p, q)
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            target = max(algebra.layer_of(i), algebra.layer_of(j))
-            deeper = [t for t in range(n) if algebra.layer_of(t) > target]
-            br = algebra.brackets[i][j]
-            if any(br[k] != 0 for k in range(n) if k not in deeper):
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i in range(n) for j in range(n)
+                if any(algebra.brackets[i][j][k] for k in range(n)
+                       if algebra.layer_of(k) <= max(algebra.layer_of(i), algebra.layer_of(j)))),
+               None)
     diag.record("malcev_ordering", bad is None, f"offending pair {bad}" if bad else "")
 
     if diag.ok:
@@ -256,16 +254,9 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
 
     n = algebra.dim
     cols = [tuple(m.rows[r][c] for r in range(n)) for c in range(n)]
-    bad = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = algebra.bracket(cols[i], cols[j])
-            rhs = m.apply(algebra.basis_bracket(i, j))
-            if lhs != rhs:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i, j in itertools.combinations(range(n), 2)
+                if algebra.bracket(cols[i], cols[j]) != m.apply(algebra.basis_bracket(i, j))),
+               None)
     diag.record("bracket_preserved", bad is None,
                 f"[Me_{bad[0]}, Me_{bad[1]}] != M[e_{bad[0]}, e_{bad[1]}]" if bad else "")
     return diag
@@ -395,7 +386,11 @@ def n2_of_family(generators: Sequence[RationalMatrix]) -> list[tuple]:
     return core
 
 
-@dataclass
+_WEIGHT = 37                  # generator i enters the separating sum with weight 37**i
+_UNIT_ROUNDOFF = 2.0 ** -53   # of a double
+
+
+@dataclass(frozen=True)
 class Functional:
     """Lyapunov functional of a commuting family: z -> sum_i z_i * exponents[i]."""
 
@@ -410,54 +405,82 @@ class Functional:
 
 
 def lyapunov_functionals(generators: Sequence[RationalMatrix],
-                         precision_bits: int = 128) -> list[Functional]:
-    """Distinct Lyapunov functionals of a commuting integer family."""
-    check_commuting(generators)
-    if len(generators) == 1:
-        split = lyapunov_data(generators[0], precision_bits)
-        return [Functional((b.exponent,), b.exponent_err) for b in split.blocks]
+                         precision_bits: int = 128) -> tuple[Functional, ...]:
+    """Distinct Lyapunov functionals of a commuting integer family.
 
-    dim = generators[0].dim
-    prec_dps = max(30, precision_bits // 3)
-    import mpmath
-    with mpmath.workdps(prec_dps):
-        combo = mpmath.zeros(dim, dim)
-        weight = 1
-        for g in generators:
-            gm = g.to_mp(precision_bits)
-            combo += weight * gm
-            weight *= 37  # generic integer weights separate joint eigenvalues
-        ev, vecs = mpmath.eig(combo)
-        funcs: list[Functional] = []
-        seen: list[tuple] = []
-        for idx in range(dim):
-            v = vecs[:, idx]
-            tuple_exps = []
-            worst_res = 0.0
-            for g in generators:
-                gm = g.to_mp(precision_bits)
-                gv = gm * v
-                # Rayleigh quotient; residual certifies the common eigenvector
-                num = sum(gv[i] * mpmath.conj(v[i]) for i in range(dim))
-                den = sum(v[i] * mpmath.conj(v[i]) for i in range(dim))
-                lam = num / den
-                res = mpmath.norm(gv - lam * v) / mpmath.norm(v)
-                worst_res = max(worst_res, float(res))
-                tuple_exps.append(float(mpmath.log(abs(lam))))
-            if worst_res > 1e-20:
-                raise PrecisionError(
-                    "common eigenvector residual too large; family may be defective")
-            rounded = tuple(0.0 if abs(e) < 1e-25 else e for e in tuple_exps)
-            if not any(all(abs(a - b) <= 1e-12 for a, b in zip(rounded, k)) for k in seen):
-                seen.append(rounded)
-                funcs.append(Functional(rounded, 1e-24))
-    # distinct functionals closer than the merge scale are a precision failure,
-    # not a legitimate merge
-    for f1, f2 in itertools.combinations(funcs, 2):
-        gapv = max(abs(a - b) for a, b in zip(f1.exponents, f2.exponents))
-        if gapv < 1e-9:
-            raise PrecisionError("near-coincident Lyapunov functionals; raise precision")
-    return funcs
+    On each primary block of h = sum_i _WEIGHT**i g_i (a joint block) g_i is
+    p_i(h) plus a nilpotent part; each certified root mu of the block's
+    factor picks per generator the lyapunov_data(g_i) class of log|p_i(mu)|.
+    A functional is a distinct class tuple, with the class exponents and the
+    largest class error (proven modulus-one classes give an exact zero).
+    Sorted by class indices; memoized per (generators, precision)."""
+    return _functionals(tuple(generators), precision_bits)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _functionals(gens: tuple, precision_bits: int) -> tuple[Functional, ...]:
+    check_commuting(gens)
+    splits = [lyapunov_data(g, precision_bits) for g in gens]
+    h = reduce(operator.add, (g.scale(_WEIGHT ** i) for i, g in enumerate(gens)))
+    tuples = set()
+    for blk in primary_decomposition(h).blocks:
+        h_b = restrict_to_span(h, blk.basis)
+        pairing = [_pairing(h_b, restrict_to_span(g, blk.basis), blk.factor) for g in gens]
+        for root in factor_roots(blk.factor, precision_bits).roots:
+            tuples.add(tuple(_class_of(p, root, s) for p, s in zip(pairing, splits)))
+    return tuple(Functional(tuple(s.blocks[c].exponent for c, s in zip(t, splits)),
+                            max(s.blocks[c].exponent_err for c, s in zip(t, splits)))
+                 for t in sorted(tuples))
+
+
+def restrict_to_span(m: RationalMatrix, basis: Sequence[tuple]) -> RationalMatrix:
+    """Exact matrix of m on an m-invariant span.  The basis (rational_kernel
+    vectors or reduced echelon rows) has each vector equal to 1 at a column
+    where the others vanish, so coordinates are read at those columns."""
+    cols = [next(j for j, x in enumerate(v) if x == 1
+                 and all(w[j] == 0 for k, w in enumerate(basis) if k != i))
+            for i, v in enumerate(basis)]
+    images = [m.apply(v) for v in basis]
+    return RationalMatrix([[img[c] for img in images] for c in cols])
+
+
+def _pairing(h_b: RationalMatrix, g_b: RationalMatrix, q: IntPolynomial) -> IntPolynomial:
+    """The p, deg p < deg q, with g_b - p(h_b) nilpotent on the primary block
+    of the irreducible factor q, from the (nondegenerate) trace system
+    sum_j a_j tr(h_b^(j+k)) = tr(h_b^k g_b), k < deg q."""
+    e = q.degree
+    powers = list(itertools.accumulate([h_b] * (2 * e - 2), operator.mul,
+                                       initial=RationalMatrix.identity(h_b.dim)))
+    gram = RationalMatrix([[powers[j + k].trace() for j in range(e)] for k in range(e)])
+    p = IntPolynomial(gram.inverse().apply([(powers[k] * g_b).trace() for k in range(e)]))
+    if any(x for row in ((g_b - p.evaluate_matrix(h_b)) ** h_b.dim).rows for x in row):
+        raise ArithmeticError("the weighted sum does not separate the joint eigenvalues")
+    return p
+
+
+def _class_of(p: IntPolynomial, root: tuple, split: LyapunovSplitting) -> int:
+    """Index of the class of split holding log|p(mu)|, mu the certified root.
+
+    |p(mu~) - p(mu)| <= P(|mu~| + d) - P(|mu~|), P with p's absolute
+    coefficients and d the root error plus mu~'s rounding; Horner in doubles
+    adds (4 deg p + 8) u P(|mu~| + d).  Class exponents are widened by their
+    own rounding, 8 u (1 + |exponent|)."""
+    mu, err = root
+    u, r = _UNIT_ROUNDOFF, abs(mu)
+    upper = sum(abs(float(c)) * (r + err + 2 * u * r) ** j for j, c in enumerate(p.coeffs))
+    lower = sum(abs(float(c)) * r ** j for j, c in enumerate(p.coeffs))
+    bound = upper - lower + (4 * p.degree + 8) * u * upper
+    value = abs(p.evaluate(mu))
+    if value <= bound:
+        raise PrecisionError("joint eigenvalue not separated from zero")
+    lo, hi = math.log(value - bound), math.log(value + bound)
+    hits = [k for k, b in enumerate(split.blocks)
+            if abs(b.exponent - min(max(b.exponent, lo), hi))
+            <= b.exponent_err + 8 * u * (1 + abs(b.exponent))]
+    if len(hits) != 1:
+        raise PrecisionError(f"log|p(mu)| = {math.log(value):.6g} matches "
+                             f"{len(hits)} Lyapunov classes; raise precision")
+    return hits[0]
 
 
 @dataclass
@@ -483,85 +506,63 @@ def find_regular_element(algebra: NilpotentAlgebra,
     perturb along a regular direction to also avoid all Lyapunov and
     coincidence hyperplanes.
     """
-    check_commuting(generators)
     for g in generators:
         diag = validate_automorphism(algebra, g)
         if not diag.ok:
             raise ValueError(f"invalid generator: {diag.failures()}")
     ell = len(generators)
     dim = generators[0].dim
-    target = n2_of_family(generators)
-    target_dim = len(target)
-    m_bound = 4 * dim * dim + _BAD_M_MARGIN
+    target_dim = len(n2_of_family(generators))
+    # finitely many combination scales m are bad for each eigenvalue pair
+    m_limit = 4 * (4 * dim * dim + _BAD_M_MARGIN)
+    directions = [tuple(int(i == j) for i in range(ell)) for j in range(ell)]
 
     def core_dim(z) -> int:
         return len(cyclotomic_part(action_matrix(generators, z)))
 
+    def shrink(z, current):
+        """The first m*zp + z with a smaller core, with that core's dim."""
+        for zp in directions:
+            inter = len(intersect_spans(cyclotomic_part(action_matrix(generators, z)),
+                                        cyclotomic_part(action_matrix(generators, zp)), dim))
+            if inter < current:    # else this direction cannot shrink the core
+                for m in range(1, m_limit + 1):
+                    cand = tuple(m * a + b for a, b in zip(zp, z))
+                    if any(cand) and core_dim(cand) == inter:
+                        return cand, inter
+        raise ArithmeticError("could not reach the common root-of-unity core; "
+                              "enlarge the search bound")
+
     z = (1,) + (0,) * (ell - 1)
     current = core_dim(z)
-    directions = [tuple(int(i == j) for i in range(ell)) for j in range(ell)]
     while current > target_dim:
-        progress = False
-        for zp in directions:
-            inter = intersect_spans(
-                cyclotomic_part(action_matrix(generators, z)),
-                cyclotomic_part(action_matrix(generators, zp)), dim)
-            if len(inter) >= current:
-                continue  # this direction cannot shrink the core
-            # finitely many combination scales are bad for each eigenvalue
-            # pair; enlarge the bound once before giving up
-            for bound in (m_bound, 4 * m_bound):
-                for m in range(1, bound + 1):
-                    cand = tuple(m * a + b for a, b in zip(zp, z))
-                    if any(cand) and core_dim(cand) == len(inter):
-                        z = cand
-                        current = len(inter)
-                        progress = True
-                        break
-                if progress:
-                    break
-            if progress:
-                break
-        if not progress:
-            raise ArithmeticError("could not reach the common root-of-unity core; "
-                                  "enlarge the search bound")
+        z, current = shrink(z, current)
 
     funcs = lyapunov_functionals(generators, precision_bits)
     nonzero = [f for f in funcs if not f.is_zero()]
 
-    def regular_margin(cand) -> float:
+    def profile(cand) -> tuple[list, list, float]:
+        """|chi(cand)| per nonzero chi, pair separations, certified margin."""
         vals = [abs(f(cand)) for f in nonzero]
-        seps = [abs(f1(cand) - f2(cand))
-                for f1, f2 in itertools.combinations(funcs, 2)]
-        margin = min(vals + seps) if (vals or seps) else math.inf
+        seps = [abs(f1(cand) - f2(cand)) for f1, f2 in itertools.combinations(funcs, 2)]
         budget = max((f.err for f in funcs), default=0.0) * (sum(abs(c) for c in cand) + 1)
-        return margin - 4 * budget
+        return vals, seps, min(vals + seps, default=math.inf) - 4 * budget
 
-    if regular_margin(z) > 0:
-        chosen = z
-    else:
-        chosen = None
-        # a regular direction exists outside finitely many hyperplanes
-        for w in _small_vectors(ell, bound=3):
-            if regular_margin(w) > 0:
-                for n_mult in range(1, 64):
-                    cand = tuple(n_mult * a + b for a, b in zip(z, w))
-                    if core_dim(cand) == target_dim and regular_margin(cand) > 0:
-                        chosen = cand
-                        break
-                if chosen:
-                    break
-        if chosen is None:
-            raise PrecisionError("regular perturbation search failed; raise precision")
-
-    vals = [abs(f(chosen)) for f in nonzero]
-    seps = [abs(f1(chosen) - f2(chosen)) for f1, f2 in itertools.combinations(funcs, 2)]
+    # z itself, else z perturbed along a small regular direction w: one
+    # exists outside finitely many hyperplanes
+    cands = itertools.chain([z], (tuple(n_mult * a + b for a, b in zip(z, w))
+                                  for w in _small_vectors(ell, bound=3) if profile(w)[2] > 0
+                                  for n_mult in range(1, 64)))
+    chosen = next((c for c in cands if profile(c)[2] > 0 and core_dim(c) == target_dim), None)
+    if chosen is None:
+        raise PrecisionError("regular perturbation search failed; raise precision")
+    vals, seps, margin = profile(chosen)
     return RegularElement(
         z=chosen,
         core_basis=cyclotomic_part(action_matrix(generators, chosen)),
         functional_values=vals,
         pair_separations=seps,
-        certificate_margin=regular_margin(chosen),
+        certificate_margin=margin,
     )
 
 

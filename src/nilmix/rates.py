@@ -29,6 +29,7 @@ from .nilalg import (
     is_ergodic,
     lyapunov_functionals,
     n2_of_family,
+    restrict_to_span,
 )
 
 __all__ = [
@@ -287,11 +288,7 @@ def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix],
     poly = char_poly(combined)
     core = n2_of_family(gens)
     if core:
-        # core rows are reduced row echelon: coordinates sit at the pivots
-        pivots = [next(j for j, x in enumerate(b) if x) for b in core]
-        images = [combined.apply(b) for b in core]
-        poly = poly // char_poly(RationalMatrix([[img[p] for img in images]
-                                                 for p in pivots]))
+        poly = poly // char_poly(restrict_to_span(combined, core))
     return any(any(factor_roots(q, precision_bits).unit) for q, _ in factor_over_q(poly))
 
 

@@ -62,6 +62,12 @@ _HEIS = {"name": "inline-heis", "dim": 3, "layers": [2, 1],
          "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, 1]]]}
 
 
+def _profile(tmp, text: str) -> str:
+    path = tmp / "profile.csv"
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.mark.parametrize("command, make_cfg", [
     ("analyze", lambda tmp: {"system": {**_HEIS, "brackets": [{"i": 0, "j": 1, "k": 2}]}}),
     ("analyze", lambda tmp: {"system": {**_HEIS,
@@ -83,16 +89,35 @@ _HEIS = {"name": "inline-heis", "dim": 3, "layers": [2, 1],
     ("density", lambda tmp: {"system": "catmap", "radius": "abc", "samples": 1000}),
     ("certify", lambda tmp: {"system": "catmap", "radius": "abc"}),
     ("threshold", lambda tmp: {"orders": ["a"]}),
+    ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[[1, 1], [0, 1]],
+                                                                  [[1, 0], [1, 1]]]}}),
+    ("rates", lambda tmp: {"system": {"dim": 2, "generators": [[[2, 0], [0, 1]]]}}),
+    ("analyze", lambda tmp: {"system": {**_HEIS,
+                                        "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, -1]]]}}),
+    ("threshold", lambda tmp: {"profile_csv": _profile(tmp, "0,1\n")}),
+    ("threshold", lambda tmp: {"profile_csv": _profile(tmp, "-1,1\n0,nan\n1,1\n")}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
         "bool-layer", "missing-observable-file", "missing-profile-csv",
         "fractional-n", "fractional-powers", "string-density-radius",
-        "string-certify-radius", "string-orders"])
+        "string-certify-radius", "string-orders", "noncommuting-generators",
+        "non-unimodular-generator", "bracket-not-preserved", "one-row-profile",
+        "nan-profile"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2
     assert report is None
+
+
+def test_analyze_family_with_root_of_unity_core(tmp_path):
+    # CAT + 1 and CAT^2 + 1 share the core e3: one exact zero functional
+    gens = [[[2, 1, 0], [1, 1, 0], [0, 0, 1]], [[5, 3, 0], [3, 2, 0], [0, 0, 1]]]
+    code, report, _ = run(tmp_path, "analyze", {"system": {"dim": 3, "generators": gens}})
+    assert code == 0
+    reg = report["result"]["regular_element"]
+    assert reg["z"] == [1, 0]
+    assert reg["margin"] == pytest.approx(0.9624236501192069, abs=1e-12)
 
 
 def test_computation_error_exits_1(tmp_path):

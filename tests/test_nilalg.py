@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from nilmix import nilalg
 from nilmix.catalog import CAT, CUBIC, block_diag, get_system
-from nilmix.exactlin import IntPolynomial, RationalMatrix
+from nilmix.exactlin import IntPolynomial, PrecisionError, RationalMatrix, lyapunov_data
 from nilmix.nilalg import (
     NilpotentAlgebra,
     abelian_algebra,
@@ -243,6 +246,126 @@ def test_functionals_cubic_pair():
 
 
 def test_functionals_single_generator_defective_ok():
-    # unipotent matrix: single zero functional, no common-eigenvector path
+    # unipotent Jordan block: one zero functional, the nilpotency check
+    # accepts the defective block
     funcs = lyapunov_functionals([RationalMatrix([[1, 1], [0, 1]])])
     assert len(funcs) == 1 and funcs[0].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov functionals from exact joint blocks
+# ---------------------------------------------------------------------------
+
+ONE = RationalMatrix.identity(1)
+I2 = RationalMatrix.identity(2)
+# CAT + 1, CAT^2 + 1: the common root-of-unity core is the third axis
+CORE_FAMILY = (block_diag(CAT, ONE), block_diag(CAT * CAT, ONE))
+# generators whose plain sum (weights 1, 1) is 2 CAT + 3 I: a double eigenvalue
+# 3 on which the joint eigenvalues (phi^2, phi^-2) and (phi^-2, phi^2) coincide
+UNSEPARATED = (block_diag(CAT, CAT), block_diag(CAT, CAT.inverse()))
+
+
+def _weighted_eig_functionals(generators, precision_bits=128):
+    """Reference only: the former rank > 1 routine, mpmath.eig on the
+    37-weighted sum with Rayleigh quotients and fixed tolerances."""
+    dim = generators[0].dim
+
+    def to_mp(g):
+        return mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                              for row in g.rows])
+
+    with mpmath.workdps(max(30, precision_bits // 3)):
+        combo = mpmath.zeros(dim, dim)
+        for i, g in enumerate(generators):
+            combo += 37 ** i * to_mp(g)
+        _, vecs = mpmath.eig(combo)
+        seen = []
+        for idx in range(dim):
+            v = vecs[:, idx]
+            exps = []
+            for g in generators:
+                gv = to_mp(g) * v
+                lam = (sum(gv[i] * mpmath.conj(v[i]) for i in range(dim))
+                       / sum(v[i] * mpmath.conj(v[i]) for i in range(dim)))
+                assert mpmath.norm(gv - lam * v) / mpmath.norm(v) < 1e-20
+                exps.append(float(mpmath.log(abs(lam))))
+            rounded = tuple(0.0 if abs(e) < 1e-25 else e for e in exps)
+            if not any(all(abs(a - b) <= 1e-12 for a, b in zip(rounded, k)) for k in seen):
+                seen.append(rounded)
+    return seen
+
+
+def _seeded_conjugates(gens, seed):
+    rng = random.Random(seed)
+    n = gens[0].dim
+    p = RationalMatrix.identity(n)
+    for _ in range(n + 3):
+        i, j = rng.sample(range(n), 2)
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i][j] = rng.choice([-1, 1])
+        p = p * RationalMatrix(rows)
+    inv = p.inverse()
+    return tuple(p * g * inv for g in gens)
+
+
+_C_PAIR = (CUBIC, CUBIC - RationalMatrix.identity(3))
+_T2_PAIR = (block_diag(CAT, CAT), block_diag(I2, CAT))
+
+
+@pytest.mark.parametrize("gens", [
+    get_system("product-t2xt2").generators,
+    get_system("cubic-rank2").generators,
+    _seeded_conjugates(_C_PAIR, 3),
+    _seeded_conjugates(_C_PAIR, 11),
+    _seeded_conjugates(_T2_PAIR, 5),
+    _seeded_conjugates(_T2_PAIR, 17),
+    UNSEPARATED,
+], ids=["product-t2xt2", "cubic-rank2", "conj-cubic-3", "conj-cubic-11",
+        "conj-t2-5", "conj-t2-17", "cat-cat-inverse"])
+def test_functionals_match_weighted_eig_reference(gens):
+    funcs = lyapunov_functionals(list(gens))
+    ref = _weighted_eig_functionals(list(gens))
+    assert len(funcs) == len(ref)
+    for f in funcs:
+        assert sum(all(abs(a - b) <= 1e-12 for a, b in zip(f.exponents, r))
+                   for r in ref) == 1
+        assert 0.0 <= f.err < 1e-30
+
+
+def test_core_family_has_one_exact_zero_functional():
+    funcs = lyapunov_functionals(list(CORE_FAMILY))
+    zeros = [f for f in funcs if f.is_zero()]
+    assert len(zeros) == 1 and zeros[0].err == 0.0
+    assert len(funcs) == 3
+
+
+def test_core_family_regular_element():
+    reg = find_regular_element(abelian_algebra(3), list(CORE_FAMILY))
+    assert reg.z == (1, 0)
+    assert reg.core_basis == [(0, 0, 1)]
+    assert reg.certificate_margin == pytest.approx(0.9624236501192069, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["catmap", "cubic3", "heisenberg-cat", "filiform4"])
+def test_single_generator_functionals_are_the_lyapunov_classes(name):
+    m = get_system(name).matrix
+    funcs = lyapunov_functionals([m])
+    assert [(f.exponents, f.err) for f in funcs] == \
+        [((b.exponent,), b.exponent_err) for b in lyapunov_data(m).blocks]
+
+
+def test_functionals_are_memoized_and_frozen():
+    gens = list(get_system("cubic-rank2").generators)
+    funcs = lyapunov_functionals(gens)
+    assert lyapunov_functionals(tuple(gens)) is funcs
+    with pytest.raises(AttributeError):
+        funcs[0].err = 1.0
+
+
+def test_unseparating_weights_fail_the_nilpotency_check(monkeypatch):
+    monkeypatch.setattr(nilalg, "_WEIGHT", 1)
+    nilalg._functionals.cache_clear()
+    with pytest.raises(ArithmeticError, match="does not separate") as info:
+        lyapunov_functionals(list(UNSEPARATED))
+    assert not isinstance(info.value, PrecisionError)
+    nilalg._functionals.cache_clear()

@@ -357,3 +357,27 @@ def test_bad_difference_divides_out_the_root_of_unity_core():
     for w in itertools.product(range(-4, 5), repeat=2):
         if any(w):
             assert rates._is_bad_difference(w, gens) == (w[0] + 2 * w[1] == 0), w
+
+
+# CAT + 1 and CAT^2 + 1: nonzero functionals +-chi_CAT (1, 2) and one exact zero
+CORE_FAMILY = [RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+               RationalMatrix([[5, 3, 0], [3, 2, 0], [0, 0, 1]])]
+
+
+def test_density_with_root_of_unity_core_runs_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = density_estimate(CORE_FAMILY, 2, 10, 0.05, samples=20_000, seed=1)
+    assert 0 < rep.bad_points < rep.total_points
+    assert 0 < rep.delta < 0.5
+    assert rep.thick_fraction > 0.5
+
+
+def test_theta_flags_exactly_the_wall_of_the_core_family():
+    times = [(a, b) for a in range(-3, 4) for b in range(-2, 3)]
+    rep = theta(ABELIAN3, CORE_FAMILY, TimeTuple.of(*times))
+    assert all(math.isclose(abs(f.exponents[1]), 2 * abs(f.exponents[0]), rel_tol=1e-15)
+               for f in rep.functionals)
+    for (i, j), _, regular in rep.per_pair:
+        w = [a - b for a, b in zip(times[i], times[j])]
+        assert regular == (w[0] + 2 * w[1] != 0)
