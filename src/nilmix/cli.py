@@ -90,6 +90,15 @@ def _number(cfg: dict, key: str, default, kind=float):
     return out if many else out[0]
 
 
+def _vectors(cfg: dict, key: str, kind=float) -> list:
+    """cfg[key] as a nonempty list of number lists, each entry checked and
+    cast by _number's rules."""
+    value = cfg.get(key)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"bad {key!r} {value!r}: must be a nonempty list of lists")
+    return [_number({key: v}, key, [], kind) for v in value]
+
+
 def _load_system(cfg: dict):
     entry = cfg.get("system")
     if entry is None:
@@ -287,6 +296,7 @@ def _cmd_certify(cfg, outdir, precision, seed):
     out = {"radius": radius}
     if "directions" in cfg:
         dims = _number(cfg, "dim_ambient", None, int)
+        _vectors(cfg, "directions")   # checked only: integer entries select the exact engine
         cert = diophantine_certificate(cfg["directions"], dims, radius)
         out["certificate"] = {"c_emp": cert.c_emp, "argmin": cert.argmin,
                               "passed": cert.passed, "points": cert.points_scanned}
@@ -309,9 +319,11 @@ def _cmd_solve(cfg, outdir, precision, seed):
                 "solve config")
     r = _number(cfg, "r", 0.5)
     mode = cfg.get("mode", "modulus")
+    if mode not in ("modulus", "signed"):
+        raise ConfigError(f"bad 'mode' {mode!r}: must be 'modulus' or 'signed'")
     f = _load_observable(cfg, "observable")
     if "directions" in cfg:
-        directions = [tuple(float(x) for x in v) for v in cfg["directions"]]
+        directions = [tuple(v) for v in _vectors(cfg, "directions")]
     else:
         system = _load_system(cfg)
         split = lyapunov_data(system.matrix, precision)
@@ -395,12 +407,12 @@ def _cmd_correlate(cfg, outdir, precision, seed):
         tuples = cfg.get("times")
         if not isinstance(tuples, list) or not tuples:
             raise ConfigError("need 'times' (list of time tuples) or 'powers'")
+        tuples = [[tuple(t) for t in _vectors({"times": tup}, "times", int)] for tup in tuples]
+        if any(len(tup) != len(observables) for tup in tuples):
+            raise ConfigError("each time tuple needs one time per observable")
         for tup in tuples:
-            if len(tup) != len(observables):
-                raise ConfigError("each time tuple needs one time per observable")
-            v = correlation_n(observables, list(system.generators),
-                              [tuple(t) for t in tup], budget)
-            series.append(tuple(tuple(t) for t in tup), complex(v))
+            v = correlation_n(observables, list(system.generators), tup, budget)
+            series.append(tuple(tup), complex(v))
     out = {"budget": budget}
     if "fit_rate" in cfg:
         fit = decay_fit(series, _number(cfg, "fit_rate", None))

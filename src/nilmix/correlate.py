@@ -188,9 +188,6 @@ class CorrelationSeries:
     def values(self) -> list[complex]:
         return [e.value for e in self.entries]
 
-    def gaps(self) -> list[float]:
-        return [e.gap for e in self.entries]
-
 
 @dataclass
 class DecayFit:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, _restrict_to_primary, lyapunov_data
+from .exactlin import RationalMatrix, _restrict_to_primary, integer_kernel, lyapunov_data
 from .nilalg import NilpotentAlgebra, abelian_algebra, is_ergodic
 
 __all__ = [
@@ -447,7 +447,9 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
         report[name] = diophantine_certificate(_normalize_rows(rows), m.dim, radius)
 
     for i, blk in enumerate(split.primary.blocks):
-        lattice = np.array(blk.lattice_basis, dtype=np.float64)  # rows span block over Z
+        # rows span the block's saturated integer lattice, ker q(m)^c in Z^n
+        lattice = np.array(integer_kernel(blk.factor.evaluate_matrix(m) ** blk.multiplicity),
+                           dtype=np.float64)
         gram = lattice @ lattice.T
         ginv = np.linalg.inv(gram)
         for b in split.blocks:
@@ -461,7 +463,7 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
                     f"class basis escapes its primary block lattice (residual {resid:.2e})")
             key = f"class[{i}]@{b.exponent:+.6f}"
             report[key] = diophantine_certificate(
-                _normalize_rows(coords), len(blk.lattice_basis), radius)
+                _normalize_rows(coords), len(lattice), radius)
     return report
 
 

@@ -568,7 +568,6 @@ class PrimaryBlock:
     factor: IntPolynomial
     multiplicity: int
     basis: tuple            # tuple of Fraction tuples, a Q-basis
-    lattice_basis: tuple    # tuple of int tuples, basis of the block's integer lattice
     cyclotomic_order: Optional[int]
 
     @property
@@ -593,15 +592,13 @@ def primary_decomposition(m: RationalMatrix) -> PrimaryDecomposition:
     p = char_poly(m)
     blocks = []
     for q, c in factor_over_q(p):
-        ann = q.evaluate_matrix(m) ** c
-        basis = rational_kernel(ann)
-        lattice = integer_kernel(ann) if m.is_integer() else tuple()
+        basis = rational_kernel(q.evaluate_matrix(m) ** c)
         expected = c * q.degree
         if len(basis) != expected:
             raise ArithmeticError(
                 f"kernel dimension {len(basis)} != multiplicity*degree {expected} for factor {q}")
         cyc = is_cyclotomic(q.primitive_int(), assume_irreducible=True) if q.is_integer() else None
-        blocks.append(PrimaryBlock(q, c, tuple(basis), tuple(lattice), cyc))
+        blocks.append(PrimaryBlock(q, c, tuple(basis), cyc))
     total = sum(b.dim for b in blocks)
     if total != m.dim:
         raise ArithmeticError("primary blocks do not fill the space")

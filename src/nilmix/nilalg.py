@@ -31,7 +31,6 @@ from .exactlin import (
     factor_roots,
     lyapunov_data,
     primary_decomposition,
-    rational_kernel,
 )
 
 __all__ = [
@@ -48,9 +47,10 @@ __all__ = [
     "abelianization_action",
     "classify",
     "cyclotomic_part",
-    "intersect_spans",
     "action_matrix",
-    "n2_of_family",
+    "JointBlock",
+    "JointBlocks",
+    "joint_blocks",
     "lyapunov_functionals",
     "find_regular_element",
 ]
@@ -159,11 +159,6 @@ def _span_rows(vectors: Sequence[Sequence[Fraction]]) -> list[tuple]:
     """Reduced row-echelon basis of the rational span."""
     red, pivots, _ = _rref(vectors)
     return [tuple(row) for row in red[: len(pivots)]]
-
-
-def _in_span(v: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    probe = _span_rows(list(basis) + [list(v)])
-    return len(probe) == len(_span_rows(basis))
 
 
 def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
@@ -358,34 +353,6 @@ def action_matrix(generators: Sequence[RationalMatrix], z: Sequence[int]) -> Rat
     return out
 
 
-def intersect_spans(a: Sequence[tuple], b: Sequence[tuple], dim: int) -> list[tuple]:
-    """Exact intersection of two rational spans (both given by bases)."""
-    if not a or not b:
-        return []
-    # x = A^T c lies in span(b) iff x = B^T d for some d: (c, d) in ker [A^T | -B^T]
-    mat = [[v[d] for v in a] + [-w[d] for w in b] for d in range(dim)]
-    return _span_rows([tuple(sum(c * v[d] for c, v in zip(combo, a)) for d in range(dim))
-                       for combo in rational_kernel(mat)])
-
-
-def n2_of_family(generators: Sequence[RationalMatrix]) -> list[tuple]:
-    """Exact common root-of-unity core of a commuting family.
-
-    Equals the intersection of the cyclotomic parts of the generators:
-    on that intersection every product of generators has only
-    root-of-unity eigenvalues (simultaneous triangularization), and any
-    single generator already confines it.
-    """
-    check_commuting(generators)
-    dim = generators[0].dim
-    core = cyclotomic_part(generators[0])
-    for g in generators[1:]:
-        core = intersect_spans(core, cyclotomic_part(g), dim)
-        if not core:
-            break
-    return core
-
-
 _WEIGHT = 37                  # generator i enters the separating sum with weight 37**i
 _UNIT_ROUNDOFF = 2.0 ** -53   # of a double
 
@@ -404,33 +371,77 @@ class Functional:
         return all(e == 0.0 for e in self.exponents) and self.err == 0.0
 
 
-def lyapunov_functionals(generators: Sequence[RationalMatrix],
-                         precision_bits: int = 128) -> tuple[Functional, ...]:
-    """Distinct Lyapunov functionals of a commuting integer family.
+@dataclass(frozen=True)
+class JointBlock:
+    """One primary block of the separating sum h: a joint block of the family."""
+
+    basis: tuple              # exact basis of the block
+    restricted: tuple         # g_i on the block, per generator (restrict_to_span)
+    classes: tuple            # per certified root of the block's factor: the
+                              # lyapunov_data(g_i) class index per generator
+    core: bool                # every class of every root is proven modulus one
+
+
+@dataclass(frozen=True)
+class JointBlocks:
+    """The spectral record of a commuting family: its joint blocks and the
+    Lyapunov functionals read off their class tuples."""
+
+    blocks: tuple             # JointBlock per primary block of h
+    functionals: tuple        # Functional per distinct class tuple, sorted
+
+    @property
+    def core(self) -> list[tuple]:
+        """Exact basis of the family's root-of-unity core, the sum of the core
+        blocks.  On a core block every p_i(mu) and each of its conjugates (the
+        p_i of the block's other roots) is an algebraic integer of modulus one,
+        hence a root of unity (Kronecker); on any other block some g_i has no
+        root-of-unity eigenvalue."""
+        return _span_rows([v for b in self.blocks if b.core for v in b.basis])
+
+
+def joint_blocks(generators: Sequence[RationalMatrix],
+                 precision_bits: int = 128) -> JointBlocks:
+    """Joint blocks of a commuting integer family.
 
     On each primary block of h = sum_i _WEIGHT**i g_i (a joint block) g_i is
     p_i(h) plus a nilpotent part; each certified root mu of the block's
     factor picks per generator the lyapunov_data(g_i) class of log|p_i(mu)|.
     A functional is a distinct class tuple, with the class exponents and the
-    largest class error (proven modulus-one classes give an exact zero).
-    Sorted by class indices; memoized per (generators, precision)."""
-    return _functionals(tuple(generators), precision_bits)
+    largest class error (proven modulus-one classes give an exact zero); a
+    block is core when all its tuples give zero functionals.  Memoized per
+    (generators, precision)."""
+    return _joint_blocks(tuple(generators), precision_bits)
+
+
+def lyapunov_functionals(generators: Sequence[RationalMatrix],
+                         precision_bits: int = 128) -> tuple[Functional, ...]:
+    """Distinct Lyapunov functionals of a commuting integer family, sorted by
+    class indices (rank 1 gives lyapunov_data's ascending classes)."""
+    return joint_blocks(generators, precision_bits).functionals
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _functionals(gens: tuple, precision_bits: int) -> tuple[Functional, ...]:
+def _joint_blocks(gens: tuple, precision_bits: int) -> JointBlocks:
     check_commuting(gens)
     splits = [lyapunov_data(g, precision_bits) for g in gens]
     h = reduce(operator.add, (g.scale(_WEIGHT ** i) for i, g in enumerate(gens)))
-    tuples = set()
+
+    def functional(t: tuple) -> Functional:
+        return Functional(tuple(s.blocks[c].exponent for c, s in zip(t, splits)),
+                          max(s.blocks[c].exponent_err for c, s in zip(t, splits)))
+
+    blocks = []
     for blk in primary_decomposition(h).blocks:
         h_b = restrict_to_span(h, blk.basis)
-        pairing = [_pairing(h_b, restrict_to_span(g, blk.basis), blk.factor) for g in gens]
-        for root in factor_roots(blk.factor, precision_bits).roots:
-            tuples.add(tuple(_class_of(p, root, s) for p, s in zip(pairing, splits)))
-    return tuple(Functional(tuple(s.blocks[c].exponent for c, s in zip(t, splits)),
-                            max(s.blocks[c].exponent_err for c, s in zip(t, splits)))
-                 for t in sorted(tuples))
+        restricted = tuple(restrict_to_span(g, blk.basis) for g in gens)
+        pairing = [_pairing(h_b, g_b, blk.factor) for g_b in restricted]
+        classes = tuple(tuple(_class_of(p, root, s) for p, s in zip(pairing, splits))
+                        for root in factor_roots(blk.factor, precision_bits).roots)
+        blocks.append(JointBlock(blk.basis, restricted, classes,
+                                 all(functional(t).is_zero() for t in classes)))
+    tuples = sorted({t for b in blocks for t in b.classes})
+    return JointBlocks(tuple(blocks), tuple(functional(t) for t in tuples))
 
 
 def restrict_to_span(m: RationalMatrix, basis: Sequence[tuple]) -> RationalMatrix:
@@ -492,53 +503,25 @@ class RegularElement:
     certificate_margin: float             # smallest certified distance to a hyperplane
 
 
-_BAD_M_MARGIN = 16
-
-
 def find_regular_element(algebra: NilpotentAlgebra,
                          generators: Sequence[RationalMatrix],
                          precision_bits: int = 128) -> RegularElement:
     """A regular integer time z whose root-of-unity part equals the core.
 
-    Search: iteratively shrink the root-of-unity part of the current
-    candidate by combinations m*z' + z with exact cyclotomic detection on
-    the combined matrix (finitely many bad m per eigenvalue pair), then
-    perturb along a regular direction to also avoid all Lyapunov and
-    coincidence hyperplanes.
+    Candidates are e_1, then n*w + e_1 along small directions w of positive
+    margin; the first with a positive certified margin avoids all Lyapunov
+    and coincidence hyperplanes.  Its root-of-unity part is the core: the
+    margin keeps every nonzero functional off zero at z, so each non-core
+    joint block has a root with |lambda_z| != 1 and, by Galois conjugation,
+    no root of g^z there is a root of unity.  One exact check confirms it.
     """
     for g in generators:
         diag = validate_automorphism(algebra, g)
         if not diag.ok:
             raise ValueError(f"invalid generator: {diag.failures()}")
     ell = len(generators)
-    dim = generators[0].dim
-    target_dim = len(n2_of_family(generators))
-    # finitely many combination scales m are bad for each eigenvalue pair
-    m_limit = 4 * (4 * dim * dim + _BAD_M_MARGIN)
-    directions = [tuple(int(i == j) for i in range(ell)) for j in range(ell)]
-
-    def core_dim(z) -> int:
-        return len(cyclotomic_part(action_matrix(generators, z)))
-
-    def shrink(z, current):
-        """The first m*zp + z with a smaller core, with that core's dim."""
-        for zp in directions:
-            inter = len(intersect_spans(cyclotomic_part(action_matrix(generators, z)),
-                                        cyclotomic_part(action_matrix(generators, zp)), dim))
-            if inter < current:    # else this direction cannot shrink the core
-                for m in range(1, m_limit + 1):
-                    cand = tuple(m * a + b for a, b in zip(zp, z))
-                    if any(cand) and core_dim(cand) == inter:
-                        return cand, inter
-        raise ArithmeticError("could not reach the common root-of-unity core; "
-                              "enlarge the search bound")
-
-    z = (1,) + (0,) * (ell - 1)
-    current = core_dim(z)
-    while current > target_dim:
-        z, current = shrink(z, current)
-
-    funcs = lyapunov_functionals(generators, precision_bits)
+    record = joint_blocks(generators, precision_bits)
+    funcs = record.functionals
     nonzero = [f for f in funcs if not f.is_zero()]
 
     def profile(cand) -> tuple[list, list, float]:
@@ -548,18 +531,22 @@ def find_regular_element(algebra: NilpotentAlgebra,
         budget = max((f.err for f in funcs), default=0.0) * (sum(abs(c) for c in cand) + 1)
         return vals, seps, min(vals + seps, default=math.inf) - 4 * budget
 
-    # z itself, else z perturbed along a small regular direction w: one
+    # e_1 itself, else e_1 perturbed along a small regular direction w: one
     # exists outside finitely many hyperplanes
-    cands = itertools.chain([z], (tuple(n_mult * a + b for a, b in zip(z, w))
-                                  for w in _small_vectors(ell, bound=3) if profile(w)[2] > 0
-                                  for n_mult in range(1, 64)))
-    chosen = next((c for c in cands if profile(c)[2] > 0 and core_dim(c) == target_dim), None)
+    e_1 = (1,) + (0,) * (ell - 1)
+    cands = itertools.chain([e_1], (tuple(n_mult * a + b for a, b in zip(e_1, w))
+                                    for w in _small_vectors(ell, bound=3) if profile(w)[2] > 0
+                                    for n_mult in range(1, 64)))
+    chosen = next((c for c in cands if profile(c)[2] > 0), None)
     if chosen is None:
         raise PrecisionError("regular perturbation search failed; raise precision")
+    core = cyclotomic_part(action_matrix(generators, chosen))
+    if len(core) != len(record.core):
+        raise ArithmeticError(f"the root-of-unity part of z = {chosen} is not the family's core")
     vals, seps, margin = profile(chosen)
     return RegularElement(
         z=chosen,
-        core_basis=cyclotomic_part(action_matrix(generators, chosen)),
+        core_basis=core,
         functional_values=vals,
         pair_separations=seps,
         certificate_margin=margin,

@@ -27,9 +27,8 @@ from .nilalg import (
     check_commuting,
     cyclotomic_part,
     is_ergodic,
+    joint_blocks,
     lyapunov_functionals,
-    n2_of_family,
-    restrict_to_span,
 )
 
 __all__ = [
@@ -275,21 +274,16 @@ def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix],
                        precision_bits: int = 128) -> bool:
     """Exact test: does some nonzero functional vanish on w?
 
-    Equivalent to the combined matrix having an eigenvalue of modulus one
-    off the family's common root-of-unity core, where every functional is
-    zero.  The core's characteristic polynomial is divided out; every
-    remaining irreducible factor with a proven unit-modulus root makes w
-    bad, cyclotomic factors included.
+    Decided on the joint blocks off the family's root-of-unity core, where
+    every functional is zero: w is bad when, on one of them, some irreducible
+    factor of the characteristic polynomial of prod_i g_i^{w_i} has a proven
+    unit-modulus root, cyclotomic factors included.
     """
     if not any(w):
         return True
-    gens = list(generators)
-    combined = action_matrix(gens, list(w))
-    poly = char_poly(combined)
-    core = n2_of_family(gens)
-    if core:
-        poly = poly // char_poly(restrict_to_span(combined, core))
-    return any(any(factor_roots(q, precision_bits).unit) for q, _ in factor_over_q(poly))
+    return any(any(factor_roots(q, precision_bits).unit)
+               for blk in joint_blocks(generators, precision_bits).blocks if not blk.core
+               for q, _ in factor_over_q(char_poly(action_matrix(blk.restricted, w))))
 
 
 class _BadDifferenceTest:
@@ -297,7 +291,7 @@ class _BadDifferenceTest:
 
     |chi(w)| well away from zero (beyond the certified error budget)
     proves w is not in the kernel; only near-zero values reach the exact
-    combined-matrix factorization.  The functionals are linear and
+    per-block factorization.  The functionals are linear and
     |mu^g| = 1 exactly when |mu| = 1, so w is bad exactly when its
     primitive direction w / gcd(w) is: one confirmation per direction.
     """

@@ -62,6 +62,16 @@ _HEIS = {"name": "inline-heis", "dim": 3, "layers": [2, 1],
          "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, 1]]]}
 
 
+_COS = {"dim": 2, "coeffs": [{"z": [1, 0], "re": 0.5, "im": 0.0},
+                             {"z": [-1, 0], "re": 0.5, "im": 0.0}]}
+_SOLVE = {"observable": {"dim": 2, "coeffs": [{"z": [0, 1], "re": 1.0, "im": 0.0}]},
+          "directions": [[1.0, 0.6180339887498949]], "r": 0.5}
+
+
+def _correlate_times(times) -> dict:
+    return {"system": "catmap", "observables": [_COS, _COS], "times": times}
+
+
 def _profile(tmp, text: str) -> str:
     path = tmp / "profile.csv"
     path.write_text(text)
@@ -96,6 +106,15 @@ def _profile(tmp, text: str) -> str:
                                         "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, -1]]]}}),
     ("threshold", lambda tmp: {"profile_csv": _profile(tmp, "0,1\n")}),
     ("threshold", lambda tmp: {"profile_csv": _profile(tmp, "-1,1\n0,nan\n1,1\n")}),
+    ("correlate", lambda tmp: _correlate_times([[[0], [1.5]]])),
+    ("correlate", lambda tmp: _correlate_times([[[0], [True]]])),
+    ("correlate", lambda tmp: _correlate_times([5])),
+    ("correlate", lambda tmp: _correlate_times([[[0], ["x"]]])),
+    ("solve", lambda tmp: {**_SOLVE, "mode": "foo"}),
+    ("solve", lambda tmp: {**_SOLVE, "directions": [[1.0, "0.618"]]}),
+    ("solve", lambda tmp: {**_SOLVE, "directions": 5}),
+    ("certify", lambda tmp: {"directions": [[1, "x"]], "dim_ambient": 2, "radius": 10}),
+    ("certify", lambda tmp: {"directions": 5, "dim_ambient": 2, "radius": 10}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -103,7 +122,10 @@ def _profile(tmp, text: str) -> str:
         "fractional-n", "fractional-powers", "string-density-radius",
         "string-certify-radius", "string-orders", "noncommuting-generators",
         "non-unimodular-generator", "bracket-not-preserved", "one-row-profile",
-        "nan-profile"])
+        "nan-profile", "fractional-time", "bool-time", "time-tuple-not-a-list",
+        "string-time", "unknown-solve-mode", "string-solve-direction",
+        "solve-directions-not-a-list", "string-certify-direction",
+        "certify-directions-not-a-list"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2

@@ -2,8 +2,11 @@
 
 A name counts as used when it appears, outside its own definition, as an
 identifier, an attribute, an imported name or a string constant (such as an
-``__all__`` entry) in src/, tests/ or demos/.  Dunder methods are called
-implicitly and are not checked.
+``__all__`` entry).  A method counts only as an attribute or a string, so a
+local variable of the same name does not hide an uncalled method.  Public
+names may be used from src/, tests/ or demos/; a private ``_name`` only from
+src/ or demos/, since a helper that only tests call belongs in the tests.
+Dunder methods are called implicitly and are not checked.
 """
 
 import ast
@@ -14,17 +17,20 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _mentions(tree: ast.AST) -> Counter:
+def _mentions(tree: ast.AST, method: bool) -> Counter:
+    """Names mentioned in tree; for a method only attributes and strings count."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names[node.value] += 1
+        elif method:
+            continue
+        elif isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
     return names
 
 
@@ -32,15 +38,23 @@ def test_every_definition_is_named_elsewhere():
     trees = {path: ast.parse(path.read_text(), str(path))
              for folder in ("src", "tests", "demos")
              for path in sorted((ROOT / folder).rglob("*.py"))}
-    total = sum((_mentions(tree) for tree in trees.values()), Counter())
+    # (method, private) -> mentions in the folders that may use such a name
+    total = {(method, private): sum((_mentions(tree, method) for path, tree in trees.items()
+                                     if not private or ROOT / "tests" not in path.parents),
+                                    Counter())
+             for method in (False, True) for private in (False, True)}
     unused = []
     for path, tree in trees.items():
         if ROOT / "src" / "nilmix" not in path.parents:
             continue
+        methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, DEFS[:2])}
         for node in ast.walk(tree):
             name = getattr(node, "name", "")
             if not isinstance(node, DEFS) or name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] == _mentions(node)[name]:    # named only inside itself
+            method = node in methods
+            # named only inside itself
+            if total[method, name.startswith("_")][name] == _mentions(node, method)[name]:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)

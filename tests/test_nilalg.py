@@ -1,12 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from nilmix import nilalg
+from nilmix import nilalg, rates
 from nilmix.catalog import CAT, CUBIC, block_diag, get_system
-from nilmix.exactlin import IntPolynomial, PrecisionError, RationalMatrix, lyapunov_data
+from nilmix.exactlin import (
+    IntPolynomial,
+    PrecisionError,
+    RationalMatrix,
+    char_poly,
+    factor_over_q,
+    factor_roots,
+    lyapunov_data,
+    rational_kernel,
+)
 from nilmix.nilalg import (
     NilpotentAlgebra,
     abelian_algebra,
@@ -17,9 +27,8 @@ from nilmix.nilalg import (
     filiform4_algebra,
     find_regular_element,
     heisenberg_algebra,
-    intersect_spans,
+    joint_blocks,
     lyapunov_functionals,
-    n2_of_family,
     validate_algebra,
     validate_automorphism,
 )
@@ -149,6 +158,26 @@ def test_ergodicity_power_stable():
 # ---------------------------------------------------------------------------
 # commuting families and regular elements
 # ---------------------------------------------------------------------------
+
+def intersect_spans(a, b, dim):
+    """Reference only: exact intersection of two rational spans (both given
+    by bases), from the kernel of [A^T | -B^T]."""
+    if not a or not b:
+        return []
+    mat = [[v[d] for v in a] + [-w[d] for w in b] for d in range(dim)]
+    return nilalg._span_rows([tuple(sum(c * v[d] for c, v in zip(combo, a)) for d in range(dim))
+                              for combo in rational_kernel(mat)])
+
+
+def n2_of_family(generators):
+    """Reference only: the former root-of-unity core of a commuting family,
+    the intersection of the generators' cyclotomic parts."""
+    nilalg.check_commuting(generators)
+    core = cyclotomic_part(generators[0])
+    for g in generators[1:]:
+        core = intersect_spans(core, cyclotomic_part(g), generators[0].dim)
+    return core
+
 
 def test_intersect_spans():
     a = [(Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))]
@@ -364,8 +393,102 @@ def test_functionals_are_memoized_and_frozen():
 
 def test_unseparating_weights_fail_the_nilpotency_check(monkeypatch):
     monkeypatch.setattr(nilalg, "_WEIGHT", 1)
-    nilalg._functionals.cache_clear()
+    nilalg._joint_blocks.cache_clear()
     with pytest.raises(ArithmeticError, match="does not separate") as info:
         lyapunov_functionals(list(UNSEPARATED))
     assert not isinstance(info.value, PrecisionError)
-    nilalg._functionals.cache_clear()
+    nilalg._joint_blocks.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the joint-block record: core, regular element, bad differences
+# ---------------------------------------------------------------------------
+
+# (I + CAT, CAT + I): each generator has a root-of-unity part, the family none
+SWAPPED = (block_diag(I2, CAT), block_diag(CAT, I2))
+SWAPPED_ONE = tuple(block_diag(g, ONE) for g in SWAPPED)
+# S the companion of the Salem polynomial x^4 - x^3 - x^2 - x + 1: two roots on
+# the unit circle that are not roots of unity, so a zero functional off the core
+SALEM = RationalMatrix([[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+SALEM_FAMILY = (SALEM, SALEM * SALEM)
+
+DIFFERENTIAL_FAMILIES = {
+    "product-t2xt2": get_system("product-t2xt2").generators,
+    "cubic-rank2": get_system("cubic-rank2").generators,
+    "cat-core": CORE_FAMILY,
+    "swapped": SWAPPED,
+    "swapped-one": SWAPPED_ONE,
+    "salem": SALEM_FAMILY,
+}
+
+
+def _combined_bad_difference(w, generators, precision_bits=128):
+    """Reference only: the former bad-difference test, on the whole combined
+    matrix with the core's characteristic polynomial divided out."""
+    if not any(w):
+        return True
+    combined = nilalg.action_matrix(generators, list(w))
+    poly = char_poly(combined)
+    core = n2_of_family(generators)
+    if core:
+        poly = poly // char_poly(nilalg.restrict_to_span(combined, core))
+    return any(any(factor_roots(q, precision_bits).unit) for q, _ in factor_over_q(poly))
+
+
+@pytest.mark.parametrize("name, bad_in_box", [
+    ("product-t2xt2", 16), ("cubic-rank2", 0), ("cat-core", 4), ("swapped", 16),
+    ("swapped-one", 16), ("salem", 80),   # Salem: the unit-circle block is never core
+])
+def test_bad_difference_per_block_matches_combined_reference(name, bad_in_box):
+    gens = list(DIFFERENTIAL_FAMILIES[name])
+    box = [w for w in itertools.product(range(-4, 5), repeat=2) if any(w)]
+    ws = box + [(k * a, k * b) for a, b in box if max(abs(a), abs(b)) == 1 for k in (3, -5)]
+    got = [rates._is_bad_difference(w, gens) for w in ws]
+    assert got == [_combined_bad_difference(w, gens) for w in ws]
+    assert sum(got[:len(box)]) == bad_in_box
+
+
+@pytest.mark.parametrize("gens", [
+    *(get_system(name).generators for name in
+      ("catmap", "cubic3", "heisenberg-cat", "filiform4", "product-t2xt2", "cubic-rank2")),
+    CORE_FAMILY, SWAPPED, SWAPPED_ONE, SALEM_FAMILY,
+    _seeded_conjugates(CORE_FAMILY, 2),
+    _seeded_conjugates(SWAPPED_ONE, 7),
+    _seeded_conjugates(_T2_PAIR, 5),
+    _seeded_conjugates(_C_PAIR, 3),
+], ids=["catmap", "cubic3", "heisenberg-cat", "filiform4", "product-t2xt2",
+        "cubic-rank2", "cat-core", "swapped", "swapped-one", "salem", "conj-cat-core-2",
+        "conj-swapped-one-7", "conj-t2-5", "conj-cubic-3"])
+def test_joint_block_core_matches_intersected_cyclotomic_parts(gens):
+    record = joint_blocks(list(gens))
+    assert record.core == n2_of_family(list(gens))
+    assert sum(len(b.basis) for b in record.blocks) == gens[0].dim
+    assert all(len(b.restricted) == len(gens) for b in record.blocks)
+
+
+@pytest.mark.parametrize("gens, dim, core", [
+    (SWAPPED, 4, []),
+    (SWAPPED_ONE, 5, [(0, 0, 0, 0, 1)]),
+], ids=["swapped", "swapped-one"])
+def test_swapped_family_regular_element(gens, dim, core):
+    # e_1 = I + CAT leaves a zero functional; no core search moves it first
+    reg = find_regular_element(abelian_algebra(dim), list(gens))
+    assert reg.z == (2, -1)
+    assert reg.core_basis == core
+    assert reg.certificate_margin == pytest.approx(0.9624236501192069, abs=1e-12)
+
+
+def test_salem_family_regular_element_has_empty_core():
+    record = joint_blocks(list(SALEM_FAMILY))
+    assert record.core == [] and not any(b.core for b in record.blocks)
+    assert any(f.is_zero() for f in record.functionals)
+    reg = find_regular_element(abelian_algebra(4), list(SALEM_FAMILY))
+    assert reg.z == (1, 0)
+    assert reg.core_basis == []
+    assert reg.certificate_margin > 0
+
+
+def test_regular_element_checks_the_core_dimension(monkeypatch):
+    monkeypatch.setattr(nilalg, "cyclotomic_part", lambda m: [])
+    with pytest.raises(ArithmeticError, match="core"):
+        find_regular_element(abelian_algebra(3), list(CORE_FAMILY))

@@ -32,7 +32,7 @@ from nilmix.fracsolve import (
     solve_fractional,
     split_small_divisor,
 )
-from nilmix.nilalg import abelianization_action, classify, heisenberg_algebra
+from nilmix.nilalg import _span_rows, abelianization_action, classify, heisenberg_algebra
 from nilmix.rates import TimeTuple, rho_chi, theta
 
 from conftest import CHI_CAT, PHI_INV
@@ -231,8 +231,11 @@ def test_splitting_spans_and_invariant(name):
         span_rows = [list(v) for v in part]
         for v in part:
             image = system.matrix.apply(v)
-            from nilmix.nilalg import _in_span
             assert _in_span(image, span_rows)
+
+
+def _in_span(v, basis) -> bool:
+    return len(_span_rows(list(basis) + [list(v)])) == len(_span_rows(basis))
 
 
 @COMMON
