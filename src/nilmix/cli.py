@@ -355,6 +355,10 @@ def _cmd_threshold(cfg, outdir, precision, seed):
     _check_keys(cfg, {"profile", "profile_csv", "orders", "cutoffs"}, "threshold config")
     orders = _number(cfg, "orders", [0.25, 0.5, 0.75])
     cutoffs = _number(cfg, "cutoffs", [1e-2, 1e-4, 1e-6])
+    if not all(r > 0 for r in orders):
+        raise ConfigError(f"bad 'orders' {orders}: every order must be positive")
+    if not all(0 < h < 1 for h in cutoffs):
+        raise ConfigError(f"bad 'cutoffs' {cutoffs}: every cutoff must lie in (0, 1)")
     if "profile_csv" in cfg:
         try:
             with open(cfg["profile_csv"]) as fh:
@@ -390,6 +394,8 @@ def _cmd_correlate(cfg, outdir, precision, seed):
                       "budget"}, "correlate config")
     system = _load_system(cfg)
     budget = _number(cfg, "budget", 10_000_000, int)
+    if budget < 1:
+        raise ConfigError(f"bad 'budget' {budget}: must be a positive integer")
     obs_list = cfg.get("observables")
     if not isinstance(obs_list, list) or not obs_list:
         raise ConfigError("'observables' must be a nonempty list")
@@ -453,8 +459,10 @@ def _cmd_counterexample(cfg, outdir, precision, seed):
         f1 = (_load_observable(cfg, "observable") if "observable" in cfg
               else real_cosine(system.matrix.dim, (1,) + (0,) * (system.matrix.dim - 1)))
         f2 = _load_observable(cfg, "observable2") if "observable2" in cfg else f1
-        series = counterexample_maxgap(f1, f2, _number(cfg, "n", 2, int),
-                                       system.matrix, powers)
+        n = _number(cfg, "n", 2, int)
+        if n < 2:
+            raise ConfigError(f"bad 'n' {n}: the max-gap construction needs n >= 2")
+        series = counterexample_maxgap(f1, f2, n, system.matrix, powers)
     elif kind == "no-uniform-bound":
         system = _load_system(cfg if "system" in cfg else {"system": "product-t2xt2"})
         g = (_load_observable(cfg, "observable") if "observable" in cfg

@@ -3,19 +3,24 @@ automorphisms, by resonance summation.
 
 A mode k transported by the automorphism power alpha(z) becomes
 (d alpha(z))^T k; only frequency tuples whose transported sum vanishes
-contribute.  Frequency transport uses exact big integers throughout
-(transported frequencies grow exponentially in the time), so resonance
-detection is never subject to rounding or overflow.
+contribute.  Frequencies are transported in exact big integers (they grow
+exponentially in the time) and compared through residue keys modulo as many
+61-bit primes as the largest coordinate requires, so that congruent keys
+mean equal frequencies: resonance detection is never subject to rounding
+or overflow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
+import sympy
 
 from .exactlin import RationalMatrix
 from .fourier import ExactComplex, FourierObservable
@@ -33,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
+_BLOCK = 1 << 14              # rows per step of the row-wise join passes: bounds their scratch
 
 
 class BudgetError(RuntimeError):
@@ -40,24 +46,192 @@ class BudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Exact integer transport
+# Exact transport and residue keys
 # ---------------------------------------------------------------------------
 
-def _transport(mt: Sequence[Sequence[int]], k: tuple) -> tuple:
-    """Apply the transpose of the integer matrix to a frequency vector."""
-    n = len(mt)
-    return tuple(sum(mt[i][j] * k[i] for i in range(n)) for j in range(n))
+@dataclass(frozen=True)
+class _Modes:
+    freqs: np.ndarray             # (m, dim) object array of ints
+    re: np.ndarray                # coefficient parts: float64, or Fractions if exact
+    im: np.ndarray
+
+
+def _modes(f: FourierObservable) -> _Modes:
+    """f's frequencies, in lexicographic order, and coefficients as arrays."""
+    zs = f.frequencies()
+    cs = [f.coeffs[z] for z in zs]
+    freqs = np.fromiter(chain.from_iterable(zs), dtype=object,
+                        count=len(zs) * f.dim).reshape(len(zs), f.dim)
+    if f.exact:
+        return _Modes(freqs, np.array([c.re for c in cs], dtype=object),
+                      np.array([c.im for c in cs], dtype=object))
+    cs = np.array(cs, dtype=complex)
+    return _Modes(freqs, cs.real, cs.imag)
+
+
+def _transport(freqs: np.ndarray, mt: Sequence[Sequence[int]]) -> np.ndarray:
+    """Apply the transpose of the integer matrix to each frequency row, exactly."""
+    return freqs.dot(np.array(mt, dtype=object))
+
+
+@functools.lru_cache(maxsize=8)
+def _moduli(count: int) -> tuple:
+    """The count largest primes below 2^61: a sum of two residues fits in int64."""
+    out = [sympy.prevprime(1 << 61)]
+    while len(out) < count:
+        out.append(sympy.prevprime(out[-1]))
+    return tuple(out)
+
+
+def _packing(dim: int, bound: int) -> tuple:
+    """Base and moduli for exact keys of integer vectors u, v that are only
+    compared when every |u_j - v_j| <= bound.  A vector packs to
+    sum_j v_j W^j with W = 2 bound + 1, which is injective on such pairs, and
+    the product of the moduli (each above 2^60) exceeds every packed
+    difference, so equal keys mean equal vectors."""
+    base = 2 * bound + 1
+    span = bound * sum(base ** j for j in range(dim))
+    return base, _moduli(span.bit_length() // 60 + 1)
+
+
+def _keys(freqs: np.ndarray, base: int, moduli: tuple) -> np.ndarray:
+    """(len(moduli), m) int64 residues of the packed frequency rows."""
+    packed = freqs.dot(np.array([base ** j for j in range(freqs.shape[1])], dtype=object))
+    return np.array([packed % p for p in moduli], dtype=np.int64)
+
+
+def _group(columns) -> tuple:
+    """Group N rows by their keys, given one (N,) int64 column per modulus:
+    rows share an id exactly when all their keys agree.  Returns the ids
+    (0, 1, ... per group) and a row of each group.
+
+    The first column is sorted whole.  A later column re-sorts only the
+    groups whose rows disagree on it, and reading stops once every group
+    is a single row.  Each column is released before the next is made and
+    sorted neighbours are compared a block at a time, so the scratch
+    memory does not grow with the number of moduli."""
+    ids = first = None
+    for key in columns:
+        if ids is None:                          # one group holds every row
+            kind = np.int32 if len(key) < 1 << 31 else np.int64
+            ids = np.zeros(len(key), dtype=kind)
+            first = np.zeros(min(len(key), 1), dtype=np.int64)
+            rows = np.argsort(key, kind="stable")
+        else:
+            split = np.zeros(len(first), dtype=bool)
+            split[ids[key != key[first[ids]]]] = True
+            rows = np.flatnonzero(split[ids])
+            rows = rows[np.lexsort((key[rows], ids[rows]))]
+        new = np.ones(len(rows), dtype=bool)     # the row opens a part
+        for s in range(0, len(rows) - 1, _BLOCK):
+            r = rows[s:s + _BLOCK + 1]
+            new[s + 1:s + len(r)] = (key[r[1:]] != key[r[:-1]]) | (ids[r[1:]] != ids[r[:-1]])
+        del key
+        # the part of a group with the smallest key keeps the group's id,
+        # the other parts get ids after the last one
+        starts = rows[new]
+        part_ids = ids[starts]
+        split = np.zeros(len(starts), dtype=bool)
+        split[1:] = part_ids[1:] == part_ids[:-1]
+        part_ids[split] = len(first) + np.arange(np.count_nonzero(split))
+        ids[rows] = part_ids[np.cumsum(new, dtype=ids.dtype) - 1]
+        first = np.concatenate([first, starts[split]])
+        first[part_ids[~split]] = starts[~split]
+        if len(first) == len(ids):
+            break
+    return ids, first
+
+
+def _partners(columns, n_a: int) -> np.ndarray:
+    """For each row after the first n_a of the key columns, the equal row
+    among the first n_a, or -1; the rows of each part are distinct."""
+    ids, _ = _group(columns)
+    a_of_id = np.full(len(ids), -1)
+    a_of_id[ids[:n_a]] = np.arange(n_a)
+    return a_of_id[ids[n_a:]]
+
+
+def _matched_blocks(ids: np.ndarray, other: np.ndarray):
+    """Ascending blocks of the rows whose id the other side also has."""
+    for s in range(0, len(ids), _BLOCK):
+        rows = s + np.flatnonzero(other[ids[s:s + _BLOCK]])
+        if len(rows):
+            yield rows
+
+
+def _half_sums(keys: list, half: list, moduli: tuple, negate: bool = False,
+               rows=slice(None)):
+    """Per modulus, the keys of every sum with one frequency per factor of
+    the half, in iproduct order (the first factor varies slowest; no
+    factors give the one sum 0), or of their negatives, at the given rows."""
+    for j, p in enumerate(moduli):
+        out = np.zeros(1, dtype=np.int64)
+        for i in half:
+            out = np.add.outer(out, keys[i][j]).ravel()
+            np.remainder(out, p, out=out)
+        if negate:
+            np.subtract(p, out, out=out)
+            np.remainder(out, p, out=out)
+        yield out[rows]
+
+
+def _products(modes: list, rows: np.ndarray) -> tuple:
+    """Coefficient products of the given partial-sum rows, left to right in
+    factor order, with the real-arithmetic formula of Python's complex
+    multiply (numpy's complex multiply can differ in the last bit)."""
+    idx = np.unravel_index(rows, [len(m.re) for m in modes])
+    re, im = modes[0].re[idx[0]], modes[0].im[idx[0]]
+    for m, i in zip(modes[1:], idx[1:]):
+        br, bi = m.re[i], m.im[i]
+        re, im = re * br - im * bi, re * bi + im * br
+    return re, im
+
+
+def _ordered_sum(x: np.ndarray, start):
+    """start + x[0] + x[1] + ... left to right, as a Python loop adds: the
+    last entry of the running sum (np.sum adds pairwise)."""
+    return np.cumsum(np.concatenate(([start], x)))[-1]
+
+
+def _value(exact: bool, re, im):
+    return ExactComplex(re, im) if exact else complex(re, im)
 
 
 # ---------------------------------------------------------------------------
 # Two-point correlation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Support:
+    bound: int                    # largest |coordinate| of a frequency
+    base: int
+    moduli: tuple
+    keys: np.ndarray              # (len(moduli), m) keys of the frequencies
+    re: np.ndarray                # coefficient parts, then a zero coefficient
+    im: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _support(g: FourierObservable) -> _Support:
+    """g's frequencies keyed for lookup, built once for a series of powers
+    (observables are values: callers never mutate them): a transported
+    frequency within the coordinate bound differs from every support
+    frequency by at most twice the bound."""
+    modes = _modes(g)
+    bound = int(np.abs(modes.freqs).max()) if len(g) else 0
+    base, moduli = _packing(g.dim, 2 * bound)
+    zero = Fraction(0) if g.exact else 0.0
+    return _Support(bound, base, moduli, _keys(modes.freqs, base, moduli),
+                    np.append(modes.re, zero), np.append(modes.im, zero))
+
+
 def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
                  power: int):
     """<f o a^power, g> = sum_k f_k conj(g_{(M^power)^T k}), exactly.
 
-    The conjugate convention is <u, v> = integral of u * conj(v).
+    The conjugate convention is <u, v> = integral of u * conj(v).  The
+    terms are added in f's frequency order; a frequency outside g's support
+    contributes f_k * conj(0).
     """
     if f.dim != g.dim or f.dim != m.dim:
         raise ValueError("dimension mismatch")
@@ -67,10 +241,17 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
     exact = f.exact and g.exact
     if not exact:
         f, g = (h.to_float() if h.exact else h for h in (f, g))
-    acc = ExactComplex() if exact else 0j
-    for k, c in f.items():
-        acc = acc + c * g[_transport(mt, k)].conjugate()
-    return acc
+    fm, table = _modes(f), _support(g)
+    freqs = _transport(fm.freqs, mt)
+    near = np.flatnonzero(((freqs <= table.bound) & (freqs >= -table.bound)).all(axis=1))
+    hit = np.full(len(fm.re), -1)                # -1: the appended zero coefficient
+    near_keys = _keys(freqs[near], table.base, table.moduli)
+    hit[near] = _partners((np.concatenate(pair) for pair in zip(table.keys, near_keys)),
+                          table.keys.shape[1])
+    gr, gi = table.re[hit], -table.im[hit]     # conj(g) at the transported frequency
+    zero = Fraction(0) if exact else 0.0
+    return _value(exact, _ordered_sum(fm.re * gr - fm.im * gi, zero),
+                  _ordered_sum(fm.re * gi + fm.im * gr, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +265,15 @@ def correlation_n(observables: Sequence[FourierObservable],
     """integral of prod_i f_i(alpha(z_i) x) dx, by exact resonance summation.
 
     Sums prod_i f_i(k_i) over tuples with sum_i (d alpha(z_i))^T k_i = 0.
-    The enumeration meets in the middle: the transported partial sums of
-    the first half are hashed, the second half looks up the negation.
+    The enumeration meets in the middle: the factors split into two halves
+    of balanced size, and every partial sum of a half gets exact residue
+    keys.  Stable sorts of the keys group each half's equal sums, and then
+    the distinct sums of both halves, which matches each first-half sum
+    with the negated second-half sum that cancels it.  Coefficients are
+    multiplied only on matched rows: each first-half sum's coefficients
+    are added in enumeration order, then the terms of the result in the
+    second half's enumeration order, so float values equal those of the
+    plain nested loop bit for bit.
     """
     n = len(observables)
     if n < 1 or len(times) != n:
@@ -98,19 +286,17 @@ def correlation_n(observables: Sequence[FourierObservable],
     exact = all(f.exact for f in observables)
     if not exact:
         observables = [f.to_float() if f.exact else f for f in observables]
-
-    transported = []
-    for f, z in zip(observables, times):
+    mts = []
+    for z in times:
         z = tuple(int(t) for t in z)
         if len(z) != len(generators):
             raise ValueError("time vectors must match the number of generators")
-        mt = action_matrix(generators, z).to_int_array()
-        transported.append([(_transport(mt, k), c) for k, c in f.items()])
+        mts.append(action_matrix(generators, z).to_int_array())
 
-    sizes = [len(t) for t in transported]
+    zero = Fraction(0) if exact else 0.0
+    sizes = [len(f) for f in observables]
     if 0 in sizes:
-        return ExactComplex() if exact else 0j
-
+        return _value(exact, zero, zero)
     order = sorted(range(n), key=lambda i: sizes[i])
     half_a: list[int] = []
     half_b: list[int] = []
@@ -127,33 +313,42 @@ def correlation_n(observables: Sequence[FourierObservable],
             f"resonance enumeration needs {prod_a + prod_b} partial sums "
             f"(budget {budget}); shrink the supports or raise the budget")
 
-    zero = ExactComplex() if exact else 0j
+    modes = [_modes(f) for f in observables]
+    freqs = [_transport(m.freqs, mt) for m, mt in zip(modes, mts)]
+    # a first-half sum differs from another one, or from a negated
+    # second-half sum, by at most twice the sum of the largest coordinates
+    base, moduli = _packing(dim, 2 * sum(int(np.abs(k).max()) for k in freqs))
+    keys = [_keys(k, base, moduli) for k in freqs]
+    del freqs
+    # group each half's sums, then match the two halves' distinct sums
+    ids_a, first_a = _group(_half_sums(keys, half_a, moduli))
+    ids_b, first_b = _group(_half_sums(keys, half_b, moduli, negate=True))
+    # per distinct second-half sum, the first-half sum it cancels, or -1
+    partner = _partners((np.concatenate(pair) for pair in zip(
+        _half_sums(keys, half_a, moduli, rows=first_a),
+        _half_sums(keys, half_b, moduli, negate=True, rows=first_b))), len(first_a))
+    del keys
+    in_b = np.zeros(len(first_a), dtype=bool)
+    in_b[partner[partner >= 0]] = True
 
-    def accumulate(indices):
-        table: dict = {}
-        for combo in iproduct(*[transported[i] for i in indices]):
-            ksum = tuple(sum(k[j] for k, _ in combo) for j in range(dim))
-            coeff = combo[0][1]
-            for _, c in combo[1:]:
-                coeff = coeff * c
-            table[ksum] = table.get(ksum, zero) + coeff
-        return table
-
-    ta = accumulate(half_a) if half_a else {tuple([0] * dim): (ExactComplex(1) if exact else 1 + 0j)}
-    acc = zero
-    if half_b:
-        for combo in iproduct(*[transported[i] for i in half_b]):
-            ksum = tuple(sum(k[j] for k, _ in combo) for j in range(dim))
-            neg = tuple(-x for x in ksum)
-            if neg not in ta:
-                continue
-            coeff = combo[0][1]
-            for _, c in combo[1:]:
-                coeff = coeff * c
-            acc = acc + ta[neg] * coeff
-    else:
-        acc = ta.get(tuple([0] * dim), zero)
-    return acc
+    # each matched first-half sum's coefficients, added in enumeration order
+    kind = object if exact else np.float64
+    ta_re, ta_im = np.zeros(len(in_b), dtype=kind), np.zeros(len(in_b), dtype=kind)
+    for rows in _matched_blocks(ids_a, in_b):
+        re, im = _products([modes[i] for i in half_a], rows)
+        np.add.at(ta_re, ids_a[rows], re)
+        np.add.at(ta_im, ids_a[rows], im)
+    if not half_b:                 # one factor: the value is the zero sum's entry
+        a = partner[0]
+        return _value(exact, ta_re[a], ta_im[a]) if a >= 0 else _value(exact, zero, zero)
+    acc_re = acc_im = zero
+    for rows in _matched_blocks(ids_b, partner >= 0):
+        br, bi = _products([modes[i] for i in half_b], rows)
+        a = partner[ids_b[rows]]
+        ar, ai = ta_re[a], ta_im[a]
+        acc_re = _ordered_sum(ar * br - ai * bi, acc_re)
+        acc_im = _ordered_sum(ar * bi + ai * br, acc_im)
+    return _value(exact, acc_re, acc_im)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +495,9 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
         exact=g.exact)
     # F must fix the lifted observable: its transpose transport on the
     # block frequencies must be the identity
-    mt = fgen.to_int_array()
-    for z in lifted.coeffs:
-        if _transport(mt, z) != z:
-            raise ValueError("second generator does not fix the block observable")
+    freqs = _modes(lifted).freqs
+    if not (_transport(freqs, fgen.to_int_array()) == freqs).all():
+        raise ValueError("second generator does not fix the block observable")
 
     expected = lifted.l2_sq()
     series = CorrelationSeries(meta={

@@ -12,6 +12,7 @@ is the obstruction the Diophantine hypothesis rules out, and raises.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -266,7 +267,13 @@ Profile = Union[Callable[[float], float], Sequence]
 def _profile_callable(profile: Profile) -> Callable[[float], float]:
     if callable(profile):
         return profile
-    pts = sorted((float(x), float(y)) for x, y in profile)
+    return _sampled_profile(tuple(sorted((float(x), float(y)) for x, y in profile)))
+
+
+@functools.lru_cache(maxsize=8)
+def _sampled_profile(pts: tuple) -> Callable[[float], float]:
+    """Linear interpolation of sorted samples; one callable per sample set,
+    so the threshold runs of one sweep share their quadrature cells."""
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     if len(xs) < 2:
@@ -281,35 +288,45 @@ def _profile_callable(profile: Profile) -> Callable[[float], float]:
 def _dyadic_integral(g: Callable[[float], float], r: float, h: float) -> float:
     """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx.
 
-    Composite midpoint on dyadic cells [2^-j-1, 2^-j] (the cell containing
-    h is truncated); each cell's point count doubles until it converges.
+    Sums the cells [2^-j-1, 2^-j] and their mirror images (the cell
+    containing h is truncated) in order of decreasing |x|.
     """
     if not 0 < h < 1:
         raise ValueError("need 0 < h < 1")
-
-    def cell(a: float, b: float) -> float:
-        n = 32
-        prev = None
-        while True:
-            xs = a + (b - a) * (np.arange(n) + 0.5) / n
-            vals = np.array([g(float(x)) ** 2 for x in xs]) * np.abs(xs) ** (-2.0 * r)
-            out = float(vals.sum() * (b - a) / n)
-            if prev is not None and abs(out - prev) <= _REL_TOL * max(abs(out), 1e-300):
-                return out
-            prev = out
-            n *= 2
-            if n > 1 << 16:
-                return out
-
     total = 0.0
     b = 1.0
     while b > h:
         a = max(h, b / 2.0)
-        for sign in (1.0, -1.0):
-            lo, hi = (a, b) if sign > 0 else (-b, -a)
-            total += cell(lo, hi)
+        total += _cell(g, r, a, b, _REL_TOL)
+        total += _cell(g, r, -b, -a, _REL_TOL)
         b = a
     return total
+
+
+@functools.lru_cache(maxsize=1024)
+def _cell(g: Callable[[float], float], r: float, a: float, b: float,
+          rel_tol: float) -> float:
+    """Memo of _cell_quadrature: the cutoffs h, h/4, h/16 of a threshold run,
+    and every cutoff of a sweep over one profile callable, share their cells."""
+    return _cell_quadrature(g, r, a, b, rel_tol)
+
+
+def _cell_quadrature(g: Callable[[float], float], r: float, a: float, b: float,
+                     rel_tol: float) -> float:
+    """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b]; the point
+    count doubles until two successive values agree to rel_tol."""
+    n = 32
+    prev = None
+    while True:
+        xs = a + (b - a) * (np.arange(n) + 0.5) / n
+        vals = np.array([g(x) ** 2 for x in xs.tolist()]) * np.abs(xs) ** (-2.0 * r)
+        out = float(vals.sum() * (b - a) / n)
+        if prev is not None and abs(out - prev) <= rel_tol * max(abs(out), 1e-300):
+            return out
+        prev = out
+        n *= 2
+        if n > 1 << 16:
+            return out
 
 
 @dataclass

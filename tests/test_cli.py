@@ -115,6 +115,13 @@ def _profile(tmp, text: str) -> str:
     ("solve", lambda tmp: {**_SOLVE, "directions": 5}),
     ("certify", lambda tmp: {"directions": [[1, "x"]], "dim_ambient": 2, "radius": 10}),
     ("certify", lambda tmp: {"directions": 5, "dim_ambient": 2, "radius": 10}),
+    ("threshold", lambda tmp: {"cutoffs": [2]}),
+    ("threshold", lambda tmp: {"cutoffs": [0]}),
+    ("threshold", lambda tmp: {"orders": [-1]}),
+    ("threshold", lambda tmp: {"orders": [0]}),
+    ("counterexample", lambda tmp: {"kind": "max-gap", "n": 1, "powers": [1, 2]}),
+    ("correlate", lambda tmp: {**_correlate_times([[[0], [1]]]), "budget": 0}),
+    ("correlate", lambda tmp: {**_correlate_times([[[0], [1]]]), "budget": -5}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -125,7 +132,9 @@ def _profile(tmp, text: str) -> str:
         "nan-profile", "fractional-time", "bool-time", "time-tuple-not-a-list",
         "string-time", "unknown-solve-mode", "string-solve-direction",
         "solve-directions-not-a-list", "string-certify-direction",
-        "certify-directions-not-a-list"])
+        "certify-directions-not-a-list", "cutoff-above-one", "zero-cutoff",
+        "negative-order", "zero-order", "max-gap-n-1", "zero-budget",
+        "negative-budget"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2

@@ -1,8 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import zlib
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
+import sympy
+
+import nilmix
+from nilmix import correlate
 
 from nilmix.catalog import CAT, block_diag, get_system
 from nilmix.correlate import (
@@ -16,6 +25,7 @@ from nilmix.correlate import (
 )
 from nilmix.exactlin import RationalMatrix
 from nilmix.fourier import ExactComplex, FourierObservable, real_cosine, real_sine
+from nilmix.nilalg import action_matrix
 
 from conftest import CHI_CAT
 
@@ -131,7 +141,7 @@ def test_two_block_consistency():
 
 def test_budget_error():
     big = obs({(a, b): 1.0 for a in range(-9, 10) for b in range(-9, 10)})
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"needs 260642 partial sums \(budget 100\)"):
         correlation_n([big] * 4, [CAT], [(0,)] * 4, budget=100)
 
 
@@ -298,3 +308,222 @@ def test_no_uniform_bound_rejects_zero():
     system = get_system("product-t2xt2")
     with pytest.raises(ValueError):
         no_uniform_bound_demo(list(system.generators), obs({}), [1])
+
+
+# ---------------------------------------------------------------------------
+# the residue-key join against the plain loops it replaced
+# ---------------------------------------------------------------------------
+
+def _transport_ref(mt, k):
+    n = len(mt)
+    return tuple(sum(mt[i][j] * k[i] for i in range(n)) for j in range(n))
+
+
+def reference_correlation2(f, g, m, power):
+    """Python-int dict lookups over f's modes (the former correlation2)."""
+    mt = (m ** power).to_int_array()
+    exact = f.exact and g.exact
+    if not exact:
+        f, g = (h.to_float() if h.exact else h for h in (f, g))
+    acc = ExactComplex() if exact else 0j
+    for k, c in f.items():
+        acc = acc + c * g[_transport_ref(mt, k)].conjugate()
+    return acc
+
+
+def reference_correlation_n(observables, generators, times):
+    """Hashed Python-int meet in the middle (the former correlation_n)."""
+    n = len(observables)
+    dim = observables[0].dim
+    exact = all(f.exact for f in observables)
+    if not exact:
+        observables = [f.to_float() if f.exact else f for f in observables]
+    transported = []
+    for f, z in zip(observables, times):
+        mt = action_matrix(generators, z).to_int_array()
+        transported.append([(_transport_ref(mt, k), c) for k, c in f.items()])
+    sizes = [len(t) for t in transported]
+    if 0 in sizes:
+        return ExactComplex() if exact else 0j
+    half_a, half_b = [], []
+    prod_a = prod_b = 1
+    for i in sorted(range(n), key=lambda i: sizes[i]):
+        if prod_a <= prod_b:
+            half_a.append(i)
+            prod_a *= sizes[i]
+        else:
+            half_b.append(i)
+            prod_b *= sizes[i]
+    zero = ExactComplex() if exact else 0j
+
+    def accumulate(indices):
+        table = {}
+        for combo in iproduct(*[transported[i] for i in indices]):
+            ksum = tuple(sum(k[j] for k, _ in combo) for j in range(dim))
+            coeff = combo[0][1]
+            for _, c in combo[1:]:
+                coeff = coeff * c
+            table[ksum] = table.get(ksum, zero) + coeff
+        return table
+
+    ta = accumulate(half_a)
+    if not half_b:
+        return ta.get(tuple([0] * dim), zero)
+    acc = zero
+    for combo in iproduct(*[transported[i] for i in half_b]):
+        neg = tuple(-sum(k[j] for k, _ in combo) for j in range(dim))
+        if neg not in ta:
+            continue
+        coeff = combo[0][1]
+        for _, c in combo[1:]:
+            coeff = coeff * c
+        acc = acc + ta[neg] * coeff
+    return acc
+
+
+def _same(a, b):
+    """Equal values of the same type; floats bit for bit (signed zeros too)."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, complex):
+        assert (a.real, a.imag) == (b.real, b.imag), (a, b)
+        assert (math.copysign(1, a.real), math.copysign(1, a.imag)) == \
+            (math.copysign(1, b.real), math.copysign(1, b.imag)), (a, b)
+    else:
+        assert a == b, (a, b)
+
+
+def _random_observable(rng, dim, radius, modes, exact=False):
+    box = range(-radius, radius + 1)
+    support = rng.permutation([z for z in iproduct(box, repeat=dim)
+                               if sum(x * x for x in z) <= radius * radius])[:modes]
+    if exact:
+        coeffs = {tuple(z): ExactComplex(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                                         Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))))
+                  for z in support}
+    else:
+        coeffs = {tuple(z): complex(rng.normal(), rng.normal()) for z in support}
+    return FourierObservable(dim, coeffs, exact=exact)
+
+
+@pytest.mark.parametrize("kind", ["float", "exact", "mixed"])
+@pytest.mark.parametrize("system, n, times", [
+    ("catmap", 1, [(0,)]),
+    ("catmap", 1, [(3,)]),
+    ("catmap", 2, [(0,), (2,)]),
+    ("catmap", 3, [(0,), (1,), (2,)]),
+    ("catmap", 4, [(0,), (1,), (1,), (3,)]),
+    ("catmap", 4, [(-2,), (0,), (1,), (2,)]),
+    ("product-t2xt2", 2, [(1, 0), (0, 1)]),
+    ("product-t2xt2", 3, [(0, 0), (1, 1), (1, 2)]),
+    ("product-t2xt2", 4, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+])
+def test_join_matches_the_loop(kind, system, n, times):
+    generators = list(get_system(system).generators)
+    dim = generators[0].dim
+    rng = np.random.default_rng(zlib.crc32(repr((kind, system, times)).encode()))
+    radius, modes = (3, 25) if dim == 2 else (2, 40)
+    # real observables plus mean-zero ones, so many tuples resonate
+    obs_ = [_random_observable(rng, dim, radius, modes,
+                               exact=(kind == "exact" or (kind == "mixed" and i % 2 == 0)))
+            for i in range(n)]
+    obs_ = [o + o.conjugate() if i % 2 else o for i, o in enumerate(obs_)]
+    value = correlation_n(obs_, generators, times)
+    assert value
+    _same(value, reference_correlation_n(obs_, generators, times))
+
+
+def test_join_past_2_to_the_62():
+    # catmap max-gap at p = 40 reaches 111-bit frequencies; product-t2xt2
+    # at ((40, 40), (40, 0)) as well: several moduli are needed
+    cos = real_cosine(2, (1, 0))
+    f1, f2 = cos.power(2), (cos + real_sine(2, (1, 1))).power(2)
+    for a, b in ((f1, f2), (f1.to_float(), f2), (f1.to_float(), f2.to_float())):
+        _same(correlation_n([a, b], [CAT], [(40,), (80,)]),
+              reference_correlation_n([a, b], [CAT], [(40,), (80,)]))
+    mt = (CAT ** 80).to_int_array()
+    assert max(abs(x) for row in mt for x in row).bit_length() > 62
+    system = get_system("product-t2xt2")
+    g = obs({(1, 0, 0, 0): 1.0, (2, 1, 0, 0): 2.0 - 1j, (0, 1, 1, 0): 0.5j}, d=4)
+    times = [(40, 40), (40, 0)]
+    for pair in ([g, g.conjugate()], [g, g]):
+        _same(correlation_n(pair, list(system.generators), times),
+              reference_correlation_n(pair, list(system.generators), times))
+
+
+def test_correlation2_matches_the_loop():
+    rng = np.random.default_rng(5)
+    f = _random_observable(rng, 2, 12, 300)
+    g = _random_observable(rng, 2, 12, 300)
+    fx = _random_observable(rng, 2, 4, 30, exact=True)
+    gx = _random_observable(rng, 2, 4, 30, exact=True)
+    for a, b in ((f, g), (f, f), (fx, gx), (fx, g), (f, gx), (g, obs({}))):
+        for power in range(-3, 13):
+            _same(correlation2(a, b, CAT, power), reference_correlation2(a, b, CAT, power))
+
+
+def test_group_splits_by_every_column():
+    # rows share an id exactly when they agree on every key column; a
+    # column is read only while some group still holds several rows
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n, k = int(rng.integers(0, 40)), int(rng.integers(1, 5))
+        cols = [rng.integers(0, int(rng.integers(1, 4)), size=n) for _ in range(k)]
+        read = []
+        ids, first = correlate._group(read.append(c) or c.copy() for c in cols)
+        rows = [tuple(int(c[i]) for c in cols) for i in range(n)]
+        assert len(first) == len(set(rows))
+        assert sorted(set(ids.tolist())) == list(range(len(first)))
+        for i in range(n):
+            assert rows[first[ids[i]]] == rows[i]
+            assert all((ids[i] == ids[j]) == (rows[i] == rows[j]) for j in range(n))
+        if len(read) < k:
+            assert len(first) == n
+        if len(set(cols[0].tolist())) == n:
+            assert len(read) == 1
+
+
+def test_one_modulus_is_not_enough():
+    # the frequency 2^61 - 1 is congruent to 0 modulo the first modulus: a
+    # join on that modulus alone would take it for the zero mode
+    p = correlate._moduli(1)[0]
+    assert p == (1 << 61) - 1
+    one = RationalMatrix([[1]])
+    assert correlation_n([obs({(p,): 1.0}, d=1)], [one], [(0,)]) == 0
+    assert correlation_n([obs({(p,): 1, (0,): 2}, d=1, exact=True)], [one], [(0,)]) == 2
+    assert correlation2(obs({(p,): 1.0}, d=1), obs({(0,): 1.0}, d=1), one, 0) == 0
+
+
+def test_moduli_are_primes_just_below_2_to_the_61():
+    # each residue is below 2^61, so the sum of two fits in int64; each
+    # modulus is above 2^60, which the count of moduli relies on
+    moduli = correlate._moduli(6)
+    assert moduli[0] == (1 << 61) - 1
+    assert all((1 << 60) < q < p < (1 << 61) for p, q in zip(moduli, moduli[1:]))
+    assert all(sympy.isprime(p) for p in moduli)
+    assert sympy.nextprime(moduli[-1]) == moduli[-2]
+
+
+def test_join_of_two_million_partial_sums_under_1_gib():
+    # the child alone runs under RLIMIT_AS = 1 GiB: four 1000-mode factors
+    # give 2 * 10^6 partial sums, a few hundred bytes each at most
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from nilmix.catalog import CAT
+from nilmix.correlate import correlation_n
+from nilmix.fourier import FourierObservable
+rng = np.random.default_rng(0)
+box = [(a, b) for a in range(-18, 19) for b in range(-18, 19) if a * a + b * b <= 324]
+fs = [FourierObservable(2, {z: complex(*rng.normal(size=2)) for z in box[:1000]})
+      for _ in range(4)]
+v = correlation_n(fs, [CAT], [(0,), (1,), (2,), (3,)])
+assert np.isfinite(v.real) and np.isfinite(v.imag)
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilmix.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=240, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"

@@ -1,10 +1,14 @@
+import json
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from nilmix import fracsolve
+from nilmix.cli import main
 from nilmix.fourier import ExactComplex, FourierObservable, real_cosine, real_sine
 from nilmix.fracsolve import (
     ObstructionError,
@@ -273,3 +277,28 @@ def test_threshold_sampled_profile():
     xs = np.linspace(-1, 1, 4001)
     rep = schrodinger_threshold(list(zip(xs, xs ** 2)), 0.75, 1e-3)
     assert rep.verdict == "convergent"
+
+
+def test_threshold_sweep_computes_each_cell_once(tmp_path):
+    # the default sweep (3 orders x 3 cutoffs x the refinements h, h/4,
+    # h/16) visits 846 dyadic cells, 192 of them distinct: one profile
+    # callable serves the whole sweep, so each cell is integrated once
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"profile": "bump"}))
+    with mock.patch.object(fracsolve, "_cell", wraps=fracsolve._cell) as visits, \
+            mock.patch.object(fracsolve, "_cell_quadrature",
+                              wraps=fracsolve._cell_quadrature) as quadratures:
+        assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert visits.call_count == 846
+    assert quadratures.call_count == 192
+
+
+def test_sampled_profiles_share_cells():
+    xs = np.linspace(-1, 1, 401)
+    samples = list(zip(xs, np.cos(xs)))
+    first = schrodinger_threshold(samples, 0.5, 1e-3)
+    with mock.patch.object(fracsolve, "_cell_quadrature",
+                           wraps=fracsolve._cell_quadrature) as quadratures:
+        again = schrodinger_threshold([tuple(p) for p in samples], 0.5, 1e-3)
+    assert quadratures.call_count == 0
+    assert again.refinement == first.refinement
