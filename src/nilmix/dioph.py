@@ -12,9 +12,11 @@ representative has positive first nonzero coordinate).
 Two scan engines produce the identical ball minimum:
 
 * a literal full scan over one cached symmetry-reduced grid of the ball
-  (exact Python-int keys over one common denominator for rational
-  directions, 80-bit extended floats otherwise) for balls up to a size
-  threshold;
+  (built by the same lattice enumeration as the pruned engine's shells)
+  for balls up to a size threshold: exact Python-int keys over one common
+  denominator for rational directions; otherwise every point is screened
+  in float64 against a proven rounding bound, and only the points that
+  could still attain the minimum are evaluated in 80-bit extended floats;
 * a pruned scan for large balls: after a seed full scan out to a small
   radius s, a lattice point that could still attain the running minimum C
   must satisfy |m . v| <= C / max(||p||, s)^dimE for the dominant direction
@@ -74,21 +76,16 @@ class DiophantineCertificate:
 def _ball_point_count(dim: int, radius: float) -> float:
     unit = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
     v = unit.get(dim, math.pi ** (dim / 2) / math.gamma(dim / 2 + 1))
-    return v * radius ** dim
+    try:
+        return v * radius ** dim
+    except OverflowError:             # R^d beyond the double range
+        return math.inf
 
 
 def _first_sign(pts: np.ndarray) -> np.ndarray:
     """Sign of each row's first nonzero coordinate (0 for a zero row)."""
     first = (pts != 0).argmax(axis=1)
     return np.sign(pts[np.arange(len(pts)), first])
-
-
-def _ball_points(dim: int, r_sq: int) -> np.ndarray:
-    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order."""
-    b = math.isqrt(r_sq)
-    n = 2 * b + 1
-    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
-    return grid[(grid * grid).sum(axis=1) <= r_sq]
 
 
 def _radius_sq(radius: float) -> int:
@@ -121,7 +118,7 @@ def _scan_exact(vs: list[list[Fraction]], dim: int, radius: float):
 
 
 # ---------------------------------------------------------------------------
-# Float full scan (80-bit extended)
+# Float full scan (float64 screen, 80-bit extended survivors)
 # ---------------------------------------------------------------------------
 
 def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
@@ -142,15 +139,23 @@ def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _lattice_ball(dim: int, radius: float):
-    """Symmetry-reduced ball grid with its longdouble copy and norm powers
-    (read-only: cached and shared by all three engines)."""
-    grid = _ball_points(dim, _radius_sq(radius))
-    grid = grid[_first_sign(grid) > 0]    # symmetry reduction
-    g = grid.astype(_LONG)
-    npow = _ipow_half((g * g).sum(axis=1), dim)
-    for a in (grid, g, npow):
+    """Symmetry-reduced ball grid in lexicographic order, its float64 copy and
+    float64 norm powers ||m||^d (read-only: cached and shared by all three
+    engines).
+
+    The unit form ||x||^2 / r_sq is enumerated like a shell's ellipsoid; its
+    points with positive last nonzero coordinate, columns reversed, are the
+    canonical points, already in lexicographic order.
+    """
+    r_sq = _radius_sq(radius)
+    grid = _enumerate(np.full(dim, 1.0 / r_sq), np.zeros((dim, dim)))[:, ::-1]
+    nsq = (grid * grid).sum(axis=1)
+    grid = grid[(nsq > 0) & (nsq <= r_sq)]
+    gf = grid.astype(np.float64)
+    npow = _ipow_half((gf * gf).sum(axis=1), dim)
+    for a in (grid, gf, npow):
         a.setflags(write=False)
-    return grid, g, npow
+    return grid, gf, npow
 
 
 def _objective(g: np.ndarray, npow: np.ndarray, vs_arr: np.ndarray) -> np.ndarray:
@@ -167,8 +172,50 @@ def _lex_best(grid: np.ndarray, f: np.ndarray):
 
 
 def _scan_full_float(vs_arr: np.ndarray, dim: int, radius: float):
-    grid, g, npow = _lattice_ball(dim, radius)
-    val, arg = _lex_best(grid, _objective(g, npow, vs_arr))
+    """Extended-precision minimum, lexicographic argmin and point count of f
+    over the ball, screened in float64.
+
+    Every point is first evaluated in float64 (gf, npow: the grid's float64
+    copy and norm powers ||m||^d; v64: vs_arr rounded to float64).  Let u = 2^-53,
+    the unit roundoff of float64 (the longdouble one is no larger), and
+    gamma_k = k u / (1 - k u).  Against the exact F(m) = ||m||^d sum_j |m . v_j|
+    of the longdouble directions v_j, to first order in u:
+
+    * rounding v_j to float64 moves m . v_j by at most u sum_i |m_i v_ji|;
+    * a d-term dot product (any order, with or without FMA) is off by at most
+      gamma_d sum_i |m_i v_ji|, and sum_i |m_i v_ji| <= ||m|| ||v_j||;
+    * the t-term sum of the nonnegative |m . v_j| is off by gamma_(t-1) of itself;
+    * npow raises the exact integer ||m||^2 in at most d + 1 roundings
+      (_ipow_half: squarings, products, one sqrt): relative error gamma_(d+1);
+    * the final product rounds once more.
+
+    So float64 and longdouble each miss F(m) by at most
+    (2d + t + 2) u ||m||^(d+1) sum_j ||v_j||, and ||m|| <= R, hence
+
+        |f64(m) - f_longdouble(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
+
+    with e = max(1e-12, (2d + t + 2) 2^-50), at least twice the summed
+    first-order bounds (2d + t + 2) 2^-52; the slack covers the second-order
+    terms and the rounding of sum_j ||v_j|| and of the threshold below
+    (u times a value of the same scale).  Underflow adds at most ~(d + t) 2^-1074 R^(d+1), inside the
+    floor 1e-280 on sum_j ||v_j||.  Every row attaining the longdouble
+    minimum L then has f64 <= L + err <= min(f64) + 2 err and is kept; a
+    direction beyond the float64 range makes err or min(f64) non-finite and
+    keeps every row.  On the kept rows _objective runs element by element
+    exactly as it would over the whole ball, so the minimum and argmin are
+    bit-identical.
+    """
+    grid, gf, npow = _lattice_ball(dim, radius)
+    v64 = vs_arr.astype(np.float64)
+    s = np.abs(gf @ v64[0])
+    for v in v64[1:]:          # a column loop: .sum(axis=1) over t columns is slower
+        s += np.abs(gf @ v)
+    f64 = npow * s
+    e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50)
+    err = e * (radius + 1.0) ** (dim + 1) * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
+    keep = np.flatnonzero(~(f64 > f64.min() + 2.0 * err))
+    g = grid[keep].astype(_LONG)
+    val, arg = _lex_best(grid[keep], _objective(g, _ipow_half((g * g).sum(axis=1), dim), vs_arr))
     return float(val), arg, len(grid)
 
 
@@ -381,6 +428,9 @@ def diophantine_certificate(directions: Sequence[Sequence], dim_ambient: int,
 
     rational = _is_rational_input(vs)
     n_points = _ball_point_count(dim_ambient, radius)
+    if math.isinf(n_points) or math.isinf(radius * radius):
+        raise MemoryError(f"scan in d={dim_ambient} to R={radius:g} would enumerate "
+                          f"~{n_points:.3g} candidates (limit {_ENUM_LIMIT:.3g})")
 
     if rational and n_points <= _EXACT_SCAN_LIMIT:
         fsq, arg, count = _scan_exact([[Fraction(x) for x in v] for v in vs],

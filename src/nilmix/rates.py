@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dioph import _ball_points, _first_sign, _radius_sq
+from .dioph import _first_sign, _radius_sq
 from .exactlin import RationalMatrix, char_poly, factor_over_q, factor_roots, lyapunov_data
 from .nilalg import (
     NilpotentAlgebra,
@@ -341,6 +341,14 @@ def _hyperplane_normals(funcs, n: int) -> list[np.ndarray]:
             nv[j * len(f.exponents):(j + 1) * len(f.exponents)] = -v
             normals.append(nv / np.linalg.norm(nv))
     return normals
+
+
+def _ball_points(dim: int, r_sq: int) -> np.ndarray:
+    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order."""
+    b = math.isqrt(r_sq)
+    n = 2 * b + 1
+    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
+    return grid[(grid * grid).sum(axis=1) <= r_sq]
 
 
 def _ball_count(dim: int, r_sq: int) -> int:

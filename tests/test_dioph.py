@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,11 +11,15 @@ import pytest
 
 import nilmix
 from nilmix.catalog import CAT, CUBIC, get_system, random_ergodic_gl3
+from nilmix import dioph
 from nilmix.dioph import (
+    _ipow_half,
     _lattice_ball,
+    _radius_sq,
     _scan_exact,
     _scan_full_float,
     _scan_pruned,
+    _seed_radius,
     diophantine_certificate,
     type_i_subspace,
     certify_structural_subspaces,
@@ -216,10 +221,100 @@ def test_exact_scan_uses_the_float_engines_ball():
 
 
 def test_lattice_ball_arrays_are_read_only():
-    for a in _lattice_ball(3, 5.0):
+    grid, gf, npow = _lattice_ball(3, 5.0)
+    assert (grid.dtype, gf.dtype, npow.dtype) == (np.int64, np.float64, np.float64)
+    for a in (grid, gf, npow):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def _cube_ball(dim, radius):
+    # the former ball builder, kept as the reference: the whole (2b+1)^d
+    # cube in lexicographic order, cut to the ball, then the rows whose
+    # first nonzero coordinate is positive
+    r_sq = _radius_sq(radius)
+    b = math.isqrt(r_sq)
+    n = 2 * b + 1
+    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
+    grid = grid[(grid * grid).sum(axis=1) <= r_sq]
+    nz = grid != 0
+    return grid[nz.any(axis=1) & (grid[np.arange(len(grid)), nz.argmax(axis=1)] > 0)]
+
+
+def _longdouble_full_scan(vs_arr, dim, radius):
+    # the former float engine, kept as the reference: the objective in
+    # longdouble over every point of the cube-built ball, lexicographic ties
+    grid = _cube_ball(dim, radius)
+    g = grid.astype(np.longdouble)
+    f = _ipow_half((g * g).sum(axis=1), dim) * np.abs(g @ vs_arr.T).sum(axis=1)
+    ties = np.nonzero(f == f.min())[0]
+    best = ties[np.lexsort(grid[ties].T[::-1])[0]]
+    return float(f[best]), tuple(int(x) for x in grid[best]), len(grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_lattice_ball_is_the_cube_ball(dim):
+    for radius in (1.0, math.sqrt(2), math.sqrt(3), 2.5, 6.0, 13.0 if dim < 5 else 7.0):
+        grid = _lattice_ball(dim, radius)[0]
+        want = _cube_ball(dim, radius)
+        assert grid.shape == want.shape and (grid == want).all()
+        assert grid.flags.c_contiguous
+
+
+def _directions(kind, rng, t, dim):
+    v = rng.normal(size=(t, dim))
+    if kind == "near-rational":
+        v = np.round(v * 5) / 5 + rng.choice([-1e-9, 1e-9], size=v.shape)
+    elif kind == "integer-resonant":
+        v = rng.integers(-2, 3, size=(t, dim)).astype(float)
+        v[:, 0] = 1.0
+    elif kind == "large-norm":
+        v = v * 1e8
+    elif kind == "fraction":
+        # longdouble quotients: not representable in float64
+        return np.array([[np.longdouble(int(rng.integers(-40, 41))) / np.longdouble(q)
+                          for q in rng.choice([3, 7, 12, 97], size=dim)]
+                         for _ in range(t)])
+    return np.asarray(v, dtype=np.longdouble)
+
+
+@pytest.mark.parametrize("kind", ["random", "near-rational", "integer-resonant",
+                                  "large-norm", "fraction"])
+def test_screened_full_scan_is_the_longdouble_scan(kind):
+    # the float64 screen with longdouble survivors must return the very
+    # minimum, argmin and count of the all-longdouble scan, exact-zero ties
+    # of resonant directions included
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    radii = {1: 200.0, 2: 40.5, 3: 11.0, 4: 6.5}
+    for dim in (1, 2, 3, 4):
+        for t in (1, 2, 3):
+            for _ in range(2):
+                vs = _directions(kind, rng, t, dim)
+                radius = radii[dim] * (0.6 + 0.4 * rng.random())
+                assert _scan_full_float(vs, dim, radius) == \
+                    _longdouble_full_scan(vs, dim, radius), (dim, vs, radius)
+
+
+def test_screen_keeps_the_rows_float64_misranks():
+    # longdouble 2/3 lies above 2/3 and its float64 rounding below it, so
+    # f(1, -1) = 2 |1 - y| < f(0, 1) = y in longdouble and the reverse in float64
+    vs = np.array([[np.longdouble(1), np.longdouble(2) / np.longdouble(3)]])
+    assert _scan_full_float(vs, 2, 2.0) == _longdouble_full_scan(vs, 2, 2.0)
+    assert _scan_full_float(vs, 2, 2.0)[1] == (1, -1)
+
+
+def test_screen_keeps_few_rows_for_extended_precision(monkeypatch):
+    # the golden direction on the d = 2 seed ball: a float64 bound loose
+    # enough to pass most of the 374998 points would only show as a slowdown
+    sizes = []
+    objective = dioph._objective
+    monkeypatch.setattr(dioph, "_objective",
+                        lambda g, npow, vs: sizes.append(len(g)) or objective(g, npow, vs))
+    vs = np.asarray([[1.0, PHI_INV]], dtype=np.longdouble)
+    val, arg, count = _scan_full_float(vs, 2, _seed_radius(2))
+    assert (arg, count) == ((0, 1), 374998)
+    assert len(sizes) == 1 and sizes[0] <= 300
 
 
 def test_resonant_float_direction():
@@ -237,6 +332,15 @@ def test_oversized_scan_is_refused_before_allocating():
     start = time.perf_counter()
     with pytest.raises(MemoryError, match=r"d=3 to R=1e\+06 .* candidates"):
         diophantine_certificate([[1.0, 1.0, 0.0]], 3, 1e6)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("dim, radius", [(2, 1e300), (3, 1e103), (4, 1e78)])
+def test_radius_beyond_the_double_range_is_refused(dim, radius):
+    # R^d overflows a double: refused like any over-large scan, not an OverflowError
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match=rf"d={dim} to R={re.escape(f'{radius:g}')} .* candidates"):
+        diophantine_certificate([[1.0, PHI_INV] + [0.0] * (dim - 2)], dim, radius)
     assert time.perf_counter() - start < 1.0
 
 
