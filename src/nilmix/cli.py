@@ -104,7 +104,10 @@ def _load_system(cfg: dict):
     if entry is None:
         raise ConfigError("config needs a 'system' entry")
     if isinstance(entry, str):
-        return get_system(entry)
+        try:
+            return get_system(entry)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
     if not isinstance(entry, dict):
         raise ConfigError("'system' must be a catalog name or an inline object")
     _check_keys(entry, {"name", "dim", "layers", "brackets", "generators"}, "system")

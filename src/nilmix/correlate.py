@@ -20,9 +20,8 @@ from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
-from .exactlin import RationalMatrix
+from .exactlin import RationalMatrix, _is_prime
 from .fourier import ExactComplex, FourierObservable
 from .nilalg import action_matrix, check_commuting
 
@@ -77,9 +76,11 @@ def _transport(freqs: np.ndarray, mt: Sequence[Sequence[int]]) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _moduli(count: int) -> tuple:
     """The count largest primes below 2^61: a sum of two residues fits in int64."""
-    out = [sympy.prevprime(1 << 61)]
+    out, n = [], 1 << 61
     while len(out) < count:
-        out.append(sympy.prevprime(out[-1]))
+        n -= 1
+        if _is_prime(n):
+            out.append(n)
     return tuple(out)
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
-import sympy
 
 __all__ = [
     "PrecisionError",
@@ -420,28 +421,331 @@ def char_poly(m: RationalMatrix) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Factorization over Q
+# Factorization over Q (Zassenhaus: factor modulo a prime, Hensel-lift the
+# factors, recombine them; von zur Gathen-Gerhard, Modern Computer Algebra,
+# ch. 14-15).  Polynomials here are int lists in ascending degree order with
+# no trailing zeros; the zero polynomial is [].
 # ---------------------------------------------------------------------------
+
+# modular factors above which factor_over_q refuses the exponential subset
+# recombination (a Swinnerton-Dyer polynomial of degree 2^k splits into at
+# least 2^(k-1) factors modulo every prime)
+_RECOMBINE_LIMIT = 16
+
 
 def factor_over_q(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Exact irreducible factorization over Q, with multiplicities.
 
     Factors are returned monic, in canonical order (degree, then the
     ascending coefficient tuple); the constant content is discarded.
+    Raises ArithmeticError, before any subset search, when a squarefree
+    part splits into more than `_RECOMBINE_LIMIT` factors modulo its prime.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    x = sympy.Symbol("x")
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-    _, factors = sympy.factor_list(sympy.Poly(coeffs, x, domain="QQ"))
-    out = []
-    for poly, mult in factors:
-        q = IntPolynomial([Fraction(int(c.numerator), int(c.denominator))
-                           for c in reversed(poly.all_coeffs())])
-        out.append((q.monic(), mult))
+    f = [int(c) for c in p.primitive_int().coeffs]
+    out = [(IntPolynomial(q).monic(), k)
+           for part, k in _squarefree_parts(f) for q in _factor_squarefree(part)]
     return sorted(out, key=lambda kv: (kv[0].degree, kv[0].coeffs))
+
+
+# Miller-Rabin with these bases decides primality exactly below 3.18e23
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.18e23 (Sorenson-Webster 2017); it
+    picks the factorizer's primes and correlate's moduli below 2^61."""
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _primitive(a: list) -> list:
+    """a over the gcd of its coefficients, with a positive leading coefficient."""
+    if not a:
+        return a
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _add(a: list, b: list, m: int) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(x + y) % m for x, y in zip(a, b + [0] * (len(a) - len(b)))])
+
+
+def _sub(a: list, b: list, m: int) -> list:
+    return _add(a, [-c for c in b], m)
+
+
+def _mul(a: list, b: list, m: int = 0) -> list:
+    """a * b over Z, or modulo m when m is given."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out]) if m else out
+
+
+def _divmod_mod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b modulo m (b's leading coefficient a unit mod m)."""
+    inv = pow(b[-1], -1, m)
+    rem = [c % m for c in a]
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + db] * inv % m
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] = (rem[k + j] - c * y) % m
+    return _trim(quot), _trim(rem[:db])
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd over F_p (a nonzero)."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcdex_mod(a: list, b: list, p: int) -> tuple[list, list]:
+    """s, t with s a + t b = 1 over F_p, deg s < deg b, deg t < deg a (a, b coprime)."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _powmod(a: list, e: int, f: list, p: int) -> list:
+    """a^e modulo f over F_p."""
+    out, a = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod_mod(_mul(a, a, p), f, p)[1]
+    return out
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder over Z: lc(b)^(deg a - deg b + 1) a modulo b."""
+    rem, db, lb = list(a), len(b) - 1, b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + db]
+        rem = [x * lb for x in rem]
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(rem[:db])
+
+
+def _gcd_z(a: list, b: list) -> list:
+    """Primitive gcd over Z with a positive leading coefficient (primitive PRS)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _exact_quotient(a: list, b: list) -> Optional[list]:
+    """a / b over Z, or None when b does not divide a."""
+    rem, db, lb = list(a), len(b) - 1, b[-1]
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - len(b), -1, -1):
+        c, r = divmod(rem[k + db], lb)
+        if r:
+            return None
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    return None if any(rem[:db]) else quot
+
+
+def _squarefree_parts(f: list) -> list[tuple[list, int]]:
+    """[(part, k)] with f = prod part^k, the parts squarefree, coprime, primitive
+    and of positive degree and leading coefficient (f primitive, lead > 0)."""
+    g = _gcd_z(f, _trim([i * c for i, c in enumerate(f)][1:]))
+    w, y = _exact_quotient(f, g), g
+    out, k = [], 1
+    while len(w) > 1:
+        z = _gcd_z(w, y)
+        part = _exact_quotient(w, z)
+        if len(part) > 1:
+            out.append((part, k))
+        w, y, k = z, _exact_quotient(y, z), k + 1
+    return out
+
+
+def _distinct_degree(f: list, p: int) -> list[tuple[list, int]]:
+    """[(g, d)]: g the product of the degree-d irreducible factors of f over F_p
+    (f monic and squarefree mod p)."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd_mod(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: list, d: int, p: int, rng: random.Random) -> list[list]:
+    """The monic irreducible factors of g over F_p, all of degree d (Cantor-Zassenhaus, p odd)."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        h = _gcd_mod(g, _sub(_powmod(a, e, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_divmod_mod(g, h, p)[0], d, p, rng))
+
+
+def _hensel_step(m: int, f: list, g: list, h: list, s: list, t: list) -> tuple:
+    """From f = g h and s g + t h = 1 mod m (h monic) to the same identities mod m^2."""
+    m2 = m * m
+    e = _sub(f, _mul(g, h), m2)
+    q, r = _divmod_mod(_mul(s, e, m2), h, m2)
+    g = _add(g, _add(_mul(t, e), _mul(q, g), m2), m2)
+    h = _add(h, r, m2)
+    b = _sub(_add(_mul(s, g), _mul(t, h), m2), [1], m2)
+    c, d = _divmod_mod(_mul(s, b, m2), h, m2)
+    return g, h, _sub(s, d, m2), _sub(t, _add(_mul(t, b), _mul(c, g), m2), m2)
+
+
+def _hensel_lift(f: list, factors: list[list], p: int, pk: int) -> list[list]:
+    """Monic lifts mod pk = p^k of the factors mod p, given f = lc(f) prod(factors)
+    mod p with the factors monic and pairwise coprime mod p (multifactor lifting
+    down a balanced factor tree)."""
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, pk)
+        return [[c * inv % pk for c in f]]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = _mul(g, u, p)
+    h = [1]
+    for u in factors[half:]:
+        h = _mul(h, u, p)
+    s, t = _gcdex_mod(g, h, p)
+    m = p
+    while m < pk:
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        m *= m
+    return _hensel_lift(g, factors[:half], p, pk) + _hensel_lift(h, factors[half:], p, pk)
+
+
+def _recombine(f: list, lifted: list[list], pk: int) -> list[list]:
+    """The irreducible factors over Z of the primitive squarefree f, from the monic
+    lifts mod pk of its factors mod p; pk exceeds twice every coefficient of
+    lc(f)/lc(g) g for every factor g of f.  Subsets of the lifts are tried by
+    size; a candidate passes a constant-term divisibility screen and then exact
+    trial division."""
+    def symmetric(c: int) -> int:
+        c %= pk
+        return c - pk if 2 * c > pk else c
+
+    out, todo, size = [], list(lifted), 1
+    while 2 * size <= len(todo):
+        lead = f[-1]
+        for subset in combinations(range(len(todo)), size):
+            if f[0]:
+                c = lead
+                for i in subset:
+                    c = c * todo[i][0] % pk
+                c = symmetric(c)
+                if not c or lead * f[0] % c:
+                    continue
+            g = [lead]
+            for i in subset:
+                g = _mul(g, todo[i], pk)
+            g = _primitive([symmetric(c) for c in g])
+            q = _exact_quotient(f, g)
+            if q is None:
+                continue
+            out.append(g)
+            f = q
+            todo = [u for i, u in enumerate(todo) if i not in subset]
+            break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+def _factor_squarefree(f: list) -> list[list]:
+    """Irreducible factors over Z of a primitive squarefree f with lead > 0."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    p = 3
+    while f[-1] % p == 0 or len(_gcd_mod([c % p for c in f],
+                                         _trim([i * c % p for i, c in enumerate(f)][1:]),
+                                         p)) > 1:
+        p += 2
+        while not _is_prime(p):
+            p += 2
+    inv = pow(f[-1], -1, p)
+    split = _distinct_degree([c * inv % p for c in f], p)
+    count = sum((len(g) - 1) // d for g, d in split)
+    if count == 1:
+        return [f]
+    if count > _RECOMBINE_LIMIT:
+        raise ArithmeticError(
+            f"factor_over_q refuses a squarefree part of degree {n}: {count} factors "
+            f"modulo {p} exceed the recombination limit {_RECOMBINE_LIMIT}")
+    rng = random.Random(p)  # the route only: the factorization is unique
+    factors = [u for g, d in split for u in _equal_degree(g, d, p, rng)]
+    bound = (math.isqrt(n + 1) + 1) * 2 ** n * max(abs(c) for c in f) * f[-1]
+    pk = p
+    while pk <= 2 * bound:
+        pk *= p
+    return _recombine(f, _hensel_lift(f, factors, p, pk), pk)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,7 @@ def _profile(tmp, text: str) -> str:
     ("counterexample", lambda tmp: {"kind": "max-gap", "n": 1, "powers": [1, 2]}),
     ("correlate", lambda tmp: {**_correlate_times([[[0], [1]]]), "budget": 0}),
     ("correlate", lambda tmp: {**_correlate_times([[[0], [1]]]), "budget": -5}),
+    ("certify", lambda tmp: {"system": "cat", "radius": 10}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -134,7 +138,7 @@ def _profile(tmp, text: str) -> str:
         "solve-directions-not-a-list", "string-certify-direction",
         "certify-directions-not-a-list", "cutoff-above-one", "zero-cutoff",
         "negative-order", "zero-order", "max-gap-n-1", "zero-budget",
-        "negative-budget"])
+        "negative-budget", "unknown-catalog-name"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2
@@ -273,3 +277,33 @@ def test_reruns_are_byte_identical(tmp_path):
                      "--seed", "11"]) == 0
         outs.append((out / "report.json").read_text() + (out / "density.csv").read_text())
     assert outs[0] == outs[1]
+
+
+_NO_SYMPY_SCRIPT = """
+import json, sys
+from nilmix.cli import main
+assert "sympy" not in sys.modules, "import nilmix.cli loaded sympy"
+for i, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+    path = f"{sys.argv[1]}/config{i}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", path, "--out", f"{sys.argv[1]}/out{i}"]) == 0, command
+assert "sympy" not in sys.modules, "a command loaded sympy"
+"""
+
+
+def test_commands_never_import_sympy(tmp_path):
+    # sympy is only the tests' reference: a fresh process runs four commands
+    # that factor characteristic polynomials and pick correlate's moduli
+    cos_mode = {"dim": 2, "coeffs": [{"z": [1, 0], "re": 0.5, "im": 0.0},
+                                     {"z": [-1, 0], "re": 0.5, "im": 0.0}]}
+    runs = [("analyze", {"system": "heisenberg-cat"}),
+            ("certify", {"system": "cubic3", "radius": 20}),
+            ("density", {"system": "product-t2xt2", "n": 2, "radius": 6, "eps": 0.1,
+                         "samples": 200}),
+            ("correlate", {"system": "catmap", "observables": [cos_mode, cos_mode],
+                           "powers": [0, 1, 2]})]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT, str(tmp_path), json.dumps(runs)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

@@ -503,6 +503,33 @@ def test_moduli_are_primes_just_below_2_to_the_61():
     assert sympy.nextprime(moduli[-1]) == moduli[-2]
 
 
+def _chernick_carmichael(count: int) -> list:
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are prime
+    out, k = [], 1
+    while len(out) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(f) for f in factors):
+            out.append(math.prod(factors))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                               *_chernick_carmichael(20),
+                               3215031751, 3825123056546413051])
+def test_miller_rabin_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 23
+    assert not sympy.isprime(n)
+    assert not correlate._is_prime(n)
+
+
+def test_miller_rabin_matches_sympy():
+    top = 1 << 61
+    for n in [*range(3000), *range(top - 10_000, top)]:
+        assert correlate._is_prime(n) == sympy.isprime(n), n
+
+
 def test_join_of_two_million_partial_sums_under_1_gib():
     # the child alone runs under RLIMIT_AS = 1 GiB: four 1000-mode factors
     # give 2 * 10^6 partial sums, a few hundred bytes each at most

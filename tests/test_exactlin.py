@@ -1,8 +1,15 @@
+import importlib.util
 import math
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 
 from nilmix.exactlin import (
     IntPolynomial,
@@ -89,6 +96,113 @@ def test_factor_canonical_order():
     degs = [q.degree for q, _ in got]
     assert degs == sorted(degs)
     assert all(q.is_monic() for q, _ in got)
+
+
+# ---------------------------------------------------------------------------
+# factorization against sympy (the reference; nilmix factors in-house)
+# ---------------------------------------------------------------------------
+
+_X = sympy.Symbol("x")
+
+
+def sympy_factors(p: IntPolynomial) -> list:
+    """sympy.factor_list in factor_over_q's canonical form."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _, factors = sympy.factor_list(sympy.Poly(coeffs, _X, domain="QQ"))
+    out = [(IntPolynomial([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())]).monic(), k)
+           for q, k in factors]
+    return sorted(out, key=lambda kv: (kv[0].degree, kv[0].coeffs))
+
+
+def swinnerton_dyer(*radicands: int) -> IntPolynomial:
+    """Minimal polynomial of the sum of the square roots: irreducible of degree
+    2^k, yet it splits into factors of degree <= 2 modulo every prime.  Built
+    as f(x + sqrt r) f(x - sqrt r) = E^2 - r O^2, one radicand at a time,
+    where f(x + y) = E(x) + y O(x) modulo y^2 = r."""
+    x, f = poly(0, 1), poly(0, 1)
+    for r in radicands:
+        a, b = poly(1), poly(0)          # (x + y)^i = a + y b
+        e, o = poly(0), poly(0)
+        for c in f.coeffs:
+            e, o = e + a.scale(c), o + b.scale(c)
+            a, b = x * a + b.scale(r), a + x * b
+        f = e * e - o * o.scale(r)
+    return f
+
+
+def _perfbench_generators() -> list:
+    """Every inline generator of the seed-1 benchmark workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    out = {}
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 1).ops:
+            system = op.config.get("system")
+            if isinstance(system, dict):
+                for i, g in enumerate(system["generators"]):
+                    out.setdefault(RationalMatrix(g), f"{op.id}-g{i}")
+    return [(name, m) for m, name in out.items()]
+
+
+def _catalog_generators() -> list:
+    from nilmix.catalog import get_system, system_names
+    return [(f"{name}-g{i}", g) for name in system_names()
+            for i, g in enumerate(get_system(name).generators)]
+
+
+_FIXED = ([("x4-10x2+1", poly(1, 0, -10, 0, 1)),
+           ("swinnerton-dyer-2-3-5", swinnerton_dyer(2, 3, 5)),
+           # x (x^2 + 4x + 1)(x^2 - x + 1): a factor's coefficient 4 exceeds
+           # every coefficient of the product, so a lifting bound taken from
+           # the product's coefficients alone recovers a wrong factor
+           ("factor-coefficient-above-product", poly(0, 1, 3, -2, 3, 1)),
+           ("x8-1", poly(-1, *[0] * 7, 1)),
+           ("x16-1", poly(-1, *[0] * 15, 1))]
+          + [(f"cyclotomic-{n}", cyclotomic_polynomial(n)) for n in range(1, 61)]
+          + [(f"charpoly-{name}", char_poly(m))
+             for name, m in _catalog_generators() + _perfbench_generators()])
+
+
+@pytest.mark.parametrize("p", [p for _, p in _FIXED], ids=[name for name, _ in _FIXED])
+def test_factor_matches_sympy_on_fixed_inputs(p):
+    assert factor_over_q(p) == sympy_factors(p)
+
+
+_coefficient = st.one_of(st.integers(-9, 9), st.integers(-10 ** 12, 10 ** 12))
+_factor = st.tuples(st.lists(_coefficient, min_size=1, max_size=6),
+                    st.integers(-12, 12).filter(bool),
+                    st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(factors=st.lists(_factor, min_size=1, max_size=3),
+       content=st.fractions().filter(bool))
+def test_factor_matches_sympy_on_random_products(factors, content):
+    # products of integer polynomials of degree 1-6 with multiplicities 1-3,
+    # rational content and leading coefficients of either sign
+    p = IntPolynomial([content])
+    for low, lead, k in factors:
+        p = p * IntPolynomial(low + [lead]) ** k
+    assert factor_over_q(p) == sympy_factors(p)
+
+
+def test_factor_recombines_up_to_the_limit_and_refuses_above_it():
+    m = sympy.minimal_polynomial(sympy.sqrt(2) + sympy.sqrt(3) + sympy.sqrt(5), _X)
+    assert swinnerton_dyer(2, 3, 5) == IntPolynomial(
+        [int(c) for c in reversed(sympy.Poly(m, _X).all_coeffs())])
+    # degree 32: 16 quadratic factors modulo its prime, at the limit, so the
+    # subset search runs and proves it irreducible
+    p = swinnerton_dyer(2, 3, 5, 7, 11)
+    assert factor_over_q(p) == [(p, 1)]
+    # degree 64: 32 modular factors, 2^31 subsets: refused before the search
+    p = swinnerton_dyer(2, 3, 5, 7, 11, 13)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"degree 64: 32 factors"):
+        factor_over_q(p)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
