@@ -1,0 +1,134 @@
+"""Byte pins of the mixing commands' outputs.
+
+Each case runs one `solve`, `correlate` or `counterexample` through
+`cli.main` on small seeded observables made here, and compares the sha256
+of every file it writes (report.json and the CSV table) with a recorded
+digest.  A change to how observables are stored or solved must leave these
+bytes alone.
+"""
+
+import hashlib
+import itertools
+import json
+import math
+import random
+import warnings
+
+import pytest
+
+from nilmix.cli import main
+
+from conftest import PHI_INV
+
+
+def _observable(seed: int, dim: int, radius: int, mean: bool = False) -> dict:
+    """Random complex coefficients decaying like e^{-0.4 |z|} on a box, with
+    some signed-zero components; the zero mode only when asked for."""
+    rng = random.Random(seed)
+    entries = []
+    for z in itertools.product(range(-radius, radius + 1), repeat=dim):
+        if (not any(z) and not mean) or rng.random() < 0.3:
+            continue
+        amp = math.exp(-0.4 * math.sqrt(sum(x * x for x in z)))
+        re, im = rng.uniform(-1, 1) * amp, rng.uniform(-1, 1) * amp
+        roll = rng.random()
+        if roll < 0.1:
+            re = -0.0
+        elif roll < 0.2:
+            im = -0.0
+        entries.append({"z": list(z), "re": re, "im": im})
+    return {"dim": dim, "coeffs": entries}
+
+
+_CASES = {
+    "solve-modulus-system": ("solve", {
+        "system": "catmap", "observable": _observable(1, 2, 4), "r": 0.5}),
+    "solve-modulus-two-directions": ("solve", {
+        "observable": _observable(2, 2, 5), "r": 0.5,
+        "directions": [[1.0, PHI_INV], [0.3, -1.1]]}),
+    "solve-signed": ("solve", {
+        "observable": _observable(3, 2, 4, mean=True), "r": 2, "mode": "signed",
+        "directions": [[1.0, PHI_INV]]}),
+    "correlate-powers": ("correlate", {
+        "system": "catmap", "observables": [_observable(4, 2, 4), _observable(5, 2, 4)],
+        "powers": [0, 1, 2, 3, 4, 5]}),
+    "correlate-times": ("correlate", {
+        "system": "catmap",
+        "observables": [_observable(6, 2, 2), _observable(7, 2, 2, mean=True),
+                        _observable(8, 2, 2)],
+        "times": [[[0], [1], [2]], [[0], [2], [3]], [[1], [1], [0]], [[0], [0], [0]]]}),
+    "counterexample-max-gap": ("counterexample", {
+        "kind": "max-gap", "system": "catmap", "observable": _observable(9, 2, 2),
+        "observable2": _observable(10, 2, 2, mean=True), "n": 2,
+        "powers": [1, 2, 3, 4, 5]}),
+    "counterexample-max-gap-exact": ("counterexample", {
+        "kind": "max-gap", "powers": [1, 2, 3, 4, 5, 6]}),
+    "counterexample-no-uniform-bound": ("counterexample", {
+        "kind": "no-uniform-bound", "system": "product-t2xt2",
+        "observable": _observable(11, 2, 3), "powers": [1, 2, 3, 4]}),
+}
+
+_DIGESTS = {
+    'correlate-powers': {
+        'correlations.csv':
+            'e0249c20d49a3ac3d0c6207c5b663730c1e23e99de78d274d8345cec8267c127',
+        'report.json':
+            'c88453e68a5a9b6d39e6edc21def600f0854e920811efb602b23a2e72caa3e1f',
+    },
+    'correlate-times': {
+        'correlations.csv':
+            'dc28d209c97cca199678bd4a6059b020ed03242e38e094bb00f877ee754baf38',
+        'report.json':
+            '528e1873643056e1b59778b801901ea57cb0e24e265bef7c786caae2152df1a8',
+    },
+    'counterexample-max-gap': {
+        'counterexample.csv':
+            '8fca6d4070629c2e2774c70f8e4477008f22859f5b3948123f2cfafdde33aa09',
+        'report.json':
+            '1cae9980aadf10b9f9fb3f96b8977ce34f0e8bba24d385dc3bc7dbee7cfe0f9c',
+    },
+    'counterexample-max-gap-exact': {
+        'counterexample.csv':
+            '7dd4c7e4530adbecc81396dbbf29fc46829498ee7ae7378b3b2edf9bb84af601',
+        'report.json':
+            '3f41f7312a0949e5e0f4be79dacfb9ccdd283bdd99762fd51320b5690a5a14f5',
+    },
+    'counterexample-no-uniform-bound': {
+        'counterexample.csv':
+            '3460f3f822613bb2e1f4592b503e871ddd5c5169247b91d08e8d349eec742e9f',
+        'report.json':
+            '6d7932f17840440a1ae79423f10e53ae57cdd9eff5bd37916a4a92cd63fa9c4e',
+    },
+    'solve-modulus-system': {
+        'report.json':
+            'ba02bf5205f5f4d6a8444a8b904f4f6697a925ded52304ae296c51898b0582c5',
+        'solution.csv':
+            '64b19b9679adc77ac07eefe676a57b78c170536d7516f9efee5d25387bd8de4a',
+    },
+    'solve-modulus-two-directions': {
+        'report.json':
+            '4c488473115333ecb3cb5d8c139ae56f3a2f83edfa41bbb908c063a5702d9016',
+        'solution.csv':
+            'e880f38324c9ac30a6e7a62d649fe81bffe5ba30a3606f11db359bb79a5078fb',
+    },
+    'solve-signed': {
+        'report.json':
+            '26de269ddba659e4087b699f905ce37550a96bfd5e764c5b107e3f9af57e46a3',
+        'solution.csv':
+            '5f0e84ef12c2d72240b0072bed751e047742b066de0f4d4d5ae9c893035d9c88',
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_mixing_outputs_are_pinned(tmp_path, name):
+    command, cfg = _CASES[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # solve-signed drops a mean
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == _DIGESTS[name]
