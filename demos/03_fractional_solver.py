@@ -43,7 +43,7 @@ for r in (0.25, 0.5, 1, 2):
 
 print("\ninteger order in signed form is the plain directional derivative:")
 sol1 = solve_fractional(g, GOLDEN, 1, mode="signed")
-z0 = next(iter(sol1.per_direction[0].phi.coeffs))
+z0 = sol1.per_direction[0].phi.frequencies()[0]
 d = 1j * 2 * math.pi * (z0[0] + z0[1] * PHI_INV)
 check = complex(sol1.per_direction[0].phi[z0]) * d - complex(g[z0])
 print(f"   coefficient identity at {z0}: error {abs(check):.2e}")

@@ -24,7 +24,8 @@ for a in range(-48, 49):
 f = FourierObservable(2, entries)
 f = f.scaled(1.0 / math.sqrt(f.l2_sq()))
 
-print(f"smooth mean-zero observable, {len(f)} modes, unit l2 norm")
+print(f"smooth mean-zero observable, {len(f)} modes, unit l2 norm, "
+      f"f[(1, 0)] = {f[(1, 0)].real:.4f}")
 print(f"spectral gap of the map: chi = {CHI:.6f}\n")
 series = CorrelationSeries()
 prev = None
@@ -43,6 +44,7 @@ print(f"single-constant envelope at rate chi: C = {fit.c_fit:.3e}, "
 
 print("\ntrig polynomial horizon: cos(2 pi x1) + sin(2 pi x2) against itself")
 g = real_cosine(2, (1, 0)) + real_sine(2, (0, 1))
+print("   exact coefficients: " + ", ".join(f"{z}: {c}" for z, c in g.items()))
 for m in range(0, 8):
     v = complex(correlation2(g, g, CAT, m))
     print(f"   m = {m}: corr = {v.real:+.6f}")

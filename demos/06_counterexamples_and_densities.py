@@ -31,6 +31,8 @@ for e in series.entries:
 print("\nproduct-block series (rank 2, one non-ergodic generator):")
 product = get_system("product-t2xt2")
 g = FourierObservable(2, {(1, 0): 1.0})
+print(f"   block observable on the first T^2: modes {g.frequencies()}, "
+      f"||g||^2 = {sum(abs(c) ** 2 for _, c in g.items())}")
 demo = no_uniform_bound_demo(list(product.generators), g, [1, 5, 10, 20, 40])
 for e in demo.entries:
     print(f"   separation {e.gap:>4g}: value = {e.value.real:+.6f}")

@@ -36,8 +36,8 @@ from .correlate import (
 )
 from .dioph import diophantine_certificate, certify_structural_subspaces
 from .exactlin import RationalMatrix, lyapunov_data
-from .fourier import FourierObservable
-from .fracsolve import schrodinger_threshold, solve_fractional
+from .fourier import FourierObservable, _is_number
+from .fracsolve import _check_solve, schrodinger_threshold, solve_fractional
 from .nilalg import (
     NilpotentAlgebra,
     central_series,
@@ -78,11 +78,8 @@ def _number(cfg: dict, key: str, default, kind=float):
     many = isinstance(default, list)
     items = value if many and isinstance(value, list) else [value]
 
-    def ok(x) -> bool:
-        return (type(x) in (int, float) and math.isfinite(x)
-                and (kind is float or float(x).is_integer()))
-
-    if many != isinstance(value, list) or not all(map(ok, items)):
+    if many != isinstance(value, list) or \
+            not all(_is_number(x, integral=kind is int) for x in items):
         noun = "integer" if kind is int else "finite number"
         raise ConfigError(f"bad {key!r} {value!r}: must be "
                           + (f"a list of {noun}s" if many else f"one {noun}"))
@@ -322,16 +319,20 @@ def _cmd_solve(cfg, outdir, precision, seed):
                 "solve config")
     r = _number(cfg, "r", 0.5)
     mode = cfg.get("mode", "modulus")
-    if mode not in ("modulus", "signed"):
-        raise ConfigError(f"bad 'mode' {mode!r}: must be 'modulus' or 'signed'")
     f = _load_observable(cfg, "observable")
     if "directions" in cfg:
         directions = [tuple(v) for v in _vectors(cfg, "directions")]
     else:
         system = _load_system(cfg)
+        if system.matrix.dim != f.dim:
+            raise ConfigError(f"observable has dim {f.dim}, the system {system.matrix.dim}")
         split = lyapunov_data(system.matrix, precision)
         w = split.w_plus()
         directions = [tuple(float(x) for x in row) for row in w]
+    try:
+        _check_solve(f, directions, r, mode)
+    except ValueError as e:
+        raise ConfigError(str(e))
     cert = diophantine_certificate(directions, f.dim,
                                    _number(cfg, "radius", max(8.0, f.support_radius() + 1)))
     sol = solve_fractional(f, directions, r, mode=mode, certificate=cert)
@@ -345,10 +346,8 @@ def _cmd_solve(cfg, outdir, precision, seed):
                   for d in sol.per_direction],
         "certificate_c_emp": cert.c_emp,
     }
-    rows = []
-    for d in sol.per_direction:
-        for z, c in d.phi.items():
-            rows.append([d.index, " ".join(map(str, z)), c.real, c.imag])
+    rows = [[d.index, " ".join(map(str, z)), re, im] for d in sol.per_direction
+            for z, re, im in zip(d.phi.freqs.tolist(), d.phi.re.tolist(), d.phi.im.tolist())]
     _write_csv(os.path.join(outdir, "solution.csv"),
                ["direction_index", "frequency", "re", "im"], rows)
     return out

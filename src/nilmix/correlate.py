@@ -16,7 +16,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,29 +47,9 @@ class BudgetError(RuntimeError):
 # Exact transport and residue keys
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Modes:
-    freqs: np.ndarray             # (m, dim) object array of ints
-    re: np.ndarray                # coefficient parts: float64, or Fractions if exact
-    im: np.ndarray
-
-
-def _modes(f: FourierObservable) -> _Modes:
-    """f's frequencies, in lexicographic order, and coefficients as arrays."""
-    zs = f.frequencies()
-    cs = [f.coeffs[z] for z in zs]
-    freqs = np.fromiter(chain.from_iterable(zs), dtype=object,
-                        count=len(zs) * f.dim).reshape(len(zs), f.dim)
-    if f.exact:
-        return _Modes(freqs, np.array([c.re for c in cs], dtype=object),
-                      np.array([c.im for c in cs], dtype=object))
-    cs = np.array(cs, dtype=complex)
-    return _Modes(freqs, cs.real, cs.imag)
-
-
 def _transport(freqs: np.ndarray, mt: Sequence[Sequence[int]]) -> np.ndarray:
     """Apply the transpose of the integer matrix to each frequency row, exactly."""
-    return freqs.dot(np.array(mt, dtype=object))
+    return freqs.astype(object).dot(np.array(mt, dtype=object))
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,13 +155,13 @@ def _half_sums(keys: list, half: list, moduli: tuple, negate: bool = False,
         yield out[rows]
 
 
-def _products(modes: list, rows: np.ndarray) -> tuple:
+def _products(factors: list, rows: np.ndarray) -> tuple:
     """Coefficient products of the given partial-sum rows, left to right in
     factor order, with the real-arithmetic formula of Python's complex
     multiply (numpy's complex multiply can differ in the last bit)."""
-    idx = np.unravel_index(rows, [len(m.re) for m in modes])
-    re, im = modes[0].re[idx[0]], modes[0].im[idx[0]]
-    for m, i in zip(modes[1:], idx[1:]):
+    idx = np.unravel_index(rows, [len(m) for m in factors])
+    re, im = factors[0].re[idx[0]], factors[0].im[idx[0]]
+    for m, i in zip(factors[1:], idx[1:]):
         br, bi = m.re[i], m.im[i]
         re, im = re * br - im * bi, re * bi + im * br
     return re, im
@@ -202,28 +181,14 @@ def _value(exact: bool, re, im):
 # Two-point correlation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Support:
-    bound: int                    # largest |coordinate| of a frequency
-    base: int
-    moduli: tuple
-    keys: np.ndarray              # (len(moduli), m) keys of the frequencies
-    re: np.ndarray                # coefficient parts, then a zero coefficient
-    im: np.ndarray
-
-
 @functools.lru_cache(maxsize=1)
-def _support(g: FourierObservable) -> _Support:
-    """g's frequencies keyed for lookup, built once for a series of powers
-    (observables are values: callers never mutate them): a transported
-    frequency within the coordinate bound differs from every support
-    frequency by at most twice the bound."""
-    modes = _modes(g)
-    bound = int(np.abs(modes.freqs).max()) if len(g) else 0
+def _support(g: FourierObservable) -> tuple:
+    """g's largest |coordinate|, packing base, moduli and frequency keys, kept
+    for a series of powers (observables are read-only): a transported
+    frequency within the bound differs from g's by at most twice the bound."""
+    bound = int(np.abs(g.freqs).max()) if len(g) else 0
     base, moduli = _packing(g.dim, 2 * bound)
-    zero = Fraction(0) if g.exact else 0.0
-    return _Support(bound, base, moduli, _keys(modes.freqs, base, moduli),
-                    np.append(modes.re, zero), np.append(modes.im, zero))
+    return bound, base, moduli, _keys(g.freqs, base, moduli)
 
 
 def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
@@ -242,17 +207,17 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
     exact = f.exact and g.exact
     if not exact:
         f, g = (h.to_float() if h.exact else h for h in (f, g))
-    fm, table = _modes(f), _support(g)
-    freqs = _transport(fm.freqs, mt)
-    near = np.flatnonzero(((freqs <= table.bound) & (freqs >= -table.bound)).all(axis=1))
-    hit = np.full(len(fm.re), -1)                # -1: the appended zero coefficient
-    near_keys = _keys(freqs[near], table.base, table.moduli)
-    hit[near] = _partners((np.concatenate(pair) for pair in zip(table.keys, near_keys)),
-                          table.keys.shape[1])
-    gr, gi = table.re[hit], -table.im[hit]     # conj(g) at the transported frequency
+    bound, base, moduli, keys = _support(g)
+    freqs = _transport(f.freqs, mt)
+    near = np.flatnonzero(((freqs <= bound) & (freqs >= -bound)).all(axis=1))
+    hit = np.full(len(f), -1)                # -1: the appended zero coefficient
+    near_keys = _keys(freqs[near], base, moduli)
+    hit[near] = _partners((np.concatenate(pair) for pair in zip(keys, near_keys)),
+                          keys.shape[1])
     zero = Fraction(0) if exact else 0.0
-    return _value(exact, _ordered_sum(fm.re * gr - fm.im * gi, zero),
-                  _ordered_sum(fm.re * gi + fm.im * gr, zero))
+    gr, gi = np.append(g.re, zero)[hit], -np.append(g.im, zero)[hit]    # conj(g) there
+    return _value(exact, _ordered_sum(f.re * gr - f.im * gi, zero),
+                  _ordered_sum(f.re * gi + f.im * gr, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +279,7 @@ def correlation_n(observables: Sequence[FourierObservable],
             f"resonance enumeration needs {prod_a + prod_b} partial sums "
             f"(budget {budget}); shrink the supports or raise the budget")
 
-    modes = [_modes(f) for f in observables]
-    freqs = [_transport(m.freqs, mt) for m, mt in zip(modes, mts)]
+    freqs = [_transport(f.freqs, mt) for f, mt in zip(observables, mts)]
     # a first-half sum differs from another one, or from a negated
     # second-half sum, by at most twice the sum of the largest coordinates
     base, moduli = _packing(dim, 2 * sum(int(np.abs(k).max()) for k in freqs))
@@ -336,7 +300,7 @@ def correlation_n(observables: Sequence[FourierObservable],
     kind = object if exact else np.float64
     ta_re, ta_im = np.zeros(len(in_b), dtype=kind), np.zeros(len(in_b), dtype=kind)
     for rows in _matched_blocks(ids_a, in_b):
-        re, im = _products([modes[i] for i in half_a], rows)
+        re, im = _products([observables[i] for i in half_a], rows)
         np.add.at(ta_re, ids_a[rows], re)
         np.add.at(ta_im, ids_a[rows], im)
     if not half_b:                 # one factor: the value is the zero sum's entry
@@ -344,7 +308,7 @@ def correlation_n(observables: Sequence[FourierObservable],
         return _value(exact, ta_re[a], ta_im[a]) if a >= 0 else _value(exact, zero, zero)
     acc_re = acc_im = zero
     for rows in _matched_blocks(ids_b, partner >= 0):
-        br, bi = _products([modes[i] for i in half_b], rows)
+        br, bi = _products([observables[i] for i in half_b], rows)
         a = partner[ids_b[rows]]
         ar, ai = ta_re[a], ta_im[a]
         acc_re = _ordered_sum(ar * br - ai * bi, acc_re)
@@ -445,7 +409,7 @@ def counterexample_maxgap(f1: FourierObservable, f2: FourierObservable, n: int,
     f1_sq = f1.power(2)
     f2_n = f2.power(n)
     c = f2_n.integral()
-    if not (c if isinstance(c, ExactComplex) else c != 0):
+    if not c:
         raise ValueError("integral of f2^n vanishes; the construction needs c != 0")
     limit = _times_value(c, f1_sq.integral())
 
@@ -491,12 +455,10 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
     if block >= b.dim:
         raise ValueError("block observable must live on a strict sub-lattice")
     pad = b.dim - block
-    lifted = FourierObservable(
-        b.dim, {tuple(list(z) + [0] * pad): c for z, c in g.coeffs.items()},
-        exact=g.exact)
+    freqs = np.hstack([g.freqs, np.zeros((len(g), pad), dtype=np.int64)])
+    lifted = FourierObservable._of(b.dim, freqs, g.re, g.im, g.exact)
     # F must fix the lifted observable: its transpose transport on the
     # block frequencies must be the identity
-    freqs = _modes(lifted).freqs
     if not (_transport(freqs, fgen.to_int_array()) == freqs).all():
         raise ValueError("second generator does not fix the block observable")
 

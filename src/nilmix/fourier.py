@@ -2,17 +2,24 @@
 
 An observable is a finite map from frequency vectors z in Z^d to complex
 coefficients; it stands in for a trigonometric polynomial sum_z c_z
-e^{2 pi i z.x}.  Coefficients are complex doubles, or pairs of exact
-Fractions (Gaussian rationals) when the observable is flagged exact.
-Iteration is always in lexicographic frequency order.
+e^{2 pi i z.x}.  It is three read-only arrays: `freqs`, the (m, d) int64
+frequencies, distinct and in lexicographic order, and `re`, `im`, the
+parts of their nonzero coefficients: float64, or Fractions (Gaussian
+rationals) when the observable is flagged exact.  Outside input (a mapping
+or the JSON wire format) is checked once, when it is read; derived
+observables are built straight from arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = ["FourierObservable", "ExactComplex", "real_cosine", "real_sine"]
 
@@ -79,99 +86,143 @@ def _excoerce(x) -> ExactComplex:
 Coefficient = Union[complex, ExactComplex]
 
 
+def _pow(x: np.ndarray, y) -> np.ndarray:
+    """x ** y entrywise by the scalar libm pow, as Python's float ** rounds
+    (numpy's power differs in the last bit, even for y = 2)."""
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(y)), dtype=np.float64,
+                       count=x.size).reshape(x.shape)
+
+
+def _lex_rows(freqs: np.ndarray) -> tuple:
+    """The distinct rows in lexicographic order, and each row's index among them."""
+    order = np.lexsort(freqs.T[::-1])
+    rows = freqs[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[new], inverse
+
+
 class FourierObservable:
     """Finite complex coefficient map on Z^d."""
 
-    __slots__ = ("dim", "coeffs", "exact")
+    __slots__ = ("dim", "exact", "freqs", "re", "im")
 
     def __init__(self, dim: int, coeffs: Mapping[tuple, Coefficient], exact: bool = False):
-        self.dim = int(dim)
-        self.exact = bool(exact)
-        store = {}
-        for z, c in coeffs.items():
-            z = tuple(int(x) for x in z)
-            if len(z) != self.dim:
-                raise ValueError(f"frequency {z} does not have dimension {self.dim}")
-            if exact:
-                c = c if isinstance(c, ExactComplex) else ExactComplex(c)
-                if c:
-                    store[z] = c
-            else:
-                c = complex(c)
-                if c != 0:
-                    store[z] = c
-        self.coeffs = store
+        """Read a mapping frequency -> coefficient; zero coefficients are dropped."""
+        parts = [_coefficient(c, exact) for c in coeffs.values()]
+        FourierObservable._of(*_checked(dim, list(coeffs), [p[0] for p in parts],
+                                        [p[1] for p in parts], exact), exact, out=self)
+
+    @classmethod
+    def _of(cls, dim: int, freqs: np.ndarray, re: np.ndarray, im: np.ndarray,
+            exact: bool, out=None) -> "FourierObservable":
+        """Trusted constructor (fills out if given): freqs distinct, sorted; zeros dropped."""
+        keep = (re != 0) | (im != 0)
+        if not keep.all():
+            freqs, re, im = freqs[keep], re[keep], im[keep]
+        for a in (freqs, re, im):
+            a.flags.writeable = False
+        out = object.__new__(cls) if out is None else out
+        out.dim, out.exact, out.freqs, out.re, out.im = dim, bool(exact), freqs, re, im
+        return out
+
+    def _take(self, rows) -> "FourierObservable":
+        """The observable on some of its rows (a mask, or ascending indices)."""
+        return FourierObservable._of(self.dim, self.freqs[rows], self.re[rows], self.im[rows],
+                                     self.exact)
+
+    def _parts(self, exact: bool) -> tuple:
+        """The coefficient parts, as floats unless exact."""
+        kind = object if exact else np.float64
+        return self.re.astype(kind, copy=False), self.im.astype(kind, copy=False)
 
     # -- structure -----------------------------------------------------------
 
     def frequencies(self) -> list[tuple]:
-        return sorted(self.coeffs)
+        return [tuple(z) for z in self.freqs.tolist()]
 
     def items(self):
-        for z in self.frequencies():
-            yield z, self.coeffs[z]
+        value = ExactComplex if self.exact else complex
+        return zip(self.frequencies(), map(value, self.re.tolist(), self.im.tolist()))
+
+    @property
+    def coeffs(self) -> dict:
+        """A new dict frequency -> coefficient (perfbench's tracer reads it)."""
+        return dict(self.items())
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.freqs)
 
     def __getitem__(self, z) -> Coefficient:
-        z = tuple(int(x) for x in z)
-        if z in self.coeffs:
-            return self.coeffs[z]
+        z = np.array([int(x) for x in z], dtype=object)
+        hit = np.flatnonzero((self.freqs == z).all(axis=1)) if len(z) == self.dim else []
+        if len(hit):
+            return (ExactComplex if self.exact else complex)(self.re[hit[0]], self.im[hit[0]])
         return ExactComplex() if self.exact else 0j
 
     def support_radius(self) -> float:
-        return max((math.sqrt(sum(x * x for x in z)) for z in self.coeffs), default=0.0)
+        return math.sqrt(max((self.freqs.astype(object) ** 2).sum(axis=1), default=0))
 
     def mean(self) -> Coefficient:
         return self[tuple([0] * self.dim)]
 
     def is_mean_zero(self) -> bool:
-        return not _nonzero(self.mean())
+        return not self.mean()
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
+        return float(np.hypot(*self._parts(False)).max()) if len(self) else 0.0
 
     # -- algebra ---------------------------------------------------------------
 
     def scaled(self, a) -> "FourierObservable":
         exact = self.exact and isinstance(a, (int, Fraction, ExactComplex))
-        if exact:
-            return FourierObservable(self.dim, {z: a * c for z, c in self.coeffs.items()},
-                                     exact=True)
-        a = complex(a)
-        return FourierObservable(self.dim, {z: a * complex(c) for z, c in self.coeffs.items()})
+        a = _excoerce(a) if exact else complex(a)
+        ar, ai = (a.re, a.im) if exact else (a.real, a.imag)
+        re, im = self._parts(exact)
+        return FourierObservable._of(self.dim, self.freqs, ar * re - ai * im,
+                                     ar * im + ai * re, exact)
 
     def __add__(self, other: "FourierObservable") -> "FourierObservable":
-        self._compat(other)
+        """self's coefficients stay as they are; other's are added to them,
+        or to 0.0 where self has none (which turns a -0.0 part into 0.0)."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
         exact = self.exact and other.exact
-        conv = (lambda c: c) if exact else complex
-        out: dict = {}
-        for z, c in self.coeffs.items():
-            out[z] = conv(c)
-        for z, c in other.coeffs.items():
-            out[z] = out.get(z, ExactComplex() if exact else 0j) + conv(c)
-        return FourierObservable(self.dim, out, exact=exact)
+        (ar, ai), (br, bi) = self._parts(exact), other._parts(exact)
+        freqs, inv = _lex_rows(np.concatenate([self.freqs, other.freqs]))
+        n = len(self)
+        re, im = np.zeros(len(freqs), dtype=ar.dtype), np.zeros(len(freqs), dtype=ar.dtype)
+        re[inv[:n]], im[inv[:n]] = ar, ai
+        re[inv[n:]] += br
+        im[inv[n:]] += bi
+        return FourierObservable._of(self.dim, freqs, re, im, exact)
 
     def __sub__(self, other: "FourierObservable") -> "FourierObservable":
         return self + other.scaled(-1)
 
     def conjugate(self) -> "FourierObservable":
         """Coefficients of the pointwise complex conjugate: c'_z = conj(c_{-z})."""
-        out = {tuple(-x for x in z): c.conjugate() for z, c in self.coeffs.items()}
-        return FourierObservable(self.dim, out, exact=self.exact)
+        return FourierObservable._of(self.dim, -self.freqs[::-1], self.re[::-1],
+                                     -self.im[::-1], self.exact)
 
     def product(self, other: "FourierObservable") -> "FourierObservable":
-        """Pointwise product = coefficient convolution."""
-        self._compat(other)
+        """Pointwise product = coefficient convolution; each frequency's terms
+        are added from zero in the order of a loop over self, then other."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        if len(self) and len(other) and \
+                int(np.abs(self.freqs).max()) + int(np.abs(other.freqs).max()) >= 1 << 63:
+            raise OverflowError("product frequencies would leave int64")
         exact = self.exact and other.exact
-        conv = (lambda c: c) if exact else complex
-        out: dict = {}
-        for z1, c1 in self.items():
-            for z2, c2 in other.items():
-                z = tuple(a + b for a, b in zip(z1, z2))
-                out[z] = out.get(z, ExactComplex() if exact else 0j) + conv(c1) * conv(c2)
-        return FourierObservable(self.dim, out, exact=exact)
+        (ar, ai), (br, bi) = self._parts(exact), other._parts(exact)
+        ar, ai = ar[:, None], ai[:, None]
+        freqs, inv = _lex_rows((self.freqs[:, None] + other.freqs[None]).reshape(-1, self.dim))
+        re, im = np.zeros(len(freqs), dtype=ar.dtype), np.zeros(len(freqs), dtype=ar.dtype)
+        np.add.at(re, inv, (ar * br - ai * bi).ravel())
+        np.add.at(im, inv, (ar * bi + ai * br).ravel())
+        return FourierObservable._of(self.dim, freqs, re, im, exact)
 
     def power(self, n: int) -> "FourierObservable":
         if n < 1:
@@ -188,50 +239,103 @@ class FourierObservable:
     def l2_sq(self):
         """||f||_2^2 = sum |c_z|^2 (Plancherel)."""
         if self.exact:
-            return sum((c.abs_sq() for c in self.coeffs.values()), Fraction(0))
-        return math.fsum(abs(c) ** 2 for _, c in self.items())
+            return sum(self.re * self.re + self.im * self.im, Fraction(0))
+        return math.fsum(_pow(np.hypot(self.re, self.im), 2))
 
     def to_float(self) -> "FourierObservable":
-        return FourierObservable(self.dim, {z: complex(c) for z, c in self.coeffs.items()})
-
-    def _compat(self, other: "FourierObservable"):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        return FourierObservable._of(self.dim, self.freqs, *self._parts(False), False) \
+            if self.exact else self
 
     def __repr__(self):
-        return f"FourierObservable(dim={self.dim}, modes={len(self.coeffs)}, exact={self.exact})"
+        return f"FourierObservable(dim={self.dim}, modes={len(self)}, exact={self.exact})"
 
     # -- JSON wire format ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        re, im = self._parts(False)
         return {"dim": self.dim,
-                "coeffs": [{"z": list(z), "re": float(complex(c).real),
-                            "im": float(complex(c).imag)}
-                           for z, c in self.items()]}
+                "coeffs": [{"z": z, "re": a, "im": b} for z, a, b in
+                           zip(self.freqs.tolist(), re.tolist(), im.tolist())]}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(data: dict) -> "FourierObservable":
-        if set(data) - {"dim", "coeffs"}:
-            raise ValueError(f"unknown observable fields {sorted(set(data) - {'dim', 'coeffs'})}")
-        coeffs = {}
-        for entry in data["coeffs"]:
-            if set(entry) - {"z", "re", "im"}:
-                raise ValueError("coefficient entries must have keys z, re, im")
-            coeffs[tuple(entry["z"])] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
-        return FourierObservable(int(data["dim"]), coeffs)
+        return FourierObservable._of(*_checked(*_json_parts(data), False), False)
 
     @staticmethod
     def loads(text: str) -> "FourierObservable":
         return FourierObservable.from_json_dict(json.loads(text))
 
 
-def _nonzero(c) -> bool:
-    if isinstance(c, ExactComplex):
-        return bool(c)
-    return c != 0
+# ---------------------------------------------------------------------------
+# The one check of outside input
+# ---------------------------------------------------------------------------
+
+_FREQ_LIMIT = 1 << 62     # |z_j| of outside input stays below: a sum of two fits in int64
+
+
+def _is_number(x, integral: bool = False) -> bool:
+    """The config rules for one number: an int or a finite float, never a bool
+    or a string; an integral one has no fractional part, any other fits a float."""
+    if isinstance(x, (bool, np.bool_)):
+        return False
+    if isinstance(x, (int, np.integer)):
+        return integral or abs(x) <= sys.float_info.max
+    return (isinstance(x, (float, np.floating)) and math.isfinite(x)
+            and (not integral or float(x).is_integer()))
+
+
+def _coefficient(c, exact: bool) -> tuple:
+    """The parts of one mapping coefficient: exact ones as Fractions."""
+    if isinstance(c, (bool, np.bool_)):
+        raise ValueError(f"bad coefficient {c!r}")
+    if exact:
+        c = c if isinstance(c, ExactComplex) else ExactComplex(c)
+        return c.re, c.im
+    c = complex(c)
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ValueError(f"bad coefficient {c!r}: must be finite")
+    return c.real, c.imag
+
+
+def _json_parts(data) -> tuple:
+    """dim, frequencies and checked coefficient parts of the wire format."""
+    if not isinstance(data, dict) or set(data) - {"dim", "coeffs"}:
+        raise ValueError("an observable is an object with fields 'dim' and 'coeffs'")
+    entries = data.get("coeffs")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and not set(e) - {"z", "re", "im"} for e in entries):
+        raise ValueError("'coeffs' must be a list of entries with keys z, re, im")
+    re, im = ([e.get(k, 0.0) for e in entries] for k in ("re", "im"))
+    if not all(map(_is_number, re + im)):
+        raise ValueError("coefficient parts 're', 'im' must be finite numbers")
+    return data.get("dim"), [e.get("z") for e in entries], re, im
+
+
+def _checked(dim, zs: list, re: list, im: list, exact: bool) -> tuple:
+    """Check dim and the frequencies zs (parallel to the coefficient parts)
+    by the config rules: integers with |z_j| < 2^62, each a list of dim of
+    them, no two alike.  Returns the constructor's arrays, sorted."""
+    if not _is_number(dim, integral=True) or dim < 1:
+        raise ValueError(f"bad dim {dim!r}: must be a positive integer")
+    dim = int(dim)
+    if not all(isinstance(z, (list, tuple)) and len(z) == dim for z in zs):
+        raise ValueError(f"every frequency must be a list of {dim} integers")
+    flat = [x for z in zs for x in z]
+    if not all(_is_number(x, integral=True) for x in flat):
+        raise ValueError("frequency coordinates must be integers")
+    flat = [int(x) for x in flat]
+    if flat and max(map(abs, flat)) >= _FREQ_LIMIT:
+        raise ValueError("frequency coordinates must lie below 2^62 in absolute value")
+    freqs, inv = _lex_rows(np.array(flat, dtype=np.int64).reshape(len(zs), dim))
+    if len(freqs) < len(zs):
+        raise ValueError("repeated frequency")
+    kind = object if exact else np.float64
+    out_re, out_im = np.empty(len(zs), dtype=kind), np.empty(len(zs), dtype=kind)
+    out_re[inv], out_im[inv] = re, im
+    return dim, freqs, out_re, out_im
 
 
 def real_cosine(dim: int, z: Sequence[int], amplitude=1) -> FourierObservable:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .fourier import FourierObservable
+from .fourier import FourierObservable, _pow
 
 __all__ = [
     "ObstructionError",
@@ -51,8 +51,50 @@ class ObstructionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# Argument checks
+# ---------------------------------------------------------------------------
+
+def _dims(f: FourierObservable, directions: Sequence[Sequence]) -> list:
+    """The directions as tuples, each with one entry per coordinate of f."""
+    dirs = [tuple(v) for v in directions]
+    if any(len(v) != f.dim for v in dirs):
+        raise ValueError(f"every direction needs {f.dim} entries, one per frequency coordinate")
+    return dirs
+
+
+def _check_solve(f: FourierObservable, directions: Sequence[Sequence], r: float,
+                 mode: str) -> list:
+    """solve_fractional's arguments, checked once up front; returns the directions."""
+    if r <= 0:
+        raise ValueError("order must be positive")
+    if mode not in ("modulus", "signed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "signed" and abs(r - round(r)) > 1e-12:
+        raise ValueError("signed mode needs an integer order")
+    return _dims(f, directions)
+
+
+# ---------------------------------------------------------------------------
 # Projections and partitions
 # ---------------------------------------------------------------------------
+
+def _orthogonal(freqs: np.ndarray, v: Sequence) -> np.ndarray:
+    """Rows z with z.v = 0 exactly (v of ints, Fractions or floats)."""
+    v = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in v))
+    return freqs.astype(object).dot(np.array([int(x * den) for x in v], dtype=object)) == 0
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Each row of a added left to right from 0, as Python's sum adds."""
+    return np.cumsum(np.column_stack([np.zeros(len(a)), a]), axis=1)[:, -1]
+
+
+def _dots(freqs: np.ndarray, directions: list) -> np.ndarray:
+    """(m, t) float z.v_i of each row and direction, added coordinate by coordinate."""
+    dots = [_row_sum(freqs * np.array([float(b) for b in v])) for v in directions]
+    return np.array(dots).reshape(len(directions), len(freqs)).T
+
 
 def project_torus_factor(f: FourierObservable, directions: Sequence[Sequence]) \
         -> tuple[FourierObservable, FourierObservable]:
@@ -61,25 +103,10 @@ def project_torus_factor(f: FourierObservable, directions: Sequence[Sequence]) \
     A mode goes to the fixed part iff z.t = 0 for every direction t
     (exact rational test); supports are disjoint and f = fixed + rest.
     """
-    dirs = [[Fraction(x) for x in t] for t in directions]
-    fixed, rest = {}, {}
-    for z, c in f.items():
-        if all(sum(Fraction(a) * b for a, b in zip(z, t)) == 0 for t in dirs):
-            fixed[z] = c
-        else:
-            rest[z] = c
-    return (FourierObservable(f.dim, fixed, exact=f.exact),
-            FourierObservable(f.dim, rest, exact=f.exact))
-
-
-def _dot(z: tuple, v: Sequence) -> float:
-    return float(sum(float(a) * float(b) for a, b in zip(z, v)))
-
-
-def _dot_exact(z: tuple, v: Sequence) -> Optional[Fraction]:
-    if all(isinstance(x, (int, Fraction)) for x in v):
-        return sum(Fraction(a) * Fraction(x) for a, x in zip(z, v))
-    return None
+    fixed = np.ones(len(f), dtype=bool)
+    for t in _dims(f, directions):
+        fixed &= _orthogonal(f.freqs, t)
+    return f._take(fixed), f._take(~fixed)
 
 
 @dataclass
@@ -87,37 +114,28 @@ class SmallDivisorSplit:
     large: FourierObservable       # sum_j |z.v_j| >= 1
     small: FourierObservable       # 0 < sum_j |z.v_j| < 1 (nonzero modes)
     zero_mode: FourierObservable   # the invariant z = 0 coefficient
-    selector: dict                 # frequency -> chosen direction index
-    dots: dict                     # frequency -> z . v of its chosen direction
+    selector: np.ndarray           # per frequency of f: chosen direction index, -1 at z = 0
+    dots: np.ndarray               # per frequency of f: z . v of its chosen direction
 
 
 def split_small_divisor(f: FourierObservable, directions: Sequence[Sequence]) \
         -> SmallDivisorSplit:
-    if not directions:
+    return _split(f, _dims(f, directions))[0]
+
+
+def _split(f: FourierObservable, dirs: list) -> tuple:
+    """The split, and the mask of f's large rows."""
+    if not dirs:
         raise ValueError("need at least one direction")
-    large, small, zero = {}, {}, {}
-    selector, chosen = {}, {}
-    origin = tuple([0] * f.dim)
-    for z, c in f.items():
-        if z == origin:
-            zero[z] = c
-            continue
-        dots = [_dot(z, v) for v in directions]
-        sizes = [abs(d) for d in dots]
-        # first index attaining max_j |z.v_j| (hence >= the average)
-        i = sizes.index(max(sizes))
-        selector[z], chosen[z] = i, dots[i]
-        if math.fsum(sizes) >= 1.0:
-            large[z] = c
-        else:
-            small[z] = c
+    dots = _dots(f.freqs, dirs)
+    sizes = np.abs(dots)
+    origin = ~f.freqs.any(axis=1)
+    best = sizes.argmax(axis=1)    # first index attaining max_j |z.v_j| (hence >= the average)
+    large = ~origin & (np.fromiter(map(math.fsum, sizes.tolist()), float, len(f)) >= 1.0)
     return SmallDivisorSplit(
-        FourierObservable(f.dim, large, exact=f.exact),
-        FourierObservable(f.dim, small, exact=f.exact),
-        FourierObservable(f.dim, zero, exact=f.exact),
-        selector,
-        chosen,
-    )
+        f._take(large), f._take(~origin & ~large), f._take(origin),
+        np.where(origin, -1, best), np.where(origin, 0.0, dots[np.arange(len(f)), best]),
+    ), large
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +148,6 @@ class DirectionSolution:
     direction: tuple
     order: float
     phi: FourierObservable
-    phi_large: FourierObservable
-    phi_small: FourierObservable
     norm: float                    # l2 norm of phi
     norm_small: float              # l2 norm of the small-divisor part
     predicted_small_bound: Optional[float] = None
@@ -152,25 +168,30 @@ class FractionalSolution:
         return self.residual <= tol * max(scale, 1e-300)
 
 
-def _divisor(z: tuple, v: Sequence, d: float, r: float, mode: str):
-    """Mode-wise symbol: |2 pi z.v|^r, or (2 pi i z.v)^r for integer r; d is
-    the float z.v."""
-    exact_dot = _dot_exact(z, v)
-    if exact_dot is not None:
-        resonant = exact_dot == 0
-    else:
-        zn = math.sqrt(sum(float(x) ** 2 for x in z))
-        vn = math.sqrt(sum(float(x) ** 2 for x in v))
-        resonant = abs(d) < 1e-15 * zn * vn
-    if resonant:
-        return None
+def _symbols(d: np.ndarray, r: float, mode: str) -> tuple:
+    """Parts of the mode-wise symbol |2 pi d|^r, or (2 pi i d)^r, by Python's
+    scalar pow in solving order; a zero symbol raises as dividing by it does."""
     if mode == "modulus":
-        return abs(_TWO_PI * d) ** r
-    if mode == "signed":
-        if abs(r - round(r)) > 1e-12:
-            raise ValueError("signed mode needs an integer order")
-        return (1j * _TWO_PI * d) ** int(round(r))
-    raise ValueError(f"unknown mode {mode!r}")
+        bases, n = np.abs(_TWO_PI * d).tolist(), r
+    else:
+        bases, n = [1j * _TWO_PI * x for x in d.tolist()], int(round(r))
+    out = []
+    for b in bases:
+        out.append(b ** n)
+        if not out[-1]:
+            raise ZeroDivisionError("complex division by zero")
+    out = np.array(out, dtype=complex)      # a float symbol divides as complex(d, 0.0)
+    return out.real, out.imag
+
+
+def _quot(ar, ai, br, bi) -> tuple:
+    """a / b (b nonzero) by parts, as Python divides complex numbers (Smith's method)."""
+    big = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):                 # Python's complex division never warns
+        ratio = np.where(big, bi / br, br / bi)
+        den = np.where(big, br + bi * ratio, br * ratio + bi)
+        return (np.where(big, ar + ai * ratio, ar * ratio + ai) / den,
+                np.where(big, ai - ar * ratio, ai * ratio - ar) / den)
 
 
 def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: float,
@@ -181,29 +202,35 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
     f should be mean-zero; a nonzero mean is dropped with a warning (the
     zero mode is invariant and cannot be inverted).  Raises
     ObstructionError on an exact resonance with a nonzero coefficient.
+    The modes are solved as arrays, large ones first, then small ones,
+    with Python's float rounding throughout.
     """
-    if r <= 0:
-        raise ValueError("order must be positive")
-    dirs = [tuple(v) for v in directions]
-    split = split_small_divisor(f, dirs)
-    dropped_mean = False
-    if len(split.zero_mode):
+    dirs = _check_solve(f, directions, r, mode)
+    split, large = _split(f, dirs)
+    dropped_mean = bool(len(split.zero_mode))
+    if dropped_mean:
         warnings.warn("observable has a nonzero mean; the invariant mode is dropped",
                       stacklevel=2)
-        dropped_mean = True
 
-    # one pass over the modes: each goes to its selected direction
-    phis = [({}, {}) for _ in dirs]
-    recon: dict = {}
-    for part, k in ((split.large, 0), (split.small, 1)):
-        for z, c in part.items():
-            i = split.selector[z]
-            d = _divisor(z, dirs[i], split.dots[z], r, mode)
-            if d is None:
-                raise ObstructionError(z, i)
-            val = complex(c) / d
-            phis[i][k][z] = val
-            recon[z] = val * d
+    rows = np.concatenate([np.flatnonzero(large), np.flatnonzero((split.selector >= 0) & ~large)])
+    sel, d = split.selector[rows], split.dots[rows]
+    # resonant: z.v = 0 exactly for a rational v, else |z.v| < 1e-15 ||z|| ||v||
+    zn = np.sqrt(_row_sum(_pow(f.freqs[rows].astype(np.float64), 2)))
+    vn = np.array([math.sqrt(sum(float(x) ** 2 for x in v)) for v in dirs])
+    resonant = np.abs(d) < 1e-15 * zn * vn[sel]
+    for i, v in enumerate(dirs):
+        if all(isinstance(x, (int, Fraction)) for x in v):
+            resonant[sel == i] = _orthogonal(f.freqs[rows[sel == i]], v)
+    stop = int(resonant.argmax()) if resonant.any() else len(rows)
+    sr, si = _symbols(d[:stop], r, mode)
+    if stop < len(rows):
+        raise ObstructionError(tuple(f.freqs[rows[stop]].tolist()), int(sel[stop]))
+    cr, ci = (p[rows] for p in f._parts(False))
+    vr, vi = _quot(cr, ci, sr, si)
+    # sup |val * symbol - c| by Python's complex product; max() skips a nan
+    with np.errstate(all="ignore"):
+        recon = np.hypot(vr * sr - vi * si - cr, vr * si + vi * sr - ci)
+    residual = float(np.fmax.reduce(recon, initial=0.0))
 
     bound = None
     if certificate is not None and certificate.c_emp > 0:
@@ -212,22 +239,20 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
         c_eff = certificate.c_emp / len(dirs)
         bound = (c_eff ** (-r)) * (_TWO_PI ** (-r)) * sobolev_norm(
             f, r * certificate.dim_ambient)
+    small = ~large[rows]
+    vr[small] += 0.0        # phi = large part + small part: 0.0 + -0.0 is 0.0
+    vi[small] += 0.0
+    phi_re, phi_im = np.zeros(len(f)), np.zeros(len(f))
+    phi_re[rows], phi_im[rows] = vr, vi
     per_direction = []
-    for i, (v, (phi_l, phi_s)) in enumerate(zip(dirs, phis)):
-        phi_large = FourierObservable(f.dim, phi_l)
-        phi_small = FourierObservable(f.dim, phi_s)
-        phi = phi_large + phi_small
+    for i, v in enumerate(dirs):
+        on = split.selector == i
+        phi = FourierObservable._of(f.dim, f.freqs[on], phi_re[on], phi_im[on], False)
+        on = (sel == i) & small
         per_direction.append(DirectionSolution(
-            index=i, direction=v, order=r, phi=phi,
-            phi_large=phi_large, phi_small=phi_small,
-            norm=math.sqrt(phi.l2_sq()), norm_small=math.sqrt(phi_small.l2_sq()),
+            index=i, direction=v, order=r, phi=phi, norm=math.sqrt(phi.l2_sq()),
+            norm_small=math.sqrt(math.fsum(_pow(np.hypot(vr[on], vi[on]), 2))),
             predicted_small_bound=bound))
-
-    residual = 0.0
-    for z, c in f.items():
-        if z == tuple([0] * f.dim):
-            continue
-        residual = max(residual, abs(recon.get(z, 0j) - complex(c)))
     return FractionalSolution(order=r, mode=mode, directions=list(dirs), split=split,
                               per_direction=per_direction, residual=residual,
                               dropped_mean=dropped_mean)
@@ -247,14 +272,13 @@ def sobolev_norm(f: FourierObservable, s: float,
     """
     if s < 0:
         raise ValueError("order must be >= 0")
-    terms = []
-    for z, c in f.items():
-        if directions is None:
-            w = 1.0 + 4.0 * math.pi ** 2 * sum(float(x) ** 2 for x in z)
-        else:
-            w = 1.0 + 4.0 * math.pi ** 2 * math.fsum(_dot(z, v) ** 2 for v in directions)
-        terms.append((w ** s) * abs(complex(c)) ** 2)
-    return math.sqrt(math.fsum(terms))
+    if directions is None:
+        sq = _row_sum(_pow(f.freqs.astype(np.float64), 2))
+    else:
+        sq = _pow(_dots(f.freqs, _dims(f, directions)), 2).tolist()
+        sq = np.fromiter(map(math.fsum, sq), float, len(f))
+    w = 1.0 + 4.0 * math.pi ** 2 * sq
+    return math.sqrt(math.fsum(_pow(w, s) * _pow(np.hypot(*f._parts(False)), 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_criterion_3_fractional_solver_panel():
             for r in orders:
                 sol = solve_fractional(f, vs, r, certificate=certs[d])
                 assert sol.residual <= 1e-12 * f.max_abs()
-                for z, idx in sol.split.selector.items():
+                for z, idx in zip(f.frequencies(), sol.split.selector):
                     dots = [abs(sum(a * b for a, b in zip(z, v))) for v in vs]
                     assert dots[idx] >= sum(dots) / len(vs) - 1e-12
                 dsol = sol.per_direction[0]

@@ -71,6 +71,10 @@ _SOLVE = {"observable": {"dim": 2, "coeffs": [{"z": [0, 1], "re": 1.0, "im": 0.0
           "directions": [[1.0, 0.6180339887498949]], "r": 0.5}
 
 
+def _solve_on(entries: list, dim=2) -> dict:
+    return {**_SOLVE, "observable": {"dim": dim, "coeffs": entries}}
+
+
 def _correlate_times(times) -> dict:
     return {"system": "catmap", "observables": [_COS, _COS], "times": times}
 
@@ -126,6 +130,19 @@ def _profile(tmp, text: str) -> str:
     ("correlate", lambda tmp: {**_correlate_times([[[0], [1]]]), "budget": 0}),
     ("correlate", lambda tmp: {**_correlate_times([[[0], [1]]]), "budget": -5}),
     ("certify", lambda tmp: {"system": "cat", "radius": 10}),
+    ("solve", lambda tmp: _solve_on([{"z": "12", "re": 1.0}])),
+    ("solve", lambda tmp: _solve_on([{"z": [1.5, 0], "re": 1.0}])),
+    ("solve", lambda tmp: _solve_on([{"z": [True, 0], "re": 1.0}])),
+    ("solve", lambda tmp: _solve_on([{"z": [1, 0], "re": 1.0}], dim=2.7)),
+    ("solve", lambda tmp: _solve_on([{"z": [1, 0], "re": float("nan")}])),
+    ("solve", lambda tmp: _solve_on([{"z": [1, 0], "re": True}])),
+    ("solve", lambda tmp: _solve_on([{"z": [1, 0], "re": 1.0}, {"z": [1, 0], "re": 2.0}])),
+    ("solve", lambda tmp: _solve_on([{"z": [2 ** 62, 0], "re": 1.0}])),
+    ("solve", lambda tmp: {**_SOLVE, "directions": [[1.0]]}),
+    ("solve", lambda tmp: {**_SOLVE, "mode": "signed", "r": 1.5}),
+    ("solve", lambda tmp: {"system": "cubic3", "observable": _SOLVE["observable"]}),
+    ("solve", lambda tmp: _solve_on([{"z": [1, 0], "re": 10 ** 400}])),
+    ("rates", lambda tmp: {"system": "catmap", "s": 10 ** 400}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -138,7 +155,12 @@ def _profile(tmp, text: str) -> str:
         "solve-directions-not-a-list", "string-certify-direction",
         "certify-directions-not-a-list", "cutoff-above-one", "zero-cutoff",
         "negative-order", "zero-order", "max-gap-n-1", "zero-budget",
-        "negative-budget", "unknown-catalog-name"])
+        "negative-budget", "unknown-catalog-name", "string-frequency",
+        "fractional-frequency", "bool-frequency", "fractional-observable-dim",
+        "nan-coefficient", "bool-coefficient", "repeated-frequency",
+        "frequency-of-2-to-the-62", "short-solve-direction", "signed-fractional-order",
+        "observable-dim-not-system-dim", "coefficient-beyond-float",
+        "rates-s-beyond-float"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2

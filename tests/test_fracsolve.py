@@ -72,8 +72,8 @@ def test_integral_of_powers():
 def test_project_torus_factor_axis():
     f = obs(2, {(2, 0): 1.0, (0, 3): 2.0})
     fixed, rest = project_torus_factor(f, [[0, 1]])
-    assert sorted(fixed.coeffs) == [(2, 0)]
-    assert sorted(rest.coeffs) == [(0, 3)]
+    assert fixed.frequencies() == [(2, 0)]
+    assert rest.frequencies() == [(0, 3)]
 
 
 def test_project_zero():
@@ -83,14 +83,14 @@ def test_project_zero():
 
 def test_project_oblique_mode():
     fixed, rest = project_torus_factor(obs(2, {(1, 1): 1.0}), [[0, 1]])
-    assert len(fixed) == 0 and sorted(rest.coeffs) == [(1, 1)]
+    assert len(fixed) == 0 and rest.frequencies() == [(1, 1)]
 
 
 def test_projection_partition_exact():
     f = obs(2, {(1, 1): 1 + 1j, (2, 0): 2.0, (0, 0): 3.0, (0, 5): 1j})
     fixed, rest = project_torus_factor(f, [[0, 1]])
-    assert set(fixed.coeffs) | set(rest.coeffs) == set(f.coeffs)
-    assert not set(fixed.coeffs) & set(rest.coeffs)
+    assert set(fixed.frequencies()) | set(rest.frequencies()) == set(f.frequencies())
+    assert not set(fixed.frequencies()) & set(rest.frequencies())
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +100,9 @@ def test_projection_partition_exact():
 def test_split_thresholds():
     f = obs(2, {(0, 1): 1.0, (2, 1): 1.0, (0, 0): 0.5})
     sp = split_small_divisor(f, GOLDEN)
-    assert sorted(sp.small.coeffs) == [(0, 1)]     # |phi^-1| < 1
-    assert sorted(sp.large.coeffs) == [(2, 1)]     # |2 + phi^-1| >= 1
-    assert sorted(sp.zero_mode.coeffs) == [(0, 0)]
+    assert sp.small.frequencies() == [(0, 1)]     # |phi^-1| < 1
+    assert sp.large.frequencies() == [(2, 1)]     # |2 + phi^-1| >= 1
+    assert sp.zero_mode.frequencies() == [(0, 0)]
 
 
 def test_selector_property():
@@ -110,7 +110,7 @@ def test_selector_property():
     dirs = [(1.0, PHI_INV), (0.25, -1.3)]
     f = obs(2, {tuple(z): 1.0 for z in rng.integers(-9, 10, size=(40, 2)) if any(z)})
     sp = split_small_divisor(f, dirs)
-    for z, idx in sp.selector.items():
+    for z, idx in zip(f.frequencies(), sp.selector):
         dots = [abs(z[0] * v[0] + z[1] * v[1]) for v in dirs]
         assert dots[idx] >= sum(dots) / len(dirs) - 1e-15
 
@@ -122,7 +122,7 @@ def test_partition_exactness():
     sp = split_small_divisor(f, GOLDEN)
     rebuilt = sp.large + sp.small + sp.zero_mode
     assert dict(rebuilt.items()) == dict(f.items())
-    assert not set(sp.large.coeffs) & set(sp.small.coeffs)
+    assert not set(sp.large.frequencies()) & set(sp.small.frequencies())
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_solver_linearity():
     sol_g = solve_fractional(g, GOLDEN, 0.75)
     lhs = sol_combo.per_direction[0].phi
     rhs = sol_f.per_direction[0].phi.scaled(a) + sol_g.per_direction[0].phi.scaled(b)
-    for z in set(lhs.coeffs) | set(rhs.coeffs):
+    for z in set(lhs.frequencies()) | set(rhs.frequencies()):
         assert complex(lhs[z]) == pytest.approx(complex(rhs[z]), rel=1e-12, abs=1e-15)
 
 
@@ -196,9 +196,28 @@ def test_reconstruction_random():
     sol = solve_fractional(f, GOLDEN, 0.5)
     assert sol.reconstruction_ok(f)
     # every solution coefficient lives on its selector class
+    selector = dict(zip(f.frequencies(), sol.split.selector))
     for d in sol.per_direction:
-        for z in d.phi.coeffs:
-            assert sol.split.selector[z] == d.index
+        for z in d.phi.frequencies():
+            assert selector[z] == d.index
+
+
+def test_direction_length_must_match_the_lattice():
+    # zip would cut [1.0] to the first coordinate: a "solution" with residual 0
+    f = obs(2, {(1, 0): 1.0, (0, 1): 1.0})
+    for call in (lambda: split_small_divisor(f, [[1.0]]),
+                 lambda: solve_fractional(f, [[1.0]], 0.5),
+                 lambda: solve_fractional(f, [(1.0, PHI_INV), (1.0, 0.5, 0.2)], 0.5),
+                 lambda: sobolev_norm(f, 1, [[1.0]]),
+                 lambda: project_torus_factor(f, [[1]])):
+        with pytest.raises(ValueError, match="2 entries"):
+            call()
+
+
+def test_signed_fractional_order_is_refused_up_front():
+    # only the mean is there, so no mode is ever inverted
+    with pytest.raises(ValueError, match="integer order"):
+        solve_fractional(obs(2, {(0, 0): 1.0}), GOLDEN, 1.5, mode="signed")
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_partition_and_selector(f):
     sp = split_small_divisor(f, GOLDEN)
     rebuilt = sp.large + sp.small + sp.zero_mode
     assert dict(rebuilt.items()) == dict(f.items())
-    for z, idx in sp.selector.items():
+    for z, idx in zip(f.frequencies(), sp.selector):
         dots = [abs(z[0] * v[0] + z[1] * v[1]) for v in GOLDEN]
         assert dots[idx] >= sum(dots) / len(GOLDEN) - 1e-15
 
@@ -321,7 +321,7 @@ def test_solver_linearity(f, g, a, b):
     lhs = sol_c.per_direction[0].phi
     rhs = sol_f.per_direction[0].phi.scaled(a) + sol_g.per_direction[0].phi.scaled(b)
     scale = max(lhs.max_abs(), rhs.max_abs(), 1e-300)
-    for z in set(lhs.coeffs) | set(rhs.coeffs):
+    for z in set(lhs.frequencies()) | set(rhs.frequencies()):
         assert abs(complex(lhs[z]) - complex(rhs[z])) <= 1e-12 * scale
 
 
