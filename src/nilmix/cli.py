@@ -437,6 +437,10 @@ def _cmd_density(cfg, outdir, precision, seed):
     radius = _number(cfg, "radius", 100.0)
     eps = _number(cfg, "eps", 0.05)
     samples = _number(cfg, "samples", 1_000_000, int)
+    for key, value, low in (("n", n, 2), ("radius", radius, 0), ("eps", eps, 0),
+                            ("samples", samples, 1)):
+        if value < low:
+            raise ConfigError(f"bad {key!r} {value}: must be >= {low}")
     rep = density_estimate(list(system.generators), n, radius, eps, samples,
                            seed if seed is not None else DEFAULT_DENSITY_SEED,
                            precision)

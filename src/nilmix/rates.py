@@ -308,7 +308,7 @@ class _BadDifferenceTest:
         mask = ~ws.any(axis=1)
         if self.func_arr.size == 0:
             return mask
-        vals = np.abs(ws.astype(float) @ self.func_arr.T).min(axis=1)
+        vals = _abs_min(ws.astype(float) @ self.func_arr.T)
         budget = 1e-9 * (1.0 + np.abs(ws).sum(axis=1))
         unclear = np.flatnonzero((vals <= budget) & ~mask)
         if len(unclear) == 0:
@@ -343,54 +343,114 @@ def _hyperplane_normals(funcs, n: int) -> list[np.ndarray]:
     return normals
 
 
+def _abs_min(prod: np.ndarray) -> np.ndarray:
+    """Per row of prod: the smallest |entry|, one column at a time (the same
+    values as np.abs(prod).min(axis=1), NaN propagating alike)."""
+    out = np.abs(prod[:, 0])
+    for k in range(1, prod.shape[1]):
+        np.minimum(out, np.abs(prod[:, k]), out=out)
+    return out
+
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """floor(sqrt(a)) per entry of a nonnegative int64 array below 2^52."""
+    s = np.sqrt(a.astype(np.float64)).astype(np.int64)
+    s -= s * s > a
+    s += (s + 1) * (s + 1) <= a
+    return s
+
+
 def _ball_points(dim: int, r_sq: int) -> np.ndarray:
-    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order."""
-    b = math.isqrt(r_sq)
-    n = 2 * b + 1
-    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
-    return grid[(grid * grid).sum(axis=1) <= r_sq]
+    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order.
+
+    Built one coordinate at a time: each prefix with partial norm s extends by
+    the values |x| <= isqrt(r_sq - s) in increasing order, so no point outside
+    the ball is ever made.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    norms = np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
+        reach = _isqrt(r_sq - norms)
+        width = 2 * reach + 1
+        node = np.repeat(np.arange(len(rows)), width)
+        x = np.arange(len(node)) - np.repeat(np.cumsum(width) - width + reach, width)
+        rows = np.column_stack([rows[node], x])
+        norms = norms[node] + x * x
+    return rows
+
+
+def _norm_histogram(coords: list, kmax: int) -> np.ndarray:
+    """Number of integer points with squared norm k, for k = 0..kmax, whose
+    i-th coordinate runs over the array coords[i]; partial norms beyond kmax
+    are dropped after each coordinate."""
+    norms = np.zeros(1, dtype=np.int64)
+    for c in coords:
+        norms = (norms[:, None] + c * c).ravel()
+        norms = norms[norms <= kmax]
+    return np.bincount(norms, minlength=kmax + 1)
 
 
 def _ball_count(dim: int, r_sq: int) -> int:
-    """Exact number of integer points with ||x||^2 <= r_sq (layered convolution)."""
-    counts = np.zeros(r_sq + 1, dtype=np.int64)
+    """Exact number of integer points with ||x||^2 <= r_sq: the norm histogram
+    H of the first dim // 2 coordinates against the cumulative histogram C of
+    the others, sum_a H[a] C[r_sq - a]."""
     b = math.isqrt(r_sq)
-    for x in range(-b, b + 1):
-        counts[x * x] += 1
-    acc = counts.copy()
-    for _ in range(dim - 1):
-        nxt = np.zeros(r_sq + 1, dtype=np.int64)
-        for x in range(-b, b + 1):
-            x2 = x * x
-            nxt[x2:] += acc[: r_sq + 1 - x2]
-        acc = nxt
-    return int(acc.sum())
+    line = np.arange(-b, b + 1, dtype=np.int64)
+    head = _norm_histogram([line] * (dim // 2), r_sq)
+    tail = np.cumsum(_norm_histogram([line] * (dim - dim // 2), r_sq))
+    return int(head @ tail[::-1])
 
 
-def _shifted_ball_counts(centers: np.ndarray, r_sq: np.ndarray) -> np.ndarray:
-    """Per row c of centers: integer points x with ||x - c||^2 <= r_sq.
+def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Per row w of ws: the integer points x with ||x - w/2||^2 <= rho[row],
+    that is ||2x - w||^2 <= floor(4 rho), counted exactly in integers.
 
-    Loops over the integer offsets of the leading coordinate for all rows
-    at once, with the float steps of a scalar recursion (sqrt, ceil, floor,
-    (x - c0) ** 2).  Exact when the centers are half-integral and r_sq is
-    quarter-integral: the squares and remainders are then float-exact, and
-    a lattice point lies on a sphere only when its radius is a half-integer,
-    whose sqrt is float-exact too.
+    2x - w runs over the coset 2Z^l - p of the parity class p = w mod 2, so
+    the count depends only on p and on floor(4 rho): one cumulated histogram
+    of ||t||^2 over the coset (its theta series, Conway-Sloane ch. 4) answers
+    every row of the class.  A negative rho counts 0.
     """
-    counts = np.zeros(len(r_sq), dtype=np.int64)
-    live = np.flatnonzero(r_sq >= 0)
-    c0, rs = centers[live, 0], r_sq[live]
-    r = np.sqrt(rs)
-    lo, hi = np.ceil(c0 - r), np.floor(c0 + r)
-    if centers.shape[1] == 1:
-        counts[live] = np.maximum(0, hi - lo + 1)
-        return counts
-    for k in range(int(np.max(hi - lo, initial=-1)) + 1):
-        x = lo + k
-        on = x <= hi
-        counts[live[on]] += _shifted_ball_counts(centers[live[on], 1:],
-                                                 rs[on] - (x[on] - c0[on]) ** 2)
+    counts = np.zeros(len(ws), dtype=np.int64)
+    live = np.flatnonzero(rho >= 0)
+    keys = np.floor(4.0 * rho[live]).astype(np.int64)
+    ell = ws.shape[1]
+    cls = (ws[live] & 1) @ (1 << np.arange(ell, dtype=np.int64))
+    for c in np.unique(cls):
+        rows = np.flatnonzero(cls == c)
+        kmax = int(keys[rows].max())
+        b = math.isqrt(kmax)
+        line = np.arange(-b, b + 1, dtype=np.int64)
+        coords = [line[(line - (c >> i)) % 2 == 0] for i in range(ell)]
+        counts[live[rows]] = np.cumsum(_norm_histogram(coords, kmax))[keys[rows]]
     return counts
+
+
+def _margin_threshold(margins: np.ndarray, eps: float) -> float:
+    """The largest dyadic delta (48 halvings of [0, 1]) with sample measure
+    mean(margins < delta) <= eps, for 0 <= eps and at least one margin.
+
+    That fraction, count / N in float64, is <= eps exactly when count <= cut,
+    the largest such c in [0, N]; and at most cut margins are < mid exactly
+    when the cut-th smallest is >= mid (NaN sorts last and is never < mid,
+    so it stands for +inf).  One partition replaces a pass per halving.
+    """
+    size = len(margins)
+    cut = min(size, math.floor(eps * size))
+    while cut < size and (cut + 1) / size <= eps:
+        cut += 1
+    while cut > 0 and cut / size > eps:
+        cut -= 1
+    s = float(np.partition(margins, cut)[cut]) if cut < size else math.inf
+    if math.isnan(s):
+        s = math.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(48):
+        mid = (lo + hi) / 2.0
+        if s >= mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 _DIRECT_LIMIT = 3_000_000
@@ -411,6 +471,12 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     check_commuting(list(generators))
     if n < 2:
         raise ValueError("need n >= 2")
+    if not radius >= 0:
+        raise ValueError("radius must be >= 0")
+    if not eps >= 0:
+        raise ValueError("eps must be >= 0")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     ell = len(generators)
     dim_total = n * ell
     r_sq = _radius_sq(radius)
@@ -424,21 +490,25 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2
         ws = _ball_points(ell, 2 * r_sq)
         wn = (ws * ws).sum(axis=1)
-        centers = ws / 2.0
         bad_rows = bad.bad_mask(ws)
-        bad_total = int(_shifted_ball_counts(centers[bad_rows],
-                                             (r_sq - wn[bad_rows] / 2.0) / 2.0).sum())
+        bad_total = int(_coset_counts(ws[bad_rows],
+                                      (r_sq - wn[bad_rows] / 2.0) / 2.0).sum())
     else:
         method = "direct enumeration"
         if total > _DIRECT_LIMIT:
             raise ValueError(f"ball of {total} points is too large for direct "
                              f"enumeration; reduce the radius")
         grid = _ball_points(dim_total, r_sq)
+        # pairwise differences packed into one int64 key per row, first
+        # coordinate most significant (lexicographic key order)
+        span = 4 * math.isqrt(r_sq) + 1
+        place = span ** np.arange(ell - 1, -1, -1, dtype=np.int64)
         bad_rows = np.zeros(len(grid), dtype=bool)
         for i, j in itertools.combinations(range(n), 2):
             diffs = grid[:, i * ell:(i + 1) * ell] - grid[:, j * ell:(j + 1) * ell]
-            uniq, inv = np.unique(diffs, axis=0, return_inverse=True)
-            bad_rows |= bad.bad_mask(uniq)[inv.ravel()]
+            _, first, inv = np.unique((diffs + span // 2) @ place,
+                                      return_index=True, return_inverse=True)
+            bad_rows |= bad.bad_mask(diffs[first])[inv]
         bad_total = int(bad_rows.sum())
 
     good_fraction = 1.0 - bad_total / total
@@ -455,23 +525,16 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(int(samples), dim_total))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    margins = np.min(np.abs(u @ np.array(normals).T), axis=1) if normals else \
-        np.full(int(samples), np.inf)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(48):
-        mid = (lo + hi) / 2.0
-        if float(np.mean(margins < mid)) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    delta = lo
-    del u, margins  # free the Monte Carlo samples before the lattice counts
+    prod = u @ np.array(normals).T if normals else np.full((int(samples), 1), np.inf)
+    del u
+    margins = _abs_min(prod)
+    del prod  # free the product before the partition's copy
+    delta = _margin_threshold(margins, eps)
+    del margins  # and the samples before the lattice counts
 
     # fraction of lattice directions with margin >= delta
     thick = None
     if normals:
-        norm_arr = np.array(normals)
         if n == 2 and delta > 0:
             # directional margin of (z1, z2) against the pair hyperplane of a
             # unit functional is |chi(w)| / (sqrt(2) ||z||): count per
@@ -479,18 +542,19 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
             # difference has margin 0
             func_unit = bad.func_arr / np.linalg.norm(bad.func_arr, axis=1, keepdims=True)
             nz = np.flatnonzero(wn > 0)
-            mv = np.abs(ws[nz].astype(float) @ func_unit.T).min(axis=1)
+            mv = _abs_min(ws[nz].astype(float) @ func_unit.T)
             nz, mv = nz[mv > 0], mv[mv > 0]
             r_eff_sq = np.minimum(float(r_sq), (mv / (math.sqrt(2.0) * delta)) ** 2)
-            thick_count = _shifted_ball_counts(centers[nz],
-                                               (r_eff_sq - wn[nz] / 2.0) / 2.0).sum()
+            thick_count = _coset_counts(ws[nz], (r_eff_sq - wn[nz] / 2.0) / 2.0).sum()
             thick = int(thick_count) / total
         elif total <= _DIRECT_LIMIT:
-            grid = _ball_points(dim_total, r_sq)
+            if n == 2:
+                grid = _ball_points(dim_total, r_sq)
             nz = (grid != 0).any(axis=1)
             pts = grid[nz].astype(np.float64)
             dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-            marg = np.min(np.abs(dirs @ norm_arr.T), axis=1)
+            del pts
+            marg = _abs_min(dirs @ np.array(normals).T)
             thick = float((marg >= delta).sum()) / total
 
     return DensityReport(n=n, rank=ell, radius=float(radius),

@@ -143,6 +143,11 @@ def _profile(tmp, text: str) -> str:
     ("solve", lambda tmp: {"system": "cubic3", "observable": _SOLVE["observable"]}),
     ("solve", lambda tmp: _solve_on([{"z": [1, 0], "re": 10 ** 400}])),
     ("rates", lambda tmp: {"system": "catmap", "s": 10 ** 400}),
+    ("density", lambda tmp: {"system": "catmap", "radius": -3, "samples": 1000}),
+    ("density", lambda tmp: {"system": "catmap", "radius": 5, "samples": 0}),
+    ("density", lambda tmp: {"system": "catmap", "radius": 5, "samples": -5}),
+    ("density", lambda tmp: {"system": "catmap", "radius": 5, "eps": -0.1, "samples": 1000}),
+    ("density", lambda tmp: {"system": "catmap", "n": 1, "radius": 5, "samples": 1000}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -160,7 +165,8 @@ def _profile(tmp, text: str) -> str:
         "nan-coefficient", "bool-coefficient", "repeated-frequency",
         "frequency-of-2-to-the-62", "short-solve-direction", "signed-fractional-order",
         "observable-dim-not-system-dim", "coefficient-beyond-float",
-        "rates-s-beyond-float"])
+        "rates-s-beyond-float", "negative-density-radius", "zero-samples",
+        "negative-samples", "negative-eps", "density-n-1"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2

@@ -21,6 +21,7 @@ from nilmix.rates import (
 )
 
 from conftest import CHI_CAT, CHI_CUBIC, RHO_CUBIC
+from density_reference import shifted_ball_brute, shifted_ball_counts
 
 HEIS_M = RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
 ABELIAN2 = abelian_algebra(2)
@@ -258,19 +259,10 @@ def test_density_radius_rounds_like_certify():
     assert rep.total_points == 27
 
 
-def _shifted_ball_brute(h, q):
-    """Integer x with ||2x - h||^2 <= q: the ball about h / 2 of radius^2
-    q / 4, scaled by 4 into Python integers."""
-    if q < 0:
-        return 0
-    b = math.isqrt(q)
-    ranges = [range(-((b - hi) // 2), (hi + b) // 2 + 1) for hi in h]
-    return sum(1 for x in itertools.product(*ranges)
-               if sum((2 * xi - hi) ** 2 for xi, hi in zip(x, h)) <= q)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_shifted_ball_counts_match_integer_brute_force(dim):
+    # half-integral centres w / 2 and quarter-integral radii q / 4: the
+    # coset histograms and the old float recursion are both exact here
     rng = random.Random(dim)
     hs, qs = [], []
     for _ in range(150):
@@ -280,11 +272,11 @@ def test_shifted_ball_counts_match_integer_brute_force(dim):
         for q in (rng.randint(-8, 200), s * s, s * s - 1, 0, -1, -4):
             hs.append(h)
             qs.append(q)
-    centers = np.array(hs, dtype=float) / 2.0
-    r_sq = np.array(qs, dtype=float) / 4.0
-    got = rates._shifted_ball_counts(centers, r_sq)
-    want = [_shifted_ball_brute(h, q) for h, q in zip(hs, qs)]
-    assert got.tolist() == want
+    ws = np.array(hs, dtype=np.int64)
+    rho = np.array(qs, dtype=float) / 4.0
+    want = [shifted_ball_brute(h, q) for h, q in zip(hs, qs)]
+    assert rates._coset_counts(ws, rho).tolist() == want
+    assert shifted_ball_counts(ws / 2.0, rho).tolist() == want
 
 
 @pytest.mark.parametrize("name", ["product-t2xt2", "cubic-rank2"])
