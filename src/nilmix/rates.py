@@ -352,25 +352,17 @@ def _abs_min(prod: np.ndarray) -> np.ndarray:
     return out
 
 
-def _isqrt(a: np.ndarray) -> np.ndarray:
-    """floor(sqrt(a)) per entry of a nonnegative int64 array below 2^52."""
-    s = np.sqrt(a.astype(np.float64)).astype(np.int64)
-    s -= s * s > a
-    s += (s + 1) * (s + 1) <= a
-    return s
-
-
 def _ball_points(dim: int, r_sq: int) -> np.ndarray:
     """All integer points with ||x||^2 <= r_sq, rows in lexicographic order.
 
     Built one coordinate at a time: each prefix with partial norm s extends by
     the values |x| <= isqrt(r_sq - s) in increasing order, so no point outside
-    the ball is ever made.
+    the ball is ever made.  The float sqrt floors exactly below 2^52.
     """
     rows = np.zeros((1, 0), dtype=np.int64)
     norms = np.zeros(1, dtype=np.int64)
     for _ in range(dim):
-        reach = _isqrt(r_sq - norms)
+        reach = np.sqrt((r_sq - norms).astype(np.float64)).astype(np.int64)
         width = 2 * reach + 1
         node = np.repeat(np.arange(len(rows)), width)
         x = np.arange(len(node)) - np.repeat(np.cumsum(width) - width + reach, width)

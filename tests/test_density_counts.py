@@ -155,13 +155,6 @@ def test_margin_threshold_is_the_bisection():
             (len(margins), eps)
 
 
-def test_margin_threshold_on_one_sample():
-    # one sample: mean(m < mid) is 0 or 1, so any eps < 1 asks for m >= delta
-    assert rates._margin_threshold(np.array([0.25]), 0.0) == 0.25
-    assert rates._margin_threshold(np.array([0.0]), 0.5) == 0.0
-    assert rates._margin_threshold(np.array([np.nan]), 0.0) == 1.0 - 2.0 ** -48
-
-
 # ---------------------------------------------------------------------------
 # large balls in a memory-capped child
 # ---------------------------------------------------------------------------
