@@ -12,7 +12,7 @@ representative has positive first nonzero coordinate).
 Two scan engines produce the identical ball minimum:
 
 * a literal full scan over one cached symmetry-reduced grid of the ball
-  (built by the same lattice enumeration as the pruned engine's shells)
+  (built exactly by ``_half_ball``, which also serves the density counts)
   for balls up to a size threshold: exact Python-int keys over one common
   denominator for rational directions; otherwise every point is screened
   in float64 against a proven rounding bound, and only the points that
@@ -137,20 +137,33 @@ def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _half_ball(dim: int, r_sq: int) -> np.ndarray:
+    """One of each pair +-x of the integer points with ||x||^2 <= r_sq, rows in
+    lexicographic order: the zero row, then those whose first nonzero coordinate
+    is positive.  Each prefix with partial norm s extends by the x with
+    |x| <= isqrt(r_sq - s) in increasing order, only x >= 0 after an all-zero
+    prefix, so no point outside the half ball is made.  The float sqrt floors
+    exactly below 2^52."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    norms = np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
+        reach = np.sqrt((r_sq - norms).astype(np.float64)).astype(np.int64)
+        low = np.where(norms > 0, reach, 0)
+        width = low + reach + 1
+        node = np.repeat(np.arange(len(rows)), width)
+        x = np.arange(len(node)) - np.repeat(np.cumsum(width) - width + low, width)
+        rows = np.column_stack([rows[node], x])
+        norms = norms[node] + x * x
+    return rows
+
+
 @lru_cache(maxsize=4)
 def _lattice_ball(dim: int, radius: float):
     """Symmetry-reduced ball grid in lexicographic order, its float64 copy and
     float64 norm powers ||m||^d (read-only: cached and shared by all three
-    engines).
-
-    The unit form ||x||^2 / r_sq is enumerated like a shell's ellipsoid; its
-    points with positive last nonzero coordinate, columns reversed, are the
-    canonical points, already in lexicographic order.
+    engines): the half ball of _radius_sq(radius) without its zero row.
     """
-    r_sq = _radius_sq(radius)
-    grid = _enumerate(np.full(dim, 1.0 / r_sq), np.zeros((dim, dim)))[:, ::-1]
-    nsq = (grid * grid).sum(axis=1)
-    grid = grid[(nsq > 0) & (nsq <= r_sq)]
+    grid = _half_ball(dim, _radius_sq(radius))[1:]
     gf = grid.astype(np.float64)
     npow = _ipow_half((gf * gf).sum(axis=1), dim)
     for a in (grid, gf, npow):

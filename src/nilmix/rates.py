@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dioph import _first_sign, _radius_sq
+from .dioph import _ball_point_count, _first_sign, _half_ball, _radius_sq
 from .exactlin import RationalMatrix, char_poly, factor_over_q, factor_roots, lyapunov_data
 from .nilalg import (
     NilpotentAlgebra,
@@ -352,45 +352,26 @@ def _abs_min(prod: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ball_points(dim: int, r_sq: int) -> np.ndarray:
-    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order.
-
-    Built one coordinate at a time: each prefix with partial norm s extends by
-    the values |x| <= isqrt(r_sq - s) in increasing order, so no point outside
-    the ball is ever made.  The float sqrt floors exactly below 2^52.
-    """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    norms = np.zeros(1, dtype=np.int64)
-    for _ in range(dim):
-        reach = np.sqrt((r_sq - norms).astype(np.float64)).astype(np.int64)
-        width = 2 * reach + 1
-        node = np.repeat(np.arange(len(rows)), width)
-        x = np.arange(len(node)) - np.repeat(np.cumsum(width) - width + reach, width)
-        rows = np.column_stack([rows[node], x])
-        norms = norms[node] + x * x
-    return rows
-
-
-def _norm_histogram(coords: list, kmax: int) -> np.ndarray:
-    """Number of integer points with squared norm k, for k = 0..kmax, whose
-    i-th coordinate runs over the array coords[i]; partial norms beyond kmax
-    are dropped after each coordinate."""
+def _sorted_norms(coords: list, kmax: int) -> np.ndarray:
+    """The squared norms <= kmax, sorted, of the integer points whose i-th
+    coordinate runs over the array coords[i]; partial norms beyond kmax are
+    dropped after each coordinate."""
     norms = np.zeros(1, dtype=np.int64)
     for c in coords:
         norms = (norms[:, None] + c * c).ravel()
         norms = norms[norms <= kmax]
-    return np.bincount(norms, minlength=kmax + 1)
+    return np.sort(norms)
 
 
 def _ball_count(dim: int, r_sq: int) -> int:
-    """Exact number of integer points with ||x||^2 <= r_sq: the norm histogram
-    H of the first dim // 2 coordinates against the cumulative histogram C of
-    the others, sum_a H[a] C[r_sq - a]."""
+    """Exact number of integer points with ||x||^2 <= r_sq: for each squared
+    norm a of the first dim // 2 coordinates, the number of norms <= r_sq - a
+    of the others."""
     b = math.isqrt(r_sq)
     line = np.arange(-b, b + 1, dtype=np.int64)
-    head = _norm_histogram([line] * (dim // 2), r_sq)
-    tail = np.cumsum(_norm_histogram([line] * (dim - dim // 2), r_sq))
-    return int(head @ tail[::-1])
+    head = _sorted_norms([line] * (dim // 2), r_sq)
+    tail = _sorted_norms([line] * (dim - dim // 2), r_sq)
+    return int(np.searchsorted(tail, r_sq - head, side="right").sum())
 
 
 def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -398,9 +379,9 @@ def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
     that is ||2x - w||^2 <= floor(4 rho), counted exactly in integers.
 
     2x - w runs over the coset 2Z^l - p of the parity class p = w mod 2, so
-    the count depends only on p and on floor(4 rho): one cumulated histogram
-    of ||t||^2 over the coset (its theta series, Conway-Sloane ch. 4) answers
-    every row of the class.  A negative rho counts 0.
+    the count depends only on p and on floor(4 rho): the sorted ||t||^2 over
+    the coset (its theta series, Conway-Sloane ch. 4) answer every row of the
+    class by one binary search.  A negative rho counts 0.
     """
     counts = np.zeros(len(ws), dtype=np.int64)
     live = np.flatnonzero(rho >= 0)
@@ -413,7 +394,8 @@ def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
         b = math.isqrt(kmax)
         line = np.arange(-b, b + 1, dtype=np.int64)
         coords = [line[(line - (c >> i)) % 2 == 0] for i in range(ell)]
-        counts[live[rows]] = np.cumsum(_norm_histogram(coords, kmax))[keys[rows]]
+        norms = _sorted_norms(coords, kmax)
+        counts[live[rows]] = np.searchsorted(norms, keys[rows], side="right")
     return counts
 
 
@@ -458,7 +440,8 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     A tuple is bad iff some pairwise difference kills a nonzero Lyapunov
     functional (float prefilter, exact integer confirmation).  For n = 2
     the count sums, over bad differences w, the exact lattice count of the
-    shifted ball; n >= 3 enumerates the ball directly (size-capped).
+    shifted ball; n >= 3 enumerates the ball directly (size-capped).  Both
+    count on the half ball, as every count is symmetric under x -> -x.
     """
     check_commuting(list(generators))
     if n < 2:
@@ -472,25 +455,31 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     ell = len(generators)
     dim_total = n * ell
     r_sq = _radius_sq(radius)
+    if 2 * r_sq >= 2 ** 52:
+        raise ValueError(f"radius {radius:g} is beyond the exact range of the lattice counts")
+    # n >= 3 enumerates the ball.  Each point of the ball of radius R - sqrt(d) / 2
+    # rounds to one of its lattice points, so that volume is a lower bound on its size
+    low = _ball_point_count(dim_total, max(radius - math.sqrt(dim_total) / 2, 0.0)) * (1 - 1e-9)
+    total = math.inf if n > 2 and low > _DIRECT_LIMIT else _ball_count(dim_total, r_sq)
+    if n > 2 and total > _DIRECT_LIMIT:
+        raise ValueError(f"the ball of radius {radius:g} in Z^{dim_total} holds more than "
+                         f"{_DIRECT_LIMIT} points, too many for direct enumeration")
     funcs = [f for f in lyapunov_functionals(list(generators), precision_bits)
              if not f.is_zero()]
     bad = _BadDifferenceTest(generators, funcs, precision_bits)
 
-    total = _ball_count(dim_total, r_sq)
     if n == 2:
         method = "difference-weighted exact count"
-        # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2
-        ws = _ball_points(ell, 2 * r_sq)
+        # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2;
+        # ws[0] = 0 is bad and its own negative
+        ws = _half_ball(ell, 2 * r_sq)
         wn = (ws * ws).sum(axis=1)
         bad_rows = bad.bad_mask(ws)
-        bad_total = int(_coset_counts(ws[bad_rows],
-                                      (r_sq - wn[bad_rows] / 2.0) / 2.0).sum())
+        counts = _coset_counts(ws[bad_rows], (r_sq - wn[bad_rows] / 2.0) / 2.0)
+        bad_total = 2 * int(counts.sum()) - int(counts[0])
     else:
         method = "direct enumeration"
-        if total > _DIRECT_LIMIT:
-            raise ValueError(f"ball of {total} points is too large for direct "
-                             f"enumeration; reduce the radius")
-        grid = _ball_points(dim_total, r_sq)
+        grid = _half_ball(dim_total, r_sq)
         # pairwise differences packed into one int64 key per row, first
         # coordinate most significant (lexicographic key order)
         span = 4 * math.isqrt(r_sq) + 1
@@ -501,7 +490,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
             _, first, inv = np.unique((diffs + span // 2) @ place,
                                       return_index=True, return_inverse=True)
             bad_rows |= bad.bad_mask(diffs[first])[inv]
-        bad_total = int(bad_rows.sum())
+        bad_total = 2 * int(bad_rows.sum()) - 1     # the zero tuple is bad
 
     good_fraction = 1.0 - bad_total / total
 
@@ -538,16 +527,13 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
             nz, mv = nz[mv > 0], mv[mv > 0]
             r_eff_sq = np.minimum(float(r_sq), (mv / (math.sqrt(2.0) * delta)) ** 2)
             thick_count = _coset_counts(ws[nz], (r_eff_sq - wn[nz] / 2.0) / 2.0).sum()
-            thick = int(thick_count) / total
+            thick = 2 * int(thick_count) / total
         elif total <= _DIRECT_LIMIT:
             if n == 2:
-                grid = _ball_points(dim_total, r_sq)
-            nz = (grid != 0).any(axis=1)
-            pts = grid[nz].astype(np.float64)
-            dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-            del pts
+                grid = _half_ball(dim_total, r_sq)
+            dirs = grid[1:] / np.linalg.norm(grid[1:], axis=1, keepdims=True)
             marg = _abs_min(dirs @ np.array(normals).T)
-            thick = float((marg >= delta).sum()) / total
+            thick = float(2 * int((marg >= delta).sum())) / total
 
     return DensityReport(n=n, rank=ell, radius=float(radius),
                          good_fraction=good_fraction, total_points=total,

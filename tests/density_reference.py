@@ -1,5 +1,5 @@
-"""The density counters that `rates` used before its norm histograms, kept as
-test references.
+"""The density counters and ball builders that `rates` and `dioph` used
+before, kept as test references.
 
 `shifted_ball_counts` recurses over the leading coordinate with the float
 steps of a scalar recursion; `offset_ball_count` convolves one shifted copy
@@ -7,12 +7,20 @@ per coordinate offset; `bisection_delta` runs the 48-step bisection on the
 sample fraction `np.mean(margins < mid)`.  The fast paths in `rates` must
 give the same integers and the same double.  `shifted_ball_brute` is the
 integer oracle for all of them.
+
+`cube_half_ball` cuts the canonical half ball out of the whole cube, and
+`full_ball_density` counts bad tuples and thick directions over the whole
+ball (every difference w for n = 2, every point for n >= 3), as
+`density_estimate` did before it counted one point of each pair +-x.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from nilmix import rates
+from nilmix.nilalg import lyapunov_functionals
 
 
 def shifted_ball_brute(h, q: int) -> int:
@@ -79,3 +87,74 @@ def bisection_delta(margins: np.ndarray, eps: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def cube_half_ball(dim: int, r_sq: int) -> np.ndarray:
+    """The whole (2b + 1)^dim cube in lexicographic order, cut to the ball
+    ||x||^2 <= r_sq, then the zero row and the rows whose first nonzero
+    coordinate is positive."""
+    b = math.isqrt(r_sq)
+    n = 2 * b + 1
+    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
+    grid = grid[(grid * grid).sum(axis=1) <= r_sq]
+    nz = grid != 0
+    first = grid[np.arange(len(grid)), nz.argmax(axis=1)]
+    return grid[~nz.any(axis=1) | (first > 0)]
+
+
+def full_ball_points(dim: int, r_sq: int) -> np.ndarray:
+    """All integer points with ||x||^2 <= r_sq, rows in lexicographic order,
+    built one coordinate at a time from the prefixes that still fit."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    norms = np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
+        reach = np.sqrt((r_sq - norms).astype(np.float64)).astype(np.int64)
+        width = 2 * reach + 1
+        node = np.repeat(np.arange(len(rows)), width)
+        x = np.arange(len(node)) - np.repeat(np.cumsum(width) - width + reach, width)
+        rows = np.column_stack([rows[node], x])
+        norms = norms[node] + x * x
+    return rows
+
+
+def full_ball_density(generators, n: int, radius: float, delta: float):
+    """(bad_points, thick_fraction) of `density_estimate` at the given delta,
+    counted over the whole ball; ValueError where the ball is too large for
+    the direct enumeration of n >= 3."""
+    ell = len(generators)
+    r_sq = rates._radius_sq(radius)
+    funcs = [f for f in lyapunov_functionals(list(generators)) if not f.is_zero()]
+    bad = rates._BadDifferenceTest(generators, funcs)
+    normals = rates._hyperplane_normals(funcs, n)
+    total = rates._ball_count(n * ell, r_sq)
+    if n == 2:
+        ws = full_ball_points(ell, 2 * r_sq)
+        wn = (ws * ws).sum(axis=1)
+        bad_rows = bad.bad_mask(ws)
+        bad_total = int(rates._coset_counts(ws[bad_rows],
+                                            (r_sq - wn[bad_rows] / 2.0) / 2.0).sum())
+    else:
+        if total > rates._DIRECT_LIMIT:
+            raise ValueError(f"ball of {total} points")
+        grid = full_ball_points(n * ell, r_sq)
+        bad_rows = np.zeros(len(grid), dtype=bool)
+        for i, j in itertools.combinations(range(n), 2):
+            bad_rows |= bad.bad_mask(grid[:, i * ell:(i + 1) * ell] - grid[:, j * ell:(j + 1) * ell])
+        bad_total = int(bad_rows.sum())
+    thick = None
+    if not normals:
+        return bad_total, thick
+    if n == 2 and delta > 0:
+        func_unit = bad.func_arr / np.linalg.norm(bad.func_arr, axis=1, keepdims=True)
+        nz = np.flatnonzero(wn > 0)
+        mv = np.abs(ws[nz].astype(float) @ func_unit.T).min(axis=1)
+        nz, mv = nz[mv > 0], mv[mv > 0]
+        r_eff_sq = np.minimum(float(r_sq), (mv / (math.sqrt(2.0) * delta)) ** 2)
+        thick = int(rates._coset_counts(ws[nz], (r_eff_sq - wn[nz] / 2.0) / 2.0).sum()) / total
+    elif total <= rates._DIRECT_LIMIT:
+        grid = full_ball_points(n * ell, r_sq)
+        pts = grid[(grid != 0).any(axis=1)].astype(np.float64)
+        dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        marg = np.abs(dirs @ np.array(normals).T).min(axis=1)
+        thick = float((marg >= delta).sum()) / total
+    return bad_total, thick

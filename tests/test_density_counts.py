@@ -2,7 +2,6 @@
 replaced (`density_reference`) and against brute force, plus the memory
 bounds of the two large-ball paths."""
 
-import itertools
 import json
 import math
 import os
@@ -15,9 +14,13 @@ import pytest
 
 import nilmix
 from nilmix import rates
+from nilmix.catalog import get_system
+from nilmix.dioph import _half_ball
 
 from density_reference import (
     bisection_delta,
+    cube_half_ball,
+    full_ball_density,
     offset_ball_count,
     shifted_ball_brute,
     shifted_ball_counts,
@@ -90,7 +93,7 @@ def test_ball_count_matches_both_references(dim):
     for r_sq in (0, 1, 2, 3, 7, 50, 101, 400):
         want = _checks_ball_count(dim, r_sq)
         assert rates._ball_count(dim, r_sq) == want == offset_ball_count(dim, r_sq)
-    assert rates._ball_count(dim, 64) == len(rates._ball_points(dim, 64))
+    assert rates._ball_count(dim, 64) == 2 * len(_half_ball(dim, 64)) - 1
 
 
 def _four_square_ball_count(r2: int) -> int:
@@ -111,13 +114,36 @@ def test_ball_count_at_scale_is_an_exact_int():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_ball_points_is_the_filtered_cube(dim):
+    # the half ball is the canonical half of the cube, zero row first
     for r_sq in (0, 1, 5, 18):
-        b = math.isqrt(r_sq)
-        cube = [x for x in itertools.product(range(-b, b + 1), repeat=dim)
-                if sum(v * v for v in x) <= r_sq]
-        got = rates._ball_points(dim, r_sq)
-        assert got.dtype == np.int64 and got.shape == (len(cube), dim)
-        assert [tuple(row) for row in got.tolist()] == cube
+        want = cube_half_ball(dim, r_sq)
+        got = _half_ball(dim, r_sq)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got == want).all() and not got[0].any()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("system", ["catmap", "cubic-rank2", "product-t2xt2"])
+def test_half_ball_counts_match_the_full_ball(system, n, monkeypatch):
+    # with delta from the report and then with delta = 0, which sends n = 2
+    # to the direct thick count over the grid
+    gens = list(get_system(system).generators)
+    counted = 0
+    for zero_delta in (False, True):
+        if zero_delta:
+            monkeypatch.setattr(rates, "_margin_threshold", lambda margins, eps: 0.0)
+        for radius in (0, 0.5, math.sqrt(3), 7, 12):
+            try:
+                rep = rates.density_estimate(gens, n, radius, 0.05, samples=2000)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    full_ball_density(gens, n, radius, 0.0)
+                continue
+            assert rep.delta == 0.0 or not zero_delta
+            want = full_ball_density(gens, n, radius, rep.delta)
+            assert (rep.bad_points, rep.thick_fraction) == want, (radius, zero_delta)
+            counted += 1
+    assert counted >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +185,24 @@ def test_margin_threshold_is_the_bisection():
 # large balls in a memory-capped child
 # ---------------------------------------------------------------------------
 
-def _run_capped(gib: int, n: int, radius: float) -> dict:
+def _run_child(script: str, *args) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilmix.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=240, env=env)
+
+
+def _run_capped(gib: int, n: int, radius: float, system: str = "cubic-rank2") -> dict:
     script = f"""
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, ({gib} << 30, {gib} << 30))
 from nilmix.catalog import get_system
 from nilmix.rates import density_estimate
-rep = density_estimate(list(get_system("cubic-rank2").generators), {n}, {radius},
+rep = density_estimate(list(get_system({system!r}).generators), {n}, {radius},
                        0.05, samples=10_000)
 print(json.dumps(vars(rep)))
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nilmix.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=240, env=env)
+    proc = _run_child(script)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
 
@@ -202,3 +232,40 @@ def test_rank2_count_at_radius_500_under_4_gib():
     assert rep["total_points"] == _four_square_ball_count(500 ** 2)
     assert rep["bad_points"] == len(_points(125_000)) == 392_685
     assert 0.9 < rep["thick_fraction"] < 1.0
+
+
+def test_rank1_count_at_radius_1e4_under_2_gib():
+    # catmap's one functional vanishes only at w = 0: the bad pairs are the
+    # diagonal, 2 z^2 <= R^2.  The sorted coset norms grow with the 14 143
+    # differences, not with R^2
+    rep = _run_capped(2, 2, 1e4, "catmap")
+    r2 = 10 ** 8
+    assert rep["total_points"] == sum(2 * math.isqrt(r2 - x * x) + 1
+                                      for x in range(-10 ** 4, 10 ** 4 + 1))
+    assert rep["bad_points"] == 2 * math.isqrt(r2 // 2) + 1 == 14_143
+    assert 0.9 < rep["thick_fraction"] < 1.0
+
+
+@pytest.mark.parametrize("n, radius, reason", [
+    (3, 1e4, "too many for direct enumeration"),
+    (2, 5e7, "beyond the exact range of the lattice counts"),
+])
+def test_oversized_density_is_refused_before_allocating(tmp_path, n, radius, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "catmap", "n": n, "radius": radius,
+                               "eps": 0.05, "samples": 1000}))
+    # the peak resident set of this process image (ru_maxrss would carry the
+    # forking test runner's)
+    script = """
+import sys
+from nilmix.cli import main
+code = main(["density", "--config", sys.argv[1], "--out", sys.argv[2]])
+hwm = [line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")]
+print(code, *hwm)
+"""
+    proc = _run_child(script, str(cfg), str(tmp_path / "out"))
+    code, max_rss_kb = map(int, proc.stdout.split())
+    err = json.loads(proc.stderr)
+    assert code == 1 and err["error"] == "ValueError"
+    assert f"radius {radius:g}" in err["message"] and reason in err["message"]
+    assert max_rss_kb < 150_000

@@ -28,6 +28,7 @@ from nilmix.exactlin import RationalMatrix
 from nilmix.nilalg import heisenberg_algebra
 
 from conftest import PHI_INV
+from density_reference import cube_half_ball
 
 import numpy as np
 
@@ -230,16 +231,9 @@ def test_lattice_ball_arrays_are_read_only():
 
 
 def _cube_ball(dim, radius):
-    # the former ball builder, kept as the reference: the whole (2b+1)^d
-    # cube in lexicographic order, cut to the ball, then the rows whose
-    # first nonzero coordinate is positive
-    r_sq = _radius_sq(radius)
-    b = math.isqrt(r_sq)
-    n = 2 * b + 1
-    grid = np.indices((n,) * dim, dtype=np.int64).reshape(dim, n ** dim).T - b
-    grid = grid[(grid * grid).sum(axis=1) <= r_sq]
-    nz = grid != 0
-    return grid[nz.any(axis=1) & (grid[np.arange(len(grid)), nz.argmax(axis=1)] > 0)]
+    # the former ball builder, kept as the reference: the canonical half of
+    # the cube cut to the ball, without its zero row
+    return cube_half_ball(dim, _radius_sq(radius))[1:]
 
 
 def _longdouble_full_scan(vs_arr, dim, radius):
