@@ -458,7 +458,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     if 2 * r_sq >= 2 ** 52:
         raise ValueError(f"radius {radius:g} is beyond the exact range of the lattice counts")
     # n >= 3 enumerates the ball.  Each point of the ball of radius R - sqrt(d) / 2
-    # rounds to one of its lattice points, so that volume is a lower bound on its size
+    # rounds to one of its lattice points: that volume, less rounding, bounds its size
     low = _ball_point_count(dim_total, max(radius - math.sqrt(dim_total) / 2, 0.0)) * (1 - 1e-9)
     total = math.inf if n > 2 and low > _DIRECT_LIMIT else _ball_count(dim_total, r_sq)
     if n > 2 and total > _DIRECT_LIMIT:
