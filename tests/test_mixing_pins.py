@@ -1,10 +1,11 @@
 """Byte pins of the mixing commands' outputs.
 
-Each case runs one `solve`, `correlate` or `counterexample` through
-`cli.main` on small seeded observables made here, and compares the sha256
-of every file it writes (report.json and the CSV table) with a recorded
-digest.  A change to how observables are stored or solved must leave these
-bytes alone.
+Each case runs one `solve`, `correlate`, `counterexample` or `threshold`
+through `cli.main` on small seeded observables or profiles made here, and
+compares the sha256 of every file it writes (report.json and the CSV
+table) with a recorded digest.  A change to how observables are stored or
+solved, or to how threshold profiles are evaluated, must leave these bytes
+alone.
 """
 
 import hashlib
@@ -40,6 +41,15 @@ def _observable(seed: int, dim: int, radius: int, mean: bool = False) -> dict:
     return {"dim": dim, "coeffs": entries}
 
 
+def _profile_csv() -> str:
+    """Samples of (1 - x^2)(x + 2) on x = k/20, k = -20..20, by float products only."""
+    xs = [k / 20 for k in range(-20, 21)]
+    return "".join(f"{x!r},{(1 - x * x) * (x + 2)!r}\n" for x in xs)
+
+
+# files written into the working directory before a case runs
+_FILES = {"threshold-profile-csv": {"profile.csv": _profile_csv()}}
+
 _CASES = {
     "solve-modulus-system": ("solve", {
         "system": "catmap", "observable": _observable(1, 2, 4), "r": 0.5}),
@@ -66,6 +76,10 @@ _CASES = {
     "counterexample-no-uniform-bound": ("counterexample", {
         "kind": "no-uniform-bound", "system": "product-t2xt2",
         "observable": _observable(11, 2, 3), "powers": [1, 2, 3, 4]}),
+    "threshold-one": ("threshold", {"profile": "one"}),
+    "threshold-square": ("threshold", {"profile": "square"}),
+    "threshold-bump": ("threshold", {"profile": "bump"}),
+    "threshold-profile-csv": ("threshold", {"profile_csv": "profile.csv"}),
 }
 
 _DIGESTS = {
@@ -117,12 +131,39 @@ _DIGESTS = {
         'solution.csv':
             '5f0e84ef12c2d72240b0072bed751e047742b066de0f4d4d5ae9c893035d9c88',
     },
+    'threshold-bump': {
+        'report.json':
+            '2de82c4d2efa2e14f097ac3d5ce54a45d83a6640d31d1ff85300134b25c99f94',
+        'threshold.csv':
+            '88501a1157ed5b252d3f2b44cd8d84800a6a7bf1f4c7477b9979c7bd595c456c',
+    },
+    'threshold-one': {
+        'report.json':
+            'e7339135e5fbbd85ba5bf3c36f064ec8d927a8d74321e4dc0224ed32493b4c89',
+        'threshold.csv':
+            '7dbf12c23a4325c9d5bb0315db67190adb0ee66e2a6c092596bc76de95c7995a',
+    },
+    'threshold-profile-csv': {
+        'report.json':
+            'a85dc4943b1fe68599d48ad7393a7f3f52d7e85675f832d4784ff9fdbe516de3',
+        'threshold.csv':
+            'db54f400eb2373c9f5ec11da598a7fc7a8fbd1e5e936ac6ff89bb8395cd78f51',
+    },
+    'threshold-square': {
+        'report.json':
+            'e4996ac25fd0e1186b9dd490e92a7e53bf30c44b48a29f6a07007f811e09c760',
+        'threshold.csv':
+            '240ad7fac64829c6d93ca4f7dd1ca673b4fbbfc9e1846704cd53a2149fca53b2',
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CASES))
-def test_mixing_outputs_are_pinned(tmp_path, name):
+def test_mixing_outputs_are_pinned(tmp_path, monkeypatch, name):
     command, cfg = _CASES[name]
+    monkeypatch.chdir(tmp_path)                  # profile_csv is read by a relative path
+    for fname, text in _FILES.get(name, {}).items():
+        (tmp_path / fname).write_text(text)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
