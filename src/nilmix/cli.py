@@ -190,8 +190,7 @@ def _write_csv(path: str, header: list, rows: list):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
 
 
@@ -353,6 +352,14 @@ def _cmd_solve(cfg, outdir, precision, seed):
     return out
 
 
+def _bump(x: np.ndarray) -> np.ndarray:
+    """exp(-1 / (1 - x^2)) on |x| < 1, else 0, with libm's exp (numpy's
+    differs from it in the last bit for some doubles)."""
+    t = -1.0 / np.maximum(1e-12, 1 - x * x)
+    e = np.fromiter(map(math.exp, t.ravel().tolist()), np.float64, t.size).reshape(t.shape)
+    return np.where(np.abs(x) < 1, e, 0.0)
+
+
 def _cmd_threshold(cfg, outdir, precision, seed):
     _check_keys(cfg, {"profile", "profile_csv", "orders", "cutoffs"}, "threshold config")
     orders = _number(cfg, "orders", [0.25, 0.5, 0.75])
@@ -371,9 +378,7 @@ def _cmd_threshold(cfg, outdir, precision, seed):
             raise ConfigError("profile_csv needs at least two rows of finite numbers")
     else:
         name = cfg.get("profile", "one")
-        profiles = {"one": lambda x: 1.0, "square": lambda x: x * x,
-                    "bump": lambda x: math.exp(-1.0 / max(1e-12, 1 - x * x))
-                    if abs(x) < 1 else 0.0}
+        profiles = {"one": lambda x: 1.0, "square": lambda x: x * x, "bump": _bump}
         if name not in profiles:
             raise ConfigError(f"unknown profile {name!r}; use one of {sorted(profiles)}"
                               " or provide profile_csv")

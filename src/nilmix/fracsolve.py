@@ -8,6 +8,16 @@ large-divisor part (sum_j |z.v_j| >= 1), a small-divisor part (< 1) and
 the zero mode, picks per frequency the index with the largest |z.v_i|,
 and inverts mode-wise.  An exact zero divisor with a nonzero coefficient
 is the obstruction the Diophantine hypothesis rules out, and raises.
+
+A threshold profile is a function of a float64 array of points that
+returns their values (an array of the same shape, or a scalar, which
+broadcasts: `lambda x: 1.0` is the constant profile), or a list of (x, y)
+samples, interpolated linearly.  Each quadrature level calls it once.  The
+squares g(x)^2 are taken by libm's scalar `pow` (`fourier._pow`), as
+Python's float ** rounds: numpy's power, and x * x, differ from it in the
+last bit for some doubles, and every reported value is pinned to the bit.
+A profile that needs `exp` or another transcendental takes it from libm
+(`math.exp` mapped over the points) for the same reason.
 """
 
 from __future__ import annotations
@@ -285,31 +295,27 @@ def sobolev_norm(f: FourierObservable, s: float,
 # Line-model threshold experiment
 # ---------------------------------------------------------------------------
 
-Profile = Union[Callable[[float], float], Sequence]
+Profile = Union[Callable[[np.ndarray], np.ndarray], Sequence]
 
 
-def _profile_callable(profile: Profile) -> Callable[[float], float]:
+def _profile_callable(profile: Profile) -> Callable[[np.ndarray], np.ndarray]:
     if callable(profile):
         return profile
     return _sampled_profile(tuple(sorted((float(x), float(y)) for x, y in profile)))
 
 
 @functools.lru_cache(maxsize=8)
-def _sampled_profile(pts: tuple) -> Callable[[float], float]:
+def _sampled_profile(pts: tuple) -> Callable[[np.ndarray], np.ndarray]:
     """Linear interpolation of sorted samples; one callable per sample set,
     so the threshold runs of one sweep share their quadrature cells."""
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     if len(xs) < 2:
         raise ValueError("sampled profile needs at least two points")
-
-    def interp(x: float) -> float:
-        return float(np.interp(x, xs, ys))
-
-    return interp
+    return functools.partial(np.interp, xp=xs, fp=ys)
 
 
-def _dyadic_integral(g: Callable[[float], float], r: float, h: float) -> float:
+def _dyadic_integral(g: Callable[[np.ndarray], np.ndarray], r: float, h: float) -> float:
     """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx.
 
     Sums the cells [2^-j-1, 2^-j] and their mirror images (the cell
@@ -328,22 +334,23 @@ def _dyadic_integral(g: Callable[[float], float], r: float, h: float) -> float:
 
 
 @functools.lru_cache(maxsize=1024)
-def _cell(g: Callable[[float], float], r: float, a: float, b: float,
+def _cell(g: Callable[[np.ndarray], np.ndarray], r: float, a: float, b: float,
           rel_tol: float) -> float:
     """Memo of _cell_quadrature: the cutoffs h, h/4, h/16 of a threshold run,
     and every cutoff of a sweep over one profile callable, share their cells."""
     return _cell_quadrature(g, r, a, b, rel_tol)
 
 
-def _cell_quadrature(g: Callable[[float], float], r: float, a: float, b: float,
+def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], r: float, a: float, b: float,
                      rel_tol: float) -> float:
     """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b]; the point
-    count doubles until two successive values agree to rel_tol."""
+    count doubles until two successive values agree to rel_tol.  g is
+    called once per refinement, on the array of midpoints."""
     n = 32
     prev = None
     while True:
         xs = a + (b - a) * (np.arange(n) + 0.5) / n
-        vals = np.array([g(x) ** 2 for x in xs.tolist()]) * np.abs(xs) ** (-2.0 * r)
+        vals = _pow(np.asarray(g(xs), dtype=np.float64), 2) * np.abs(xs) ** (-2.0 * r)
         out = float(vals.sum() * (b - a) / n)
         if prev is not None and abs(out - prev) <= rel_tol * max(abs(out), 1e-300):
             return out
@@ -366,7 +373,8 @@ class ThresholdReport:
 def schrodinger_threshold(profile: Profile, r: float, h: float) -> ThresholdReport:
     """Quadrature value of the line-model quadratic form with origin cutoff.
 
-    The verdict classifies the h -> 0 behavior from three refinements:
+    profile is an array function or a list of (x, y) samples (see the
+    module docstring).  The verdict classifies the h -> 0 behavior from three refinements:
     Cauchy differences (convergent), growth ~ log(1/h) (order exactly 1/2
     with nonvanishing profile), or growth ~ h^{1-2r} (order above 1/2).
     """
