@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -300,16 +300,41 @@ def _coefficient(c, exact: bool) -> tuple:
     return c.real, c.imag
 
 
+def _all_numbers(values: list, integral: bool = False) -> bool:
+    """Whether _is_number(x, integral) holds for every x of values.  Exact
+    ints and floats are decided in one numpy pass; only values of other
+    types (bools, strings, numpy scalars) go through _is_number."""
+    kinds = set(map(type, values))
+    if kinds - {int, float}:
+        if not all(_is_number(x, integral) for x in values if type(x) not in (int, float)):
+            return False
+        values = [x for x in values if type(x) in (int, float)]
+    if integral:        # every int is integral; a float must be finite and whole
+        if float not in kinds:
+            return True
+        a = np.array([x for x in values if type(x) is float] if int in kinds else values,
+                     dtype=np.float64)
+        return bool((np.isfinite(a) & (np.floor(a) == a)).all())
+    try:
+        a = np.array(values, dtype=np.float64)
+    except OverflowError:                       # an int beyond every float
+        return False
+    # an int just above the float max rounds to it: decide those exactly
+    edge = np.flatnonzero(np.abs(a) == sys.float_info.max)
+    return bool(np.isfinite(a).all()) and all(_is_number(values[i]) for i in edge)
+
+
 def _json_parts(data) -> tuple:
     """dim, frequencies and checked coefficient parts of the wire format."""
     if not isinstance(data, dict) or set(data) - {"dim", "coeffs"}:
         raise ValueError("an observable is an object with fields 'dim' and 'coeffs'")
     entries = data.get("coeffs")
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and not set(e) - {"z", "re", "im"} for e in entries):
+    if not isinstance(entries, list) \
+            or not all(issubclass(t, dict) for t in set(map(type, entries))) \
+            or set().union(*entries) - {"z", "re", "im"}:
         raise ValueError("'coeffs' must be a list of entries with keys z, re, im")
     re, im = ([e.get(k, 0.0) for e in entries] for k in ("re", "im"))
-    if not all(map(_is_number, re + im)):
+    if not _all_numbers(re + im):
         raise ValueError("coefficient parts 're', 'im' must be finite numbers")
     return data.get("dim"), [e.get("z") for e in entries], re, im
 
@@ -321,15 +346,19 @@ def _checked(dim, zs: list, re: list, im: list, exact: bool) -> tuple:
     if not _is_number(dim, integral=True) or dim < 1:
         raise ValueError(f"bad dim {dim!r}: must be a positive integer")
     dim = int(dim)
-    if not all(isinstance(z, (list, tuple)) and len(z) == dim for z in zs):
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, zs))) \
+            or set(map(len, zs)) - {dim}:
         raise ValueError(f"every frequency must be a list of {dim} integers")
-    flat = [x for z in zs for x in z]
-    if not all(_is_number(x, integral=True) for x in flat):
+    flat = list(chain.from_iterable(zs))
+    if not _all_numbers(flat, integral=True):
         raise ValueError("frequency coordinates must be integers")
-    flat = [int(x) for x in flat]
-    if flat and max(map(abs, flat)) >= _FREQ_LIMIT:
+    try:                                        # int() of each coordinate
+        coords = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:
+        coords = None
+    if coords is None or ((coords >= _FREQ_LIMIT) | (coords <= -_FREQ_LIMIT)).any():
         raise ValueError("frequency coordinates must lie below 2^62 in absolute value")
-    freqs, inv = _lex_rows(np.array(flat, dtype=np.int64).reshape(len(zs), dim))
+    freqs, inv = _lex_rows(coords.reshape(len(zs), dim))
     if len(freqs) < len(zs):
         raise ValueError("repeated frequency")
     kind = object if exact else np.float64
