@@ -354,13 +354,24 @@ def _abs_min(prod: np.ndarray) -> np.ndarray:
 
 def _sorted_norms(coords: list, kmax: int) -> np.ndarray:
     """The squared norms <= kmax, sorted, of the integer points whose i-th
-    coordinate runs over the array coords[i]; partial norms beyond kmax are
-    dropped after each coordinate."""
+    coordinate runs over the array coords[i].  A partial norm s and a square
+    c^2 of the next coordinate meet only while s + c^2 <= kmax: both are
+    sorted, so each element of the shorter list extends a prefix of the
+    other, and no norm beyond kmax is ever made."""
     norms = np.zeros(1, dtype=np.int64)
     for c in coords:
-        norms = (norms[:, None] + c * c).ravel()
-        norms = norms[norms <= kmax]
-    return np.sort(norms)
+        sq = np.sort(c * c)
+        outer, inner = (norms, sq) if len(norms) <= len(sq) else (sq, norms)
+        ends = np.searchsorted(inner, kmax - outer, side="right")
+        out = np.empty(int(ends.sum()), dtype=np.int64)
+        pos = 0
+        for v, k in zip(outer.tolist(), ends.tolist()):
+            np.add(inner[:k], v, out=out[pos:pos + k])
+            pos += k
+        if len(outer) > 1:          # else out is one sorted run already
+            out.sort()
+        norms = out
+    return norms
 
 
 def _ball_count(dim: int, r_sq: int) -> int:
@@ -428,6 +439,17 @@ def _margin_threshold(margins: np.ndarray, eps: float) -> float:
 
 
 _DIRECT_LIMIT = 3_000_000
+# n = 2 holds the differences and squared norms of balls in Z^l of radius R
+# and sqrt(2) R: catmap and cubic-rank2 peak at ~1.15 GB RSS at this many
+# points in the radius-R ball
+_HALF_LIMIT = 10_000_000
+
+
+def _fewest_points(dim: int, radius: float) -> float:
+    """A lower bound on the integer points of the radius ball in Z^dim: each
+    point of the ball of radius R - sqrt(dim) / 2 rounds to one of them, so
+    that volume, less rounding, bounds their number."""
+    return _ball_point_count(dim, max(radius - math.sqrt(dim) / 2, 0.0)) * (1 - 1e-9)
 
 
 def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float,
@@ -457,10 +479,12 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     r_sq = _radius_sq(radius)
     if 2 * r_sq >= 2 ** 52:
         raise ValueError(f"radius {radius:g} is beyond the exact range of the lattice counts")
-    # n >= 3 enumerates the ball.  Each point of the ball of radius R - sqrt(d) / 2
-    # rounds to one of its lattice points: that volume, less rounding, bounds its size
-    low = _ball_point_count(dim_total, max(radius - math.sqrt(dim_total) / 2, 0.0)) * (1 - 1e-9)
-    total = math.inf if n > 2 and low > _DIRECT_LIMIT else _ball_count(dim_total, r_sq)
+    if n == 2 and _fewest_points(ell, radius) > _HALF_LIMIT:
+        raise ValueError(f"the ball of radius {radius:g} in Z^{ell} holds more than "
+                         f"{_HALF_LIMIT} points, too many to count pairs in memory")
+    # n >= 3 enumerates the ball: refused from its size before it is counted
+    total = math.inf if n > 2 and _fewest_points(dim_total, radius) > _DIRECT_LIMIT \
+        else _ball_count(dim_total, r_sq)
     if n > 2 and total > _DIRECT_LIMIT:
         raise ValueError(f"the ball of radius {radius:g} in Z^{dim_total} holds more than "
                          f"{_DIRECT_LIMIT} points, too many for direct enumeration")

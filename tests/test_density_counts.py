@@ -249,23 +249,49 @@ def test_rank1_count_at_radius_1e4_under_2_gib():
 @pytest.mark.parametrize("n, radius, reason", [
     (3, 1e4, "too many for direct enumeration"),
     (2, 5e7, "beyond the exact range of the lattice counts"),
+    (2, 4e7, "too many to count pairs in memory"),
 ])
 def test_oversized_density_is_refused_before_allocating(tmp_path, n, radius, reason):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "catmap", "n": n, "radius": radius,
                                "eps": 0.05, "samples": 1000}))
-    # the peak resident set of this process image (ru_maxrss would carry the
-    # forking test runner's)
+    # under a 2 GiB cap, timed, and with the peak resident set of this process
+    # image (ru_maxrss would carry the forking test runner's)
     script = """
-import sys
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from nilmix.cli import main
+start = time.perf_counter()
 code = main(["density", "--config", sys.argv[1], "--out", sys.argv[2]])
+seconds = time.perf_counter() - start
 hwm = [line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")]
-print(code, *hwm)
+print(code, *hwm, seconds)
 """
     proc = _run_child(script, str(cfg), str(tmp_path / "out"))
-    code, max_rss_kb = map(int, proc.stdout.split())
+    code, max_rss_kb, seconds = proc.stdout.split()
     err = json.loads(proc.stderr)
-    assert code == 1 and err["error"] == "ValueError"
+    assert int(code) == 1 and err["error"] == "ValueError"
     assert f"radius {radius:g}" in err["message"] and reason in err["message"]
-    assert max_rss_kb < 150_000
+    assert int(max_rss_kb) < 150_000
+    assert float(seconds) < 5.0
+
+
+def test_sorted_norms_extend_only_what_fits_under_2_gib():
+    # three coordinates over a line much longer than the ball: the outer sum
+    # of the disc's 31 417 norms with the line's 40 001 squares would take
+    # 10 GB, while the ball of radius 100 holds 4 187 857 points
+    script = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from nilmix.rates import _sorted_norms
+norms = _sorted_norms([np.arange(-20000, 20001, dtype=np.int64)] * 3, 100 ** 2)
+print(json.dumps([len(norms), int(norms[-1]), bool((np.diff(norms) >= 0).all())]))
+"""
+    proc = _run_child(script)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    size, top, ascending = json.loads(proc.stdout)
+    assert size == sum(2 * math.isqrt(10 ** 4 - x * x - y * y) + 1
+                       for x in range(-100, 101) for y in range(-100, 101)
+                       if x * x + y * y <= 10 ** 4)
+    assert top == 10 ** 4 and ascending
