@@ -374,9 +374,10 @@ def schrodinger_threshold(profile: Profile, r: float, h: float) -> ThresholdRepo
     """Quadrature value of the line-model quadratic form with origin cutoff.
 
     profile is an array function or a list of (x, y) samples (see the
-    module docstring).  The verdict classifies the h -> 0 behavior from three refinements:
-    Cauchy differences (convergent), growth ~ log(1/h) (order exactly 1/2
-    with nonvanishing profile), or growth ~ h^{1-2r} (order above 1/2).
+    module docstring).  The verdict classifies the h -> 0 behavior from
+    three refinements: Cauchy differences (convergent), growth ~ log(1/h)
+    (order exactly 1/2 with nonvanishing profile), or growth ~ h^{1-2r}
+    (order above 1/2).
     """
     if r <= 0:
         raise ValueError("order must be positive")
