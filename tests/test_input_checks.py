@@ -153,8 +153,8 @@ def test_mapping_check_matches_the_reference(parts):
     assert _outcome(None, fourier._checked, *parts) == _outcome(None, ref.checked, *parts)
 
 
-def test_the_edges_are_drawn():
-    # the cases the strategies above are meant to reach, each pinned once
+def test_edge_values_get_the_reference_verdict():
+    # the edges the strategies above aim at, each checked once by name
     for coords, message in (
             ([2 ** 62 - 1, 0], None),
             ([-(2 ** 62 - 1), 0], None),
