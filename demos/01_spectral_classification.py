@@ -27,7 +27,7 @@ for name in system_names():
     print(f"   exponents: {exps}")
 
     if len(system.generators) > 1:
-        reg = find_regular_element(system.algebra, list(system.generators))
+        reg = find_regular_element(list(system.generators))
         print(f"   regular time for the full action: z = {reg.z} "
               f"(margin {reg.certificate_margin:.4f})")
     print()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import IntPolynomial, RationalMatrix
 from .nilalg import (
@@ -12,6 +13,7 @@ from .nilalg import (
     abelian_algebra,
     filiform4_algebra,
     heisenberg_algebra,
+    validate_automorphism,
 )
 
 __all__ = ["System", "get_system", "system_names", "random_ergodic_gl3", "block_diag"]
@@ -40,6 +42,12 @@ class System:
     @property
     def matrix(self) -> RationalMatrix:
         return self.generators[0]
+
+    @cached_property
+    def generator_failures(self) -> list[str]:
+        """validate_automorphism's failures over the generators, made once."""
+        return [f for g in self.generators
+                for f in validate_automorphism(self.algebra, g).failures()]
 
 
 def _catmap() -> System:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .catalog import get_system
+from .catalog import System, get_system
 from .correlate import (
     CorrelationSeries,
     correlation2,
@@ -40,12 +40,9 @@ from .fourier import FourierObservable, _is_number
 from .fracsolve import _check_solve, schrodinger_threshold, solve_fractional
 from .nilalg import (
     NilpotentAlgebra,
-    central_series,
     check_commuting,
     classify,
     find_regular_element,
-    validate_algebra,
-    validate_automorphism,
 )
 from .rates import (
     DEFAULT_DENSITY_SEED,
@@ -96,7 +93,7 @@ def _vectors(cfg: dict, key: str, kind=float) -> list:
     return [_number({key: v}, key, [], kind) for v in value]
 
 
-def _load_system(cfg: dict):
+def _load_system(cfg: dict) -> System:
     entry = cfg.get("system")
     if entry is None:
         raise ConfigError("config needs a 'system' entry")
@@ -110,7 +107,8 @@ def _load_system(cfg: dict):
     _check_keys(entry, {"name", "dim", "layers", "brackets", "generators"}, "system")
     dim = entry.get("dim")
     gens = entry.get("generators")
-    if not isinstance(dim, int) or not isinstance(gens, list) or not gens:
+    # dim is an index bound, typed as layers and bracket indices are: never a bool
+    if type(dim) is not int or not isinstance(gens, list) or not gens:
         raise ConfigError("inline system needs integer 'dim' and nonempty 'generators'")
     layers = entry.get("layers", [dim])
     if not isinstance(layers, list) or not all(type(x) is int for x in layers):
@@ -129,27 +127,29 @@ def _load_system(cfg: dict):
                               f"integers in [0, {dim})")
         try:
             entries.setdefault((idx[0], idx[1]), {})[idx[2]] = Fraction(str(item["value"]))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"bad brackets entry {item}: {e!r}")
     algebra = NilpotentAlgebra.from_sparse(dim, layers, entries)
-    diag = validate_algebra(algebra)
-    if not diag.ok:
-        raise ConfigError(f"inline algebra invalid: {diag.failures()}")
+    if not algebra.diagnostics.ok:
+        raise ConfigError(f"inline algebra invalid: {algebra.diagnostics.failures()}")
     try:
         mats = tuple(RationalMatrix(g) for g in gens)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad generator: {e}")
+    # RationalMatrix also reads strings and bools
+    bad = [x for g in gens for row in g for x in row if not _is_number(x, integral=True)]
+    if bad:
+        raise ConfigError(f"bad generator entry {bad[0]!r}: must be an integer")
     if any(g.dim != dim for g in mats):
         raise ConfigError(f"generators must be {dim}x{dim} matrices")
-    failures = [f for g in mats for f in validate_automorphism(algebra, g).failures()]
-    if failures:
-        raise ConfigError(f"generators are not lattice automorphisms: {failures}")
+    system = System(entry.get("name", "inline"), algebra, mats, "inline system")
+    if system.generator_failures:
+        raise ConfigError(f"generators are not lattice automorphisms: {system.generator_failures}")
     try:
         check_commuting(mats)
     except ValueError as e:
         raise ConfigError(str(e))
-    from .catalog import System
-    return System(entry.get("name", "inline"), algebra, mats, "inline system")
+    return system
 
 
 def _load_observable(cfg, key: str) -> FourierObservable:
@@ -247,9 +247,11 @@ def _cmd_analyze(cfg, outdir, precision, seed):
     _check_keys(cfg, {"system"}, "analyze config")
     system = _load_system(cfg)
     out = {}
-    diag = validate_algebra(system.algebra)
+    diag = system.algebra.diagnostics
+    if not diag.ok or system.generator_failures:
+        raise ValueError(f"invalid system: {diag.failures() + system.generator_failures}")
     out["algebra_checks"] = {k: v[0] for k, v in diag.checks.items()}
-    out["central_series_dims"] = [len(b) for b in central_series(system.algebra)]
+    out["central_series_dims"] = [len(b) for b in diag.series]
     cls = classify(system.algebra, system.matrix, precision)
     out["ergodic"] = cls.ergodic
     out["type"] = cls.type_name
@@ -259,7 +261,7 @@ def _cmd_analyze(cfg, outdir, precision, seed):
             for b in lyapunov_data(system.matrix, precision).blocks]
     out["exponents"] = [dict(zip(header, row)) for row in rows]
     if len(system.generators) > 1:
-        reg = find_regular_element(system.algebra, list(system.generators), precision)
+        reg = find_regular_element(list(system.generators), precision)
         out["regular_element"] = {"z": reg.z, "margin": reg.certificate_margin}
     _write_csv(os.path.join(outdir, "exponents.csv"), header, rows)
     return out

@@ -6,6 +6,10 @@ integer unimodular matrices in these coordinates that preserve the bracket
 exactly.  The spectral classification (ergodicity, rational/irrational
 type, stable/neutral/unstable data) is computed from the exact primary
 decomposition of the linear part.
+
+A system is checked once, where it enters (see README): classify,
+find_regular_element, abelianization_action and the rates assume a
+checked one; joint_blocks and correlation_n check that generators commute.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -85,29 +89,16 @@ class NilpotentAlgebra:
         return NilpotentAlgebra(dim, frozen, tuple(layer_dims))
 
     @cached_property
-    def _nonzero(self) -> dict:
-        """(i, j) -> its nonzero (k, c[i][j][k]), for every pair with one."""
-        return {(i, j): tuple((k, c) for k, c in enumerate(cs) if c)
-                for i, plane in enumerate(self.brackets) for j, cs in enumerate(plane) if any(cs)}
+    def _tensor(self) -> np.ndarray:
+        """The structure constants times their common denominator (every check
+        is homogeneous in them), a dim x dim x dim int object array."""
+        n = max(self.dim, 0)
+        return _integral([x for plane in self.brackets for cs in plane for x in cs], (n, n, n))
 
-    def bracket(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> tuple:
-        out = [Fraction(0)] * self.dim
-        for (i, j), terms in self._nonzero.items():
-            for k, c in terms:
-                out[k] += v[i] * w[j] * c
-        return tuple(out)
-
-    def basis_bracket(self, i: int, j: int) -> tuple:
-        return self.brackets[i][j]
-
-    def layer_of(self, index: int) -> int:
-        """1-based layer number of basis vector index."""
-        acc = 0
-        for ell, d in enumerate(self.layer_dims, start=1):
-            acc += d
-            if index < acc:
-                return ell
-        raise IndexError(index)
+    @cached_property
+    def diagnostics(self) -> Diagnostics:
+        """validate_algebra's checks and central series, made once per algebra."""
+        return validate_algebra(self)
 
     def layer_slice(self, layer: int) -> range:
         start = sum(self.layer_dims[: layer - 1])
@@ -139,6 +130,7 @@ def filiform4_algebra() -> NilpotentAlgebra:
 @dataclass
 class Diagnostics:
     checks: dict = field(default_factory=dict)   # name -> (bool, detail)
+    series: Optional[list] = None                # central series bases, once built
 
     def record(self, name: str, ok: bool, detail: str = ""):
         self.checks[name] = (ok, detail)
@@ -150,10 +142,6 @@ class Diagnostics:
     def failures(self) -> list[str]:
         return [f"{name}: {detail}" for name, (flag, detail) in self.checks.items() if not flag]
 
-    def __repr__(self):
-        status = "pass" if self.ok else "FAIL " + "; ".join(self.failures())
-        return f"Diagnostics({status})"
-
 
 def _span_rows(vectors: Sequence[Sequence[Fraction]]) -> list[tuple]:
     """Reduced row-echelon basis of the rational span."""
@@ -161,69 +149,73 @@ def _span_rows(vectors: Sequence[Sequence[Fraction]]) -> list[tuple]:
     return [tuple(row) for row in red[: len(pivots)]]
 
 
+def _integral(values: Sequence[Fraction], shape: tuple) -> np.ndarray:
+    """The flat rationals values times their common denominator, as an int
+    object array of shape."""
+    den = math.lcm(*(x.denominator for x in values))
+    return np.array([x.numerator * (den // x.denominator) for x in values],
+                    dtype=object).reshape(shape)
+
+
+def _first(mask: np.ndarray) -> Optional[tuple]:
+    """The first True index of mask in row-major order, or None."""
+    return next(map(tuple, np.argwhere(mask).tolist()), None)
+
+
 def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
-    """Check antisymmetry, Jacobi, layer (Malcev) ordering and nilpotency step."""
+    """Check antisymmetry, Jacobi, layer (Malcev) ordering, the central series
+    (kept in the result) and the nilpotency step as identities of the
+    structure-constant tensor.  A failure names its first offending pair
+    (i, j) in row-major order, or triple i < j < k in lexicographic order."""
     diag = Diagnostics()
     n = algebra.dim
     if sum(algebra.layer_dims) != n:
         diag.record("layers", False, f"layer dims {algebra.layer_dims} do not sum to {n}")
         return diag
     diag.record("layers", True)
+    c = algebra._tensor
+    i, j, k = np.ogrid[:n, :n, :n]
 
-    bad = next(((i, j) for i in range(n) for j in range(n)
-                if any(algebra.brackets[i][j][k] != -algebra.brackets[j][i][k]
-                       for k in range(n))), None)
+    bad = _first((c + c.transpose(1, 0, 2) != 0).any(axis=2))
     diag.record("antisymmetry", bad is None, f"offending pair {bad}" if bad else "")
 
-    def jac(i, j, k):
-        ei = [Fraction(int(t == i)) for t in range(n)]
-        ej = [Fraction(int(t == j)) for t in range(n)]
-        ek = [Fraction(int(t == k)) for t in range(n)]
-        s1 = algebra.bracket(ei, algebra.bracket(ej, ek))
-        s2 = algebra.bracket(ej, algebra.bracket(ek, ei))
-        s3 = algebra.bracket(ek, algebra.bracket(ei, ej))
-        return tuple(a + b + c for a, b, c in zip(s1, s2, s3))
-
-    bad = next((t for t in itertools.combinations(range(n), 3)
-                if any(x != 0 for x in jac(*t))), None)
+    # [e_i, [e_j, e_k]] = sum_l c[j, k, l] c[i, l, :], and its two cyclic shifts
+    cyc = np.einsum("jkl,ilm->ijkm", c, c)
+    jacobi = cyc + cyc.transpose(2, 0, 1, 3) + cyc.transpose(1, 2, 0, 3)
+    bad = _first((jacobi != 0).any(axis=3) & (i < j) & (j < k))
     diag.record("jacobi", bad is None, f"offending triple {bad}" if bad else "")
 
     # bracket of layers p, q must land strictly deeper than max(p, q)
-    bad = next(((i, j) for i in range(n) for j in range(n)
-                if any(algebra.brackets[i][j][k] for k in range(n)
-                       if algebra.layer_of(k) <= max(algebra.layer_of(i), algebra.layer_of(j)))),
-               None)
+    ends = list(itertools.accumulate(algebra.layer_dims))
+    layer = np.array([next(ell for ell, end in enumerate(ends) if t < end) for t in range(n)])
+    shallow = layer[k] <= np.maximum(layer[i], layer[j])
+    bad = _first(((c != 0) & shallow).any(axis=2))
     diag.record("malcev_ordering", bad is None, f"offending pair {bad}" if bad else "")
 
     if diag.ok:
         series = central_series(algebra)
-        declared = [
-            _span_rows([[Fraction(int(t == s)) for t in range(n)]
-                        for s in range(sum(algebra.layer_dims[: j]), n)])
-            for j in range(len(algebra.layer_dims))
-        ] + [[]]
-        match = len(series) == len(declared) and all(
-            _span_rows(a) == _span_rows(b) if a and b else (not a and not b)
-            for a, b in zip(series, declared))
+        # layer j and all deeper ones span the coordinate vectors from its start on
+        starts = itertools.accumulate(algebra.layer_dims, initial=0)
+        declared = [series[0][max(s, 0):] for s in starts]
+        match = series == declared
         diag.record("central_series", match,
                     "" if match else f"computed dims {[len(s) for s in series]}, "
                                      f"declared {[len(d) for d in declared]}")
         diag.record("step", True, f"step {algebra.step}")
+        diag.series = series
     return diag
 
 
 def central_series(algebra: NilpotentAlgebra) -> list[list[tuple]]:
-    """Exact bases of the descending central series, ending with the empty basis."""
+    """Exact bases of the descending central series, ending with the empty
+    basis; each step is one contraction with the structure-constant tensor."""
     n = algebra.dim
-    full = [tuple(Fraction(int(t == s)) for t in range(n)) for s in range(n)]
-    series = [_span_rows(full)]
+    c = algebra._tensor
+    series = [_span_rows([[int(t == s) for t in range(n)] for s in range(n)])]
     current = series[0]
     while current:
-        nxt = []
-        for v in current:
-            for w in full:
-                nxt.append(algebra.bracket(v, w))
-        current = _span_rows(nxt)
+        v = _integral([x for row in current for x in row], (len(current), n))
+        current = _span_rows(np.einsum("ri,iwk->rwk", v, c).reshape(-1, n).tolist())
         series.append(current)
         if len(series) > n + 2:
             raise ArithmeticError("central series does not terminate: not nilpotent")
@@ -235,23 +227,30 @@ def central_series(algebra: NilpotentAlgebra) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagnostics:
+    """Check that m is an integer unimodular matrix with m[e_i, e_j] =
+    [m e_i, m e_j], both sides contractions of the structure-constant tensor;
+    a failure names the first pair i < j in lexicographic order."""
     diag = Diagnostics()
     if m.dim != algebra.dim:
         diag.record("shape", False, f"matrix dim {m.dim} != algebra dim {algebra.dim}")
         return diag
     diag.record("shape", True)
-    diag.record("integer", m.is_integer(), "non-integer entries" if not m.is_integer() else "")
-    if m.is_integer():
-        det = m.determinant()
-        diag.record("unimodular", abs(det) == 1, f"determinant {det}")
-    else:
-        diag.record("unimodular", False, "not integer")
+    integer = m.is_integer()
+    diag.record("integer", integer, "" if integer else "non-integer entries")
+    det = m.determinant() if integer else None
+    diag.record("unimodular", integer and abs(det) == 1,
+                f"determinant {det}" if integer else "not integer")
 
     n = algebra.dim
-    cols = [tuple(m.rows[r][c] for r in range(n)) for c in range(n)]
-    bad = next(((i, j) for i, j in itertools.combinations(range(n), 2)
-                if algebra.bracket(cols[i], cols[j]) != m.apply(algebra.basis_bracket(i, j))),
-               None)
+    c = algebra._tensor
+    nums, den = m._numerators()
+    a = np.array(nums, dtype=object)
+    # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k =
+    # sum_l a[k, l] c[i, j, l], over the denominators den^2 and den
+    lhs = np.einsum("iqk,qj->ijk", np.einsum("pi,pqk->iqk", a, c), a)
+    rhs = np.einsum("kl,ijl->ijk", a, c) * den
+    i, j = np.ogrid[:n, :n]
+    bad = _first((lhs != rhs).any(axis=2) & (i < j))
     diag.record("bracket_preserved", bad is None,
                 f"[Me_{bad[0]}, Me_{bad[1]}] != M[e_{bad[0]}, e_{bad[1]}]" if bad else "")
     return diag
@@ -260,14 +259,10 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
 def abelianization_action(algebra: NilpotentAlgebra, m: RationalMatrix) -> RationalMatrix:
     """Exact induced matrix on the quotient by the derived subalgebra.
 
-    In Malcev coordinates the derived subalgebra is spanned by the layers
-    below the first, so the induced map is the leading layer-1 block.
+    An automorphism preserves the derived subalgebra, in Malcev coordinates
+    the layers below the first: the induced map is the leading layer-1 block.
     """
     d1 = algebra.layer_dims[0]
-    for c in range(d1, algebra.dim):
-        for r in range(d1):
-            if m.rows[r][c] != 0:
-                raise ValueError("matrix does not preserve the derived subalgebra")
     return RationalMatrix([row[:d1] for row in m.rows[:d1]])
 
 
@@ -312,9 +307,8 @@ class SpectralClassification:
 
 def classify(algebra: NilpotentAlgebra, m: RationalMatrix,
              precision_bits: int = 128) -> SpectralClassification:
-    diag = validate_automorphism(algebra, m)
-    if not diag.ok:
-        raise ValueError(f"not a lattice automorphism: {diag.failures()}")
+    """Spectral classification of m, which must be a lattice automorphism of
+    algebra (validate_automorphism passes); it is not checked again here."""
     pd = primary_decomposition(m)
     n_z2 = _blocks_span(pd, True)
     n_z1 = _blocks_span(pd, False)
@@ -503,8 +497,7 @@ class RegularElement:
     certificate_margin: float             # smallest certified distance to a hyperplane
 
 
-def find_regular_element(algebra: NilpotentAlgebra,
-                         generators: Sequence[RationalMatrix],
+def find_regular_element(generators: Sequence[RationalMatrix],
                          precision_bits: int = 128) -> RegularElement:
     """A regular integer time z whose root-of-unity part equals the core.
 
@@ -514,11 +507,9 @@ def find_regular_element(algebra: NilpotentAlgebra,
     margin keeps every nonzero functional off zero at z, so each non-core
     joint block has a root with |lambda_z| != 1 and, by Galois conjugation,
     no root of g^z there is a root of unity.  One exact check confirms it.
+    The generators must be checked lattice automorphisms (not checked here);
+    joint_blocks checks that they commute.
     """
-    for g in generators:
-        diag = validate_automorphism(algebra, g)
-        if not diag.ok:
-            raise ValueError(f"invalid generator: {diag.failures()}")
     ell = len(generators)
     record = joint_blocks(generators, precision_bits)
     funcs = record.functionals

@@ -24,7 +24,6 @@ from .nilalg import (
     NilpotentAlgebra,
     abelianization_action,
     action_matrix,
-    check_commuting,
     cyclotomic_part,
     is_ergodic,
     joint_blocks,
@@ -229,7 +228,6 @@ def theta(algebra: NilpotentAlgebra, generators: Sequence[RationalMatrix],
           tup: TimeTuple, precision_bits: int = 128) -> ThetaReport:
     """Directional rate: min over nonzero functionals chi and pairs i != j of
     |chi((z_i - z_j) / ||z_i - z_j||)|.  Scale-invariant in the tuple."""
-    check_commuting(list(generators))
     if tup.rank != len(generators):
         raise ValueError("tuple rank does not match the number of generators")
     if tup.gap == 0:
@@ -465,7 +463,6 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     shifted ball; n >= 3 enumerates the ball directly (size-capped).  Both
     count on the half ball, as every count is symmetric under x -> -x.
     """
-    check_commuting(list(generators))
     if n < 2:
         raise ValueError("need n >= 2")
     if not radius >= 0:

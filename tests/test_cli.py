@@ -148,6 +148,12 @@ def _profile(tmp, text: str) -> str:
     ("density", lambda tmp: {"system": "catmap", "radius": 5, "samples": -5}),
     ("density", lambda tmp: {"system": "catmap", "radius": 5, "eps": -0.1, "samples": 1000}),
     ("density", lambda tmp: {"system": "catmap", "n": 1, "radius": 5, "samples": 1000}),
+    ("analyze", lambda tmp: {"system": {**_HEIS, "brackets": [
+        {"i": 0, "j": 1, "k": 2, "value": "1/0"}]}}),
+    ("analyze", lambda tmp: {"system": {"dim": True, "layers": [1], "generators": [[[1]]]}}),
+    ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[[2, 1], [1, True]]]}}),
+    ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[["2", 1], [1, 1]]]}}),
+    ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[["4/2", 1], [1, 1]]]}}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -166,11 +172,20 @@ def _profile(tmp, text: str) -> str:
         "frequency-of-2-to-the-62", "short-solve-direction", "signed-fractional-order",
         "observable-dim-not-system-dim", "coefficient-beyond-float",
         "rates-s-beyond-float", "negative-density-radius", "zero-samples",
-        "negative-samples", "negative-eps", "density-n-1"])
+        "negative-samples", "negative-eps", "density-n-1", "bracket-value-over-zero",
+        "bool-dim", "bool-generator-entry", "string-generator-entry",
+        "fraction-string-generator-entry"])
 def test_invalid_config_exits_2(tmp_path, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2
     assert report is None
+
+
+def test_integral_float_generator_entries_run(tmp_path):
+    code, report, _ = run(tmp_path, "analyze",
+                          {"system": {"dim": 2, "generators": [[[2.0, 1], [1, 1.0]]]}})
+    assert code == 0
+    assert report["result"]["ergodic"] is True
 
 
 def test_analyze_family_with_root_of_unity_core(tmp_path):

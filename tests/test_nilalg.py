@@ -226,21 +226,21 @@ def test_n2_family_product():
 
 
 def test_regular_element_rank_one_cat():
-    reg = find_regular_element(abelian_algebra(2), [CAT])
+    reg = find_regular_element([CAT])
     assert reg.z == (1,)
     assert reg.core_basis == []
     assert reg.certificate_margin > 0.9
 
 
 def test_regular_element_rank_one_heis():
-    reg = find_regular_element(heisenberg_algebra(), [HEIS_M])
+    reg = find_regular_element([HEIS_M])
     assert reg.z == (1,)
     assert reg.core_basis == [(Fraction(0), Fraction(0), Fraction(1))]
 
 
 def test_regular_element_cubic_pair():
     system = get_system("cubic-rank2")
-    reg = find_regular_element(system.algebra, list(system.generators))
+    reg = find_regular_element(list(system.generators))
     assert reg.core_basis == []
     assert reg.certificate_margin > 0
     assert all(v > 0 for v in reg.functional_values)
@@ -249,7 +249,7 @@ def test_regular_element_cubic_pair():
 
 def test_regular_element_product_pair_needs_shrink():
     system = get_system("product-t2xt2")
-    reg = find_regular_element(system.algebra, list(system.generators))
+    reg = find_regular_element(list(system.generators))
     assert reg.core_basis == []
     # both coordinates must act: single-generator times leave a core
     assert all(c != 0 for c in reg.z)
@@ -260,7 +260,7 @@ def test_noncommuting_rejected():
     a = RationalMatrix([[1, 1], [0, 1]])
     b = RationalMatrix([[1, 0], [1, 1]])
     with pytest.raises(ValueError):
-        find_regular_element(abelian_algebra(2), [a, b])
+        find_regular_element([a, b])
 
 
 def test_functionals_cubic_pair():
@@ -369,7 +369,7 @@ def test_core_family_has_one_exact_zero_functional():
 
 
 def test_core_family_regular_element():
-    reg = find_regular_element(abelian_algebra(3), list(CORE_FAMILY))
+    reg = find_regular_element(list(CORE_FAMILY))
     assert reg.z == (1, 0)
     assert reg.core_basis == [(0, 0, 1)]
     assert reg.certificate_margin == pytest.approx(0.9624236501192069, abs=1e-12)
@@ -472,7 +472,7 @@ def test_joint_block_core_matches_intersected_cyclotomic_parts(gens):
 ], ids=["swapped", "swapped-one"])
 def test_swapped_family_regular_element(gens, dim, core):
     # e_1 = I + CAT leaves a zero functional; no core search moves it first
-    reg = find_regular_element(abelian_algebra(dim), list(gens))
+    reg = find_regular_element(list(gens))
     assert reg.z == (2, -1)
     assert reg.core_basis == core
     assert reg.certificate_margin == pytest.approx(0.9624236501192069, abs=1e-12)
@@ -482,7 +482,7 @@ def test_salem_family_regular_element_has_empty_core():
     record = joint_blocks(list(SALEM_FAMILY))
     assert record.core == [] and not any(b.core for b in record.blocks)
     assert any(f.is_zero() for f in record.functionals)
-    reg = find_regular_element(abelian_algebra(4), list(SALEM_FAMILY))
+    reg = find_regular_element(list(SALEM_FAMILY))
     assert reg.z == (1, 0)
     assert reg.core_basis == []
     assert reg.certificate_margin > 0
@@ -491,4 +491,4 @@ def test_salem_family_regular_element_has_empty_core():
 def test_regular_element_checks_the_core_dimension(monkeypatch):
     monkeypatch.setattr(nilalg, "cyclotomic_part", lambda m: [])
     with pytest.raises(ArithmeticError, match="core"):
-        find_regular_element(abelian_algebra(3), list(CORE_FAMILY))
+        find_regular_element(list(CORE_FAMILY))
