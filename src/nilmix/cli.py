@@ -110,6 +110,10 @@ def _load_system(cfg: dict) -> System:
     # dim is an index bound, typed as layers and bracket indices are: never a bool
     if type(dim) is not int or not isinstance(gens, list) or not gens:
         raise ConfigError("inline system needs integer 'dim' and nonempty 'generators'")
+    # the shape before the algebra, whose dense dim^3 check is costly at a large dim
+    if not all(isinstance(g, list) and len(g) == dim
+               and all(isinstance(row, list) and len(row) == dim for row in g) for g in gens):
+        raise ConfigError(f"generators must be {dim}x{dim} matrices")
     layers = entry.get("layers", [dim])
     if not isinstance(layers, list) or not all(type(x) is int for x in layers):
         raise ConfigError(f"bad 'layers' {layers!r}: must be a list of integers")
@@ -140,8 +144,6 @@ def _load_system(cfg: dict) -> System:
     bad = [x for g in gens for row in g for x in row if not _is_number(x, integral=True)]
     if bad:
         raise ConfigError(f"bad generator entry {bad[0]!r}: must be an integer")
-    if any(g.dim != dim for g in mats):
-        raise ConfigError(f"generators must be {dim}x{dim} matrices")
     system = System(entry.get("name", "inline"), algebra, mats, "inline system")
     if system.generator_failures:
         raise ConfigError(f"generators are not lattice automorphisms: {system.generator_failures}")

@@ -71,44 +71,66 @@ def _as_fraction(x) -> Fraction:
 
 
 class RationalMatrix:
-    """Immutable square matrix with exact rational entries."""
+    """Immutable square matrix with exact rational entries, stored as integer
+    numerators over one positive denominator in lowest terms, self = nums / den;
+    the form is canonical, so == and hash are exact."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "nums", "den")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = [tuple(_as_fraction(x) for x in row) for row in rows]
+        rows = [[_as_fraction(x) for x in row] for row in rows]
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and non-empty")
+        # lowest terms: each prime power of den divides some entry's denominator
+        den = math.lcm(*(x.denominator for row in rows for x in row))
         self.dim = len(rows)
-        self.rows = tuple(rows)
+        self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                          for row in rows)
+        self.den = den
+
+    @staticmethod
+    def _of(nums: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
+        """The matrix nums / den (square int rows, den > 0), in lowest terms."""
+        g = math.gcd(den, *(x for row in nums for x in row))
+        m = object.__new__(RationalMatrix)
+        m.dim = len(nums)
+        m.nums = tuple(tuple(x // g for x in row) for row in nums)
+        m.den = den // g
+        return m
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return RationalMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def companion(p: "IntPolynomial") -> "RationalMatrix":
         """Companion matrix of a monic polynomial."""
-        c = p.monic().coeffs
-        n = len(c) - 1
+        p = p.monic()
+        n = p.degree
         if n < 1:
             raise ValueError("need degree >= 1")
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(1, n):
-            rows[i][i - 1] = Fraction(1)
+            rows[i][i - 1] = p.den
         for i in range(n):
-            rows[i][n - 1] = -c[i]
-        return RationalMatrix(rows)
+            rows[i][n - 1] = -p.nums[i]
+        return RationalMatrix._of(rows, p.den)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fraction rows."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.nums[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (isinstance(other, RationalMatrix)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -116,20 +138,18 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return RationalMatrix._of([[a * x + b * y for x, y in zip(r1, r2)]
+                                   for r1, r2 in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_dim(other)
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             self._check_dim(other)
-            a, da = self._numerators()
-            b, db = other._numerators()
-            return RationalMatrix._from_numerators(_int_matmul(a, b), da * db)
+            return RationalMatrix._of(_int_matmul(self.nums, other.nums), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -142,27 +162,17 @@ class RationalMatrix:
     def __pow__(self, m: int) -> "RationalMatrix":
         if not isinstance(m, int):
             raise TypeError("integer powers only")
-        base, den = (self if m >= 0 else self.inverse())._numerators()
+        base = self if m >= 0 else self.inverse()
         m = abs(m)
-        den **= m
+        den, a = base.den ** m, base.nums
         out = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         while m:
             if m & 1:
-                out = _int_matmul(out, base)
+                out = _int_matmul(out, a)
             m >>= 1
             if m:
-                base = _int_matmul(base, base)
-        return RationalMatrix._from_numerators(out, den)
-
-    def _numerators(self) -> tuple[list[list[int]], int]:
-        """Integer numerators over one common denominator: self = nums / den."""
-        den = math.lcm(*(x.denominator for row in self.rows for x in row))
-        return [[x.numerator * (den // x.denominator) for x in row] for row in self.rows], den
-
-    @staticmethod
-    def _from_numerators(nums: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
-        """The matrix nums / den, building one Fraction per entry."""
-        return RationalMatrix([[Fraction(x, den) for x in row] for row in nums])
+                a = _int_matmul(a, a)
+        return RationalMatrix._of(out, den)
 
     def _check_dim(self, other: "RationalMatrix"):
         if self.dim != other.dim:
@@ -170,31 +180,36 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = _as_fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.rows])
+        return RationalMatrix._of([[c.numerator * x for x in row] for row in self.nums],
+                                  c.denominator * self.den)
 
     def apply(self, v: Sequence[Fraction]) -> tuple:
+        """M v for int or Fraction entries, as Fractions."""
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v) if b), Fraction(0)) for row in self.rows)
+        den = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (den // x.denominator) for x in v]
+        return tuple(Fraction(sum(map(operator.mul, row, w)), den * self.den)
+                     for row in self.nums)
 
     def determinant(self) -> Fraction:
-        """Exact determinant, the signed product of the row reduction's pivots."""
-        return _rref(self.rows)[2]
+        """Exact determinant, from the fraction-free row reduction of nums."""
+        return _rref(self.nums)[2] / self.den ** self.dim
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse, by reducing [A | I]; ZeroDivisionError if A is singular."""
+        """Exact inverse, by reducing [nums | den I]; ZeroDivisionError if singular."""
         n = self.dim
-        red, pivots, _ = _rref([row + tuple(Fraction(int(i == j)) for j in range(n))
-                                for i, row in enumerate(self.rows)])
+        red, pivots, _ = _rref([row + tuple(self.den * (i == j) for j in range(n))
+                                for i, row in enumerate(self.nums)])
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return RationalMatrix([row[n:] for row in red])
 
     def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.dim))
+        return Fraction(sum(self.nums[i][i] for i in range(self.dim)), self.den)
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
 
     def is_unimodular_integer(self) -> bool:
         return self.is_integer() and abs(self.determinant()) == 1
@@ -202,10 +217,11 @@ class RationalMatrix:
     def to_int_array(self) -> list[list[int]]:
         if not self.is_integer():
             raise ValueError("matrix has non-integer entries")
-        return [[int(x) for x in row] for row in self.rows]
+        return [list(row) for row in self.nums]
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
+        # int / int is correctly rounded, as float(Fraction) is
+        return np.array([[x / self.den for x in row] for row in self.nums], dtype=float)
 
 
 def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -213,18 +229,26 @@ def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
     """Gauss-Jordan reduction of a list of int or Fraction rows of any shape.
 
-    Returns the reduced row echelon form (unique, so every basis read from
-    it is canonical), the pivot columns, and the determinant: the signed
-    product of the pivots, or 0 when some row has no pivot (meaningful
-    for square input only).
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): each row is scaled to
+    integers by the lcm of its denominators, and each step divides exactly
+    by the previous pivot, so entries stay integers (minors of the scaled
+    rows) and every pivot ends equal to the last, which divides the rows
+    at the end.  Returns the reduced row echelon form (unique, so every
+    basis read from it is canonical), the pivot columns, and the
+    determinant: sign * last pivot / product of the row scales, or 0 when
+    some row has no pivot (meaningful for square input only).
     """
-    a = [list(row) for row in rows]
+    a, scale = [], 1
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
     nrows = len(a)
     pivots: list[int] = []
-    det = Fraction(1)
+    sign, last = 1, 1
     for col in range(len(a[0]) if a else 0):
         r = len(pivots)
         if r == nrows:
@@ -234,16 +258,16 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], lis
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            det = -det
-        det *= a[r][col]
-        inv = 1 / Fraction(a[r][col])
-        a[r] = [x * inv for x in a[r]]
+            sign = -sign
+        top, p = a[r], a[r][col]
         for i in range(nrows):
-            if i != r and a[i][col]:
+            if i != r:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // last for x, y in zip(a[i], top)]
+        last = p
         pivots.append(col)
-    return a, pivots, det if len(pivots) == nrows else Fraction(0)
+    det = Fraction(sign * last, scale) if len(pivots) == nrows else Fraction(0)
+    return [[Fraction(x, last) for x in row] for row in a], pivots, det
 
 
 # ---------------------------------------------------------------------------
@@ -251,42 +275,54 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], lis
 # ---------------------------------------------------------------------------
 
 class IntPolynomial:
-    """Polynomial with exact rational coefficients, ascending degree order."""
+    """Polynomial with exact rational coefficients, ascending degree order,
+    stored as in RationalMatrix: integer numerators (no trailing zeros, so
+    () is the zero polynomial) over one positive denominator, in lowest terms."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence):
         cs = [_as_fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+        # in lowest terms, as in RationalMatrix; a zero has denominator 1
+        self.den = math.lcm(*(c.denominator for c in cs))
+        self.nums = tuple(_trim([c.numerator * (self.den // c.denominator) for c in cs]))
+
+    @staticmethod
+    def _of(nums: Sequence[int], den: int) -> "IntPolynomial":
+        """The polynomial nums / den (den > 0), in lowest terms."""
+        nums = _trim(list(nums))
+        g = math.gcd(den, *nums)
+        p = object.__new__(IntPolynomial)
+        p.nums = tuple(c // g for c in nums)
+        p.den = den // g
+        return p
 
     # -- basic structure ----------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, (0,) for the zero polynomial."""
+        return tuple(Fraction(c, self.den) for c in self.nums) or (Fraction(0),)
 
     @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1]
+    def degree(self) -> int:
+        return max(len(self.nums) - 1, 0)
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return not self.nums
 
     def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_monic(self) -> bool:
-        return self.lead == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, IntPolynomial)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         terms = []
@@ -304,26 +340,19 @@ class IntPolynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return IntPolynomial([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        return IntPolynomial._of(_add([den // self.den * c for c in self.nums],
+                                      [den // other.den * c for c in other.nums]), den)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + other.scale(-1)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._of(_mul(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c) -> "IntPolynomial":
         c = _as_fraction(c)
-        return IntPolynomial([c * x for x in self.coeffs])
+        return IntPolynomial._of([c.numerator * x for x in self.nums], c.denominator * self.den)
 
     def __pow__(self, m: int) -> "IntPolynomial":
         out = IntPolynomial([1])
@@ -331,38 +360,13 @@ class IntPolynomial:
             out = out * self
         return out
 
-    def divmod(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return IntPolynomial([0]), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.lead
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return IntPolynomial(quot), IntPolynomial(rem[: other.degree] or [0])
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def monic(self) -> "IntPolynomial":
         if self.is_zero():
             raise ValueError("zero polynomial has no monic form")
-        return self.scale(1 / self.lead)
+        return self.scale(Fraction(self.den, self.nums[-1]))
 
     def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial([0])
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return IntPolynomial._of([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def evaluate(self, x):
         out = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
@@ -371,34 +375,28 @@ class IntPolynomial:
         return out
 
     def evaluate_matrix(self, m: RationalMatrix) -> RationalMatrix:
-        out = RationalMatrix.identity(m.dim).scale(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            out = out * m + RationalMatrix.identity(m.dim).scale(c)
-        return out
+        """p(M) by Horner's rule on integers: for M = N / d and p = a / e,
+        p(M) = sum_i a_i d^(deg - i) N^i over e d^deg."""
+        d, n = m.den, m.dim
+        out = [[0] * n for _ in range(n)]
+        for k, c in enumerate(reversed(self.nums)):
+            if k:
+                out = _int_matmul(out, m.nums)
+            for i in range(n):
+                out[i][i] += c * d ** k
+        return RationalMatrix._of(out, self.den * d ** self.degree)
 
     def compose_neg(self) -> "IntPolynomial":
         """p(-x)."""
-        return IntPolynomial([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
+        return IntPolynomial._of([-c if i % 2 else c for i, c in enumerate(self.nums)], self.den)
 
     def reverse(self) -> "IntPolynomial":
         """x^deg * p(1/x)."""
-        return IntPolynomial(list(reversed(self.coeffs)))
+        return IntPolynomial._of(self.nums[::-1], self.den)
 
     def is_self_reciprocal(self) -> bool:
         rev = self.reverse()
         return rev == self or rev == self.scale(-1)
-
-    def primitive_int(self) -> "IntPolynomial":
-        """Integer polynomial with content 1, positive leading coefficient."""
-        if self.is_zero():
-            return self
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*[abs(c) for c in ints if c] or [1])
-        ints = [c // g for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return IntPolynomial(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +404,23 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 
 def char_poly(m: RationalMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - M), computed exactly."""
-    n = m.dim
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RationalMatrix.identity(n)
+    """Monic characteristic polynomial det(xI - M), computed exactly.
+
+    Faddeev-LeVerrier on the integer numerators N = den M: N's coefficients
+    c_k are integers, so every division by k is exact, and the coefficient
+    of x^(n-k) of M's is c_k / den^k.
+    """
+    n, den = m.dim, m.den
+    coeffs = [0] * n + [den ** n]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = m * mk
-        c = -mk.trace() / k
-        coeffs[n - k] = c
+        mk = _int_matmul(m.nums, mk)
+        c = -sum(mk[i][i] for i in range(n)) // k
+        coeffs[n - k] = c * den ** (n - k)
         if k < n:
-            mk = mk + RationalMatrix.identity(n).scale(c)
-    return IntPolynomial(coeffs)
+            for i in range(n):
+                mk[i][i] += c
+    return IntPolynomial._of(coeffs, den ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +448,8 @@ def factor_over_q(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    f = [int(c) for c in p.primitive_int().coeffs]
-    out = [(IntPolynomial(q).monic(), k)
+    f = _primitive(p.nums)
+    out = [(IntPolynomial._of(q, q[-1]), k)
            for part, k in _squarefree_parts(f) for q in _factor_squarefree(part)]
     return sorted(out, key=lambda kv: (kv[0].degree, kv[0].coeffs))
 
@@ -495,10 +498,12 @@ def _primitive(a: list) -> list:
     return [c // g for c in a]
 
 
-def _add(a: list, b: list, m: int) -> list:
+def _add(a: list, b: list, m: int = 0) -> list:
+    """a + b over Z, or modulo m when m is given."""
     if len(a) < len(b):
         a, b = b, a
-    return _trim([(x + y) % m for x, y in zip(a, b + [0] * (len(a) - len(b)))])
+    out = [x + y for x, y in zip(a, b + [0] * (len(a) - len(b)))]
+    return _trim([c % m for c in out] if m else out)
 
 
 def _sub(a: list, b: list, m: int) -> list:
@@ -778,13 +783,11 @@ def inverse_totient(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> IntPolynomial:
     """d-th cyclotomic polynomial by exact recursive division of x^d - 1."""
-    xd = IntPolynomial([-1] + [0] * (d - 1) + [1])
+    xd = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            q, r = xd.divmod(cyclotomic_polynomial(e))
-            assert r.is_zero()
-            xd = q
-    return xd
+            xd = _exact_quotient(xd, cyclotomic_polynomial(e).nums)
+    return IntPolynomial._of(xd, 1)
 
 
 def is_cyclotomic(q: IntPolynomial, *, assume_irreducible: bool = False) -> Optional[int]:
@@ -812,7 +815,7 @@ def is_cyclotomic(q: IntPolynomial, *, assume_irreducible: bool = False) -> Opti
 def rational_kernel(m: RationalMatrix | Sequence[Sequence[Fraction]]) -> list[tuple]:
     """Exact basis of ker(M) over Q (list of Fraction tuples); M may be a
     RationalMatrix or a rectangular list of rows."""
-    rows = m.rows if isinstance(m, RationalMatrix) else m
+    rows = m.nums if isinstance(m, RationalMatrix) else m
     red, pivots, _ = _rref(rows)
     n = len(rows[0])
     basis = []
@@ -831,10 +834,7 @@ def integer_kernel(m: RationalMatrix) -> list[tuple]:
     Column-style Hermite reduction with a unimodular transform; the returned
     vectors generate ker(M) intersect Z^n as a lattice (integer tuples).
     """
-    if not m.is_integer():
-        den = math.lcm(*[x.denominator for row in m.rows for x in row])
-        m = m.scale(den)
-    a = [[int(x) for x in col] for col in zip(*m.rows)]  # columns as rows
+    a = [list(col) for col in zip(*m.nums)]  # columns as rows, times m.den
     n = m.dim
     u = [[int(i == j) for j in range(n)] for i in range(n)]  # tracks column ops
     row = 0
@@ -901,7 +901,7 @@ def primary_decomposition(m: RationalMatrix) -> PrimaryDecomposition:
         if len(basis) != expected:
             raise ArithmeticError(
                 f"kernel dimension {len(basis)} != multiplicity*degree {expected} for factor {q}")
-        cyc = is_cyclotomic(q.primitive_int(), assume_irreducible=True) if q.is_integer() else None
+        cyc = is_cyclotomic(q, assume_irreducible=True) if q.is_integer() else None
         blocks.append(PrimaryBlock(q, c, tuple(basis), cyc))
     total = sum(b.dim for b in blocks)
     if total != m.dim:
@@ -977,8 +977,7 @@ def _prove_modulus_one(q: IntPolynomial, roots, partner, idx, cyc_order) -> bool
     if abs(abs(r) - 1.0) > err + 1e-12:
         return False
     if q.degree == 1:
-        val = -q.coeffs[0] / q.coeffs[1]
-        return abs(val) == 1
+        return abs(q.nums[0]) == abs(q.nums[1])
     if not q.is_self_reciprocal():
         return False
     if partner[idx] == idx:
@@ -1007,7 +1006,8 @@ def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
     their conjugate pairing, and which roots provably lie on the unit circle."""
     roots = _certified_roots(q, prec)
     partner = _pair_conjugates(roots)
-    cyc = is_cyclotomic(q.primitive_int(), assume_irreducible=True) if q.is_integer() else None
+    cyc = (is_cyclotomic(IntPolynomial._of(_primitive(q.nums), 1), assume_irreducible=True)
+           if q.is_integer() else None)
     unit = [_prove_modulus_one(q, roots, partner, i, cyc) for i in range(len(roots))]
     return FactorRoots(tuple(roots), tuple(partner), tuple(unit))
 
@@ -1134,19 +1134,20 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplit
     (matrix, precision); the splitting is frozen and its block bases are
     read-only, since callers share it.
     """
-    if m.determinant() == 0:
+    det = m.determinant()
+    if det == 0:
         raise ValueError("matrix must be invertible")
     prec = precision_bits
     while True:
         try:
-            return _lyapunov_attempt(m, prec)
+            return _lyapunov_attempt(m, det, prec)
         except PrecisionError:
             if prec >= _MAX_PRECISION_BITS:
                 raise
             prec = min(2 * prec, _MAX_PRECISION_BITS)
 
 
-def _lyapunov_attempt(m: RationalMatrix, prec: int) -> LyapunovSplitting:
+def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSplitting:
     primary = primary_decomposition(m)
     records = [factor_roots(blk.factor, prec) for blk in primary.blocks]
     entries = []  # one per root: factor index, root index, modulus, error, proven |root| = 1
@@ -1198,7 +1199,7 @@ def _lyapunov_attempt(m: RationalMatrix, prec: int) -> LyapunovSplitting:
     blocks.sort(key=lambda b: b.exponent)
     _check_disjoint(blocks)
     split = LyapunovSplitting(m, primary, tuple(blocks), prec)
-    _check_det_sum(m, split)
+    _check_det_sum(det, split)
     return split
 
 
@@ -1260,9 +1261,7 @@ def _prove_equal_modulus(e1, e2, primary, records) -> bool:
                 and min(abs(r1 + r2), abs(r1.conjugate() + r2)) <= err1 + err2 + 1e-12)
     # rational roots: exact comparison
     if q1.degree == 1 and q2.degree == 1:
-        v1 = -q1.coeffs[0] / q1.coeffs[1]
-        v2 = -q2.coeffs[0] / q2.coeffs[1]
-        return abs(v1) == abs(v2)
+        return abs(q1.nums[0] * q2.nums[1]) == abs(q2.nums[0] * q1.nums[1])
     # factors related by x -> -x have negated root sets (equal moduli)
     neg = q1.compose_neg()
     if neg in (q2, q2.scale(-1)):
@@ -1279,8 +1278,7 @@ def _check_disjoint(blocks):
             raise PrecisionError("adjacent exponent intervals overlap after merging")
 
 
-def _check_det_sum(m: RationalMatrix, split: LyapunovSplitting):
-    det = m.determinant()
+def _check_det_sum(det: Fraction, split: LyapunovSplitting):
     target = math.log(abs(float(det)))
     total = sum(b.exponent * b.multiplicity for b in split.blocks)
     budget = sum(b.exponent_err * b.multiplicity for b in split.blocks) + 1e-9

@@ -243,12 +243,11 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
 
     n = algebra.dim
     c = algebra._tensor
-    nums, den = m._numerators()
-    a = np.array(nums, dtype=object)
+    a = np.array(m.nums, dtype=object)
     # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k =
     # sum_l a[k, l] c[i, j, l], over the denominators den^2 and den
     lhs = np.einsum("iqk,qj->ijk", np.einsum("pi,pqk->iqk", a, c), a)
-    rhs = np.einsum("kl,ijl->ijk", a, c) * den
+    rhs = np.einsum("kl,ijl->ijk", a, c) * m.den
     i, j = np.ogrid[:n, :n]
     bad = _first((lhs != rhs).any(axis=2) & (i < j))
     diag.record("bracket_preserved", bad is None,

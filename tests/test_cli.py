@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nilmix.cli import main
+from nilmix.nilalg import NilpotentAlgebra
 
 
 def run(tmp_path, command, cfg, extra=()):
@@ -154,6 +155,7 @@ def _profile(tmp, text: str) -> str:
     ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[[2, 1], [1, True]]]}}),
     ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[["2", 1], [1, 1]]]}}),
     ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[["4/2", 1], [1, 1]]]}}),
+    ("analyze", lambda tmp: {"system": {"dim": 60, "generators": [[[1]]]}}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -174,11 +176,18 @@ def _profile(tmp, text: str) -> str:
         "rates-s-beyond-float", "negative-density-radius", "zero-samples",
         "negative-samples", "negative-eps", "density-n-1", "bracket-value-over-zero",
         "bool-dim", "bool-generator-entry", "string-generator-entry",
-        "fraction-string-generator-entry"])
-def test_invalid_config_exits_2(tmp_path, command, make_cfg):
+        "fraction-string-generator-entry", "generator-shape-not-large-dim"])
+def test_invalid_config_exits_2(tmp_path, monkeypatch, command, make_cfg):
+    built = []
+    from_sparse = NilpotentAlgebra.from_sparse
+    monkeypatch.setattr(NilpotentAlgebra, "from_sparse", staticmethod(
+        lambda dim, *args: built.append(dim) or from_sparse(dim, *args)))
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2
     assert report is None
+    # generators of the wrong shape are refused before the dim-60 algebra,
+    # whose build and check take ~20 s, is built
+    assert 60 not in built
 
 
 def test_integral_float_generator_entries_run(tmp_path):

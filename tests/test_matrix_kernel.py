@@ -1,18 +1,31 @@
-"""Differential tests of the exact matrix kernel in `exactlin` against sympy.
+"""Differential tests of the exact matrix kernel in `exactlin` against sympy
+and against the `Fraction` reference in `kernel_reference`.
 
-`RationalMatrix` products and powers run on integer numerators over one
-common denominator, and determinant, inverse, kernel and span bases all
-come from one Gauss-Jordan reduction (`exactlin._rref`).  sympy's `Matrix`
-is the independent, slower path: every result must be equal, not close.
+`RationalMatrix` and `IntPolynomial` store integer numerators over one
+positive denominator in lowest terms.  Products, powers, characteristic
+polynomials and polynomial values at a matrix run on those integers, and
+determinant, inverse, kernel and span bases all come from one
+fraction-free Gauss-Jordan reduction (`exactlin._rref`).  sympy's `Matrix`
+and the entrywise `Fraction` kernel are the independent, slower paths:
+every result must be equal, not close.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nilmix.exactlin import RationalMatrix, rational_kernel
+import kernel_reference as ref
+from nilmix.exactlin import (
+    IntPolynomial,
+    RationalMatrix,
+    _rref,
+    char_poly,
+    primary_decomposition,
+    rational_kernel,
+)
 from nilmix.nilalg import _span_rows
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -38,9 +51,21 @@ def row_lists(draw, rows=None, cols=None, entries=ENTRIES):
 
 
 @st.composite
-def square_matrices(draw, entries=ENTRIES):
-    n = draw(st.integers(1, 5))
+def square_matrices(draw, entries=ENTRIES, max_dim=5):
+    n = draw(st.integers(1, max_dim))
     return draw(row_lists(n, n, entries))
+
+
+@st.composite
+def with_zero_rows(draw, rows):
+    """rows with zero rows inserted at drawn places."""
+    rows = list(rows)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    return rows
+
+
+POLYS = st.lists(ENTRIES, min_size=1, max_size=6)
 
 
 def to_sympy(rows) -> sympy.Matrix:
@@ -102,3 +127,72 @@ def test_rational_kernel_matches_sympy(rows):
 def test_span_rows_match_sympy_rref(rows):
     reduced, pivots = to_sympy(rows).rref()
     assert _span_rows(rows) == list(from_sympy(reduced)[: len(pivots)])
+
+
+@SETTINGS
+@given(st.one_of(row_lists(), square_matrices(), square_matrices(INT_ENTRIES))
+       .flatmap(with_zero_rows))
+def test_rref_matches_the_fraction_reference(rows):
+    assert _rref(rows) == ref.rref(rows)
+
+
+@SETTINGS
+@given(square_matrices(max_dim=6))
+def test_char_poly_matches_the_fraction_reference(m):
+    assert list(char_poly(RationalMatrix(m)).coeffs) == ref.char_poly(m)
+
+
+@SETTINGS
+@given(square_matrices(max_dim=6), POLYS)
+def test_evaluate_matrix_matches_the_fraction_reference(m, p):
+    want = tuple(map(tuple, ref.evaluate_matrix([Fraction(c) for c in p], m)))
+    assert IntPolynomial(p).evaluate_matrix(RationalMatrix(m)).rows == want
+
+
+@SETTINGS
+@given(POLYS, POLYS)
+def test_polynomial_product_matches_the_fraction_reference(p, q):
+    assert (IntPolynomial(p) * IntPolynomial(q)).coeffs == IntPolynomial(ref.poly_mul(p, q)).coeffs
+
+
+def assert_canonical(values):
+    """Equal values with equal hashes, each in lowest terms over a positive denominator."""
+    assert all(v == values[0] and hash(v) == hash(values[0]) for v in values)
+    for v in values:
+        nums = [x for row in v.nums for x in row] if isinstance(v, RationalMatrix) else v.nums
+        assert v.den > 0 and math.gcd(v.den, *nums) == 1
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[row_lists(n, n)] * 3)))
+def test_equal_matrices_have_one_form(triple):
+    a, b, y = map(RationalMatrix, triple)
+    m = a * b
+    routes = [RationalMatrix(ref.matmul(triple[0], triple[1])), m,
+              m.scale(2).scale(Fraction(1, 2)), m + y - y]
+    if m.determinant():
+        routes.append(m.inverse().inverse())
+    assert_canonical(routes)
+
+
+@SETTINGS
+@given(POLYS, POLYS, POLYS)
+def test_equal_polynomials_have_one_form(p, q, r):
+    prod = IntPolynomial(p) * IntPolynomial(q)
+    assert_canonical([IntPolynomial(ref.poly_mul(p, q)), prod,
+                      prod.scale(2).scale(Fraction(1, 2)),
+                      prod + IntPolynomial(r) - IntPolynomial(r),
+                      prod.compose_neg().compose_neg()])
+
+
+def test_a_second_route_to_a_matrix_hits_the_memo():
+    literal = RationalMatrix([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 3)]])
+    routes = [RationalMatrix([[2, 1], [1, 1]]).scale(Fraction(1, 3)),
+              literal.inverse().inverse(),
+              literal * RationalMatrix.identity(2),
+              literal + literal - literal]
+    first = primary_decomposition(literal)
+    for m in routes:
+        hits = primary_decomposition.cache_info().hits
+        assert primary_decomposition(m) is first
+        assert primary_decomposition.cache_info().hits == hits + 1

@@ -11,6 +11,7 @@ from nilmix.exactlin import (
     IntPolynomial,
     PrecisionError,
     RationalMatrix,
+    _exact_quotient,
     char_poly,
     factor_over_q,
     factor_roots,
@@ -431,7 +432,8 @@ def _combined_bad_difference(w, generators, precision_bits=128):
     poly = char_poly(combined)
     core = n2_of_family(generators)
     if core:
-        poly = poly // char_poly(nilalg.restrict_to_span(combined, core))
+        poly = IntPolynomial(_exact_quotient(
+            poly.nums, char_poly(nilalg.restrict_to_span(combined, core)).nums))
     return any(any(factor_roots(q, precision_bits).unit) for q, _ in factor_over_q(poly))
 
 
