@@ -37,6 +37,7 @@ from .fracsolve import (
     sobolev_norm,
     solve_fractional,
     split_small_divisor,
+    threshold_sweep,
 )
 from .nilalg import (
     NilpotentAlgebra,

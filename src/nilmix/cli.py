@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -37,7 +38,7 @@ from .correlate import (
 from .dioph import diophantine_certificate, certify_structural_subspaces
 from .exactlin import RationalMatrix, lyapunov_data
 from .fourier import FourierObservable, _is_number
-from .fracsolve import _check_solve, schrodinger_threshold, solve_fractional
+from .fracsolve import _check_solve, solve_fractional, threshold_sweep
 from .nilalg import (
     NilpotentAlgebra,
     check_commuting,
@@ -154,18 +155,28 @@ def _load_system(cfg: dict) -> System:
     return system
 
 
+_OBSERVABLE_MEMO = 8      # distinct observable file texts kept parsed
+
+
+@functools.lru_cache(maxsize=_OBSERVABLE_MEMO)
+def _parsed_observable(text: str) -> FourierObservable:
+    """The observable of one file's text, parsed and checked once per process
+    (observables are immutable, so the calls that name one file share it)."""
+    return FourierObservable.from_json_dict(json.loads(text))
+
+
 def _load_observable(cfg, key: str) -> FourierObservable:
     data = cfg.get(key)
     if data is None:
         raise ConfigError(f"config needs an observable under '{key}'")
-    if isinstance(data, str):
-        try:
-            with open(data) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot read observable under '{key}': {e}")
     try:
-        return FourierObservable.from_json_dict(data)
+        if not isinstance(data, str):
+            return FourierObservable.from_json_dict(data)
+        with open(data, encoding="utf-8") as fh:
+            text = fh.read()
+        return _parsed_observable(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read observable under '{key}': {e}")
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad observable under '{key}': {e}")
 
@@ -366,7 +377,7 @@ def _cmd_threshold(cfg, outdir, precision, seed):
         raise ConfigError(f"bad 'cutoffs' {cutoffs}: every cutoff must lie in (0, 1)")
     if "profile_csv" in cfg:
         try:
-            with open(cfg["profile_csv"]) as fh:
+            with open(cfg["profile_csv"], encoding="utf-8") as fh:
                 profile = [(float(a), float(b)) for a, b in csv.reader(fh)]
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read profile_csv: {e}")
@@ -388,11 +399,12 @@ def _cmd_threshold(cfg, outdir, precision, seed):
             raise ConfigError(f"unknown profile {name!r}; use one of {sorted(profiles)}"
                               " or provide profile_csv")
         profile = profiles[name]
+    sweeps = [threshold_sweep(profile, orders, h) for h in cutoffs]
     rows = []
     out = {"runs": []}
-    for r in orders:
-        for h in cutoffs:
-            rep = schrodinger_threshold(profile, r, h)
+    for i, r in enumerate(orders):
+        for h, reports in zip(cutoffs, sweeps):
+            rep = reports[i]
             out["runs"].append({"r": r, "h": h, "value": rep.value,
                                 "verdict": rep.verdict})
             rows.append([r, h, rep.value, rep.verdict])
@@ -517,11 +529,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    except (OSError, json.JSONDecodeError, ConfigError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

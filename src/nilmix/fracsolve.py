@@ -42,6 +42,7 @@ __all__ = [
     "FractionalSolution",
     "sobolev_norm",
     "schrodinger_threshold",
+    "threshold_sweep",
     "ThresholdReport",
 ]
 
@@ -315,49 +316,54 @@ def _sampled_profile(pts: tuple) -> Callable[[np.ndarray], np.ndarray]:
     return functools.partial(np.interp, xp=xs, fp=ys)
 
 
-def _dyadic_integral(g: Callable[[np.ndarray], np.ndarray], r: float, h: float) -> float:
-    """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx.
+def _dyadic_integral(g: Callable[[np.ndarray], np.ndarray], orders: tuple,
+                     h: float) -> tuple:
+    """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx, for each order r.
 
     Sums the cells [2^-j-1, 2^-j] and their mirror images (the cell
     containing h is truncated) in order of decreasing |x|.
     """
     if not 0 < h < 1:
         raise ValueError("need 0 < h < 1")
-    total = 0.0
+    totals = [0.0] * len(orders)
     b = 1.0
     while b > h:
         a = max(h, b / 2.0)
-        total += _cell(g, r, a, b, _REL_TOL)
-        total += _cell(g, r, -b, -a, _REL_TOL)
+        for cells in (_cell(g, orders, a, b, _REL_TOL), _cell(g, orders, -b, -a, _REL_TOL)):
+            totals = [t + c for t, c in zip(totals, cells)]
         b = a
-    return total
+    return tuple(totals)
 
 
 @functools.lru_cache(maxsize=1024)
-def _cell(g: Callable[[np.ndarray], np.ndarray], r: float, a: float, b: float,
-          rel_tol: float) -> float:
+def _cell(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float, b: float,
+          rel_tol: float) -> tuple:
     """Memo of _cell_quadrature: the cutoffs h, h/4, h/16 of a threshold run,
     and every cutoff of a sweep over one profile callable, share their cells."""
-    return _cell_quadrature(g, r, a, b, rel_tol)
+    return _cell_quadrature(g, orders, a, b, rel_tol)
 
 
-def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], r: float, a: float, b: float,
-                     rel_tol: float) -> float:
-    """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b]; the point
-    count doubles until two successive values agree to rel_tol.  g is
-    called once per refinement, on the array of midpoints."""
+def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float,
+                     b: float, rel_tol: float) -> tuple:
+    """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b], for each order r.
+    The point count doubles until two successive values of an order agree to
+    rel_tol, and that order keeps its value; the ladder stops when every
+    order has one, or at 2^16 points.  g is called once per refinement, on
+    the array of midpoints, and its squares serve every order."""
     n = 32
-    prev = None
-    while True:
+    vals = [None] * len(orders)
+    refining = list(range(len(orders)))
+    while refining and n <= 1 << 16:
         xs = a + (b - a) * (np.arange(n) + 0.5) / n
-        vals = _pow(np.asarray(g(xs), dtype=np.float64), 2) * np.abs(xs) ** (-2.0 * r)
-        out = float(vals.sum() * (b - a) / n)
-        if prev is not None and abs(out - prev) <= rel_tol * max(abs(out), 1e-300):
-            return out
-        prev = out
+        sq = _pow(np.asarray(g(xs), dtype=np.float64), 2)
+        ax = np.abs(xs)
+        for i in refining[:]:
+            out = float((sq * ax ** (-2.0 * orders[i])).sum() * (b - a) / n)
+            if vals[i] is not None and abs(out - vals[i]) <= rel_tol * max(abs(out), 1e-300):
+                refining.remove(i)
+            vals[i] = out
         n *= 2
-        if n > 1 << 16:
-            return out
+    return tuple(vals)
 
 
 @dataclass
@@ -371,19 +377,32 @@ class ThresholdReport:
 
 
 def schrodinger_threshold(profile: Profile, r: float, h: float) -> ThresholdReport:
-    """Quadrature value of the line-model quadratic form with origin cutoff.
+    """Quadrature value of the line-model quadratic form with origin cutoff:
+    the one-order case of threshold_sweep."""
+    return threshold_sweep(profile, (r,), h)[0]
+
+
+def threshold_sweep(profile: Profile, orders: Sequence[float], h: float) -> list:
+    """One ThresholdReport per order at the cutoff h, in the order given.
 
     profile is an array function or a list of (x, y) samples (see the
-    module docstring).  The verdict classifies the h -> 0 behavior from
-    three refinements: Cauchy differences (convergent), growth ~ log(1/h)
-    (order exactly 1/2 with nonvanishing profile), or growth ~ h^{1-2r}
-    (order above 1/2).
+    module docstring); each quadrature cell evaluates it once for all
+    orders.  The verdict classifies the h -> 0 behavior from three
+    refinements: Cauchy differences (convergent), growth ~ log(1/h) (order
+    exactly 1/2 with nonvanishing profile), or growth ~ h^{1-2r} (order
+    above 1/2).
     """
-    if r <= 0:
+    orders = tuple(orders)
+    if any(r <= 0 for r in orders):
         raise ValueError("order must be positive")
     g = _profile_callable(profile)
     hs = [h, h / 4.0, h / 16.0]
-    vals = [_dyadic_integral(g, r, hk) for hk in hs]
+    per_cutoff = [_dyadic_integral(g, orders, hk) for hk in hs]
+    return [_report(r, hs, [v[i] for v in per_cutoff]) for i, r in enumerate(orders)]
+
+
+def _report(r: float, hs: list, vals: list) -> ThresholdReport:
+    """The report of order r from its values at the refinements hs."""
     d1 = vals[1] - vals[0]
     d2 = vals[2] - vals[1]
     scale = max(abs(vals[0]), 1e-300)
@@ -406,6 +425,6 @@ def schrodinger_threshold(profile: Profile, r: float, h: float) -> ThresholdRepo
             verdict = "divergent-power"
             details = (f"difference growth ratio {ratio:.3g} "
                        f"(constant profile predicts {4.0 ** (2 * r - 1):.3g})")
-    return ThresholdReport(order=r, cutoff=h, value=vals[0],
+    return ThresholdReport(order=r, cutoff=hs[0], value=vals[0],
                            refinement=list(zip(hs, vals)), verdict=verdict,
                            details=details)

@@ -4,16 +4,21 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from nilmix import cli, fourier
 from nilmix.cli import main
 from nilmix.nilalg import NilpotentAlgebra
 
 
 def run(tmp_path, command, cfg, extra=()):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
+    if isinstance(cfg, bytes):      # the config file's raw bytes
+        cfg_path.write_bytes(cfg)
+    else:
+        cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     code = main([command, "--config", str(cfg_path), "--out", str(out), *extra])
     report = None
@@ -83,6 +88,13 @@ def _correlate_times(times) -> dict:
 def _profile(tmp, text: str) -> str:
     path = tmp / "profile.csv"
     path.write_text(text)
+    return str(path)
+
+
+def _latin1_observable(tmp) -> str:
+    """An observable file whose one non-ASCII byte is Latin-1, not UTF-8."""
+    path = tmp / "latin1.json"
+    path.write_bytes('{"dim": 2, "coeffs": [], "name": "caf\xe9"}'.encode("latin-1"))
     return str(path)
 
 
@@ -156,6 +168,9 @@ def _profile(tmp, text: str) -> str:
     ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[["2", 1], [1, 1]]]}}),
     ("analyze", lambda tmp: {"system": {"dim": 2, "generators": [[["4/2", 1], [1, 1]]]}}),
     ("analyze", lambda tmp: {"system": {"dim": 60, "generators": [[[1]]]}}),
+    ("analyze", lambda tmp: '{"system": "caf\xe9"}'.encode("latin-1")),
+    ("solve", lambda tmp: {"observable": _latin1_observable(tmp),
+                           "directions": [[1.0, 0.5]]}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -176,7 +191,8 @@ def _profile(tmp, text: str) -> str:
         "rates-s-beyond-float", "negative-density-radius", "zero-samples",
         "negative-samples", "negative-eps", "density-n-1", "bracket-value-over-zero",
         "bool-dim", "bool-generator-entry", "string-generator-entry",
-        "fraction-string-generator-entry", "generator-shape-not-large-dim"])
+        "fraction-string-generator-entry", "generator-shape-not-large-dim",
+        "non-utf8-config", "non-utf8-observable-file"])
 def test_invalid_config_exits_2(tmp_path, monkeypatch, command, make_cfg):
     built = []
     from_sparse = NilpotentAlgebra.from_sparse
@@ -188,6 +204,62 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch, command, make_cfg):
     # generators of the wrong shape are refused before the dim-60 algebra,
     # whose build and check take ~20 s, is built
     assert 60 not in built
+
+
+def _solve_file(tmp_path, obs_path, out="out"):
+    """Run solve on the observable file at obs_path; the exit code and report."""
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"observable": str(obs_path), "directions": [[1.0, 0.5]]}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / out)])
+    report = tmp_path / out / "report.json"
+    return code, json.loads(report.read_text()) if code == 0 else None
+
+
+def test_observable_file_is_parsed_once_per_text(tmp_path):
+    cli._parsed_observable.cache_clear()
+    obs = tmp_path / "f.json"
+    obs.write_text(json.dumps(_COS))
+    with mock.patch.object(fourier, "_checked", wraps=fourier._checked) as checked:
+        first = _solve_file(tmp_path, obs, "out1")
+        second = _solve_file(tmp_path, obs, "out2")
+    assert checked.call_count == 1
+    assert first == second and first[0] == 0
+
+
+def test_rewritten_observable_file_is_read_again(tmp_path):
+    # same size and mtime, other text: the memo keys on the text itself
+    obs = tmp_path / "f.json"
+    obs.write_text(json.dumps(_COS))
+    stat = obs.stat()
+    code, before = _solve_file(tmp_path, obs)
+    obs.write_text(json.dumps(_COS).replace('"re": 0.5', '"re": 0.7'))
+    os.utime(obs, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (obs.stat().st_size, obs.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    code2, after = _solve_file(tmp_path, obs)
+    assert code == code2 == 0
+    assert after["result"]["norms"] != before["result"]["norms"]
+
+
+def test_malformed_observable_file_is_refused_every_time(tmp_path, capsys):
+    obs = tmp_path / "f.json"
+    obs.write_text('{"dim": 2, "coeffs": [{"z": [1, 0], "re": true}]}')
+    errors = []
+    for _ in range(2):
+        assert _solve_file(tmp_path, obs) == (2, None)
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "bad observable under 'observable'" in errors[0]
+    obs.write_text(json.dumps(_COS))
+    assert _solve_file(tmp_path, obs)[0] == 0
+
+
+def test_observable_memo_has_a_fixed_size(tmp_path):
+    cli._parsed_observable.cache_clear()
+    for k in range(2 * cli._OBSERVABLE_MEMO):
+        obs = tmp_path / f"f{k}.json"
+        obs.write_text(json.dumps(_solve_on([{"z": [1, k], "re": 1.0}])["observable"]))
+        assert _solve_file(tmp_path, obs)[0] == 0
+        assert cli._parsed_observable.cache_info().currsize <= cli._OBSERVABLE_MEMO
+    assert cli._parsed_observable.cache_info().currsize == cli._OBSERVABLE_MEMO
 
 
 def test_integral_float_generator_entries_run(tmp_path):

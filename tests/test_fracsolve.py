@@ -1,11 +1,13 @@
 import json
 import math
+import struct
 import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilmix import fracsolve
 from nilmix.cli import main
@@ -17,8 +19,10 @@ from nilmix.fracsolve import (
     sobolev_norm,
     solve_fractional,
     split_small_divisor,
+    threshold_sweep,
 )
 
+import threshold_reference
 from conftest import GOLDEN_SOLVE_HALF, PHI_INV
 
 GOLDEN = [(1.0, PHI_INV)]
@@ -299,17 +303,24 @@ def test_threshold_sampled_profile():
 
 
 def test_threshold_sweep_computes_each_cell_once(tmp_path):
-    # the default sweep (3 orders x 3 cutoffs x the refinements h, h/4,
-    # h/16) visits 846 dyadic cells, 192 of them distinct: one profile
-    # callable serves the whole sweep, so each cell is integrated once
+    # the default sweep (3 cutoffs x the refinements h, h/4, h/16) visits
+    # 282 dyadic cells, 64 of them distinct: one profile callable serves the
+    # whole sweep, and each cell integrates all three orders on one ladder,
+    # so the profile is evaluated 362 times (918 with a ladder per order)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"profile": "bump"}))
+    quadrature = fracsolve._cell_quadrature
+    points = []
+
+    def counted(g, *args):
+        return quadrature(lambda x: points.append(len(x)) or g(x), *args)
+
     with mock.patch.object(fracsolve, "_cell", wraps=fracsolve._cell) as visits, \
-            mock.patch.object(fracsolve, "_cell_quadrature",
-                              wraps=fracsolve._cell_quadrature) as quadratures:
+            mock.patch.object(fracsolve, "_cell_quadrature", side_effect=counted) as quadratures:
         assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert visits.call_count == 846
-    assert quadratures.call_count == 192
+    assert visits.call_count == 282
+    assert quadratures.call_count == 64
+    assert len(points) == 362
 
 
 def test_sampled_profiles_share_cells():
@@ -321,3 +332,45 @@ def test_sampled_profiles_share_cells():
         again = schrodinger_threshold([tuple(p) for p in samples], 0.5, 1e-3)
     assert quadratures.call_count == 0
     assert again.refinement == first.refinement
+
+
+def _bump(x):
+    """The CLI's bump profile: exp(-1 / (1 - x^2)) on |x| < 1, libm's exp."""
+    t = -1.0 / np.maximum(1e-12, 1 - x * x)
+    e = np.fromiter(map(math.exp, t.ravel().tolist()), np.float64, t.size)
+    return np.where(np.abs(x) < 1, e.reshape(t.shape), 0.0)
+
+
+_XS = np.linspace(-1, 1, 81)
+# below |x| ~ 1e-3 the cells of "oscillating" refine up to the 2^16-point cap
+_PROFILES = {"one": lambda x: 1.0, "square": lambda x: x * x, "bump": _bump,
+             "sampled": list(zip(_XS.tolist(), ((1 - _XS * _XS) * (_XS + 2)).tolist())),
+             "oscillating": lambda x: np.sin(1.0 / x)}
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=30, deadline=None)
+@example([0.75, 0.25, 0.75], 1e-4, "oscillating")
+@given(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.05, 1.2),
+                min_size=1, max_size=4),
+       st.sampled_from([1e-2, 1e-4, 1e-6]) | st.floats(1e-6, 0.9),
+       st.sampled_from(sorted(_PROFILES)))
+def test_threshold_sweep_matches_one_ladder_per_order(orders, h, name):
+    fracsolve._cell.cache_clear()
+    profile = _PROFILES[name]
+    g = fracsolve._profile_callable(profile)
+    hs = [h, h / 4.0, h / 16.0]
+    reports = threshold_sweep(profile, orders, h)
+    assert len(reports) == len(orders)
+    for r, rep in zip(orders, reports):
+        vals = [threshold_reference.dyadic_integral(g, r, hk, fracsolve._REL_TOL) for hk in hs]
+        want = fracsolve._report(r, hs, vals)
+        assert [_bits(v) for _, v in rep.refinement] == [_bits(v) for v in vals]
+        assert (rep.order, rep.cutoff, rep.verdict, rep.details) == \
+            (r, h, want.verdict, want.details)
+    single = schrodinger_threshold(profile, orders[0], h)
+    assert [_bits(v) for _, v in single.refinement] == \
+        [_bits(v) for _, v in reports[0].refinement]

@@ -3,9 +3,11 @@
 Each case runs one `solve`, `correlate`, `counterexample` or `threshold`
 through `cli.main` on small seeded observables or profiles made here, and
 compares the sha256 of every file it writes (report.json and the CSV
-table) with a recorded digest.  A change to how observables are stored or
-solved, or to how threshold profiles are evaluated, must leave these bytes
-alone.
+table) with a recorded digest.  Observables are given inline or, in the
+`-file` cases, as paths to JSON files; one more test runs two calls in a
+row on one observable file.  A change to how observables are read, stored
+or solved, or to how threshold profiles are evaluated, must leave these
+bytes alone.
 """
 
 import hashlib
@@ -47,8 +49,17 @@ def _profile_csv() -> str:
     return "".join(f"{x!r},{(1 - x * x) * (x + 2)!r}\n" for x in xs)
 
 
+def _observable_file(seed: int, dim: int, radius: int) -> str:
+    return json.dumps(_observable(seed, dim, radius))
+
+
 # files written into the working directory before a case runs
-_FILES = {"threshold-profile-csv": {"profile.csv": _profile_csv()}}
+_FILES = {
+    "threshold-profile-csv": {"profile.csv": _profile_csv()},
+    "solve-file": {"f.json": _observable_file(12, 2, 5)},
+    "correlate-powers-files": {"f.json": _observable_file(13, 2, 4),
+                               "g.json": _observable_file(14, 2, 4)},
+}
 
 _CASES = {
     "solve-modulus-system": ("solve", {
@@ -56,6 +67,9 @@ _CASES = {
     "solve-modulus-two-directions": ("solve", {
         "observable": _observable(2, 2, 5), "r": 0.5,
         "directions": [[1.0, PHI_INV], [0.3, -1.1]]}),
+    "solve-file": ("solve", {"system": "catmap", "observable": "f.json", "r": 0.75}),
+    "correlate-powers-files": ("correlate", {
+        "system": "catmap", "observables": ["f.json", "g.json"], "powers": [0, 1, 2, 3]}),
     "solve-signed": ("solve", {
         "observable": _observable(3, 2, 4, mean=True), "r": 2, "mode": "signed",
         "directions": [[1.0, PHI_INV]]}),
@@ -89,6 +103,12 @@ _DIGESTS = {
         'report.json':
             'c88453e68a5a9b6d39e6edc21def600f0854e920811efb602b23a2e72caa3e1f',
     },
+    'correlate-powers-files': {
+        'correlations.csv':
+            '6522c1010f865b39235d8ce4d8281fc6defd3393732e43d4602439cc81ceb2da',
+        'report.json':
+            '2a22eab4c72877c2412f46a60494def2195a2f5a7d8fad6039ea40d053935507',
+    },
     'correlate-times': {
         'correlations.csv':
             'dc28d209c97cca199678bd4a6059b020ed03242e38e094bb00f877ee754baf38',
@@ -112,6 +132,12 @@ _DIGESTS = {
             '3460f3f822613bb2e1f4592b503e871ddd5c5169247b91d08e8d349eec742e9f',
         'report.json':
             '6d7932f17840440a1ae79423f10e53ae57cdd9eff5bd37916a4a92cd63fa9c4e',
+    },
+    'solve-file': {
+        'report.json':
+            '05f7e4a018e5378b22e6dfeb7a72326cc046d7e4b7c488c94f1aed02f93e58ec',
+        'solution.csv':
+            '3030825eb220c4c1a2bad23955f99cd46f751090393e4916cb9c92785abf8d1d',
     },
     'solve-modulus-system': {
         'report.json':
@@ -157,19 +183,41 @@ _DIGESTS = {
     },
 }
 
+_CONSECUTIVE_DIGESTS = (
+    {'report.json': '73f7a5d7a58fcf7380188196e15a130a828a6b501a7180790b69e52475c6d40e',
+     'solution.csv': 'c1f089bc4fbbf5f1289b39c6a20e4a3ad93a7332a1788c700d5a1402c00ba3d2'},
+    {'correlations.csv': '35a10e38710765eea4d0f1c3b3bb72720a817cae3ab57241e10dc1d81a16789e',
+     'report.json': 'e06b010b298e0507e4e70deda4d266463c6ca38d74060876d834f9cdcdca926a'},
+)
+
+
+def _digests(tmp_path, command: str, cfg: dict, out: str) -> dict:
+    """Run one command on cfg and return the sha256 of each file it writes."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # solve-signed drops a mean
+        assert main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / out).iterdir())}
+
 
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_mixing_outputs_are_pinned(tmp_path, monkeypatch, name):
     command, cfg = _CASES[name]
-    monkeypatch.chdir(tmp_path)                  # profile_csv is read by a relative path
+    monkeypatch.chdir(tmp_path)                  # files are named by relative paths
     for fname, text in _FILES.get(name, {}).items():
         (tmp_path / fname).write_text(text)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")          # solve-signed drops a mean
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.iterdir())}
-    assert got == _DIGESTS[name]
+    assert _digests(tmp_path, command, cfg, "out") == _DIGESTS[name]
+
+
+def test_one_observable_file_in_consecutive_calls(tmp_path, monkeypatch):
+    # the second call reads the file the first call read: its bytes are pinned too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.json").write_text(_observable_file(15, 2, 4))
+    solve = _digests(tmp_path, "solve", {
+        "observable": "h.json", "r": 0.5, "directions": [[1.0, PHI_INV]]}, "out-solve")
+    correlate = _digests(tmp_path, "correlate", {
+        "system": "catmap", "observables": ["h.json", "h.json"], "powers": [0, 1, 2]},
+        "out-correlate")
+    assert (solve, correlate) == _CONSECUTIVE_DIGESTS

@@ -359,8 +359,8 @@ def test_small_divisor_norm_bound(f, r):
        st.floats(min_value=1e-5, max_value=0.05))
 def test_threshold_monotone_in_cutoff(r, h):
     from nilmix.fracsolve import _dyadic_integral
-    big = _dyadic_integral(lambda x: 1.0, r, h)
-    small = _dyadic_integral(lambda x: 1.0, r, h / 2)
+    big, = _dyadic_integral(lambda x: 1.0, (r,), h)
+    small, = _dyadic_integral(lambda x: 1.0, (r,), h / 2)
     assert small >= big * (1 - 1e-9)
 
 
