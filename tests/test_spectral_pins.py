@@ -1,0 +1,230 @@
+"""Byte pins of the spectral commands' outputs.
+
+Each case runs one `analyze`, `rates` or `certify` through `cli.main` and
+compares the sha256 of every file it writes (report.json and the CSV
+table) with a recorded digest; a refused case pins its exit code and the
+structured error it prints.  The inputs are the catalog systems and
+integer conjugates of companion products chosen to reach every root
+decision: conjugate pairs, a repeated factor, two factors related by
+x -> -x (equal moduli across factors), Lehmer's polynomial (roots proven
+on the unit circle) and equal moduli that no exact symmetry proves (a
+refusal).  A change to how roots are isolated or classes merged must
+leave these bytes alone.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from nilmix.catalog import system_names
+from nilmix.cli import main
+
+
+def _companion(coeffs: list) -> list:
+    """Companion matrix of a monic polynomial, ascending coefficients."""
+    n = len(coeffs) - 1
+    return [[int(i == j + 1) if j < n - 1 else -coeffs[i] for j in range(n)]
+            for i in range(n)]
+
+
+def _block_diag(*blocks: list) -> list:
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(row)] = row
+        off += len(b)
+    return out
+
+
+def _matmul(a: list, b: list) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _conjugate(m: list, p: list, p_inv: list) -> list:
+    return _matmul(_matmul(p, m), p_inv)
+
+
+def _inline(m: list, name: str) -> dict:
+    return {"system": {"name": name, "dim": len(m), "generators": [m]}}
+
+
+# unimodular P = [[1,1,0,0],[0,1,1,0],[0,0,1,1],[1,0,0,2]] and its inverse
+_P4 = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]
+_P4_INV = [[2, -2, 2, -1], [-1, 2, -2, 1], [1, -1, 2, -1], [-1, 1, -1, 1]]
+_P6 = [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+       [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]
+_P6_INV = [[(-1) ** (j - i) if j >= i else 0 for j in range(6)] for i in range(6)]
+
+_LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+_SYSTEMS = {
+    # x^2 - 3x + 1 and x^2 + 3x + 1 = (x^2 - 3x + 1)(-x): negated root sets
+    "negated-pair": _conjugate(_block_diag(_companion([1, -3, 1]), _companion([1, 3, 1])),
+                               _P4, _P4_INV),
+    # (x^3 - x^2 - 2x + 1)^2: one factor of multiplicity two
+    "repeated-cubic": _conjugate(_block_diag(_companion([1, -2, -1, 1]),
+                                             _companion([1, -2, -1, 1])), _P6, _P6_INV),
+    "lehmer": _companion(_LEHMER),
+    # x^2 - x - 1 and x^4 + 3x^2 + 1: equal moduli, no exact symmetry
+    "escalation": _conjugate(_block_diag(_companion([-1, -1, 1]),
+                                         _companion([1, 0, 3, 0, 1])), _P6, _P6_INV),
+}
+
+_CASES = {}
+for _name in system_names():
+    _CASES[f"analyze-{_name}"] = ("analyze", {"system": _name})
+    _CASES[f"rates-{_name}"] = ("rates", {"system": _name})
+for _name, _m in _SYSTEMS.items():
+    _CASES[f"analyze-{_name}"] = ("analyze", _inline(_m, _name))
+for _name in ("negated-pair", "repeated-cubic"):
+    _CASES[f"rates-{_name}"] = ("rates", _inline(_SYSTEMS[_name], _name))
+for _name in ("catmap", "cubic3"):
+    _CASES[f"certify-{_name}"] = ("certify", {"system": _name, "radius": 30})
+
+_DIGESTS = {
+    'analyze-catmap': {
+        'exponents.csv':
+            '310761b3eceb72f2becb92c3e799325d2aaedeef53fbf7d860c3ec306ae24bdc',
+        'report.json':
+            '1278086d28af8b303c08af918aeb91d5d9a019fa3b8eb30ad477533c5cdc88ff',
+    },
+    'analyze-cubic-rank2': {
+        'exponents.csv':
+            '31a655dc2e370b797d2c7e44e5424f23f39888ce3f6696dccc5cac1eb898165e',
+        'report.json':
+            '06c02074eb765bb5341c111b56dff98ffc223306bbca3db26c2880a1172d64ae',
+    },
+    'analyze-cubic3': {
+        'exponents.csv':
+            '31a655dc2e370b797d2c7e44e5424f23f39888ce3f6696dccc5cac1eb898165e',
+        'report.json':
+            '56a8380637d36e00d8257dfebd1d2792fb0e718d6304920dd634d31416d7d489',
+    },
+    'analyze-escalation': {
+        'exit': 1,
+        'stderr':
+            ('{"error": "PrecisionError", "message": '
+             '"modulus intervals overlap without provable equality near 0.618034"}\n'),
+    },
+    'analyze-filiform4': {
+        'exponents.csv':
+            '6575f97a7d8f7cf4a6837259d639edd65bd4651c58a94e135687c93e354be86a',
+        'report.json':
+            '79d7bc932ed72d1d8d36fddb7d20b2364533d43944f779bcd7d8572142b372a5',
+    },
+    'analyze-heisenberg-cat': {
+        'exponents.csv':
+            '5aac88353c3adef05246e84360e3c45bfcd73640152da545ca32b804a6dd1239',
+        'report.json':
+            'a8958ecddf4e77aa0998fdead8311668917e824db7ea9b99872a611cc87849a6',
+    },
+    'analyze-lehmer': {
+        'exponents.csv':
+            '9d34449670c9d281b8a793415c3c69c123805efa9771fa82455168fb944d86bf',
+        'report.json':
+            'ed9c1b8b6f677d3bd83f35edbc87ca9fd4cea811c626a6a266e0651f79e7a27b',
+    },
+    'analyze-negated-pair': {
+        'exponents.csv':
+            'c0b00b2762c0d526da7f93bade83969b34e7bb54f27139bc68a4ca81da8c70d0',
+        'report.json':
+            '7b5b830f72d12a7b9ae9ac54923252c7ad34636ed5b9073a020bbdd49addfdef',
+    },
+    'analyze-product-t2xt2': {
+        'exponents.csv':
+            'c0b00b2762c0d526da7f93bade83969b34e7bb54f27139bc68a4ca81da8c70d0',
+        'report.json':
+            'd53455bf86ba0d1e657087acf21c824a3a18cb15dbf0cd8c7163ce2d807b53de',
+    },
+    'analyze-repeated-cubic': {
+        'exponents.csv':
+            '4d3c54b8c9e7bf089dd48700f45c4b224c88528ea1500109b7dc92ad3959e9e6',
+        'report.json':
+            '08ec5de8d55553ef6b2285f6380469a8b2a189a1532a83d06f256bdfc3e49f8c',
+    },
+    'certify-catmap': {
+        'certificates.csv':
+            '59471e71fd35ad28593ff01d977871eca24a8f5baabe23fa076c299890ba1320',
+        'report.json':
+            '4dfc14d62c73b70f1e87ff144cc76a0bd4411654037f9d17db5793ec39276fb2',
+    },
+    'certify-cubic3': {
+        'certificates.csv':
+            '79664953a2745bf35511cd83524c3c180c3c8e572854adb2e17aac18da790ca0',
+        'report.json':
+            '2c92df229ff1cc6e1a0e5faa5ca06bfc304cf423d0d9767611f69a33451c180f',
+    },
+    'rates-catmap': {
+        'rates.csv':
+            '056e8e72bc76e4366a501327d0aa7c1e44622a3226d73a3053266add435e8791',
+        'report.json':
+            'a982e2d3448d0891bc021da7f3c5d50e75f5c76e6b940db41721d30b95dcbaec',
+    },
+    'rates-cubic-rank2': {
+        'rates.csv':
+            'b6b9c56561558da2c89cead6caabce7c7a88b31af6a92be609fa969604a19a72',
+        'report.json':
+            '7d312bef2deb6dd81b302a6e0242382c1ed17a958b25c39a23a4466fc7efadc7',
+    },
+    'rates-cubic3': {
+        'rates.csv':
+            'b6b9c56561558da2c89cead6caabce7c7a88b31af6a92be609fa969604a19a72',
+        'report.json':
+            '00d8cf167790779ef698dfcb6cc76f8fb4dfab36aba7f2b74baf8ad7f478c818',
+    },
+    'rates-filiform4': {
+        'exit': 1,
+        'stderr':
+            '{"error": "ValueError", "message": "automorphism is not ergodic"}\n',
+    },
+    'rates-heisenberg-cat': {
+        'rates.csv':
+            '567ce6f886c91f98810a24e3535f5a33e4c19345564e529dedc1dcce4b281a3e',
+        'report.json':
+            'e0cd319fda10b8cc8b58ddb202fa59a2a4c83b501941e9b3d8055e2ad8d2c2d1',
+    },
+    'rates-negated-pair': {
+        'rates.csv':
+            '67897e02db7e1e817f52e68927bbfb4602662fa015a0d7b57ae151e5fc3427ee',
+        'report.json':
+            '4887dd3b4cbdb2e45a98cdf19f0711ec5344dcca194d3cb98b14b8c72dd92e34',
+    },
+    'rates-product-t2xt2': {
+        'rates.csv':
+            '67897e02db7e1e817f52e68927bbfb4602662fa015a0d7b57ae151e5fc3427ee',
+        'report.json':
+            'c1c63a44f3f324469c81425a79e9bc2a4c59fdaf3685e58c8bd98d48250c78e5',
+    },
+    'rates-repeated-cubic': {
+        'rates.csv':
+            'e8aa88ae0a3b13ed2422ebacff6eede61894e005da8011f3e0eb1d6806c78254',
+        'report.json':
+            '432a39d97969f2c60146dec7e812f801f9bf7d9d4b046c3b99ac0220f002892b',
+    },
+}
+
+
+def _run(tmp_path, capsys, command: str, cfg: dict) -> dict:
+    """Run one command on cfg: the sha256 of each file written, or the exit
+    code and the structured error of a refusal."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    if code != 0:
+        return {"exit": code, "stderr": capsys.readouterr().err}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_conjugators_are_inverse():
+    for p, p_inv in ((_P4, _P4_INV), (_P6, _P6_INV)):
+        assert _matmul(p, p_inv) == [[int(i == j) for j in range(len(p))]
+                                     for i in range(len(p))]
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_spectral_outputs_are_pinned(tmp_path, capsys, name):
+    command, cfg = _CASES[name]
+    assert _run(tmp_path, capsys, command, cfg) == _DIGESTS[name]
