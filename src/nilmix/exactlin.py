@@ -3,7 +3,10 @@
 Everything structural (characteristic polynomials, factorization over Q,
 invariant-subspace kernels, root-of-unity detection) is computed in exact
 rational arithmetic.  Only eigenvalue *moduli* are floating point, and those
-carry certified error bounds obtained from high-precision root isolation.
+carry certified error bounds: each root of an irreducible factor gets a disc
+that provably holds it and no other root (Weierstrass inclusion), and every
+root question (conjugate partner, modulus one, equal moduli under x -> -x) is
+decided by one rule on those discs, `_holder`.
 """
 
 from __future__ import annotations
@@ -913,103 +916,106 @@ def primary_decomposition(m: RationalMatrix) -> PrimaryDecomposition:
 # Certified eigenvalue moduli and the Lyapunov splitting
 # ---------------------------------------------------------------------------
 
-def _certified_roots(q: IntPolynomial, prec: int) -> list[tuple[complex, float]]:
-    """Roots of an irreducible (hence squarefree) polynomial with error bounds.
+def _certified_roots(q: IntPolynomial, prec: int) -> tuple[list, tuple]:
+    """Roots of an irreducible (hence squarefree) polynomial in isolating discs.
 
-    The bound is the standard simple-root Newton estimate 2|q(r)/q'(r)|,
-    inflated by a safety factor; roots are refined at working precision prec.
+    The centres z_i are mpmath.polyroots' at working precision prec + 32
+    (PrecisionError if it does not converge).  Each radius is the larger of
+    8|q/q'|(z_i) + 2^-(prec-8) and n|w_i|, w_i = q(z_i) / (lc prod_{j != i}
+    (z_i - z_j)) the Weierstrass correction, bounded above for rounding: q(z_i)
+    by 8 (n+1) u sum_k |c_k| |z_i|^k (u = 2^-(prec+32)), the rest by 2^-40.
+    The discs D(z_i, n|w_i|) cover the roots, and a union of m of them apart
+    from the rest holds m roots (Braess-Hadeler; Carstensen, Numer. Math.
+    1991), so pairwise disjoint discs hold one root each; PrecisionError
+    otherwise.  Returns (complex(z_i), radius) pairs and the discs in integers
+    (see _DISC_BITS), centres rounded down and radii widened to cover that.
     """
+    n = q.degree
     with mpmath.workprec(prec + 32):
-        cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(q.coeffs)]
-        roots = mpmath.polyroots(cs, maxsteps=200, extraprec=prec)
-        dq = q.derivative()
-        out = []
-        for r in roots:
-            num = abs(_mp_eval(q, r))
-            den = abs(_mp_eval(dq, r))
-            if den == 0:
-                raise PrecisionError(f"derivative vanished at approximate root of {q}")
+        cs, dcs = ([mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+                   for p in (q, q.derivative()))
+        try:
+            zs = mpmath.polyroots(cs, maxsteps=200, extraprec=prec)
+        except mpmath.libmp.NoConvergence as e:
+            raise PrecisionError(f"roots of {q} did not converge at {prec} bits") from e
+        u = mpmath.ldexp(1, -(prec + 32))
+        roots, discs = [], []
+        for i, z in enumerate(zs):
+            num = abs(mpmath.polyval(cs, z))
+            den = abs(mpmath.polyval(dcs, z))
+            prod = abs(cs[0] * mpmath.fprod(z - w for j, w in enumerate(zs) if j != i))
+            if den == 0 or prod == 0:
+                raise PrecisionError(f"an approximate root of {q} is critical or repeated")
             err = 8 * float(num / den) + math.ldexp(1.0, -(prec - 8))
-            out.append((complex(r), err))
-        return out
+            size = mpmath.polyval([abs(c) for c in cs], abs(z))
+            bound = n * (num + 8 * (n + 1) * u * size) / prod * (1 + 2 ** -40)
+            roots.append((complex(z), max(err, float(bound))))
+            discs.append((_fixed(z.real, prec), _fixed(z.imag, prec),
+                          _fixed(max(err, bound), prec) + 3))
+    # the identity is a symmetry too: each disc must meet no disc but itself
+    if any(_holder(discs, d) != i for i, d in enumerate(discs)):
+        raise PrecisionError(f"root discs of {q} overlap at {prec} bits")
+    return roots, tuple(discs)
 
 
-def _mp_eval(q: IntPolynomial, x):
-    out = mpmath.mpf(0)
-    for c in reversed(q.coeffs):
-        out = out * x + mpmath.mpf(c.numerator) / c.denominator
-    return out
+# disc coordinates are integers in units of 2^-(prec + _DISC_BITS)
+_DISC_BITS = 64
 
 
-def _pair_conjugates(roots: list[tuple[complex, float]]) -> list[int]:
-    """Index of the conjugate partner for each root (itself for real roots)."""
-    n = len(roots)
-    partner = [-1] * n
-    used = [False] * n
-    for i, (r, err) in enumerate(roots):
-        if used[i]:
-            continue
-        if abs(r.imag) <= err:
-            partner[i] = i
-            used[i] = True
-            continue
-        best, bestd = None, None
-        for j in range(n):
-            if j == i or used[j]:
-                continue
-            d = abs(roots[j][0] - r.conjugate())
-            if bestd is None or d < bestd:
-                best, bestd = j, d
-        if best is None or bestd > roots[best][1] + err:
-            raise PrecisionError("could not certify conjugate pairing of roots")
-        partner[i] = best
-        partner[best] = i
-        used[i] = used[best] = True
-    return partner
+def _fixed(x, prec: int) -> int:
+    """floor(x 2^(prec + _DISC_BITS)), exactly, for a float or an mpf x."""
+    return mpmath.libmp.to_fixed(mpmath.mpf(x)._mpf_, prec + _DISC_BITS)
 
 
-def _prove_modulus_one(q: IntPolynomial, roots, partner, idx, cyc_order) -> bool:
-    """Prove |root| == 1 exactly: cyclotomic factor, root at +-1, or a
-    self-reciprocal factor whose reciprocal partner coincides with the conjugate."""
-    if cyc_order is not None:
-        return True
-    r, err = roots[idx]
-    if abs(abs(r) - 1.0) > err + 1e-12:
-        return False
-    if q.degree == 1:
-        return abs(q.nums[0]) == abs(q.nums[1])
-    if not q.is_self_reciprocal():
-        return False
-    if partner[idx] == idx:
-        return False  # real root of modulus 1 would force degree-1 factor x -+ 1
-    # reciprocal 1/r must be a root; |r| == 1 iff that root is conj(r)
-    recip = 1.0 / r
-    pj, perr = roots[partner[idx]]
-    # isolation: nearest root to 1/r must be the conjugate partner
-    dists = [abs(rr - recip) for rr, _ in roots]
-    j = int(np.argmin(dists))
-    return j == partner[idx] and dists[j] <= perr + err * 4 + 1e-12
+def _holder(discs, image) -> Optional[int]:
+    """The one disc (re, im, radius) of discs that meets the disc image, or None.
+
+    The rule for every root question: the image of a root's disc under an
+    exact symmetry of the roots (z -> conj z, 1/z, -z) holds the image root,
+    so when it meets one disc only, that disc holds the image root."""
+    if image is None:
+        return None
+    x, y, r = image
+    hits = [k for k, (cx, cy, cr) in enumerate(discs)
+            if (cx - x) ** 2 + (cy - y) ** 2 <= (cr + r) ** 2]
+    return hits[0] if len(hits) == 1 else None
+
+
+def _inverse(disc, prec: int):
+    """The disc (x, y, r) under z -> 1/z when it excludes 0: centre conj(c) / s
+    and radius r / s, s = |c|^2 - r^2, rounded outward."""
+    x, y, r = disc
+    s = x * x + y * y - r * r
+    if s <= 0:
+        return None
+    k = 1 << 2 * (prec + _DISC_BITS)
+    return x * k // s, -y * k // s, r * k // s + 3
 
 
 @dataclass(frozen=True)
 class FactorRoots:
-    """Certified roots of one irreducible factor at one working precision."""
+    """Certified roots of one irreducible factor at one working precision, in
+    pairwise disjoint discs that each hold exactly one root."""
 
-    roots: tuple      # (complex root, error bound) per root
+    roots: tuple      # (complex centre, radius) per root
+    discs: tuple      # per root: its disc (re, im, radius) in units of 2^-(prec + _DISC_BITS)
     partner: tuple    # index of each root's complex conjugate (itself for a real root)
     unit: tuple       # per root: |root| == 1 is proven
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
-    """The root record of an irreducible factor: certified roots and errors,
-    their conjugate pairing, and which roots provably lie on the unit circle."""
-    roots = _certified_roots(q, prec)
-    partner = _pair_conjugates(roots)
-    cyc = (is_cyclotomic(IntPolynomial._of(_primitive(q.nums), 1), assume_irreducible=True)
-           if q.is_integer() else None)
-    unit = [_prove_modulus_one(q, roots, partner, i, cyc) for i in range(len(roots))]
-    return FactorRoots(tuple(roots), tuple(partner), tuple(unit))
+    """The root record of an irreducible factor: isolating discs, the
+    conjugate partner of each root (the disc holding its conjugate), and which
+    roots provably lie on the unit circle: |z| = 1 iff 1/z = conj(z), and 1/z
+    is a root only when q is self-reciprocal."""
+    roots, discs = _certified_roots(q, prec)
+    partner = tuple(_holder(discs, (x, -y, r)) for x, y, r in discs)
+    if None in partner:
+        raise PrecisionError(f"could not certify conjugate pairing of the roots of {q}")
+    unit = tuple(q.is_self_reciprocal() and _holder(discs, _inverse(d, prec)) == partner[i]
+                 for i, d in enumerate(discs))
+    return FactorRoots(tuple(roots), discs, partner, unit)
 
 
 @dataclass(frozen=True)
@@ -1022,6 +1028,7 @@ class LyapunovBlock:
     basis: np.ndarray            # shape (multiplicity, dim), rows are basis vectors; read-only
     invariance_residual: float
     primary_factors: tuple       # indices of primary blocks contributing
+    factor_rows: tuple           # basis rows built in each of primary_factors, in order
 
 
 @dataclass(frozen=True)
@@ -1076,9 +1083,11 @@ class LyapunovSplitting:
 def _restrict_to_primary(split: LyapunovSplitting, block: LyapunovBlock, i: int) -> np.ndarray:
     prim = split.primary.blocks[i]
     pbasis = np.array([[float(x) for x in v] for v in prim.basis])
-    # orthogonal projection of the class basis onto the primary block, re-orthonormalized
+    k = block.primary_factors.index(i)
+    start = sum(block.factor_rows[:k])
+    # orthogonal projection of the rows the class built in block i onto it, re-orthonormalized
     q, _ = np.linalg.qr(pbasis.T)
-    proj = block.basis @ q @ q.T
+    proj = block.basis[start:start + block.factor_rows[k]] @ q @ q.T
     keep = proj[np.linalg.norm(proj, axis=1) > 1e-8]
     if keep.size == 0:
         return np.zeros((0, split.matrix.dim))
@@ -1162,18 +1171,13 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
     blocks = []
     for cls in classes:
         mult = sum(primary.blocks[e["fi"]].multiplicity for e in cls)
-        exps = []
-        errs = []
-        any_one = any(e["one"] for e in cls)
-        for e in cls:
-            if e["one"]:
-                exps.append(0.0)
-                errs.append(0.0)
-            else:
-                exps.append(math.log(e["mod"]))
-                errs.append(e["err"] / e["mod"] * 1.05 + 1e-300)
-        exponent = 0.0 if any_one else float(np.mean(exps))
-        exponent_err = 0.0 if any_one else float(max(errs) + (max(exps) - min(exps)))
+        # a class holds proven unit moduli only, or none (_prove_equal_modulus)
+        exponent = exponent_err = 0.0
+        if not cls[0]["one"]:
+            exps = [math.log(e["mod"]) for e in cls]
+            errs = [e["err"] / e["mod"] * 1.05 + 1e-300 for e in cls]
+            exponent = float(np.mean(exps))
+            exponent_err = float(max(errs) + (max(exps) - min(exps)))
 
         basis_rows = []
         fis = sorted({e["fi"] for e in cls})
@@ -1194,7 +1198,8 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
         residual = _invariance_residual(m_f, basis)
         if residual > 1e-9:
             raise PrecisionError(f"block invariance residual {residual:.3e} exceeds 1e-9")
-        blocks.append(LyapunovBlock(exponent, exponent_err, mult, basis, residual, tuple(fis)))
+        blocks.append(LyapunovBlock(exponent, exponent_err, mult, basis, residual, tuple(fis),
+                                    tuple(len(rows) for rows in basis_rows)))
 
     blocks.sort(key=lambda b: b.exponent)
     _check_disjoint(blocks)
@@ -1244,30 +1249,20 @@ def _merge_modulus_classes(entries, primary, records):
 
 
 def _prove_equal_modulus(e1, e2, primary, records) -> bool:
-    if e1["one"] and e2["one"]:
+    """|root 1| == |root 2| exactly: both are proven on the unit circle, root 2
+    is the conjugate of root 1, or q2 = +-q1(-x) and the disc holding -root 1
+    holds root 2 or its conjugate."""
+    if e1["one"] or e2["one"]:
+        return e1["one"] and e2["one"]
+    rec1, rec2 = records[e1["fi"]], records[e2["fi"]]
+    if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
         return True
-    if e1["one"] != e2["one"]:
+    q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
+    if q1.compose_neg() not in (q2, q2.scale(-1)):
         return False
-    q1 = primary.blocks[e1["fi"]].factor
-    q2 = primary.blocks[e2["fi"]].factor
-    r1, err1 = records[e1["fi"]].roots[e1["ri"]]
-    r2, err2 = records[e2["fi"]].roots[e2["ri"]]
-    if e1["fi"] == e2["fi"]:
-        # conjugate pair within the same irreducible factor
-        if records[e1["fi"]].partner[e1["ri"]] == e2["ri"]:
-            return True
-        # negation symmetry within an even/odd factor: r2 == -r1 or -conj(r1)
-        return (q1.compose_neg() in (q1, q1.scale(-1))
-                and min(abs(r1 + r2), abs(r1.conjugate() + r2)) <= err1 + err2 + 1e-12)
-    # rational roots: exact comparison
-    if q1.degree == 1 and q2.degree == 1:
-        return abs(q1.nums[0] * q2.nums[1]) == abs(q2.nums[0] * q1.nums[1])
-    # factors related by x -> -x have negated root sets (equal moduli)
-    neg = q1.compose_neg()
-    if neg in (q2, q2.scale(-1)):
-        if abs(r1 + r2) <= err1 + err2 + 1e-12 or abs(r1.conjugate() + r2) <= err1 + err2 + 1e-12:
-            return True
-    return False
+    x, y, r = rec1.discs[e1["ri"]]
+    k = _holder(rec2.discs, (-x, -y, r))
+    return k is not None and e2["ri"] in (k, rec2.partner[k])
 
 
 def _check_disjoint(blocks):

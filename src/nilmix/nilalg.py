@@ -179,8 +179,10 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
     bad = _first((c + c.transpose(1, 0, 2) != 0).any(axis=2))
     diag.record("antisymmetry", bad is None, f"offending pair {bad}" if bad else "")
 
-    # [e_i, [e_j, e_k]] = sum_l c[j, k, l] c[i, l, :], and its two cyclic shifts
-    cyc = np.einsum("jkl,ilm->ijkm", c, c)
+    # [e_i, [e_j, e_k]] = sum_l c[j, k, l] c[i, l, :], and its two cyclic shifts;
+    # only an l that is both a bracket output and a bracket input contributes
+    live = c.any(axis=(0, 1)) & c.any(axis=(0, 2))
+    cyc = np.einsum("jkl,ilm->ijkm", c[:, :, live], c[:, live, :])
     jacobi = cyc + cyc.transpose(2, 0, 1, 3) + cyc.transpose(1, 2, 0, 3)
     bad = _first((jacobi != 0).any(axis=3) & (i < j) & (j < k))
     diag.record("jacobi", bad is None, f"offending triple {bad}" if bad else "")

@@ -1,0 +1,92 @@
+"""The root decisions that `exactlin` made before its isolating discs, kept
+as the test reference.
+
+Each question had its own float matcher: a nearest-neighbour search for the
+conjugate partner, an argmin over reciprocals for modulus one, and distance
+tests with fixed `1e-12` slacks (plus an exact rule for two rational roots)
+for equal moduli across a pair of roots.  On well-separated roots the one
+image rule of `exactlin._holder` must give the same partners, the same unit
+flags and the same class merges.  The functions read `(complex root, error)`
+pairs, as `FactorRoots.roots` still holds them.
+"""
+
+import numpy as np
+
+from nilmix.exactlin import IntPolynomial, PrecisionError
+
+
+def _pair_conjugates(roots: list[tuple[complex, float]]) -> list[int]:
+    """Index of the conjugate partner for each root (itself for real roots)."""
+    n = len(roots)
+    partner = [-1] * n
+    used = [False] * n
+    for i, (r, err) in enumerate(roots):
+        if used[i]:
+            continue
+        if abs(r.imag) <= err:
+            partner[i] = i
+            used[i] = True
+            continue
+        best, bestd = None, None
+        for j in range(n):
+            if j == i or used[j]:
+                continue
+            d = abs(roots[j][0] - r.conjugate())
+            if bestd is None or d < bestd:
+                best, bestd = j, d
+        if best is None or bestd > roots[best][1] + err:
+            raise PrecisionError("could not certify conjugate pairing of roots")
+        partner[i] = best
+        partner[best] = i
+        used[i] = used[best] = True
+    return partner
+
+
+def _prove_modulus_one(q: IntPolynomial, roots, partner, idx, cyc_order) -> bool:
+    """Prove |root| == 1 exactly: cyclotomic factor, root at +-1, or a
+    self-reciprocal factor whose reciprocal partner coincides with the conjugate."""
+    if cyc_order is not None:
+        return True
+    r, err = roots[idx]
+    if abs(abs(r) - 1.0) > err + 1e-12:
+        return False
+    if q.degree == 1:
+        return abs(q.nums[0]) == abs(q.nums[1])
+    if not q.is_self_reciprocal():
+        return False
+    if partner[idx] == idx:
+        return False  # real root of modulus 1 would force degree-1 factor x -+ 1
+    # reciprocal 1/r must be a root; |r| == 1 iff that root is conj(r)
+    recip = 1.0 / r
+    pj, perr = roots[partner[idx]]
+    # isolation: nearest root to 1/r must be the conjugate partner
+    dists = [abs(rr - recip) for rr, _ in roots]
+    j = int(np.argmin(dists))
+    return j == partner[idx] and dists[j] <= perr + err * 4 + 1e-12
+
+
+def _prove_equal_modulus(e1, e2, primary, records) -> bool:
+    if e1["one"] and e2["one"]:
+        return True
+    if e1["one"] != e2["one"]:
+        return False
+    q1 = primary.blocks[e1["fi"]].factor
+    q2 = primary.blocks[e2["fi"]].factor
+    r1, err1 = records[e1["fi"]].roots[e1["ri"]]
+    r2, err2 = records[e2["fi"]].roots[e2["ri"]]
+    if e1["fi"] == e2["fi"]:
+        # conjugate pair within the same irreducible factor
+        if records[e1["fi"]].partner[e1["ri"]] == e2["ri"]:
+            return True
+        # negation symmetry within an even/odd factor: r2 == -r1 or -conj(r1)
+        return (q1.compose_neg() in (q1, q1.scale(-1))
+                and min(abs(r1 + r2), abs(r1.conjugate() + r2)) <= err1 + err2 + 1e-12)
+    # rational roots: exact comparison
+    if q1.degree == 1 and q2.degree == 1:
+        return abs(q1.nums[0] * q2.nums[1]) == abs(q2.nums[0] * q1.nums[1])
+    # factors related by x -> -x have negated root sets (equal moduli)
+    neg = q1.compose_neg()
+    if neg in (q2, q2.scale(-1)):
+        if abs(r1 + r2) <= err1 + err2 + 1e-12 or abs(r1.conjugate() + r2) <= err1 + err2 + 1e-12:
+            return True
+    return False

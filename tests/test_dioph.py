@@ -400,6 +400,34 @@ def test_structural_merged_classes_across_factors():
     assert all(cert.passed for cert in report.values())
 
 
+def test_structural_classes_keep_their_own_rows_in_each_block():
+    # conjugated by P, the two blocks of C(x^2-3x+1) + C(x^2+3x+1) are not
+    # orthogonal, so each merged class must be restricted to a block by the
+    # rows it built there, not by projecting all of its rows: one row per
+    # block for block_max and block_min, one direction per class key
+    from unittest import mock
+    from nilmix.catalog import block_diag
+    from nilmix.exactlin import IntPolynomial, _invariance_residual, lyapunov_data
+    p = RationalMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    m = p * block_diag(RationalMatrix.companion(IntPolynomial([1, -3, 1])),
+                       RationalMatrix.companion(IntPolynomial([1, 3, 1]))) * p.inverse()
+    assert m.is_unimodular_integer()
+    split = lyapunov_data(m)
+    m_f = m.to_float()
+    for rows in (split.block_max(), split.block_min()):
+        assert rows.shape == (2, 4)
+        for row, blk in zip(rows, split.primary.blocks):
+            assert _invariance_residual(m_f, row[None]) <= 1e-9
+            span = np.array([[float(x) for x in v] for v in blk.basis])
+            coords, *_ = np.linalg.lstsq(span.T, row, rcond=None)
+            assert np.linalg.norm(span.T @ coords - row) <= 1e-9
+    with mock.patch.object(dioph, "diophantine_certificate",
+                           wraps=dioph.diophantine_certificate) as spy:
+        report = certify_structural_subspaces(m, 30)
+    shapes = dict(zip(report, (np.shape(c.args[0]) for c in spy.call_args_list)))
+    assert [shapes[k] for k in report if k.startswith("class[")] == [(1, 2)] * 4
+
+
 def test_structural_salem_unit_modulus_class():
     # ergodic but not hyperbolic: the self-reciprocal quartic with a complex
     # pair on the unit circle; even the neutral class certifies inside its

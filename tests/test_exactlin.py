@@ -439,8 +439,8 @@ def test_modulus_merge_rejects_unprovable_overlap():
         {"fi": 0, "ri": 0, "mod": 2.0, "err": 1e-3, "one": False},
         {"fi": 1, "ri": 0, "mod": 2.0005, "err": 1e-3, "one": False},
     ]
-    records = [FactorRoots(((2.0 + 0j, 1e-3),), (0,), (False,)),
-               FactorRoots(((2.0005 + 0j, 1e-3),), (0,), (False,))]
+    records = [FactorRoots(((r + 0j, 1e-3),), ((int(r * 2 ** 192), 0, 2 ** 182),),
+                           (0,), (False,)) for r in (2.0, 2.0005)]
     with pytest.raises(PrecisionError):
         _merge_modulus_classes(entries, primary, records)
 
@@ -449,8 +449,8 @@ def test_block_overlap_escalates_then_raises():
     from nilmix.exactlin import PrecisionError, _check_disjoint, LyapunovBlock
     import numpy as np
     blocks = [
-        LyapunovBlock(0.5, 0.2, 1, np.zeros((1, 2)), 0.0, (0,)),
-        LyapunovBlock(0.6, 0.2, 1, np.zeros((1, 2)), 0.0, (1,)),
+        LyapunovBlock(0.5, 0.2, 1, np.zeros((1, 2)), 0.0, (0,), (1,)),
+        LyapunovBlock(0.6, 0.2, 1, np.zeros((1, 2)), 0.0, (1,), (1,)),
     ]
     with pytest.raises(PrecisionError):
         _check_disjoint(blocks)

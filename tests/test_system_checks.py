@@ -20,7 +20,10 @@ loads it, a catalog one only when analyze reports its checks.
 
 import contextlib
 import json
+import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -262,3 +265,31 @@ def test_rates_refuse_noncommuting_families():
         rates.theta(algebra, _NONCOMMUTING, rates.TimeTuple.of((0, 0), (1, 0)))
     with pytest.raises(ValueError, match="commute"):
         rates.density_estimate(_NONCOMMUTING, 2, 3.0, 0.1, samples=10)
+
+
+_LARGE_ANALYZE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nilmix.cli import main
+sys.exit(main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_large_abelian_system_is_checked_in_seconds(tmp_path):
+    # the Jacobi sum contracts only over indices that are both a bracket
+    # output and a bracket input; an abelian algebra has none, so a dim-60
+    # system with one identity generator is no longer dominated by dim^5 products
+    n = 60
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": {"dim": n, "generators": [identity]}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilalg.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _LARGE_ANALYZE, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert elapsed < 12
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert all(report["algebra_checks"].values())
