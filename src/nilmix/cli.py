@@ -94,6 +94,11 @@ def _vectors(cfg: dict, key: str, kind=float) -> list:
     return [_number({key: v}, key, [], kind) for v in value]
 
 
+# entries of the dim^4 object arrays that an inline system's tensor checks
+# build (338 MB peak at dim 60): a larger dim is refused before its algebra
+_DIM4_LIMIT = 1 << 24
+
+
 def _load_system(cfg: dict) -> System:
     entry = cfg.get("system")
     if entry is None:
@@ -115,6 +120,9 @@ def _load_system(cfg: dict) -> System:
     if not all(isinstance(g, list) and len(g) == dim
                and all(isinstance(row, list) and len(row) == dim for row in g) for g in gens):
         raise ConfigError(f"generators must be {dim}x{dim} matrices")
+    if dim ** 4 > _DIM4_LIMIT:
+        raise MemoryError(f"inline system of dim {dim} is too large to check: dim^4 = "
+                          f"{dim ** 4} tensor entries exceed the limit {_DIM4_LIMIT}")
     layers = entry.get("layers", [dim])
     if not isinstance(layers, list) or not all(type(x) is int for x in layers):
         raise ConfigError(f"bad 'layers' {layers!r}: must be a list of integers")

@@ -5,8 +5,9 @@ invariant-subspace kernels, root-of-unity detection) is computed in exact
 rational arithmetic.  Only eigenvalue *moduli* are floating point, and those
 carry certified error bounds: each root of an irreducible factor gets a disc
 that provably holds it and no other root (Weierstrass inclusion), and every
-root question (conjugate partner, modulus one, equal moduli under x -> -x) is
-decided by one rule on those discs, `_holder`.
+root question (conjugate partner, modulus one, equal moduli) is decided by one
+rule on those discs, `_holder`; equal moduli through the roots of the
+squared-modulus polynomial M_q, whose roots include every |z|^2.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "PrecisionError",
+    "ResolutionError",
     "RationalMatrix",
     "IntPolynomial",
     "PrimaryBlock",
@@ -36,6 +38,7 @@ __all__ = [
     "factor_over_q",
     "primary_decomposition",
     "factor_roots",
+    "squared_modulus_polynomial",
     "is_cyclotomic",
     "cyclotomic_polynomial",
     "inverse_totient",
@@ -47,6 +50,12 @@ __all__ = [
 
 class PrecisionError(ArithmeticError):
     """Raised when certified intervals cannot separate or merge eigenvalue moduli."""
+
+
+class ResolutionError(PrecisionError):
+    """Two moduli proven unequal that round to the same double: their reported
+    exponents would coincide at every working precision, so no higher one is
+    tried."""
 
 
 # entries kept by each memo (primary_decomposition, factor_roots, lyapunov_data)
@@ -971,8 +980,9 @@ def _holder(discs, image) -> Optional[int]:
     """The one disc (re, im, radius) of discs that meets the disc image, or None.
 
     The rule for every root question: the image of a root's disc under an
-    exact symmetry of the roots (z -> conj z, 1/z, -z) holds the image root,
-    so when it meets one disc only, that disc holds the image root."""
+    exact map (z -> conj z, 1/z, |z|^2) holds the image of the root, so when
+    the image is a root of the discs' polynomials and meets one disc only,
+    that disc holds it."""
     if image is None:
         return None
     x, y, r = image
@@ -1001,6 +1011,7 @@ class FactorRoots:
     discs: tuple      # per root: its disc (re, im, radius) in units of 2^-(prec + _DISC_BITS)
     partner: tuple    # index of each root's complex conjugate (itself for a real root)
     unit: tuple       # per root: |root| == 1 is proven
+    prec: int         # the working precision of the discs
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -1015,7 +1026,63 @@ def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
         raise PrecisionError(f"could not certify conjugate pairing of the roots of {q}")
     unit = tuple(q.is_self_reciprocal() and _holder(discs, _inverse(d, prec)) == partner[i]
                  for i, d in enumerate(discs))
-    return FactorRoots(tuple(roots), discs, partner, unit)
+    return FactorRoots(tuple(roots), discs, partner, unit, prec)
+
+
+def squared_modulus_polynomial(q: IntPolynomial) -> IntPolynomial:
+    """M_q(y) = Res_x(q(x), x^n q(y/x)) for q made monic: the monic polynomial
+    of degree n^2 whose roots are the products z_i z_j of q's roots, so every
+    |z|^2 = z conj(z) is one (Cohen, A Course in Computational Algebraic
+    Number Theory, 3.3).  Built from power sums, p_k(M_q) = p_k(q)^2, by
+    Newton's identities in integers: with d the denominator of monic q, the
+    roots d z_i are those of a monic integer polynomial."""
+    m = q.monic()
+    n, d, big = m.degree, m.den, m.degree ** 2
+    e = [1] + [(-1) ** k * m.nums[n - k] * d ** (k - 1) for k in range(1, n + 1)]
+    p = [n]     # power sums of the roots d z_i
+    for k in range(1, big + 1):
+        p.append(sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, min(k, n + 1)))
+                 + (-1) ** (k - 1) * k * (e[k] if k <= n else 0))
+    sq = [x * x for x in p]
+    f = [1]     # elementary symmetric functions of the products d^2 z_i z_j
+    for k in range(1, big + 1):
+        f.append(sum((-1) ** (i - 1) * f[k - i] * sq[i] for i in range(1, k + 1)) // k)
+    return IntPolynomial._of([(-1) ** (big - j) * f[big - j] * d ** (2 * j)
+                              for j in range(big + 1)], d ** (2 * big))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _squared_modulus_factors(q: IntPolynomial) -> Optional[tuple]:
+    """The irreducible factors of M_q, or None when factor_over_q refuses it."""
+    try:
+        return tuple(g for g, _ in factor_over_q(squared_modulus_polynomial(q)))
+    except ArithmeticError:
+        return None
+
+
+def _squared_modulus(disc, prec: int):
+    """The disc (x, y, r) under z -> |z|^2: centre x^2 + y^2 on the real axis
+    and radius 2|c| r + r^2, rounded outward."""
+    x, y, r = disc
+    s = x * x + y * y
+    b = prec + _DISC_BITS
+    return s >> b, 0, ((2 * (math.isqrt(s) + 1) * r + r * r) >> b) + 2
+
+
+def _squared_modulus_root(q: IntPolynomial, image, prec: int) -> Optional[tuple]:
+    """(g, k) when the disc image of |z|^2, z a root of q, meets exactly one
+    root disc among all irreducible factors g of M_q: |z|^2 is then root k of
+    g.  None when M_q is not factored, a factor's discs are refused or the
+    image meets no disc or several."""
+    factors = _squared_modulus_factors(q)
+    if factors is None:
+        return None
+    try:
+        recs = [(g, factor_roots(g, prec)) for g in factors]
+    except PrecisionError:
+        return None
+    hit = _holder([d for _, rec in recs for d in rec.discs], image)
+    return None if hit is None else [(g, k) for g, rec in recs for k in range(len(rec.discs))][hit]
 
 
 @dataclass(frozen=True)
@@ -1136,12 +1203,16 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplit
 
     Moduli of the exact characteristic roots are computed at >= precision_bits
     working precision with error bounds.  Classes are merged only on proven
-    equality (conjugate pairs, negation-related factors, proven modulus one,
-    equal rational moduli); overlapping-but-unproven intervals escalate the
-    precision up to _MAX_PRECISION_BITS and then raise PrecisionError.
-    Every attempt reuses the memoized primary decomposition.  Memoized per
-    (matrix, precision); the splitting is frozen and its block bases are
-    read-only, since callers share it.
+    equality (_modulus_relation): both roots proven on the unit circle, a
+    conjugate pair, or both squared moduli on one root of one irreducible
+    factor of the squared-modulus polynomials M_q, with factors related by
+    x -> -x as a shortcut that needs no M_q.
+    Overlapping-but-unproven intervals escalate the precision up to
+    _MAX_PRECISION_BITS and then raise PrecisionError; moduli proven unequal
+    whose doubles coincide raise ResolutionError at once.  Every attempt
+    reuses the memoized primary decomposition.  Memoized per (matrix,
+    precision); the splitting is frozen and its block bases are read-only,
+    since callers share it.
     """
     det = m.determinant()
     if det == 0:
@@ -1150,8 +1221,8 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplit
     while True:
         try:
             return _lyapunov_attempt(m, det, prec)
-        except PrecisionError:
-            if prec >= _MAX_PRECISION_BITS:
+        except PrecisionError as e:
+            if prec >= _MAX_PRECISION_BITS or isinstance(e, ResolutionError):
                 raise
             prec = min(2 * prec, _MAX_PRECISION_BITS)
 
@@ -1171,7 +1242,7 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
     blocks = []
     for cls in classes:
         mult = sum(primary.blocks[e["fi"]].multiplicity for e in cls)
-        # a class holds proven unit moduli only, or none (_prove_equal_modulus)
+        # a class holds proven unit moduli only, or none (_modulus_relation)
         exponent = exponent_err = 0.0
         if not cls[0]["one"]:
             exps = [math.log(e["mod"]) for e in cls]
@@ -1237,10 +1308,19 @@ def _merge_modulus_classes(entries, primary, records):
             hi2 = max(x["mod"] + x["err"] for x in cls)
             if hi1 < lo2 or hi2 < lo1:
                 continue
-            if any(_prove_equal_modulus(e, member, primary, records) for member in cls):
+            below_double = False
+            for member in cls:
+                relation = _modulus_relation(e, member, primary, records)
+                if relation:
+                    placed = True
+                    break
+                below_double |= relation is False and member["mod"] == e["mod"]
+            if placed:
                 cls.append(e)
-                placed = True
                 break
+            if below_double:
+                raise ResolutionError(
+                    f"moduli near {e['mod']:.6g} differ below double resolution")
             raise PrecisionError(
                 f"modulus intervals overlap without provable equality near {e['mod']:.6g}")
         if not placed:
@@ -1248,21 +1328,32 @@ def _merge_modulus_classes(entries, primary, records):
     return classes
 
 
-def _prove_equal_modulus(e1, e2, primary, records) -> bool:
-    """|root 1| == |root 2| exactly: both are proven on the unit circle, root 2
-    is the conjugate of root 1, or q2 = +-q1(-x) and the disc holding -root 1
-    holds root 2 or its conjugate."""
+def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
+    """True when |root 1| == |root 2| is proven, False when |root 1| != |root 2|
+    is, None when neither.  Equal: both are proven on the unit circle, root 2
+    is the conjugate of root 1, q2 = +-q1(-x) and the disc holding -root 1
+    holds root 2 or its conjugate, or both squared moduli land on one root of
+    one irreducible factor of M_q (_squared_modulus_root).  Unequal: the discs
+    of the squared moduli are disjoint, or they land on different roots.  The
+    symmetry shortcuts need no M_q, whose factorization is often refused at
+    degree 12 and beyond (M_q has degree n^2)."""
     if e1["one"] or e2["one"]:
-        return e1["one"] and e2["one"]
+        return (e1["one"] and e2["one"]) or None
     rec1, rec2 = records[e1["fi"]], records[e2["fi"]]
     if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
         return True
     q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
-    if q1.compose_neg() not in (q2, q2.scale(-1)):
+    if q1.compose_neg() in (q2, q2.scale(-1)):
+        x, y, r = rec1.discs[e1["ri"]]
+        k = _holder(rec2.discs, (-x, -y, r))
+        if k is not None and e2["ri"] in (k, rec2.partner[k]):
+            return True
+    images = [_squared_modulus(rec.discs[e["ri"]], rec.prec) for rec, e in ((rec1, e1), (rec2, e2))]
+    if _holder(images[:1], images[1]) is None:
         return False
-    x, y, r = rec1.discs[e1["ri"]]
-    k = _holder(rec2.discs, (-x, -y, r))
-    return k is not None and e2["ri"] in (k, rec2.partner[k])
+    keys = [_squared_modulus_root(q, image, rec.prec)
+            for q, rec, image in zip((q1, q2), (rec1, rec2), images)]
+    return None if None in keys else keys[0] == keys[1]
 
 
 def _check_disjoint(blocks):

@@ -440,7 +440,7 @@ def test_modulus_merge_rejects_unprovable_overlap():
         {"fi": 1, "ri": 0, "mod": 2.0005, "err": 1e-3, "one": False},
     ]
     records = [FactorRoots(((r + 0j, 1e-3),), ((int(r * 2 ** 192), 0, 2 ** 182),),
-                           (0,), (False,)) for r in (2.0, 2.0005)]
+                           (0,), (False,), 128) for r in (2.0, 2.0005)]
     with pytest.raises(PrecisionError):
         _merge_modulus_classes(entries, primary, records)
 

@@ -3,22 +3,27 @@ every root question.
 
 `exactlin.factor_roots` gives each root of an irreducible factor a disc
 that holds exactly that root.  The conjugate partner, modulus one and
-equal moduli across x -> -x are each read off by `exactlin._holder`: the
-one disc that meets the image of a root's disc under an exact symmetry.
+equal moduli are each read off by `exactlin._holder`: the one disc that
+meets the image of a root's disc under an exact map (conjugation, z -> 1/z,
+and z -> |z|^2 onto the roots of the squared-modulus polynomial M_q).
 The discs are checked against roots recomputed at twice the precision,
-the refusals (overlapping discs, no convergence) against inputs whose
-roots lie too close, and the decisions against the three float matchers
-that `exactlin` used before, kept in `root_reference`, on cyclotomic,
-Salem, Lehmer, x -> -x related and random irreducible factors.
+the refusals (overlapping discs, no convergence, moduli that differ below
+double resolution) against inputs whose roots lie too close, the decisions
+against the three float matchers that `exactlin` used before, kept in
+`root_reference`, on cyclotomic, Salem, Lehmer, x -> -x related and random
+irreducible factors, M_q against sympy's resultant, and the merged classes
+against moduli compared at 2048 bits.
 """
 
+import functools
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import sympy
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import root_reference as ref
 from nilmix import exactlin
@@ -26,14 +31,16 @@ from nilmix.exactlin import (
     IntPolynomial,
     PrecisionError,
     RationalMatrix,
+    ResolutionError,
     _holder,
     _merge_modulus_classes,
-    _prove_equal_modulus,
+    _modulus_relation,
     cyclotomic_polynomial,
     factor_over_q,
     factor_roots,
     is_cyclotomic,
     lyapunov_data,
+    squared_modulus_polynomial,
 )
 
 ROOTS = settings(max_examples=100, deadline=None,
@@ -69,6 +76,47 @@ def _negated(q: IntPolynomial) -> IntPolynomial:
     return q.compose_neg().monic()
 
 
+def _rotated(q: IntPolynomial) -> IntPolynomial:
+    """q(ix) q(-ix), whose roots are those of q times +-i: with q(x) q(-x) =
+    sum_k c_k x^(2k), it is sum_k (-1)^k c_k x^(2k)."""
+    even = (q * q.compose_neg()).coeffs
+    return IntPolynomial([c * (-1) ** (i // 2) for i, c in enumerate(even)])
+
+
+@functools.lru_cache(maxsize=None)
+def _roots_2048(q: IntPolynomial) -> tuple:
+    with mpmath.workprec(2048):
+        return tuple(mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                       for c in reversed(q.coeffs)], maxsteps=400, extraprec=2048))
+
+
+def _moduli_2048(p: IntPolynomial) -> list:
+    """|z| at 2048 bits for every root of p, with multiplicity (sympy factors
+    p first: repeated roots would stall the iteration)."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                               for c in reversed(p.coeffs)], x))
+    return [abs(z) for f, k in factors
+            for z in _roots_2048(IntPolynomial([int(c) for c in reversed(f.all_coeffs())]))
+            for _ in range(k)]
+
+
+def _modulus_2048(q: IntPolynomial, disc, prec: int):
+    """|z| at 2048 bits for the one root z of q in disc (units 2^-(prec + 64))."""
+    x, y, r = disc
+    with mpmath.workprec(2048):
+        unit = mpmath.ldexp(1, -(prec + exactlin._DISC_BITS))
+        inside = [z for z in _roots_2048(q) if abs(z - mpmath.mpc(x, y) * unit) <= r * unit]
+        assert len(inside) == 1
+        return abs(inside[0])
+
+
+def _equal_at_2048_bits(primary, records, e1, e2) -> bool:
+    m1, m2 = (_modulus_2048(primary.blocks[e["fi"]].factor, records[e["fi"]].discs[e["ri"]],
+                            records[e["fi"]].prec) for e in (e1, e2))
+    return abs(m1 - m2) < mpmath.ldexp(1, -2000)
+
+
 def _entries(records) -> list:
     """The merge's root entries, as the Lyapunov splitting builds them."""
     return [{"fi": fi, "ri": ri, "mod": 1.0 if one else abs(r),
@@ -100,6 +148,8 @@ def test_partner_and_unit_match_the_reference(q):
 @given(pair=st.one_of(_factors(12).map(lambda q: (q, _negated(q))),
                       st.tuples(_factors(12), _factors(12))))
 def test_equal_moduli_and_merges_match_the_reference(pair):
+    # the squared-modulus rule proves every equality the reference proves,
+    # and each one more only where 2048-bit moduli agree
     qs = list(dict.fromkeys(pair))     # one primary block per distinct factor
     primary = SimpleNamespace(blocks=[SimpleNamespace(factor=q) for q in qs])
     records = [factor_roots(q, 128) for q in qs]
@@ -107,11 +157,15 @@ def test_equal_moduli_and_merges_match_the_reference(pair):
     for e1 in entries:
         for e2 in entries:
             if e1 is not e2:
-                assert (_prove_equal_modulus(e1, e2, primary, records)
-                        == ref._prove_equal_modulus(e1, e2, primary, records))
+                proven = _modulus_relation(e1, e2, primary, records) is True
+                if ref._prove_equal_modulus(e1, e2, primary, records):
+                    assert proven
+                elif proven:
+                    assert _equal_at_2048_bits(primary, records, e1, e2)
     new = _classes(entries, primary, records)
-    with mock.patch.object(exactlin, "_prove_equal_modulus", ref._prove_equal_modulus):
-        assert _classes(entries, primary, records) == new
+    with mock.patch.object(exactlin, "_modulus_relation", ref._prove_equal_modulus):
+        old = _classes(entries, primary, records)
+    assert old == "PrecisionError" or new == old
 
 
 @ROOTS
@@ -159,7 +213,7 @@ def test_near_symmetries_prove_nothing():
     primary = SimpleNamespace(blocks=[SimpleNamespace(factor=q) for q in (q1, q2)])
     records = [factor_roots(q1, 128), factor_roots(q2, 128)]
     entries = _entries(records)
-    assert not any(_prove_equal_modulus(e1, e2, primary, records)
+    assert not any(_modulus_relation(e1, e2, primary, records)
                    for e1 in entries[:2] for e2 in entries[2:])
     assert _classes(entries, primary, records) == "PrecisionError"
 
@@ -186,3 +240,66 @@ def test_no_convergence_is_a_precision_error():
     # two small roots coincide) with a PrecisionError, not NoConvergence
     with pytest.raises(PrecisionError):
         lyapunov_data(RationalMatrix.companion(q), 128)
+
+
+def test_moduli_below_double_resolution_are_refused_at_once():
+    # the two small roots are proven apart from 256 bits on, but their double
+    # moduli coincide, so their exponents would overlap at every precision:
+    # refused after two attempts (128 does not converge), not five up to 2048
+    attempt = exactlin._lyapunov_attempt
+    with mock.patch.object(exactlin, "_lyapunov_attempt", side_effect=attempt) as spy:
+        with pytest.raises(ResolutionError, match="below double resolution"):
+            lyapunov_data(RationalMatrix.companion(_mignotte(20)), 128)
+    assert [c.args[2] for c in spy.call_args_list] == [128, 256]
+    assert issubclass(ResolutionError, PrecisionError)
+
+
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(low=st.lists(_RATIONALS, min_size=1, max_size=4).filter(lambda c: c[0] != 0),
+       lead=_RATIONALS.filter(bool))
+def test_squared_modulus_polynomial_matches_the_resultant(low, lead):
+    q = IntPolynomial(low + [lead])
+    x, y = sympy.symbols("x y")
+    qx = sum(sympy.Rational(c.numerator, c.denominator) * x ** k for k, c in enumerate(q.coeffs))
+    res = sympy.Poly(sympy.resultant(qx, sympy.expand(x ** q.degree * qx.subs(x, y / x)), x), y)
+    expected = IntPolynomial([Fraction(int(c.p), int(c.q)) for c in reversed(res.all_coeffs())])
+    assert squared_modulus_polynomial(q) == expected.monic()
+
+
+_BLOCKS = settings(max_examples=40, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+_IMAGES = {"x": lambda q: q, "-x": _negated, "ix": _rotated}
+
+
+@_BLOCKS
+@given(blocks=st.lists(st.tuples(_factors(3).filter(lambda q: q.nums[0]),  # invertible
+                                  st.sampled_from(sorted(_IMAGES))),
+                       min_size=1, max_size=3))
+def test_merged_classes_agree_with_2048_bit_moduli(blocks):
+    # a product of companion blocks of random factors and their x -> -x and
+    # x -> ix images: the classes are the moduli equal at 2048 bits, with
+    # their multiplicities, wherever 2048 bits separate the distinct moduli
+    polys = [_IMAGES[image](q) for q, image in blocks]
+    moduli = sorted(m for p in polys for m in _moduli_2048(p))
+    groups = []
+    with mpmath.workprec(2048):
+        for m in moduli:
+            if groups and m - groups[-1][0] < mpmath.ldexp(1, -2000):
+                groups[-1][1] += 1
+            else:
+                assume(not groups or m - groups[-1][0] > mpmath.ldexp(1, -100))
+                groups.append([m, 1])
+    n = sum(p.degree for p in polys)
+    rows, off = [[0] * n for _ in range(n)], 0
+    for p in polys:
+        c = RationalMatrix.companion(p)
+        for i in range(p.degree):
+            rows[off + i][off:off + p.degree] = c.rows[i]
+        off += p.degree
+    split = lyapunov_data(RationalMatrix(rows), 128)
+    assert [b.multiplicity for b in split.blocks] == [k for _, k in groups]
+    for b, (m, _) in zip(split.blocks, groups):
+        assert abs(b.exponent - float(mpmath.log(m))) <= b.exponent_err + 1e-12

@@ -7,16 +7,21 @@ structured error it prints.  The inputs are the catalog systems and
 integer conjugates of companion products chosen to reach every root
 decision: conjugate pairs, a repeated factor, two factors related by
 x -> -x (equal moduli across factors), Lehmer's polynomial (roots proven
-on the unit circle) and equal moduli that no exact symmetry proves (a
-refusal).  A change to how roots are isolated or classes merged must
-leave these bytes alone.
+on the unit circle) and equal moduli that no symmetry of one factor maps
+to each other (golden against x^4 + 3x^2 + 1, proven on the squared-modulus
+polynomial).  A change to how roots are isolated or classes merged must
+leave these bytes alone, and every case answers at 128 bits.
 """
 
 import hashlib
 import json
+import math
+from unittest import mock
 
+import mpmath
 import pytest
 
+from nilmix import exactlin
 from nilmix.catalog import system_names
 from nilmix.cli import main
 
@@ -67,7 +72,8 @@ _SYSTEMS = {
     "repeated-cubic": _conjugate(_block_diag(_companion([1, -2, -1, 1]),
                                              _companion([1, -2, -1, 1])), _P6, _P6_INV),
     "lehmer": _companion(_LEHMER),
-    # x^2 - x - 1 and x^4 + 3x^2 + 1: equal moduli, no exact symmetry
+    # x^2 - x - 1 and x^4 + 3x^2 + 1: the moduli phi^(+-1) of golden's roots
+    # are those of +-i phi^(+-1), three roots each
     "escalation": _conjugate(_block_diag(_companion([-1, -1, 1]),
                                          _companion([1, 0, 3, 0, 1])), _P6, _P6_INV),
 }
@@ -103,10 +109,10 @@ _DIGESTS = {
             '56a8380637d36e00d8257dfebd1d2792fb0e718d6304920dd634d31416d7d489',
     },
     'analyze-escalation': {
-        'exit': 1,
-        'stderr':
-            ('{"error": "PrecisionError", "message": '
-             '"modulus intervals overlap without provable equality near 0.618034"}\n'),
+        'exponents.csv':
+            '4b4434707c23c6e0e38540f8944018f2e96cc57ed107ffa4ffe371696f34d9fc',
+        'report.json':
+            'c2a646c69bcee973d774c9ea17384fa6f6e32f576359d79d1fa8c325b476e8f7',
     },
     'analyze-filiform4': {
         'exponents.csv':
@@ -228,3 +234,33 @@ def test_conjugators_are_inverse():
 def test_spectral_outputs_are_pinned(tmp_path, capsys, name):
     command, cfg = _CASES[name]
     assert _run(tmp_path, capsys, command, cfg) == _DIGESTS[name]
+
+
+def test_escalation_reads_log_phi_three_times_each_way(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_CASES["analyze-escalation"][1]))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["result"]["exponents"]
+    assert [row["multiplicity"] for row in rows] == [3, 3]
+    with mpmath.workprec(2048):
+        log_phi = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        for row, sign in zip(rows, (-1, 1)):
+            # the error bounds the multiprecision exponent; the reported double
+            # is the mean of three rounded logs, a few ulps from it
+            slack = row["error"] + 4 * math.ulp(row["exponent"])
+            assert abs(row["exponent"] - sign * log_phi) <= slack
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (cmd, _) in _CASES.items()
+                                        if cmd in ("analyze", "rates")))
+def test_every_splitting_answers_at_128_bits(tmp_path, capsys, name):
+    # a work counter: a merge that cannot decide equal moduli escalates the
+    # precision, and the escalation case once took five attempts, 128 to 2048 bits
+    command, cfg = _CASES[name]
+    exactlin.lyapunov_data.cache_clear()
+    attempt = exactlin._lyapunov_attempt
+    with mock.patch.object(exactlin, "_lyapunov_attempt", side_effect=attempt) as spy:
+        _run(tmp_path, capsys, command, cfg)
+    assert {c.args[2] for c in spy.call_args_list} <= {128}
+    if name == "analyze-escalation":
+        assert spy.call_count == 1

@@ -293,3 +293,35 @@ def test_large_abelian_system_is_checked_in_seconds(tmp_path):
     assert elapsed < 12
     report = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert all(report["algebra_checks"].values())
+
+
+_REFUSED_ANALYZE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nilmix.cli import main
+code = main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]])
+# the peak RSS of this image (ru_maxrss would also count the forking parent)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def test_oversized_dim_is_refused_before_the_algebra_is_built(tmp_path):
+    # dim 100 would build dim^4 = 10^8-entry object arrays for the tensor
+    # checks; the refusal comes before NilpotentAlgebra.from_sparse
+    n = 100
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": {"dim": n, "generators": [identity]}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilalg.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_ANALYZE, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    error = json.loads(proc.stderr)
+    assert error["error"] == "MemoryError" and "dim 100" in error["message"]
+    assert elapsed < 10
+    assert int(proc.stdout.split()[-1]) < 200 * 1024       # VmHWM in KiB
