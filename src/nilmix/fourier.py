@@ -282,7 +282,7 @@ def _is_number(x, integral: bool = False) -> bool:
     if isinstance(x, (bool, np.bool_)):
         return False
     if isinstance(x, (int, np.integer)):
-        return integral or abs(x) <= sys.float_info.max
+        return integral or abs(int(x)) <= sys.float_info.max
     return (isinstance(x, (float, np.floating)) and math.isfinite(x)
             and (not integral or float(x).is_integer()))
 

@@ -11,6 +11,7 @@ good time-tuple sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -350,6 +351,71 @@ def _abs_min(prod: np.ndarray) -> np.ndarray:
     return out
 
 
+# the Monte Carlo margin table holds 8 bytes per sample (plus the partition's
+# copy of it); the samples are drawn and reduced in blocks of _MARGIN_BLOCK rows
+_SAMPLES_LIMIT = 100_000_000
+_MARGIN_BLOCK = 1 << 14
+# a delta(eps) sweep over one seed reads one table: a few tables of at most
+# _MEMO_SAMPLES samples (32 MB each) are kept
+_MARGIN_MEMO = 4
+_MEMO_SAMPLES = 1 << 22
+
+
+def _unit_margins(rows, count: int, normals: np.ndarray) -> np.ndarray:
+    """Per point u of a set of count points: the smallest |<u / ||u||, v>|
+    over the rows v of normals, as float64.
+
+    rows(start, stop) returns the points start, ..., stop - 1 as a new float64
+    array (it is normalized in place), and is called for consecutive blocks of
+    _MARGIN_BLOCK rows: each block is normalized, multiplied and reduced with
+    the per-row expressions of a whole-array pass, so the margins do not
+    depend on the block size, and the scratch memory is one block's.  A last
+    block of one row joins the one before it: numpy multiplies a single row
+    as a vector, whose sums may round differently.
+    """
+    stops = list(range(_MARGIN_BLOCK, count, _MARGIN_BLOCK)) + [count]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    out = np.empty(count)
+    start = 0
+    for stop in stops:
+        u = rows(start, stop)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        out[start:stop] = _abs_min(u @ normals.T)
+        start = stop
+    return out
+
+
+@functools.lru_cache(maxsize=_MARGIN_MEMO)
+def _margin_table(seed, samples: int, dim_total: int, normals: bytes,
+                  shape: tuple) -> np.ndarray:
+    """The read-only margins of `samples` directions drawn uniformly on the
+    sphere of R^dim_total from default_rng(seed) against the float64 unit
+    normals of the given bytes and shape; +inf everywhere without normals.
+
+    Memoized on an int seed (see _sample_margins): a delta(eps) sweep over
+    one seed draws its samples once.
+    """
+    nv = np.frombuffer(normals).reshape(shape)
+    if len(nv) == 0:
+        out = np.full(samples, np.inf)
+    else:
+        rng = np.random.default_rng(seed)
+        out = _unit_margins(lambda start, stop: rng.standard_normal((stop - start, dim_total)),
+                            samples, nv)
+    out.flags.writeable = False
+    return out
+
+
+def _sample_margins(seed, samples: int, dim_total: int, normals: np.ndarray) -> np.ndarray:
+    """_margin_table of the normal rows; only an int seed and a table of at
+    most _MEMO_SAMPLES samples are memoized (seed None draws fresh entropy)."""
+    key = (seed, samples, dim_total, normals.tobytes(), normals.shape)
+    if isinstance(seed, int) and samples <= _MEMO_SAMPLES:
+        return _margin_table(*key)
+    return _margin_table.__wrapped__(*key)
+
+
 def _sorted_norms(coords: list, kmax: int) -> np.ndarray:
     """The squared norms <= kmax, sorted, of the integer points whose i-th
     coordinate runs over the array coords[i].  A partial norm s and a square
@@ -397,7 +463,8 @@ def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
     keys = np.floor(4.0 * rho[live]).astype(np.int64)
     ell = ws.shape[1]
     cls = (ws[live] & 1) @ (1 << np.arange(ell, dtype=np.int64))
-    for c in np.unique(cls):
+    # the classes present, ascending (np.unique would load numpy.ma)
+    for c in np.flatnonzero(np.bincount(cls, minlength=1 << ell)):
         rows = np.flatnonzero(cls == c)
         kmax = int(keys[rows].max())
         b = math.isqrt(kmax)
@@ -471,6 +538,9 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         raise ValueError("eps must be >= 0")
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if samples > _SAMPLES_LIMIT:
+        raise ValueError(f"samples {samples} is more than the {_SAMPLES_LIMIT} "
+                         "Monte Carlo directions the margin table holds in memory")
     ell = len(generators)
     dim_total = n * ell
     r_sq = _radius_sq(radius)
@@ -518,25 +588,17 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     # delta(eps): bisection on the Monte Carlo spherical measure of the
     # delta-neighborhood of the bad directions; a vacuous requirement
     # (eps >= 1) keeps the full set with delta = 0
-    normals = _hyperplane_normals(funcs, n)
+    normals = np.array(_hyperplane_normals(funcs, n)).reshape(-1, dim_total)
     if eps >= 1.0:
         return DensityReport(n=n, rank=ell, radius=float(radius),
                              good_fraction=good_fraction, total_points=total,
                              bad_points=bad_total, eps=eps, delta=0.0,
                              thick_fraction=1.0, method=method)
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(int(samples), dim_total))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    prod = u @ np.array(normals).T if normals else np.full((int(samples), 1), np.inf)
-    del u
-    margins = _abs_min(prod)
-    del prod  # free the product before the partition's copy
-    delta = _margin_threshold(margins, eps)
-    del margins  # and the samples before the lattice counts
+    delta = _margin_threshold(_sample_margins(seed, int(samples), dim_total, normals), eps)
 
     # fraction of lattice directions with margin >= delta
     thick = None
-    if normals:
+    if len(normals):
         if n == 2 and delta > 0:
             # directional margin of (z1, z2) against the pair hyperplane of a
             # unit functional is |chi(w)| / (sqrt(2) ||z||): count per
@@ -552,8 +614,9 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         elif total <= _DIRECT_LIMIT:
             if n == 2:
                 grid = _half_ball(dim_total, r_sq)
-            dirs = grid[1:] / np.linalg.norm(grid[1:], axis=1, keepdims=True)
-            marg = _abs_min(dirs @ np.array(normals).T)
+            # the nonzero points of the half ball, as directions
+            marg = _unit_margins(lambda start, stop: grid[1 + start:1 + stop].astype(float),
+                                 len(grid) - 1, normals)
             thick = float(2 * int((marg >= delta).sum())) / total
 
     return DensityReport(n=n, rank=ell, radius=float(radius),

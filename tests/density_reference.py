@@ -8,6 +8,11 @@ sample fraction `np.mean(margins < mid)`.  The fast paths in `rates` must
 give the same integers and the same double.  `shifted_ball_brute` is the
 integer oracle for all of them.
 
+`whole_array_margins` draws every Monte Carlo direction in one array and
+`whole_array_directions` normalizes every lattice point in one array, as
+`density_estimate` did before it drew and reduced them in blocks; the
+blocked margin table must hold the same doubles.
+
 `cube_half_ball` cuts the canonical half ball out of the whole cube, and
 `full_ball_density` counts bad tuples and thick directions over the whole
 ball (every difference w for n = 2, every point for n >= 3), as
@@ -87,6 +92,23 @@ def bisection_delta(margins: np.ndarray, eps: float) -> float:
         else:
             hi = mid
     return lo
+
+
+def whole_array_margins(seed, samples: int, dim_total: int, normals: np.ndarray) -> np.ndarray:
+    """Per direction u of samples drawn by default_rng(seed).normal on the
+    sphere of R^dim_total: min over the rows v of normals of |<u, v>|."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(int(samples), dim_total))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    prod = u @ normals.T if len(normals) else np.full((int(samples), 1), np.inf)
+    return np.abs(prod).min(axis=1)
+
+
+def whole_array_directions(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Per nonzero integer point x: min over the rows v of normals of
+    |<x / ||x||, v>|."""
+    dirs = points / np.linalg.norm(points, axis=1, keepdims=True)
+    return np.abs(dirs @ normals.T).min(axis=1)
 
 
 def cube_half_ball(dim: int, r_sq: int) -> np.ndarray:

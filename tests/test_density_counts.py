@@ -295,3 +295,45 @@ print(json.dumps([len(norms), int(norms[-1]), bool((np.diff(norms) >= 0).all())]
                        for x in range(-100, 101) for y in range(-100, 101)
                        if x * x + y * y <= 10 ** 4)
     assert top == 10 ** 4 and ascending
+
+
+def test_oversized_samples_are_refused_before_allocating(tmp_path):
+    # 10^10 samples would be an 80 GB margin table: refused from the config,
+    # before the exact counts, under a 1 GiB cap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "catmap", "n": 2, "radius": 50,
+                               "eps": 0.05, "samples": 10 ** 10}))
+    script = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nilmix.cli import main
+start = time.perf_counter()
+code = main(["density", "--config", sys.argv[1], "--out", sys.argv[2]])
+seconds = time.perf_counter() - start
+hwm = [line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")]
+print(code, *hwm, seconds)
+"""
+    proc = _run_child(script, str(cfg), str(tmp_path / "out"))
+    code, max_rss_kb, seconds = proc.stdout.split()
+    err = json.loads(proc.stderr)
+    assert int(code) == 1 and err["error"] == "ValueError"
+    assert "samples 10000000000" in err["message"]
+    assert int(max_rss_kb) < 150_000
+    assert float(seconds) < 5.0
+
+
+def test_n2_density_does_not_load_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma (~20 ms in a fresh process); the n = 2 count
+    # finds its parity classes without it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "catmap", "n": 2, "radius": 50,
+                               "samples": 10_000}))
+    script = """
+import sys
+from nilmix.cli import main
+assert main(["density", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    proc = _run_child(script, str(cfg), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-1] == "False"

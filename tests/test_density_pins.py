@@ -4,7 +4,8 @@ Each case runs one `density` through `cli.main` with a fixed Monte Carlo
 seed and compares the sha256 of report.json and density.csv with a recorded
 digest.  The cases cover the n = 2 difference-weighted count (rank 1 and
 rank 2, the thick count included), the n = 3 direct enumeration, a sweep of
-delta(eps) over one seed and the vacuous eps = 1.  A change to how lattice
+delta(eps) over one seed, the vacuous eps = 1 and an n = 4 case whose
+Monte Carlo directions live in dimension 8.  A change to how lattice
 points are counted or how delta(eps) is found must leave these bytes alone.
 """
 
@@ -34,6 +35,9 @@ _CASES = {
     "catmap-n3-R12": ({"system": "catmap", "n": 3, "radius": 12, "samples": 50_000}, 512),
     "cubic-rank2-eps1": ({"system": "cubic-rank2", "n": 2, "radius": 40, "eps": 1.0,
                           "samples": 1000}, 607),
+    # dim_total 8: numpy's row norm sums pairwise from 8 terms on
+    "cubic-rank2-n4-R3": ({"system": "cubic-rank2", "n": 4, "radius": 3, "eps": 0.05,
+                           "samples": 50_000}, 9),
 }
 
 _DIGESTS = {
@@ -90,6 +94,12 @@ _DIGESTS = {
             'bc32d123e64d5dd374a8112c9ff25f0633fc106b8d5dbef3c17e84a206bfc493',
         'report.json':
             '9fad99b879ba1376f888801c6e4f109c938f4fb567cdfa49ad73a5d27f9f6e14',
+    },
+    'cubic-rank2-n4-R3': {
+        'density.csv':
+            'd46a37d982e0297933724999421283fc6801a312edc3c16e7202d1929249de1b',
+        'report.json':
+            'b9c145d81ede106f586fcc5aeac54f4e898788dcd07d649766aa32361bd17540',
     },
     'product-t2xt2-R25': {
         'density.csv':
