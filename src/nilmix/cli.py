@@ -368,10 +368,11 @@ def _cmd_solve(cfg, outdir, precision, seed):
                   for d in sol.per_direction],
         "certificate_c_emp": cert.c_emp,
     }
-    rows = [[d.index, " ".join(map(str, z)), re, im] for d in sol.per_direction
+    # the bytes csv.writer would write: no field needs quoting
+    rows = [f"{d.index},{' '.join(map(str, z))},{re!r},{im!r}\n" for d in sol.per_direction
             for z, re, im in zip(d.phi.freqs.tolist(), d.phi.re.tolist(), d.phi.im.tolist())]
-    _write_csv(os.path.join(outdir, "solution.csv"),
-               ["direction_index", "frequency", "re", "im"], rows)
+    _atomic_write(os.path.join(outdir, "solution.csv"),
+                  "direction_index,frequency,re,im\n" + "".join(rows))
     return out
 
 

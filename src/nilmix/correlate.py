@@ -3,11 +3,12 @@ automorphisms, by resonance summation.
 
 A mode k transported by the automorphism power alpha(z) becomes
 (d alpha(z))^T k; only frequency tuples whose transported sum vanishes
-contribute.  Frequencies are transported in exact big integers (they grow
-exponentially in the time) and compared through residue keys modulo as many
-61-bit primes as the largest coordinate requires, so that congruent keys
-mean equal frequencies: resonance detection is never subject to rounding
-or overflow.
+contribute.  Frequencies are transported exactly (they grow exponentially
+in the time; int64 where a bound proves it cannot overflow) and compared
+through residue keys modulo as many 61-bit primes as the largest coordinate
+requires, so that congruent keys mean equal frequencies: resonance detection
+is never subject to rounding or overflow.  Each join sorts the keys of both
+its sides once; a group of equal keys met from both sides is a resonance.
 """
 
 from __future__ import annotations
@@ -47,9 +48,21 @@ class BudgetError(RuntimeError):
 # Exact transport and residue keys
 # ---------------------------------------------------------------------------
 
+def _exact_dot(a: np.ndarray, b) -> np.ndarray:
+    """a @ b exactly, for an integer array a and integers b (a matrix or a
+    vector): in int64 when max|a| times b's largest absolute column sum,
+    each taken as at least 1, is below 2^63, so that both arrays and every
+    partial sum fit; else in Python ints."""
+    b = np.array(b, dtype=object)
+    big = max(int(a.max()), -int(a.min()), 1) if a.size else 1
+    if big * max(int(np.abs(b).sum(axis=0, keepdims=True).max()), 1) < 1 << 63:
+        return a.astype(np.int64, copy=False).dot(b.astype(np.int64))
+    return a.astype(object).dot(b)
+
+
 def _transport(freqs: np.ndarray, mt: Sequence[Sequence[int]]) -> np.ndarray:
     """Apply the transpose of the integer matrix to each frequency row, exactly."""
-    return freqs.astype(object).dot(np.array(mt, dtype=object))
+    return _exact_dot(freqs, mt)
 
 
 @functools.lru_cache(maxsize=8)
@@ -76,7 +89,7 @@ def _packing(dim: int, bound: int) -> tuple:
 
 def _keys(freqs: np.ndarray, base: int, moduli: tuple) -> np.ndarray:
     """(len(moduli), m) int64 residues of the packed frequency rows."""
-    packed = freqs.dot(np.array([base ** j for j in range(freqs.shape[1])], dtype=object))
+    packed = _exact_dot(freqs, [base ** j for j in range(freqs.shape[1])])
     return np.array([packed % p for p in moduli], dtype=np.int64)
 
 
@@ -85,18 +98,21 @@ def _group(columns) -> tuple:
     rows share an id exactly when all their keys agree.  Returns the ids
     (0, 1, ... per group) and a row of each group.
 
-    The first column is sorted whole.  A later column re-sorts only the
-    groups whose rows disagree on it, and reading stops once every group
-    is a single row.  Each column is released before the next is made and
-    sorted neighbours are compared a block at a time, so the scratch
-    memory does not grow with the number of moduli."""
+    The ids depend only on the keys, not on how a sort orders equal keys,
+    so the first column takes numpy's default (unstable) sort: its distinct
+    keys get ids 0, 1, ... in ascending order.  A later column re-sorts only
+    the groups whose rows disagree on it, numbering their new parts in
+    (id, key) order, and reading stops once every group is a single row.
+    Each column is released before the next is made and sorted neighbours
+    are compared a block at a time, so the scratch memory does not grow
+    with the number of moduli."""
     ids = first = None
     for key in columns:
         if ids is None:                          # one group holds every row
             kind = np.int32 if len(key) < 1 << 31 else np.int64
             ids = np.zeros(len(key), dtype=kind)
             first = np.zeros(min(len(key), 1), dtype=np.int64)
-            rows = np.argsort(key, kind="stable")
+            rows = np.argsort(key)
         else:
             split = np.zeros(len(first), dtype=bool)
             split[ids[key != key[first[ids]]]] = True
@@ -122,15 +138,6 @@ def _group(columns) -> tuple:
     return ids, first
 
 
-def _partners(columns, n_a: int) -> np.ndarray:
-    """For each row after the first n_a of the key columns, the equal row
-    among the first n_a, or -1; the rows of each part are distinct."""
-    ids, _ = _group(columns)
-    a_of_id = np.full(len(ids), -1)
-    a_of_id[ids[:n_a]] = np.arange(n_a)
-    return a_of_id[ids[n_a:]]
-
-
 def _matched_blocks(ids: np.ndarray, other: np.ndarray):
     """Ascending blocks of the rows whose id the other side also has."""
     for s in range(0, len(ids), _BLOCK):
@@ -139,20 +146,22 @@ def _matched_blocks(ids: np.ndarray, other: np.ndarray):
             yield rows
 
 
-def _half_sums(keys: list, half: list, moduli: tuple, negate: bool = False,
-               rows=slice(None)):
-    """Per modulus, the keys of every sum with one frequency per factor of
-    the half, in iproduct order (the first factor varies slowest; no
-    factors give the one sum 0), or of their negatives, at the given rows."""
-    for j, p in enumerate(moduli):
-        out = np.zeros(1, dtype=np.int64)
-        for i in half:
-            out = np.add.outer(out, keys[i][j]).ravel()
-            np.remainder(out, p, out=out)
-        if negate:
-            np.subtract(p, out, out=out)
-            np.remainder(out, p, out=out)
-        yield out[rows]
+def _join_column(keys: list, half_a: list, half_b: list, j: int, p: int) -> np.ndarray:
+    """The join's keys modulo p = moduli[j], written into one new column:
+    every sum with one frequency per factor of half_a, in iproduct order
+    (the first factor varies slowest; no factors give the one sum 0), then
+    the negatives of half_b's sums in that order."""
+    sizes = [math.prod(len(keys[i][j]) for i in half) for half in (half_a, half_b)]
+    col = np.zeros(sum(sizes), dtype=np.int64)
+    for half, out in zip((half_a, half_b), np.split(col, sizes[:1])):
+        acc = np.zeros(1, dtype=np.int64)
+        for t, i in enumerate(half):
+            dst = out if t == len(half) - 1 else np.empty(len(acc) * len(keys[i][j]), np.int64)
+            np.add(acc[:, None], keys[i][j], out=dst.reshape(len(acc), -1))
+            acc = np.remainder(dst, p, out=dst)
+    np.subtract(p, out, out=out)                 # out is half_b's part now
+    np.remainder(out, p, out=out)
+    return col
 
 
 def _products(factors: list, rows: np.ndarray) -> tuple:
@@ -212,8 +221,10 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
     near = np.flatnonzero(((freqs <= bound) & (freqs >= -bound)).all(axis=1))
     hit = np.full(len(f), -1)                # -1: the appended zero coefficient
     near_keys = _keys(freqs[near], base, moduli)
-    hit[near] = _partners((np.concatenate(pair) for pair in zip(keys, near_keys)),
-                          keys.shape[1])
+    ids, _ = _group(np.concatenate(pair) for pair in zip(keys, near_keys))
+    row_of_id = np.full(len(ids), -1)            # g's rows are distinct
+    row_of_id[ids[:len(g)]] = np.arange(len(g))
+    hit[near] = row_of_id[ids[len(g):]]
     zero = Fraction(0) if exact else 0.0
     gr, gi = np.append(g.re, zero)[hit], -np.append(g.im, zero)[hit]    # conj(g) there
     return _value(exact, _ordered_sum(f.re * gr - f.im * gi, zero),
@@ -233,13 +244,13 @@ def correlation_n(observables: Sequence[FourierObservable],
     Sums prod_i f_i(k_i) over tuples with sum_i (d alpha(z_i))^T k_i = 0.
     The enumeration meets in the middle: the factors split into two halves
     of balanced size, and every partial sum of a half gets exact residue
-    keys.  Stable sorts of the keys group each half's equal sums, and then
-    the distinct sums of both halves, which matches each first-half sum
-    with the negated second-half sum that cancels it.  Coefficients are
-    multiplied only on matched rows: each first-half sum's coefficients
-    are added in enumeration order, then the terms of the result in the
-    second half's enumeration order, so float values equal those of the
-    plain nested loop bit for bit.
+    keys.  One join groups the first half's sums together with the second
+    half's negated sums, by one sort of their keys: a group that holds rows
+    of both halves is a resonance.  Coefficients are multiplied only on
+    matched rows: each first-half group's coefficients are added in
+    enumeration order, then the terms of the result in the second half's
+    enumeration order, so float values equal those of the plain nested
+    loop bit for bit, whatever order the sort leaves equal keys in.
     """
     n = len(observables)
     if n < 1 or len(times) != n:
@@ -282,34 +293,30 @@ def correlation_n(observables: Sequence[FourierObservable],
     freqs = [_transport(f.freqs, mt) for f, mt in zip(observables, mts)]
     # a first-half sum differs from another one, or from a negated
     # second-half sum, by at most twice the sum of the largest coordinates
-    base, moduli = _packing(dim, 2 * sum(int(np.abs(k).max()) for k in freqs))
+    base, moduli = _packing(dim, 2 * sum(max(int(k.max()), -int(k.min())) for k in freqs))
     keys = [_keys(k, base, moduli) for k in freqs]
     del freqs
-    # group each half's sums, then match the two halves' distinct sums
-    ids_a, first_a = _group(_half_sums(keys, half_a, moduli))
-    ids_b, first_b = _group(_half_sums(keys, half_b, moduli, negate=True))
-    # per distinct second-half sum, the first-half sum it cancels, or -1
-    partner = _partners((np.concatenate(pair) for pair in zip(
-        _half_sums(keys, half_a, moduli, rows=first_a),
-        _half_sums(keys, half_b, moduli, negate=True, rows=first_b))), len(first_a))
+    # one group per distinct key: a group with rows on both sides is a resonance
+    ids, first = _group(_join_column(keys, half_a, half_b, j, p) for j, p in enumerate(moduli))
     del keys
-    in_b = np.zeros(len(first_a), dtype=bool)
-    in_b[partner[partner >= 0]] = True
+    ids_a, ids_b = ids[:prod_a], ids[prod_a:]
+    in_a, in_b = np.zeros(len(first), dtype=bool), np.zeros(len(first), dtype=bool)
+    in_a[ids_a], in_b[ids_b] = True, True
 
     # each matched first-half sum's coefficients, added in enumeration order
     kind = object if exact else np.float64
-    ta_re, ta_im = np.zeros(len(in_b), dtype=kind), np.zeros(len(in_b), dtype=kind)
+    ta_re, ta_im = np.zeros(len(first), dtype=kind), np.zeros(len(first), dtype=kind)
     for rows in _matched_blocks(ids_a, in_b):
         re, im = _products([observables[i] for i in half_a], rows)
         np.add.at(ta_re, ids_a[rows], re)
         np.add.at(ta_im, ids_a[rows], im)
     if not half_b:                 # one factor: the value is the zero sum's entry
-        a = partner[0]
-        return _value(exact, ta_re[a], ta_im[a]) if a >= 0 else _value(exact, zero, zero)
+        a = ids_b[0]
+        return _value(exact, ta_re[a], ta_im[a]) if in_a[a] else _value(exact, zero, zero)
     acc_re = acc_im = zero
-    for rows in _matched_blocks(ids_b, partner >= 0):
+    for rows in _matched_blocks(ids_b, in_a):
         br, bi = _products([observables[i] for i in half_b], rows)
-        a = partner[ids_b[rows]]
+        a = ids_b[rows]
         ar, ai = ta_re[a], ta_im[a]
         acc_re = _ordered_sum(ar * br - ai * bi, acc_re)
         acc_im = _ordered_sum(ar * bi + ai * br, acc_im)

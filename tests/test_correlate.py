@@ -482,6 +482,132 @@ def test_group_splits_by_every_column():
             assert len(read) == 1
 
 
+def _stable_group(columns) -> tuple:
+    """_group as it was with a stable sort, without the block-wise scratch
+    bound: the reference whose ids the default sort must reproduce."""
+    ids = first = None
+    for key in columns:
+        if ids is None:
+            kind = np.int32 if len(key) < 1 << 31 else np.int64
+            ids = np.zeros(len(key), dtype=kind)
+            first = np.zeros(min(len(key), 1), dtype=np.int64)
+            rows = np.argsort(key, kind="stable")
+        else:
+            split = np.zeros(len(first), dtype=bool)
+            split[ids[key != key[first[ids]]]] = True
+            rows = np.flatnonzero(split[ids])
+            rows = rows[np.lexsort((key[rows], ids[rows]))]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (key[rows[1:]] != key[rows[:-1]]) | (ids[rows[1:]] != ids[rows[:-1]])
+        starts = rows[new]
+        part_ids = ids[starts]
+        split = np.zeros(len(starts), dtype=bool)
+        split[1:] = part_ids[1:] == part_ids[:-1]
+        part_ids[split] = len(first) + np.arange(np.count_nonzero(split))
+        ids[rows] = part_ids[np.cumsum(new, dtype=ids.dtype) - 1]
+        first = np.concatenate([first, starts[split]])
+        first[part_ids[~split]] = starts[~split]
+        if len(first) == len(ids):
+            break
+    return ids, first
+
+
+def test_group_ids_do_not_depend_on_the_sort():
+    # ids are a function of the key tuples: equal to the stable-sort
+    # reference's, and carried along by any permutation of the rows; the
+    # representative row may differ but holds the same keys
+    rng = np.random.default_rng(17)
+    p = correlate._moduli(1)[0]
+    unstable = False
+    for n in [0, 1, 2, 17, 100, 1000, 5000, correlate._BLOCK + 3, 40_000]:
+        for _ in range(3):
+            k = int(rng.integers(1, 4))
+            # few distinct values per column, spread over the residues
+            cols = [rng.choice(rng.integers(0, p, size=int(rng.integers(1, 6))), size=n)
+                    for _ in range(k)]
+            keys = np.stack(cols, axis=1) if n else np.zeros((0, k), np.int64)
+            ids, first = correlate._group(c.copy() for c in cols)
+            ref_ids, ref_first = _stable_group(c.copy() for c in cols)
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(keys[first], keys[ref_first])
+            perm = rng.permutation(n)
+            ids_p, first_p = correlate._group(c[perm] for c in cols)
+            assert np.array_equal(ids_p, ids[perm])
+            assert np.array_equal(keys[perm][first_p], keys[first])
+            unstable |= not np.array_equal(np.argsort(cols[0]),
+                                           np.argsort(cols[0], kind="stable"))
+    assert unstable                    # some case met an order the stable sort differs from
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+@pytest.mark.parametrize("system, times", [
+    ("catmap", [(0,), (0,), (0,), (0,)]),
+    ("catmap", [(0,), (1,), (0,), (1,)]),
+    ("product-t2xt2", [(0, 0), (0, 0), (1, 0), (1, 0)]),
+])
+def test_join_with_many_equal_partial_sums(kind, system, times):
+    # four radius-1 factors: each half's partial sums repeat many times, so
+    # the sort meets long runs of equal keys
+    generators = list(get_system(system).generators)
+    dim = generators[0].dim
+    rng = np.random.default_rng(zlib.crc32(repr((kind, system, times)).encode()))
+    obs_ = [_random_observable(rng, dim, 1, 9, exact=(kind == "exact")) for _ in range(4)]
+    value = correlation_n(obs_, generators, times)
+    assert value
+    _same(value, reference_correlation_n(obs_, generators, times))
+
+
+def _dot_ref(a, b) -> list:
+    """a @ b in Python ints, as nested lists (a vector b gives a list)."""
+    a = [[int(x) for x in row] for row in a]
+    if np.ndim(b) == 1:
+        return [sum(x * int(y) for x, y in zip(row, b)) for row in a]
+    return [[sum(x * int(row_b[c]) for x, row_b in zip(row, b)) for c in range(len(b[0]))]
+            for row in a]
+
+
+_L = (1 << 62) - 1                 # the largest |frequency| an observable may hold
+_C = ((1 << 63) - 1) // 7          # 7 * _C = 2^63 - 1
+
+
+@pytest.mark.parametrize("a, b, kind", [
+    # max|a| times the largest absolute column sum: exactly 2^63 - 1, and
+    # partial sums that reach +-(2^63 - 1)
+    ([[7, -7], [-7, 7], [0, 7]], [[_C - 5, 1], [-5, 2]], np.int64),
+    # exactly 2^63: a partial sum would wrap
+    ([[2, -2]], [[1 << 61, 1], [-(1 << 61), 0]], object),
+    ([[-(1 << 63)]], [[1]], object),                      # int64's minimum
+    ([[(1 << 63) - 1]], [[1]], np.int64),
+    ([[_L, -_L], [-_L, 0]], [[1], [1]], np.int64),          # 2 (2^62 - 1)
+    ([[_L, -_L], [-_L, 0]], [[1], [-2]], object),           # 3 (2^62 - 1)
+    ([[_L, _L]], [1, 1], np.int64),                         # a key vector
+    ([[_L, _L]], [1, 2], object),
+    ([[0, 0]], [[1 << 100, 0], [0, 1]], object),            # huge b, zero a
+    (np.zeros((0, 2), np.int64), [[3, 1], [1, 2]], np.int64),
+])
+def test_exact_dot_at_the_int64_boundary(a, b, kind):
+    a = np.array(a, dtype=np.int64)
+    out = correlate._exact_dot(a, b)
+    assert out.dtype == kind
+    assert out.tolist() == _dot_ref(a, b)
+    # object rows, as a Python-int transport hands them to _keys, decide alike
+    out = correlate._exact_dot(a.astype(object), b)
+    assert out.dtype == kind and out.tolist() == _dot_ref(a, b)
+
+
+def test_radius_47_transport_by_cat_12_stays_in_int64():
+    # the mixing workload's large observables and powers: a silent fallback
+    # to Python ints would cost the int64 speed without changing a value
+    disc = np.array([z for z in iproduct(range(-47, 48), repeat=2)
+                     if z[0] ** 2 + z[1] ** 2 <= 47 ** 2], dtype=np.int64)
+    mt = (CAT ** 12).to_int_array()
+    out = correlate._transport(disc, mt)
+    assert out.dtype == np.int64
+    assert out.tolist() == _dot_ref(disc, mt)
+    # the 111-bit frequencies of the max-gap counterexample stay exact
+    assert correlate._transport(disc, (CAT ** 80).to_int_array()).dtype == object
+
+
 def test_one_modulus_is_not_enough():
     # the frequency 2^61 - 1 is congruent to 0 modulo the first modulus: a
     # join on that modulus alone would take it for the zero mode
