@@ -103,15 +103,12 @@ def _group(columns) -> tuple:
     keys get ids 0, 1, ... in ascending order.  A later column re-sorts only
     the groups whose rows disagree on it, numbering their new parts in
     (id, key) order, and reading stops once every group is a single row.
-    Each column is released before the next is made and sorted neighbours
-    are compared a block at a time, so the scratch memory does not grow
-    with the number of moduli."""
+    Each column is released before the next is made (the first before the
+    ids exist) and sorted neighbours are compared a block at a time, so the
+    scratch memory does not grow with the number of moduli."""
     ids = first = None
     for key in columns:
         if ids is None:                          # one group holds every row
-            kind = np.int32 if len(key) < 1 << 31 else np.int64
-            ids = np.zeros(len(key), dtype=kind)
-            first = np.zeros(min(len(key), 1), dtype=np.int64)
             rows = np.argsort(key)
         else:
             split = np.zeros(len(first), dtype=bool)
@@ -121,18 +118,25 @@ def _group(columns) -> tuple:
         new = np.ones(len(rows), dtype=bool)     # the row opens a part
         for s in range(0, len(rows) - 1, _BLOCK):
             r = rows[s:s + _BLOCK + 1]
-            new[s + 1:s + len(r)] = (key[r[1:]] != key[r[:-1]]) | (ids[r[1:]] != ids[r[:-1]])
+            new[s + 1:s + len(r)] = key[r[1:]] != key[r[:-1]]
+            if ids is not None:
+                new[s + 1:s + len(r)] |= ids[r[1:]] != ids[r[:-1]]
         del key
-        # the part of a group with the smallest key keeps the group's id,
-        # the other parts get ids after the last one
-        starts = rows[new]
-        part_ids = ids[starts]
-        split = np.zeros(len(starts), dtype=bool)
-        split[1:] = part_ids[1:] == part_ids[:-1]
-        part_ids[split] = len(first) + np.arange(np.count_nonzero(split))
-        ids[rows] = part_ids[np.cumsum(new, dtype=ids.dtype) - 1]
-        first = np.concatenate([first, starts[split]])
-        first[part_ids[~split]] = starts[~split]
+        if ids is None:                          # the distinct first keys are the groups
+            ids = np.empty(len(rows), dtype=np.int32 if len(rows) < 1 << 31 else np.int64)
+            ids[rows] = np.cumsum(new, dtype=ids.dtype) - 1
+            first = rows[new]
+        else:
+            # the part of a group with the smallest key keeps the group's id,
+            # the other parts get ids after the last one
+            starts = rows[new]
+            part_ids = ids[starts]
+            split = np.zeros(len(starts), dtype=bool)
+            split[1:] = part_ids[1:] == part_ids[:-1]
+            part_ids[split] = len(first) + np.arange(np.count_nonzero(split))
+            ids[rows] = part_ids[np.cumsum(new, dtype=ids.dtype) - 1]
+            first = np.concatenate([first, starts[split]])
+            first[part_ids[~split]] = starts[~split]
         if len(first) == len(ids):
             break
     return ids, first

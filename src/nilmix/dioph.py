@@ -165,7 +165,7 @@ def _lattice_ball(dim: int, radius: float):
     """
     grid = _half_ball(dim, _radius_sq(radius))[1:]
     gf = grid.astype(np.float64)
-    npow = _ipow_half((gf * gf).sum(axis=1), dim)
+    npow = _ipow_half(sum(c * c for c in gf.T), dim)   # exact sums, no slow axis=1 reduction
     for a in (grid, gf, npow):
         a.setflags(write=False)
     return grid, gf, npow
@@ -337,29 +337,31 @@ def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) 
     ellipsoid ||p||^2 / n_hi + (m . u)^2 / t^2 <= 2.  t carries slack for the
     sweep's float64 admission test.  Each form is LLL-reduced in exact
     integers (its condition number reaches ~1e24 at R = 1000, d = 3), starting
-    from the previous shell's basis; its Gram-Schmidt data are then rounded
-    once to float64.
+    from the previous shell's basis: with u_i = w_i / D and 1/t^2 = tp / tq, as
+    [i = j != ax] tq D^2 + tp n_hi w_i w_j, the form times n_hi tq D^2.  LLL on
+    k G takes the same steps with dets[i] k^i and lam[i][j] k^(j+1), so the
+    Gram-Schmidt data, rounded once to float64, do not depend on the scale.
     """
     dim = len(u)
     rsq = _radius_sq(radius)
+    den = math.lcm(*(x.denominator for x in u))
+    w = [x.numerator * (den // x.denominator) for x in u]
     h = [[int(i == j) for j in range(dim)] for i in range(dim)]
     forms, n_lo, hi = [], -1, float(seed_radius)
     while n_lo < rsq:
         n_hi = min(math.floor(hi * hi), rsq)
         lo = max(hi / 2, seed_radius)
         t = c / lo ** dim * (1 + _ENUM_SLACK) + hi * dim * 1e-11
-        inv_t2 = Fraction(1.0 / (t * t))
-        form = [[Fraction(int(i == j != ax), n_hi) + inv_t2 * u[i] * u[j]
-                 for j in range(dim)] for i in range(dim)]
-        scale = math.lcm(*(x.denominator for row in form for x in row))
-        g = [[int(x * scale) for x in row] for row in form]
+        tp, tq = (1.0 / (t * t)).as_integer_ratio()
+        scale = n_hi * tq * den * den
+        g = [[int(i == j != ax) * tq * den * den + tp * n_hi * w[i] * w[j]
+              for j in range(dim)] for i in range(dim)]
         gh = [[sum(g[i][q] * b[q] for q in range(dim)) for b in h] for i in range(dim)]
         warm = [[sum(a[i] * gh[i][j] for i in range(dim)) for j in range(dim)] for a in h]
         red, dets, lam = _lll(warm)
         h = [[sum(r[i] * h[i][j] for i in range(dim)) for j in range(dim)] for r in red]
-        dn = np.array([float(Fraction(dets[i + 1], 2 * scale * dets[i]))
-                       for i in range(dim)])
-        mu = np.array([[float(Fraction(lam[i][j], dets[j + 1])) if j < i else 0.0
+        dn = np.array([dets[i + 1] / (2 * scale * dets[i]) for i in range(dim)])
+        mu = np.array([[lam[i][j] / dets[j + 1] if j < i else 0.0
                         for j in range(dim)] for i in range(dim)])
         forms.append((n_lo, n_hi, np.array(h, dtype=np.int64), dn, mu))
         n_lo, hi = n_hi, 2 * hi
@@ -471,13 +473,10 @@ def _seed_radius(dim: int) -> float:
     return float(max(8.0, min(r, 512.0)))
 
 
-def _normalize_rows(rows: np.ndarray) -> list[list[float]]:
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Scale each direction so its largest-|coordinate| entry equals 1."""
-    out = []
-    for r in rows:
-        j = int(np.argmax(np.abs(r)))
-        out.append([float(x) / float(r[j]) for x in r])
-    return out
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows / rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)][:, None]
 
 
 def certify_structural_subspaces(m: RationalMatrix, radius: float,
@@ -489,6 +488,10 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
     expanding and contracting spaces (ambient lattice Z^m), and every
     modulus class inside its own primary block, re-coordinatized by a
     saturated integer lattice basis of the block.
+
+    Subspaces often repeat a set of normalized rows (on catmap block_max is
+    w_plus): each distinct set, keyed on its exact float64 bits, is scanned
+    once per call and its certificate shared; nothing outlives the call.
     """
     if not m.is_unimodular_integer():
         raise ValueError("matrix must be integer with determinant +-1")
@@ -497,7 +500,15 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
         raise ValueError("matrix is not ergodic (root-of-unity eigenvalue present)")
 
     split = lyapunov_data(m, precision_bits)
-    report = {}
+    report, scans = {}, {}
+
+    def certify(rows: np.ndarray) -> DiophantineCertificate:
+        vs = _normalize_rows(rows)
+        bits = vs.shape, vs.tobytes()
+        if bits not in scans:
+            scans[bits] = diophantine_certificate(vs.tolist(), vs.shape[1], radius)
+        return scans[bits]
+
     ambient = {
         "block_max": split.block_max(),
         "block_min": split.block_min(),
@@ -507,7 +518,7 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
     for name, rows in ambient.items():
         if rows.shape[0] == 0:
             raise ArithmeticError(f"subspace {name} is empty for an ergodic matrix")
-        report[name] = diophantine_certificate(_normalize_rows(rows), m.dim, radius)
+        report[name] = certify(rows)
 
     for i, blk in enumerate(split.primary.blocks):
         # rows span the block's saturated integer lattice, ker q(m)^c in Z^n
@@ -525,8 +536,7 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
                 raise ArithmeticError(
                     f"class basis escapes its primary block lattice (residual {resid:.2e})")
             key = f"class[{i}]@{b.exponent:+.6f}"
-            report[key] = diophantine_certificate(
-                _normalize_rows(coords), len(lattice), radius)
+            report[key] = certify(coords)
     return report
 
 

@@ -1,0 +1,54 @@
+"""Reference only: the pruned scan's shell forms and the row normalization
+in `Fraction` and Python-float arithmetic.
+
+`dioph._shell_forms` builds each shell's Gram matrix on integers over one
+common scale (n_hi q D^2, with u over one denominator D and 1/t^2 = p / q),
+and `dioph._normalize_rows` divides whole arrays.  The versions here build
+the form entry by entry in `Fraction`s and scale it by the least common
+denominator, and divide one Python float at a time, as the library did
+before; the differential tests require equal bytes.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from nilmix.dioph import _ENUM_SLACK, _lll, _radius_sq
+
+
+def shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) -> list:
+    """`(n_lo, n_hi, basis, dn, mu)` of every dyadic shell, in `Fraction`s."""
+    dim = len(u)
+    rsq = _radius_sq(radius)
+    h = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    forms, n_lo, hi = [], -1, float(seed_radius)
+    while n_lo < rsq:
+        n_hi = min(math.floor(hi * hi), rsq)
+        lo = max(hi / 2, seed_radius)
+        t = c / lo ** dim * (1 + _ENUM_SLACK) + hi * dim * 1e-11
+        inv_t2 = Fraction(1.0 / (t * t))
+        form = [[Fraction(int(i == j != ax), n_hi) + inv_t2 * u[i] * u[j]
+                 for j in range(dim)] for i in range(dim)]
+        scale = math.lcm(*(x.denominator for row in form for x in row))
+        g = [[int(x * scale) for x in row] for row in form]
+        gh = [[sum(g[i][q] * b[q] for q in range(dim)) for b in h] for i in range(dim)]
+        warm = [[sum(a[i] * gh[i][j] for i in range(dim)) for j in range(dim)] for a in h]
+        red, dets, lam = _lll(warm)
+        h = [[sum(r[i] * h[i][j] for i in range(dim)) for j in range(dim)] for r in red]
+        dn = np.array([float(Fraction(dets[i + 1], 2 * scale * dets[i]))
+                       for i in range(dim)])
+        mu = np.array([[float(Fraction(lam[i][j], dets[j + 1])) if j < i else 0.0
+                        for j in range(dim)] for i in range(dim)])
+        forms.append((n_lo, n_hi, np.array(h, dtype=np.int64), dn, mu))
+        n_lo, hi = n_hi, 2 * hi
+    return forms
+
+
+def normalize_rows(rows) -> list:
+    """Each row divided by its first largest-|coordinate| entry, float by float."""
+    out = []
+    for r in rows:
+        j = int(np.argmax(np.abs(r)))
+        out.append([float(x) / float(r[j]) for x in r])
+    return out

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from unittest import mock
 
 import nilmix
 from nilmix.catalog import CAT, CUBIC, get_system, random_ergodic_gl3
@@ -29,6 +31,7 @@ from nilmix.nilalg import heisenberg_algebra
 
 from conftest import PHI_INV
 from density_reference import cube_half_ball
+import dioph_reference
 
 import numpy as np
 
@@ -445,6 +448,101 @@ def test_structural_random_conjugates_small_radius():
         assert m.is_unimodular_integer()
         report = certify_structural_subspaces(m, 60)
         assert all(cert.passed for cert in report.values())
+
+
+# ---------------------------------------------------------------------------
+# integer shell forms, exact norm sums and the per-call memo
+# ---------------------------------------------------------------------------
+
+_ENTRY = st.one_of(
+    st.floats(-1.0, 1.0),
+    # near-rational: k / q off by a few ulps to 1e-9
+    st.builds(lambda k, q, e: k / q + e, st.integers(-7, 7), st.integers(1, 7),
+              st.floats(-1e-9, 1e-9)),
+    st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([1.0, -1.0]), st.floats(-12, -6)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def _shell_inputs(draw):
+    dim = draw(st.integers(2, 6))
+    ax = draw(st.integers(0, dim - 1))
+    piv = draw(st.sampled_from([1.0, -1.0]) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+    row = [draw(_ENTRY) for _ in range(dim)]
+    row[ax] = piv
+    u = [Fraction(float(x)) / Fraction(piv) for x in row]
+    c = 10.0 ** draw(st.floats(-12, 1))
+    seed_radius = draw(st.floats(8.0, 512.0))
+    radius = seed_radius * (1e5 / seed_radius) ** draw(st.floats(0.0, 1.0))
+    return u, ax, c, seed_radius, radius
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_shell_inputs())
+def test_integer_shell_forms_are_the_fraction_forms(args):
+    got = dioph._shell_forms(*args)
+    want = dioph_reference.shell_forms(*args)
+    assert len(got) == len(want)
+    for (lo, hi, basis, dn, mu), (lo_w, hi_w, basis_w, dn_w, mu_w) in zip(got, want):
+        assert (lo, hi) == (lo_w, hi_w)
+        assert basis.dtype == basis_w.dtype and (basis == basis_w).all()
+        assert dn.tobytes() == dn_w.tobytes() and mu.tobytes() == mu_w.tobytes()
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 5000.0), (2, 300.0), (3, 45.5), (4, 19.0),
+                                         (5, 10.0), (6, 6.5)])
+def test_lattice_ball_norm_powers_are_the_row_sums(dim, radius):
+    _, gf, npow = _lattice_ball(dim, radius)
+    assert npow.tobytes() == _ipow_half((gf * gf).sum(axis=1), dim).tobytes()
+
+
+def test_normalized_rows_are_divided_float_by_float():
+    rng = np.random.default_rng(5)
+    cases = [rng.normal(size=(3, 4)), np.array([[2.0, -2.0, 0.0, -0.0]]),
+             np.array([[-0.0, 1e-300, -3.0, 3.0], [0.1, 0.2, 0.3, -0.3]])]
+    for rows in cases:
+        got = dioph._normalize_rows(rows)
+        assert got.tolist() == dioph_reference.normalize_rows(rows)
+        assert got.tobytes() == np.array(dioph_reference.normalize_rows(rows)).tobytes()
+
+
+def _scans(m, radius):
+    """The report of one structural certify and the direction sets it scanned."""
+    with mock.patch.object(dioph, "_scan_pruned", wraps=dioph._scan_pruned) as pruned, \
+            mock.patch.object(dioph, "_scan_full_float", wraps=dioph._scan_full_float) as full:
+        report = certify_structural_subspaces(m, radius)
+    # at R = 1000 every scan is pruned, and each seeds itself with one full scan
+    assert full.call_count == pruned.call_count
+    sets = [(c.args[0].shape, c.args[0].astype(np.float64).tobytes())
+            for c in pruned.call_args_list]
+    return report, sets
+
+
+@pytest.mark.parametrize("system, n_subspaces, n_scans", [
+    ("catmap", 6, 3), ("cubic3", 7, 5), ("quartic", 8, 6)])
+def test_each_distinct_direction_set_is_scanned_once_per_call(system, n_subspaces, n_scans):
+    from nilmix.exactlin import IntPolynomial
+    m = (RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1])) if system == "quartic"
+         else get_system(system).matrix)
+    report, sets = _scans(m, 1000)
+    assert len(report) == n_subspaces
+    assert len(sets) == len(set(sets)) == n_scans
+    assert len({id(cert) for cert in report.values()}) == n_scans
+    for cert in report.values():
+        assert diophantine_certificate(cert.directions, cert.dim_ambient, cert.radius) == cert
+    # nothing is kept across calls: a second call scans the same sets again
+    again, sets_again = _scans(m, 1000)
+    assert sets_again == sets and again == report
+
+
+def test_last_bit_neighbours_are_scanned_apart():
+    # on catmap block_min and w_minus differ only in the last bit of -1/phi
+    report, sets = _scans(CAT, 1000)
+    lo, lo_next = report["block_min"].directions[0][0], report["w_minus"].directions[0][0]
+    assert lo != lo_next and abs(lo - lo_next) == math.ulp(lo)
+    assert report["block_min"] is not report["w_minus"]
+    assert report["block_max"] is report["w_plus"]
 
 
 # ---------------------------------------------------------------------------
