@@ -108,7 +108,7 @@ def _group(columns) -> tuple:
     scratch memory does not grow with the number of moduli."""
     ids = first = None
     for key in columns:
-        if ids is None:                          # one group holds every row
+        if ids is None:                          # the first column sorts every row
             rows = np.argsort(key)
         else:
             split = np.zeros(len(first), dtype=bool)

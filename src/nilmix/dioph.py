@@ -337,10 +337,10 @@ def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) 
     ellipsoid ||p||^2 / n_hi + (m . u)^2 / t^2 <= 2.  t carries slack for the
     sweep's float64 admission test.  Each form is LLL-reduced in exact
     integers (its condition number reaches ~1e24 at R = 1000, d = 3), starting
-    from the previous shell's basis: with u_i = w_i / D and 1/t^2 = tp / tq, as
-    [i = j != ax] tq D^2 + tp n_hi w_i w_j, the form times n_hi tq D^2.  LLL on
-    k G takes the same steps with dets[i] k^i and lam[i][j] k^(j+1), so the
-    Gram-Schmidt data, rounded once to float64, do not depend on the scale.
+    from the previous shell's basis: the integer Gram matrix [i = j != ax]
+    tq D^2 + tp n_hi w_i w_j (u_i = w_i / D, 1/t^2 = tp / tq) is the form
+    times n_hi tq D^2, and LLL on k G takes the same steps (dets[i] k^i, lam
+    k^(j+1)), so the float64 Gram-Schmidt data do not depend on the scale.
     """
     dim = len(u)
     rsq = _radius_sq(radius)

@@ -26,7 +26,7 @@ from nilmix.dioph import (
     type_i_subspace,
     certify_structural_subspaces,
 )
-from nilmix.exactlin import RationalMatrix
+from nilmix.exactlin import IntPolynomial, RationalMatrix
 from nilmix.nilalg import heisenberg_algebra
 
 from conftest import PHI_INV
@@ -502,9 +502,8 @@ def test_normalized_rows_are_divided_float_by_float():
     cases = [rng.normal(size=(3, 4)), np.array([[2.0, -2.0, 0.0, -0.0]]),
              np.array([[-0.0, 1e-300, -3.0, 3.0], [0.1, 0.2, 0.3, -0.3]])]
     for rows in cases:
-        got = dioph._normalize_rows(rows)
-        assert got.tolist() == dioph_reference.normalize_rows(rows)
-        assert got.tobytes() == np.array(dioph_reference.normalize_rows(rows)).tobytes()
+        want = np.array(dioph_reference.normalize_rows(rows))
+        assert dioph._normalize_rows(rows).tobytes() == want.tobytes()
 
 
 def _scans(m, radius):
@@ -512,19 +511,18 @@ def _scans(m, radius):
     with mock.patch.object(dioph, "_scan_pruned", wraps=dioph._scan_pruned) as pruned, \
             mock.patch.object(dioph, "_scan_full_float", wraps=dioph._scan_full_float) as full:
         report = certify_structural_subspaces(m, radius)
-    # at R = 1000 every scan is pruned, and each seeds itself with one full scan
+    # every scan here is pruned, and each seeds itself with one full scan
     assert full.call_count == pruned.call_count
     sets = [(c.args[0].shape, c.args[0].astype(np.float64).tobytes())
             for c in pruned.call_args_list]
     return report, sets
 
 
-@pytest.mark.parametrize("system, n_subspaces, n_scans", [
-    ("catmap", 6, 3), ("cubic3", 7, 5), ("quartic", 8, 6)])
-def test_each_distinct_direction_set_is_scanned_once_per_call(system, n_subspaces, n_scans):
-    from nilmix.exactlin import IntPolynomial
-    m = (RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1])) if system == "quartic"
-         else get_system(system).matrix)
+@pytest.mark.parametrize("m, n_subspaces, n_scans", [
+    (CAT, 6, 3), (CUBIC, 7, 5),
+    (RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1])), 8, 6),
+], ids=["catmap", "cubic3", "quartic"])
+def test_each_distinct_direction_set_is_scanned_once_per_call(m, n_subspaces, n_scans):
     report, sets = _scans(m, 1000)
     assert len(report) == n_subspaces
     assert len(sets) == len(set(sets)) == n_scans
@@ -543,6 +541,16 @@ def test_last_bit_neighbours_are_scanned_apart():
     assert lo != lo_next and abs(lo - lo_next) == math.ulp(lo)
     assert report["block_min"] is not report["w_minus"]
     assert report["block_max"] is report["w_plus"]
+
+
+def test_signed_zeros_are_scanned_apart():
+    # on product-t2xt2 block_max and w_plus differ only in the signs of their
+    # zero entries: equal as floats, distinct as bits, so scanned twice
+    report, sets = _scans(get_system("product-t2xt2").matrix, 200)
+    plus, top = report["w_plus"].directions, report["block_max"].directions
+    assert plus == top and np.array(plus).tobytes() != np.array(top).tobytes()
+    assert report["w_plus"] is not report["block_max"]
+    assert len(sets) == len(set(sets)) == 4
 
 
 # ---------------------------------------------------------------------------
