@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, _restrict_to_primary, integer_kernel, lyapunov_data
+from .exactlin import RationalMatrix, _restrict_to_primary, _rref, integer_kernel, lyapunov_data
 from .nilalg import NilpotentAlgebra, abelian_algebra, is_ergodic
 
 __all__ = [
@@ -571,24 +571,18 @@ def type_i_subspace(algebra: NilpotentAlgebra, layer: int,
 
     # coordinates of the lifted directions in the ambient integer basis
     if exact:
-        acols = [[Fraction(v[j]) for j in sl] for v in amb]
-        t = len(acols)
-        gram = RationalMatrix([[sum(a * b for a, b in zip(acols[i], acols[j]))
-                                for j in range(t)] for i in range(t)])
-        try:
-            ginv = gram.inverse()
-        except ZeroDivisionError:
+        # reduce [A^T | W]: the ambient columns must all be pivots, a pivot in
+        # a candidate column puts it outside their span, and the reduced rows
+        # then hold each candidate's coordinates
+        t = len(amb)
+        red, pivots, _ = _rref([[Fraction(v[j]) for v in amb] + [Fraction(w[i]) for w in lifted]
+                                for i, j in enumerate(sl)])
+        if pivots[:t] != list(range(t)):
             raise ValueError("ambient basis is degenerate")
-        coords = []
-        for w in lifted:
-            rhs = tuple(sum(a * Fraction(x) for a, x in zip(acols[i], w))
-                        for i in range(t))
-            x = ginv.apply(rhs)
-            back = [sum(x[i] * acols[i][j] for i in range(t)) for j in range(len(w))]
-            if any(b != Fraction(val) for b, val in zip(back, w)):
-                raise ValueError("candidate layer component is not inside the ambient span")
-            coords.append(list(x))
-        return diophantine_certificate(coords, t, radius)
+        if len(pivots) > t:
+            raise ValueError("candidate layer component is not inside the ambient span")
+        return diophantine_certificate([[red[i][t + k] for i in range(t)]
+                                        for k in range(len(lifted))], t, radius)
 
     amb_cols = np.array([[float(v[j]) for j in sl] for v in amb], dtype=np.float64)
     gram = amb_cols @ amb_cols.T

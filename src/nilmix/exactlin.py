@@ -1202,13 +1202,12 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplit
     """Certified Lyapunov splitting of an invertible rational matrix.
 
     Moduli of the exact characteristic roots are computed at >= precision_bits
-    working precision with error bounds.  Classes are merged only on proven
-    equality (_modulus_relation): both roots proven on the unit circle, a
-    conjugate pair, or both squared moduli on one root of one irreducible
-    factor of the squared-modulus polynomials M_q, with factors related by
-    x -> -x as a shortcut that needs no M_q.
-    Overlapping-but-unproven intervals escalate the precision up to
-    _MAX_PRECISION_BITS and then raise PrecisionError; moduli proven unequal
+    working precision with error bounds.  Two roots share a class only when
+    their moduli are proven equal, and lie in two classes only when proven
+    unequal (_modulus_relation: unit circle, conjugation, x -> -x and the
+    squared-modulus polynomials M_q); doubles only order and report them.  A
+    pair decided neither way escalates the precision up to
+    _MAX_PRECISION_BITS and then raises PrecisionError; moduli proven unequal
     whose doubles coincide raise ResolutionError at once.  Every attempt
     reuses the memoized primary decomposition.  Memoized per (matrix,
     precision); the splitting is frozen and its block bases are read-only,
@@ -1297,49 +1296,48 @@ def _invariance_residual(m_f: np.ndarray, basis: np.ndarray) -> float:
 
 
 def _merge_modulus_classes(entries, primary, records):
-    """Group roots into exact-equal-modulus classes; raise on unprovable overlap."""
-    items = sorted(entries, key=lambda e: e["mod"])
+    """Group roots into classes of equal modulus, decided by _modulus_relation
+    alone.  In ascending order of reported modulus, a root joins the class
+    with a member proven equal to it, opens a new class only when proven
+    unequal to every root placed so far, and else raises PrecisionError; a
+    root proven unequal to a member of the same double modulus raises
+    ResolutionError at once."""
     classes = []
-    for e in items:
-        placed = False
-        for cls in classes:
-            lo1, hi1 = e["mod"] - e["err"], e["mod"] + e["err"]
-            lo2 = min(x["mod"] - x["err"] for x in cls)
-            hi2 = max(x["mod"] + x["err"] for x in cls)
-            if hi1 < lo2 or hi2 < lo1:
-                continue
-            below_double = False
-            for member in cls:
-                relation = _modulus_relation(e, member, primary, records)
-                if relation:
-                    placed = True
-                    break
-                below_double |= relation is False and member["mod"] == e["mod"]
-            if placed:
+    for e in sorted(entries, key=lambda e: e["mod"]):
+        unproven = False
+        for cls, x in ((cls, x) for cls in classes for x in cls):
+            relation = _modulus_relation(e, x, primary, records)
+            if relation:
                 cls.append(e)
                 break
-            if below_double:
-                raise ResolutionError(
-                    f"moduli near {e['mod']:.6g} differ below double resolution")
-            raise PrecisionError(
-                f"modulus intervals overlap without provable equality near {e['mod']:.6g}")
-        if not placed:
+            if relation is False and x["mod"] == e["mod"]:
+                raise ResolutionError(f"moduli near {e['mod']:.6g} differ below double resolution")
+            unproven |= relation is None
+        else:
+            if unproven:
+                raise PrecisionError(f"modulus near {e['mod']:.6g} not proven equal or unequal")
             classes.append([e])
     return classes
 
 
 def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
     """True when |root 1| == |root 2| is proven, False when |root 1| != |root 2|
-    is, None when neither.  Equal: both are proven on the unit circle, root 2
-    is the conjugate of root 1, q2 = +-q1(-x) and the disc holding -root 1
-    holds root 2 or its conjugate, or both squared moduli land on one root of
-    one irreducible factor of M_q (_squared_modulus_root).  Unequal: the discs
-    of the squared moduli are disjoint, or they land on different roots.  The
-    symmetry shortcuts need no M_q, whose factorization is often refused at
-    degree 12 and beyond (M_q has degree n^2)."""
-    if e1["one"] or e2["one"]:
-        return (e1["one"] and e2["one"]) or None
+    is, None when neither.  Unequal: the discs of the squared moduli are
+    disjoint (asked of every pair), or they land on different roots of M_q.
+    Equal: both are proven on the unit circle (a unit and a non-unit root are
+    never proven equal), root 2 is the conjugate of root 1, q2 = +-q1(-x) and
+    the disc holding -root 1 holds root 2 or its conjugate, or both squared
+    moduli land on one root of one irreducible factor of M_q
+    (_squared_modulus_root).  The symmetry shortcuts need no M_q, whose
+    factorization is often refused at degree 12 and beyond (M_q has degree n^2)."""
+    if e1["one"] and e2["one"]:
+        return True
     rec1, rec2 = records[e1["fi"]], records[e2["fi"]]
+    images = [_squared_modulus(rec.discs[e["ri"]], rec.prec) for rec, e in ((rec1, e1), (rec2, e2))]
+    if _holder(images[:1], images[1]) is None:
+        return False
+    if e1["one"] or e2["one"]:
+        return None
     if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
         return True
     q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
@@ -1348,9 +1346,6 @@ def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
         k = _holder(rec2.discs, (-x, -y, r))
         if k is not None and e2["ri"] in (k, rec2.partner[k]):
             return True
-    images = [_squared_modulus(rec.discs[e["ri"]], rec.prec) for rec, e in ((rec1, e1), (rec2, e2))]
-    if _holder(images[:1], images[1]) is None:
-        return False
     keys = [_squared_modulus_root(q, image, rec.prec)
             for q, rec, image in zip((q1, q2), (rec1, rec2), images)]
     return None if None in keys else keys[0] == keys[1]

@@ -8,11 +8,27 @@ for equal moduli across a pair of roots.  On well-separated roots the one
 image rule of `exactlin._holder` must give the same partners, the same unit
 flags and the same class merges.  The functions read `(complex root, error)`
 pairs, as `FactorRoots.roots` still holds them.
+
+The last two are the class merge as it stood before the exact rule alone
+decided it: a root was compared only with the classes whose double
+intervals `mod +- err` met its own, so two equal moduli whose doubles
+differ by more than their errors were split without a proof.  Where that
+merge does not refuse and splits no equal moduli, `exactlin`'s classes
+must be the same.
 """
+
+from typing import Optional
 
 import numpy as np
 
-from nilmix.exactlin import IntPolynomial, PrecisionError
+from nilmix.exactlin import (
+    IntPolynomial,
+    PrecisionError,
+    ResolutionError,
+    _holder,
+    _squared_modulus,
+    _squared_modulus_root,
+)
 
 
 def _pair_conjugates(roots: list[tuple[complex, float]]) -> list[int]:
@@ -90,3 +106,63 @@ def _prove_equal_modulus(e1, e2, primary, records) -> bool:
         if abs(r1 + r2) <= err1 + err2 + 1e-12 or abs(r1.conjugate() + r2) <= err1 + err2 + 1e-12:
             return True
     return False
+
+
+def _merge_modulus_classes(entries, primary, records):
+    """Group roots into exact-equal-modulus classes; raise on unprovable overlap."""
+    items = sorted(entries, key=lambda e: e["mod"])
+    classes = []
+    for e in items:
+        placed = False
+        for cls in classes:
+            lo1, hi1 = e["mod"] - e["err"], e["mod"] + e["err"]
+            lo2 = min(x["mod"] - x["err"] for x in cls)
+            hi2 = max(x["mod"] + x["err"] for x in cls)
+            if hi1 < lo2 or hi2 < lo1:
+                continue
+            below_double = False
+            for member in cls:
+                relation = _modulus_relation(e, member, primary, records)
+                if relation:
+                    placed = True
+                    break
+                below_double |= relation is False and member["mod"] == e["mod"]
+            if placed:
+                cls.append(e)
+                break
+            if below_double:
+                raise ResolutionError(
+                    f"moduli near {e['mod']:.6g} differ below double resolution")
+            raise PrecisionError(
+                f"modulus intervals overlap without provable equality near {e['mod']:.6g}")
+        if not placed:
+            classes.append([e])
+    return classes
+
+
+def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
+    """True when |root 1| == |root 2| is proven, False when |root 1| != |root 2|
+    is, None when neither.  Equal: both are proven on the unit circle, root 2
+    is the conjugate of root 1, q2 = +-q1(-x) and the disc holding -root 1
+    holds root 2 or its conjugate, or both squared moduli land on one root of
+    one irreducible factor of M_q (_squared_modulus_root).  Unequal: the discs
+    of the squared moduli are disjoint, or they land on different roots.  The
+    symmetry shortcuts need no M_q, whose factorization is often refused at
+    degree 12 and beyond (M_q has degree n^2)."""
+    if e1["one"] or e2["one"]:
+        return (e1["one"] and e2["one"]) or None
+    rec1, rec2 = records[e1["fi"]], records[e2["fi"]]
+    if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
+        return True
+    q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
+    if q1.compose_neg() in (q2, q2.scale(-1)):
+        x, y, r = rec1.discs[e1["ri"]]
+        k = _holder(rec2.discs, (-x, -y, r))
+        if k is not None and e2["ri"] in (k, rec2.partner[k]):
+            return True
+    images = [_squared_modulus(rec.discs[e["ri"]], rec.prec) for rec, e in ((rec1, e1), (rec2, e2))]
+    if _holder(images[:1], images[1]) is None:
+        return False
+    keys = [_squared_modulus_root(q, image, rec.prec)
+            for q, rec, image in zip((q1, q2), (rec1, rec2), images)]
+    return None if None in keys else keys[0] == keys[1]

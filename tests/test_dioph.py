@@ -582,3 +582,22 @@ def test_type_i_rejects_escaping_candidate():
     with pytest.raises(ValueError):
         # candidate has a layer-1 component but claims layer 2
         type_i_subspace(heis, 2, [[1, 0, 1]], [[0, 0, 1]], 10)
+
+
+def test_type_i_exact_coordinates_need_not_be_integers():
+    heis = heisenberg_algebra()
+    cert = type_i_subspace(heis, 1, [[1, 1, 0]], [[2, 0, 0], [0, 3, 0]], 30)
+    assert cert.directions == [[Fraction(1, 2), Fraction(1, 3)]]
+    assert all(type(x) is Fraction for x in cert.directions[0])
+
+
+@pytest.mark.parametrize("candidate, ambient, message", [
+    ([[1, 0, 0]], [[1, 0, 0], [2, 0, 0]], "ambient basis is degenerate"),
+    ([[1, 1, 0]], [[1, 0, 0]], "not inside the ambient span"),
+    # both at once: the degenerate ambient is named first
+    ([[0, 1, 0]], [[1, 0, 0], [2, 0, 0]], "ambient basis is degenerate"),
+    ([[1, 0, 0], [Fraction(1, 2), Fraction(1, 7), 0]], [[1, 0, 0]], "not inside the ambient span"),
+])
+def test_type_i_exact_refusals(candidate, ambient, message):
+    with pytest.raises(ValueError, match=message):
+        type_i_subspace(heisenberg_algebra(), 1, candidate, ambient, 10)
