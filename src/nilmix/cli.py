@@ -318,7 +318,7 @@ def _cmd_certify(cfg, outdir, precision, seed):
     out = {"radius": radius}
     if "directions" in cfg:
         dims = _number(cfg, "dim_ambient", None, int)
-        _vectors(cfg, "directions")   # checked only: integer entries select the exact engine
+        _vectors(cfg, "directions")   # checked only: integer entries select an exact certificate
         cert = diophantine_certificate(cfg["directions"], dims, radius)
         out["certificate"] = {"c_emp": cert.c_emp, "argmin": cert.argmin,
                               "passed": cert.passed, "points": cert.points_scanned}

@@ -13,10 +13,11 @@ Two scan engines produce the identical ball minimum:
 
 * a literal full scan over one cached symmetry-reduced grid of the ball
   (built exactly by ``_half_ball``, which also serves the density counts)
-  for balls up to a size threshold: exact Python-int keys over one common
-  denominator for rational directions; otherwise every point is screened
-  in float64 against a proven rounding bound, and only the points that
-  could still attain the minimum are evaluated in 80-bit extended floats;
+  for balls up to a size threshold: every point is screened in float64
+  against a proven rounding bound, and only the points that could still
+  attain the minimum are evaluated, exactly (Python-int keys over one
+  common denominator) for rational directions on small balls, otherwise in
+  80-bit extended floats;
 * a pruned scan for large balls: after a seed full scan out to a small
   radius s, a lattice point that could still attain the running minimum C
   must satisfy |m . v| <= C / max(||p||, s)^dimE for the dominant direction
@@ -51,7 +52,8 @@ __all__ = [
 ]
 
 _FULL_SCAN_LIMIT = 3_000_000       # lattice points; beyond this the pruned engine runs
-_EXACT_SCAN_LIMIT = 40_000         # Fraction arithmetic is slow; cap the exact engine
+_EXACT_SCAN_LIMIT = 40_000         # lattice points; rational directions get an exact c_emp up to
+                                   # here and the rounded-down extended value beyond, as always
 _FLOAT_DOWN = 1.0 - 1e-13          # directed-rounding margin on reported minima
 _LONG = np.longdouble
 
@@ -98,27 +100,7 @@ def _is_rational_input(vs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact full scan (rational directions)
-# ---------------------------------------------------------------------------
-
-def _scan_exact(vs: list[list[Fraction]], dim: int, radius: float):
-    """Exact minimum over the symmetry-reduced ball of the float engines.
-
-    The directions become integer numerators W over one common denominator
-    den; each point's key (||m||^2)^d (sum_i |m . W_i|)^2 is a Python int,
-    and the minimum over den^2 is f(m)^2.
-    """
-    den = math.lcm(*(x.denominator for v in vs for x in v))
-    w = np.array([[x.numerator * (den // x.denominator) for x in v] for v in vs], dtype=object)
-    grid = _lattice_ball(dim, radius)[0]
-    nsq = (grid * grid).sum(axis=1).astype(object)
-    s = np.abs(grid.astype(object) @ w.T).sum(axis=1)
-    key, arg = _lex_best(grid, nsq ** dim * s * s)
-    return Fraction(key, den * den), arg, len(grid)
-
-
-# ---------------------------------------------------------------------------
-# Float full scan (float64 screen, 80-bit extended survivors)
+# Full scan (float64 screen; exact or 80-bit extended survivors)
 # ---------------------------------------------------------------------------
 
 def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
@@ -160,7 +142,7 @@ def _half_ball(dim: int, r_sq: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _lattice_ball(dim: int, radius: float):
     """Symmetry-reduced ball grid in lexicographic order, its float64 copy and
-    float64 norm powers ||m||^d (read-only: cached and shared by all three
+    float64 norm powers ||m||^d (read-only: cached and shared by both
     engines): the half ball of _radius_sq(radius) without its zero row.
     """
     grid = _half_ball(dim, _radius_sq(radius))[1:]
@@ -171,12 +153,6 @@ def _lattice_ball(dim: int, radius: float):
     return grid, gf, npow
 
 
-def _objective(g: np.ndarray, npow: np.ndarray, vs_arr: np.ndarray) -> np.ndarray:
-    """f(m) = ||m||^d sum_i |m . v_i| in extended precision, from the
-    longdouble points g and their norm powers npow."""
-    return npow * np.abs(g @ vs_arr.T).sum(axis=1)
-
-
 def _lex_best(grid: np.ndarray, f: np.ndarray):
     """Minimum of f with lexicographic tie-break on the lattice point."""
     ties = np.nonzero(f == f.min())[0]
@@ -184,17 +160,36 @@ def _lex_best(grid: np.ndarray, f: np.ndarray):
     return f[best_i], tuple(int(x) for x in grid[best_i])
 
 
-def _scan_full_float(vs_arr: np.ndarray, dim: int, radius: float):
-    """Extended-precision minimum, lexicographic argmin and point count of f
-    over the ball, screened in float64.
+def _minimum(pts: np.ndarray, vs, dim: int):
+    """Minimum of f over the points pts and its lexicographic argmin: for a
+    longdouble array vs, f in 80-bit extended precision as a float; for rational
+    rows vs, the exact f^2, the least Python-int key (||m||^2)^d (sum_i |m . W_i|)^2
+    of their integer numerators W over one common denominator den, over den^2."""
+    if isinstance(vs, np.ndarray):
+        g = pts.astype(_LONG)
+        val, arg = _lex_best(pts, _ipow_half((g * g).sum(axis=1), dim)
+                             * np.abs(g @ vs.T).sum(axis=1))
+        return float(val), arg
+    den = math.lcm(*(x.denominator for v in vs for x in v))
+    w = np.array([[x.numerator * (den // x.denominator) for x in v] for v in vs], dtype=object)
+    p = pts.astype(object)
+    s = np.abs(p @ w.T).sum(axis=1)
+    key, arg = _lex_best(pts, (p * p).sum(axis=1) ** dim * s * s)
+    return Fraction(key, den * den), arg
+
+
+def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list] = None):
+    """Minimum, lexicographic argmin and point count of f over the ball, screened
+    in float64: the exact f^2 of the rational rows exact if given (vs_arr then
+    holds their float64 roundings), else the extended-precision f of vs_arr.
 
     Every point is first evaluated in float64 (gf, npow: the grid's float64
     copy and norm powers ||m||^d; v64: vs_arr rounded to float64).  Let u = 2^-53,
     the unit roundoff of float64 (the longdouble one is no larger), and
     gamma_k = k u / (1 - k u).  Against the exact F(m) = ||m||^d sum_j |m . v_j|
-    of the longdouble directions v_j, to first order in u:
+    of the directions v_j, rational or longdouble, to first order in u:
 
-    * rounding v_j to float64 moves m . v_j by at most u sum_i |m_i v_ji|;
+    * rounding any real v_j to float64 moves m . v_j by at most u sum_i |m_i v_ji|;
     * a d-term dot product (any order, with or without FMA) is off by at most
       gamma_d sum_i |m_i v_ji|, and sum_i |m_i v_ji| <= ||m|| ||v_j||;
     * the t-term sum of the nonnegative |m . v_j| is off by gamma_(t-1) of itself;
@@ -205,18 +200,18 @@ def _scan_full_float(vs_arr: np.ndarray, dim: int, radius: float):
     So float64 and longdouble each miss F(m) by at most
     (2d + t + 2) u ||m||^(d+1) sum_j ||v_j||, and ||m|| <= R, hence
 
-        |f64(m) - f_longdouble(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
+        |f64(m) - F(m)|, |f64(m) - f_longdouble(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
 
     with e = max(1e-12, (2d + t + 2) 2^-50), at least twice the summed
     first-order bounds (2d + t + 2) 2^-52; the slack covers the second-order
     terms and the rounding of sum_j ||v_j|| and of the threshold below
     (u times a value of the same scale).  Underflow adds at most ~(d + t) 2^-1074 R^(d+1), inside the
-    floor 1e-280 on sum_j ||v_j||.  Every row attaining the longdouble
-    minimum L then has f64 <= L + err <= min(f64) + 2 err and is kept; a
-    direction beyond the float64 range makes err or min(f64) non-finite and
-    keeps every row.  On the kept rows _objective runs element by element
-    exactly as it would over the whole ball, so the minimum and argmin are
-    bit-identical.
+    floor 1e-280 on sum_j ||v_j||.  Every row attaining the minimum L of F
+    (rational rows) or of f_longdouble then has f64 <= L + err <= min(f64) + 2 err
+    and is kept; a direction beyond the float64 range makes err or min(f64)
+    non-finite and keeps every row.  On the kept rows _minimum evaluates element
+    by element exactly as it would over the whole ball, so the minimum and
+    argmin are bit-identical.
     """
     grid, gf, npow = _lattice_ball(dim, radius)
     v64 = vs_arr.astype(np.float64)
@@ -227,9 +222,8 @@ def _scan_full_float(vs_arr: np.ndarray, dim: int, radius: float):
     e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50)
     err = e * (radius + 1.0) ** (dim + 1) * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
     keep = np.flatnonzero(~(f64 > f64.min() + 2.0 * err))
-    g = grid[keep].astype(_LONG)
-    val, arg = _lex_best(grid[keep], _objective(g, _ipow_half((g * g).sum(axis=1), dim), vs_arr))
-    return float(val), arg, len(grid)
+    val, arg = _minimum(grid[keep], vs_arr if exact is None else exact, dim)
+    return val, arg, len(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +363,7 @@ def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) 
 
 
 def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float):
-    val, arg, count = _scan_full_float(vs_arr, dim, min(radius, seed_radius))
+    val, arg, count = _scan_full(vs_arr, dim, min(radius, seed_radius))
     if radius <= seed_radius:
         return val, arg, count
     c_cur = val * (1 + 1e-9) + 1e-300
@@ -420,9 +414,7 @@ def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float
         return val, arg, count
     # every +-m pair was enumerated once, in one shell: no duplicates
     pts = np.where(_first_sign(pts)[:, None] < 0, -pts, pts)
-    g = pts.astype(_LONG)
-    v2, a2 = _lex_best(pts, _objective(g, _ipow_half((g * g).sum(axis=1), dim), vs_arr))
-    val, arg = min((val, arg), (float(v2), a2))
+    val, arg = min((val, arg), _minimum(pts, vs_arr, dim))
     return val, arg, count + len(pts)
 
 
@@ -441,22 +433,18 @@ def diophantine_certificate(directions: Sequence[Sequence], dim_ambient: int,
     if radius < 1:
         raise ValueError("radius must be >= 1")
 
-    rational = _is_rational_input(vs)
     n_points = _ball_point_count(dim_ambient, radius)
     if math.isinf(n_points) or math.isinf(radius * radius):
         raise MemoryError(f"scan in d={dim_ambient} to R={radius:g} would enumerate "
                           f"~{n_points:.3g} candidates (limit {_ENUM_LIMIT:.3g})")
 
-    if rational and n_points <= _EXACT_SCAN_LIMIT:
-        fsq, arg, count = _scan_exact([[Fraction(x) for x in v] for v in vs],
-                                      dim_ambient, radius)
-        c = math.sqrt(float(fsq))
-        return DiophantineCertificate(vs, dim_ambient, float(radius), c, fsq,
-                                      arg, fsq > 0, count)
-
     vs_arr = np.array([[float(x) for x in v] for v in vs], dtype=_LONG)
+    if _is_rational_input(vs) and n_points <= _EXACT_SCAN_LIMIT:
+        fsq, arg, count = _scan_full(vs_arr, dim_ambient, radius, exact=vs)
+        return DiophantineCertificate(vs, dim_ambient, float(radius), math.sqrt(float(fsq)),
+                                      fsq, arg, fsq > 0, count)
     if n_points <= _FULL_SCAN_LIMIT:
-        val, arg, count = _scan_full_float(vs_arr, dim_ambient, radius)
+        val, arg, count = _scan_full(vs_arr, dim_ambient, radius)
     else:
         val, arg, count = _scan_pruned(vs_arr, dim_ambient, radius,
                                        seed_radius=_seed_radius(dim_ambient))
@@ -474,9 +462,9 @@ def _seed_radius(dim: int) -> float:
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale each direction so its largest-|coordinate| entry equals 1."""
+    """Scale each direction so its largest-|coordinate| entry equals 1 (-0.0 becomes 0.0)."""
     rows = np.asarray(rows, dtype=np.float64)
-    return rows / rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)][:, None]
+    return rows / rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)][:, None] + 0.0
 
 
 def certify_structural_subspaces(m: RationalMatrix, radius: float,
@@ -559,7 +547,7 @@ def type_i_subspace(algebra: NilpotentAlgebra, layer: int,
             if not isinstance(x, (int, Fraction)) or Fraction(x).denominator != 1:
                 raise ValueError("ambient subspace needs an integer basis")
 
-    exact = all(isinstance(x, (int, Fraction)) for v in candidate for x in v)
+    exact = _is_rational_input(candidate)
     lifted = []
     for v in candidate:
         if len(v) != algebra.dim:

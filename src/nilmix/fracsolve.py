@@ -329,25 +329,24 @@ def _dyadic_integral(g: Callable[[np.ndarray], np.ndarray], orders: tuple,
     b = 1.0
     while b > h:
         a = max(h, b / 2.0)
-        for cells in (_cell(g, orders, a, b, _REL_TOL), _cell(g, orders, -b, -a, _REL_TOL)):
+        for cells in (_cell(g, orders, a, b), _cell(g, orders, -b, -a)):
             totals = [t + c for t, c in zip(totals, cells)]
         b = a
     return tuple(totals)
 
 
 @functools.lru_cache(maxsize=1024)
-def _cell(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float, b: float,
-          rel_tol: float) -> tuple:
+def _cell(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float, b: float) -> tuple:
     """Memo of _cell_quadrature: the cutoffs h, h/4, h/16 of a threshold run,
     and every cutoff of a sweep over one profile callable, share their cells."""
-    return _cell_quadrature(g, orders, a, b, rel_tol)
+    return _cell_quadrature(g, orders, a, b)
 
 
 def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float,
-                     b: float, rel_tol: float) -> tuple:
+                     b: float) -> tuple:
     """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b], for each order r.
     The point count doubles until two successive values of an order agree to
-    rel_tol, and that order keeps its value; the ladder stops when every
+    _REL_TOL, and that order keeps its value; the ladder stops when every
     order has one, or at 2^16 points.  g is called once per refinement, on
     the array of midpoints, and its squares serve every order."""
     n = 32
@@ -359,7 +358,7 @@ def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: fl
         ax = np.abs(xs)
         for i in refining[:]:
             out = float((sq * ax ** (-2.0 * orders[i])).sum() * (b - a) / n)
-            if vals[i] is not None and abs(out - vals[i]) <= rel_tol * max(abs(out), 1e-300):
+            if vals[i] is not None and abs(out - vals[i]) <= _REL_TOL * max(abs(out), 1e-300):
                 refining.remove(i)
             vals[i] = out
         n *= 2

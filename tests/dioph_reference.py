@@ -46,9 +46,10 @@ def shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) -
 
 
 def normalize_rows(rows) -> list:
-    """Each row divided by its first largest-|coordinate| entry, float by float."""
+    """Each row divided by its first largest-|coordinate| entry, float by float,
+    with -0.0 made 0.0."""
     out = []
     for r in rows:
         j = int(np.argmax(np.abs(r)))
-        out.append([float(x) / float(r[j]) for x in r])
+        out.append([float(x) / float(r[j]) + 0.0 for x in r])
     return out

@@ -1,6 +1,5 @@
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -8,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from unittest import mock
 
 import nilmix
@@ -18,8 +17,7 @@ from nilmix.dioph import (
     _ipow_half,
     _lattice_ball,
     _radius_sq,
-    _scan_exact,
-    _scan_full_float,
+    _scan_full,
     _scan_pruned,
     _seed_radius,
     diophantine_certificate,
@@ -102,7 +100,7 @@ def test_pruned_scan_matches_full_scan():
         v = rng.normal(size=(1, 3))
         v /= np.max(np.abs(v))
         vs = np.asarray(v, dtype=np.longdouble)
-        full_val, full_arg, _ = _scan_full_float(vs, 3, 60.0)
+        full_val, full_arg, _ = _scan_full(vs, 3, 60.0)
         pr_val, pr_arg, count = _scan_pruned(vs, 3, 60.0, seed_radius=17.0)
         assert pr_arg == full_arg
         assert pr_val == pytest.approx(full_val, rel=1e-15)
@@ -111,7 +109,7 @@ def test_pruned_scan_matches_full_scan():
 
 def test_pruned_scan_matches_full_scan_2d():
     vs = np.asarray([[1.0, PHI_INV]], dtype=np.longdouble)
-    full_val, full_arg, _ = _scan_full_float(vs, 2, 700.0)
+    full_val, full_arg, _ = _scan_full(vs, 2, 700.0)
     pr_val, pr_arg, count = _scan_pruned(vs, 2, 700.0, seed_radius=25.0)
     assert pr_arg == full_arg and pr_val == pytest.approx(full_val, rel=1e-15)
     assert count == 980
@@ -129,7 +127,7 @@ def test_pruned_scan_near_rational_direction():
         if trial % 3 == 0:
             v[0] = np.array([1.0, 355.0 / 113.0, 0.5]) * (0.9 + 0.2 * rng.random())
         vs = np.asarray(v, dtype=np.longdouble)
-        f_val, f_arg, _ = _scan_full_float(vs, 3, 70.0)
+        f_val, f_arg, _ = _scan_full(vs, 3, 70.0)
         p_val, p_arg, count = _scan_pruned(vs, 3, 70.0, seed_radius=9.0)
         assert p_arg == f_arg
         assert p_val == pytest.approx(f_val, rel=1e-14)
@@ -153,9 +151,15 @@ def test_pruned_scan_is_exactly_the_full_scan(dim, radius, seed_radius, counts):
              np.array([[1.0, PHI_INV] + [0.0] * (dim - 2)])]
     for v, want in zip(cases, counts):
         vs = np.asarray(v / np.max(np.abs(v)), dtype=np.longdouble)
-        full_val, full_arg, _ = _scan_full_float(vs, dim, radius)
+        full_val, full_arg, _ = _scan_full(vs, dim, radius)
         pr_val, pr_arg, count = _scan_pruned(vs, dim, radius, seed_radius)
         assert (pr_val, pr_arg, count) == (full_val, full_arg, want)
+
+
+def _exact_scan(vs, dim, radius):
+    """The full scan with exact survivors, as diophantine_certificate runs it."""
+    return _scan_full(np.array([[float(x) for x in v] for v in vs], dtype=np.longdouble),
+                      dim, radius, exact=[[Fraction(x) for x in v] for v in vs])
 
 
 @pytest.mark.parametrize("dim, vs, radius, seed_radius, want", [
@@ -165,7 +169,7 @@ def test_pruned_scan_is_exactly_the_full_scan(dim, radius, seed_radius, counts):
     (4, [[2, 3, 5, 7], [1, -1, 2, 0]], 8.0, 3.0, 330),
 ])
 def test_pruned_scan_matches_exact_scan(dim, vs, radius, seed_radius, want):
-    fsq, exact_arg, _ = _scan_exact([[Fraction(x) for x in v] for v in vs], dim, radius)
+    fsq, exact_arg, _ = _exact_scan(vs, dim, radius)
     val, arg, count = _scan_pruned(np.asarray(vs, dtype=np.longdouble), dim, radius,
                                    seed_radius)
     assert arg == exact_arg
@@ -201,27 +205,45 @@ def _recursive_exact_scan(vs, dim, radius):
     return best[0], best[1], count
 
 
-def test_exact_scan_matches_recursive_reference():
-    rng = random.Random(2024)
-    for trial in range(60):
-        dim = 2 + trial % 3
-        radius = rng.randint(1, {2: 25, 3: 9, 4: 5}[dim])
-        vs = [[Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 97]))
-               for _ in range(dim)] for _ in range(rng.randint(1, 2))]
-        if trial % 5 == 0:   # small entries: exact resonances inside the ball
-            vs = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]]
-        if all(x == 0 for v in vs for x in v):
-            continue
-        assert _scan_exact(vs, dim, radius) == _recursive_exact_scan(vs, dim, radius)
+_RESONANT = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+_WIDE = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
+# the largest integer radius whose ball holds at most 40 000 points
+_MAX_RADIUS = {1: 20000, 2: 112, 3: 21, 4: 11}
+
+
+@st.composite
+def _exact_scan_inputs(draw):
+    dim = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_RESONANT, _WIDE]))
+    vs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    r = draw(st.integers(1, _MAX_RADIUS[dim]))
+    # an integer radius, or one between sqrt(r^2) and sqrt(r^2 + 1): the
+    # reference rounds a float radius its own way, so no point may lie near
+    # the sphere
+    radius = draw(st.sampled_from([r, math.sqrt(r * r + 0.5)]))
+    return vs, dim, radius
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_exact_scan_inputs())
+# exact zeros whose float64 value need not be 0 (fl(2/3) is not 2/3; a fused
+# multiply-add makes 2 - 3 fl(2/3) = 2^-52): without its margin the screen
+# would keep a later zero in place of the lexicographic argmin
+@example(([[Fraction(1, 3), Fraction(2), Fraction(2, 3)]], 3, 9))
+@example(([[Fraction(-1, 2), Fraction(4, 5), Fraction(-2, 7), Fraction(-3, 5)]], 4, 6))
+def test_exact_scan_matches_recursive_reference(args):
+    # resonant small rows put exact zeros inside the ball; wide rows need
+    # every bit of their Fractions to order the survivors
+    assert _exact_scan(*args) == _recursive_exact_scan(*args)
 
 
 def test_exact_scan_uses_the_float_engines_ball():
     # r = sqrt(3) in d = 3: the ball holds the 27 points with ||m||^2 <= 3,
     # 13 of them canonical; the recursive scan's rounded radius kept 9
     vs = [[Fraction(1), Fraction(2, 3), Fraction(5)]]
-    fsq, arg, count = _scan_exact(vs, 3, math.sqrt(3))
+    fsq, arg, count = _exact_scan(vs, 3, math.sqrt(3))
     assert count == 13
-    assert count == _scan_full_float(np.asarray(vs, dtype=np.longdouble), 3, math.sqrt(3))[2]
+    assert count == _scan_full(np.asarray(vs, dtype=np.longdouble), 3, math.sqrt(3))[2]
 
 
 def test_lattice_ball_arrays_are_read_only():
@@ -289,7 +311,7 @@ def test_screened_full_scan_is_the_longdouble_scan(kind):
             for _ in range(2):
                 vs = _directions(kind, rng, t, dim)
                 radius = radii[dim] * (0.6 + 0.4 * rng.random())
-                assert _scan_full_float(vs, dim, radius) == \
+                assert _scan_full(vs, dim, radius) == \
                     _longdouble_full_scan(vs, dim, radius), (dim, vs, radius)
 
 
@@ -297,19 +319,19 @@ def test_screen_keeps_the_rows_float64_misranks():
     # longdouble 2/3 lies above 2/3 and its float64 rounding below it, so
     # f(1, -1) = 2 |1 - y| < f(0, 1) = y in longdouble and the reverse in float64
     vs = np.array([[np.longdouble(1), np.longdouble(2) / np.longdouble(3)]])
-    assert _scan_full_float(vs, 2, 2.0) == _longdouble_full_scan(vs, 2, 2.0)
-    assert _scan_full_float(vs, 2, 2.0)[1] == (1, -1)
+    assert _scan_full(vs, 2, 2.0) == _longdouble_full_scan(vs, 2, 2.0)
+    assert _scan_full(vs, 2, 2.0)[1] == (1, -1)
 
 
 def test_screen_keeps_few_rows_for_extended_precision(monkeypatch):
     # the golden direction on the d = 2 seed ball: a float64 bound loose
     # enough to pass most of the 374998 points would only show as a slowdown
     sizes = []
-    objective = dioph._objective
-    monkeypatch.setattr(dioph, "_objective",
-                        lambda g, npow, vs: sizes.append(len(g)) or objective(g, npow, vs))
+    minimum = dioph._minimum
+    monkeypatch.setattr(dioph, "_minimum",
+                        lambda pts, vs, dim: sizes.append(len(pts)) or minimum(pts, vs, dim))
     vs = np.asarray([[1.0, PHI_INV]], dtype=np.longdouble)
-    val, arg, count = _scan_full_float(vs, 2, _seed_radius(2))
+    val, arg, count = _scan_full(vs, 2, _seed_radius(2))
     assert (arg, count) == ((0, 1), 374998)
     assert len(sizes) == 1 and sizes[0] <= 300
 
@@ -509,7 +531,7 @@ def test_normalized_rows_are_divided_float_by_float():
 def _scans(m, radius):
     """The report of one structural certify and the direction sets it scanned."""
     with mock.patch.object(dioph, "_scan_pruned", wraps=dioph._scan_pruned) as pruned, \
-            mock.patch.object(dioph, "_scan_full_float", wraps=dioph._scan_full_float) as full:
+            mock.patch.object(dioph, "_scan_full", wraps=dioph._scan_full) as full:
         report = certify_structural_subspaces(m, radius)
     # every scan here is pruned, and each seeds itself with one full scan
     assert full.call_count == pruned.call_count
@@ -543,14 +565,14 @@ def test_last_bit_neighbours_are_scanned_apart():
     assert report["block_max"] is report["w_plus"]
 
 
-def test_signed_zeros_are_scanned_apart():
-    # on product-t2xt2 block_max and w_plus differ only in the signs of their
-    # zero entries: equal as floats, distinct as bits, so scanned twice
+def test_signed_zeros_are_scanned_once():
+    # on product-t2xt2 block_max and w_plus (and block_min and w_minus) differ
+    # only in the signs of their zero entries; the normalized rows carry no
+    # -0.0, so each pair is one set of bits and is scanned once
     report, sets = _scans(get_system("product-t2xt2").matrix, 200)
-    plus, top = report["w_plus"].directions, report["block_max"].directions
-    assert plus == top and np.array(plus).tobytes() != np.array(top).tobytes()
-    assert report["w_plus"] is not report["block_max"]
-    assert len(sets) == len(set(sets)) == 4
+    assert report["w_plus"] is report["block_max"]
+    assert report["w_minus"] is report["block_min"]
+    assert len(sets) == len(set(sets)) == 2
 
 
 # ---------------------------------------------------------------------------
