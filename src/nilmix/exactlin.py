@@ -5,9 +5,9 @@ invariant-subspace kernels, root-of-unity detection) is computed in exact
 rational arithmetic.  Only eigenvalue *moduli* are floating point, and those
 carry certified error bounds: each root of an irreducible factor gets a disc
 that provably holds it and no other root (Weierstrass inclusion), and every
-root question (conjugate partner, modulus one, equal moduli) is decided by one
-rule on those discs, `_holder`; equal moduli through the roots of the
-squared-modulus polynomial M_q, whose roots include every |z|^2.
+root question but equal moduli (conjugate partner, modulus one) is decided by
+one rule on those discs, `_holder`; equal moduli by counting, in integers, the
+real roots of a squarefree polynomial near each |z|^2 (`_modulus_relation`).
 """
 
 from __future__ import annotations
@@ -443,8 +443,8 @@ def char_poly(m: RationalMatrix) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 # modular factors above which factor_over_q refuses the exponential subset
-# recombination (a Swinnerton-Dyer polynomial of degree 2^k splits into at
-# least 2^(k-1) factors modulo every prime)
+# recombination (Swinnerton-Dyer polynomials of degree 2^k split into at least
+# 2^(k-1) factors modulo every prime); only characteristic polynomials reach it
 _RECOMBINE_LIMIT = 16
 
 
@@ -979,10 +979,9 @@ def _fixed(x, prec: int) -> int:
 def _holder(discs, image) -> Optional[int]:
     """The one disc (re, im, radius) of discs that meets the disc image, or None.
 
-    The rule for every root question: the image of a root's disc under an
-    exact map (z -> conj z, 1/z, |z|^2) holds the image of the root, so when
-    the image is a root of the discs' polynomials and meets one disc only,
-    that disc holds it."""
+    The image of a root's disc under an exact map (z -> conj z, 1/z) holds the
+    image of the root: when that is a root of the discs' polynomials and the
+    image meets one disc only, that disc holds it."""
     if image is None:
         return None
     x, y, r = image
@@ -1030,21 +1029,19 @@ def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
 
 
 def squared_modulus_polynomial(q: IntPolynomial) -> IntPolynomial:
-    """M_q(y) = Res_x(q(x), x^n q(y/x)) for q made monic: the monic polynomial
-    of degree n^2 whose roots are the products z_i z_j of q's roots, so every
-    |z|^2 = z conj(z) is one (Cohen, A Course in Computational Algebraic
-    Number Theory, 3.3).  Built from power sums, p_k(M_q) = p_k(q)^2, by
-    Newton's identities in integers: with d the denominator of monic q, the
-    roots d z_i are those of a monic integer polynomial."""
+    """P_q(y) = prod_{i <= j} (y - z_i z_j) over the roots z_i of q, so every
+    |z|^2 = z conj(z) is a root.  Newton's identities on the power sums
+    p_k(P_q) = (p_k(q)^2 + p_2k(q)) / 2 build it in integers: with d the
+    denominator of monic q, the d z_i are roots of a monic integer polynomial."""
     m = q.monic()
-    n, d, big = m.degree, m.den, m.degree ** 2
+    n, d, big = m.degree, m.den, m.degree * (m.degree + 1) // 2
     e = [1] + [(-1) ** k * m.nums[n - k] * d ** (k - 1) for k in range(1, n + 1)]
     p = [n]     # power sums of the roots d z_i
-    for k in range(1, big + 1):
+    for k in range(1, 2 * big + 1):
         p.append(sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, min(k, n + 1)))
                  + (-1) ** (k - 1) * k * (e[k] if k <= n else 0))
-    sq = [x * x for x in p]
-    f = [1]     # elementary symmetric functions of the products d^2 z_i z_j
+    sq = [(p[k] * p[k] + p[2 * k]) // 2 for k in range(big + 1)]
+    f = [1]     # elementary symmetric functions of the products d^2 z_i z_j, i <= j
     for k in range(1, big + 1):
         f.append(sum((-1) ** (i - 1) * f[k - i] * sq[i] for i in range(1, k + 1)) // k)
     return IntPolynomial._of([(-1) ** (big - j) * f[big - j] * d ** (2 * j)
@@ -1052,37 +1049,43 @@ def squared_modulus_polynomial(q: IntPolynomial) -> IntPolynomial:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _squared_modulus_factors(q: IntPolynomial) -> Optional[tuple]:
-    """The irreducible factors of M_q, or None when factor_over_q refuses it."""
-    try:
-        return tuple(g for g, _ in factor_over_q(squared_modulus_polynomial(q)))
-    except ArithmeticError:
-        return None
+def _squared_modulus_kernel(q: IntPolynomial) -> tuple:
+    """S_q = P_q / gcd(P_q, P_q') over Z, P_q = squared_modulus_polynomial(q):
+    each distinct product z_i z_j of q's roots is a simple root of S_q."""
+    p = squared_modulus_polynomial(q)    # monic in lowest terms: p.nums is primitive
+    return tuple(_exact_quotient(p.nums, _gcd_z(p.nums, p.derivative().nums)))
 
 
 def _squared_modulus(disc, prec: int):
     """The disc (x, y, r) under z -> |z|^2: centre x^2 + y^2 on the real axis
-    and radius 2|c| r + r^2, rounded outward."""
+    and radius 2|c| r + r^2, rounded outward, so |z|^2 lies strictly inside."""
     x, y, r = disc
     s = x * x + y * y
     b = prec + _DISC_BITS
     return s >> b, 0, ((2 * (math.isqrt(s) + 1) * r + r * r) >> b) + 2
 
 
-def _squared_modulus_root(q: IntPolynomial, image, prec: int) -> Optional[tuple]:
-    """(g, k) when the disc image of |z|^2, z a root of q, meets exactly one
-    root disc among all irreducible factors g of M_q: |z|^2 is then root k of
-    g.  None when M_q is not factored, a factor's discs are refused or the
-    image meets no disc or several."""
-    factors = _squared_modulus_factors(q)
-    if factors is None:
-        return None
-    try:
-        recs = [(g, factor_roots(g, prec)) for g in factors]
-    except PrecisionError:
-        return None
-    hit = _holder([d for _, rec in recs for d in rec.discs], image)
-    return None if hit is None else [(g, k) for g, rec in recs for k in range(len(rec.discs))][hit]
+def _taylor_shift(f: list, a: int) -> list:
+    """The coefficients of f(x + a), by n(n + 1)/2 integer steps."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += a * f[j + 1]
+    return f
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _root_count(f: tuple, lo: int, hi: int, bits: int) -> Optional[int]:
+    """The number of roots of f (a nonzero int tuple, ascending) in the open
+    interval (a, b) = (lo, hi) 2^-bits, lo <= hi, when Descartes' rule of signs
+    on (1 + t)^n f((a + b t)/(1 + t)), built in integers by two Taylor shifts,
+    reads 0 or 1 sign changes, else None (Collins and Akritas, SYMSAC 1976).
+    Memoized: the merge asks for each root's interval once per pair it meets."""
+    g = _taylor_shift([c << bits * (len(f) - 1 - k) for k, c in enumerate(f)], lo)
+    g = [c * (hi - lo) ** k for k, c in enumerate(g)]
+    signs = [c > 0 for c in _taylor_shift(g[::-1], 1) if c]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes if changes < 2 else None
 
 
 @dataclass(frozen=True)
@@ -1204,8 +1207,8 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplit
     Moduli of the exact characteristic roots are computed at >= precision_bits
     working precision with error bounds.  Two roots share a class only when
     their moduli are proven equal, and lie in two classes only when proven
-    unequal (_modulus_relation: unit circle, conjugation, x -> -x and the
-    squared-modulus polynomials M_q); doubles only order and report them.  A
+    unequal (_modulus_relation: unit circle, conjugation and root counts of
+    the squared-modulus kernels); doubles only order and report them.  A
     pair decided neither way escalates the precision up to
     _MAX_PRECISION_BITS and then raises PrecisionError; moduli proven unequal
     whose doubles coincide raise ResolutionError at once.  Every attempt
@@ -1323,13 +1326,11 @@ def _merge_modulus_classes(entries, primary, records):
 def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
     """True when |root 1| == |root 2| is proven, False when |root 1| != |root 2|
     is, None when neither.  Unequal: the discs of the squared moduli are
-    disjoint (asked of every pair), or they land on different roots of M_q.
-    Equal: both are proven on the unit circle (a unit and a non-unit root are
-    never proven equal), root 2 is the conjugate of root 1, q2 = +-q1(-x) and
-    the disc holding -root 1 holds root 2 or its conjugate, or both squared
-    moduli land on one root of one irreducible factor of M_q
-    (_squared_modulus_root).  The symmetry shortcuts need no M_q, whose
-    factorization is often refused at degree 12 and beyond (M_q has degree n^2)."""
+    disjoint (asked of every pair).  Equal: both are proven on the unit circle
+    (a unit and a non-unit root are never proven equal), or root 2 is the
+    conjugate of root 1.  Else, when the open interval I_k of each squared
+    modulus holds one root of S_qk (_squared_modulus_kernel), 1 or 0 roots of
+    gcd(S_q1, S_q2) in I1 and I2 decide; other counts decide nothing."""
     if e1["one"] and e2["one"]:
         return True
     rec1, rec2 = records[e1["fi"]], records[e2["fi"]]
@@ -1340,15 +1341,13 @@ def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
         return None
     if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
         return True
-    q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
-    if q1.compose_neg() in (q2, q2.scale(-1)):
-        x, y, r = rec1.discs[e1["ri"]]
-        k = _holder(rec2.discs, (-x, -y, r))
-        if k is not None and e2["ri"] in (k, rec2.partner[k]):
-            return True
-    keys = [_squared_modulus_root(q, image, rec.prec)
-            for q, rec, image in zip((q1, q2), (rec1, rec2), images)]
-    return None if None in keys else keys[0] == keys[1]
+    kernels = [_squared_modulus_kernel(primary.blocks[e["fi"]].factor) for e in (e1, e2)]
+    (lo1, hi1), (lo2, hi2) = spans = [(c - r, c + r) for c, _, r in images]
+    bits = rec1.prec + _DISC_BITS
+    if any(_root_count(s, *span, bits) != 1 for s, span in zip(kernels, spans)):
+        return None
+    count = _root_count(tuple(_gcd_z(*kernels)), max(lo1, lo2), min(hi1, hi2), bits)
+    return None if count is None else count == 1
 
 
 def _check_disjoint(blocks):

@@ -9,25 +9,37 @@ image rule of `exactlin._holder` must give the same partners, the same unit
 flags and the same class merges.  The functions read `(complex root, error)`
 pairs, as `FactorRoots.roots` still holds them.
 
-The last two are the class merge as it stood before the exact rule alone
-decided it: a root was compared only with the classes whose double
-intervals `mod +- err` met its own, so two equal moduli whose doubles
-differ by more than their errors were split without a proof.  Where that
-merge does not refuse and splits no equal moduli, `exactlin`'s classes
-must be the same.
+`_merge_modulus_classes` and `_modulus_relation` are the class merge as it
+stood before the exact rule alone decided it: a root was compared only
+with the classes whose double intervals `mod +- err` met its own, so two
+equal moduli whose doubles differ by more than their errors were split
+without a proof.  Where that merge does not refuse and splits no equal
+moduli, `exactlin`'s classes must be the same.
+
+`_squared_modulus_factors` and `_squared_modulus_root` are how that
+relation placed |z|^2 before `exactlin` counted real roots: factor the
+squared-modulus polynomial over Q (its irreducible factors are those of
+M_q, whose roots are all products z_i z_j), isolate every root of every
+factor with `factor_roots`, and name the one root disc that the |z|^2
+disc meets.  Wherever this relation decides, `exactlin._modulus_relation`
+must decide the same.
 """
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from nilmix.exactlin import (
+    _MEMO_SIZE,
     IntPolynomial,
     PrecisionError,
     ResolutionError,
     _holder,
     _squared_modulus,
-    _squared_modulus_root,
+    factor_over_q,
+    factor_roots,
+    squared_modulus_polynomial,
 )
 
 
@@ -166,3 +178,28 @@ def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
     keys = [_squared_modulus_root(q, image, rec.prec)
             for q, rec, image in zip((q1, q2), (rec1, rec2), images)]
     return None if None in keys else keys[0] == keys[1]
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _squared_modulus_factors(q: IntPolynomial) -> Optional[tuple]:
+    """The irreducible factors of M_q, or None when factor_over_q refuses it."""
+    try:
+        return tuple(g for g, _ in factor_over_q(squared_modulus_polynomial(q)))
+    except ArithmeticError:
+        return None
+
+
+def _squared_modulus_root(q: IntPolynomial, image, prec: int) -> Optional[tuple]:
+    """(g, k) when the disc image of |z|^2, z a root of q, meets exactly one
+    root disc among all irreducible factors g of M_q: |z|^2 is then root k of
+    g.  None when M_q is not factored, a factor's discs are refused or the
+    image meets no disc or several."""
+    factors = _squared_modulus_factors(q)
+    if factors is None:
+        return None
+    try:
+        recs = [(g, factor_roots(g, prec)) for g in factors]
+    except PrecisionError:
+        return None
+    hit = _holder([d for _, rec in recs for d in rec.discs], image)
+    return None if hit is None else [(g, k) for g, rec in recs for k in range(len(rec.discs))][hit]

@@ -2,19 +2,22 @@
 every root question.
 
 `exactlin.factor_roots` gives each root of an irreducible factor a disc
-that holds exactly that root.  The conjugate partner, modulus one and
-equal moduli are each read off by `exactlin._holder`: the one disc that
-meets the image of a root's disc under an exact map (conjugation, z -> 1/z,
-and z -> |z|^2 onto the roots of the squared-modulus polynomial M_q).
+that holds exactly that root.  The conjugate partner and modulus one are
+each read off by `exactlin._holder`: the one disc that meets the image of a
+root's disc under an exact map (conjugation, z -> 1/z).  Equal moduli are
+decided by Descartes counts of the real roots of the squared-modulus
+polynomial's squarefree kernel on the |z|^2 intervals.
 The discs are checked against roots recomputed at twice the precision,
 the refusals (overlapping discs, no convergence, moduli that differ below
 double resolution) against inputs whose roots lie too close, the decisions
-against the three float matchers that `exactlin` used before, kept in
-`root_reference`, on cyclotomic, Salem, Lehmer, x -> -x related and random
-irreducible factors, M_q against sympy's resultant, and the merged classes
-against the merge that screened by double intervals (also in
-`root_reference`) and against moduli compared at 2048 bits, on x -> ix and
-x -> x^3 images whose equal moduli need not be equal doubles.
+against the three float matchers that `exactlin` used before and the
+factor-and-isolate rule it used after them, kept in `root_reference`, on
+cyclotomic, Salem, Lehmer, x -> -x related and random irreducible factors,
+the root counts against sympy's, the squared-modulus polynomial against
+sympy's resultant, and the merged classes against the merge that screened
+by double intervals (also in `root_reference`) and against moduli compared
+at 2048 bits, on x -> ix and x -> x^3 images whose equal moduli need not be
+equal doubles.
 """
 
 import functools
@@ -40,6 +43,7 @@ from nilmix.exactlin import (
     _holder,
     _merge_modulus_classes,
     _modulus_relation,
+    _root_count,
     cyclotomic_polynomial,
     factor_over_q,
     factor_roots,
@@ -107,13 +111,15 @@ def _roots_2048(q: IntPolynomial) -> tuple:
 
 def _moduli_2048(p: IntPolynomial) -> list:
     """|z| at 2048 bits for every root of p, with multiplicity (sympy factors
-    p first: repeated roots would stall the iteration)."""
+    p first: repeated roots would stall the iteration; abs rounds to the
+    working precision, so it is taken at 2048 bits too)."""
     x = sympy.Symbol("x")
     _, factors = sympy.factor_list(sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                                                for c in reversed(p.coeffs)], x))
-    return [abs(z) for f, k in factors
-            for z in _roots_2048(IntPolynomial([int(c) for c in reversed(f.all_coeffs())]))
-            for _ in range(k)]
+    with mpmath.workprec(2048):
+        return [abs(z) for f, k in factors
+                for z in _roots_2048(IntPolynomial([int(c) for c in reversed(f.all_coeffs())]))
+                for _ in range(k)]
 
 
 def _modulus_2048(q: IntPolynomial, disc, prec: int):
@@ -171,10 +177,11 @@ def test_partner_and_unit_match_the_reference(q):
 @given(pair=st.one_of(_factors(12).map(lambda q: (q, _negated(q))),
                       st.tuples(_factors(12), _factors(12))))
 def test_equal_moduli_and_merges_match_the_reference(pair):
-    # the squared-modulus rule proves every equality the reference proves,
-    # and each one more only where 2048-bit moduli agree; the classes are
-    # those of the merge that screened by double intervals, wherever that
-    # merge neither refused nor split moduli equal at 2048 bits
+    # the root-count rule decides as the factor-and-isolate rule wherever
+    # that decides, proves every equality the float matchers prove, and
+    # each equality only it proves holds for the 2048-bit moduli; the
+    # classes are those of the merge that screened by double intervals,
+    # wherever that merge neither refused nor split moduli equal at 2048 bits
     qs = list(dict.fromkeys(pair))     # one primary block per distinct factor
     primary = SimpleNamespace(blocks=[SimpleNamespace(factor=q) for q in qs])
     records = [factor_roots(q, 128) for q in qs]
@@ -182,10 +189,13 @@ def test_equal_moduli_and_merges_match_the_reference(pair):
     for e1 in entries:
         for e2 in entries:
             if e1 is not e2:
-                proven = _modulus_relation(e1, e2, primary, records) is True
+                relation = _modulus_relation(e1, e2, primary, records)
+                reference = ref._modulus_relation(e1, e2, primary, records)
+                if reference is not None:
+                    assert relation == reference
                 if ref._prove_equal_modulus(e1, e2, primary, records):
-                    assert proven
-                elif proven:
+                    assert relation is True
+                elif relation and reference is None:
                     assert _equal_at_2048_bits(primary, records, e1, e2)
     new = _classes(entries, primary, records)
     old = _classes(entries, primary, records, ref._merge_modulus_classes)
@@ -286,12 +296,61 @@ _RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 @given(low=st.lists(_RATIONALS, min_size=1, max_size=4).filter(lambda c: c[0] != 0),
        lead=_RATIONALS.filter(bool))
 def test_squared_modulus_polynomial_matches_the_resultant(low, lead):
+    # the resultant R has the products z_i z_j for all i, j as its roots, P
+    # those for i <= j, and D = Res_x(q(x), y - x^2) the squares z_i^2: so
+    # R = D L^2 and P = D L for L the products for i < j, and P^2 = R D,
+    # which fixes the monic P
     q = IntPolynomial(low + [lead])
     x, y = sympy.symbols("x y")
     qx = sum(sympy.Rational(c.numerator, c.denominator) * x ** k for k, c in enumerate(q.coeffs))
     res = sympy.Poly(sympy.resultant(qx, sympy.expand(x ** q.degree * qx.subs(x, y / x)), x), y)
-    expected = IntPolynomial([Fraction(int(c.p), int(c.q)) for c in reversed(res.all_coeffs())])
-    assert squared_modulus_polynomial(q) == expected.monic()
+    squares = sympy.Poly(sympy.resultant(qx, y - x ** 2, x), y)
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(squared_modulus_polynomial(q).coeffs)], y, domain="QQ")
+    assert p.degree() == q.degree * (q.degree + 1) // 2 and p.LC() == 1
+    assert p ** 2 == res.monic() * squares.monic()
+
+
+def _count_in_open(f, lo: Fraction, hi: Fraction) -> int:
+    """The distinct real roots of f in (lo, hi), by sympy's Sturm count on
+    [lo, hi] less the roots at its ends."""
+    ends = sum(f.eval(c) == 0 for c in (lo, hi))
+    return f.count_roots(lo, hi) - ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=41),
+       lo=st.integers(-2 ** 13, 2 ** 13), width=st.integers(1, 2 ** 12),
+       bits=st.integers(0, 12), root=st.sampled_from([None, "lo", "hi", "inside"]))
+def test_root_count_matches_sympy(coeffs, lo, width, bits, root):
+    # random squarefree polynomials of degree 0-40 (a constant is the gcd of
+    # coprime kernels) on dyadic intervals (lo, lo + width) 2^-bits, with a
+    # root at an end or inside by choice: whenever the count is given it is
+    # the number of roots inside
+    x = sympy.Symbol("x")
+    assume(any(coeffs))
+    f = sympy.Poly(list(reversed(coeffs)), x)
+    hi = lo + width
+    at = {"lo": (lo, bits), "hi": (hi, bits), "inside": (2 * lo + 1, bits + 1)}.get(root)
+    if at is not None:
+        f = f * sympy.Poly(2 ** at[1] * x - at[0], x)
+    f = f.sqf_part()
+    assume(f.degree() <= 40)
+    count = _root_count(tuple(int(c) for c in reversed(f.all_coeffs())), lo, hi, bits)
+    if count is not None:
+        assert count == _count_in_open(f, Fraction(lo, 2 ** bits), Fraction(hi, 2 ** bits))
+
+
+def test_root_count_reads_simple_cases():
+    # x^2 - 2 has one root in (1, 2), none in (0, 1) and none in an empty
+    # interval; a root at an end is outside; a constant has none; x^2 - 2 on
+    # (-2, 2) holds two roots, which Descartes cannot certify as 0 or 1
+    f = (-2, 0, 1)
+    assert _root_count(f, 1, 2, 0) == 1 and _root_count(f, 0, 1, 0) == 0
+    assert _root_count(f, 3, 3, 1) == 0 and _root_count((-3, 2), 3, 3, 1) == 0
+    assert _root_count((-1, 1), 1, 3, 0) == 0 and _root_count((-1, 1), 0, 3, 1) == 1
+    assert _root_count((7,), -5, 5, 3) == 0
+    assert _root_count(f, -2, 2, 0) is None
 
 
 def _companions(polys) -> RationalMatrix:
@@ -328,8 +387,8 @@ _IMAGES = {"x": lambda q: q, "-x": _negated, "ix": _rotated, "x^3": _cubed}
 @_BLOCKS
 @given(blocks=st.lists(st.tuples(_factors(3).filter(lambda q: q.nums[0]),  # invertible
                                   st.sampled_from(sorted(_IMAGES)))
-                       # x^3 on degree <= 3 only, for run time: LEHMER(x^3) alone
-                       # spends ~35 s isolating the roots of M_q's degree-120 factor
+                       # x^3 on degree <= 3 only, for the run time of the 2048-bit
+                       # moduli; companion(LEHMER(x^3)) is pinned below
                        .filter(lambda b: b[1] != "x^3" or b[0].degree <= 3),
                        min_size=1, max_size=3))
 def test_merged_classes_agree_with_2048_bit_moduli(blocks):
@@ -351,6 +410,23 @@ def test_merged_classes_agree_with_2048_bit_moduli(blocks):
     assert [b.multiplicity for b in split.blocks] == [k for _, k in groups]
     for b, (m, _) in zip(split.blocks, groups):
         assert abs(b.exponent - float(mpmath.log(m))) <= b.exponent_err + 1e-12
+
+
+def test_lehmer_cubed_has_three_classes():
+    # the cube roots of LEHMER's roots: three of each real root's modulus
+    # and the 24 of its unit-circle roots; the squared-modulus kernel has
+    # degree 153, and its root counts answer in seconds
+    split = lyapunov_data(RationalMatrix.companion(_cubed(LEHMER)), 128)
+    assert [b.multiplicity for b in split.blocks] == [3, 24, 3]
+
+
+def test_negated_degree_12_factors_share_moduli():
+    # q and q(-x) have the same squared-modulus polynomial, so the root
+    # counts pair their moduli; the one of all products z_i z_j (degree 144)
+    # is refused by factor_over_q for this q (20 factors modulo 7)
+    q = IntPolynomial([5, 0, -1, -5, 5, 6, 5, -5, -1, 4, 2, -5, 1])
+    split = lyapunov_data(_companions([q, _negated(q)]), 128)
+    assert [b.multiplicity for b in split.blocks] == [4, 4, 4, 4, 4, 2, 2]
 
 
 _ROTATED_ROOTS = [IntPolynomial([1, 0, 0, -4, 0, 0, 1]),                # x^6 - 4x^3 + 1
