@@ -273,7 +273,7 @@ def _cmd_analyze(cfg, outdir, precision, seed):
         raise ValueError(f"invalid system: {diag.failures() + system.generator_failures}")
     out["algebra_checks"] = {k: v[0] for k, v in diag.checks.items()}
     out["central_series_dims"] = [len(b) for b in diag.series]
-    cls = classify(system.algebra, system.matrix, precision)
+    cls = classify(system.algebra, system.matrix)
     out["ergodic"] = cls.ergodic
     out["type"] = cls.type_name
     out["root_of_unity_core"] = cls.n_z2

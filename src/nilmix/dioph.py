@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, _restrict_to_primary, _rref, integer_kernel, lyapunov_data
+from .exactlin import RationalMatrix, _rref, integer_kernel, lyapunov_data
 from .nilalg import NilpotentAlgebra, abelian_algebra, is_ergodic
 
 __all__ = [
@@ -514,10 +514,10 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
                            dtype=np.float64)
         gram = lattice @ lattice.T
         ginv = np.linalg.inv(gram)
-        for b in split.blocks:
+        for k, b in enumerate(split.blocks):
             if i not in b.primary_factors:
                 continue
-            rows = _restrict_to_primary(split, b, i)
+            rows = split.class_rows(k, i)
             coords = rows @ lattice.T @ ginv   # coordinates in the block lattice basis
             resid = np.linalg.norm(coords @ lattice - rows)
             if resid > 1e-9 * max(1.0, np.linalg.norm(rows)):

@@ -17,7 +17,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -1090,26 +1090,55 @@ def _root_count(f: tuple, lo: int, hi: int, bits: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class LyapunovBlock:
-    """Eigenvalue-modulus class: exponent with certified error, multiplicity, real basis."""
+    """Eigenvalue-modulus class: exponent with certified error, multiplicity, member roots."""
 
     exponent: float
     exponent_err: float
     multiplicity: int
-    basis: np.ndarray            # shape (multiplicity, dim), rows are basis vectors; read-only
-    invariance_residual: float
-    primary_factors: tuple       # indices of primary blocks contributing
-    factor_rows: tuple           # basis rows built in each of primary_factors, in order
+    primary_factors: tuple       # indices of primary blocks contributing, ascending
+    roots: tuple                 # (primary index, root index) of each member root, ascending
 
 
 @dataclass(frozen=True)
 class LyapunovSplitting:
+    """The exact modulus classes of a matrix, with float64 class bases built
+    on first use of bases, once: only the subspace readers (w_plus, w_minus,
+    w_zero, block_max, block_min, class_rows) need them."""
+
     matrix: RationalMatrix
     primary: PrimaryDecomposition
     blocks: tuple                 # LyapunovBlock, exponents ascending
     precision_bits: int
 
+    @cached_property
+    def bases(self) -> tuple:
+        """Per block, a read-only (multiplicity, dim) basis: the rows built in
+        each of its primary_factors in turn (_real_annihilator_basis on the
+        root records at precision_bits), M-invariant up to 1e-9 max(1, |M|_2)
+        (_invariance_residual).  Else PrecisionError, with no escalation: the
+        rows read only the double root centres, which more bits do not move."""
+        m_f = self.matrix.to_float()
+        bound = 1e-9 * max(1.0, float(np.linalg.norm(m_f, 2)))
+        bases = []
+        for b in self.blocks:
+            rows = []
+            for fi in b.primary_factors:
+                blk = self.primary.blocks[fi]
+                rec = factor_roots(blk.factor, self.precision_bits)
+                other = [ri for ri in range(len(rec.roots)) if (fi, ri) not in b.roots]
+                pbasis = np.array([[float(x) for x in v] for v in blk.basis])
+                rows.append(_real_annihilator_basis(m_f, pbasis, rec, other, blk.multiplicity)
+                            if other else _orthonormal_rows(pbasis))
+            basis = np.vstack(rows)
+            basis.setflags(write=False)
+            residual = _invariance_residual(m_f, basis)
+            if residual > bound:
+                raise PrecisionError(f"block invariance residual {residual:.3e} exceeds {bound:.3g}")
+            bases.append(basis)
+        return tuple(bases)
+
     def _union(self, pred) -> np.ndarray:
-        rows = [b.basis for b in self.blocks if pred(b)]
+        rows = [basis for b, basis in zip(self.blocks, self.bases) if pred(b)]
         if not rows:
             return np.zeros((0, self.matrix.dim))
         return np.vstack(rows)
@@ -1133,49 +1162,48 @@ class LyapunovSplitting:
 
     def block_max(self) -> np.ndarray:
         """Union over primary blocks of the top-modulus Lyapunov class."""
-        return self._extreme(top=True)
+        return self._extreme(max)
 
     def block_min(self) -> np.ndarray:
-        return self._extreme(top=False)
+        return self._extreme(min)
 
-    def _extreme(self, top: bool) -> np.ndarray:
+    def _extreme(self, pick) -> np.ndarray:
         rows = []
         for i in range(len(self.primary.blocks)):
-            cand = [b for b in self.blocks if i in b.primary_factors]
-            if not cand:
-                continue
-            pick = max(cand, key=lambda b: b.exponent) if top else min(cand, key=lambda b: b.exponent)
-            # restrict the class basis to the part inside primary block i
-            rows.append(_restrict_to_primary(self, pick, i))
-        return np.vstack(rows) if rows else np.zeros((0, self.matrix.dim))
+            k = pick((k for k, b in enumerate(self.blocks) if i in b.primary_factors),
+                     key=lambda j: self.blocks[j].exponent)
+            rows.append(self.class_rows(k, i))
+        return np.vstack(rows)
 
-
-def _restrict_to_primary(split: LyapunovSplitting, block: LyapunovBlock, i: int) -> np.ndarray:
-    prim = split.primary.blocks[i]
-    pbasis = np.array([[float(x) for x in v] for v in prim.basis])
-    k = block.primary_factors.index(i)
-    start = sum(block.factor_rows[:k])
-    # orthogonal projection of the rows the class built in block i onto it, re-orthonormalized
-    q, _ = np.linalg.qr(pbasis.T)
-    proj = block.basis[start:start + block.factor_rows[k]] @ q @ q.T
-    keep = proj[np.linalg.norm(proj, axis=1) > 1e-8]
-    if keep.size == 0:
-        return np.zeros((0, split.matrix.dim))
-    u, s, vt = np.linalg.svd(keep, full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * s[0]))
-    return vt[:rank]
+    def class_rows(self, k: int, i: int) -> np.ndarray:
+        """Orthonormal rows of class k inside primary block i: the rows the
+        class built there, projected onto the block and re-orthonormalized."""
+        pbasis = np.array([[float(x) for x in v] for v in self.primary.blocks[i].basis])
+        # each member root in primary block f built multiplicity(f) rows
+        built = [(f, self.primary.blocks[f].multiplicity) for f, _ in self.blocks[k].roots]
+        start = sum(c for f, c in built if f < i)
+        q, _ = np.linalg.qr(pbasis.T)
+        proj = self.bases[k][start:start + sum(c for f, c in built if f == i)] @ q @ q.T
+        keep = proj[np.linalg.norm(proj, axis=1) > 1e-8]
+        if keep.size == 0:
+            return np.zeros((0, self.matrix.dim))
+        u, s, vt = np.linalg.svd(keep, full_matrices=False)
+        rank = int(np.sum(s > 1e-8 * s[0]))
+        return vt[:rank]
 
 
 def _real_annihilator_basis(m_f: np.ndarray, prim_basis: np.ndarray, rec: FactorRoots,
-                            other: list, mult: int, dim_expected: int) -> np.ndarray:
+                            other: list, mult: int) -> np.ndarray:
     """Real basis of the modulus class inside one primary block.
 
     Applies the product over the excluded roots ``other`` (indices into the
     factor's root record) of (M - lambda), each conjugate pair combined into
     one real quadratic, each to the power of the factor multiplicity, to the
-    exact primary basis; the column space is the wanted class.
+    exact primary basis; the column space is the wanted class, of dimension
+    mult times the number of kept roots.
     """
     n = m_f.shape[0]
+    dim_expected = mult * (len(rec.roots) - len(other))
     op = np.eye(n)
     done = set()
     for idx in other:
@@ -1212,9 +1240,10 @@ def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplit
     pair decided neither way escalates the precision up to
     _MAX_PRECISION_BITS and then raises PrecisionError; moduli proven unequal
     whose doubles coincide raise ResolutionError at once.  Every attempt
-    reuses the memoized primary decomposition.  Memoized per (matrix,
-    precision); the splitting is frozen and its block bases are read-only,
-    since callers share it.
+    reuses the memoized primary decomposition and builds the exact classes
+    only (LyapunovSplitting.bases builds their float64 bases on first use).
+    Memoized per (matrix, precision); the splitting is frozen and its bases
+    are read-only, since callers share it.
     """
     det = m.determinant()
     if det == 0:
@@ -1238,11 +1267,8 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
             entries.append({"fi": fi, "ri": ri, "mod": 1.0 if one else abs(r),
                             "err": 0.0 if one else err, "one": one})
 
-    classes = _merge_modulus_classes(entries, primary, records)
-
-    m_f = m.to_float()
     blocks = []
-    for cls in classes:
+    for cls in _merge_modulus_classes(entries, primary, records):
         mult = sum(primary.blocks[e["fi"]].multiplicity for e in cls)
         # a class holds proven unit moduli only, or none (_modulus_relation)
         exponent = exponent_err = 0.0
@@ -1251,28 +1277,9 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
             errs = [e["err"] / e["mod"] * 1.05 + 1e-300 for e in cls]
             exponent = float(np.mean(exps))
             exponent_err = float(max(errs) + (max(exps) - min(exps)))
-
-        basis_rows = []
-        fis = sorted({e["fi"] for e in cls})
-        for fi in fis:
-            blk = primary.blocks[fi]
-            keep_idx = [e["ri"] for e in cls if e["fi"] == fi]
-            other = [ri for ri in range(len(records[fi].roots)) if ri not in keep_idx]
-            pbasis = np.array([[float(x) for x in v] for v in blk.basis])
-            dim_expected = blk.multiplicity * len(keep_idx)
-            if not other:
-                rows = _orthonormal_rows(pbasis)
-            else:
-                rows = _real_annihilator_basis(m_f, pbasis, records[fi], other,
-                                               blk.multiplicity, dim_expected)
-            basis_rows.append(rows)
-        basis = np.vstack(basis_rows)
-        basis.setflags(write=False)
-        residual = _invariance_residual(m_f, basis)
-        if residual > 1e-9:
-            raise PrecisionError(f"block invariance residual {residual:.3e} exceeds 1e-9")
-        blocks.append(LyapunovBlock(exponent, exponent_err, mult, basis, residual, tuple(fis),
-                                    tuple(len(rows) for rows in basis_rows)))
+        blocks.append(LyapunovBlock(exponent, exponent_err, mult,
+                                    tuple(sorted({e["fi"] for e in cls})),
+                                    tuple(sorted((e["fi"], e["ri"]) for e in cls))))
 
     blocks.sort(key=lambda b: b.exponent)
     _check_disjoint(blocks)
@@ -1287,8 +1294,6 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _invariance_residual(m_f: np.ndarray, basis: np.ndarray) -> float:
-    if basis.shape[0] == 0:
-        return 0.0
     q, _ = np.linalg.qr(basis.T)
     worst = 0.0
     for v in basis:

@@ -4,7 +4,7 @@ The algebra is given by structure constants in an ordered basis that is
 adapted to the descending central series (layers).  Automorphisms are
 integer unimodular matrices in these coordinates that preserve the bracket
 exactly.  The spectral classification (ergodicity, rational/irrational
-type, stable/neutral/unstable data) is computed from the exact primary
+type, root-of-unity core) is computed from the exact primary
 decomposition of the linear part.
 
 A system is checked once, where it enters (see README): classify,
@@ -296,9 +296,6 @@ class SpectralClassification:
     rational_type: bool                  # True iff the root-of-unity core is nonzero
     n_z1: list                           # exact basis, no root-of-unity eigenvalues
     n_z2: list                           # exact basis, only root-of-unity eigenvalues
-    w_minus: np.ndarray
-    w_zero: np.ndarray
-    w_plus: np.ndarray
     abelianization: RationalMatrix
 
     @property
@@ -306,24 +303,21 @@ class SpectralClassification:
         return "rational" if self.rational_type else "irrational"
 
 
-def classify(algebra: NilpotentAlgebra, m: RationalMatrix,
-             precision_bits: int = 128) -> SpectralClassification:
+def classify(algebra: NilpotentAlgebra, m: RationalMatrix) -> SpectralClassification:
     """Spectral classification of m, which must be a lattice automorphism of
-    algebra (validate_automorphism passes); it is not checked again here."""
+    algebra (validate_automorphism passes); it is not checked again here.
+    Exact: it reads the primary decompositions of m and its abelianization,
+    and no root (the exponents and subspaces are lyapunov_data's)."""
     pd = primary_decomposition(m)
     n_z2 = _blocks_span(pd, True)
     n_z1 = _blocks_span(pd, False)
     if len(n_z1) + len(n_z2) != algebra.dim:
         raise ArithmeticError("root-of-unity splitting does not fill the space")
-    split = lyapunov_data(m, precision_bits)
     return SpectralClassification(
         ergodic=is_ergodic(algebra, m),
         rational_type=bool(n_z2),
         n_z1=n_z1,
         n_z2=n_z2,
-        w_minus=split.w_minus(),
-        w_zero=split.w_zero(),
-        w_plus=split.w_plus(),
         abelianization=abelianization_action(algebra, m),
     )
 

@@ -431,3 +431,33 @@ def test_commands_never_import_sympy(tmp_path):
     res = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT, str(tmp_path), json.dumps(runs)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("name", ["catmap", "cubic-rank2", "cubic3", "heisenberg-cat",
+                                  "product-t2xt2"])
+def test_only_certify_builds_float_class_bases(tmp_path, name):
+    # exponents, classes and densities are exact: analyze, rates and density
+    # on the ergodic catalog systems (rates refuses filiform4) build no float
+    # class basis; certify scans the bases, so it builds them
+    from nilmix import exactlin
+    exactlin.lyapunov_data.cache_clear()
+    commands = [("analyze", {"system": name}), ("rates", {"system": name}),
+                ("density", {"system": name, "radius": 5, "samples": 1000})]
+    with mock.patch.object(exactlin, "_real_annihilator_basis",
+                           wraps=exactlin._real_annihilator_basis) as spy:
+        for command, cfg in commands:
+            assert run(tmp_path, command, cfg)[0] == 0, command
+        assert spy.call_count == 0
+        assert run(tmp_path, "certify", {"system": "catmap", "radius": 100})[0] == 0
+    assert spy.call_count > 0
+
+
+def test_inline_cat_power_17_runs(tmp_path):
+    # the class bases of CAT^17 leave an invariance residual of 2.1e-9, above
+    # an absolute 1e-9 but far below 1e-9 |CAT^17|_2
+    cat17 = [[9227465, 5702887], [5702887, 3524578]]
+    system = {"dim": 2, "generators": [cat17]}
+    for command, extra in (("analyze", {}), ("rates", {}), ("certify", {"radius": 100})):
+        code, report, _ = run(tmp_path, command, {"system": system, **extra})
+        assert code == 0, command
+    assert report["result"]["all_passed"] is True

@@ -453,6 +453,16 @@ def test_structural_classes_keep_their_own_rows_in_each_block():
     assert [shapes[k] for k in report if k.startswith("class[")] == [(1, 2)] * 4
 
 
+def test_structural_cat_power_17_keeps_the_cat_directions():
+    # CAT^17 has CAT's eigenvectors; its class bases leave an invariance
+    # residual of 2.1e-9, accepted below 1e-9 |CAT^17|_2, and every
+    # subspace certifies with CAT's constant 1/phi
+    report = certify_structural_subspaces(CAT ** 17, 100)
+    assert all(cert.passed for cert in report.values())
+    for cert in report.values():
+        assert cert.c_emp == pytest.approx(PHI_INV, rel=1e-9)
+
+
 def test_structural_salem_unit_modulus_class():
     # ergodic but not hyperbolic: the self-reciprocal quartic with a complex
     # pair on the unit circle; even the neutral class certifies inside its

@@ -16,6 +16,7 @@ from nilmix.exactlin import (
     PrecisionError,
     RationalMatrix,
     _exact_quotient,
+    _invariance_residual,
     char_poly,
     cyclotomic_polynomial,
     factor_over_q,
@@ -334,7 +335,7 @@ def test_lyapunov_residuals_and_sum(cat, cubic):
     for m in (cat, cubic, RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
               RationalMatrix.identity(3)):
         split = lyapunov_data(m)
-        assert all(b.invariance_residual <= 1e-9 for b in split.blocks)
+        assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases)
         total = sum(b.exponent * b.multiplicity for b in split.blocks)
         assert abs(total) < 1e-9   # unimodular integer matrices in this panel
         assert sum(b.multiplicity for b in split.blocks) == m.dim
@@ -391,9 +392,10 @@ def test_lyapunov_defective_jordan_blocks():
     # companion of q^2: one size-2 Jordan block per root; the class bases are
     # the generalized eigenspaces and stay exactly invariant
     q = poly(1, -3, 1)
-    split = lyapunov_data(RationalMatrix.companion(q * q))
+    m = RationalMatrix.companion(q * q)
+    split = lyapunov_data(m)
     assert [(b.multiplicity) for b in split.blocks] == [2, 2]
-    assert all(b.invariance_residual <= 1e-9 for b in split.blocks)
+    assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases)
     assert abs(sum(b.exponent * b.multiplicity for b in split.blocks)) < 1e-9
 
 
@@ -447,10 +449,9 @@ def test_modulus_merge_rejects_unprovable_overlap():
 
 def test_block_overlap_escalates_then_raises():
     from nilmix.exactlin import PrecisionError, _check_disjoint, LyapunovBlock
-    import numpy as np
     blocks = [
-        LyapunovBlock(0.5, 0.2, 1, np.zeros((1, 2)), 0.0, (0,), (1,)),
-        LyapunovBlock(0.6, 0.2, 1, np.zeros((1, 2)), 0.0, (1,), (1,)),
+        LyapunovBlock(0.5, 0.2, 1, (0,), ((0, 0),)),
+        LyapunovBlock(0.6, 0.2, 1, (1,), ((1, 0),)),
     ]
     with pytest.raises(PrecisionError):
         _check_disjoint(blocks)
@@ -489,15 +490,18 @@ def test_cached_splitting_is_immutable_and_reproducible(cubic):
 
     def fields(split):
         return (split.matrix, split.primary, split.precision_bits,
-                [(b.exponent, b.exponent_err, b.multiplicity, b.basis.tolist(),
-                  b.invariance_residual, b.primary_factors) for b in split.blocks])
+                [(b.exponent, b.exponent_err, b.multiplicity, b.primary_factors, b.roots)
+                 for b in split.blocks],
+                [(basis.tolist(), _invariance_residual(cubic.to_float(), basis))
+                 for basis in split.bases])
 
     _clear_memo()
     split = lyapunov_data(cubic)
     assert lyapunov_data(cubic) is split
     assert primary_decomposition(cubic) is split.primary
+    assert split.bases is split.bases       # built once, on first use
     with pytest.raises(ValueError):
-        split.blocks[0].basis[0, 0] = 1.0
+        split.bases[0][0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         split.blocks = ()
     _clear_memo()

@@ -152,7 +152,10 @@ def test_ergodicity_power_stable():
     for name in ("catmap", "cubic3", "heisenberg-cat", "filiform4"):
         system = get_system(name)
         base = classify(system.algebra, system.matrix).ergodic
-        for q in (2, 3, 5):
+        # classify builds no float basis: at q = 17 and 40 the class bases of
+        # catmap, heisenberg-cat and (at 40) cubic3 fail an absolute 1e-9
+        # invariance bound
+        for q in (2, 3, 5, 17, 40):
             assert classify(system.algebra, system.matrix ** q).ergodic == base
 
 

@@ -365,18 +365,47 @@ def _companions(polys) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def test_three_rotated_lehmer_copies_are_refused():
-    # a known defect, pinned as it stands: three diagonal copies of the
-    # companion of LEHMER(ix) LEHMER(-ix) (dim 60) are refused, although one
-    # and two copies answer.  The class basis is the column space of the
-    # float64 product of the excluded roots' quadratic factors, each cubed,
-    # and rounding leaves it rank 12 where 6 is expected; the random test
-    # below can draw this input
+def test_three_rotated_lehmer_copies_refuse_only_their_bases():
+    # three diagonal copies of the companion of LEHMER(ix) LEHMER(-ix)
+    # (dim 60): the exponents answer in one 128-bit attempt, but a known
+    # defect, pinned as it stands, refuses the class bases, although one and
+    # two copies answer.  The class basis is the column space of the float64
+    # product of the excluded roots' quadratic factors, each cubed, and
+    # rounding leaves it rank 12 where 6 is expected
     rotated = _rotated(LEHMER)
     for copies in (1, 2):
-        lyapunov_data(_companions([rotated] * copies), 128)
+        lyapunov_data(_companions([rotated] * copies), 128).w_plus()
+    lyapunov_data.cache_clear()
+    with mock.patch.object(exactlin, "_lyapunov_attempt",
+                           wraps=exactlin._lyapunov_attempt) as spy:
+        split = lyapunov_data(_companions([rotated] * 3), 128)
+    assert spy.call_count == 1 and split.precision_bits == 128
+    assert [b.multiplicity for b in split.blocks] == [6, 48, 6]
     with pytest.raises(PrecisionError, match="annihilator rank 12 != expected class dimension 6"):
-        lyapunov_data(_companions([rotated] * 3), 128)
+        split.w_plus()
+
+
+@pytest.mark.parametrize("m, multiplicities", [
+    (RationalMatrix([[2, 1], [1, 1]]) ** 17, [1, 1]),
+    (RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1])) ** 14, [1, 1, 1, 1]),
+    (RationalMatrix.companion(IntPolynomial([1, -2, -1, 1])) ** 45, [1, 1, 1]),
+])
+def test_exponents_answer_in_one_attempt_without_bases(m, multiplicities):
+    # high powers whose float class bases fail (CAT^17 only an absolute
+    # invariance bound): the exact classes answer at 128 bits in one
+    # attempt, and so do rho, chi and the functionals, which read no basis
+    from nilmix.nilalg import abelian_algebra
+    from nilmix.rates import rho_chi
+    lyapunov_data.cache_clear()
+    with mock.patch.object(exactlin, "_lyapunov_attempt",
+                           wraps=exactlin._lyapunov_attempt) as spy:
+        split = lyapunov_data(m, 128)
+    assert spy.call_count == 1 and split.precision_bits == 128
+    assert [b.multiplicity for b in split.blocks] == multiplicities
+    rep = rho_chi(abelian_algebra(m.dim), m)
+    assert rep.chi == min(abs(b.exponent) for b in split.blocks)
+    funcs = lyapunov_functionals([m])
+    assert [f.exponents[0] for f in funcs] == [b.exponent for b in split.blocks]
 
 
 _BLOCKS = settings(max_examples=40, deadline=None,
