@@ -478,8 +478,9 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
     saturated integer lattice basis of the block.
 
     Subspaces often repeat a set of normalized rows (on catmap block_max is
-    w_plus): each distinct set, keyed on its exact float64 bits, is scanned
-    once per call and its certificate shared; nothing outlives the call.
+    w_plus and block_min is w_minus): each distinct set, keyed on its exact
+    float64 bits, is scanned once per call and its certificate shared;
+    nothing outlives the call.
     """
     if not m.is_unimodular_integer():
         raise ValueError("matrix must be integer with determinant +-1")

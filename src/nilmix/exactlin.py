@@ -8,6 +8,8 @@ that provably holds it and no other root (Weierstrass inclusion), and every
 root question but equal moduli (conjugate partner, modulus one) is decided by
 one rule on those discs, `_holder`; equal moduli by counting, in integers, the
 real roots of a squarefree polynomial near each |z|^2 (`_modulus_relation`).
+The float64 bases of the modulus classes are built from the same discs, in
+fixed point inside each primary block, and rounded once (`_class_basis`).
 """
 
 from __future__ import annotations
@@ -397,10 +399,6 @@ class IntPolynomial:
             for i in range(n):
                 out[i][i] += c * d ** k
         return RationalMatrix._of(out, self.den * d ** self.degree)
-
-    def compose_neg(self) -> "IntPolynomial":
-        """p(-x)."""
-        return IntPolynomial._of([-c if i % 2 else c for i, c in enumerate(self.nums)], self.den)
 
     def reverse(self) -> "IntPolynomial":
         """x^deg * p(1/x)."""
@@ -921,6 +919,17 @@ def primary_decomposition(m: RationalMatrix) -> PrimaryDecomposition:
     return PrimaryDecomposition(m, p, tuple(blocks))
 
 
+def restrict_to_span(m: RationalMatrix, basis: Sequence[tuple]) -> RationalMatrix:
+    """Exact matrix of m on an m-invariant span.  The basis (rational_kernel
+    vectors or reduced echelon rows) has each vector equal to 1 at a column
+    where the others vanish, so coordinates are read at those columns."""
+    cols = [next(j for j, x in enumerate(v) if x == 1
+                 and all(w[j] == 0 for k, w in enumerate(basis) if k != i))
+            for i, v in enumerate(basis)]
+    images = [m.apply(v) for v in basis]
+    return RationalMatrix([[img[c] for img in images] for c in cols])
+
+
 # ---------------------------------------------------------------------------
 # Certified eigenvalue moduli and the Lyapunov splitting
 # ---------------------------------------------------------------------------
@@ -1111,37 +1120,32 @@ class LyapunovSplitting:
     precision_bits: int
 
     @cached_property
-    def bases(self) -> tuple:
-        """Per block, a read-only (multiplicity, dim) basis: the rows built in
-        each of its primary_factors in turn (_real_annihilator_basis on the
-        root records at precision_bits), M-invariant up to 1e-9 max(1, |M|_2)
-        (_invariance_residual).  Else PrecisionError, with no escalation: the
-        rows read only the double root centres, which more bits do not move."""
+    def bases(self) -> dict:
+        """(class k, primary block i) -> read-only orthonormal rows spanning
+        class k inside block i, for each block of each class, in ascending
+        (k, i) order: _class_basis on the exact action on the block at
+        precision_bits, M-invariant up to 1e-9 max(1, |M|_2)
+        (_invariance_residual), else PrecisionError."""
         m_f = self.matrix.to_float()
         bound = 1e-9 * max(1.0, float(np.linalg.norm(m_f, 2)))
-        bases = []
-        for b in self.blocks:
-            rows = []
-            for fi in b.primary_factors:
-                blk = self.primary.blocks[fi]
-                rec = factor_roots(blk.factor, self.precision_bits)
-                other = [ri for ri in range(len(rec.roots)) if (fi, ri) not in b.roots]
-                pbasis = np.array([[float(x) for x in v] for v in blk.basis])
-                rows.append(_real_annihilator_basis(m_f, pbasis, rec, other, blk.multiplicity)
-                            if other else _orthonormal_rows(pbasis))
-            basis = np.vstack(rows)
-            basis.setflags(write=False)
-            residual = _invariance_residual(m_f, basis)
-            if residual > bound:
-                raise PrecisionError(f"block invariance residual {residual:.3e} exceeds {bound:.3g}")
-            bases.append(basis)
-        return tuple(bases)
+        actions = [restrict_to_span(self.matrix, blk.basis) for blk in self.primary.blocks]
+        bases = {}
+        for k, b in enumerate(self.blocks):
+            for i in b.primary_factors:
+                blk = self.primary.blocks[i]
+                rows = _class_basis(actions[i], blk, factor_roots(blk.factor, self.precision_bits),
+                                    [ri for fi, ri in b.roots if fi == i])
+                residual = _invariance_residual(m_f, rows)
+                if residual > bound:
+                    raise PrecisionError(
+                        f"class invariance residual {residual:.3e} exceeds {bound:.3g}")
+                rows.setflags(write=False)
+                bases[k, i] = rows
+        return bases
 
     def _union(self, pred) -> np.ndarray:
-        rows = [basis for b, basis in zip(self.blocks, self.bases) if pred(b)]
-        if not rows:
-            return np.zeros((0, self.matrix.dim))
-        return np.vstack(rows)
+        rows = [rows for (k, _), rows in self.bases.items() if pred(self.blocks[k])]
+        return np.vstack(rows) if rows else np.zeros((0, self.matrix.dim))
 
     @property
     def exponents(self) -> list[float]:
@@ -1168,64 +1172,67 @@ class LyapunovSplitting:
         return self._extreme(min)
 
     def _extreme(self, pick) -> np.ndarray:
-        rows = []
-        for i in range(len(self.primary.blocks)):
-            k = pick((k for k, b in enumerate(self.blocks) if i in b.primary_factors),
-                     key=lambda j: self.blocks[j].exponent)
-            rows.append(self.class_rows(k, i))
-        return np.vstack(rows)
+        # classes are indexed in ascending order of exponent
+        return np.vstack([self.bases[pick(k for k, j in self.bases if j == i), i]
+                          for i in range(len(self.primary.blocks))])
 
     def class_rows(self, k: int, i: int) -> np.ndarray:
-        """Orthonormal rows of class k inside primary block i: the rows the
-        class built there, projected onto the block and re-orthonormalized."""
-        pbasis = np.array([[float(x) for x in v] for v in self.primary.blocks[i].basis])
-        # each member root in primary block f built multiplicity(f) rows
-        built = [(f, self.primary.blocks[f].multiplicity) for f, _ in self.blocks[k].roots]
-        start = sum(c for f, c in built if f < i)
-        q, _ = np.linalg.qr(pbasis.T)
-        proj = self.bases[k][start:start + sum(c for f, c in built if f == i)] @ q @ q.T
-        keep = proj[np.linalg.norm(proj, axis=1) > 1e-8]
-        if keep.size == 0:
-            return np.zeros((0, self.matrix.dim))
-        u, s, vt = np.linalg.svd(keep, full_matrices=False)
-        rank = int(np.sum(s > 1e-8 * s[0]))
-        return vt[:rank]
+        """The orthonormal rows of class k inside primary block i."""
+        return self.bases[k, i]
 
 
-def _real_annihilator_basis(m_f: np.ndarray, prim_basis: np.ndarray, rec: FactorRoots,
-                            other: list, mult: int) -> np.ndarray:
-    """Real basis of the modulus class inside one primary block.
+def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,
+                 kept: list) -> np.ndarray:
+    """Orthonormal float64 rows spanning the generalized eigenspaces of the
+    kept roots (indices into rec) inside the primary block blk.
 
-    Applies the product over the excluded roots ``other`` (indices into the
-    factor's root record) of (M - lambda), each conjugate pair combined into
-    one real quadratic, each to the power of the factor multiplicity, to the
-    exact primary basis; the column space is the wanted class, of dimension
-    mult times the number of kept roots.
+    The span is the column space of P(A)^c, A the exact action on blk's basis
+    (restrict_to_span), c its multiplicity and P the real polynomial of the
+    other roots, each conjugate pair one quadratic.  P's coefficients come
+    from the integer disc centres, and P(A)^c is formed, in fixed point at
+    scale 2^(prec + _DISC_BITS).  Elimination with complete pivoting keeps
+    c len(kept) columns, PrecisionError unless the next pivot is below
+    2^-(prec/2) of the largest; the kept columns are mapped to the ambient
+    space, rounded to float64 and orthonormalized (QR), once.
     """
-    n = m_f.shape[0]
-    dim_expected = mult * (len(rec.roots) - len(other))
-    op = np.eye(n)
-    done = set()
-    for idx in other:
-        if idx in done:
+    s = rec.prec + _DISC_BITS
+    poly = [1 << s]               # ascending coefficients in units of 2^-s
+    for ri, (x, y, _) in enumerate(rec.discs):
+        if ri in kept or rec.partner[ri] < ri:
             continue
-        lam = rec.roots[idx][0]
-        if rec.partner[idx] != idx:
-            factor = m_f @ m_f - 2 * lam.real * m_f + (abs(lam) ** 2) * np.eye(n)
-            done.add(rec.partner[idx])
-        else:
-            factor = m_f - lam.real * np.eye(n)
-        for _ in range(mult):
-            op = factor @ op
-    cols = op @ prim_basis.T
-    u, s, vt = np.linalg.svd(cols.T, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        raise PrecisionError("annihilator collapsed the block")
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    if rank != dim_expected:
-        raise PrecisionError(
-            f"annihilator rank {rank} != expected class dimension {dim_expected}")
-    return vt[:dim_expected]
+        factor = [-x, 1 << s] if rec.partner[ri] == ri else [(x * x + y * y) >> s, -2 * x, 1 << s]
+        poly = [c >> s for c in _mul(poly, factor)]
+    n, den = action.dim, action.den
+    t = [[poly[-1] * (i == j) for j in range(n)] for i in range(n)]
+    for c in reversed(poly[:-1]):
+        t = [[x // den + c * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(_int_matmul(t, action.nums))]
+    p = t
+    for _ in range(blk.multiplicity - 1):
+        t = [[x >> s for x in row] for row in _int_matmul(t, p)]
+
+    rank = blk.multiplicity * len(kept)
+    w, live, cols, largest = [row[:] for row in t], set(range(n)), [], 0
+    while len(cols) < n:
+        size, i, j = max((abs(w[i][j]), i, j) for i in live for j in range(n) if j not in cols)
+        largest = largest or size
+        if len(cols) == rank:
+            if size << rec.prec // 2 >= largest:
+                raise PrecisionError(f"class of rank {rank} not separated at {rec.prec} bits")
+            break
+        if size == 0:
+            raise PrecisionError(f"class rank below {rank} at {rec.prec} bits")
+        cols.append(j)
+        live.remove(i)
+        for r in live:
+            f = w[r][j]
+            w[r] = [a - f * b // w[i][j] for a, b in zip(w[r], w[i])]
+
+    vden = math.lcm(*(x.denominator for v in blk.basis for x in v))
+    vnums = [[x.numerator * (vden // x.denominator) for x in v] for v in blk.basis]
+    amb = _int_matmul([[row[j] for row in t] for j in sorted(cols)], vnums)
+    floats = [[x / big for x in col] for col, big in ((c, max(map(abs, c))) for c in amb)]
+    return np.linalg.qr(np.array(floats).T)[0].T
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -1264,6 +1271,8 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
     entries = []  # one per root: factor index, root index, modulus, error, proven |root| = 1
     for fi, rec in enumerate(records):
         for ri, ((r, err), one) in enumerate(zip(rec.roots, rec.unit)):
+            if _inverse(rec.discs[ri], prec) is None:
+                raise PrecisionError(f"a root disc reaches 0 at {prec} bits")
             entries.append({"fi": fi, "ri": ri, "mod": 1.0 if one else abs(r),
                             "err": 0.0 if one else err, "one": one})
 
@@ -1286,11 +1295,6 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
     split = LyapunovSplitting(m, primary, tuple(blocks), prec)
     _check_det_sum(det, split)
     return split
-
-
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(rows.T)
-    return q.T[: rows.shape[0]]
 
 
 def _invariance_residual(m_f: np.ndarray, basis: np.ndarray) -> float:

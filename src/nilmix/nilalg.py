@@ -35,6 +35,7 @@ from .exactlin import (
     factor_roots,
     lyapunov_data,
     primary_decomposition,
+    restrict_to_span,
 )
 
 __all__ = [
@@ -431,17 +432,6 @@ def _joint_blocks(gens: tuple, precision_bits: int) -> JointBlocks:
                                  all(functional(t).is_zero() for t in classes)))
     tuples = sorted({t for b in blocks for t in b.classes})
     return JointBlocks(tuple(blocks), tuple(functional(t) for t in tuples))
-
-
-def restrict_to_span(m: RationalMatrix, basis: Sequence[tuple]) -> RationalMatrix:
-    """Exact matrix of m on an m-invariant span.  The basis (rational_kernel
-    vectors or reduced echelon rows) has each vector equal to 1 at a column
-    where the others vanish, so coordinates are read at those columns."""
-    cols = [next(j for j, x in enumerate(v) if x == 1
-                 and all(w[j] == 0 for k, w in enumerate(basis) if k != i))
-            for i, v in enumerate(basis)]
-    images = [m.apply(v) for v in basis]
-    return RationalMatrix([[img[c] for img in images] for c in cols])
 
 
 def _pairing(h_b: RationalMatrix, g_b: RationalMatrix, q: IntPolynomial) -> IntPolynomial:

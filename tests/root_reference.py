@@ -43,6 +43,11 @@ from nilmix.exactlin import (
 )
 
 
+def compose_neg(q: IntPolynomial) -> IntPolynomial:
+    """q(-x)."""
+    return IntPolynomial([-c if i % 2 else c for i, c in enumerate(q.coeffs)])
+
+
 def _pair_conjugates(roots: list[tuple[complex, float]]) -> list[int]:
     """Index of the conjugate partner for each root (itself for real roots)."""
     n = len(roots)
@@ -107,13 +112,13 @@ def _prove_equal_modulus(e1, e2, primary, records) -> bool:
         if records[e1["fi"]].partner[e1["ri"]] == e2["ri"]:
             return True
         # negation symmetry within an even/odd factor: r2 == -r1 or -conj(r1)
-        return (q1.compose_neg() in (q1, q1.scale(-1))
+        return (compose_neg(q1) in (q1, q1.scale(-1))
                 and min(abs(r1 + r2), abs(r1.conjugate() + r2)) <= err1 + err2 + 1e-12)
     # rational roots: exact comparison
     if q1.degree == 1 and q2.degree == 1:
         return abs(q1.nums[0] * q2.nums[1]) == abs(q2.nums[0] * q1.nums[1])
     # factors related by x -> -x have negated root sets (equal moduli)
-    neg = q1.compose_neg()
+    neg = compose_neg(q1)
     if neg in (q2, q2.scale(-1)):
         if abs(r1 + r2) <= err1 + err2 + 1e-12 or abs(r1.conjugate() + r2) <= err1 + err2 + 1e-12:
             return True
@@ -167,7 +172,7 @@ def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
     if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
         return True
     q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
-    if q1.compose_neg() in (q2, q2.scale(-1)):
+    if compose_neg(q1) in (q2, q2.scale(-1)):
         x, y, r = rec1.discs[e1["ri"]]
         k = _holder(rec2.discs, (-x, -y, r))
         if k is not None and e2["ri"] in (k, rec2.partner[k]):

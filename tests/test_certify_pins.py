@@ -29,39 +29,39 @@ _CASES = {
 _DIGESTS = {
     "certify-catmap-R1000": {
         "certificates.csv":
-            "59471e71fd35ad28593ff01d977871eca24a8f5baabe23fa076c299890ba1320",
+            "0bd96f791f04c7df674fd1fc8143ef956bb97f4645069948a422751bab25e834",
         "report.json":
-            "25691fadb300257a3bf1dcaa28c18113d1206b20688b8649ee87c665f16d0511",
+            "6ed62d02a3f9b56289bd0edd216c523b9191ee48bd152f5bf79212c10dbae9fa",
     },
     "certify-cubic3-R1000": {
         "certificates.csv":
-            "79664953a2745bf35511cd83524c3c180c3c8e572854adb2e17aac18da790ca0",
+            "8f1cb177cab4c5da9a43a55a6a72756974c2957f5643bd0c7683cbab54aca6c1",
         "report.json":
-            "e00890f06965a3d39f224b94f86b3931527dafc06ec2e02af4ab0f0c19f109d7",
+            "c055cd7b0e8a11f5e21839ceb2ca62d03d08ccd9ce474e95ee46b6f950f8bd55",
     },
     "certify-cubic-rank2-R1000": {
         "certificates.csv":
-            "79664953a2745bf35511cd83524c3c180c3c8e572854adb2e17aac18da790ca0",
+            "8f1cb177cab4c5da9a43a55a6a72756974c2957f5643bd0c7683cbab54aca6c1",
         "report.json":
-            "0de0bd1572b4878d212fe48d0cc4542e71b21690002f056b828250610c3d9ffe",
+            "6610b1deb3759e659e72b6243bf2d2bc6ee484e883fb04f820f5ebefa0663a3a",
     },
     "certify-quartic-R1000": {
         "certificates.csv":
-            "37bbf5afde6700afc6ac98f716b49dc30f3b7f59f36729ac31189317844cc4ac",
+            "1ebee1298eb81515f71f5c2b96b426857d4f1aa1add08fbe4f5584f8de532b4b",
         "report.json":
-            "7e0080e3cacb6d9bfe43acc73c7ceeb3b7856daa99684f2d84d62c9db9b14b5e",
+            "d5b9ccdfae475962f4974aaac38641be77156a1a2389b27fb19a0dd121aeca04",
     },
     "certify-heisenberg-cat-R200": {
         "certificates.csv":
-            "6939a8eb472d81759513e38f554fd622808f87ffac66b4bbbebb05e04b84bf92",
+            "a2451c270249c9fad8fe6e82b36eb8008cab066d31604856e5c2967ca9e85ef7",
         "report.json":
-            "d0f98dc42e4e27c03d782f841ce3a479147acbfdb0b54adf7fd1ead735862534",
+            "2f5fdb418e16fcda73ed18d51dc4bfa250344b12ddd07f36e46811f87c719336",
     },
     "certify-product-t2xt2-R200": {
         "certificates.csv":
-            "235a3c56cc8d6f5e0903177a6043ed0ace8ec53c3534154834eeff532e207b2b",
+            "de3e35f0787377473f01290001bde511e139c1466fb9c5463de0c2c64bd56276",
         "report.json":
-            "751395399e3f7a648cd4a30441b4d1b2160e1f9fb6a6df9ef90d381a5f40f659",
+            "8f90d346850d58979ed4dad5739bfffabcfa2955eb00126216e5a548434164e0",
     },
     "certify-golden-R10000": {
         "certificates.csv":

@@ -443,8 +443,7 @@ def test_only_certify_builds_float_class_bases(tmp_path, name):
     exactlin.lyapunov_data.cache_clear()
     commands = [("analyze", {"system": name}), ("rates", {"system": name}),
                 ("density", {"system": name, "radius": 5, "samples": 1000})]
-    with mock.patch.object(exactlin, "_real_annihilator_basis",
-                           wraps=exactlin._real_annihilator_basis) as spy:
+    with mock.patch.object(exactlin, "_class_basis", wraps=exactlin._class_basis) as spy:
         for command, cfg in commands:
             assert run(tmp_path, command, cfg)[0] == 0, command
         assert spy.call_count == 0

@@ -24,7 +24,7 @@ from nilmix.dioph import (
     type_i_subspace,
     certify_structural_subspaces,
 )
-from nilmix.exactlin import IntPolynomial, RationalMatrix
+from nilmix.exactlin import IntPolynomial, LyapunovSplitting, RationalMatrix, lyapunov_data
 from nilmix.nilalg import heisenberg_algebra
 
 from conftest import PHI_INV
@@ -446,11 +446,9 @@ def test_structural_classes_keep_their_own_rows_in_each_block():
             span = np.array([[float(x) for x in v] for v in blk.basis])
             coords, *_ = np.linalg.lstsq(span.T, row, rcond=None)
             assert np.linalg.norm(span.T @ coords - row) <= 1e-9
-    with mock.patch.object(dioph, "diophantine_certificate",
-                           wraps=dioph.diophantine_certificate) as spy:
-        report = certify_structural_subspaces(m, 30)
-    shapes = dict(zip(report, (np.shape(c.args[0]) for c in spy.call_args_list)))
-    assert [shapes[k] for k in report if k.startswith("class[")] == [(1, 2)] * 4
+    report = certify_structural_subspaces(m, 30)
+    assert [np.shape(report[k].directions) for k in report if k.startswith("class[")] == \
+        [(1, 2)] * 4
 
 
 def test_structural_cat_power_17_keeps_the_cat_directions():
@@ -461,6 +459,21 @@ def test_structural_cat_power_17_keeps_the_cat_directions():
     assert all(cert.passed for cert in report.values())
     for cert in report.values():
         assert cert.c_emp == pytest.approx(PHI_INV, rel=1e-9)
+
+
+@pytest.mark.parametrize("coeffs, k", [([1, 1, -4, 0, 1], 14), ([1, -2, -1, 1], 45)],
+                         ids=["quartic^14", "cubic^45"])
+def test_structural_powers_keep_the_base_constants(coeffs, k):
+    # a power has its base matrix's eigenvectors, and its class bases are
+    # built inside its primary blocks at the working precision: every
+    # subspace certifies with the base matrix's constant (the keys differ
+    # only in the exponents, which scale by k)
+    base = RationalMatrix.companion(IntPolynomial(coeffs))
+    want = certify_structural_subspaces(base, 30)
+    got = certify_structural_subspaces(base ** k, 30)
+    assert len(got) == len(want)
+    for c, w in zip(got.values(), want.values()):
+        assert c.passed and c.c_emp == pytest.approx(w.c_emp, rel=1e-9)
 
 
 def test_structural_salem_unit_modulus_class():
@@ -551,7 +564,7 @@ def _scans(m, radius):
 
 
 @pytest.mark.parametrize("m, n_subspaces, n_scans", [
-    (CAT, 6, 3), (CUBIC, 7, 5),
+    (CAT, 6, 2), (CUBIC, 7, 4),
     (RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1])), 8, 6),
 ], ids=["catmap", "cubic3", "quartic"])
 def test_each_distinct_direction_set_is_scanned_once_per_call(m, n_subspaces, n_scans):
@@ -567,19 +580,32 @@ def test_each_distinct_direction_set_is_scanned_once_per_call(m, n_subspaces, n_
 
 
 def test_last_bit_neighbours_are_scanned_apart():
-    # on catmap block_min and w_minus differ only in the last bit of -1/phi
-    report, sets = _scans(CAT, 1000)
-    lo, lo_next = report["block_min"].directions[0][0], report["w_minus"].directions[0][0]
-    assert lo != lo_next and abs(lo - lo_next) == math.ulp(lo)
+    # block_min and w_minus are one set of rows on catmap; moved one ulp
+    # apart by hand, they are two sets of bits and are scanned apart
+    lo = dioph._normalize_rows(lyapunov_data(CAT).w_minus())
+    nudged = lo.copy()
+    nudged[0, 0] = np.nextafter(lo[0, 0], 0.0)
+    with mock.patch.object(LyapunovSplitting, "w_minus", lambda self: lo.copy()), \
+            mock.patch.object(LyapunovSplitting, "block_min", lambda self: nudged):
+        report, sets = _scans(CAT, 1000)
+    x, x_moved = report["w_minus"].directions[0][0], report["block_min"].directions[0][0]
+    assert abs(x - x_moved) == math.ulp(x)
     assert report["block_min"] is not report["w_minus"]
     assert report["block_max"] is report["w_plus"]
+    assert len(sets) == len(set(sets)) == 3
 
 
 def test_signed_zeros_are_scanned_once():
-    # on product-t2xt2 block_max and w_plus (and block_min and w_minus) differ
-    # only in the signs of their zero entries; the normalized rows carry no
-    # -0.0, so each pair is one set of bits and is scanned once
-    report, sets = _scans(get_system("product-t2xt2").matrix, 200)
+    # on product-t2xt2 block_max is w_plus and block_min is w_minus; with the
+    # signs of their zero entries flipped by hand they still normalize to the
+    # same bits (the normalized rows carry no -0.0), so each pair is scanned once
+    def flipped(rows):
+        return np.where(rows == 0.0, -rows, rows)
+
+    with mock.patch.object(LyapunovSplitting, "block_max", lambda self: flipped(self.w_plus())), \
+            mock.patch.object(LyapunovSplitting, "block_min",
+                              lambda self: flipped(self.w_minus())):
+        report, sets = _scans(get_system("product-t2xt2").matrix, 200)
     assert report["w_plus"] is report["block_max"]
     assert report["w_minus"] is report["block_min"]
     assert len(sets) == len(set(sets)) == 2

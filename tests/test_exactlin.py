@@ -335,7 +335,7 @@ def test_lyapunov_residuals_and_sum(cat, cubic):
     for m in (cat, cubic, RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
               RationalMatrix.identity(3)):
         split = lyapunov_data(m)
-        assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases)
+        assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases.values())
         total = sum(b.exponent * b.multiplicity for b in split.blocks)
         assert abs(total) < 1e-9   # unimodular integer matrices in this panel
         assert sum(b.multiplicity for b in split.blocks) == m.dim
@@ -395,7 +395,7 @@ def test_lyapunov_defective_jordan_blocks():
     m = RationalMatrix.companion(q * q)
     split = lyapunov_data(m)
     assert [(b.multiplicity) for b in split.blocks] == [2, 2]
-    assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases)
+    assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases.values())
     assert abs(sum(b.exponent * b.multiplicity for b in split.blocks)) < 1e-9
 
 
@@ -493,7 +493,7 @@ def test_cached_splitting_is_immutable_and_reproducible(cubic):
                 [(b.exponent, b.exponent_err, b.multiplicity, b.primary_factors, b.roots)
                  for b in split.blocks],
                 [(basis.tolist(), _invariance_residual(cubic.to_float(), basis))
-                 for basis in split.bases])
+                 for basis in split.bases.values()])
 
     _clear_memo()
     split = lyapunov_data(cubic)
@@ -501,7 +501,7 @@ def test_cached_splitting_is_immutable_and_reproducible(cubic):
     assert primary_decomposition(cubic) is split.primary
     assert split.bases is split.bases       # built once, on first use
     with pytest.raises(ValueError):
-        split.bases[0][0, 0] = 1.0
+        split.bases[0, 0][0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         split.blocks = ()
     _clear_memo()

@@ -112,7 +112,7 @@ def test_unimodular_invariants(m):
     total = sum(b.exponent * b.multiplicity for b in split.blocks)
     budget = sum(b.exponent_err * b.multiplicity for b in split.blocks) + 1e-9
     assert abs(total) <= budget
-    assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases)
+    assert all(_invariance_residual(m.to_float(), basis) <= 1e-9 for basis in split.bases.values())
 
 
 @COMMON

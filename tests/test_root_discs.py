@@ -28,13 +28,16 @@ from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import class_reference
 import root_reference as ref
 from nilmix import exactlin
 from nilmix.cli import main
+from nilmix.dioph import certify_structural_subspaces
 from nilmix.exactlin import (
     IntPolynomial,
     PrecisionError,
@@ -84,7 +87,7 @@ def _factors(max_degree: int):
 
 def _negated(q: IntPolynomial) -> IntPolynomial:
     """The monic one of +-q(-x), whose roots are those of q negated."""
-    return q.compose_neg().monic()
+    return ref.compose_neg(q).monic()
 
 
 def _cubed(q: IntPolynomial) -> IntPolynomial:
@@ -98,7 +101,7 @@ def _cubed(q: IntPolynomial) -> IntPolynomial:
 def _rotated(q: IntPolynomial) -> IntPolynomial:
     """q(ix) q(-ix), whose roots are those of q times +-i: with q(x) q(-x) =
     sum_k c_k x^(2k), it is sum_k (-1)^k c_k x^(2k)."""
-    even = (q * q.compose_neg()).coeffs
+    even = (q * ref.compose_neg(q)).coeffs
     return IntPolynomial([c * (-1) ** (i // 2) for i, c in enumerate(even)])
 
 
@@ -365,24 +368,27 @@ def _companions(polys) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def test_three_rotated_lehmer_copies_refuse_only_their_bases():
+def test_three_rotated_lehmer_copies_answer_their_subspaces():
     # three diagonal copies of the companion of LEHMER(ix) LEHMER(-ix)
-    # (dim 60): the exponents answer in one 128-bit attempt, but a known
-    # defect, pinned as it stands, refuses the class bases, although one and
-    # two copies answer.  The class basis is the column space of the float64
-    # product of the excluded roots' quadratic factors, each cubed, and
-    # rounding leaves it rank 12 where 6 is expected
+    # (dim 60): the exponents answer in one 128-bit attempt, and so do the
+    # class bases, which the float64 product of the excluded roots' factors
+    # once left rank 12 where 6 is expected; the subspaces certify at a
+    # radius whose ball is small in dimension 60
     rotated = _rotated(LEHMER)
     for copies in (1, 2):
-        lyapunov_data(_companions([rotated] * copies), 128).w_plus()
+        assert lyapunov_data(_companions([rotated] * copies), 128).w_plus().shape == \
+            (2 * copies, 20 * copies)
     lyapunov_data.cache_clear()
+    m = _companions([rotated] * 3)
     with mock.patch.object(exactlin, "_lyapunov_attempt",
                            wraps=exactlin._lyapunov_attempt) as spy:
-        split = lyapunov_data(_companions([rotated] * 3), 128)
+        split = lyapunov_data(m, 128)
     assert spy.call_count == 1 and split.precision_bits == 128
     assert [b.multiplicity for b in split.blocks] == [6, 48, 6]
-    with pytest.raises(PrecisionError, match="annihilator rank 12 != expected class dimension 6"):
-        split.w_plus()
+    assert (split.w_plus().shape, split.w_zero().shape, split.w_minus().shape) == \
+        ((6, 60), (48, 60), (6, 60))
+    report = certify_structural_subspaces(m, 1.5)
+    assert len(report) == 7 and all(c.passed for c in report.values())
 
 
 @pytest.mark.parametrize("m, multiplicities", [
@@ -391,9 +397,8 @@ def test_three_rotated_lehmer_copies_refuse_only_their_bases():
     (RationalMatrix.companion(IntPolynomial([1, -2, -1, 1])) ** 45, [1, 1, 1]),
 ])
 def test_exponents_answer_in_one_attempt_without_bases(m, multiplicities):
-    # high powers whose float class bases fail (CAT^17 only an absolute
-    # invariance bound): the exact classes answer at 128 bits in one
-    # attempt, and so do rho, chi and the functionals, which read no basis
+    # high powers: the exact classes answer at 128 bits in one attempt, and
+    # so do rho, chi and the functionals, which read no class basis
     from nilmix.nilalg import abelian_algebra
     from nilmix.rates import rho_chi
     lyapunov_data.cache_clear()
@@ -406,6 +411,66 @@ def test_exponents_answer_in_one_attempt_without_bases(m, multiplicities):
     assert rep.chi == min(abs(b.exponent) for b in split.blocks)
     funcs = lyapunov_functionals([m])
     assert [f.exponents[0] for f in funcs] == [b.exponent for b in split.blocks]
+
+
+@pytest.mark.parametrize("k, bits", [(115, 256), (150, 256), (300, 512)])
+def test_cat_powers_escalate_when_a_root_disc_reaches_zero(k, bits):
+    # at 128 bits the small root of CAT^k (below 1e-48) sits in a disc around
+    # 0: a modulus not bounded away from 0 is a PrecisionError, so the
+    # precision doubles until the disc excludes 0
+    split = lyapunov_data(RationalMatrix([[2, 1], [1, 1]]) ** k, 128)
+    assert split.precision_bits == bits
+    assert [b.exponent for b in split.blocks] == \
+        [pytest.approx(-k * 0.9624236501192069, rel=1e-15),
+         pytest.approx(k * 0.9624236501192069, rel=1e-15)]
+    assert split.w_plus().shape == split.w_minus().shape == (1, 2)
+
+
+def _unit_factors():
+    """Monic irreducible integer factors of degree 2 to 4 with constant term
+    +-1 and no root of unity, and the degree-4 Salem polynomial."""
+    random = (st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                        st.sampled_from([1, -1]))
+              .map(lambda t: IntPolynomial([t[1]] + t[0] + [1]))
+              .filter(lambda q: _irreducible(q) and is_cyclotomic(q) is None))
+    return st.one_of(st.just(SALEM4), random)
+
+
+@st.composite
+def _ergodic_matrices(draw):
+    """Companions of q or q^2 (one Jordan block per root) for unit factors q,
+    block-diagonal, the first block perhaps repeated, in dimension 2 to 6,
+    conjugated by a product of unimodular elementary matrices."""
+    polys = [q ** e for q, e in draw(st.lists(st.tuples(_unit_factors(), st.integers(1, 2)),
+                                              min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        polys.append(polys[0])
+    assume(sum(p.degree for p in polys) <= 6)
+    m = _companions(polys)
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, m.dim - 1), st.integers(0, m.dim - 1),
+                                           st.sampled_from([-1, 1])), max_size=4)):
+        if i != j:
+            e = [[int(a == b) + c * (a == i and b == j) for b in range(m.dim)]
+                 for a in range(m.dim)]
+            m = RationalMatrix(e) * m * RationalMatrix(e).inverse()
+    return m
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_ergodic_matrices())
+def test_class_rows_lie_on_the_2048_bit_subspaces(m):
+    # every (class, primary block) basis spans the generalized eigenspace of
+    # the class's roots in the block, read as a kernel at 2048 bits
+    split = lyapunov_data(m)
+    exponents = split.exponents
+    for (k, i), rows in split.bases.items():
+        blk = split.primary.blocks[i]
+        basis = class_reference.class_subspace(m, blk.factor, blk.multiplicity,
+                                               exponents[k], exponents)
+        assert rows.shape == (len(basis), m.dim)
+        assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-14)
+        assert class_reference.distance(rows, basis) <= 1e-12
 
 
 _BLOCKS = settings(max_examples=40, deadline=None,

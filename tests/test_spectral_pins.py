@@ -152,15 +152,15 @@ _DIGESTS = {
     },
     'certify-catmap': {
         'certificates.csv':
-            '59471e71fd35ad28593ff01d977871eca24a8f5baabe23fa076c299890ba1320',
+            '0bd96f791f04c7df674fd1fc8143ef956bb97f4645069948a422751bab25e834',
         'report.json':
-            '4dfc14d62c73b70f1e87ff144cc76a0bd4411654037f9d17db5793ec39276fb2',
+            'a44b60751f8de198423a70f6537d7c10afb3eae0c011c04a6284b78b96a49938',
     },
     'certify-cubic3': {
         'certificates.csv':
-            '79664953a2745bf35511cd83524c3c180c3c8e572854adb2e17aac18da790ca0',
+            '8f1cb177cab4c5da9a43a55a6a72756974c2957f5643bd0c7683cbab54aca6c1',
         'report.json':
-            '2c92df229ff1cc6e1a0e5faa5ca06bfc304cf423d0d9767611f69a33451c180f',
+            'e48cedd602e66c81defe7f4899ff8260b66bec3f49ed2f1129653b053e7424f8',
     },
     'rates-catmap': {
         'rates.csv':
