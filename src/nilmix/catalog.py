@@ -106,12 +106,12 @@ def get_system(name: str) -> System:
         raise KeyError(f"unknown system {name!r}; available: {', '.join(system_names())}")
 
 
-def random_ergodic_gl3(seed: int, steps: int = 6) -> RationalMatrix:
-    """Random unimodular conjugate of the cubic companion (same spectrum,
-    hence ergodic)."""
+def random_ergodic_gl3(seed: int) -> RationalMatrix:
+    """Random unimodular conjugate of the cubic companion by a product of six
+    elementary matrices (same spectrum, hence ergodic)."""
     rng = random.Random(seed)
     p = RationalMatrix.identity(3)
-    for _ in range(steps):
+    for _ in range(6):
         i, j = rng.sample(range(3), 2)
         rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
         rows[i][j] = Fraction(rng.choice([-1, 1]))

@@ -1,11 +1,13 @@
 """Command-line front end.
 
-    nilmix <command> --config <path> [--out <dir>] [--precision <bits>] [--seed <u64>]
+    nilmix <command> --config <path> [--out <dir>] [--seed <u64>]
 
 Commands: analyze, rates, certify, solve, threshold, correlate, density,
 counterexample.  Configs are JSON with a schema validated up front
 (unknown fields are rejected); every run writes report.json plus
-command-specific CSV tables.  Exit codes: 0 ok, 1 computation error,
+command-specific CSV tables.  Certified spectra start at
+exactlin.START_PRECISION_BITS (report.json's precision_bits) and raise
+their own precision as needed.  Exit codes: 0 ok, 1 computation error,
 2 invalid configuration.
 """
 
@@ -36,7 +38,7 @@ from .correlate import (
     no_uniform_bound_demo,
 )
 from .dioph import diophantine_certificate, certify_structural_subspaces
-from .exactlin import RationalMatrix, lyapunov_data
+from .exactlin import START_PRECISION_BITS, RationalMatrix, lyapunov_data
 from .fourier import FourierObservable, _is_number
 from .fracsolve import _check_solve, solve_fractional, threshold_sweep
 from .nilalg import (
@@ -247,11 +249,11 @@ def _jsonable(x):
 
 
 def _emit_report(outdir: str, command: str, cfg: dict, payload: dict,
-                 precision: int, seed: Optional[int]):
+                 seed: Optional[int]):
     report = {
         "command": command,
         "version": __version__,
-        "precision_bits": precision,
+        "precision_bits": START_PRECISION_BITS,
         "seed": seed,
         "config": cfg,
         "result": _jsonable(payload),
@@ -264,7 +266,7 @@ def _emit_report(outdir: str, command: str, cfg: dict, payload: dict,
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_analyze(cfg, outdir, precision, seed):
+def _cmd_analyze(cfg, outdir, seed):
     _check_keys(cfg, {"system"}, "analyze config")
     system = _load_system(cfg)
     out = {}
@@ -279,24 +281,27 @@ def _cmd_analyze(cfg, outdir, precision, seed):
     out["root_of_unity_core"] = cls.n_z2
     header = ["exponent", "error", "multiplicity"]
     rows = [[b.exponent, b.exponent_err, b.multiplicity]
-            for b in lyapunov_data(system.matrix, precision).blocks]
+            for b in lyapunov_data(system.matrix).blocks]
     out["exponents"] = [dict(zip(header, row)) for row in rows]
     if len(system.generators) > 1:
-        reg = find_regular_element(list(system.generators), precision)
+        reg = find_regular_element(list(system.generators))
         out["regular_element"] = {"z": reg.z, "margin": reg.certificate_margin}
     _write_csv(os.path.join(outdir, "exponents.csv"), header, rows)
     return out
 
 
-def _cmd_rates(cfg, outdir, precision, seed):
+def _cmd_rates(cfg, outdir, seed):
     _check_keys(cfg, {"system", "s", "r", "eps"}, "rates config")
     system = _load_system(cfg)
     s = _number(cfg, "s", 0.5)
     r = _number(cfg, "r", 1.0)
     eps = _number(cfg, "eps", 0.01)
-    rep = rho_chi(system.algebra, system.matrix, precision)
-    env = order2_envelope(system.algebra, system.matrix, r, eps, precision)
-    gamma = holder_rate(system.algebra, system.matrix, s, precision)
+    for key, value in (("s", s), ("r", r), ("eps", eps)):
+        if value <= 0:
+            raise ConfigError(f"bad {key!r} {value}: must be positive")
+    rep = rho_chi(system.algebra, system.matrix)
+    env = order2_envelope(system.algebra, system.matrix, r, eps)
+    gamma = holder_rate(system.algebra, system.matrix, s)
     per_layer, s_of_r = rep.sobolev_orders(r)
     out = {"rho": rep.rho, "chi": rep.chi, "delta": rep.delta, "rho0": rep.rho0,
            "s0": rep.s0, "gamma": gamma, "s": s,
@@ -311,9 +316,11 @@ def _cmd_rates(cfg, outdir, precision, seed):
     return out
 
 
-def _cmd_certify(cfg, outdir, precision, seed):
+def _cmd_certify(cfg, outdir, seed):
     _check_keys(cfg, {"system", "radius", "directions", "dim_ambient"}, "certify config")
     radius = _number(cfg, "radius", 1000.0)
+    if radius < 1:
+        raise ConfigError(f"bad 'radius' {radius}: must be >= 1")
     rows = []
     out = {"radius": radius}
     if "directions" in cfg:
@@ -325,7 +332,7 @@ def _cmd_certify(cfg, outdir, precision, seed):
         rows.append(["explicit", cert.c_emp, str(cert.argmin), cert.passed])
     else:
         system = _load_system(cfg)
-        report = certify_structural_subspaces(system.matrix, radius, system.algebra, precision)
+        report = certify_structural_subspaces(system.matrix, radius, system.algebra)
         out["subspaces"] = {
             name: {"c_emp": c.c_emp, "argmin": c.argmin, "passed": c.passed}
             for name, c in report.items()}
@@ -336,27 +343,29 @@ def _cmd_certify(cfg, outdir, precision, seed):
     return out
 
 
-def _cmd_solve(cfg, outdir, precision, seed):
+def _cmd_solve(cfg, outdir, seed):
     _check_keys(cfg, {"system", "observable", "directions", "r", "mode", "radius"},
                 "solve config")
     r = _number(cfg, "r", 0.5)
     mode = cfg.get("mode", "modulus")
     f = _load_observable(cfg, "observable")
+    radius = _number(cfg, "radius", max(8.0, f.support_radius() + 1))
+    if radius < 1:
+        raise ConfigError(f"bad 'radius' {radius}: must be >= 1")
     if "directions" in cfg:
         directions = [tuple(v) for v in _vectors(cfg, "directions")]
     else:
         system = _load_system(cfg)
         if system.matrix.dim != f.dim:
             raise ConfigError(f"observable has dim {f.dim}, the system {system.matrix.dim}")
-        split = lyapunov_data(system.matrix, precision)
+        split = lyapunov_data(system.matrix)
         w = split.w_plus()
         directions = [tuple(float(x) for x in row) for row in w]
     try:
         _check_solve(f, directions, r, mode)
     except ValueError as e:
         raise ConfigError(str(e))
-    cert = diophantine_certificate(directions, f.dim,
-                                   _number(cfg, "radius", max(8.0, f.support_radius() + 1)))
+    cert = diophantine_certificate(directions, f.dim, radius)
     sol = solve_fractional(f, directions, r, mode=mode, certificate=cert)
     out = {
         "order": r, "mode": mode, "residual": sol.residual,
@@ -376,7 +385,7 @@ def _cmd_solve(cfg, outdir, precision, seed):
     return out
 
 
-def _cmd_threshold(cfg, outdir, precision, seed):
+def _cmd_threshold(cfg, outdir, seed):
     _check_keys(cfg, {"profile", "profile_csv", "orders", "cutoffs"}, "threshold config")
     orders = _number(cfg, "orders", [0.25, 0.5, 0.75])
     cutoffs = _number(cfg, "cutoffs", [1e-2, 1e-4, 1e-6])
@@ -422,7 +431,7 @@ def _cmd_threshold(cfg, outdir, precision, seed):
     return out
 
 
-def _cmd_correlate(cfg, outdir, precision, seed):
+def _cmd_correlate(cfg, outdir, seed):
     _check_keys(cfg, {"system", "observables", "times", "powers", "fit_rate",
                       "budget"}, "correlate config")
     system = _load_system(cfg)
@@ -461,7 +470,7 @@ def _cmd_correlate(cfg, outdir, precision, seed):
     return out
 
 
-def _cmd_density(cfg, outdir, precision, seed):
+def _cmd_density(cfg, outdir, seed):
     _check_keys(cfg, {"system", "n", "radius", "eps", "samples"}, "density config")
     system = _load_system(cfg)
     n = _number(cfg, "n", 2, int)
@@ -473,8 +482,7 @@ def _cmd_density(cfg, outdir, precision, seed):
         if value < low:
             raise ConfigError(f"bad {key!r} {value}: must be >= {low}")
     rep = density_estimate(list(system.generators), n, radius, eps, samples,
-                           seed if seed is not None else DEFAULT_DENSITY_SEED,
-                           precision)
+                           seed if seed is not None else DEFAULT_DENSITY_SEED)
     out = vars(rep).copy()
     _write_csv(os.path.join(outdir, "density.csv"),
                ["n", "radius", "good_fraction", "bad_points", "total_points",
@@ -485,7 +493,7 @@ def _cmd_density(cfg, outdir, precision, seed):
     return out
 
 
-def _cmd_counterexample(cfg, outdir, precision, seed):
+def _cmd_counterexample(cfg, outdir, seed):
     _check_keys(cfg, {"system", "kind", "n", "powers", "observable", "observable2"},
                 "counterexample config")
     kind = cfg.get("kind", "max-gap")
@@ -531,8 +539,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--precision", type=int, default=128,
-                        help="working precision in bits for certified spectra")
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                         help="seed for sampled estimators")
     args = parser.parse_args(argv)
@@ -547,7 +553,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        payload = _COMMANDS[args.command](cfg, args.out, args.precision, args.seed)
+        payload = _COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -556,7 +562,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    _emit_report(args.out, args.command, cfg, payload, args.precision, args.seed)
+    _emit_report(args.out, args.command, cfg, payload, args.seed)
     print(json.dumps({"command": args.command, "out": args.out, "ok": True}))
     return 0
 

@@ -371,17 +371,16 @@ class DecayFit:
     n_used: int
 
 
-def decay_fit(series: CorrelationSeries, rate: float,
-              floor: float = 1e-14) -> DecayFit:
+def decay_fit(series: CorrelationSeries, rate: float) -> DecayFit:
     """Least squares of log|value| against the gap, plus the envelope constant.
 
     c_fit is the smallest single C with |value| <= C e^{-rate * gap} across
     all entries (computed from the nonzero entries; zero values satisfy any
-    envelope).  Entries below the floor are excluded from the regression.
+    envelope).  Entries of modulus up to 1e-14 are excluded from the regression.
     """
-    pts = [(e.gap, abs(e.value)) for e in series.entries if abs(e.value) > floor]
+    pts = [(e.gap, abs(e.value)) for e in series.entries if abs(e.value) > 1e-14]
     if len(pts) < 3:
-        raise ValueError("need at least 3 entries above the floor to fit a decay rate")
+        raise ValueError("need at least 3 entries above 1e-14 to fit a decay rate")
     xs = np.array([p[0] for p in pts])
     ys = np.log(np.array([p[1] for p in pts]))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -404,8 +403,7 @@ def decay_fit(series: CorrelationSeries, rate: float,
 # ---------------------------------------------------------------------------
 
 def counterexample_maxgap(f1: FourierObservable, f2: FourierObservable, n: int,
-                          m: RationalMatrix, powers: Sequence[int],
-                          budget: int = DEFAULT_BUDGET) -> CorrelationSeries:
+                          m: RationalMatrix, powers: Sequence[int]) -> CorrelationSeries:
     """Series integral of (f1 o a^p)^2 (f2 o a^{2p})^n over p in powers.
 
     Requires mean-zero f1 and c = integral of f2^n nonzero; the values
@@ -430,7 +428,7 @@ def counterexample_maxgap(f1: FourierObservable, f2: FourierObservable, n: int,
         "expected_limit": complex(limit),
     })
     for p in powers:
-        val = correlation_n([f1_sq, f2_n], [m], [(int(p),), (2 * int(p),)], budget)
+        val = correlation_n([f1_sq, f2_n], [m], [(int(p),), (2 * int(p),)])
         series.append(((int(p),), (2 * int(p),)), complex(val))
     return series
 
@@ -442,8 +440,7 @@ def _times_value(a, b):
 
 
 def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
-                          g: FourierObservable, powers: Sequence[int],
-                          budget: int = DEFAULT_BUDGET) -> CorrelationSeries:
+                          g: FourierObservable, powers: Sequence[int]) -> CorrelationSeries:
     """Constant correlations at diverging time separations on a product system.
 
     generators = [B, F] acting on a product lattice, with F fixing the
@@ -481,7 +478,6 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
     conj = lifted.conjugate()
     for p in powers:
         p = int(p)
-        val = correlation_n([lifted, conj], [b, fgen],
-                            [(p, p), (p, 0)], budget)
+        val = correlation_n([lifted, conj], [b, fgen], [(p, p), (p, 0)])
         series.append(((p, p), (p, 0)), complex(val))
     return series

@@ -468,8 +468,7 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def certify_structural_subspaces(m: RationalMatrix, radius: float,
-                            algebra: Optional[NilpotentAlgebra] = None,
-                            precision_bits: int = 128) -> dict:
+                            algebra: Optional[NilpotentAlgebra] = None) -> dict:
     """Certificates for the structural subspaces of an ergodic integer matrix.
 
     Covers the top/bottom modulus classes across primary blocks, the
@@ -488,7 +487,7 @@ def certify_structural_subspaces(m: RationalMatrix, radius: float,
     if not is_ergodic(algebra, m):
         raise ValueError("matrix is not ergodic (root-of-unity eigenvalue present)")
 
-    split = lyapunov_data(m, precision_bits)
+    split = lyapunov_data(m)
     report, scans = {}, {}
 
     def certify(rows: np.ndarray) -> DiophantineCertificate:

@@ -62,7 +62,8 @@ class ResolutionError(PrecisionError):
 
 # entries kept by each memo (primary_decomposition, factor_roots, lyapunov_data)
 _MEMO_SIZE = 256
-# working precision at which lyapunov_data stops escalating
+# working precision at which lyapunov_data starts, and at which it stops escalating
+START_PRECISION_BITS = 128
 _MAX_PRECISION_BITS = 2048
 
 
@@ -1236,26 +1237,27 @@ def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def lyapunov_data(m: RationalMatrix, precision_bits: int = 128) -> LyapunovSplitting:
+def lyapunov_data(m: RationalMatrix) -> LyapunovSplitting:
     """Certified Lyapunov splitting of an invertible rational matrix.
 
-    Moduli of the exact characteristic roots are computed at >= precision_bits
-    working precision with error bounds.  Two roots share a class only when
-    their moduli are proven equal, and lie in two classes only when proven
+    Moduli of the exact characteristic roots are computed with error bounds,
+    first at START_PRECISION_BITS.  Two roots share a class only when their
+    moduli are proven equal, and lie in two classes only when proven
     unequal (_modulus_relation: unit circle, conjugation and root counts of
     the squared-modulus kernels); doubles only order and report them.  A
-    pair decided neither way escalates the precision up to
+    pair decided neither way doubles the precision up to
     _MAX_PRECISION_BITS and then raises PrecisionError; moduli proven unequal
-    whose doubles coincide raise ResolutionError at once.  Every attempt
-    reuses the memoized primary decomposition and builds the exact classes
-    only (LyapunovSplitting.bases builds their float64 bases on first use).
-    Memoized per (matrix, precision); the splitting is frozen and its bases
-    are read-only, since callers share it.
+    whose doubles coincide raise ResolutionError at once.  The splitting's
+    precision_bits is the precision that succeeded.  Every attempt reuses the
+    memoized primary decomposition and builds the exact classes only
+    (LyapunovSplitting.bases builds their float64 bases on first use).
+    Memoized per matrix; the splitting is frozen and its bases are
+    read-only, since callers share it.
     """
     det = m.determinant()
     if det == 0:
         raise ValueError("matrix must be invertible")
-    prec = precision_bits
+    prec = START_PRECISION_BITS
     while True:
         try:
             return _lyapunov_attempt(m, det, prec)

@@ -367,17 +367,17 @@ def _checked(dim, zs: list, re: list, im: list, exact: bool) -> tuple:
     return dim, freqs, out_re, out_im
 
 
-def real_cosine(dim: int, z: Sequence[int], amplitude=1) -> FourierObservable:
-    """cos(2 pi z.x) with the given amplitude, as an exact observable."""
+def real_cosine(dim: int, z: Sequence[int]) -> FourierObservable:
+    """cos(2 pi z.x) as an exact observable: coefficients 1/2 at +-z."""
     z = tuple(int(x) for x in z)
-    half = Fraction(amplitude) / 2
+    half = Fraction(1, 2)
     return FourierObservable(dim, {z: ExactComplex(half),
                                    tuple(-x for x in z): ExactComplex(half)}, exact=True)
 
 
-def real_sine(dim: int, z: Sequence[int], amplitude=1) -> FourierObservable:
+def real_sine(dim: int, z: Sequence[int]) -> FourierObservable:
     """sin(2 pi z.x): coefficients -+ i/2 at +-z."""
     z = tuple(int(x) for x in z)
-    half = Fraction(amplitude) / 2
+    half = Fraction(1, 2)
     return FourierObservable(dim, {z: ExactComplex(0, -half),
                                    tuple(-x for x in z): ExactComplex(0, half)}, exact=True)

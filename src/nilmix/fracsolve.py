@@ -174,9 +174,8 @@ class FractionalSolution:
     residual: float                # sup_z |reconstruction - f_z|
     dropped_mean: bool
 
-    def reconstruction_ok(self, f: FourierObservable, tol: float = 1e-12) -> bool:
-        scale = f.max_abs()
-        return self.residual <= tol * max(scale, 1e-300)
+    def reconstruction_ok(self, f: FourierObservable) -> bool:
+        return self.residual <= 1e-12 * max(f.max_abs(), 1e-300)
 
 
 def _symbols(d: np.ndarray, r: float, mode: str) -> tuple:

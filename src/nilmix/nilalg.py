@@ -379,6 +379,7 @@ class JointBlocks:
 
     blocks: tuple             # JointBlock per primary block of h
     functionals: tuple        # Functional per distinct class tuple, sorted
+    precision_bits: int       # the roots' precision: max over the generators' splittings
 
     @property
     def core(self) -> list[tuple]:
@@ -390,8 +391,7 @@ class JointBlocks:
         return _span_rows([v for b in self.blocks if b.core for v in b.basis])
 
 
-def joint_blocks(generators: Sequence[RationalMatrix],
-                 precision_bits: int = 128) -> JointBlocks:
+def joint_blocks(generators: Sequence[RationalMatrix]) -> JointBlocks:
     """Joint blocks of a commuting integer family.
 
     On each primary block of h = sum_i _WEIGHT**i g_i (a joint block) g_i is
@@ -399,22 +399,23 @@ def joint_blocks(generators: Sequence[RationalMatrix],
     factor picks per generator the lyapunov_data(g_i) class of log|p_i(mu)|.
     A functional is a distinct class tuple, with the class exponents and the
     largest class error (proven modulus-one classes give an exact zero); a
-    block is core when all its tuples give zero functionals.  Memoized per
-    (generators, precision)."""
-    return _joint_blocks(tuple(generators), precision_bits)
+    block is core when all its tuples give zero functionals.  The roots are
+    read at the highest precision_bits that the generators' lyapunov_data
+    reached.  Memoized per generator tuple."""
+    return _joint_blocks(tuple(generators))
 
 
-def lyapunov_functionals(generators: Sequence[RationalMatrix],
-                         precision_bits: int = 128) -> tuple[Functional, ...]:
+def lyapunov_functionals(generators: Sequence[RationalMatrix]) -> tuple[Functional, ...]:
     """Distinct Lyapunov functionals of a commuting integer family, sorted by
     class indices (rank 1 gives lyapunov_data's ascending classes)."""
-    return joint_blocks(generators, precision_bits).functionals
+    return joint_blocks(generators).functionals
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _joint_blocks(gens: tuple, precision_bits: int) -> JointBlocks:
+def _joint_blocks(gens: tuple) -> JointBlocks:
     check_commuting(gens)
-    splits = [lyapunov_data(g, precision_bits) for g in gens]
+    splits = [lyapunov_data(g) for g in gens]
+    prec = max(s.precision_bits for s in splits)
     h = reduce(operator.add, (g.scale(_WEIGHT ** i) for i, g in enumerate(gens)))
 
     def functional(t: tuple) -> Functional:
@@ -427,11 +428,11 @@ def _joint_blocks(gens: tuple, precision_bits: int) -> JointBlocks:
         restricted = tuple(restrict_to_span(g, blk.basis) for g in gens)
         pairing = [_pairing(h_b, g_b, blk.factor) for g_b in restricted]
         classes = tuple(tuple(_class_of(p, root, s) for p, s in zip(pairing, splits))
-                        for root in factor_roots(blk.factor, precision_bits).roots)
+                        for root in factor_roots(blk.factor, prec).roots)
         blocks.append(JointBlock(blk.basis, restricted, classes,
                                  all(functional(t).is_zero() for t in classes)))
     tuples = sorted({t for b in blocks for t in b.classes})
-    return JointBlocks(tuple(blocks), tuple(functional(t) for t in tuples))
+    return JointBlocks(tuple(blocks), tuple(functional(t) for t in tuples), prec)
 
 
 def _pairing(h_b: RationalMatrix, g_b: RationalMatrix, q: IntPolynomial) -> IntPolynomial:
@@ -469,7 +470,7 @@ def _class_of(p: IntPolynomial, root: tuple, split: LyapunovSplitting) -> int:
             <= b.exponent_err + 8 * u * (1 + abs(b.exponent))]
     if len(hits) != 1:
         raise PrecisionError(f"log|p(mu)| = {math.log(value):.6g} matches "
-                             f"{len(hits)} Lyapunov classes; raise precision")
+                             f"{len(hits)} Lyapunov classes")
     return hits[0]
 
 
@@ -482,8 +483,7 @@ class RegularElement:
     certificate_margin: float             # smallest certified distance to a hyperplane
 
 
-def find_regular_element(generators: Sequence[RationalMatrix],
-                         precision_bits: int = 128) -> RegularElement:
+def find_regular_element(generators: Sequence[RationalMatrix]) -> RegularElement:
     """A regular integer time z whose root-of-unity part equals the core.
 
     Candidates are e_1, then n*w + e_1 along small directions w of positive
@@ -496,7 +496,7 @@ def find_regular_element(generators: Sequence[RationalMatrix],
     joint_blocks checks that they commute.
     """
     ell = len(generators)
-    record = joint_blocks(generators, precision_bits)
+    record = joint_blocks(generators)
     funcs = record.functionals
     nonzero = [f for f in funcs if not f.is_zero()]
 
@@ -515,7 +515,7 @@ def find_regular_element(generators: Sequence[RationalMatrix],
                                     for n_mult in range(1, 64)))
     chosen = next((c for c in cands if profile(c)[2] > 0), None)
     if chosen is None:
-        raise PrecisionError("regular perturbation search failed; raise precision")
+        raise PrecisionError("regular perturbation search failed")
     core = cyclotomic_part(action_matrix(generators, chosen))
     if len(core) != len(record.core):
         raise ArithmeticError(f"the root-of-unity part of z = {chosen} is not the family's core")

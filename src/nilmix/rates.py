@@ -72,8 +72,7 @@ class RateReport:
         return per_layer, max(per_layer)
 
 
-def rho_chi(algebra: NilpotentAlgebra, m: RationalMatrix,
-            precision_bits: int = 128) -> RateReport:
+def rho_chi(algebra: NilpotentAlgebra, m: RationalMatrix) -> RateReport:
     """Certified (rho, chi) of an ergodic automorphism.
 
     rho: over the rational invariant blocks of the abelianization, the
@@ -83,7 +82,7 @@ def rho_chi(algebra: NilpotentAlgebra, m: RationalMatrix,
     if not is_ergodic(algebra, m):
         raise ValueError("automorphism is not ergodic")
     ab = abelianization_action(algebra, m)
-    ab_split = lyapunov_data(ab, precision_bits)
+    ab_split = lyapunov_data(ab)
 
     block_extremes = []
     rho = math.inf
@@ -101,9 +100,9 @@ def rho_chi(algebra: NilpotentAlgebra, m: RationalMatrix,
     if not (rho > 0):
         raise ArithmeticError("spectral margin vanished for an ergodic automorphism")
 
-    full_split = lyapunov_data(m, precision_bits)
+    full_split = lyapunov_data(m)
     nonzero = [(abs(b.exponent), b.exponent_err) for b in full_split.blocks
-               if not (b.exponent == 0.0 and b.exponent_err == 0.0)]
+               if not full_split._is_zero(b)]
     if not nonzero:
         raise ArithmeticError("no nonzero exponents: automorphism cannot be ergodic")
     chi, chi_err = min(nonzero, key=lambda t: t[0])
@@ -141,7 +140,7 @@ class Envelope:
 
 
 def order2_envelope(algebra: NilpotentAlgebra, m: RationalMatrix, r: float,
-                    eps: float, precision_bits: int = 128) -> Envelope:
+                    eps: float) -> Envelope:
     """Two-term order-2 envelope shape: rates (chi - eps) r and rho/2 - eps.
 
     The second term is present only for rational type (delta = 1); the
@@ -149,7 +148,7 @@ def order2_envelope(algebra: NilpotentAlgebra, m: RationalMatrix, r: float,
     """
     if r <= 0:
         raise ValueError("order r must be positive")
-    rep = rho_chi(algebra, m, precision_bits)
+    rep = rho_chi(algebra, m)
     if not 0 < eps < min(rep.chi, rep.rho / 2.0):
         raise ValueError(f"eps must lie in (0, {min(rep.chi, rep.rho / 2.0):.6g})")
     rate1 = (rep.chi - eps) * r
@@ -157,8 +156,7 @@ def order2_envelope(algebra: NilpotentAlgebra, m: RationalMatrix, r: float,
     return Envelope(rate1=rate1, rate2=rate2, delta=rep.delta, order=r, eps=eps)
 
 
-def holder_rate(algebra: NilpotentAlgebra, m: RationalMatrix, s: float,
-                precision_bits: int = 128) -> float:
+def holder_rate(algebra: NilpotentAlgebra, m: RationalMatrix, s: float) -> float:
     """gamma(s) = min(s rho0 / (4 s0), rho0 / 2) with s0 = dim + 1.
 
     Stated for 0 < s < 1; larger s is accepted (the formula stays
@@ -170,7 +168,7 @@ def holder_rate(algebra: NilpotentAlgebra, m: RationalMatrix, s: float,
         import warnings
         warnings.warn("the partial-regularity statement assumes 0 < s < 1; "
                       "the formula is applied as given", stacklevel=2)
-    rep = rho_chi(algebra, m, precision_bits)
+    rep = rho_chi(algebra, m)
     return min(s * rep.rho0 / (4.0 * rep.s0), rep.rho0 / 2.0)
 
 
@@ -226,15 +224,14 @@ class ThetaReport:
 
 
 def theta(algebra: NilpotentAlgebra, generators: Sequence[RationalMatrix],
-          tup: TimeTuple, precision_bits: int = 128) -> ThetaReport:
+          tup: TimeTuple) -> ThetaReport:
     """Directional rate: min over nonzero functionals chi and pairs i != j of
     |chi((z_i - z_j) / ||z_i - z_j||)|.  Scale-invariant in the tuple."""
     if tup.rank != len(generators):
         raise ValueError("tuple rank does not match the number of generators")
     if tup.gap == 0:
         raise ValueError("degenerate tuple: two equal times")
-    funcs = [f for f in lyapunov_functionals(generators, precision_bits)
-             if not f.is_zero()]
+    funcs = [f for f in lyapunov_functionals(generators) if not f.is_zero()]
     if not funcs:
         raise ArithmeticError("no nonzero Lyapunov functionals")
     per_pair = []
@@ -269,19 +266,20 @@ class DensityReport:
     method: str
 
 
-def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix],
-                       precision_bits: int = 128) -> bool:
+def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix]) -> bool:
     """Exact test: does some nonzero functional vanish on w?
 
     Decided on the joint blocks off the family's root-of-unity core, where
     every functional is zero: w is bad when, on one of them, some irreducible
     factor of the characteristic polynomial of prod_i g_i^{w_i} has a proven
-    unit-modulus root, cyclotomic factors included.
+    unit-modulus root, cyclotomic factors included, at the joint blocks'
+    precision_bits.
     """
     if not any(w):
         return True
-    return any(any(factor_roots(q, precision_bits).unit)
-               for blk in joint_blocks(generators, precision_bits).blocks if not blk.core
+    record = joint_blocks(generators)
+    return any(any(factor_roots(q, record.precision_bits).unit)
+               for blk in record.blocks if not blk.core
                for q, _ in factor_over_q(char_poly(action_matrix(blk.restricted, w))))
 
 
@@ -295,10 +293,9 @@ class _BadDifferenceTest:
     primitive direction w / gcd(w) is: one confirmation per direction.
     """
 
-    def __init__(self, generators, funcs, precision_bits: int = 128):
+    def __init__(self, generators, funcs):
         self.generators = list(generators)
         self.func_arr = np.array([f.exponents for f in funcs], dtype=float)
-        self.precision_bits = precision_bits
         self.cache: dict = {}
 
     def bad_mask(self, ws: np.ndarray) -> np.ndarray:
@@ -321,7 +318,7 @@ class _BadDifferenceTest:
 
     def _confirm(self, key: tuple) -> bool:
         if key not in self.cache:
-            self.cache[key] = _is_bad_difference(key, self.generators, self.precision_bits)
+            self.cache[key] = _is_bad_difference(key, self.generators)
         return self.cache[key]
 
 
@@ -519,8 +516,7 @@ def _fewest_points(dim: int, radius: float) -> float:
 
 def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float,
                      eps: float, samples: int = 1_000_000,
-                     seed: int = DEFAULT_DENSITY_SEED,
-                     precision_bits: int = 128) -> DensityReport:
+                     seed: int = DEFAULT_DENSITY_SEED) -> DensityReport:
     """Exact density of hyperplane-avoiding time n-tuples in the radius ball,
     plus the directional-margin threshold delta(eps) by Monte Carlo + bisection.
 
@@ -555,9 +551,8 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     if n > 2 and total > _DIRECT_LIMIT:
         raise ValueError(f"the ball of radius {radius:g} in Z^{dim_total} holds more than "
                          f"{_DIRECT_LIMIT} points, too many for direct enumeration")
-    funcs = [f for f in lyapunov_functionals(list(generators), precision_bits)
-             if not f.is_zero()]
-    bad = _BadDifferenceTest(generators, funcs, precision_bits)
+    funcs = [f for f in lyapunov_functionals(list(generators)) if not f.is_zero()]
+    bad = _BadDifferenceTest(generators, funcs)
 
     if n == 2:
         method = "difference-weighted exact count"

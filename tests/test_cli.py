@@ -39,13 +39,23 @@ def test_analyze_heisenberg(tmp_path):
 
 
 def test_analyze_embeds_provenance(tmp_path):
-    code, report, _ = run(tmp_path, "analyze", {"system": "catmap"},
-                          extra=("--precision", "160", "--seed", "7"))
+    code, report, _ = run(tmp_path, "analyze", {"system": "catmap"}, extra=("--seed", "7"))
     assert code == 0
-    assert report["precision_bits"] == 160
+    assert report["precision_bits"] == 128
     assert report["seed"] == 7
     assert report["config"] == {"system": "catmap"}
     assert report["version"]
+
+
+def test_precision_is_not_an_option(tmp_path, capsys):
+    # the library raises its own working precision; the command line sets none
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "analyze", {"system": "catmap"}, extra=("--precision", "160"))
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "--precision" not in capsys.readouterr().out
 
 
 def test_rates_catmap_gamma(tmp_path):
@@ -161,6 +171,12 @@ def _latin1_observable(tmp) -> str:
     ("density", lambda tmp: {"system": "catmap", "radius": 5, "samples": -5}),
     ("density", lambda tmp: {"system": "catmap", "radius": 5, "eps": -0.1, "samples": 1000}),
     ("density", lambda tmp: {"system": "catmap", "n": 1, "radius": 5, "samples": 1000}),
+    ("rates", lambda tmp: {"system": "catmap", "s": 0}),
+    ("rates", lambda tmp: {"system": "catmap", "r": -1}),
+    ("rates", lambda tmp: {"system": "catmap", "eps": 0}),
+    ("certify", lambda tmp: {"system": "catmap", "radius": 0.5}),
+    ("certify", lambda tmp: {"directions": [[1.0, 0.5]], "dim_ambient": 2, "radius": 0}),
+    ("solve", lambda tmp: {**_SOLVE, "radius": 0.5}),
     ("analyze", lambda tmp: {"system": {**_HEIS, "brackets": [
         {"i": 0, "j": 1, "k": 2, "value": "1/0"}]}}),
     ("analyze", lambda tmp: {"system": {"dim": True, "layers": [1], "generators": [[[1]]]}}),
@@ -189,7 +205,9 @@ def _latin1_observable(tmp) -> str:
         "frequency-of-2-to-the-62", "short-solve-direction", "signed-fractional-order",
         "observable-dim-not-system-dim", "coefficient-beyond-float",
         "rates-s-beyond-float", "negative-density-radius", "zero-samples",
-        "negative-samples", "negative-eps", "density-n-1", "bracket-value-over-zero",
+        "negative-samples", "negative-eps", "density-n-1", "rates-zero-s",
+        "rates-negative-r", "rates-zero-eps", "certify-radius-below-1",
+        "certify-directions-radius-0", "solve-radius-below-1", "bracket-value-over-zero",
         "bool-dim", "bool-generator-entry", "string-generator-entry",
         "fraction-string-generator-entry", "generator-shape-not-large-dim",
         "non-utf8-config", "non-utf8-observable-file"])

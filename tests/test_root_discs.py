@@ -277,7 +277,7 @@ def test_no_convergence_is_a_precision_error():
     # the splitting escalates past it, and refuses (the double moduli of the
     # two small roots coincide) with a PrecisionError, not NoConvergence
     with pytest.raises(PrecisionError):
-        lyapunov_data(RationalMatrix.companion(q), 128)
+        lyapunov_data(RationalMatrix.companion(q))
 
 
 def test_moduli_below_double_resolution_are_refused_at_once():
@@ -287,7 +287,7 @@ def test_moduli_below_double_resolution_are_refused_at_once():
     attempt = exactlin._lyapunov_attempt
     with mock.patch.object(exactlin, "_lyapunov_attempt", side_effect=attempt) as spy:
         with pytest.raises(ResolutionError, match="below double resolution"):
-            lyapunov_data(RationalMatrix.companion(_mignotte(20)), 128)
+            lyapunov_data(RationalMatrix.companion(_mignotte(20)))
     assert [c.args[2] for c in spy.call_args_list] == [128, 256]
     assert issubclass(ResolutionError, PrecisionError)
 
@@ -376,13 +376,13 @@ def test_three_rotated_lehmer_copies_answer_their_subspaces():
     # radius whose ball is small in dimension 60
     rotated = _rotated(LEHMER)
     for copies in (1, 2):
-        assert lyapunov_data(_companions([rotated] * copies), 128).w_plus().shape == \
+        assert lyapunov_data(_companions([rotated] * copies)).w_plus().shape == \
             (2 * copies, 20 * copies)
     lyapunov_data.cache_clear()
     m = _companions([rotated] * 3)
     with mock.patch.object(exactlin, "_lyapunov_attempt",
                            wraps=exactlin._lyapunov_attempt) as spy:
-        split = lyapunov_data(m, 128)
+        split = lyapunov_data(m)
     assert spy.call_count == 1 and split.precision_bits == 128
     assert [b.multiplicity for b in split.blocks] == [6, 48, 6]
     assert (split.w_plus().shape, split.w_zero().shape, split.w_minus().shape) == \
@@ -404,7 +404,7 @@ def test_exponents_answer_in_one_attempt_without_bases(m, multiplicities):
     lyapunov_data.cache_clear()
     with mock.patch.object(exactlin, "_lyapunov_attempt",
                            wraps=exactlin._lyapunov_attempt) as spy:
-        split = lyapunov_data(m, 128)
+        split = lyapunov_data(m)
     assert spy.call_count == 1 and split.precision_bits == 128
     assert [b.multiplicity for b in split.blocks] == multiplicities
     rep = rho_chi(abelian_algebra(m.dim), m)
@@ -417,13 +417,20 @@ def test_exponents_answer_in_one_attempt_without_bases(m, multiplicities):
 def test_cat_powers_escalate_when_a_root_disc_reaches_zero(k, bits):
     # at 128 bits the small root of CAT^k (below 1e-48) sits in a disc around
     # 0: a modulus not bounded away from 0 is a PrecisionError, so the
-    # precision doubles until the disc excludes 0
-    split = lyapunov_data(RationalMatrix([[2, 1], [1, 1]]) ** k, 128)
+    # precision doubles until the disc excludes 0; the joint blocks read h's
+    # roots at the precision the splitting reached, so the functionals and
+    # the density count answer too
+    m = RationalMatrix([[2, 1], [1, 1]]) ** k
+    split = lyapunov_data(m)
     assert split.precision_bits == bits
     assert [b.exponent for b in split.blocks] == \
         [pytest.approx(-k * 0.9624236501192069, rel=1e-15),
          pytest.approx(k * 0.9624236501192069, rel=1e-15)]
     assert split.w_plus().shape == split.w_minus().shape == (1, 2)
+    assert [f.exponents for f in lyapunov_functionals([m])] == \
+        [(b.exponent,) for b in split.blocks]
+    rep = density_estimate([m], 2, 20.0, 0.05, 10000)
+    assert (rep.bad_points, rep.total_points) == (29, 1257)
 
 
 def _unit_factors():
@@ -500,7 +507,7 @@ def test_merged_classes_agree_with_2048_bit_moduli(blocks):
             else:
                 assume(not groups or m - groups[-1][0] > mpmath.ldexp(1, -100))
                 groups.append([m, 1])
-    split = lyapunov_data(_companions(polys), 128)
+    split = lyapunov_data(_companions(polys))
     assert [b.multiplicity for b in split.blocks] == [k for _, k in groups]
     for b, (m, _) in zip(split.blocks, groups):
         assert abs(b.exponent - float(mpmath.log(m))) <= b.exponent_err + 1e-12
@@ -510,7 +517,7 @@ def test_lehmer_cubed_has_three_classes():
     # the cube roots of LEHMER's roots: three of each real root's modulus
     # and the 24 of its unit-circle roots; the squared-modulus kernel has
     # degree 153, and its root counts answer in seconds
-    split = lyapunov_data(RationalMatrix.companion(_cubed(LEHMER)), 128)
+    split = lyapunov_data(RationalMatrix.companion(_cubed(LEHMER)))
     assert [b.multiplicity for b in split.blocks] == [3, 24, 3]
 
 
@@ -519,7 +526,7 @@ def test_negated_degree_12_factors_share_moduli():
     # counts pair their moduli; the one of all products z_i z_j (degree 144)
     # is refused by factor_over_q for this q (20 factors modulo 7)
     q = IntPolynomial([5, 0, -1, -5, 5, 6, 5, -5, -1, 4, 2, -5, 1])
-    split = lyapunov_data(_companions([q, _negated(q)]), 128)
+    split = lyapunov_data(_companions([q, _negated(q)]))
     assert [b.multiplicity for b in split.blocks] == [4, 4, 4, 4, 4, 2, 2]
 
 
@@ -532,7 +539,7 @@ def test_rotated_equal_moduli_form_one_class(q, k):
     # the k roots of each modulus differ by rotations through 2 pi / k, and
     # their double moduli differ by a few ulps: the merge that screened by
     # double intervals split them (x1, x2, x3 and x2, x3, x5)
-    split = lyapunov_data(RationalMatrix.companion(q), 128)
+    split = lyapunov_data(RationalMatrix.companion(q))
     assert [b.multiplicity for b in split.blocks] == [k, k]
     with mpmath.workprec(2048):
         logs = sorted({float(mpmath.log(m)) for m in _moduli_2048(q)})
