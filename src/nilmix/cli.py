@@ -96,8 +96,8 @@ def _vectors(cfg: dict, key: str, kind=float) -> list:
     return [_number({key: v}, key, [], kind) for v in value]
 
 
-# entries of the dim^4 object arrays that an inline system's tensor checks
-# build (338 MB peak at dim 60): a larger dim is refused before its algebra
+# entries of the dim^4 arrays that an inline system's tensor checks build
+# (252 MB peak at dim 60): a larger dim is refused before its algebra
 _DIM4_LIMIT = 1 << 24
 
 
@@ -531,17 +531,20 @@ _COMMANDS = {
 }
 
 
+# built once per process: parse_args keeps no state from call to call
+_PARSER = argparse.ArgumentParser(
+    prog="nilmix",
+    description="spectral data, Diophantine certificates, small-divisor "
+                "solvers and exact correlations for lattice automorphisms")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+                     help="seed for sampled estimators")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nilmix",
-        description="spectral data, Diophantine certificates, small-divisor "
-                    "solvers and exact correlations for lattice automorphisms")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                        help="seed for sampled estimators")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config, encoding="utf-8") as fh:

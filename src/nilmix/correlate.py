@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, _is_prime
+from .exactlin import RationalMatrix, _int_einsum, _is_prime
 from .fourier import ExactComplex, FourierObservable
 from .nilalg import action_matrix, check_commuting
 
@@ -48,21 +48,9 @@ class BudgetError(RuntimeError):
 # Exact transport and residue keys
 # ---------------------------------------------------------------------------
 
-def _exact_dot(a: np.ndarray, b) -> np.ndarray:
-    """a @ b exactly, for an integer array a and integers b (a matrix or a
-    vector): in int64 when max|a| times b's largest absolute column sum,
-    each taken as at least 1, is below 2^63, so that both arrays and every
-    partial sum fit; else in Python ints."""
-    b = np.array(b, dtype=object)
-    big = max(int(a.max()), -int(a.min()), 1) if a.size else 1
-    if big * max(int(np.abs(b).sum(axis=0, keepdims=True).max()), 1) < 1 << 63:
-        return a.astype(np.int64, copy=False).dot(b.astype(np.int64))
-    return a.astype(object).dot(b)
-
-
 def _transport(freqs: np.ndarray, mt: Sequence[Sequence[int]]) -> np.ndarray:
     """Apply the transpose of the integer matrix to each frequency row, exactly."""
-    return _exact_dot(freqs, mt)
+    return _int_einsum("ij,jk->ik", freqs, mt)
 
 
 @functools.lru_cache(maxsize=8)
@@ -89,7 +77,7 @@ def _packing(dim: int, bound: int) -> tuple:
 
 def _keys(freqs: np.ndarray, base: int, moduli: tuple) -> np.ndarray:
     """(len(moduli), m) int64 residues of the packed frequency rows."""
-    packed = _exact_dot(freqs, [base ** j for j in range(freqs.shape[1])])
+    packed = _int_einsum("ij,j->i", freqs, [base ** j for j in range(freqs.shape[1])])
     return np.array([packed % p for p in moduli], dtype=np.int64)
 
 

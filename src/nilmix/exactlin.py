@@ -244,6 +244,27 @@ def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
+def _int_einsum(subscripts: str, *operands, sums: int = 1) -> np.ndarray:
+    """np.einsum of one or two integer arrays (or nested lists), exactly: in
+    int64 when every entry fits and sums times the same contraction of the
+    absolute values is below 2^63, so that every product, partial sum and
+    sum of sums results fits; else in Python ints.  The bound is taken in
+    float64, relatively within 2^-20 for under 2^32 summed terms, and
+    retaken in Python ints when that margin reaches 2^63."""
+    ops = [x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in operands]
+
+    def bound(kind):
+        return np.einsum(subscripts, *(np.abs(x.astype(kind)) for x in ops)).max(initial=0) * sums
+
+    try:
+        top, edge = bound(np.float64), 2.0 ** 63
+        if top < edge * (1 - 2 ** -20) or top < edge * (1 + 2 ** -20) and bound(object) < edge:
+            return np.einsum(subscripts, *(x.astype(np.int64, copy=False) for x in ops))
+    except OverflowError:                      # an object entry beyond float64 or int64
+        pass
+    return np.einsum(subscripts, *(x.astype(object) for x in ops))
+
+
 def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
     """Gauss-Jordan reduction of a list of int or Fraction rows of any shape.
 

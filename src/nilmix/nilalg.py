@@ -31,6 +31,7 @@ from .exactlin import (
     PrecisionError,
     PrimaryDecomposition,
     RationalMatrix,
+    _int_einsum,
     _rref,
     factor_roots,
     lyapunov_data,
@@ -92,9 +93,14 @@ class NilpotentAlgebra:
     @cached_property
     def _tensor(self) -> np.ndarray:
         """The structure constants times their common denominator (every check
-        is homogeneous in them), a dim x dim x dim int object array."""
+        is homogeneous in them), set from the nonzero ones: int64 when twice
+        each fits, as the antisymmetry sum needs, else Python ints."""
         n = max(self.dim, 0)
-        return _integral([x for plane in self.brackets for cs in plane for x in cs], (n, n, n))
+        flat = [x for plane in self.brackets for cs in plane for x in cs]
+        at = [p for p, x in enumerate(flat) if x]
+        t = np.zeros(n ** 3, dtype=object)
+        t[at] = _integral([flat[p] for p in at], (len(at),))
+        return _int_einsum("ijk->ijk", t.reshape(n, n, n), sums=2)
 
     @cached_property
     def diagnostics(self) -> Diagnostics:
@@ -183,7 +189,7 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
     # [e_i, [e_j, e_k]] = sum_l c[j, k, l] c[i, l, :], and its two cyclic shifts;
     # only an l that is both a bracket output and a bracket input contributes
     live = c.any(axis=(0, 1)) & c.any(axis=(0, 2))
-    cyc = np.einsum("jkl,ilm->ijkm", c[:, :, live], c[:, live, :])
+    cyc = _int_einsum("jkl,ilm->ijkm", c[:, :, live], c[:, live, :], sums=3)
     jacobi = cyc + cyc.transpose(2, 0, 1, 3) + cyc.transpose(1, 2, 0, 3)
     bad = _first((jacobi != 0).any(axis=3) & (i < j) & (j < k))
     diag.record("jacobi", bad is None, f"offending triple {bad}" if bad else "")
@@ -210,15 +216,17 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
 
 
 def central_series(algebra: NilpotentAlgebra) -> list[list[tuple]]:
-    """Exact bases of the descending central series, ending with the empty
-    basis; each step is one contraction with the structure-constant tensor."""
+    """Exact bases of the descending central series, from the (reduced)
+    identity basis to the empty one; each step is one contraction with the
+    structure-constant tensor."""
     n = algebra.dim
     c = algebra._tensor
-    series = [_span_rows([[int(t == s) for t in range(n)] for s in range(n)])]
+    series = [[tuple(int(t == s) for t in range(n)) for s in range(n)]]
     current = series[0]
     while current:
         v = _integral([x for row in current for x in row], (len(current), n))
-        current = _span_rows(np.einsum("ri,iwk->rwk", v, c).reshape(-1, n).tolist())
+        images = _int_einsum("ri,iwk->rwk", v, c).reshape(-1, n)
+        current = _span_rows(images[images.any(axis=1)].tolist())
         series.append(current)
         if len(series) > n + 2:
             raise ArithmeticError("central series does not terminate: not nilpotent")
@@ -249,8 +257,8 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
     a = np.array(m.nums, dtype=object)
     # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k =
     # sum_l a[k, l] c[i, j, l], over the denominators den^2 and den
-    lhs = np.einsum("iqk,qj->ijk", np.einsum("pi,pqk->iqk", a, c), a)
-    rhs = np.einsum("kl,ijl->ijk", a, c) * m.den
+    lhs = _int_einsum("iqk,qj->ijk", _int_einsum("pi,pqk->iqk", a, c), a)
+    rhs = _int_einsum("kl,ijl->ijk", a * m.den, c)
     i, j = np.ogrid[:n, :n]
     bad = _first((lhs != rhs).any(axis=2) & (i < j))
     diag.record("bracket_preserved", bad is None,
@@ -265,7 +273,7 @@ def abelianization_action(algebra: NilpotentAlgebra, m: RationalMatrix) -> Ratio
     the layers below the first: the induced map is the leading layer-1 block.
     """
     d1 = algebra.layer_dims[0]
-    return RationalMatrix([row[:d1] for row in m.rows[:d1]])
+    return RationalMatrix._of([row[:d1] for row in m.nums[:d1]], m.den)
 
 
 # ---------------------------------------------------------------------------

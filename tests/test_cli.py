@@ -58,6 +58,24 @@ def test_precision_is_not_an_option(tmp_path, capsys):
     assert "--precision" not in capsys.readouterr().out
 
 
+def test_calls_in_one_process_parse_independently(tmp_path, capsys):
+    # main's parser is built once per process: a rejected argument between
+    # two calls leaves nothing behind for the second
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+    code, report, _ = run(tmp_path / "first", "analyze", {"system": "catmap"},
+                          extra=("--seed", "7"))
+    assert code == 0 and report["seed"] == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", str(tmp_path / "first" / "config.json"),
+              "--seed", "seven"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    code, report, _ = run(tmp_path / "second", "rates", {"system": "catmap", "s": 0.5})
+    assert code == 0
+    assert report["command"] == "rates" and report["seed"] is None
+
+
 def test_rates_catmap_gamma(tmp_path):
     code, report, _ = run(tmp_path, "rates", {"system": "catmap", "s": 0.5})
     assert code == 0

@@ -7,21 +7,24 @@ polynomials and polynomial values at a matrix run on those integers, and
 determinant, inverse, kernel and span bases all come from one
 fraction-free Gauss-Jordan reduction (`exactlin._rref`).  sympy's `Matrix`
 and the entrywise `Fraction` kernel are the independent, slower paths:
-every result must be equal, not close.
+every result must be equal, not close.  The integer contractions of
+`exactlin._int_einsum` are checked against `np.einsum` on Python ints.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 import kernel_reference as ref
 from root_reference import compose_neg
 from nilmix.exactlin import (
     IntPolynomial,
     RationalMatrix,
+    _int_einsum,
     _rref,
     char_poly,
     primary_decomposition,
@@ -197,3 +200,46 @@ def test_a_second_route_to_a_matrix_hits_the_memo():
         hits = primary_decomposition.cache_info().hits
         assert primary_decomposition(m) is first
         assert primary_decomposition.cache_info().hits == hits + 1
+
+
+# ---------------------------------------------------------------------------
+# exact integer contractions
+# ---------------------------------------------------------------------------
+
+# magnitudes near 2^31 (their products near 2^62) and near 2^62, either sign
+_MAGNITUDES = st.sampled_from([0, 1, 3, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
+                               (1 << 62) - 1, 1 << 62, (1 << 62) + 1])
+_SIGNED = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]), _MAGNITUDES)
+
+
+@st.composite
+def contractions(draw) -> tuple:
+    """Subscripts of a product, a matrix-vector product, a tensor
+    contraction or a copy, object operands of matching shapes (extents
+    0..3) and a number of results to be summed."""
+    p, q, r = (draw(st.integers(0, 3)) for _ in range(3))
+    subscripts, shapes = draw(st.sampled_from([
+        ("ij,jk->ik", [(p, q), (q, r)]), ("ij,j->i", [(p, q), (q,)]),
+        ("pi,pqk->iqk", [(p, q), (p, r, r)]), ("ijk->ijk", [(p, q, r)])]))
+    operands = [np.array(draw(st.lists(_SIGNED, min_size=math.prod(shape),
+                                       max_size=math.prod(shape))),
+                         dtype=object).reshape(shape) for shape in shapes]
+    return subscripts, operands, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contractions())
+# a largest partial sum of 2^63 - 1 fits int64, one of 2^63 does not
+@example(("ij,jk->ik", [[[1, 1]], [[1 << 62], [(1 << 62) - 1]]], 1))
+@example(("ij,jk->ik", [[[1, 1]], [[1 << 62], [1 << 62]]], 1))
+@example(("ij,j->i", [[[-1, -1]], [1 << 62, 1 << 62]], 1))      # -2^63
+@example(("ijk->ijk", [[[[(1 << 62) - 1]]]], 2))                  # twice: 2^63 - 2
+def test_int_einsum_matches_python_ints(case):
+    subscripts, operands, sums = case
+    operands = [np.array(x, dtype=object) for x in operands]
+    out = _int_einsum(subscripts, *operands, sums=sums)
+    assert out.tolist() == np.einsum(subscripts, *operands).tolist()
+    # int64 exactly when sums times the contraction of |operands| is below 2^63
+    bound = np.einsum(subscripts, *(abs(x) for x in operands)).max(initial=0) * sums
+    assert out.dtype == (np.int64 if bound < 1 << 63 else object)
+    event(f"{subscripts} in {out.dtype}")

@@ -28,19 +28,22 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import system_reference as ref
 from nilmix import nilalg, rates
 from nilmix.catalog import get_system, system_names
 from nilmix.cli import main
-from nilmix.exactlin import RationalMatrix
+from nilmix.exactlin import RationalMatrix, _int_einsum
 from nilmix.nilalg import NilpotentAlgebra, check_commuting
 
 CHECKS = settings(max_examples=300, deadline=None)
 
+# the last three make many of the checks' contractions exceed 2^63, so
+# that they run in Python ints
 _VALUES = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
-                           Fraction(-3, 4), Fraction(5, 3)])
+                           Fraction(-3, 4), Fraction(5, 3), Fraction((1 << 40) + 1, 3),
+                           Fraction(-(1 << 40) - 1, 3), Fraction(1 << 61)])
 
 
 @st.composite
@@ -147,6 +150,22 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
+@contextlib.contextmanager
+def _contraction_paths():
+    """Names, as a hypothesis event, the dtypes of the exact contractions
+    that the checks inside make: int64, Python ints (object) or both."""
+    kinds = set()
+
+    def spy(*args, **kwargs):
+        out = _int_einsum(*args, **kwargs)
+        kinds.add(out.dtype.name)
+        return out
+
+    with mock.patch.object(nilalg, "_int_einsum", spy):
+        yield
+    event(f"contractions in {' and '.join(sorted(kinds)) or 'none'}")
+
+
 def _same_diagnostics(new, old):
     assert list(new.checks.items()) == list(old.checks.items())
     assert new.failures() == old.failures()
@@ -156,7 +175,8 @@ def _same_diagnostics(new, old):
 @CHECKS
 @given(algebras())
 def test_algebra_checks_match_the_reference(algebra):
-    diag = nilalg.validate_algebra(algebra)
+    with _contraction_paths():
+        diag = nilalg.validate_algebra(algebra)
     _same_diagnostics(diag, ref.validate_algebra(algebra))
     # the series is built and kept exactly when it is checked
     assert (diag.series is not None) == ("central_series" in diag.checks)
@@ -176,8 +196,9 @@ def test_automorphism_checks_match_the_reference(data):
     else:
         algebra = data.draw(algebras())
         m = data.draw(matrices(algebra.dim))
-    _same_diagnostics(nilalg.validate_automorphism(algebra, m),
-                      ref.validate_automorphism(algebra, m))
+    with _contraction_paths():
+        diag = nilalg.validate_automorphism(algebra, m)
+    _same_diagnostics(diag, ref.validate_automorphism(algebra, m))
 
 
 def test_first_offenders_are_named():
@@ -267,35 +288,7 @@ def test_rates_refuse_noncommuting_families():
         rates.density_estimate(_NONCOMMUTING, 2, 3.0, 0.1, samples=10)
 
 
-_LARGE_ANALYZE = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from nilmix.cli import main
-sys.exit(main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]]))
-"""
-
-
-def test_large_abelian_system_is_checked_in_seconds(tmp_path):
-    # the Jacobi sum contracts only over indices that are both a bracket
-    # output and a bracket input; an abelian algebra has none, so a dim-60
-    # system with one identity generator is no longer dominated by dim^5 products
-    n = 60
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"system": {"dim": n, "generators": [identity]}}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nilalg.__file__)))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _LARGE_ANALYZE, str(path), str(tmp_path / "out")],
-                          capture_output=True, text=True, timeout=120, env=env)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert elapsed < 12
-    report = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
-    assert all(report["algebra_checks"].values())
-
-
-_REFUSED_ANALYZE = """
+_ANALYZE = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from nilmix.cli import main
@@ -307,8 +300,30 @@ sys.exit(code)
 """
 
 
+def test_large_abelian_system_is_checked_in_seconds(tmp_path):
+    # the Jacobi sum contracts only over indices that are both a bracket
+    # output and a bracket input; an abelian algebra has none, so a dim-60
+    # system with one identity generator is no longer dominated by dim^5
+    # products; its dim^4 arrays are int64
+    n = 60
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": {"dim": n, "generators": [identity]}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilalg.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _ANALYZE, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert elapsed < 12
+    assert int(proc.stdout.split()[-1]) < 300 * 1024       # VmHWM in KiB
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert all(report["algebra_checks"].values())
+
+
 def test_oversized_dim_is_refused_before_the_algebra_is_built(tmp_path):
-    # dim 100 would build dim^4 = 10^8-entry object arrays for the tensor
+    # dim 100 would build dim^4 = 10^8-entry arrays for the tensor
     # checks; the refusal comes before NilpotentAlgebra.from_sparse
     n = 100
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -317,7 +332,7 @@ def test_oversized_dim_is_refused_before_the_algebra_is_built(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(nilalg.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _REFUSED_ANALYZE, str(path), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", _ANALYZE, str(path), str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120, env=env)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 1, proc.stderr[-2000:]
