@@ -204,7 +204,7 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
         raise ValueError("dimension mismatch")
     if not m.is_unimodular_integer():
         raise ValueError("need an integer matrix with determinant +-1")
-    mt = (m ** power).to_int_array()
+    mt = (m ** power).nums
     exact = f.exact and g.exact
     if not exact:
         f, g = (h.to_float() if h.exact else h for h in (f, g))
@@ -260,7 +260,10 @@ def correlation_n(observables: Sequence[FourierObservable],
         z = tuple(int(t) for t in z)
         if len(z) != len(generators):
             raise ValueError("time vectors must match the number of generators")
-        mts.append(action_matrix(generators, z).to_int_array())
+        a = action_matrix(generators, z)
+        if not a.is_integer():
+            raise ValueError("matrix has non-integer entries")
+        mts.append(a.nums)
 
     zero = Fraction(0) if exact else 0.0
     sizes = [len(f) for f in observables]
@@ -443,6 +446,8 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
     b, fgen = generators
     if b.dim != fgen.dim:
         raise ValueError("generator dimension mismatch")
+    if not fgen.is_integer():
+        raise ValueError("matrix has non-integer entries")
     if not len(g):
         raise ValueError("observable is zero")
     if not g.is_mean_zero():
@@ -455,7 +460,7 @@ def no_uniform_bound_demo(generators: Sequence[RationalMatrix],
     lifted = FourierObservable._of(b.dim, freqs, g.re, g.im, g.exact)
     # F must fix the lifted observable: its transpose transport on the
     # block frequencies must be the identity
-    if not (_transport(freqs, fgen.to_int_array()) == freqs).all():
+    if not (_transport(freqs, fgen.nums) == freqs).all():
         raise ValueError("second generator does not fix the block observable")
 
     expected = lifted.l2_sq()

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, _rref, integer_kernel, lyapunov_data
+from .exactlin import RationalMatrix, _integral, _rref, integer_kernel, lyapunov_data
 from .nilalg import NilpotentAlgebra, abelian_algebra, is_ergodic
 
 __all__ = [
@@ -170,8 +170,7 @@ def _minimum(pts: np.ndarray, vs, dim: int):
         val, arg = _lex_best(pts, _ipow_half((g * g).sum(axis=1), dim)
                              * np.abs(g @ vs.T).sum(axis=1))
         return float(val), arg
-    den = math.lcm(*(x.denominator for v in vs for x in v))
-    w = np.array([[x.numerator * (den // x.denominator) for x in v] for v in vs], dtype=object)
+    w, den = _integral(vs)
     p = pts.astype(object)
     s = np.abs(p @ w.T).sum(axis=1)
     key, arg = _lex_best(pts, (p * p).sum(axis=1) ** dim * s * s)
@@ -234,7 +233,7 @@ _ENUM_LIMIT = 60_000_000   # candidate bound above which a pruned scan is refuse
 _ENUM_SLACK = 1e-6         # over-cover of the enumerated ellipsoids (relative and absolute)
 
 
-def _lll(gram: list) -> tuple:
+def _lll(gram: Sequence) -> tuple:
     """Integral LLL reduction (delta = 99/100) of a positive-definite integer Gram matrix.
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7,
@@ -338,9 +337,10 @@ def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) 
     """
     dim = len(u)
     rsq = _radius_sq(radius)
-    den = math.lcm(*(x.denominator for x in u))
-    w = [x.numerator * (den // x.denominator) for x in u]
-    h = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    w, den = _integral(u)
+    off_axis = np.identity(dim, dtype=object)
+    off_axis[ax, ax] = 0
+    h = np.identity(dim, dtype=object)
     forms, n_lo, hi = [], -1, float(seed_radius)
     while n_lo < rsq:
         n_hi = min(math.floor(hi * hi), rsq)
@@ -348,16 +348,13 @@ def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) 
         t = c / lo ** dim * (1 + _ENUM_SLACK) + hi * dim * 1e-11
         tp, tq = (1.0 / (t * t)).as_integer_ratio()
         scale = n_hi * tq * den * den
-        g = [[int(i == j != ax) * tq * den * den + tp * n_hi * w[i] * w[j]
-              for j in range(dim)] for i in range(dim)]
-        gh = [[sum(g[i][q] * b[q] for q in range(dim)) for b in h] for i in range(dim)]
-        warm = [[sum(a[i] * gh[i][j] for i in range(dim)) for j in range(dim)] for a in h]
-        red, dets, lam = _lll(warm)
-        h = [[sum(r[i] * h[i][j] for i in range(dim)) for j in range(dim)] for r in red]
+        g = tq * den * den * off_axis + tp * n_hi * np.outer(w, w)
+        red, dets, lam = _lll(h @ g @ h.T)
+        h = np.array(red, dtype=object) @ h
         dn = np.array([dets[i + 1] / (2 * scale * dets[i]) for i in range(dim)])
         mu = np.array([[lam[i][j] / dets[j + 1] if j < i else 0.0
                         for j in range(dim)] for i in range(dim)])
-        forms.append((n_lo, n_hi, np.array(h, dtype=np.int64), dn, mu))
+        forms.append((n_lo, n_hi, h.astype(np.int64), dn, mu))
         n_lo, hi = n_hi, 2 * hi
     return forms
 
@@ -563,13 +560,13 @@ def type_i_subspace(algebra: NilpotentAlgebra, layer: int,
         # a candidate column puts it outside their span, and the reduced rows
         # then hold each candidate's coordinates
         t = len(amb)
-        red, pivots, _ = _rref([[Fraction(v[j]) for v in amb] + [Fraction(w[i]) for w in lifted]
-                                for i, j in enumerate(sl)])
+        red, last, pivots, _ = _rref([[v[j] for v in amb] + [w[i] for w in lifted]
+                                      for i, j in enumerate(sl)])
         if pivots[:t] != list(range(t)):
             raise ValueError("ambient basis is degenerate")
         if len(pivots) > t:
             raise ValueError("candidate layer component is not inside the ambient span")
-        return diophantine_certificate([[red[i][t + k] for i in range(t)]
+        return diophantine_certificate([[Fraction(red[i][t + k], last) for i in range(t)]
                                         for k in range(len(lifted))], t, radius)
 
     amb_cols = np.array([[float(v[j]) for j in sl] for v in amb], dtype=np.float64)

@@ -15,7 +15,6 @@ fixed point inside each primary block, and rounded once (`_class_basis`).
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +86,8 @@ def _as_fraction(x) -> Fraction:
 
 class RationalMatrix:
     """Immutable square matrix with exact rational entries, stored as integer
-    numerators over one positive denominator in lowest terms, self = nums / den;
+    numerators over one positive denominator in lowest terms, self = nums / den:
+    nums is a read-only object array of Python ints, so products never wrap;
     the form is canonical, so == and hash are exact."""
 
     __slots__ = ("dim", "nums", "den")
@@ -97,25 +97,24 @@ class RationalMatrix:
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and non-empty")
         # lowest terms: each prime power of den divides some entry's denominator
-        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.nums, self.den = _integral(rows)
         self.dim = len(rows)
-        self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                          for row in rows)
-        self.den = den
+        self.nums.flags.writeable = False
 
     @staticmethod
-    def _of(nums: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
-        """The matrix nums / den (square int rows, den > 0), in lowest terms."""
-        g = math.gcd(den, *(x for row in nums for x in row))
+    def _of(nums: np.ndarray, den: int) -> "RationalMatrix":
+        """The matrix nums / den (a square object array of ints, den > 0), in lowest terms."""
+        g = math.gcd(den, *nums.flat)
         m = object.__new__(RationalMatrix)
         m.dim = len(nums)
-        m.nums = tuple(tuple(x // g for x in row) for row in nums)
+        m.nums = nums // g if g > 1 else nums
+        m.nums.flags.writeable = False
         m.den = den // g
         return m
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], 1)
+        return RationalMatrix._of(np.identity(n, dtype=object), 1)
 
     @staticmethod
     def companion(p: "IntPolynomial") -> "RationalMatrix":
@@ -124,12 +123,9 @@ class RationalMatrix:
         n = p.degree
         if n < 1:
             raise ValueError("need degree >= 1")
-        rows = [[0] * n for _ in range(n)]
-        for i in range(1, n):
-            rows[i][i - 1] = p.den
-        for i in range(n):
-            rows[i][n - 1] = -p.nums[i]
-        return RationalMatrix._of(rows, p.den)
+        nums = p.den * np.eye(n, k=-1, dtype=object)
+        nums[:, -1] = [-c for c in p.nums[:-1]]
+        return RationalMatrix._of(nums, p.den)
 
     @property
     def rows(self) -> tuple:
@@ -137,15 +133,14 @@ class RationalMatrix:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
 
     def __getitem__(self, ij):
-        i, j = ij
-        return Fraction(self.nums[i][j], self.den)
+        return Fraction(self.nums[ij], self.den)
 
     def __eq__(self, other):
-        return (isinstance(other, RationalMatrix)
-                and self.den == other.den and self.nums == other.nums)
+        return (isinstance(other, RationalMatrix) and self.den == other.den
+                and tuple(self.nums.flat) == tuple(other.nums.flat))
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        return hash((self.den, *self.nums.flat))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -154,9 +149,7 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return RationalMatrix._of([[a * x + b * y for x, y in zip(r1, r2)]
-                                   for r1, r2 in zip(self.nums, other.nums)], den)
+        return RationalMatrix._of(den // self.den * self.nums + den // other.den * other.nums, den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + other.scale(-1)
@@ -164,7 +157,7 @@ class RationalMatrix:
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             self._check_dim(other)
-            return RationalMatrix._of(_int_matmul(self.nums, other.nums), self.den * other.den)
+            return RationalMatrix._of(self.nums @ other.nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -178,16 +171,7 @@ class RationalMatrix:
         if not isinstance(m, int):
             raise TypeError("integer powers only")
         base = self if m >= 0 else self.inverse()
-        m = abs(m)
-        den, a = base.den ** m, base.nums
-        out = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        while m:
-            if m & 1:
-                out = _int_matmul(out, a)
-            m >>= 1
-            if m:
-                a = _int_matmul(a, a)
-        return RationalMatrix._of(out, den)
+        return RationalMatrix._of(np.linalg.matrix_power(base.nums, abs(m)), base.den ** abs(m))
 
     def _check_dim(self, other: "RationalMatrix"):
         if self.dim != other.dim:
@@ -195,33 +179,30 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = _as_fraction(c)
-        return RationalMatrix._of([[c.numerator * x for x in row] for row in self.nums],
-                                  c.denominator * self.den)
+        return RationalMatrix._of(c.numerator * self.nums, c.denominator * self.den)
 
     def apply(self, v: Sequence[Fraction]) -> tuple:
         """M v for int or Fraction entries, as Fractions."""
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        den = math.lcm(*(x.denominator for x in v))
-        w = [x.numerator * (den // x.denominator) for x in v]
-        return tuple(Fraction(sum(map(operator.mul, row, w)), den * self.den)
-                     for row in self.nums)
+        w, den = _integral(v)
+        return tuple(Fraction(x, den * self.den) for x in self.nums @ w)
 
     def determinant(self) -> Fraction:
         """Exact determinant, from the fraction-free row reduction of nums."""
-        return _rref(self.nums)[2] / self.den ** self.dim
+        return _rref(self.nums)[3] / self.den ** self.dim
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse, by reducing [nums | den I]; ZeroDivisionError if singular."""
         n = self.dim
-        red, pivots, _ = _rref([row + tuple(self.den * (i == j) for j in range(n))
-                                for i, row in enumerate(self.nums)])
+        eye = np.identity(n, dtype=object)
+        red, last, pivots, _ = _rref(np.hstack([self.nums, self.den * eye]))
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return RationalMatrix([row[n:] for row in red])
+        return RationalMatrix._of(np.array(red, dtype=object)[:, n:], last)
 
     def trace(self) -> Fraction:
-        return Fraction(sum(self.nums[i][i] for i in range(self.dim)), self.den)
+        return Fraction(self.nums.trace(), self.den)
 
     def is_integer(self) -> bool:
         return self.den == 1
@@ -232,16 +213,21 @@ class RationalMatrix:
     def to_int_array(self) -> list[list[int]]:
         if not self.is_integer():
             raise ValueError("matrix has non-integer entries")
-        return [list(row) for row in self.nums]
+        return self.nums.tolist()
 
     def to_float(self) -> np.ndarray:
         # int / int is correctly rounded, as float(Fraction) is
-        return np.array([[x / self.den for x in row] for row in self.nums], dtype=float)
+        return (self.nums / self.den).astype(float)
 
 
-def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+def _integral(values) -> tuple[np.ndarray, int]:
+    """Rationals (ints, numpy ints or Fractions) in any nested array-like, as
+    numerators over their least common denominator: an object array of Python
+    ints of the same shape, and the denominator."""
+    a = np.array(values, dtype=object)
+    den = math.lcm(*(x.denominator for x in a.flat))
+    return np.array([int(x.numerator) * (den // int(x.denominator)) for x in a.flat],
+                    dtype=object).reshape(a.shape), den
 
 
 def _int_einsum(subscripts: str, *operands, sums: int = 1) -> np.ndarray:
@@ -265,22 +251,23 @@ def _int_einsum(subscripts: str, *operands, sums: int = 1) -> np.ndarray:
     return np.einsum(subscripts, *(x.astype(object) for x in ops))
 
 
-def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+def _rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int], Fraction]:
     """Gauss-Jordan reduction of a list of int or Fraction rows of any shape.
 
     Fraction-free (Bareiss, Math. Comp. 22, 1968): each row is scaled to
     integers by the lcm of its denominators, and each step divides exactly
     by the previous pivot, so entries stay integers (minors of the scaled
-    rows) and every pivot ends equal to the last, which divides the rows
-    at the end.  Returns the reduced row echelon form (unique, so every
-    basis read from it is canonical), the pivot columns, and the
-    determinant: sign * last pivot / product of the row scales, or 0 when
-    some row has no pivot (meaningful for square input only).
+    rows) and every pivot ends equal to the last.  Returns the reduced rows
+    as integers over that last pivot, made positive (red / last is the
+    reduced row echelon form, unique, so every basis read from it is
+    canonical), last, the pivot columns, and the determinant: sign * last
+    pivot / product of the row scales, or 0 when some row has no pivot
+    (meaningful for square input only).
     """
     a, scale = [], 1
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
+        nums, den = _integral(row)
+        a.append(list(nums))
         scale *= den
     nrows = len(a)
     pivots: list[int] = []
@@ -303,7 +290,9 @@ def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fr
         last = p
         pivots.append(col)
     det = Fraction(sign * last, scale) if len(pivots) == nrows else Fraction(0)
-    return [[Fraction(x, last) for x in row] for row in a], pivots, det
+    if last < 0:
+        a, last = [[-x for x in row] for row in a], -last
+    return a, last, pivots, det
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +307,9 @@ class IntPolynomial:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence):
-        cs = [_as_fraction(c) for c in coeffs]
         # in lowest terms, as in RationalMatrix; a zero has denominator 1
-        self.den = math.lcm(*(c.denominator for c in cs))
-        self.nums = tuple(_trim([c.numerator * (self.den // c.denominator) for c in cs]))
+        nums, self.den = _integral([_as_fraction(c) for c in coeffs])
+        self.nums = tuple(_trim(list(nums)))
 
     @staticmethod
     def _of(nums: Sequence[int], den: int) -> "IntPolynomial":
@@ -413,14 +401,11 @@ class IntPolynomial:
     def evaluate_matrix(self, m: RationalMatrix) -> RationalMatrix:
         """p(M) by Horner's rule on integers: for M = N / d and p = a / e,
         p(M) = sum_i a_i d^(deg - i) N^i over e d^deg."""
-        d, n = m.den, m.dim
-        out = [[0] * n for _ in range(n)]
+        eye = np.identity(m.dim, dtype=object)
+        out = 0 * eye
         for k, c in enumerate(reversed(self.nums)):
-            if k:
-                out = _int_matmul(out, m.nums)
-            for i in range(n):
-                out[i][i] += c * d ** k
-        return RationalMatrix._of(out, self.den * d ** self.degree)
+            out = out @ m.nums + c * m.den ** k * eye
+        return RationalMatrix._of(out, self.den * m.den ** self.degree)
 
     def reverse(self) -> "IntPolynomial":
         """x^deg * p(1/x)."""
@@ -444,14 +429,12 @@ def char_poly(m: RationalMatrix) -> IntPolynomial:
     """
     n, den = m.dim, m.den
     coeffs = [0] * n + [den ** n]
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    eye = mk = np.identity(n, dtype=object)
     for k in range(1, n + 1):
-        mk = _int_matmul(m.nums, mk)
-        c = -sum(mk[i][i] for i in range(n)) // k
+        mk = m.nums @ mk
+        c = -mk.trace() // k
         coeffs[n - k] = c * den ** (n - k)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += c
+        mk = mk + c * eye
     return IntPolynomial._of(coeffs, den ** n)
 
 
@@ -848,14 +831,14 @@ def rational_kernel(m: RationalMatrix | Sequence[Sequence[Fraction]]) -> list[tu
     """Exact basis of ker(M) over Q (list of Fraction tuples); M may be a
     RationalMatrix or a rectangular list of rows."""
     rows = m.nums if isinstance(m, RationalMatrix) else m
-    red, pivots, _ = _rref(rows)
+    red, last, pivots, _ = _rref(rows)
     n = len(rows[0])
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = Fraction(-red[r][fc], last)
         basis.append(tuple(v))
     return basis
 
@@ -866,7 +849,7 @@ def integer_kernel(m: RationalMatrix) -> list[tuple]:
     Column-style Hermite reduction with a unimodular transform; the returned
     vectors generate ker(M) intersect Z^n as a lattice (integer tuples).
     """
-    a = [list(col) for col in zip(*m.nums)]  # columns as rows, times m.den
+    a = m.nums.T.tolist()  # columns as rows, times m.den
     n = m.dim
     u = [[int(i == j) for j in range(n)] for i in range(n)]  # tracks column ops
     row = 0
@@ -1121,7 +1104,9 @@ def _root_count(f: tuple, lo: int, hi: int, bits: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class LyapunovBlock:
-    """Eigenvalue-modulus class: exponent with certified error, multiplicity, member roots."""
+    """Eigenvalue-modulus class: exponent, multiplicity, member roots.  exponent_err
+    bounds the error of the exponent at the working precision, not of the
+    double exponent rounded from it."""
 
     exponent: float
     exponent_err: float
@@ -1224,17 +1209,17 @@ def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,
             continue
         factor = [-x, 1 << s] if rec.partner[ri] == ri else [(x * x + y * y) >> s, -2 * x, 1 << s]
         poly = [c >> s for c in _mul(poly, factor)]
-    n, den = action.dim, action.den
-    t = [[poly[-1] * (i == j) for j in range(n)] for i in range(n)]
+    n = action.dim
+    eye = np.identity(n, dtype=object)
+    t = poly[-1] * eye
     for c in reversed(poly[:-1]):
-        t = [[x // den + c * (i == j) for j, x in enumerate(row)]
-             for i, row in enumerate(_int_matmul(t, action.nums))]
+        t = (t @ action.nums) // action.den + c * eye
     p = t
     for _ in range(blk.multiplicity - 1):
-        t = [[x >> s for x in row] for row in _int_matmul(t, p)]
+        t = (t @ p) >> s
 
     rank = blk.multiplicity * len(kept)
-    w, live, cols, largest = [row[:] for row in t], set(range(n)), [], 0
+    w, live, cols, largest = t.tolist(), set(range(n)), [], 0
     while len(cols) < n:
         size, i, j = max((abs(w[i][j]), i, j) for i in live for j in range(n) if j not in cols)
         largest = largest or size
@@ -1250,11 +1235,10 @@ def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,
             f = w[r][j]
             w[r] = [a - f * b // w[i][j] for a, b in zip(w[r], w[i])]
 
-    vden = math.lcm(*(x.denominator for v in blk.basis for x in v))
-    vnums = [[x.numerator * (vden // x.denominator) for x in v] for v in blk.basis]
-    amb = _int_matmul([[row[j] for row in t] for j in sorted(cols)], vnums)
-    floats = [[x / big for x in col] for col, big in ((c, max(map(abs, c))) for c in amb)]
-    return np.linalg.qr(np.array(floats).T)[0].T
+    vnums = _integral(blk.basis)[0]
+    amb = t[:, sorted(cols)].T @ vnums
+    floats = (amb / np.abs(amb).max(axis=1, keepdims=True)).astype(float)
+    return np.linalg.qr(floats.T)[0].T
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .exactlin import _integral
 from .fourier import FourierObservable, _pow
 
 __all__ = [
@@ -91,9 +92,7 @@ def _check_solve(f: FourierObservable, directions: Sequence[Sequence], r: float,
 
 def _orthogonal(freqs: np.ndarray, v: Sequence) -> np.ndarray:
     """Rows z with z.v = 0 exactly (v of ints, Fractions or floats)."""
-    v = [Fraction(x) for x in v]
-    den = math.lcm(*(x.denominator for x in v))
-    return freqs.astype(object).dot(np.array([int(x * den) for x in v], dtype=object)) == 0
+    return freqs.astype(object).dot(_integral([Fraction(x) for x in v])[0]) == 0
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

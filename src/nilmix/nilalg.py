@@ -32,6 +32,7 @@ from .exactlin import (
     PrimaryDecomposition,
     RationalMatrix,
     _int_einsum,
+    _integral,
     _rref,
     factor_roots,
     lyapunov_data,
@@ -99,7 +100,7 @@ class NilpotentAlgebra:
         flat = [x for plane in self.brackets for cs in plane for x in cs]
         at = [p for p, x in enumerate(flat) if x]
         t = np.zeros(n ** 3, dtype=object)
-        t[at] = _integral([flat[p] for p in at], (len(at),))
+        t[at] = _integral([flat[p] for p in at])[0]
         return _int_einsum("ijk->ijk", t.reshape(n, n, n), sums=2)
 
     @cached_property
@@ -152,16 +153,8 @@ class Diagnostics:
 
 def _span_rows(vectors: Sequence[Sequence[Fraction]]) -> list[tuple]:
     """Reduced row-echelon basis of the rational span."""
-    red, pivots, _ = _rref(vectors)
-    return [tuple(row) for row in red[: len(pivots)]]
-
-
-def _integral(values: Sequence[Fraction], shape: tuple) -> np.ndarray:
-    """The flat rationals values times their common denominator, as an int
-    object array of shape."""
-    den = math.lcm(*(x.denominator for x in values))
-    return np.array([x.numerator * (den // x.denominator) for x in values],
-                    dtype=object).reshape(shape)
+    red, last, pivots, _ = _rref(vectors)
+    return [tuple(Fraction(x, last) for x in row) for row in red[: len(pivots)]]
 
 
 def _first(mask: np.ndarray) -> Optional[tuple]:
@@ -224,7 +217,7 @@ def central_series(algebra: NilpotentAlgebra) -> list[list[tuple]]:
     series = [[tuple(int(t == s) for t in range(n)) for s in range(n)]]
     current = series[0]
     while current:
-        v = _integral([x for row in current for x in row], (len(current), n))
+        v = _integral(current)[0]
         images = _int_einsum("ri,iwk->rwk", v, c).reshape(-1, n)
         current = _span_rows(images[images.any(axis=1)].tolist())
         series.append(current)
@@ -254,7 +247,7 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
 
     n = algebra.dim
     c = algebra._tensor
-    a = np.array(m.nums, dtype=object)
+    a = m.nums
     # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k =
     # sum_l a[k, l] c[i, j, l], over the denominators den^2 and den
     lhs = _int_einsum("iqk,qj->ijk", _int_einsum("pi,pqk->iqk", a, c), a)
@@ -273,7 +266,7 @@ def abelianization_action(algebra: NilpotentAlgebra, m: RationalMatrix) -> Ratio
     the layers below the first: the induced map is the leading layer-1 block.
     """
     d1 = algebra.layer_dims[0]
-    return RationalMatrix._of([row[:d1] for row in m.nums[:d1]], m.den)
+    return RationalMatrix._of(m.nums[:d1, :d1], m.den)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +445,7 @@ def _pairing(h_b: RationalMatrix, g_b: RationalMatrix, q: IntPolynomial) -> IntP
                                        initial=RationalMatrix.identity(h_b.dim)))
     gram = RationalMatrix([[powers[j + k].trace() for j in range(e)] for k in range(e)])
     p = IntPolynomial(gram.inverse().apply([(powers[k] * g_b).trace() for k in range(e)]))
-    if any(x for row in ((g_b - p.evaluate_matrix(h_b)) ** h_b.dim).rows for x in row):
+    if ((g_b - p.evaluate_matrix(h_b)) ** h_b.dim).nums.any():
         raise ArithmeticError("the weighted sum does not separate the joint eigenvalues")
     return p
 

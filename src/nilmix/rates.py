@@ -267,13 +267,17 @@ class DensityReport:
 
 
 def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix]) -> bool:
-    """Exact test: does some nonzero functional vanish on w?
+    """Exact test: does some functional of a joint block off the family's
+    root-of-unity core vanish on w (w = 0 is bad)?
 
-    Decided on the joint blocks off the family's root-of-unity core, where
-    every functional is zero: w is bad when, on one of them, some irreducible
-    factor of the characteristic polynomial of prod_i g_i^{w_i} has a proven
-    unit-modulus root, cyclotomic factors included, at the joint blocks'
-    precision_bits.
+    w is bad when, on one of those blocks, some irreducible factor of the
+    characteristic polynomial of prod_i g_i^{w_i} has a proven unit-modulus
+    root, cyclotomic factors included, at the joint blocks' precision_bits.
+    Every w on which a nonzero functional vanishes is bad.  So is every w
+    when a non-core block has a root tuple on the unit circle, whose
+    functional is zero: the test is conservative there, and on the Salem
+    family (S, S^2) it calls all w bad, though its nonzero functionals
+    vanish only on w0 + 2 w1 = 0.
     """
     if not any(w):
         return True

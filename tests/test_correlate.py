@@ -179,6 +179,26 @@ def test_non_integer_generator_is_refused():
     g = RationalMatrix([[Fraction(3, 2), 0], [0, Fraction(2, 3)]])
     with pytest.raises(ValueError):
         correlation_n([obs({(1, 0): 1.0}), obs({(-1, 0): 1.0})], [g], [(1,), (0,)])
+    # the check is on the action matrix at each time, not on the generators:
+    # at time 0 the action is the identity
+    assert correlation_n([obs({(1, 0): 1.0}), obs({(-1, 0): 1.0})], [g], [(0,), (0,)]) == 1.0
+
+
+def test_integer_generator_with_a_non_integer_inverse_is_refused():
+    # det 2: the inverse at a negative time has entry 1/2, whose numerator
+    # would transport frequencies as if it were the matrix
+    g = RationalMatrix([[2, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        correlation_n([obs({(1, 0): 1.0}), obs({(-1, 0): 1.0})], [g], [(-1,), (0,)])
+
+
+def test_no_uniform_bound_refuses_a_non_integer_second_generator():
+    # F = diag(1/2, 1, 1, 1) has numerators diag(1, 2, 2, 2), which fix (k, 0, 0, 0)
+    b = get_system("product-t2xt2").generators[0]
+    f = RationalMatrix([[Fraction(int(i == j), 1 + (i == j == 0)) for j in range(4)]
+                        for i in range(4)])
+    with pytest.raises(ValueError, match="non-integer"):
+        no_uniform_bound_demo([b, f], obs({(1, 0): 1.0}), [])
 
 
 def test_rank2_generators():

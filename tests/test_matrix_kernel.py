@@ -137,7 +137,10 @@ def test_span_rows_match_sympy_rref(rows):
 @given(st.one_of(row_lists(), square_matrices(), square_matrices(INT_ENTRIES))
        .flatmap(with_zero_rows))
 def test_rref_matches_the_fraction_reference(rows):
-    assert _rref(rows) == ref.rref(rows)
+    # the integer rows over the (positive) last pivot are the reduced rows
+    red, last, pivots, det = _rref(rows)
+    assert last > 0
+    assert ([[Fraction(x, last) for x in row] for row in red], pivots, det) == ref.rref(rows)
 
 
 @SETTINGS
@@ -243,3 +246,72 @@ def test_int_einsum_matches_python_ints(case):
     bound = np.einsum(subscripts, *(abs(x) for x in operands)).max(initial=0) * sums
     assert out.dtype == (np.int64 if bound < 1 << 63 else object)
     event(f"{subscripts} in {out.dtype}")
+
+
+# ---------------------------------------------------------------------------
+# the numerator format: a read-only object array of Python ints
+# ---------------------------------------------------------------------------
+
+def assert_exact_format(m: RationalMatrix):
+    """nums holds Python ints (numpy ints would wrap in products) and cannot be written."""
+    assert m.nums.dtype == object and m.nums.shape == (m.dim, m.dim)
+    assert all(type(x) is int for x in m.nums.flat) and type(m.den) is int
+    with pytest.raises(ValueError):
+        m.nums[0, 0] = 1
+
+
+# entries whose 3-term dot products pass 2^63: int64 arithmetic would wrap
+_WIDE = st.one_of(st.integers(-4, 4), st.integers(-(1 << 31) - 5, (1 << 31) + 5))
+
+
+@st.composite
+def numpy_pairs(draw):
+    """Two square matrices of one size, each given as an int64 array, a list of
+    np.int64 rows or plain rows, and the same matrices as plain int rows."""
+    n = draw(st.integers(1, 4))
+    plain = [[[draw(_WIDE) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    forms = [draw(st.sampled_from([lambda r: np.array(r, dtype=np.int64),
+                                   lambda r: [[np.int64(x) for x in row] for row in r],
+                                   lambda r: r]))(r) for r in plain]
+    return forms, plain
+
+
+_BIG = 1 << 31
+
+
+@SETTINGS
+@given(numpy_pairs(), st.integers(-2, 5), ENTRIES)
+# every sum of two products is 2^63: it wraps in int64
+@example(([np.array([[_BIG, _BIG], [1, 1]], dtype=np.int64),
+           [[np.int64(_BIG), np.int64(0)], [np.int64(_BIG), np.int64(1)]]],
+          [[[_BIG, _BIG], [1, 1]], [[_BIG, 0], [_BIG, 1]]]), 3, 1)
+def test_every_operation_keeps_the_exact_read_only_format(pair, e, c):
+    (a_in, b_in), (a_rows, b_rows) = pair
+    a, b = RationalMatrix(a_in), RationalMatrix(b_in)
+    assert a == RationalMatrix(a_rows) and hash(a) == hash(RationalMatrix(a_rows))
+    n, sa = a.dim, to_sympy(a_rows)
+    det = sa.det()
+    results = [a, b, a * b, a + b, a - b, a.scale(c), c * a, a * c, a.scale(0),
+               RationalMatrix.identity(n), IntPolynomial([c, 1, -2]).evaluate_matrix(a)]
+    if e >= 0 or det != 0:
+        results.append(a ** e)
+        assert (a ** e).rows == from_sympy(sa ** e)
+    if det != 0:
+        results.append(a.inverse())
+        results.append(RationalMatrix.companion(char_poly(a)))
+    for m in results:
+        assert_exact_format(m)
+    assert (a * b).rows == from_sympy(sa * to_sympy(b_rows))
+    assert a.determinant() == Fraction(int(det.p), int(det.q))
+    assert a.trace() == sum(a_rows[i][i] for i in range(n))
+    v = np.array([row[0] for row in b_rows], dtype=np.int64)
+    assert a.apply(v) == tuple(Fraction(int(x)) for x in sa * to_sympy([[x] for x in v]))
+    assert all(type(x) is int for row in a.to_int_array() for x in row)
+
+
+def test_a_near_overflow_power_is_exact():
+    cat = RationalMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    power = cat ** 200                       # entries near 2^277
+    assert_exact_format(power)
+    assert power.rows == from_sympy(sympy.Matrix([[2, 1], [1, 1]]) ** 200)
+    assert (power * cat.inverse() ** 200) == RationalMatrix.identity(2)
