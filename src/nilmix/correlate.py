@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactlin import RationalMatrix, _int_einsum, _is_prime
-from .fourier import ExactComplex, FourierObservable
+from .fourier import ExactComplex, FourierObservable, _ordered_sum
 from .nilalg import action_matrix, check_commuting
 
 __all__ = [
@@ -166,12 +166,6 @@ def _products(factors: list, rows: np.ndarray) -> tuple:
         br, bi = m.re[i], m.im[i]
         re, im = re * br - im * bi, re * bi + im * br
     return re, im
-
-
-def _ordered_sum(x: np.ndarray, start):
-    """start + x[0] + x[1] + ... left to right, as a Python loop adds: the
-    last entry of the running sum (np.sum adds pairwise)."""
-    return np.cumsum(np.concatenate(([start], x)))[-1]
 
 
 def _value(exact: bool, re, im):

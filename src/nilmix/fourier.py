@@ -93,6 +93,13 @@ def _pow(x: np.ndarray, y) -> np.ndarray:
                        count=x.size).reshape(x.shape)
 
 
+def _ordered_sum(a: np.ndarray, start=0.0):
+    """start + a[..., 0] + a[..., 1] + ... left to right, as a Python loop adds (np.sum
+    adds pairwise): the last entry of the running sum, a scalar for 1-D input."""
+    head = np.full(a.shape[:-1] + (1,), start)
+    return np.cumsum(np.concatenate([head, a], axis=-1), axis=-1).T[-1]
+
+
 def _lex_rows(freqs: np.ndarray) -> tuple:
     """The distinct rows in lexicographic order, and each row's index among them."""
     order = np.lexsort(freqs.T[::-1])

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .exactlin import _integral
-from .fourier import FourierObservable, _pow
+from .fourier import FourierObservable, _ordered_sum, _pow
 
 __all__ = [
     "ObstructionError",
@@ -95,14 +95,9 @@ def _orthogonal(freqs: np.ndarray, v: Sequence) -> np.ndarray:
     return freqs.astype(object).dot(_integral([Fraction(x) for x in v])[0]) == 0
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Each row of a added left to right from 0, as Python's sum adds."""
-    return np.cumsum(np.column_stack([np.zeros(len(a)), a]), axis=1)[:, -1]
-
-
 def _dots(freqs: np.ndarray, directions: list) -> np.ndarray:
     """(m, t) float z.v_i of each row and direction, added coordinate by coordinate."""
-    dots = [_row_sum(freqs * np.array([float(b) for b in v])) for v in directions]
+    dots = [_ordered_sum(freqs * np.array([float(b) for b in v])) for v in directions]
     return np.array(dots).reshape(len(directions), len(freqs)).T
 
 
@@ -224,7 +219,7 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
     rows = np.concatenate([np.flatnonzero(large), np.flatnonzero((split.selector >= 0) & ~large)])
     sel, d = split.selector[rows], split.dots[rows]
     # resonant: z.v = 0 exactly for a rational v, else |z.v| < 1e-15 ||z|| ||v||
-    zn = np.sqrt(_row_sum(_pow(f.freqs[rows].astype(np.float64), 2)))
+    zn = np.sqrt(_ordered_sum(_pow(f.freqs[rows].astype(np.float64), 2)))
     vn = np.array([math.sqrt(sum(float(x) ** 2 for x in v)) for v in dirs])
     resonant = np.abs(d) < 1e-15 * zn * vn[sel]
     for i, v in enumerate(dirs):
@@ -282,7 +277,7 @@ def sobolev_norm(f: FourierObservable, s: float,
     if s < 0:
         raise ValueError("order must be >= 0")
     if directions is None:
-        sq = _row_sum(_pow(f.freqs.astype(np.float64), 2))
+        sq = _ordered_sum(_pow(f.freqs.astype(np.float64), 2))
     else:
         sq = _pow(_dots(f.freqs, _dims(f, directions)), 2).tolist()
         sq = np.fromiter(map(math.fsum, sq), float, len(f))

@@ -67,41 +67,38 @@ __all__ = [
 # Algebra container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NilpotentAlgebra:
-    """Structure constants c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k.
+    """Structure constants c = nums / den meaning [e_i, e_j] = sum_k c[i, j, k] e_k:
+    nums is a read-only dim^3 integer array, in lowest terms over den > 0, int64
+    when twice each entry fits (the antisymmetry sum), else Python ints.
 
     layer_dims partitions the ordered basis into layers; layer j together
     with all deeper layers must span the j-th term of the descending
-    central series.
+    central series.  == is identity.
     """
 
     dim: int
-    brackets: tuple          # dim x dim x dim nested tuples of Fraction
     layer_dims: tuple        # e.g. (2, 1) for the 3-dim Heisenberg algebra
+    nums: np.ndarray
+    den: int = 1
+
+    def __post_init__(self):
+        g = math.gcd(self.den, *self.nums.flat)
+        nums = _int_einsum("ijk->ijk", self.nums // g, sums=2)
+        nums.flags.writeable = False
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_sparse(dim: int, layer_dims: Sequence[int], entries: dict) -> "NilpotentAlgebra":
-        """entries maps (i, j) -> {k: value}; antisymmetric completion is applied."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comp in entries.items():
-            for k, v in comp.items():
-                c[i][j][k] = Fraction(v)
-                c[j][i][k] = -Fraction(v)
-        frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
-        return NilpotentAlgebra(dim, frozen, tuple(layer_dims))
-
-    @cached_property
-    def _tensor(self) -> np.ndarray:
-        """The structure constants times their common denominator (every check
-        is homogeneous in them), set from the nonzero ones: int64 when twice
-        each fits, as the antisymmetry sum needs, else Python ints."""
-        n = max(self.dim, 0)
-        flat = [x for plane in self.brackets for cs in plane for x in cs]
-        at = [p for p, x in enumerate(flat) if x]
-        t = np.zeros(n ** 3, dtype=object)
-        t[at] = _integral([flat[p] for p in at])[0]
-        return _int_einsum("ijk->ijk", t.reshape(n, n, n), sums=2)
+        """entries maps (i, j) -> {k: value}, completed antisymmetrically; later entries win."""
+        cells = [(i, j, k) for (i, j), comp in entries.items() for k in comp]
+        given, den = _integral([Fraction(v) for comp in entries.values() for v in comp.values()])
+        nums = np.zeros((dim, dim, dim), dtype=object)
+        for (i, j, k), x in zip(cells, given):
+            nums[i, j, k], nums[j, i, k] = x, -x
+        return NilpotentAlgebra(dim, tuple(layer_dims), nums, den)
 
     @cached_property
     def diagnostics(self) -> Diagnostics:
@@ -109,6 +106,8 @@ class NilpotentAlgebra:
         return validate_algebra(self)
 
     def layer_slice(self, layer: int) -> range:
+        if not 1 <= layer <= self.step:
+            raise ValueError(f"layer {layer} is not in 1..{self.step}")
         start = sum(self.layer_dims[: layer - 1])
         return range(start, start + self.layer_dims[layer - 1])
 
@@ -173,7 +172,7 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
         diag.record("layers", False, f"layer dims {algebra.layer_dims} do not sum to {n}")
         return diag
     diag.record("layers", True)
-    c = algebra._tensor
+    c = algebra.nums
     i, j, k = np.ogrid[:n, :n, :n]
 
     bad = _first((c + c.transpose(1, 0, 2) != 0).any(axis=2))
@@ -213,7 +212,7 @@ def central_series(algebra: NilpotentAlgebra) -> list[list[tuple]]:
     identity basis to the empty one; each step is one contraction with the
     structure-constant tensor."""
     n = algebra.dim
-    c = algebra._tensor
+    c = algebra.nums
     series = [[tuple(int(t == s) for t in range(n)) for s in range(n)]]
     current = series[0]
     while current:
@@ -246,10 +245,10 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
                 f"determinant {det}" if integer else "not integer")
 
     n = algebra.dim
-    c = algebra._tensor
+    c = algebra.nums
     a = m.nums
     # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k =
-    # sum_l a[k, l] c[i, j, l], over the denominators den^2 and den
+    # sum_l a[k, l] c[i, j, l], over the denominators m.den^2 and m.den
     lhs = _int_einsum("iqk,qj->ijk", _int_einsum("pi,pqk->iqk", a, c), a)
     rhs = _int_einsum("kl,ijl->ijk", a * m.den, c)
     i, j = np.ogrid[:n, :n]

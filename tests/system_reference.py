@@ -8,16 +8,24 @@ basis vector.  The tensor checks in `nilalg` must give the same verdicts,
 the same detail strings and the same central-series bases.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 from nilmix.nilalg import Diagnostics, NilpotentAlgebra, _span_rows
 
 
+@functools.lru_cache(maxsize=64)
+def constants(algebra: NilpotentAlgebra) -> tuple:
+    """The structure constants c[i][j][k] as nested tuples of Fractions."""
+    return tuple(tuple(tuple(Fraction(x, algebra.den) for x in cs) for cs in plane)
+                 for plane in algebra.nums.tolist())
+
+
 def bracket(algebra: NilpotentAlgebra, v, w) -> tuple:
     """[v, w] = sum_{i,j} v_i w_j c[i][j]."""
     out = [Fraction(0)] * algebra.dim
-    for i, plane in enumerate(algebra.brackets):
+    for i, plane in enumerate(constants(algebra)):
         for j, cs in enumerate(plane):
             if v[i] and w[j]:
                 for k, c in enumerate(cs):
@@ -43,9 +51,10 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
         diag.record("layers", False, f"layer dims {algebra.layer_dims} do not sum to {n}")
         return diag
     diag.record("layers", True)
+    c = constants(algebra)
 
     bad = next(((i, j) for i in range(n) for j in range(n)
-                if any(algebra.brackets[i][j][k] != -algebra.brackets[j][i][k]
+                if any(c[i][j][k] != -c[j][i][k]
                        for k in range(n))), None)
     diag.record("antisymmetry", bad is None, f"offending pair {bad}" if bad else "")
 
@@ -64,7 +73,7 @@ def validate_algebra(algebra: NilpotentAlgebra) -> Diagnostics:
 
     # bracket of layers p, q must land strictly deeper than max(p, q)
     bad = next(((i, j) for i in range(n) for j in range(n)
-                if any(algebra.brackets[i][j][k] for k in range(n)
+                if any(c[i][j][k] for k in range(n)
                        if layer_of(algebra, k) <= max(layer_of(algebra, i),
                                                       layer_of(algebra, j)))),
                None)
@@ -119,9 +128,10 @@ def validate_automorphism(algebra: NilpotentAlgebra, m) -> Diagnostics:
         diag.record("unimodular", False, "not integer")
 
     n = algebra.dim
-    cols = [tuple(m.rows[r][c] for r in range(n)) for c in range(n)]
+    c = constants(algebra)
+    cols = [tuple(m.rows[r][col] for r in range(n)) for col in range(n)]
     bad = next(((i, j) for i, j in itertools.combinations(range(n), 2)
-                if bracket(algebra, cols[i], cols[j]) != m.apply(algebra.brackets[i][j])),
+                if bracket(algebra, cols[i], cols[j]) != m.apply(c[i][j])),
                None)
     diag.record("bracket_preserved", bad is None,
                 f"[Me_{bad[0]}, Me_{bad[1]}] != M[e_{bad[0]}, e_{bad[1]}]" if bad else "")

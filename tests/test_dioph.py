@@ -659,3 +659,10 @@ def test_type_i_exact_coordinates_need_not_be_integers():
 def test_type_i_exact_refusals(candidate, ambient, message):
     with pytest.raises(ValueError, match=message):
         type_i_subspace(heisenberg_algebra(), 1, candidate, ambient, 10)
+
+
+@pytest.mark.parametrize("layer", [0, -1, 3])
+def test_type_i_refuses_a_layer_outside_the_algebra(layer):
+    # layer 0 would wrap round to the last layer and certify the centre line
+    with pytest.raises(ValueError, match=r"layer .* is not in 1\.\.2"):
+        type_i_subspace(heisenberg_algebra(), layer, [[0, 0, 1]], [[0, 0, 1]], 50)

@@ -19,7 +19,9 @@ loads it, a catalog one only when analyze reports its checks.
 """
 
 import contextlib
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,14 +29,15 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import system_reference as ref
 from nilmix import nilalg, rates
 from nilmix.catalog import get_system, system_names
 from nilmix.cli import main
-from nilmix.exactlin import RationalMatrix, _int_einsum
+from nilmix.exactlin import RationalMatrix, _int_einsum, _integral
 from nilmix.nilalg import NilpotentAlgebra, check_commuting
 
 CHECKS = settings(max_examples=300, deadline=None)
@@ -74,8 +77,15 @@ def algebras(draw) -> NilpotentAlgebra:
         entries = {}
         for i, j, k in draw(st.lists(st.tuples(index, index, index), max_size=5)):
             entries.setdefault((i, j), {})[k] = draw(_VALUES)
-    c = [[list(cs) for cs in plane]
-         for plane in NilpotentAlgebra.from_sparse(n, layers, entries).brackets]
+    algebra = NilpotentAlgebra.from_sparse(n, layers, entries)
+    # each entry and its antisymmetric partner, in order: a later (j, i)
+    # entry overwrites an earlier (i, j) one
+    written = {}
+    for (i, j), comp in entries.items():
+        for k, value in comp.items():
+            written[i, j, k], written[j, i, k] = value, -value
+    c = np.array(ref.constants(algebra), dtype=object).reshape((n,) * 3)
+    assert all(c[t] == written.get(t, 0) for t in itertools.product(range(n), repeat=3))
     for _ in range(draw(st.integers(0, 2))):
         defect = draw(st.sampled_from(["entry", "one-sided", "layers", "zero-layer",
                                        "negative-layer"]))
@@ -89,11 +99,10 @@ def algebras(draw) -> NilpotentAlgebra:
         elif n:
             i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
             value = draw(_VALUES | st.just(Fraction(0)))
-            c[i][j][k] = value
+            c[i, j, k] = value
             if defect == "entry":
-                c[j][i][k] = -value
-    return NilpotentAlgebra(n, tuple(tuple(tuple(cs) for cs in plane) for plane in c),
-                            tuple(layers))
+                c[j, i, k] = -value
+    return NilpotentAlgebra(n, tuple(layers), *_integral(c))
 
 
 def _elementary(n: int, i: int, j: int, s: int) -> RationalMatrix:
@@ -174,7 +183,17 @@ def _same_diagnostics(new, old):
 
 @CHECKS
 @given(algebras())
+@example(NilpotentAlgebra.from_sparse(3, (2, 1), {(0, 1): {2: 1 << 62}}))
+@example(NilpotentAlgebra.from_sparse(0, (0,), {}))
+# the (1, 0) entry overwrites the (0, 1) one, whose denominator then goes
+@example(NilpotentAlgebra.from_sparse(3, (2, 1), {(0, 1): {2: Fraction(1, 2)}, (1, 0): {2: 1}}))
 def test_algebra_checks_match_the_reference(algebra):
+    # one read-only tensor of numerators over den, in lowest terms: int64
+    # exactly when twice each numerator fits
+    nums = algebra.nums
+    assert not nums.flags.writeable and nums.shape == (algebra.dim,) * 3
+    assert algebra.den > 0 and math.gcd(algebra.den, *nums.flat) == 1
+    assert (nums.dtype == np.int64) == all(2 * abs(int(x)) < 1 << 63 for x in nums.flat)
     with _contraction_paths():
         diag = nilalg.validate_algebra(algebra)
     _same_diagnostics(diag, ref.validate_algebra(algebra))
@@ -205,8 +224,7 @@ def test_first_offenders_are_named():
     # two antisymmetry offenders, (0, 0) and (1, 2): the row-major first is named
     c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[0][0][2] = c[1][2][0] = Fraction(1)
-    frozen = tuple(tuple(tuple(cs) for cs in plane) for plane in c)
-    diag = nilalg.validate_algebra(NilpotentAlgebra(3, frozen, (3,)))
+    diag = nilalg.validate_algebra(NilpotentAlgebra(3, (3,), *_integral(c)))
     assert diag.checks["antisymmetry"] == (False, "offending pair (0, 0)")
     swap = RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     diag = nilalg.validate_automorphism(nilalg.heisenberg_algebra(), swap)
