@@ -229,9 +229,7 @@ def _write_series(outdir: str, name: str, series: CorrelationSeries) -> list:
 
 
 def _jsonable(x):
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, float):
+    if isinstance(x, (bool, int, str, float)) or x is None:
         return x
     if isinstance(x, Fraction):
         return str(x)
@@ -387,6 +385,8 @@ def _cmd_solve(cfg, outdir, seed):
 
 def _cmd_threshold(cfg, outdir, seed):
     _check_keys(cfg, {"profile", "profile_csv", "orders", "cutoffs"}, "threshold config")
+    if not all(isinstance(cfg.get(key, ""), str) for key in ("profile", "profile_csv")):
+        raise ConfigError("'profile' and 'profile_csv' must be strings")   # open() reads int fds
     orders = _number(cfg, "orders", [0.25, 0.5, 0.75])
     cutoffs = _number(cfg, "cutoffs", [1e-2, 1e-4, 1e-6])
     if not all(r > 0 for r in orders):
@@ -540,11 +540,13 @@ _PARSER.add_argument("command", choices=sorted(_COMMANDS))
 _PARSER.add_argument("--config", required=True, help="path to a JSON config")
 _PARSER.add_argument("--out", default=".", help="output directory")
 _PARSER.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                     help="seed for sampled estimators")
+                     help="seed for sampled estimators, in [0, 2^64)")
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed < 1 << 64:
+        _PARSER.error(f"argument --seed: {args.seed} is not in [0, 2^64)")
 
     try:
         with open(args.config, encoding="utf-8") as fh:

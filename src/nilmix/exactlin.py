@@ -18,11 +18,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -349,17 +348,9 @@ class IntPolynomial:
         return hash((self.nums, self.den))
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and self.degree > 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(terms) if terms else "0"
+        powers = ["", "x"] + [f"x^{i}" for i in range(2, len(self.coeffs))]
+        return " + ".join(str(c) if i == 0 else ("" if c == 1 else f"{c}*") + powers[i]
+                          for i, c in enumerate(self.coeffs) if c != 0 or self.degree == 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -507,9 +498,7 @@ def _primitive(a: list) -> list:
     """a over the gcd of its coefficients, with a positive leading coefficient."""
     if not a:
         return a
-    g = math.gcd(*a)
-    if a[-1] < 0:
-        g = -g
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
     return [c // g for c in a]
 
 
@@ -686,12 +675,8 @@ def _hensel_lift(f: list, factors: list[list], p: int, pk: int) -> list[list]:
         inv = pow(f[-1], -1, pk)
         return [[c * inv % pk for c in f]]
     half = len(factors) // 2
-    g = [f[-1] % p]
-    for u in factors[:half]:
-        g = _mul(g, u, p)
-    h = [1]
-    for u in factors[half:]:
-        h = _mul(h, u, p)
+    g = reduce(lambda acc, u: _mul(acc, u, p), factors[:half], [f[-1] % p])
+    h = reduce(lambda acc, u: _mul(acc, u, p), factors[half:], [1])
     s, t = _gcdex_mod(g, h, p)
     m = p
     while m < pk:
@@ -715,15 +700,10 @@ def _recombine(f: list, lifted: list[list], pk: int) -> list[list]:
         lead = f[-1]
         for subset in combinations(range(len(todo)), size):
             if f[0]:
-                c = lead
-                for i in subset:
-                    c = c * todo[i][0] % pk
-                c = symmetric(c)
+                c = symmetric(reduce(lambda acc, i: acc * todo[i][0] % pk, subset, lead))
                 if not c or lead * f[0] % c:
                     continue
-            g = [lead]
-            for i in subset:
-                g = _mul(g, todo[i], pk)
+            g = reduce(lambda acc, i: _mul(acc, todo[i], pk), subset, [lead])
             g = _primitive([symmetric(c) for c in g])
             q = _exact_quotient(f, g)
             if q is None:
@@ -789,10 +769,7 @@ def _euler_phi(n: int) -> int:
 
 def inverse_totient(n: int) -> list[int]:
     """All d with Euler-phi(d) = n, by direct enumeration (phi(d) >= sqrt(d/2))."""
-    if n < 1:
-        return []
-    bound = 2 * n * n + 2
-    return [d for d in range(1, bound + 1) if _euler_phi(d) == n]
+    return [d for d in range(1, 2 * n * n + 3) if _euler_phi(d) == n]
 
 
 @lru_cache(maxsize=None)
@@ -852,8 +829,7 @@ def integer_kernel(m: RationalMatrix) -> list[tuple]:
     a = m.nums.T.tolist()  # columns as rows, times m.den
     n = m.dim
     u = [[int(i == j) for j in range(n)] for i in range(n)]  # tracks column ops
-    row = 0
-    col = 0
+    row = col = 0
     while row < n and col < n:
         nz = [r for r in range(col, n) if a[r][row] != 0]
         if not nz:
@@ -873,11 +849,7 @@ def integer_kernel(m: RationalMatrix) -> list[tuple]:
         u[col], u[r0] = u[r0], u[col]
         row += 1
         col += 1
-    out = []
-    for r in range(col, n):
-        if all(x == 0 for x in a[r]):
-            out.append(tuple(u[r]))
-    return out
+    return [tuple(u[r]) for r in range(col, n) if not any(a[r])]
 
 
 @dataclass(frozen=True)
@@ -939,55 +911,80 @@ def restrict_to_span(m: RationalMatrix, basis: Sequence[tuple]) -> RationalMatri
 # Certified eigenvalue moduli and the Lyapunov splitting
 # ---------------------------------------------------------------------------
 
-def _certified_roots(q: IntPolynomial, prec: int) -> tuple[list, tuple]:
-    """Roots of an irreducible (hence squarefree) polynomial in isolating discs.
+def _certified_roots(q: IntPolynomial, prec: int) -> tuple[tuple, tuple]:
+    """Roots of an irreducible (hence squarefree) polynomial in isolating discs
+    (x, y, r), Gaussian integers in units of 2^-s, s = prec + _DISC_BITS.
 
-    The centres z_i are mpmath.polyroots' at working precision prec + 32
-    (PrecisionError if it does not converge).  Each radius is the larger of
-    8|q/q'|(z_i) + 2^-(prec-8) and n|w_i|, w_i = q(z_i) / (lc prod_{j != i}
-    (z_i - z_j)) the Weierstrass correction, bounded above for rounding: q(z_i)
-    by 8 (n+1) u sum_k |c_k| |z_i|^k (u = 2^-(prec+32)), the rest by 2^-40.
-    The discs D(z_i, n|w_i|) cover the roots, and a union of m of them apart
-    from the rest holds m roots (Braess-Hadeler; Carstensen, Numer. Math.
-    1991), so pairwise disjoint discs hold one root each; PrecisionError
-    otherwise.  Returns (complex(z_i), radius) pairs and the discs in integers
-    (see _DISC_BITS), centres rounded down and radii widened to cover that.
-    """
-    n = q.degree
-    with mpmath.workprec(prec + 32):
-        cs, dcs = ([mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
-                   for p in (q, q.derivative()))
-        try:
-            zs = mpmath.polyroots(cs, maxsteps=200, extraprec=prec)
-        except mpmath.libmp.NoConvergence as e:
-            raise PrecisionError(f"roots of {q} did not converge at {prec} bits") from e
-        u = mpmath.ldexp(1, -(prec + 32))
-        roots, discs = [], []
-        for i, z in enumerate(zs):
-            num = abs(mpmath.polyval(cs, z))
-            den = abs(mpmath.polyval(dcs, z))
-            prod = abs(cs[0] * mpmath.fprod(z - w for j, w in enumerate(zs) if j != i))
-            if den == 0 or prod == 0:
-                raise PrecisionError(f"an approximate root of {q} is critical or repeated")
-            err = 8 * float(num / den) + math.ldexp(1.0, -(prec - 8))
-            size = mpmath.polyval([abs(c) for c in cs], abs(z))
-            bound = n * (num + 8 * (n + 1) * u * size) / prod * (1 + 2 ** -40)
-            roots.append((complex(z), max(err, float(bound))))
-            discs.append((_fixed(z.real, prec), _fixed(z.imag, prec),
-                          _fixed(max(err, bound), prec) + 3))
+    np.roots of q(2^k x), with coefficients that fit doubles, seeds the centres;
+    Weierstrass (Durand-Kerner) sweeps z_i -= w_i, w_i = q(z_i) / (lc prod_{j
+    != i} (z_i - z_j)), in fixed point refine them, pushing apart centres that
+    meet, until each |w_i| < 2^-(prec+32), PrecisionError after _ROOT_STEPS.
+    Parts below 2^-(prec+31) are then 0; roots are sorted by (|imag|, real).
+    With q, q' and w_i exact at the centres, r is max(8|q/q'|(z_i) +
+    2^-(prec-8), n|w_i|) rounded up: the D(z_i, n|w_i|) cover the roots, and m
+    of them apart from the rest hold m (Braess-Hadeler; Carstensen, Numer.
+    Math. 1991), so disjoint discs hold one root each, else PrecisionError.
+    Returns (complex(z_i), radius) pairs to the nearest double, and the discs
+    (r covers the radius); ResolutionError for a root beyond the doubles."""
+    a, n, s = q.nums, q.degree, prec + _DISC_BITS
+    k = max(0, *(-((a[-1].bit_length() - c.bit_length() + 999) // (n - j))
+                 for j, c in enumerate(a[:-1])))       # q(2^k x) / lc 2^kn: coefficients < 2^1000
+    zs = [tuple((p << s + k) // d for p, d in map(float.as_integer_ratio, (z.real, z.imag)))
+          for z in np.roots([c / (a[-1] << k * (n - j)) for j, c in reversed(list(enumerate(a)))])]
+    fixed = [c << s for c in reversed(a)]
+    for _ in range(_ROOT_STEPS):
+        worst = 0
+        for i, (x, y) in enumerate(zs):
+            (u, v), _, (pu, pv) = _weierstrass(fixed, zs, i, s)
+            if not (m := pu * pu + pv * pv):            # z_i meets another centre: push it off
+                zs[i], worst = (x + (abs(x) >> 48) + 1, y + (abs(y) >> 48) + 1), math.inf
+                continue
+            zs[i] = x - ((u * pu + v * pv) << s) // m, y - ((v * pu - u * pv) << s) // m
+            worst = max(worst, abs(x - zs[i][0]), abs(y - zs[i][1]))
+        if worst < 1 << _DISC_BITS // 2:
+            break
+    else:
+        raise PrecisionError(f"roots of {q} did not converge at {prec} bits")
+    t, w = 1 << _DISC_BITS // 2 + 1, 1 << s
+    zs = sorted(((x * (abs(x) >= t), y * (abs(y) >= t)) for x, y in zs),
+                key=lambda z: (abs(z[1]), z[0]))
+    exact = [c * w ** j for j, c in enumerate(reversed(a))]  # q(z) w^n = sum c_j w^(n-j) (zw)^j
+    out, edge = [], (w << 1024) - (w << 970)    # x / w is a double (below 2^1024) iff |x| < edge
+    for i, (x, y) in enumerate(zs):
+        (u, v), (du, dv), (pu, pv) = _weierstrass(exact, zs, i, 0)
+        if not ((du or dv) and (pu or pv)):
+            raise PrecisionError(f"an approximate root of {q} is critical or repeated")
+        r = 1 + max(math.isqrt(-(-64 * (u * u + v * v) // (du * du + dv * dv))) + (w >> prec - 8),
+                    math.isqrt(-(-n * n * (u * u + v * v) // (pu * pu + pv * pv))))
+        centre = complex(x / w, y / w) if max(abs(x), abs(y)) < edge else math.inf
+        if not abs(centre) < math.inf or (math.isqrt(x * x + y * y) + 1 + r) << 1074 < w:
+            raise ResolutionError(f"a root of a degree-{n} factor lies outside the float64 range")
+        out.append(((centre, r / w), (x, y, r + (r >> 52) + 1)))
+    roots, discs = zip(*out)
     # the identity is a symmetry too: each disc must meet no disc but itself
     if any(_holder(discs, d) != i for i, d in enumerate(discs)):
         raise PrecisionError(f"root discs of {q} overlap at {prec} bits")
-    return roots, tuple(discs)
+    return roots, discs
+
+
+def _weierstrass(coeffs: list, zs: list, i: int, t: int) -> tuple:
+    """q(z), q'(z) and lc prod_{j != i} (z - z_j) at z = z_i as Gaussian integer
+    pairs, from q's coefficients (descending) times 2^t, in fixed point at scale
+    2^t; or exactly for t = 0, coeffs times w^0..w^n and zs in units of 1/w."""
+    (x, y), (u, v), (du, dv) = zs[i], (coeffs[0], 0), (0, 0)
+    for c in coeffs[1:]:
+        du, dv = ((du * x - dv * y) >> t) + u, ((du * y + dv * x) >> t) + v
+        u, v = ((u * x - v * y) >> t) + c, (u * y + v * x) >> t
+    pu, pv = coeffs[0], 0
+    for x2, y2 in zs[:i] + zs[i + 1:]:
+        pu, pv = (pu * (x - x2) - pv * (y - y2)) >> t, (pu * (y - y2) + pv * (x - x2)) >> t
+    return (u, v), (du, dv), (pu, pv)
 
 
 # disc coordinates are integers in units of 2^-(prec + _DISC_BITS)
 _DISC_BITS = 64
-
-
-def _fixed(x, prec: int) -> int:
-    """floor(x 2^(prec + _DISC_BITS)), exactly, for a float or an mpf x."""
-    return mpmath.libmp.to_fixed(mpmath.mpf(x)._mpf_, prec + _DISC_BITS)
+# Weierstrass sweeps before _certified_roots gives up
+_ROOT_STEPS = 200
 
 
 def _holder(discs, image) -> Optional[int]:
@@ -1018,9 +1015,10 @@ def _inverse(disc, prec: int):
 @dataclass(frozen=True)
 class FactorRoots:
     """Certified roots of one irreducible factor at one working precision, in
-    pairwise disjoint discs that each hold exactly one root."""
+    pairwise disjoint discs that each hold exactly one root (_certified_roots):
+    Gaussian integers, of which the doubles only report the centres and radii."""
 
-    roots: tuple      # (complex centre, radius) per root
+    roots: tuple      # (complex centre, radius) per root, each its disc's to the nearest double
     discs: tuple      # per root: its disc (re, im, radius) in units of 2^-(prec + _DISC_BITS)
     partner: tuple    # index of each root's complex conjugate (itself for a real root)
     unit: tuple       # per root: |root| == 1 is proven
@@ -1039,7 +1037,7 @@ def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
         raise PrecisionError(f"could not certify conjugate pairing of the roots of {q}")
     unit = tuple(q.is_self_reciprocal() and _holder(discs, _inverse(d, prec)) == partner[i]
                  for i, d in enumerate(discs))
-    return FactorRoots(tuple(roots), discs, partner, unit, prec)
+    return FactorRoots(roots, discs, partner, unit, prec)
 
 
 def squared_modulus_polynomial(q: IntPolynomial) -> IntPolynomial:
@@ -1375,9 +1373,9 @@ def _check_disjoint(blocks):
 
 
 def _check_det_sum(det: Fraction, split: LyapunovSplitting):
-    target = math.log(abs(float(det)))
+    target = math.log(abs(det.numerator)) - math.log(det.denominator)   # det may pass 2^1024
     total = sum(b.exponent * b.multiplicity for b in split.blocks)
     budget = sum(b.exponent_err * b.multiplicity for b in split.blocks) + 1e-9
-    if abs(total - target) > budget:
+    if not abs(total - target) <= budget < math.inf:      # NaN and infinity fail too
         raise PrecisionError(
             f"sum of exponents {total:.12g} != log|det| {target:.12g} beyond budget {budget:.3g}")

@@ -10,6 +10,7 @@ import pytest
 
 from nilmix import cli, fourier
 from nilmix.cli import main
+from nilmix.exactlin import RationalMatrix
 from nilmix.nilalg import NilpotentAlgebra
 
 
@@ -74,6 +75,24 @@ def test_calls_in_one_process_parse_independently(tmp_path, capsys):
     code, report, _ = run(tmp_path / "second", "rates", {"system": "catmap", "s": 0.5})
     assert code == 0
     assert report["command"] == "rates" and report["seed"] is None
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1", str(2 ** 64), hex(2 ** 64)])
+def test_seed_outside_u64_is_refused(tmp_path, capsys, seed):
+    # the seed is a u64: anything else is refused by the parser, with exit 2
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "density", {"system": "catmap", "radius": 5, "samples": 1000},
+            extra=("--seed", seed))
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1), "0x10"])
+def test_seed_inside_u64_is_reported(tmp_path, seed):
+    cfg = {"system": "catmap", "radius": 5, "samples": 1000}
+    code, report, _ = run(tmp_path, "density", cfg, extra=("--seed", seed))
+    assert code == 0 and report["seed"] == int(seed, 0)
 
 
 def test_rates_catmap_gamma(tmp_path):
@@ -154,6 +173,12 @@ def _latin1_observable(tmp) -> str:
                                         "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, -1]]]}}),
     ("threshold", lambda tmp: {"profile_csv": _profile(tmp, "0,1\n")}),
     ("threshold", lambda tmp: {"profile_csv": _profile(tmp, "-1,1\n0,nan\n1,1\n")}),
+    ("threshold", lambda tmp: {"profile_csv": 0}),
+    ("threshold", lambda tmp: {"profile_csv": 1}),
+    ("threshold", lambda tmp: {"profile_csv": 2}),
+    ("threshold", lambda tmp: {"profile_csv": True}),
+    ("threshold", lambda tmp: {"profile": ["one"]}),
+    ("threshold", lambda tmp: {"profile": {"name": "one"}}),
     ("correlate", lambda tmp: _correlate_times([[[0], [1.5]]])),
     ("correlate", lambda tmp: _correlate_times([[[0], [True]]])),
     ("correlate", lambda tmp: _correlate_times([5])),
@@ -212,7 +237,9 @@ def _latin1_observable(tmp) -> str:
         "fractional-n", "fractional-powers", "string-density-radius",
         "string-certify-radius", "string-orders", "noncommuting-generators",
         "non-unimodular-generator", "bracket-not-preserved", "one-row-profile",
-        "nan-profile", "fractional-time", "bool-time", "time-tuple-not-a-list",
+        "nan-profile", "profile-csv-fd-0", "profile-csv-fd-1", "profile-csv-fd-2",
+        "bool-profile-csv", "list-profile", "dict-profile", "fractional-time", "bool-time",
+        "time-tuple-not-a-list",
         "string-time", "unknown-solve-mode", "string-solve-direction",
         "solve-directions-not-a-list", "string-certify-direction",
         "certify-directions-not-a-list", "cutoff-above-one", "zero-cutoff",
@@ -237,6 +264,8 @@ def test_invalid_config_exits_2(tmp_path, monkeypatch, command, make_cfg):
     code, report, _ = run(tmp_path, command, make_cfg(tmp_path))
     assert code == 2
     assert report is None
+    for fd in (0, 1, 2):        # an integer profile_csv is not opened as a descriptor
+        os.fstat(fd)
     # generators of the wrong shape are refused before the dim-60 algebra,
     # whose build and check take ~20 s, is built
     assert 60 not in built
@@ -442,19 +471,22 @@ def test_reruns_are_byte_identical(tmp_path):
 _NO_SYMPY_SCRIPT = """
 import json, sys
 from nilmix.cli import main
-assert "sympy" not in sys.modules, "import nilmix.cli loaded sympy"
+for name in ("sympy", "mpmath"):
+    assert name not in sys.modules, f"import nilmix.cli loaded {name}"
 for i, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     path = f"{sys.argv[1]}/config{i}.json"
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     assert main([command, "--config", path, "--out", f"{sys.argv[1]}/out{i}"]) == 0, command
-assert "sympy" not in sys.modules, "a command loaded sympy"
+for name in ("sympy", "mpmath"):
+    assert name not in sys.modules, f"a command loaded {name}"
 """
 
 
 def test_commands_never_import_sympy(tmp_path):
-    # sympy is only the tests' reference: a fresh process runs four commands
-    # that factor characteristic polynomials and pick correlate's moduli
+    # sympy and mpmath are only the tests' references: a fresh process runs
+    # four commands that factor characteristic polynomials, certify their
+    # roots and pick correlate's moduli
     cos_mode = {"dim": 2, "coeffs": [{"z": [1, 0], "re": 0.5, "im": 0.0},
                                      {"z": [-1, 0], "re": 0.5, "im": 0.0}]}
     runs = [("analyze", {"system": "heisenberg-cat"}),
@@ -485,6 +517,18 @@ def test_only_certify_builds_float_class_bases(tmp_path, name):
         assert spy.call_count == 0
         assert run(tmp_path, "certify", {"system": "catmap", "radius": 100})[0] == 0
     assert spy.call_count > 0
+
+
+@pytest.mark.parametrize("k", [740, 800])
+def test_cat_powers_beyond_double_range_are_refused(tmp_path, capsys, k):
+    # CAT^740's large root exceeds the largest double, and so does CAT^800's,
+    # whose small root is below the smallest: both are refused at once, with
+    # no report, rather than reported as an infinite exponent
+    cat = (RationalMatrix([[2, 1], [1, 1]]) ** k).to_int_array()
+    code, report, _ = run(tmp_path, "analyze", {"system": {"dim": 2, "generators": [cat]}})
+    assert code == 1 and report is None
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ResolutionError" and "float64 range" in error["message"]
 
 
 def test_inline_cat_power_17_runs(tmp_path):

@@ -31,7 +31,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import class_reference
 import root_reference as ref
@@ -208,6 +208,7 @@ def test_equal_moduli_and_merges_match_the_reference(pair):
 
 @ROOTS
 @given(q=_factors(16))
+@example(q=_cubed(LEHMER))          # degree 30: the factor of companion(LEHMER(x^3))
 def test_each_disc_holds_exactly_one_root(q):
     rec = factor_roots(q, 128)
     with mpmath.workprec(256):
@@ -218,6 +219,28 @@ def test_each_disc_holds_exactly_one_root(q):
             assert r * unit >= radius
             near = [z for z in roots if abs(z - mpmath.mpc(x, y) * unit) <= r * unit]
             assert len(near) == 1
+
+
+def _cat_factor(k: int) -> IntPolynomial:
+    """The characteristic polynomial of CAT^k, x^2 - L_2k x + 1."""
+    return factor_over_q(exactlin.char_poly(RationalMatrix([[2, 1], [1, 1]]) ** k))[0][0]
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+@pytest.mark.parametrize("q", [_mignotte(15), _mignotte(20), _cat_factor(115), _cat_factor(150),
+                               _cat_factor(300)],
+                         ids=["mignotte15", "mignotte20", "cat115", "cat150", "cat300"])
+def test_discs_hold_one_2048_bit_root_where_seeds_coincide(q, prec):
+    # the double seeds of Mignotte's two close roots coincide (k = 20) or
+    # nearly do (k = 15), and those of CAT^k span up to 250 decimal orders:
+    # the refined discs still hold one root each
+    rec = factor_roots(q, prec)
+    with mpmath.workprec(2048):
+        unit = mpmath.ldexp(1, -(prec + exactlin._DISC_BITS))
+        for (x, y, r), (_, radius) in zip(rec.discs, rec.roots):
+            assert r * unit >= radius
+            assert len([z for z in _roots_2048(q)
+                        if abs(z - mpmath.mpc(x, y) * unit) <= r * unit]) == 1
 
 
 def test_named_records():
@@ -265,9 +288,10 @@ def test_overlapping_discs_are_refused():
 
 
 def test_no_convergence_is_a_precision_error():
-    # polyroots does not converge on this input at 128 bits; at 256 it does
+    # at 128 bits the discs of the two roots near 1e-20, 1e-50 apart, overlap;
+    # at 256 they are disjoint
     q = _mignotte(20)
-    with pytest.raises(PrecisionError, match="converge"):
+    with pytest.raises(PrecisionError, match="overlap"):
         factor_roots(q, 128)
     rec = factor_roots(q, 256)
     assert rec.partner == (0, 1, 2)
@@ -278,6 +302,23 @@ def test_no_convergence_is_a_precision_error():
     # two small roots coincide) with a PrecisionError, not NoConvergence
     with pytest.raises(PrecisionError):
         lyapunov_data(RationalMatrix.companion(q))
+
+
+def test_exponent_sums_beyond_doubles_fail_the_determinant_check():
+    # an infinite or NaN sum of exponents or budget fails the check, as a
+    # root beyond the largest double would make them
+    for exponent, err in ((math.inf, math.nan), (math.inf, math.inf), (math.nan, 0.0)):
+        split = SimpleNamespace(blocks=[SimpleNamespace(exponent=exponent, exponent_err=err,
+                                                        multiplicity=1)])
+        with pytest.raises(PrecisionError, match="beyond budget"):
+            exactlin._check_det_sum(Fraction(1), split)
+
+
+def test_determinant_beyond_doubles_is_checked():
+    # roots 1e200 and 3e200 are doubles, their product is not
+    split = lyapunov_data(RationalMatrix([[10 ** 200, 0], [0, 3 * 10 ** 200]]))
+    assert [b.exponent for b in split.blocks] == [pytest.approx(200 * math.log(10), rel=1e-15),
+                                                  pytest.approx(math.log(3e200), rel=1e-15)]
 
 
 def test_moduli_below_double_resolution_are_refused_at_once():

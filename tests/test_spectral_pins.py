@@ -98,15 +98,15 @@ _DIGESTS = {
     },
     'analyze-cubic-rank2': {
         'exponents.csv':
-            '31a655dc2e370b797d2c7e44e5424f23f39888ce3f6696dccc5cac1eb898165e',
+            '8b4d979c589f39c9a57261e8bf16309db3ee93308076e787c9b5fe67b07521d7',
         'report.json':
-            '06c02074eb765bb5341c111b56dff98ffc223306bbca3db26c2880a1172d64ae',
+            '4a7d547274eaf88ba4770d2568564893e8c9948a818a0ecb39d011c030c6de9f',
     },
     'analyze-cubic3': {
         'exponents.csv':
-            '31a655dc2e370b797d2c7e44e5424f23f39888ce3f6696dccc5cac1eb898165e',
+            '8b4d979c589f39c9a57261e8bf16309db3ee93308076e787c9b5fe67b07521d7',
         'report.json':
-            '56a8380637d36e00d8257dfebd1d2792fb0e718d6304920dd634d31416d7d489',
+            '53fc842c3b16ab30c9cbae491ea66c39f4e06efd3f0390931da7c69cf923efc9',
     },
     'analyze-escalation': {
         'exponents.csv':
@@ -128,9 +128,9 @@ _DIGESTS = {
     },
     'analyze-lehmer': {
         'exponents.csv':
-            '9d34449670c9d281b8a793415c3c69c123805efa9771fa82455168fb944d86bf',
+            '23dfa64f6e3dd412475e39f4200c2244777fafc594a8a1bf031137340f931555',
         'report.json':
-            'ed9c1b8b6f677d3bd83f35edbc87ca9fd4cea811c626a6a266e0651f79e7a27b',
+            'd4b5c2b833988378c216520495294188d97586b78d39cf367354d0ac640c9c2f',
     },
     'analyze-negated-pair': {
         'exponents.csv':
@@ -146,9 +146,9 @@ _DIGESTS = {
     },
     'analyze-repeated-cubic': {
         'exponents.csv':
-            '4d3c54b8c9e7bf089dd48700f45c4b224c88528ea1500109b7dc92ad3959e9e6',
+            '22aff00ee5e06caf2137b396f995f673cd764a84c3fa4b1560c518dd0618bf2a',
         'report.json':
-            '08ec5de8d55553ef6b2285f6380469a8b2a189a1532a83d06f256bdfc3e49f8c',
+            '8ce41e55ef2861c03e64a1713bac96933a1e85e190c44aed9d492508f3bb64ce',
     },
     'certify-catmap': {
         'certificates.csv':
