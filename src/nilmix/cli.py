@@ -198,10 +198,17 @@ def _load_observable(cfg, key: str) -> FourierObservable:
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
+    data = text.encode()
+    try:                # a file that already holds the bytes is kept: a rename can flush
+        with open(path, "rb") as fh:
+            if fh.read(len(data) + 1) == data:
+                return
+    except OSError:
+        pass
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-nilmix-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,9 +12,11 @@ representative has positive first nonzero coordinate).
 Two scan engines produce the identical ball minimum:
 
 * a literal full scan over one cached symmetry-reduced grid of the ball
-  (built exactly by ``_half_ball``, which also serves the density counts)
-  for balls up to a size threshold: every point is screened in float64
-  against a proven rounding bound, and only the points that could still
+  (built exactly, with its squared norms, by ``_half_ball``, which also
+  serves the density counts; cached in the narrowest integer dtype beside
+  its float64 norm powers) for balls up to a size threshold: every point is
+  screened in float64, block by block, against a proven rounding bound that
+  holds in any summation order, and only the points that could still
   attain the minimum are evaluated, exactly (Python-int keys over one
   common denominator) for rational directions on small balls, otherwise in
   80-bit extended floats;
@@ -56,6 +58,7 @@ _EXACT_SCAN_LIMIT = 40_000         # lattice points; rational directions get an 
                                    # here and the rounded-down extended value beyond, as always
 _FLOAT_DOWN = 1.0 - 1e-13          # directed-rounding margin on reported minima
 _LONG = np.longdouble
+_SCREEN_BLOCK = 1 << 15            # grid rows screened per float64 block
 
 
 @dataclass
@@ -119,38 +122,47 @@ def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _half_ball(dim: int, r_sq: int) -> np.ndarray:
-    """One of each pair +-x of the integer points with ||x||^2 <= r_sq, rows in
-    lexicographic order: the zero row, then those whose first nonzero coordinate
-    is positive.  Each prefix with partial norm s extends by the x with
-    |x| <= isqrt(r_sq - s) in increasing order, only x >= 0 after an all-zero
-    prefix, so no point outside the half ball is made.  The float sqrt floors
-    exactly below 2^52."""
-    rows = np.zeros((1, 0), dtype=np.int64)
+def _half_ball(dim: int, r_sq: int, dtype) -> tuple:
+    """One of each pair +-x of the integer points with ||x||^2 <= r_sq, rows of
+    the given dtype in lexicographic order (the zero row, then those whose first
+    nonzero coordinate is positive), and their exact int64 squared norms.  Each
+    prefix with partial norm s extends by the x with |x| <= isqrt(r_sq - s) in
+    increasing order, only x >= 0 after an all-zero prefix, so no point outside
+    the half ball is made.  Each level keeps only its coordinates and widths;
+    column k is then written once, level k's coordinates repeated by their
+    descendant counts.  The float sqrt floors exactly below 2^52."""
     norms = np.zeros(1, dtype=np.int64)
+    coords, widths = [], []
     for _ in range(dim):
         reach = np.sqrt((r_sq - norms).astype(np.float64)).astype(np.int64)
         low = np.where(norms > 0, reach, 0)
         width = low + reach + 1
-        node = np.repeat(np.arange(len(rows)), width)
-        x = np.arange(len(node)) - np.repeat(np.cumsum(width) - width + low, width)
-        rows = np.column_stack([rows[node], x])
-        norms = norms[node] + x * x
-    return rows
+        x = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + low, width)
+        norms = np.repeat(norms, width) + x * x
+        coords.append(x.astype(dtype))
+        widths.append(width)
+    rows = np.empty((len(norms), dim), dtype=dtype)
+    count = np.ones(len(norms), dtype=np.int64)
+    for k in range(dim - 1, -1, -1):
+        rows[:, k] = np.repeat(coords[k], count)
+        count = np.add.reduceat(count, np.cumsum(widths[k]) - widths[k])
+    return rows, norms
 
 
 @lru_cache(maxsize=4)
 def _lattice_ball(dim: int, radius: float):
-    """Symmetry-reduced ball grid in lexicographic order, its float64 copy and
-    float64 norm powers ||m||^d (read-only: cached and shared by both
-    engines): the half ball of _radius_sq(radius) without its zero row.
+    """Symmetry-reduced ball grid in lexicographic order, in the narrowest signed
+    integer dtype that holds its coordinates, and its float64 norm powers
+    ||m||^d, raised from the exact integer norms (read-only: cached and shared
+    by both engines): the half ball of _radius_sq(radius) without its zero row.
     """
-    grid = _half_ball(dim, _radius_sq(radius))[1:]
-    gf = grid.astype(np.float64)
-    npow = _ipow_half(sum(c * c for c in gf.T), dim)   # exact sums, no slow axis=1 reduction
-    for a in (grid, gf, npow):
+    r_sq = _radius_sq(radius)
+    # -isqrt - 1: a signed type that holds -b also holds +b (b = 128 needs int16)
+    rows, norms = _half_ball(dim, r_sq, np.min_scalar_type(-math.isqrt(r_sq) - 1))
+    grid, npow = rows[1:], _ipow_half(norms[1:].astype(np.float64), dim)
+    for a in (grid, npow):
         a.setflags(write=False)
-    return grid, gf, npow
+    return grid, npow
 
 
 def _lex_best(grid: np.ndarray, f: np.ndarray):
@@ -182,8 +194,9 @@ def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list
     in float64: the exact f^2 of the rational rows exact if given (vs_arr then
     holds their float64 roundings), else the extended-precision f of vs_arr.
 
-    Every point is first evaluated in float64 (gf, npow: the grid's float64
-    copy and norm powers ||m||^d; v64: vs_arr rounded to float64).  Let u = 2^-53,
+    Every point is first evaluated in float64, in blocks of _SCREEN_BLOCK rows
+    of the narrow integer grid, each cast exactly to float64 (npow: the norm
+    powers ||m||^d; v64: vs_arr rounded to float64).  Let u = 2^-53,
     the unit roundoff of float64 (the longdouble one is no larger), and
     gamma_k = k u / (1 - k u).  Against the exact F(m) = ||m||^d sum_j |m . v_j|
     of the directions v_j, rational or longdouble, to first order in u:
@@ -196,7 +209,8 @@ def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list
       (_ipow_half: squarings, products, one sqrt): relative error gamma_(d+1);
     * the final product rounds once more.
 
-    So float64 and longdouble each miss F(m) by at most
+    None of these bounds depends on the order of a sum or on the block, so
+    float64 and longdouble each miss F(m) by at most
     (2d + t + 2) u ||m||^(d+1) sum_j ||v_j||, and ||m|| <= R, hence
 
         |f64(m) - F(m)|, |f64(m) - f_longdouble(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
@@ -208,20 +222,24 @@ def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list
     floor 1e-280 on sum_j ||v_j||.  Every row attaining the minimum L of F
     (rational rows) or of f_longdouble then has f64 <= L + err <= min(f64) + 2 err
     and is kept; a direction beyond the float64 range makes err or min(f64)
-    non-finite and keeps every row.  On the kept rows _minimum evaluates element
-    by element exactly as it would over the whole ball, so the minimum and
-    argmin are bit-identical.
+    non-finite and keeps every row.  On the kept rows, as int64, _minimum
+    evaluates element by element exactly as it would over the whole ball, so
+    the minimum and argmin are bit-identical.
     """
-    grid, gf, npow = _lattice_ball(dim, radius)
+    grid, npow = _lattice_ball(dim, radius)
     v64 = vs_arr.astype(np.float64)
-    s = np.abs(gf @ v64[0])
-    for v in v64[1:]:          # a column loop: .sum(axis=1) over t columns is slower
-        s += np.abs(gf @ v)
-    f64 = npow * s
+    f64 = np.empty(len(grid))
+    for start in range(0, len(grid), _SCREEN_BLOCK):
+        block = slice(start, start + _SCREEN_BLOCK)
+        d = v64 @ grid[block].astype(np.float64).T   # exact cast: |coordinates| < 2^53
+        f = np.abs(d[0], out=f64[block])
+        for row in d[1:]:                            # the sum over the t directions
+            f += np.abs(row, out=row)
+        f *= npow[block]
     e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50)
     err = e * (radius + 1.0) ** (dim + 1) * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
     keep = np.flatnonzero(~(f64 > f64.min() + 2.0 * err))
-    val, arg = _minimum(grid[keep], vs_arr if exact is None else exact, dim)
+    val, arg = _minimum(grid[keep].astype(np.int64), vs_arr if exact is None else exact, dim)
     return val, arg, len(grid)
 
 

@@ -562,14 +562,13 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         method = "difference-weighted exact count"
         # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2;
         # ws[0] = 0 is bad and its own negative
-        ws = _half_ball(ell, 2 * r_sq)
-        wn = (ws * ws).sum(axis=1)
+        ws, wn = _half_ball(ell, 2 * r_sq, np.int64)
         bad_rows = bad.bad_mask(ws)
         counts = _coset_counts(ws[bad_rows], (r_sq - wn[bad_rows] / 2.0) / 2.0)
         bad_total = 2 * int(counts.sum()) - int(counts[0])
     else:
         method = "direct enumeration"
-        grid = _half_ball(dim_total, r_sq)
+        grid, _ = _half_ball(dim_total, r_sq, np.int64)
         # pairwise differences packed into one int64 key per row, first
         # coordinate most significant (lexicographic key order)
         span = 4 * math.isqrt(r_sq) + 1
@@ -612,7 +611,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
             thick = 2 * int(thick_count) / total
         elif total <= _DIRECT_LIMIT:
             if n == 2:
-                grid = _half_ball(dim_total, r_sq)
+                grid, _ = _half_ball(dim_total, r_sq, np.int64)
             # the nonzero points of the half ball, as directions
             marg = _unit_margins(lambda start, stop: grid[1 + start:1 + stop].astype(float),
                                  len(grid) - 1, normals)

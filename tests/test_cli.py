@@ -468,6 +468,24 @@ def test_reruns_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_identical_rerun_rewrites_no_file(tmp_path):
+    # a rename over an existing file can force a flush to disk: a rerun into
+    # the same directory leaves every file that already holds its bytes alone,
+    # and a changed config still replaces the report
+    assert run(tmp_path, "analyze", {"system": "catmap"})[0] == 0
+    out = tmp_path / "out"
+    for path in out.iterdir():      # back-date, so that any rewrite moves the mtime
+        os.utime(path, ns=(0, 10 ** 9))
+    before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.iterdir()}
+    assert run(tmp_path, "analyze", {"system": "catmap"})[0] == 0
+    assert {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.iterdir()} == before
+    assert not list(out.glob(".tmp-nilmix-*"))
+    code, report, _ = run(tmp_path, "analyze", {"system": "heisenberg-cat"})
+    assert code == 0 and report["config"] == {"system": "heisenberg-cat"}
+    assert (out / "report.json").stat().st_ino != before["report.json"][0]
+    assert not list(out.glob(".tmp-nilmix-*"))
+
+
 _NO_SYMPY_SCRIPT = """
 import json, sys
 from nilmix.cli import main

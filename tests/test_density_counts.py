@@ -15,7 +15,7 @@ import pytest
 import nilmix
 from nilmix import rates
 from nilmix.catalog import get_system
-from nilmix.dioph import _half_ball
+from nilmix.dioph import _first_sign, _half_ball
 
 from density_reference import (
     bisection_delta,
@@ -93,7 +93,7 @@ def test_ball_count_matches_both_references(dim):
     for r_sq in (0, 1, 2, 3, 7, 50, 101, 400):
         want = _checks_ball_count(dim, r_sq)
         assert rates._ball_count(dim, r_sq) == want == offset_ball_count(dim, r_sq)
-    assert rates._ball_count(dim, 64) == 2 * len(_half_ball(dim, 64)) - 1
+    assert rates._ball_count(dim, 64) == 2 * len(_half_ball(dim, 64, np.int64)[0]) - 1
 
 
 def _four_square_ball_count(r2: int) -> int:
@@ -112,14 +112,29 @@ def test_ball_count_at_scale_is_an_exact_int():
     assert type(got) is int and got == _four_square_ball_count(500 ** 2)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
 def test_ball_points_is_the_filtered_cube(dim):
-    # the half ball is the canonical half of the cube, zero row first
-    for r_sq in (0, 1, 5, 18):
-        want = cube_half_ball(dim, r_sq)
-        got = _half_ball(dim, r_sq)
-        assert got.dtype == np.int64 and got.shape == want.shape
-        assert (got == want).all() and not got[0].any()
+    # the half ball is the canonical half of the cube, zero row first, in
+    # int64 and in the narrowest dtype that holds it, with its exact squared
+    # norms.  Rows inside the ball, canonical, strictly increasing and half
+    # the ball's count are the half ball; the cube itself is built only up to
+    # 10^6 points (not in d = 7 beyond r_sq = 15)
+    # 128^2 and 32768^2 put +b one past the range of int8 and int16
+    larger = {1: [128 ** 2, 32768 ** 2, 10 ** 6], 2: [128 ** 2, 20_000], 3: [400],
+              4: [100]}.get(dim, [])
+    for r_sq in [*range(25), *larger]:
+        b = math.isqrt(r_sq)
+        for dtype in (np.int64, np.min_scalar_type(-b - 1)):
+            got, norms = _half_ball(dim, r_sq, dtype)
+            assert got.dtype == dtype and got.flags.c_contiguous and not got[0].any()
+            rows = got.astype(np.int64)
+            assert norms.dtype == np.int64 and (norms == (rows * rows).sum(axis=1)).all()
+            assert (norms <= r_sq).all() and (_first_sign(rows[1:]) > 0).all()
+            assert (_first_sign(np.diff(rows, axis=0)) > 0).all()
+            assert 2 * len(rows) - 1 == rates._ball_count(dim, r_sq)
+            if (2 * b + 1) ** dim <= 10 ** 6:
+                want = cube_half_ball(dim, r_sq)
+                assert rows.shape == want.shape and (rows == want).all()
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -59,6 +59,16 @@ def test_exact_resonance():
     assert cert.argmin == (1, -1)
 
 
+def test_resonance_on_a_ball_edge_of_128():
+    # isqrt(r_sq) = 128: the ball's coordinates need int16, since int8 holds
+    # -128 but not +128.  About 51 900 points take the float full scan, which
+    # must still see the exact zero at (1, 128)
+    cert = diophantine_certificate([[128, -1]], 2, 128.5)
+    assert not cert.passed
+    assert cert.c_emp == 0
+    assert cert.argmin == (1, 128)
+
+
 def test_one_dimensional():
     cert = diophantine_certificate([[1]], 1, 5)
     assert cert.passed and cert.c_emp == 1.0
@@ -247,12 +257,25 @@ def test_exact_scan_uses_the_float_engines_ball():
 
 
 def test_lattice_ball_arrays_are_read_only():
-    grid, gf, npow = _lattice_ball(3, 5.0)
-    assert (grid.dtype, gf.dtype, npow.dtype) == (np.int64, np.float64, np.float64)
-    for a in (grid, gf, npow):
+    grid, npow = _lattice_ball(3, 5.0)
+    assert (grid.dtype, npow.dtype) == (np.int8, np.float64)
+    for a in (grid, npow):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+@pytest.mark.parametrize("dim, dtype", [(1, np.int16), (2, np.int16), (3, np.int8),
+                                        (4, np.int8)])
+def test_seed_balls_are_narrow(dim, dtype):
+    # the coordinates in the narrowest signed dtype, plus one float64 norm
+    # power: 12 bytes a point for the d = 4 seed ball, where an int64 grid, its
+    # float64 copy and the powers took 72
+    grid, npow = _lattice_ball(dim, _seed_radius(dim))
+    assert grid.dtype == dtype and grid.flags.c_contiguous
+    # the builder's zero row stays in the grid's base
+    held = grid.base.nbytes + npow.nbytes
+    assert held <= (dim * grid.itemsize + 8) * (len(grid) + 1)
 
 
 def _cube_ball(dim, radius):
@@ -274,7 +297,10 @@ def _longdouble_full_scan(vs_arr, dim, radius):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_lattice_ball_is_the_cube_ball(dim):
-    for radius in (1.0, math.sqrt(2), math.sqrt(3), 2.5, 6.0, 13.0 if dim < 5 else 7.0):
+    # 128.5 and 32768.5: isqrt(r_sq) = 128 and 32768, where the narrowest
+    # signed type holding -b (int8, int16) does not hold +b
+    edges = {1: (128.5, 32768.5), 2: (128.5,)}.get(dim, ())
+    for radius in (1.0, math.sqrt(2), math.sqrt(3), 2.5, 6.0, 13.0 if dim < 5 else 7.0, *edges):
         grid = _lattice_ball(dim, radius)[0]
         want = _cube_ball(dim, radius)
         assert grid.shape == want.shape and (grid == want).all()
@@ -300,19 +326,60 @@ def _directions(kind, rng, t, dim):
 
 @pytest.mark.parametrize("kind", ["random", "near-rational", "integer-resonant",
                                   "large-norm", "fraction"])
-def test_screened_full_scan_is_the_longdouble_scan(kind):
+def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
     # the float64 screen with longdouble survivors must return the very
     # minimum, argmin and count of the all-longdouble scan, exact-zero ties
-    # of resonant directions included
+    # of resonant directions included.  These balls fit one block; blocks of
+    # 7 rows also put the minimizers behind block boundaries (a norm power
+    # one row off in later blocks passes with one block, not with 7)
     rng = np.random.default_rng(sum(map(ord, kind)))
     radii = {1: 200.0, 2: 40.5, 3: 11.0, 4: 6.5}
+    blocks = (dioph._SCREEN_BLOCK, 7)
     for dim in (1, 2, 3, 4):
         for t in (1, 2, 3):
             for _ in range(2):
                 vs = _directions(kind, rng, t, dim)
                 radius = radii[dim] * (0.6 + 0.4 * rng.random())
-                assert _scan_full(vs, dim, radius) == \
-                    _longdouble_full_scan(vs, dim, radius), (dim, vs, radius)
+                want = _longdouble_full_scan(vs, dim, radius)
+                for block in blocks:
+                    monkeypatch.setattr(dioph, "_SCREEN_BLOCK", block)
+                    assert _scan_full(vs, dim, radius) == want, (dim, vs, radius, block)
+
+
+# squared radii whose balls hold a multiple of _SCREEN_BLOCK points or just
+# more or fewer: 32768 = 2^15, 32772, 65532 and 65544 points in d = 2
+@pytest.mark.parametrize("dim, r_sq, blocks", [
+    (2, 20857, 1), (2, 20858, 2), (2, 41724, 2), (2, 41725, 3), (2, 44100, 3),
+    (3, 900, 2), (4, 182, 3),
+])
+def test_screen_across_blocks_is_the_longdouble_scan(dim, r_sq, blocks):
+    # the blocked screen must keep every row that can attain the minimum,
+    # wherever the block boundaries cut the ball
+    radius = math.sqrt(r_sq)
+    assert _radius_sq(radius) == r_sq
+    count = len(_lattice_ball(dim, radius)[0])
+    assert -(-count // dioph._SCREEN_BLOCK) == blocks
+    rng = np.random.default_rng(r_sq)
+    for kind in ("random", "near-rational", "integer-resonant"):
+        for t in (1, 2, 3):
+            vs = _directions(kind, rng, t, dim)
+            assert _scan_full(vs, dim, radius) == \
+                _longdouble_full_scan(vs, dim, radius), (kind, vs)
+
+
+def test_exact_screen_across_blocks(monkeypatch):
+    # the exact path's balls stay under one block, so a smaller block makes
+    # its screen cross boundaries: a rational direction against the exact
+    # reference and integer directions, exact in longdouble too, against the
+    # longdouble scan
+    monkeypatch.setattr(dioph, "_SCREEN_BLOCK", 1 << 12)
+    vs = [[Fraction(41, 7), Fraction(-29, 3)]]
+    assert _exact_scan(vs, 2, 112.0) == _recursive_exact_scan(vs, 2, 112.0)
+    vs = [[1, 2, 3], [2, -1, 5]]
+    fsq, arg, count = _exact_scan(vs, 3, 21.0)
+    assert count > 4 << 12
+    val, ld_arg, ld_count = _longdouble_full_scan(np.asarray(vs, dtype=np.longdouble), 3, 21.0)
+    assert (Fraction(val) ** 2, ld_arg, ld_count) == (fsq, arg, count)
 
 
 def test_screen_keeps_the_rows_float64_misranks():
@@ -538,7 +605,8 @@ def test_integer_shell_forms_are_the_fraction_forms(args):
 @pytest.mark.parametrize("dim, radius", [(1, 5000.0), (2, 300.0), (3, 45.5), (4, 19.0),
                                          (5, 10.0), (6, 6.5)])
 def test_lattice_ball_norm_powers_are_the_row_sums(dim, radius):
-    _, gf, npow = _lattice_ball(dim, radius)
+    grid, npow = _lattice_ball(dim, radius)
+    gf = grid.astype(np.float64)
     assert npow.tobytes() == _ipow_half((gf * gf).sum(axis=1), dim).tobytes()
 
 

@@ -58,7 +58,7 @@ def test_table_does_not_depend_on_the_block_size(monkeypatch, block):
 @pytest.mark.parametrize("dim, r_sq", [(2, 20_000), (4, 100), (6, 25), (8, 12)])
 def test_lattice_directions_are_the_whole_array_pass(dim, r_sq):
     # more points than one block; dim 8 is where numpy's row sum turns pairwise
-    points = _half_ball(dim, r_sq)[1:]
+    points = _half_ball(dim, r_sq, np.int64)[0][1:]
     assert len(points) > _BLOCK
     normals = _unit_rows(dim, 3 * dim, dim)
     got = rates._unit_margins(lambda start, stop: points[start:stop].astype(float),
