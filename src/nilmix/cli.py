@@ -208,6 +208,8 @@ def _atomic_write(path: str, text: str):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-nilmix-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.umask(mask := os.umask(0))   # mkstemp makes 0600: give the mode open() would
+            os.fchmod(fd, 0o666 & ~mask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

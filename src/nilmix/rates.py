@@ -362,28 +362,31 @@ _MARGIN_MEMO = 4
 _MEMO_SAMPLES = 1 << 22
 
 
+def _blocks(count: int) -> list:
+    """The (start, stop) of consecutive blocks of _MARGIN_BLOCK rows covering
+    count rows; a last block of one row joins the one before it (numpy
+    multiplies a single row as a vector, whose sums may round differently)."""
+    stops = list(range(_MARGIN_BLOCK, count, _MARGIN_BLOCK)) + [count]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _unit_margins(rows, count: int, normals: np.ndarray) -> np.ndarray:
     """Per point u of a set of count points: the smallest |<u / ||u||, v>|
     over the rows v of normals, as float64.
 
-    rows(start, stop) returns the points start, ..., stop - 1 as a new float64
-    array (it is normalized in place), and is called for consecutive blocks of
-    _MARGIN_BLOCK rows: each block is normalized, multiplied and reduced with
-    the per-row expressions of a whole-array pass, so the margins do not
-    depend on the block size, and the scratch memory is one block's.  A last
-    block of one row joins the one before it: numpy multiplies a single row
-    as a vector, whose sums may round differently.
+    rows(start, stop) returns the points start, ..., stop - 1 as a writable
+    float64 array (it is normalized in place), and is called once per block
+    of _blocks(count), in order: each block is normalized, multiplied and
+    reduced with the per-row expressions of a whole-array pass, so the
+    margins do not depend on the block size.
     """
-    stops = list(range(_MARGIN_BLOCK, count, _MARGIN_BLOCK)) + [count]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
     out = np.empty(count)
-    start = 0
-    for stop in stops:
+    for start, stop in _blocks(count):
         u = rows(start, stop)
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         out[start:stop] = _abs_min(u @ normals.T)
-        start = stop
     return out
 
 
@@ -394,16 +397,34 @@ def _margin_table(seed, samples: int, dim_total: int, normals: bytes,
     sphere of R^dim_total from default_rng(seed) against the float64 unit
     normals of the given bytes and shape; +inf everywhere without normals.
 
-    Memoized on an int seed (see _sample_margins): a delta(eps) sweep over
-    one seed draws its samples once.
+    The blocks of _blocks(samples) are drawn in order from the one stream
+    into two buffers in turn: a worker thread draws block k + 1 into one
+    (the Generator releases the GIL while it fills) while _unit_margins
+    reduces block k in the other, so the doubles are those of one
+    standard_normal array.  Memoized on an int seed (see _sample_margins):
+    a delta(eps) sweep over one seed draws its samples once.
     """
     nv = np.frombuffer(normals).reshape(shape)
     if len(nv) == 0:
         out = np.full(samples, np.inf)
     else:
-        rng = np.random.default_rng(seed)
-        out = _unit_margins(lambda start, stop: rng.standard_normal((stop - start, dim_total)),
-                            samples, nv)
+        from concurrent.futures import ThreadPoolExecutor   # imported here: start-up loads no pool
+
+        rng, blocks = np.random.default_rng(seed), _blocks(samples)
+        bufs = np.empty((2, max(stop - start for start, stop in blocks), dim_total))
+
+        def draw(k):
+            return rng.standard_normal(out=bufs[k % 2, :blocks[k][1] - blocks[k][0]])
+
+        def rows(start, stop):      # block len(drawn) - 1; the one before is reduced
+            u = drawn[-1].result()
+            if len(drawn) < len(blocks):
+                drawn.append(worker.submit(draw, len(drawn)))
+            return u
+
+        with ThreadPoolExecutor(1) as worker:
+            drawn = [worker.submit(draw, 0)]
+            out = _unit_margins(rows, samples, nv)
     out.flags.writeable = False
     return out
 

@@ -486,6 +486,18 @@ def test_identical_rerun_rewrites_no_file(tmp_path):
     assert not list(out.glob(".tmp-nilmix-*"))
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_written_files_take_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert run(tmp_path, "analyze", {"system": "catmap"})[0] == 0
+    finally:
+        os.umask(old)
+    out = tmp_path / "out"
+    assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == {
+        "report.json": mode, "exponents.csv": mode}
+
+
 _NO_SYMPY_SCRIPT = """
 import json, sys
 from nilmix.cli import main

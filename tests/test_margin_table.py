@@ -3,8 +3,16 @@
 The table is drawn and reduced in blocks of `rates._MARGIN_BLOCK` rows and
 memoized per (int seed, samples, dim_total, normals); these tests hold it
 to the whole-array pass it replaced (`density_reference`), bit for bit, and
-check that a delta(eps) sweep over one seed draws its samples once.
+check that a delta(eps) sweep over one seed draws its samples once.  A
+worker thread draws the next block while this one is reduced: its errors
+reach the caller, and it never outlives the call.
 """
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +74,33 @@ def test_lattice_directions_are_the_whole_array_pass(dim, r_sq):
     assert got.tobytes() == whole_array_directions(points, normals).tobytes()
 
 
+def test_tables_drawn_on_many_threads_at_once_are_the_whole_array_pass(monkeypatch):
+    # small blocks and a short switch interval make every hand-off between a
+    # table's reducer and its drawing worker a chance for a race, and more
+    # tables than cores are drawn at once: a block drawn into the buffer
+    # still being reduced, or out of turn, moves the doubles
+    monkeypatch.setattr(rates, "_MARGIN_BLOCK", 64)
+    normals = _unit_rows(9, 10, 5)
+    want = {seed: whole_array_margins(seed, 20_000, 5, normals).tobytes() for seed in range(6)}
+    got = {}
+
+    def run(seed):
+        got[seed] = _table(seed, 20_000, 5, normals).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in want]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 def test_table_is_read_only():
     normals = _unit_rows(5, 4, 4)
     for seed in (23, None):
@@ -86,9 +121,9 @@ class _CountingRng:
     def __init__(self, seed):
         self._rng = _REAL_DEFAULT_RNG(seed)
 
-    def standard_normal(self, size):
-        _CountingRng.rows += size[0]
-        return self._rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        _CountingRng.rows += len(out) if size is None else size[0]
+        return self._rng.standard_normal(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -151,3 +186,37 @@ def test_large_tables_are_not_memoized(drawn, monkeypatch):
     _density("catmap", samples=1000)
     assert drawn() == 2 * 1001 + 1000
     assert rates._margin_table.cache_info().currsize == 1
+
+
+def test_a_failed_draw_is_raised_and_leaves_no_thread(drawn, monkeypatch):
+    err = MemoryError("the second block")
+
+    class FailingRng(_CountingRng):
+        def standard_normal(self, size=None, out=None):
+            if drawn() == _BLOCK:
+                raise err
+            return super().standard_normal(size, out=out)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(np.random, "default_rng", FailingRng)
+    with pytest.raises(MemoryError) as info:
+        _density("catmap", samples=3 * _BLOCK)
+    assert info.value is err and drawn() == _BLOCK
+    assert rates._margin_table.cache_info().currsize == 0
+    assert threading.active_count() == threads
+    monkeypatch.setattr(np.random, "default_rng", _CountingRng)
+    _density("catmap", samples=3 * _BLOCK)
+    assert drawn() == _BLOCK + 3 * _BLOCK
+    assert rates._margin_table.cache_info().currsize == 1
+    assert threading.active_count() == threads
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # the prefetch imports its thread pool on first use, so start-up pays nothing
+    script = ("import sys, nilmix.cli\n"
+              "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
