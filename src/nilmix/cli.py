@@ -333,7 +333,10 @@ def _cmd_certify(cfg, outdir, seed):
     if "directions" in cfg:
         dims = _number(cfg, "dim_ambient", None, int)
         _vectors(cfg, "directions")   # checked only: integer entries select an exact certificate
-        cert = diophantine_certificate(cfg["directions"], dims, radius)
+        try:
+            cert = diophantine_certificate(cfg["directions"], dims, radius)
+        except ValueError as e:
+            raise ConfigError(str(e))
         out["certificate"] = {"c_emp": cert.c_emp, "argmin": cert.argmin,
                               "passed": cert.passed, "points": cert.points_scanned}
         rows.append(["explicit", cert.c_emp, str(cert.argmin), cert.passed])

@@ -5,9 +5,10 @@ invariant-subspace kernels, root-of-unity detection) is computed in exact
 rational arithmetic.  Only eigenvalue *moduli* are floating point, and those
 carry certified error bounds: each root of an irreducible factor gets a disc
 that provably holds it and no other root (Weierstrass inclusion), and every
-root question but equal moduli (conjugate partner, modulus one) is decided by
-one rule on those discs, `_holder`; equal moduli by counting, in integers, the
-real roots of a squarefree polynomial near each |z|^2 (`_modulus_relation`).
+root question but equal moduli (conjugate partner, modulus one, the Lyapunov
+class of a joint root, `LyapunovSplitting.class_of`) is decided by one rule
+on those discs, `_holder`; equal moduli by counting, in integers, the real
+roots of a squarefree polynomial near each |z|^2 (`_modulus_relation`).
 The float64 bases of the modulus classes are built from the same discs, in
 fixed point inside each primary block, and rounded once (`_class_basis`).
 """
@@ -1077,6 +1078,18 @@ def _squared_modulus(disc, prec: int):
     return s >> b, 0, ((2 * (math.isqrt(s) + 1) * r + r * r) >> b) + 2
 
 
+def _evaluate(nums: tuple, disc, prec: int):
+    """The disc (x, y, r) under z -> sum_j nums[j] z^j by Horner, each product
+    (c, e)(z, r) of radius |c| r + |z| e + e r, every floor rounded outward."""
+    x, y, r = disc
+    b, size = prec + _DISC_BITS, math.isqrt(x * x + y * y) + 1
+    u = v = e = 0
+    for c in reversed(nums):
+        u, v, e = (((u * x - v * y) >> b) + (c << b), (u * y + v * x) >> b,
+                   (((math.isqrt(u * u + v * v) + 1) * r + size * e + e * r) >> b) + 3)
+    return u, v, e
+
+
 def _taylor_shift(f: list, a: int) -> list:
     """The coefficients of f(x + a), by n(n + 1)/2 integer steps."""
     f = list(f)
@@ -1184,6 +1197,18 @@ class LyapunovSplitting:
     def class_rows(self, k: int, i: int) -> np.ndarray:
         """The orthonormal rows of class k inside primary block i."""
         return self.bases[k, i]
+
+    def class_of(self, p: IntPolynomial, disc, prec: int) -> int:
+        """Index of the class holding |p(z)|, z the root in disc (a FactorRoots
+        disc at prec bits): the one class whose |z|^2 disc, of a member root at
+        prec times p.den^2, meets that of p.nums on disc, else PrecisionError."""
+        image = _squared_modulus(_evaluate(p.nums, disc, prec), prec)
+        moduli = [_squared_modulus(factor_roots(self.primary.blocks[fi].factor, prec).discs[ri],
+                                   prec) for fi, ri in (b.roots[0] for b in self.blocks)]
+        k = _holder([(c * p.den ** 2, 0, r * p.den ** 2) for c, _, r in moduli], image)
+        if k is None:
+            raise PrecisionError(f"|p(mu)| is not in exactly one Lyapunov class at {prec} bits")
+        return k
 
 
 def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,

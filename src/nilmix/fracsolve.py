@@ -83,6 +83,8 @@ def _check_solve(f: FourierObservable, directions: Sequence[Sequence], r: float,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "signed" and abs(r - round(r)) > 1e-12:
         raise ValueError("signed mode needs an integer order")
+    if not all(any(map(float, v)) for v in directions):
+        raise ValueError("zero direction vector")
     return _dims(f, directions)
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .exactlin import (
     _MEMO_SIZE,
     IntPolynomial,
-    LyapunovSplitting,
     PrecisionError,
     PrimaryDecomposition,
     RationalMatrix,
@@ -344,7 +343,6 @@ def action_matrix(generators: Sequence[RationalMatrix], z: Sequence[int]) -> Rat
 
 
 _WEIGHT = 37                  # generator i enters the separating sum with weight 37**i
-_UNIT_ROUNDOFF = 2.0 ** -53   # of a double
 
 
 @dataclass(frozen=True)
@@ -396,7 +394,8 @@ def joint_blocks(generators: Sequence[RationalMatrix]) -> JointBlocks:
 
     On each primary block of h = sum_i _WEIGHT**i g_i (a joint block) g_i is
     p_i(h) plus a nilpotent part; each certified root mu of the block's
-    factor picks per generator the lyapunov_data(g_i) class of log|p_i(mu)|.
+    factor picks per generator the lyapunov_data(g_i) class of |p_i(mu)|,
+    decided on mu's integer disc (LyapunovSplitting.class_of).
     A functional is a distinct class tuple, with the class exponents and the
     largest class error (proven modulus-one classes give an exact zero); a
     block is core when all its tuples give zero functionals.  The roots are
@@ -427,8 +426,8 @@ def _joint_blocks(gens: tuple) -> JointBlocks:
         h_b = restrict_to_span(h, blk.basis)
         restricted = tuple(restrict_to_span(g, blk.basis) for g in gens)
         pairing = [_pairing(h_b, g_b, blk.factor) for g_b in restricted]
-        classes = tuple(tuple(_class_of(p, root, s) for p, s in zip(pairing, splits))
-                        for root in factor_roots(blk.factor, prec).roots)
+        classes = tuple(tuple(s.class_of(p, disc, prec) for p, s in zip(pairing, splits))
+                        for disc in factor_roots(blk.factor, prec).discs)
         blocks.append(JointBlock(blk.basis, restricted, classes,
                                  all(functional(t).is_zero() for t in classes)))
     tuples = sorted({t for b in blocks for t in b.classes})
@@ -447,31 +446,6 @@ def _pairing(h_b: RationalMatrix, g_b: RationalMatrix, q: IntPolynomial) -> IntP
     if ((g_b - p.evaluate_matrix(h_b)) ** h_b.dim).nums.any():
         raise ArithmeticError("the weighted sum does not separate the joint eigenvalues")
     return p
-
-
-def _class_of(p: IntPolynomial, root: tuple, split: LyapunovSplitting) -> int:
-    """Index of the class of split holding log|p(mu)|, mu the certified root.
-
-    |p(mu~) - p(mu)| <= P(|mu~| + d) - P(|mu~|), P with p's absolute
-    coefficients and d the root error plus mu~'s rounding; Horner in doubles
-    adds (4 deg p + 8) u P(|mu~| + d).  Class exponents are widened by their
-    own rounding, 8 u (1 + |exponent|)."""
-    mu, err = root
-    u, r = _UNIT_ROUNDOFF, abs(mu)
-    upper = sum(abs(float(c)) * (r + err + 2 * u * r) ** j for j, c in enumerate(p.coeffs))
-    lower = sum(abs(float(c)) * r ** j for j, c in enumerate(p.coeffs))
-    bound = upper - lower + (4 * p.degree + 8) * u * upper
-    value = abs(p.evaluate(mu))
-    if value <= bound:
-        raise PrecisionError("joint eigenvalue not separated from zero")
-    lo, hi = math.log(value - bound), math.log(value + bound)
-    hits = [k for k, b in enumerate(split.blocks)
-            if abs(b.exponent - min(max(b.exponent, lo), hi))
-            <= b.exponent_err + 8 * u * (1 + abs(b.exponent))]
-    if len(hits) != 1:
-        raise PrecisionError(f"log|p(mu)| = {math.log(value):.6g} matches "
-                             f"{len(hits)} Lyapunov classes")
-    return hits[0]
 
 
 @dataclass
@@ -504,8 +478,7 @@ def find_regular_element(generators: Sequence[RationalMatrix]) -> RegularElement
         """|chi(cand)| per nonzero chi, pair separations, certified margin."""
         vals = [abs(f(cand)) for f in nonzero]
         seps = [abs(f1(cand) - f2(cand)) for f1, f2 in itertools.combinations(funcs, 2)]
-        budget = max((f.err for f in funcs), default=0.0) * (sum(abs(c) for c in cand) + 1)
-        return vals, seps, min(vals + seps, default=math.inf) - 4 * budget
+        return vals, seps, min(vals + seps, default=math.inf) - _slack(funcs, cand)
 
     # e_1 itself, else e_1 perturbed along a small regular direction w: one
     # exists outside finitely many hyperplanes
@@ -519,14 +492,12 @@ def find_regular_element(generators: Sequence[RationalMatrix]) -> RegularElement
     core = cyclotomic_part(action_matrix(generators, chosen))
     if len(core) != len(record.core):
         raise ArithmeticError(f"the root-of-unity part of z = {chosen} is not the family's core")
-    vals, seps, margin = profile(chosen)
-    return RegularElement(
-        z=chosen,
-        core_basis=core,
-        functional_values=vals,
-        pair_separations=seps,
-        certificate_margin=margin,
-    )
+    return RegularElement(chosen, core, *profile(chosen))
+
+
+def _slack(funcs, z) -> float:
+    """The certified error of funcs and their differences at z: 4 max err (|z|_1 + 1)."""
+    return 4 * max((f.err for f in funcs), default=0.0) * (sum(map(abs, z)) + 1)
 
 
 def _small_vectors(ell: int, bound: int):

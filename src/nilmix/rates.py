@@ -23,6 +23,7 @@ from .dioph import _ball_point_count, _first_sign, _half_ball, _radius_sq
 from .exactlin import RationalMatrix, char_poly, factor_over_q, factor_roots, lyapunov_data
 from .nilalg import (
     NilpotentAlgebra,
+    _slack,
     abelianization_action,
     action_matrix,
     cyclotomic_part,
@@ -240,10 +241,8 @@ def theta(algebra: NilpotentAlgebra, generators: Sequence[RationalMatrix],
         d = [a - b for a, b in zip(zi, zj)]
         norm = math.sqrt(sum(x * x for x in d))
         unit = [x / norm for x in d]
-        vals = [abs(f(unit)) for f in funcs]
-        m = min(vals)
-        budget = max(f.err for f in funcs) * (sum(map(abs, unit)) + 1) * 4
-        per_pair.append(((i, j), m, m > budget))
+        m = min(abs(f(unit)) for f in funcs)
+        per_pair.append(((i, j), m, m > _slack(funcs, unit)))
         overall = min(overall, m)
     return ThetaReport(value=overall, per_pair=per_pair, functionals=funcs)
 
@@ -608,17 +607,15 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     # delta-neighborhood of the bad directions; a vacuous requirement
     # (eps >= 1) keeps the full set with delta = 0
     normals = np.array(_hyperplane_normals(funcs, n)).reshape(-1, dim_total)
-    if eps >= 1.0:
-        return DensityReport(n=n, rank=ell, radius=float(radius),
-                             good_fraction=good_fraction, total_points=total,
-                             bad_points=bad_total, eps=eps, delta=0.0,
-                             thick_fraction=1.0, method=method)
-    delta = _margin_threshold(_sample_margins(seed, int(samples), dim_total, normals), eps)
+    delta = 0.0 if eps >= 1.0 else \
+        _margin_threshold(_sample_margins(seed, int(samples), dim_total, normals), eps)
 
     # fraction of lattice directions with margin >= delta
-    thick = None
-    if len(normals):
-        if n == 2 and delta > 0:
+    thick = 1.0 if eps >= 1.0 else None
+    if eps < 1.0 and len(normals):
+        if delta == 0:
+            thick = (total - 1) / total     # every nonzero point has margin >= 0
+        elif n == 2:
             # directional margin of (z1, z2) against the pair hyperplane of a
             # unit functional is |chi(w)| / (sqrt(2) ||z||): count per
             # difference w with a capped effective radius; the zero
@@ -630,9 +627,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
             r_eff_sq = np.minimum(float(r_sq), (mv / (math.sqrt(2.0) * delta)) ** 2)
             thick_count = _coset_counts(ws[nz], (r_eff_sq - wn[nz] / 2.0) / 2.0).sum()
             thick = 2 * int(thick_count) / total
-        elif total <= _DIRECT_LIMIT:
-            if n == 2:
-                grid, _ = _half_ball(dim_total, r_sq, np.int64)
+        else:
             # the nonzero points of the half ball, as directions
             marg = _unit_margins(lambda start, stop: grid[1 + start:1 + stop].astype(float),
                                  len(grid) - 1, normals)

@@ -176,6 +176,8 @@ def _divisor(z, v, d, r, mode):
 def solve_fractional(f, directions, r, mode="modulus"):
     """(phis per direction, norms, small norms, residual, dropped_mean)."""
     dirs = [tuple(v) for v in directions]
+    if not all(any(map(float, v)) for v in dirs):
+        raise ValueError("zero direction vector")
     large, small, zero, selector, chosen = split_small_divisor(f, dirs)
     dropped_mean = bool(len(zero))
     if dropped_mean:

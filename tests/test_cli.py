@@ -230,6 +230,9 @@ def _latin1_observable(tmp) -> str:
     ("analyze", lambda tmp: '{"system": "caf\xe9"}'.encode("latin-1")),
     ("solve", lambda tmp: {"observable": _latin1_observable(tmp),
                            "directions": [[1.0, 0.5]]}),
+    ("certify", lambda tmp: {"directions": [[0.0, 0.0]], "dim_ambient": 2}),
+    ("certify", lambda tmp: {"directions": [[1.0, 0.5]], "dim_ambient": 3}),
+    ("solve", lambda tmp: {**_SOLVE, "directions": [[0.0, 0.0]]}),
 ], ids=["bracket-without-value", "non-integer-entry", "non-square-generator",
         "generator-size-not-dim", "fractional-bracket-index",
         "bracket-index-out-of-range", "brackets-not-a-list", "layers-not-a-list",
@@ -255,7 +258,8 @@ def _latin1_observable(tmp) -> str:
         "certify-directions-radius-0", "solve-radius-below-1", "bracket-value-over-zero",
         "bool-dim", "bool-generator-entry", "string-generator-entry",
         "fraction-string-generator-entry", "generator-shape-not-large-dim",
-        "non-utf8-config", "non-utf8-observable-file"])
+        "non-utf8-config", "non-utf8-observable-file", "certify-zero-direction",
+        "certify-direction-not-dim-ambient", "solve-zero-direction"])
 def test_invalid_config_exits_2(tmp_path, monkeypatch, command, make_cfg):
     built = []
     from_sparse = NilpotentAlgebra.from_sparse

@@ -1,4 +1,5 @@
-"""Every function and class defined in src/nilmix is named somewhere else.
+"""Every function, class and module-level name (a constant, say) defined in
+src/nilmix is named somewhere else.
 
 A name counts as used when it appears, outside its own definition, as an
 identifier, an attribute, an imported name or a string constant (such as an
@@ -6,7 +7,7 @@ identifier, an attribute, an imported name or a string constant (such as an
 local variable of the same name does not hide an uncalled method.  Public
 names may be used from src/, tests/ or demos/; a private ``_name`` only from
 src/ or demos/, since a helper that only tests call belongs in the tests.
-Dunder methods are called implicitly and are not checked.
+Dunder names are used implicitly and are not checked.
 """
 
 import ast
@@ -15,6 +16,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ASSIGNS = (ast.Assign, ast.AnnAssign)
+
+
+def _definitions(tree: ast.Module) -> list:
+    """(node, name) of each function, class and method of a module, and of
+    each name that a module-level assignment binds (node the assignment)."""
+    defs = [(node, node.name) for node in ast.walk(tree) if isinstance(node, DEFS)]
+    for node in tree.body:
+        if isinstance(node, ASSIGNS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs += [(node, name.id) for t in targets for name in ast.walk(t)
+                     if isinstance(name, ast.Name)]
+    return defs
 
 
 def _mentions(tree: ast.AST, method: bool) -> Counter:
@@ -49,9 +63,8 @@ def test_every_definition_is_named_elsewhere():
             continue
         methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for node in cls.body if isinstance(node, DEFS[:2])}
-        for node in ast.walk(tree):
-            name = getattr(node, "name", "")
-            if not isinstance(node, DEFS) or name.startswith("__") and name.endswith("__"):
+        for node, name in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             method = node in methods
             # named only inside itself

@@ -140,8 +140,8 @@ def test_ball_points_is_the_filtered_cube(dim):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("system", ["catmap", "cubic-rank2", "product-t2xt2"])
 def test_half_ball_counts_match_the_full_ball(system, n, monkeypatch):
-    # with delta from the report and then with delta = 0, which sends n = 2
-    # to the direct thick count over the grid
+    # with delta from the report and then with delta = 0, at which every
+    # nonzero point is thick
     gens = list(get_system(system).generators)
     counted = 0
     for zero_delta in (False, True):
@@ -159,6 +159,16 @@ def test_half_ball_counts_match_the_full_ball(system, n, monkeypatch):
             assert (rep.bad_points, rep.thick_fraction) == want, (radius, zero_delta)
             counted += 1
     assert counted >= 6
+
+
+def test_zero_delta_thick_fraction_beyond_the_direct_limit(monkeypatch):
+    # the ball of radius 1000 in Z^2 is past _DIRECT_LIMIT, which bounds only
+    # the grids of n >= 3: at delta = 0 its thick fraction is still exact
+    monkeypatch.setattr(rates, "_margin_threshold", lambda margins, eps: 0.0)
+    rep = rates.density_estimate(list(get_system("catmap").generators), 2, 1000, 0.05,
+                                 samples=2000)
+    assert rep.total_points == 3_141_549 > rates._DIRECT_LIMIT
+    assert rep.thick_fraction == (rep.total_points - 1) / rep.total_points
 
 
 # ---------------------------------------------------------------------------

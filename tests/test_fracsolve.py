@@ -218,6 +218,14 @@ def test_direction_length_must_match_the_lattice():
             call()
 
 
+def test_zero_direction_is_refused_up_front():
+    # a float zero divided by its norm, an integer one found no selector
+    f = obs(2, {(1, 0): 1.0, (0, 1): 1.0})
+    for zero in ((0.0, 0.0), (0, 0), (0.0, -0.0)):
+        with pytest.raises(ValueError, match="zero direction"):
+            solve_fractional(f, [(1.0, PHI_INV), zero], 0.5)
+
+
 def test_signed_fractional_order_is_refused_up_front():
     # only the mean is there, so no mode is ever inverted
     with pytest.raises(ValueError, match="integer order"):

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from nilmix import nilalg, rates
+import class_reference
+from nilmix import exactlin, nilalg, rates
 from nilmix.catalog import CAT, CUBIC, block_diag, get_system
 from nilmix.exactlin import (
     IntPolynomial,
@@ -453,17 +456,19 @@ def test_bad_difference_per_block_matches_combined_reference(name, bad_in_box):
     assert sum(got[:len(box)]) == bad_in_box
 
 
-@pytest.mark.parametrize("gens", [
-    *(get_system(name).generators for name in
-      ("catmap", "cubic3", "heisenberg-cat", "filiform4", "product-t2xt2", "cubic-rank2")),
-    CORE_FAMILY, SWAPPED, SWAPPED_ONE, SALEM_FAMILY,
-    _seeded_conjugates(CORE_FAMILY, 2),
-    _seeded_conjugates(SWAPPED_ONE, 7),
-    _seeded_conjugates(_T2_PAIR, 5),
-    _seeded_conjugates(_C_PAIR, 3),
-], ids=["catmap", "cubic3", "heisenberg-cat", "filiform4", "product-t2xt2",
-        "cubic-rank2", "cat-core", "swapped", "swapped-one", "salem", "conj-cat-core-2",
-        "conj-swapped-one-7", "conj-t2-5", "conj-cubic-3"])
+JOINT_FAMILIES = {
+    **{name: get_system(name).generators for name in
+       ("catmap", "cubic3", "heisenberg-cat", "filiform4", "product-t2xt2", "cubic-rank2")},
+    "cat-core": CORE_FAMILY, "swapped": SWAPPED, "swapped-one": SWAPPED_ONE,
+    "salem": SALEM_FAMILY,
+    "conj-cat-core-2": _seeded_conjugates(CORE_FAMILY, 2),
+    "conj-swapped-one-7": _seeded_conjugates(SWAPPED_ONE, 7),
+    "conj-t2-5": _seeded_conjugates(_T2_PAIR, 5),
+    "conj-cubic-3": _seeded_conjugates(_C_PAIR, 3),
+}
+
+
+@pytest.mark.parametrize("gens", JOINT_FAMILIES.values(), ids=JOINT_FAMILIES.keys())
 def test_joint_block_core_matches_intersected_cyclotomic_parts(gens):
     record = joint_blocks(list(gens))
     assert record.core == n2_of_family(list(gens))
@@ -491,6 +496,71 @@ def test_salem_family_regular_element_has_empty_core():
     assert reg.z == (1, 0)
     assert reg.core_basis == []
     assert reg.certificate_margin > 0
+
+
+# ---------------------------------------------------------------------------
+# the class of a joint root, decided on its integer disc
+# ---------------------------------------------------------------------------
+
+LEHMER = RationalMatrix.companion(IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]))
+HIGH_DEGREE = {
+    "x6-4x3+1": (RationalMatrix.companion(IntPolynomial([1, 0, 0, -4, 0, 0, 1])),),
+    "x10-3x5+1": (RationalMatrix.companion(IntPolynomial([1, 0, 0, 0, 0, -3, 0, 0, 0, 0, 1])),),
+    "lehmer": (LEHMER,),
+    "lehmer-lehmer2": (LEHMER, LEHMER * LEHMER),
+}
+CLASS_FAMILIES = {
+    **JOINT_FAMILIES,
+    **{f"conj-{name}-{seed}": _seeded_conjugates(gens, seed)
+       for name, gens in (("t2", _T2_PAIR), ("cubic", _C_PAIR), ("swapped-one", SWAPPED_ONE),
+                          ("cat-core", CORE_FAMILY))
+       for seed in range(100, 120)},
+    **HIGH_DEGREE,
+}
+
+
+@pytest.mark.parametrize("gens", CLASS_FAMILIES.values(), ids=CLASS_FAMILIES.keys())
+def test_disc_classes_match_the_float_rule(gens):
+    record = joint_blocks(list(gens))
+    assert [b.classes for b in record.blocks] == class_reference.float_classes(list(gens))
+
+
+def test_joint_classes_read_no_root_double(monkeypatch):
+    # the splittings are built (and memoized) first: their exponents read the
+    # doubles; the joint classes then see every root double as NaN
+    families = [JOINT_FAMILIES["product-t2xt2"], JOINT_FAMILIES["cubic-rank2"],
+                HIGH_DEGREE["lehmer-lehmer2"]]
+    expected = [[b.classes for b in joint_blocks(list(g)).blocks] for g in families]
+    nan = (complex(math.nan, math.nan), math.nan)
+
+    def nan_roots(q, prec):
+        rec = factor_roots(q, prec)
+        return dataclasses.replace(rec, roots=(nan,) * len(rec.roots))
+
+    monkeypatch.setattr(nilalg, "factor_roots", nan_roots)
+    monkeypatch.setattr(exactlin, "factor_roots", nan_roots)
+    nilalg._joint_blocks.cache_clear()
+    try:
+        got = [[b.classes for b in joint_blocks(list(g)).blocks] for g in families]
+    finally:
+        nilalg._joint_blocks.cache_clear()
+    assert got == expected
+
+
+def test_class_of_refuses_a_disc_in_no_class_or_two():
+    split = lyapunov_data(CAT)
+    prec = split.precision_bits
+    one = 1 << prec + 64          # 1 in disc units
+    identity = IntPolynomial([0, 1])
+    discs = factor_roots(char_poly(CAT), prec).discs
+    assert [split.class_of(identity, d, prec) for d in discs] == [0, 1]
+    # on CAT's roots, 3 - z is the other root and (z^2 + 1) / 3 is z itself
+    assert split.class_of(IntPolynomial([3, -1]), discs[0], prec) == 1
+    assert split.class_of(IntPolynomial([Fraction(1, 3), 0, Fraction(1, 3)]), discs[0], prec) == 0
+    for wide in ((discs[0][0], 0, 3 * one),      # |z| in [0, 3.4]: both classes
+                 (one, 0, 1)):                   # |z| = 1: neither class
+        with pytest.raises(PrecisionError, match="exactly one Lyapunov class"):
+            split.class_of(identity, wide, prec)
 
 
 def test_regular_element_checks_the_core_dimension(monkeypatch):

@@ -162,7 +162,7 @@ def _outcome(fn):
         warnings.simplefilter("ignore")
         try:
             return fn(), None
-        except (ObstructionError, ZeroDivisionError, OverflowError) as e:
+        except (ObstructionError, ValueError, ZeroDivisionError, OverflowError) as e:
             return None, (type(e), getattr(e, "frequency", None),
                           getattr(e, "direction_index", None))
 
