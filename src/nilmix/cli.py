@@ -395,6 +395,17 @@ def _cmd_solve(cfg, outdir, seed):
     return out
 
 
+def _bump(x: np.ndarray) -> np.ndarray:
+    """exp(-1 / (1 - x^2)) on |x| < 1, else 0, with libm's exp
+    (numpy's differs from it in the last bit for some doubles)."""
+    t = -1.0 / np.maximum(1e-12, 1 - x * x)
+    e = np.fromiter(map(math.exp, t.ravel().tolist()), np.float64, t.size)
+    return np.where(np.abs(x) < 1, e.reshape(t.shape), 0.0)
+
+
+_PROFILES = {"one": lambda x: 1.0, "square": lambda x: x * x, "bump": _bump}
+
+
 def _cmd_threshold(cfg, outdir, seed):
     _check_keys(cfg, {"profile", "profile_csv", "orders", "cutoffs"}, "threshold config")
     if not all(isinstance(cfg.get(key, ""), str) for key in ("profile", "profile_csv")):
@@ -414,22 +425,12 @@ def _cmd_threshold(cfg, outdir, seed):
         if len(profile) < 2 or not all(math.isfinite(x) for row in profile for x in row):
             raise ConfigError("profile_csv needs at least two rows of finite numbers")
     else:
-        def bump(x: np.ndarray) -> np.ndarray:
-            """exp(-1 / (1 - x^2)) on |x| < 1, else 0, with libm's exp
-            (numpy's differs from it in the last bit for some doubles)."""
-            t = -1.0 / np.maximum(1e-12, 1 - x * x)
-            e = np.fromiter(map(math.exp, t.ravel().tolist()), np.float64, t.size)
-            return np.where(np.abs(x) < 1, e.reshape(t.shape), 0.0)
-
-        # built per run: quadrature cells are memoized per callable, so each run
-        # integrates its own
         name = cfg.get("profile", "one")
-        profiles = {"one": lambda x: 1.0, "square": lambda x: x * x, "bump": bump}
-        if name not in profiles:
-            raise ConfigError(f"unknown profile {name!r}; use one of {sorted(profiles)}"
+        if name not in _PROFILES:
+            raise ConfigError(f"unknown profile {name!r}; use one of {sorted(_PROFILES)}"
                               " or provide profile_csv")
-        profile = profiles[name]
-    sweeps = [threshold_sweep(profile, orders, h) for h in cutoffs]
+        profile = _PROFILES[name]
+    sweeps = threshold_sweep(profile, orders, cutoffs)
     rows = []
     out = {"runs": []}
     for i, r in enumerate(orders):

@@ -12,12 +12,14 @@ is the obstruction the Diophantine hypothesis rules out, and raises.
 A threshold profile is a function of a float64 array of points that
 returns their values (an array of the same shape, or a scalar, which
 broadcasts: `lambda x: 1.0` is the constant profile), or a list of (x, y)
-samples, interpolated linearly.  Each quadrature level calls it once.  The
-squares g(x)^2 are taken by libm's scalar `pow` (`fourier._pow`), as
-Python's float ** rounds: numpy's power, and x * x, differ from it in the
-last bit for some doubles, and every reported value is pinned to the bit.
-A profile that needs `exp` or another transcendental takes it from libm
-(`math.exp` mapped over the points) for the same reason.
+samples, interpolated linearly.  Each sweep integrates one dyadic ladder
+of cells for all its cutoffs, calling the profile once per refinement level
+of a cell; no cell outlives the call.  The squares g(x)^2 are taken by
+libm's scalar `pow` (`fourier._pow`), as Python's float ** rounds: numpy's
+power, and x * x, differ from it in the last bit for some doubles, and
+every reported value is pinned to the bit.  A profile that needs `exp` or
+another transcendental takes it from libm (`math.exp` mapped over the
+points) for the same reason.
 """
 
 from __future__ import annotations
@@ -295,46 +297,40 @@ Profile = Union[Callable[[np.ndarray], np.ndarray], Sequence]
 
 
 def _profile_callable(profile: Profile) -> Callable[[np.ndarray], np.ndarray]:
+    """The profile as an array function; samples are interpolated linearly."""
     if callable(profile):
         return profile
-    return _sampled_profile(tuple(sorted((float(x), float(y)) for x, y in profile)))
-
-
-@functools.lru_cache(maxsize=8)
-def _sampled_profile(pts: tuple) -> Callable[[np.ndarray], np.ndarray]:
-    """Linear interpolation of sorted samples; one callable per sample set,
-    so the threshold runs of one sweep share their quadrature cells."""
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if len(xs) < 2:
+    pts = sorted((float(x), float(y)) for x, y in profile)
+    if len(pts) < 2:
         raise ValueError("sampled profile needs at least two points")
+    xs, ys = np.array(pts).T
     return functools.partial(np.interp, xp=xs, fp=ys)
 
 
-def _dyadic_integral(g: Callable[[np.ndarray], np.ndarray], orders: tuple,
-                     h: float) -> tuple:
-    """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx, for each order r.
-
-    Sums the cells [2^-j-1, 2^-j] and their mirror images (the cell
-    containing h is truncated) in order of decreasing |x|.
-    """
-    if not 0 < h < 1:
+def _dyadic_integrals(g: Callable[[np.ndarray], np.ndarray], orders: tuple,
+                      cutoffs: Sequence[float]) -> list:
+    """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx per cutoff h, a tuple over
+    the orders r.  One ladder of cells [b/2, b] and their mirror images runs down to
+    the smallest cutoff; a cutoff h in (b/2, b) adds the cell [h, b] to the totals
+    of the whole cells above it.  Every sum runs in order of decreasing |x|."""
+    if not all(0 < h < 1 for h in cutoffs):
         raise ValueError("need 0 < h < 1")
-    totals = [0.0] * len(orders)
-    b = 1.0
-    while b > h:
-        a = max(h, b / 2.0)
-        for cells in (_cell(g, orders, a, b), _cell(g, orders, -b, -a)):
-            totals = [t + c for t, c in zip(totals, cells)]
-        b = a
-    return tuple(totals)
 
+    def add(totals: tuple, a: float, b: float) -> tuple:
+        cells = zip(_cell_quadrature(g, orders, a, b), _cell_quadrature(g, orders, -b, -a))
+        return tuple(t + c + m for t, (c, m) in zip(totals, cells))
 
-@functools.lru_cache(maxsize=1024)
-def _cell(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float, b: float) -> tuple:
-    """Memo of _cell_quadrature: the cutoffs h, h/4, h/16 of a threshold run,
-    and every cutoff of a sweep over one profile callable, share their cells."""
-    return _cell_quadrature(g, orders, a, b)
+    out = {}
+    totals = (0.0,) * len(orders)
+    b, low = 1.0, min(cutoffs, default=1.0)
+    while b > low:
+        for h in set(cutoffs):
+            if b / 2.0 < h < b:
+                out[h] = add(totals, h, b)
+        b /= 2.0
+        if b >= low:
+            totals = out[b] = add(totals, b, 2.0 * b)
+    return [out[h] for h in cutoffs]
 
 
 def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float,
@@ -352,7 +348,8 @@ def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: fl
         sq = _pow(np.asarray(g(xs), dtype=np.float64), 2)
         ax = np.abs(xs)
         for i in refining[:]:
-            out = float((sq * ax ** (-2.0 * orders[i])).sum() * (b - a) / n)
+            with np.errstate(over="ignore", invalid="ignore"):   # _report refuses inf, nan
+                out = float((sq * ax ** (-2.0 * orders[i])).sum() * (b - a) / n)
             if vals[i] is not None and abs(out - vals[i]) <= _REL_TOL * max(abs(out), 1e-300):
                 refining.remove(i)
             vals[i] = out
@@ -373,30 +370,34 @@ class ThresholdReport:
 def schrodinger_threshold(profile: Profile, r: float, h: float) -> ThresholdReport:
     """Quadrature value of the line-model quadratic form with origin cutoff:
     the one-order case of threshold_sweep."""
-    return threshold_sweep(profile, (r,), h)[0]
+    return threshold_sweep(profile, (r,), (h,))[0][0]
 
 
-def threshold_sweep(profile: Profile, orders: Sequence[float], h: float) -> list:
-    """One ThresholdReport per order at the cutoff h, in the order given.
+def threshold_sweep(profile: Profile, orders: Sequence[float],
+                    cutoffs: Sequence[float]) -> list:
+    """Per cutoff h, in the order given, one ThresholdReport per order.
 
     profile is an array function or a list of (x, y) samples (see the
-    module docstring); each quadrature cell evaluates it once for all
-    orders.  The verdict classifies the h -> 0 behavior from three
-    refinements: Cauchy differences (convergent), growth ~ log(1/h) (order
-    exactly 1/2 with nonvanishing profile), or growth ~ h^{1-2r} (order
-    above 1/2).
+    module docstring).  The verdict classifies the h -> 0 behavior from the
+    refinements h, h/4, h/16: Cauchy differences (convergent), growth ~
+    log(1/h) (order exactly 1/2 with nonvanishing profile), or growth ~
+    h^{1-2r} (order above 1/2).  A value not a finite double raises
+    ArithmeticError.
     """
     orders = tuple(orders)
     if any(r <= 0 for r in orders):
         raise ValueError("order must be positive")
-    g = _profile_callable(profile)
-    hs = [h, h / 4.0, h / 16.0]
-    per_cutoff = [_dyadic_integral(g, orders, hk) for hk in hs]
-    return [_report(r, hs, [v[i] for v in per_cutoff]) for i, r in enumerate(orders)]
+    hs = [[h, h / 4.0, h / 16.0] for h in cutoffs]
+    vals = _dyadic_integrals(_profile_callable(profile), orders, sum(hs, []))
+    return [[_report(r, row, [v[i] for v in vals[3 * k:3 * k + 3]])
+             for i, r in enumerate(orders)] for k, row in enumerate(hs)]
 
 
 def _report(r: float, hs: list, vals: list) -> ThresholdReport:
     """The report of order r from its values at the refinements hs."""
+    if not all(map(math.isfinite, vals)):
+        raise ArithmeticError(f"order {r} at cutoff {hs[0]}: the threshold integrals "
+                              f"{vals} at {hs} are not all finite doubles")
     d1 = vals[1] - vals[0]
     d2 = vals[2] - vals[1]
     scale = max(abs(vals[0]), 1e-300)

@@ -497,13 +497,14 @@ def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _margin_threshold(margins: np.ndarray, eps: float) -> float:
-    """The largest dyadic delta (48 halvings of [0, 1]) with sample measure
-    mean(margins < delta) <= eps, for 0 <= eps and at least one margin.
+    """The largest dyadic delta (a multiple of 2^-48 below 1, as 48 halvings
+    of [0, 1] reach) with sample measure mean(margins < delta) <= eps, for
+    0 <= eps and at least one margin.
 
     That fraction, count / N in float64, is <= eps exactly when count <= cut,
-    the largest such c in [0, N]; and at most cut margins are < mid exactly
-    when the cut-th smallest is >= mid (NaN sorts last and is never < mid,
-    so it stands for +inf).  One partition replaces a pass per halving.
+    the largest such c in [0, N]; and at most cut margins are < delta exactly
+    when the cut-th smallest, s, is >= delta (NaN sorts last and is never <
+    delta, so it stands for +inf).  So delta is s rounded down to that grid.
     """
     size = len(margins)
     cut = min(size, math.floor(eps * size))
@@ -514,14 +515,7 @@ def _margin_threshold(margins: np.ndarray, eps: float) -> float:
     s = float(np.partition(margins, cut)[cut]) if cut < size else math.inf
     if math.isnan(s):
         s = math.inf
-    lo, hi = 0.0, 1.0
-    for _ in range(48):
-        mid = (lo + hi) / 2.0
-        if s >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return min(math.floor(min(s, 1.0) * 2.0 ** 48), 2 ** 48 - 1) / 2.0 ** 48
 
 
 _DIRECT_LIMIT = 3_000_000

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -380,6 +381,20 @@ def test_threshold_runs(tmp_path):
     verdicts = {(r["r"], r["verdict"]) for r in report["result"]["runs"]}
     assert (0.25, "convergent") in verdicts
     assert (0.5, "divergent-log") in verdicts
+
+
+@pytest.mark.parametrize("cfg", [{"profile": "one", "orders": [25]},
+                                 {"orders": [400], "cutoffs": [0.01]}])
+def test_threshold_non_finite_value_exits_1(tmp_path, capsys, cfg):
+    # |x|^{-2r} overflows to inf: no verdict and no Infinity in report.json,
+    # and numpy's overflow warning does not fire first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, _ = run(tmp_path, "threshold", cfg)
+    assert (code, report) == (1, None)
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ArithmeticError"
+    assert f"order {float(cfg['orders'][0])} at cutoff" in error["message"]
 
 
 def test_solve_directions_from_system(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nilmix import fracsolve
+from nilmix import cli, fracsolve
 from nilmix.cli import main
 from nilmix.fourier import ExactComplex, FourierObservable, real_cosine, real_sine
 from nilmix.fracsolve import (
@@ -311,10 +311,10 @@ def test_threshold_sampled_profile():
 
 
 def test_threshold_sweep_computes_each_cell_once(tmp_path):
-    # the default sweep (3 cutoffs x the refinements h, h/4, h/16) visits
-    # 282 dyadic cells, 64 of them distinct: one profile callable serves the
-    # whole sweep, and each cell integrates all three orders on one ladder,
-    # so the profile is evaluated 362 times (918 with a ladder per order)
+    # the default sweep (3 cutoffs x the refinements h, h/4, h/16) walks one
+    # dyadic ladder with 64 distinct cells, and each cell integrates all three
+    # orders on one refinement ladder, so the profile is evaluated 362 times
+    # (918 with a ladder per order)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"profile": "bump"}))
     quadrature = fracsolve._cell_quadrature
@@ -323,35 +323,47 @@ def test_threshold_sweep_computes_each_cell_once(tmp_path):
     def counted(g, *args):
         return quadrature(lambda x: points.append(len(x)) or g(x), *args)
 
-    with mock.patch.object(fracsolve, "_cell", wraps=fracsolve._cell) as visits, \
-            mock.patch.object(fracsolve, "_cell_quadrature", side_effect=counted) as quadratures:
+    with mock.patch.object(fracsolve, "_cell_quadrature", side_effect=counted) as quadratures:
         assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert visits.call_count == 282
     assert quadratures.call_count == 64
     assert len(points) == 362
 
 
 def test_sampled_profiles_share_cells():
+    # the same samples, in any order and as lists or tuples, integrate the same cells
     xs = np.linspace(-1, 1, 401)
     samples = list(zip(xs, np.cos(xs)))
     first = schrodinger_threshold(samples, 0.5, 1e-3)
-    with mock.patch.object(fracsolve, "_cell_quadrature",
-                           wraps=fracsolve._cell_quadrature) as quadratures:
-        again = schrodinger_threshold([tuple(p) for p in samples], 0.5, 1e-3)
-    assert quadratures.call_count == 0
+    again = schrodinger_threshold([tuple(p) for p in reversed(samples)], 0.5, 1e-3)
     assert again.refinement == first.refinement
 
 
-def _bump(x):
-    """The CLI's bump profile: exp(-1 / (1 - x^2)) on |x| < 1, libm's exp."""
-    t = -1.0 / np.maximum(1e-12, 1 - x * x)
-    e = np.fromiter(map(math.exp, t.ravel().tolist()), np.float64, t.size)
-    return np.where(np.abs(x) < 1, e.reshape(t.shape), 0.0)
+def test_threshold_reads_the_profile_at_every_call():
+    # no cell outlives a call: after the closed-over amplitude doubles, the
+    # value is exactly four times the first (scaling by 2 rounds nothing)
+    amplitude = np.array([1.0])
+
+    def profile(x):
+        return amplitude[0] * np.ones_like(x)
+
+    first = schrodinger_threshold(profile, 0.25, 1e-2).value
+    amplitude[0] = 2.0
+    assert schrodinger_threshold(profile, 0.25, 1e-2).value == 4.0 * first
+
+
+@pytest.mark.parametrize("r, h", [(25, 1e-6), (400, 1e-2)])
+def test_threshold_refuses_non_finite_values(r, h):
+    # |x|^{-2r} overflows on the refinements (r = 25) or at h itself (r = 400):
+    # the sweep raises, before numpy's overflow warning or a verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=f"order {r} at cutoff {h}:"):
+            schrodinger_threshold(lambda x: 1.0, r, h)
 
 
 _XS = np.linspace(-1, 1, 81)
 # below |x| ~ 1e-3 the cells of "oscillating" refine up to the 2^16-point cap
-_PROFILES = {"one": lambda x: 1.0, "square": lambda x: x * x, "bump": _bump,
+_PROFILES = {**cli._PROFILES,
              "sampled": list(zip(_XS.tolist(), ((1 - _XS * _XS) * (_XS + 2)).tolist())),
              "oscillating": lambda x: np.sin(1.0 / x)}
 
@@ -360,25 +372,34 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+_CUTOFFS = (st.sampled_from([1e-2, 1e-4, 1e-6]) | st.floats(1e-6, 0.9)
+            | st.integers(1, 20).map(lambda k: 2.0 ** -k)
+            | st.floats(0.5, 1.0, exclude_max=True))
+
+
 @settings(max_examples=30, deadline=None)
-@example([0.75, 0.25, 0.75], 1e-4, "oscillating")
+@example([0.75, 0.25, 0.75], [1e-4], "oscillating")
+@example([0.5, 0.1], [0.5, 2.0 ** -7, 1e-4, 2.0 ** -7], "sampled")
+@example([0.25], [0.75, 1e-3, 0.5, 0.75], "bump")
 @given(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.05, 1.2),
                 min_size=1, max_size=4),
-       st.sampled_from([1e-2, 1e-4, 1e-6]) | st.floats(1e-6, 0.9),
+       st.lists(_CUTOFFS, min_size=1, max_size=4),
        st.sampled_from(sorted(_PROFILES)))
-def test_threshold_sweep_matches_one_ladder_per_order(orders, h, name):
-    fracsolve._cell.cache_clear()
+def test_threshold_sweep_matches_one_ladder_per_order(orders, cutoffs, name):
     profile = _PROFILES[name]
     g = fracsolve._profile_callable(profile)
-    hs = [h, h / 4.0, h / 16.0]
-    reports = threshold_sweep(profile, orders, h)
-    assert len(reports) == len(orders)
-    for r, rep in zip(orders, reports):
-        vals = [threshold_reference.dyadic_integral(g, r, hk, fracsolve._REL_TOL) for hk in hs]
-        want = fracsolve._report(r, hs, vals)
-        assert [_bits(v) for _, v in rep.refinement] == [_bits(v) for v in vals]
-        assert (rep.order, rep.cutoff, rep.verdict, rep.details) == \
-            (r, h, want.verdict, want.details)
-    single = schrodinger_threshold(profile, orders[0], h)
+    sweep = threshold_sweep(profile, orders, cutoffs)
+    assert len(sweep) == len(cutoffs)
+    for h, reports in zip(cutoffs, sweep):
+        hs = [h, h / 4.0, h / 16.0]
+        assert len(reports) == len(orders)
+        for r, rep in zip(orders, reports):
+            vals = [threshold_reference.dyadic_integral(g, r, hk, fracsolve._REL_TOL)
+                    for hk in hs]
+            want = fracsolve._report(r, hs, vals)
+            assert [_bits(v) for _, v in rep.refinement] == [_bits(v) for v in vals]
+            assert (rep.order, rep.cutoff, rep.verdict, rep.details) == \
+                (r, h, want.verdict, want.details)
+    single = schrodinger_threshold(profile, orders[0], cutoffs[0])
     assert [_bits(v) for _, v in single.refinement] == \
-        [_bits(v) for _, v in reports[0].refinement]
+        [_bits(v) for _, v in sweep[0][0].refinement]

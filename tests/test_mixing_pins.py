@@ -93,6 +93,7 @@ _CASES = {
     "threshold-one": ("threshold", {"profile": "one"}),
     "threshold-square": ("threshold", {"profile": "square"}),
     "threshold-bump": ("threshold", {"profile": "bump"}),
+    "threshold-cutoffs": ("threshold", {"profile": "bump", "cutoffs": [1e-4, 0.3, 1e-4, 0.5]}),
     "threshold-profile-csv": ("threshold", {"profile_csv": "profile.csv"}),
 }
 
@@ -162,6 +163,12 @@ _DIGESTS = {
             '2de82c4d2efa2e14f097ac3d5ce54a45d83a6640d31d1ff85300134b25c99f94',
         'threshold.csv':
             '88501a1157ed5b252d3f2b44cd8d84800a6a7bf1f4c7477b9979c7bd595c456c',
+    },
+    'threshold-cutoffs': {
+        'report.json':
+            'd882eaa68177db2ea09f3d1410fa0f845df9b46a84c569cecf072d7f6550c55a',
+        'threshold.csv':
+            '740992b7c662b140f40308dd70e934ac5c8e49068047dd25c95ab4f86ab5080a',
     },
     'threshold-one': {
         'report.json':

@@ -33,6 +33,7 @@ from nilmix.fracsolve import (
     sobolev_norm,
     solve_fractional,
     split_small_divisor,
+    threshold_sweep,
 )
 from nilmix.nilalg import _span_rows, abelianization_action, classify, heisenberg_algebra
 from nilmix.rates import TimeTuple, rho_chi, theta
@@ -364,9 +365,8 @@ def test_small_divisor_norm_bound(f, r):
 @given(st.sampled_from([0.1, 0.25, 0.4, 0.5, 0.75]),
        st.floats(min_value=1e-5, max_value=0.05))
 def test_threshold_monotone_in_cutoff(r, h):
-    from nilmix.fracsolve import _dyadic_integral
-    big, = _dyadic_integral(lambda x: 1.0, (r,), h)
-    small, = _dyadic_integral(lambda x: 1.0, (r,), h / 2)
+    big, small = (reports[0].value
+                  for reports in threshold_sweep(lambda x: 1.0, (r,), (h, h / 2)))
     assert small >= big * (1 - 1e-9)
 
 

@@ -2,9 +2,11 @@
 
 `fracsolve._cell_quadrature` integrates every order of a sweep on one
 ladder per cell: the midpoints and the squares of the profile are computed
-once per level, and each order keeps its own sum and stopping test.  The
-version here runs the whole ladder for one order, as the library did
-before, and the differential test requires bit-equal values.
+once per level, and each order keeps its own sum and stopping test; and
+`fracsolve._dyadic_integrals` walks one ladder of cells for every cutoff of
+a sweep.  The version here runs the whole refinement ladder for one order
+and the cells for one cutoff, as the library did before, and the
+differential test requires bit-equal values.
 """
 
 import functools
@@ -18,7 +20,8 @@ from nilmix.fourier import _pow
 def cell_quadrature(g, r: float, a: float, b: float, rel_tol: float) -> float:
     """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b]; the point
     count doubles from 32 until two successive values agree to rel_tol, or
-    up to 2^16 points.  Memoized, as the library's cells were."""
+    up to 2^16 points.  Memoized per profile callable, which the tests never
+    change, so that the cutoffs and orders of one test share their cells."""
     n = 32
     prev = None
     while True:
