@@ -24,12 +24,8 @@ CUBIC = RationalMatrix.companion(CUBIC_POLY)
 
 
 def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    rows = []
-    for i in range(a.dim):
-        rows.append(list(a.rows[i]) + [Fraction(0)] * b.dim)
-    for j in range(b.dim):
-        rows.append([Fraction(0)] * a.dim + list(b.rows[j]))
-    return RationalMatrix(rows)
+    return RationalMatrix([list(row) + [0] * b.dim for row in a.rows]
+                          + [[0] * a.dim + list(row) for row in b.rows])
 
 
 @dataclass(frozen=True)

@@ -276,16 +276,13 @@ def _emit_report(outdir: str, command: str, cfg: dict, payload: dict,
 def _cmd_analyze(cfg, outdir, seed):
     _check_keys(cfg, {"system"}, "analyze config")
     system = _load_system(cfg)
-    out = {}
     diag = system.algebra.diagnostics
     if not diag.ok or system.generator_failures:
         raise ValueError(f"invalid system: {diag.failures() + system.generator_failures}")
-    out["algebra_checks"] = {k: v[0] for k, v in diag.checks.items()}
-    out["central_series_dims"] = [len(b) for b in diag.series]
     cls = classify(system.algebra, system.matrix)
-    out["ergodic"] = cls.ergodic
-    out["type"] = cls.type_name
-    out["root_of_unity_core"] = cls.n_z2
+    out = {"algebra_checks": {k: v[0] for k, v in diag.checks.items()},
+           "central_series_dims": [len(b) for b in diag.series],
+           "ergodic": cls.ergodic, "type": cls.type_name, "root_of_unity_core": cls.n_z2}
     header = ["exponent", "error", "multiplicity"]
     rows = [[b.exponent, b.exponent_err, b.multiplicity]
             for b in lyapunov_data(system.matrix).blocks]
@@ -319,7 +316,7 @@ def _cmd_rates(cfg, outdir, seed):
                [["rho", rep.rho], ["chi", rep.chi], ["delta", rep.delta],
                 ["rho0", rep.rho0], ["gamma", gamma],
                 ["envelope_rate1", env.rate1],
-                ["envelope_rate2", env.rate2 if env.rate2 is not None else ""]])
+                ["envelope_rate2", env.rate2]])
     return out
 
 
@@ -328,7 +325,6 @@ def _cmd_certify(cfg, outdir, seed):
     radius = _number(cfg, "radius", 1000.0)
     if radius < 1:
         raise ConfigError(f"bad 'radius' {radius}: must be >= 1")
-    rows = []
     out = {"radius": radius}
     if "directions" in cfg:
         dims = _number(cfg, "dim_ambient", None, int)
@@ -339,7 +335,7 @@ def _cmd_certify(cfg, outdir, seed):
             raise ConfigError(str(e))
         out["certificate"] = {"c_emp": cert.c_emp, "argmin": cert.argmin,
                               "passed": cert.passed, "points": cert.points_scanned}
-        rows.append(["explicit", cert.c_emp, str(cert.argmin), cert.passed])
+        rows = [["explicit", cert.c_emp, str(cert.argmin), cert.passed]]
     else:
         system = _load_system(cfg)
         report = certify_structural_subspaces(system.matrix, radius, system.algebra)
@@ -431,17 +427,11 @@ def _cmd_threshold(cfg, outdir, seed):
                               " or provide profile_csv")
         profile = _PROFILES[name]
     sweeps = threshold_sweep(profile, orders, cutoffs)
-    rows = []
-    out = {"runs": []}
-    for i, r in enumerate(orders):
-        for h, reports in zip(cutoffs, sweeps):
-            rep = reports[i]
-            out["runs"].append({"r": r, "h": h, "value": rep.value,
-                                "verdict": rep.verdict})
-            rows.append([r, h, rep.value, rep.verdict])
-    _write_csv(os.path.join(outdir, "threshold.csv"),
-               ["r", "h", "value", "verdict"], rows)
-    return out
+    header = ["r", "h", "value", "verdict"]
+    rows = [[r, h, reports[i].value, reports[i].verdict]
+            for i, r in enumerate(orders) for h, reports in zip(cutoffs, sweeps)]
+    _write_csv(os.path.join(outdir, "threshold.csv"), header, rows)
+    return {"runs": [dict(zip(header, row)) for row in rows]}
 
 
 def _cmd_correlate(cfg, outdir, seed):
@@ -496,14 +486,10 @@ def _cmd_density(cfg, outdir, seed):
             raise ConfigError(f"bad {key!r} {value}: must be >= {low}")
     rep = density_estimate(list(system.generators), n, radius, eps, samples,
                            seed if seed is not None else DEFAULT_DENSITY_SEED)
-    out = vars(rep).copy()
-    _write_csv(os.path.join(outdir, "density.csv"),
-               ["n", "radius", "good_fraction", "bad_points", "total_points",
-                "eps", "delta", "thick_fraction"],
-               [[rep.n, rep.radius, rep.good_fraction, rep.bad_points,
-                 rep.total_points, rep.eps, rep.delta,
-                 rep.thick_fraction if rep.thick_fraction is not None else ""]])
-    return out
+    header = ["n", "radius", "good_fraction", "bad_points", "total_points", "eps", "delta",
+              "thick_fraction"]          # csv writes None as an empty field
+    _write_csv(os.path.join(outdir, "density.csv"), header, [[vars(rep)[k] for k in header]])
+    return vars(rep)
 
 
 def _cmd_counterexample(cfg, outdir, seed):

@@ -362,6 +362,7 @@ def decay_fit(series: CorrelationSeries, rate: float) -> DecayFit:
     c_fit is the smallest single C with |value| <= C e^{-rate * gap} across
     all entries (computed from the nonzero entries; zero values satisfy any
     envelope).  Entries of modulus up to 1e-14 are excluded from the regression.
+    ValueError when e^(|rate| gap) overflows a double.
     """
     pts = [(e.gap, abs(e.value)) for e in series.entries if abs(e.value) > 1e-14]
     if len(pts) < 3:
@@ -373,9 +374,13 @@ def decay_fit(series: CorrelationSeries, rate: float) -> DecayFit:
     ss_res = float(((ys - pred) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    c_fit = max(v * math.exp(rate * g) for g, v in pts)
-    ok = all(abs(e.value) <= c_fit * math.exp(-rate * e.gap) * (1 + 1e-9)
-             for e in series.entries)
+    try:
+        c_fit = max(v * math.exp(rate * g) for g, v in pts)
+        ok = all(abs(e.value) <= c_fit * math.exp(-rate * e.gap) * (1 + 1e-9)
+                 for e in series.entries)
+    except OverflowError:
+        gap = max(e.gap for e in series.entries)
+        raise ValueError(f"rate {rate} at gap {gap}: e^(|rate| gap) overflows a double") from None
     fit = DecayFit(c_fit=float(c_fit), slope=float(slope), intercept=float(intercept),
                    r_squared=r2, rate=float(rate), envelope_satisfied=ok,
                    n_used=len(pts))

@@ -3,11 +3,12 @@
 Everything structural (characteristic polynomials, factorization over Q,
 invariant-subspace kernels, root-of-unity detection) is computed in exact
 rational arithmetic.  Only eigenvalue *moduli* are floating point, and those
-carry certified error bounds: each root of an irreducible factor gets a disc
-that provably holds it and no other root (Weierstrass inclusion), and every
-root question but equal moduli (conjugate partner, modulus one, the Lyapunov
-class of a joint root, `LyapunovSplitting.class_of`) is decided by one rule
-on those discs, `_holder`; equal moduli by counting, in integers, the real
+carry certified error bounds: each root of an irreducible factor gets a
+`Disc` (integers at the scale it carries, mapped with outward rounding) that
+provably holds it and no other root (Weierstrass inclusion).  Every root
+question but equal moduli (conjugate partner, modulus one, the Lyapunov class
+of a joint root, `LyapunovSplitting.class_of`) is decided by one rule on
+those discs, `Disc.holder`; equal moduli by counting, in integers, the real
 roots of a squarefree polynomial near each |z|^2 (`_modulus_relation`).
 The float64 bases of the modulus classes are built from the same discs, in
 fixed point inside each primary block, and rounded once (`_class_basis`).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "IntPolynomial",
     "PrimaryBlock",
     "PrimaryDecomposition",
+    "Disc",
     "FactorRoots",
     "LyapunovBlock",
     "LyapunovSplitting",
@@ -913,8 +915,8 @@ def restrict_to_span(m: RationalMatrix, basis: Sequence[tuple]) -> RationalMatri
 # ---------------------------------------------------------------------------
 
 def _certified_roots(q: IntPolynomial, prec: int) -> tuple[tuple, tuple]:
-    """Roots of an irreducible (hence squarefree) polynomial in isolating discs
-    (x, y, r), Gaussian integers in units of 2^-s, s = prec + _DISC_BITS.
+    """Roots of an irreducible (hence squarefree) polynomial in isolating
+    Discs, Gaussian integers in units of 2^-s, s = prec + _DISC_BITS.
 
     np.roots of q(2^k x), with coefficients that fit doubles, seeds the centres;
     Weierstrass (Durand-Kerner) sweeps z_i -= w_i, w_i = q(z_i) / (lc prod_{j
@@ -960,10 +962,10 @@ def _certified_roots(q: IntPolynomial, prec: int) -> tuple[tuple, tuple]:
         centre = complex(x / w, y / w) if max(abs(x), abs(y)) < edge else math.inf
         if not abs(centre) < math.inf or (math.isqrt(x * x + y * y) + 1 + r) << 1074 < w:
             raise ResolutionError(f"a root of a degree-{n} factor lies outside the float64 range")
-        out.append(((centre, r / w), (x, y, r + (r >> 52) + 1)))
+        out.append(((centre, r / w), Disc(x, y, r + (r >> 52) + 1, prec)))
     roots, discs = zip(*out)
     # the identity is a symmetry too: each disc must meet no disc but itself
-    if any(_holder(discs, d) != i for i, d in enumerate(discs)):
+    if any(d.holder(discs) != i for i, d in enumerate(discs)):
         raise PrecisionError(f"root discs of {q} overlap at {prec} bits")
     return roots, discs
 
@@ -982,35 +984,65 @@ def _weierstrass(coeffs: list, zs: list, i: int, t: int) -> tuple:
     return (u, v), (du, dv), (pu, pv)
 
 
-# disc coordinates are integers in units of 2^-(prec + _DISC_BITS)
 _DISC_BITS = 64
 # Weierstrass sweeps before _certified_roots gives up
 _ROOT_STEPS = 200
 
 
-def _holder(discs, image) -> Optional[int]:
-    """The one disc (re, im, radius) of discs that meets the disc image, or None.
+class Disc(NamedTuple):
+    """A closed disc x + iy +- r, integers in units of 2^-bits, bits = prec +
+    _DISC_BITS: a root's disc (_certified_roots), or its image under an exact
+    map, rounded outward so it holds the image of every point it came from."""
 
-    The image of a root's disc under an exact map (z -> conj z, 1/z) holds the
-    image of the root: when that is a root of the discs' polynomials and the
-    image meets one disc only, that disc holds it."""
-    if image is None:
-        return None
-    x, y, r = image
-    hits = [k for k, (cx, cy, cr) in enumerate(discs)
-            if (cx - x) ** 2 + (cy - y) ** 2 <= (cr + r) ** 2]
-    return hits[0] if len(hits) == 1 else None
+    x: int
+    y: int
+    r: int
+    prec: int     # the working precision the disc was made at
 
+    @property
+    def bits(self) -> int:
+        return self.prec + _DISC_BITS
 
-def _inverse(disc, prec: int):
-    """The disc (x, y, r) under z -> 1/z when it excludes 0: centre conj(c) / s
-    and radius r / s, s = |c|^2 - r^2, rounded outward."""
-    x, y, r = disc
-    s = x * x + y * y - r * r
-    if s <= 0:
-        return None
-    k = 1 << 2 * (prec + _DISC_BITS)
-    return x * k // s, -y * k // s, r * k // s + 3
+    def meets(self, other: "Disc") -> bool:
+        (x, y, r, _), (u, v, e, _) = self, other
+        return (x - u) ** 2 + (y - v) ** 2 <= (r + e) ** 2
+
+    def holder(self, discs) -> Optional[int]:
+        """The one disc of discs that this one meets, or None.  A root's image
+        under an exact map (z -> conj z, 1/z) lies in its disc's image: when it
+        is a root of the discs' polynomials, the one disc met holds it."""
+        hits = [k for k, d in enumerate(discs) if self.meets(d)]
+        return hits[0] if len(hits) == 1 else None
+
+    def conjugate(self) -> "Disc":
+        return self._replace(y=-self.y)
+
+    def inverse(self) -> Optional["Disc"]:
+        """The disc under z -> 1/z when it excludes 0, else None: centre
+        conj(c) / s and radius r / s, s = |c|^2 - r^2, rounded outward."""
+        x, y, r, prec = self
+        if (s := x * x + y * y - r * r) <= 0:
+            return None
+        k = 1 << 2 * (prec + _DISC_BITS)
+        return Disc(x * k // s, -y * k // s, r * k // s + 3, prec)
+
+    def squared_modulus(self) -> "Disc":
+        """The disc under z -> |z|^2: centre x^2 + y^2 on the real axis and
+        radius 2|c| r + r^2, rounded outward, so |z|^2 lies strictly inside."""
+        x, y, r, prec = self
+        s, b = x * x + y * y, prec + _DISC_BITS
+        return Disc(s >> b, 0, ((2 * (math.isqrt(s) + 1) * r + r * r) >> b) + 2, prec)
+
+    def evaluate(self, nums: tuple) -> "Disc":
+        """The disc under z -> sum_j nums[j] z^j by Horner, each product (c, e)(z, r)
+        of radius |c| r + |z| e + e r, every floor rounded outward."""
+        x, y, r, prec = self
+        b, size = prec + _DISC_BITS, math.isqrt(x * x + y * y) + 1
+        u = v = e = 0
+        for c in reversed(nums):
+            u, v, e = (((u * x - v * y) >> b) + (c << b), (u * y + v * x) >> b,
+                       (((math.isqrt(u * u + v * v) + 1) * r + size * e + e * r) >> b) + 3)
+        return Disc(u, v, e, prec)
 
 
 @dataclass(frozen=True)
@@ -1020,10 +1052,9 @@ class FactorRoots:
     Gaussian integers, of which the doubles only report the centres and radii."""
 
     roots: tuple      # (complex centre, radius) per root, each its disc's to the nearest double
-    discs: tuple      # per root: its disc (re, im, radius) in units of 2^-(prec + _DISC_BITS)
+    discs: tuple      # per root: its Disc, all at one working precision
     partner: tuple    # index of each root's complex conjugate (itself for a real root)
     unit: tuple       # per root: |root| == 1 is proven
-    prec: int         # the working precision of the discs
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -1033,12 +1064,12 @@ def factor_roots(q: IntPolynomial, prec: int) -> FactorRoots:
     roots provably lie on the unit circle: |z| = 1 iff 1/z = conj(z), and 1/z
     is a root only when q is self-reciprocal."""
     roots, discs = _certified_roots(q, prec)
-    partner = tuple(_holder(discs, (x, -y, r)) for x, y, r in discs)
+    partner = tuple(d.conjugate().holder(discs) for d in discs)
     if None in partner:
         raise PrecisionError(f"could not certify conjugate pairing of the roots of {q}")
-    unit = tuple(q.is_self_reciprocal() and _holder(discs, _inverse(d, prec)) == partner[i]
-                 for i, d in enumerate(discs))
-    return FactorRoots(roots, discs, partner, unit, prec)
+    unit = tuple(q.is_self_reciprocal() and (inv := d.inverse()) is not None
+                 and inv.holder(discs) == partner[i] for i, d in enumerate(discs))
+    return FactorRoots(roots, discs, partner, unit)
 
 
 def squared_modulus_polynomial(q: IntPolynomial) -> IntPolynomial:
@@ -1067,27 +1098,6 @@ def _squared_modulus_kernel(q: IntPolynomial) -> tuple:
     each distinct product z_i z_j of q's roots is a simple root of S_q."""
     p = squared_modulus_polynomial(q)    # monic in lowest terms: p.nums is primitive
     return tuple(_exact_quotient(p.nums, _gcd_z(p.nums, p.derivative().nums)))
-
-
-def _squared_modulus(disc, prec: int):
-    """The disc (x, y, r) under z -> |z|^2: centre x^2 + y^2 on the real axis
-    and radius 2|c| r + r^2, rounded outward, so |z|^2 lies strictly inside."""
-    x, y, r = disc
-    s = x * x + y * y
-    b = prec + _DISC_BITS
-    return s >> b, 0, ((2 * (math.isqrt(s) + 1) * r + r * r) >> b) + 2
-
-
-def _evaluate(nums: tuple, disc, prec: int):
-    """The disc (x, y, r) under z -> sum_j nums[j] z^j by Horner, each product
-    (c, e)(z, r) of radius |c| r + |z| e + e r, every floor rounded outward."""
-    x, y, r = disc
-    b, size = prec + _DISC_BITS, math.isqrt(x * x + y * y) + 1
-    u = v = e = 0
-    for c in reversed(nums):
-        u, v, e = (((u * x - v * y) >> b) + (c << b), (u * y + v * x) >> b,
-                   (((math.isqrt(u * u + v * v) + 1) * r + size * e + e * r) >> b) + 3)
-    return u, v, e
 
 
 def _taylor_shift(f: list, a: int) -> list:
@@ -1198,16 +1208,17 @@ class LyapunovSplitting:
         """The orthonormal rows of class k inside primary block i."""
         return self.bases[k, i]
 
-    def class_of(self, p: IntPolynomial, disc, prec: int) -> int:
+    def class_of(self, p: IntPolynomial, disc: Disc) -> int:
         """Index of the class holding |p(z)|, z the root in disc (a FactorRoots
-        disc at prec bits): the one class whose |z|^2 disc, of a member root at
-        prec times p.den^2, meets that of p.nums on disc, else PrecisionError."""
-        image = _squared_modulus(_evaluate(p.nums, disc, prec), prec)
-        moduli = [_squared_modulus(factor_roots(self.primary.blocks[fi].factor, prec).discs[ri],
-                                   prec) for fi, ri in (b.roots[0] for b in self.blocks)]
-        k = _holder([(c * p.den ** 2, 0, r * p.den ** 2) for c, _, r in moduli], image)
+        Disc): the one class whose |z|^2 disc, of a member root at disc.prec,
+        times p.den^2, meets that of p.nums on disc, else PrecisionError."""
+        moduli = [factor_roots(self.primary.blocks[fi].factor, disc.prec).discs[ri]
+                  .squared_modulus() for fi, ri in (b.roots[0] for b in self.blocks)]
+        k = disc.evaluate(p.nums).squared_modulus().holder(
+            [m._replace(x=m.x * p.den ** 2, r=m.r * p.den ** 2) for m in moduli])
         if k is None:
-            raise PrecisionError(f"|p(mu)| is not in exactly one Lyapunov class at {prec} bits")
+            raise PrecisionError(
+                f"|p(mu)| is not in exactly one Lyapunov class at {disc.prec} bits")
         return k
 
 
@@ -1220,14 +1231,14 @@ def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,
     (restrict_to_span), c its multiplicity and P the real polynomial of the
     other roots, each conjugate pair one quadratic.  P's coefficients come
     from the integer disc centres, and P(A)^c is formed, in fixed point at
-    scale 2^(prec + _DISC_BITS).  Elimination with complete pivoting keeps
+    the discs' scale 2^bits.  Elimination with complete pivoting keeps
     c len(kept) columns, PrecisionError unless the next pivot is below
     2^-(prec/2) of the largest; the kept columns are mapped to the ambient
     space, rounded to float64 and orthonormalized (QR), once.
     """
-    s = rec.prec + _DISC_BITS
+    s, prec = rec.discs[0].bits, rec.discs[0].prec
     poly = [1 << s]               # ascending coefficients in units of 2^-s
-    for ri, (x, y, _) in enumerate(rec.discs):
+    for ri, (x, y, _, _) in enumerate(rec.discs):
         if ri in kept or rec.partner[ri] < ri:
             continue
         factor = [-x, 1 << s] if rec.partner[ri] == ri else [(x * x + y * y) >> s, -2 * x, 1 << s]
@@ -1247,11 +1258,11 @@ def _class_basis(action: RationalMatrix, blk: PrimaryBlock, rec: FactorRoots,
         size, i, j = max((abs(w[i][j]), i, j) for i in live for j in range(n) if j not in cols)
         largest = largest or size
         if len(cols) == rank:
-            if size << rec.prec // 2 >= largest:
-                raise PrecisionError(f"class of rank {rank} not separated at {rec.prec} bits")
+            if size << prec // 2 >= largest:
+                raise PrecisionError(f"class of rank {rank} not separated at {prec} bits")
             break
         if size == 0:
-            raise PrecisionError(f"class rank below {rank} at {rec.prec} bits")
+            raise PrecisionError(f"class rank below {rank} at {prec} bits")
         cols.append(j)
         live.remove(i)
         for r in live:
@@ -1301,7 +1312,7 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
     entries = []  # one per root: factor index, root index, modulus, error, proven |root| = 1
     for fi, rec in enumerate(records):
         for ri, ((r, err), one) in enumerate(zip(rec.roots, rec.unit)):
-            if _inverse(rec.discs[ri], prec) is None:
+            if rec.discs[ri].inverse() is None:
                 raise PrecisionError(f"a root disc reaches 0 at {prec} bits")
             entries.append({"fi": fi, "ri": ri, "mod": 1.0 if one else abs(r),
                             "err": 0.0 if one else err, "one": one})
@@ -1373,17 +1384,16 @@ def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
     if e1["one"] and e2["one"]:
         return True
     rec1, rec2 = records[e1["fi"]], records[e2["fi"]]
-    images = [_squared_modulus(rec.discs[e["ri"]], rec.prec) for rec, e in ((rec1, e1), (rec2, e2))]
-    if _holder(images[:1], images[1]) is None:
+    images = [rec.discs[e["ri"]].squared_modulus() for rec, e in ((rec1, e1), (rec2, e2))]
+    if not images[0].meets(images[1]):
         return False
     if e1["one"] or e2["one"]:
         return None
     if e1["fi"] == e2["fi"] and rec1.partner[e1["ri"]] == e2["ri"]:
         return True
     kernels = [_squared_modulus_kernel(primary.blocks[e["fi"]].factor) for e in (e1, e2)]
-    (lo1, hi1), (lo2, hi2) = spans = [(c - r, c + r) for c, _, r in images]
-    bits = rec1.prec + _DISC_BITS
-    if any(_root_count(s, *span, bits) != 1 for s, span in zip(kernels, spans)):
+    (lo1, hi1, bits), (lo2, hi2, _) = spans = [(d.x - d.r, d.x + d.r, d.bits) for d in images]
+    if any(_root_count(s, *span) != 1 for s, span in zip(kernels, spans)):
         return None
     count = _root_count(tuple(_gcd_z(*kernels)), max(lo1, lo2), min(hi1, hi2), bits)
     return None if count is None else count == 1

@@ -345,7 +345,10 @@ def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: fl
     refining = list(range(len(orders)))
     while refining and n <= 1 << 16:
         xs = a + (b - a) * (np.arange(n) + 0.5) / n
-        sq = _pow(np.asarray(g(xs), dtype=np.float64), 2)
+        try:
+            sq = _pow(np.asarray(g(xs), dtype=np.float64), 2)
+        except OverflowError:           # g(x)^2 is beyond the doubles: _report refuses inf
+            return tuple(math.inf if i in refining else v for i, v in enumerate(vals))
         ax = np.abs(xs)
         for i in refining[:]:
             with np.errstate(over="ignore", invalid="ignore"):   # _report refuses inf, nan

@@ -426,7 +426,7 @@ def _joint_blocks(gens: tuple) -> JointBlocks:
         h_b = restrict_to_span(h, blk.basis)
         restricted = tuple(restrict_to_span(g, blk.basis) for g in gens)
         pairing = [_pairing(h_b, g_b, blk.factor) for g_b in restricted]
-        classes = tuple(tuple(s.class_of(p, disc, prec) for p, s in zip(pairing, splits))
+        classes = tuple(tuple(s.class_of(p, disc) for p, s in zip(pairing, splits))
                         for disc in factor_roots(blk.factor, prec).discs)
         blocks.append(JointBlock(blk.basis, restricted, classes,
                                  all(functional(t).is_zero() for t in classes)))

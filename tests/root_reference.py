@@ -5,7 +5,7 @@ Each question had its own float matcher: a nearest-neighbour search for the
 conjugate partner, an argmin over reciprocals for modulus one, and distance
 tests with fixed `1e-12` slacks (plus an exact rule for two rational roots)
 for equal moduli across a pair of roots.  On well-separated roots the one
-image rule of `exactlin._holder` must give the same partners, the same unit
+image rule of `exactlin.Disc.holder` must give the same partners, the same unit
 flags and the same class merges.  The functions read `(complex root, error)`
 pairs, as `FactorRoots.roots` still holds them.
 
@@ -35,8 +35,6 @@ from nilmix.exactlin import (
     IntPolynomial,
     PrecisionError,
     ResolutionError,
-    _holder,
-    _squared_modulus,
     factor_over_q,
     factor_roots,
     squared_modulus_polynomial,
@@ -173,15 +171,14 @@ def _modulus_relation(e1, e2, primary, records) -> Optional[bool]:
         return True
     q1, q2 = primary.blocks[e1["fi"]].factor, primary.blocks[e2["fi"]].factor
     if compose_neg(q1) in (q2, q2.scale(-1)):
-        x, y, r = rec1.discs[e1["ri"]]
-        k = _holder(rec2.discs, (-x, -y, r))
+        d = rec1.discs[e1["ri"]]
+        k = d._replace(x=-d.x, y=-d.y).holder(rec2.discs)
         if k is not None and e2["ri"] in (k, rec2.partner[k]):
             return True
-    images = [_squared_modulus(rec.discs[e["ri"]], rec.prec) for rec, e in ((rec1, e1), (rec2, e2))]
-    if _holder(images[:1], images[1]) is None:
+    images = [rec.discs[e["ri"]].squared_modulus() for rec, e in ((rec1, e1), (rec2, e2))]
+    if images[1].holder(images[:1]) is None:
         return False
-    keys = [_squared_modulus_root(q, image, rec.prec)
-            for q, rec, image in zip((q1, q2), (rec1, rec2), images)]
+    keys = [_squared_modulus_root(q, image) for q, image in zip((q1, q2), images)]
     return None if None in keys else keys[0] == keys[1]
 
 
@@ -194,7 +191,7 @@ def _squared_modulus_factors(q: IntPolynomial) -> Optional[tuple]:
         return None
 
 
-def _squared_modulus_root(q: IntPolynomial, image, prec: int) -> Optional[tuple]:
+def _squared_modulus_root(q: IntPolynomial, image) -> Optional[tuple]:
     """(g, k) when the disc image of |z|^2, z a root of q, meets exactly one
     root disc among all irreducible factors g of M_q: |z|^2 is then root k of
     g.  None when M_q is not factored, a factor's discs are refused or the
@@ -203,8 +200,8 @@ def _squared_modulus_root(q: IntPolynomial, image, prec: int) -> Optional[tuple]
     if factors is None:
         return None
     try:
-        recs = [(g, factor_roots(g, prec)) for g in factors]
+        recs = [(g, factor_roots(g, image.prec)) for g in factors]
     except PrecisionError:
         return None
-    hit = _holder([d for _, rec in recs for d in rec.discs], image)
+    hit = image.holder([d for _, rec in recs for d in rec.discs])
     return None if hit is None else [(g, k) for g, rec in recs for k in range(len(rec.discs))][hit]

@@ -397,6 +397,18 @@ def test_threshold_non_finite_value_exits_1(tmp_path, capsys, cfg):
     assert f"order {float(cfg['orders'][0])} at cutoff" in error["message"]
 
 
+def test_threshold_square_beyond_the_doubles_exits_1(tmp_path, capsys):
+    # 1e200^2 overflows Python's pow: exit 1 with a message naming the order
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text("-1,1e200\n1,1e200\n")
+    code, report, _ = run(tmp_path, "threshold", {"profile_csv": str(csv_path),
+                                                  "orders": [0.25], "cutoffs": [0.01]})
+    assert (code, report) == (1, None)
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ArithmeticError"
+    assert "order 0.25 at cutoff 0.01" in error["message"]
+
+
 def test_solve_directions_from_system(tmp_path):
     # without explicit directions the expanding splitting of the system's
     # first generator is used
@@ -418,6 +430,21 @@ def test_threshold_profile_csv(tmp_path):
     code, report, _ = run(tmp_path, "threshold", cfg)
     assert code == 0
     assert report["result"]["runs"][0]["verdict"] == "convergent"
+
+
+def test_correlate_fit_rate_beyond_the_doubles_exits_1(tmp_path, capsys):
+    # e^(fit_rate * gap) overflows a double: exit 1 naming the rate and the gap;
+    # g holds (M^T)^p (1, 0) with coefficient 10^-p, so power p correlates to 10^-p
+    f = {"dim": 2, "coeffs": [{"z": [1, 0], "re": 1.0, "im": 0.0}]}
+    g = {"dim": 2, "coeffs": [{"z": z, "re": 10.0 ** -p, "im": 0.0}
+                              for p, z in enumerate([[1, 0], [2, 1], [5, 3], [13, 8]])]}
+    cfg = {"system": "catmap", "observables": [f, g], "powers": [0, 1, 2, 3], "fit_rate": 1000}
+    code, report, _ = run(tmp_path, "correlate", cfg)
+    assert (code, report) == (1, None)
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("rate 1000.0 at gap 3.0: ")
+    assert "overflows a double" in error["message"]
 
 
 def test_correlate_two_point(tmp_path):

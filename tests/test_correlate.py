@@ -239,6 +239,17 @@ def test_fit_degenerate():
         decay_fit(series, 1.0)
 
 
+@pytest.mark.parametrize("rate", [1000.0, -1000.0])
+def test_fit_refuses_an_envelope_beyond_the_doubles(rate):
+    # e^(1000 gap) overflows: a ValueError naming the rate and the gap, not
+    # math's bare OverflowError
+    series = CorrelationSeries()
+    for p in range(1, 6):
+        series.append(((0,), (p,)), 10.0 ** -p)
+    with pytest.raises(ValueError, match=rf"rate {rate} at gap 5.0: .* overflows a double"):
+        decay_fit(series, rate)
+
+
 def test_double_rate_envelope_single_constant():
     # irrational type: a single constant C works for the rate-2*chi envelope
     # across the panel, and the constant is pinned by small times (the values

@@ -432,7 +432,7 @@ def test_factor_roots_record(coeffs, real, units):
 def test_modulus_merge_rejects_unprovable_overlap():
     # white-box: two entries from unrelated factors with overlapping
     # certified intervals and no proving identity must raise
-    from nilmix.exactlin import FactorRoots, PrecisionError, _merge_modulus_classes
+    from nilmix.exactlin import Disc, FactorRoots, PrecisionError, _merge_modulus_classes
     q1 = poly(1, -3, 1)
     q2 = poly(-1, -1, 0, 1)
     primary = primary_decomposition(
@@ -441,8 +441,8 @@ def test_modulus_merge_rejects_unprovable_overlap():
         {"fi": 0, "ri": 0, "mod": 2.0, "err": 1e-3, "one": False},
         {"fi": 1, "ri": 0, "mod": 2.0005, "err": 1e-3, "one": False},
     ]
-    records = [FactorRoots(((r + 0j, 1e-3),), ((int(r * 2 ** 192), 0, 2 ** 182),),
-                           (0,), (False,), 128) for r in (2.0, 2.0005)]
+    records = [FactorRoots(((r + 0j, 1e-3),), (Disc(int(r * 2 ** 192), 0, 2 ** 182, 128),),
+                           (0,), (False,)) for r in (2.0, 2.0005)]
     with pytest.raises(PrecisionError):
         _merge_modulus_classes(entries, primary, records)
 

@@ -361,6 +361,14 @@ def test_threshold_refuses_non_finite_values(r, h):
             schrodinger_threshold(lambda x: 1.0, r, h)
 
 
+def test_threshold_refuses_a_square_beyond_the_doubles():
+    # 1e200^2 overflows Python's pow: the sweep raises ArithmeticError naming
+    # the order and the cutoff, not a bare OverflowError
+    with pytest.raises(ArithmeticError, match="order 0.25 at cutoff 0.01:") as info:
+        threshold_sweep([(-1, 1e200), (1, 1e200)], (0.25, 0.5), (1e-2,))
+    assert type(info.value) is ArithmeticError
+
+
 _XS = np.linspace(-1, 1, 81)
 # below |x| ~ 1e-3 the cells of "oscillating" refine up to the 2^16-point cap
 _PROFILES = {**cli._PROFILES,

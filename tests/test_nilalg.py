@@ -11,6 +11,7 @@ import class_reference
 from nilmix import exactlin, nilalg, rates
 from nilmix.catalog import CAT, CUBIC, block_diag, get_system
 from nilmix.exactlin import (
+    Disc,
     IntPolynomial,
     PrecisionError,
     RationalMatrix,
@@ -553,14 +554,14 @@ def test_class_of_refuses_a_disc_in_no_class_or_two():
     one = 1 << prec + 64          # 1 in disc units
     identity = IntPolynomial([0, 1])
     discs = factor_roots(char_poly(CAT), prec).discs
-    assert [split.class_of(identity, d, prec) for d in discs] == [0, 1]
+    assert [split.class_of(identity, d) for d in discs] == [0, 1]
     # on CAT's roots, 3 - z is the other root and (z^2 + 1) / 3 is z itself
-    assert split.class_of(IntPolynomial([3, -1]), discs[0], prec) == 1
-    assert split.class_of(IntPolynomial([Fraction(1, 3), 0, Fraction(1, 3)]), discs[0], prec) == 0
-    for wide in ((discs[0][0], 0, 3 * one),      # |z| in [0, 3.4]: both classes
-                 (one, 0, 1)):                   # |z| = 1: neither class
+    assert split.class_of(IntPolynomial([3, -1]), discs[0]) == 1
+    assert split.class_of(IntPolynomial([Fraction(1, 3), 0, Fraction(1, 3)]), discs[0]) == 0
+    for wide in (Disc(discs[0].x, 0, 3 * one, prec),      # |z| in [0, 3.4]: both classes
+                 Disc(one, 0, 1, prec)):                  # |z| = 1: neither class
         with pytest.raises(PrecisionError, match="exactly one Lyapunov class"):
-            split.class_of(identity, wide, prec)
+            split.class_of(identity, wide)
 
 
 def test_regular_element_checks_the_core_dimension(monkeypatch):

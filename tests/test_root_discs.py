@@ -3,8 +3,8 @@ every root question.
 
 `exactlin.factor_roots` gives each root of an irreducible factor a disc
 that holds exactly that root.  The conjugate partner and modulus one are
-each read off by `exactlin._holder`: the one disc that meets the image of a
-root's disc under an exact map (conjugation, z -> 1/z).  Equal moduli are
+each read off by `exactlin.Disc.holder`: the one disc that meets the image
+of a root's disc under an exact map (conjugation, z -> 1/z).  Equal moduli are
 decided by Descartes counts of the real roots of the squared-modulus
 polynomial's squarefree kernel on the |z|^2 intervals.
 The discs are checked against roots recomputed at twice the precision,
@@ -42,8 +42,8 @@ from nilmix.exactlin import (
     IntPolynomial,
     PrecisionError,
     RationalMatrix,
+    Disc,
     ResolutionError,
-    _holder,
     _merge_modulus_classes,
     _modulus_relation,
     _root_count,
@@ -125,19 +125,19 @@ def _moduli_2048(p: IntPolynomial) -> list:
                 for _ in range(k)]
 
 
-def _modulus_2048(q: IntPolynomial, disc, prec: int):
-    """|z| at 2048 bits for the one root z of q in disc (units 2^-(prec + 64))."""
-    x, y, r = disc
+def _modulus_2048(q: IntPolynomial, disc: Disc):
+    """|z| at 2048 bits for the one root z of q in disc."""
+    x, y, r, _ = disc
     with mpmath.workprec(2048):
-        unit = mpmath.ldexp(1, -(prec + exactlin._DISC_BITS))
+        unit = mpmath.ldexp(1, -disc.bits)
         inside = [z for z in _roots_2048(q) if abs(z - mpmath.mpc(x, y) * unit) <= r * unit]
         assert len(inside) == 1
         return abs(inside[0])
 
 
 def _equal_at_2048_bits(primary, records, e1, e2) -> bool:
-    m1, m2 = (_modulus_2048(primary.blocks[e["fi"]].factor, records[e["fi"]].discs[e["ri"]],
-                            records[e["fi"]].prec) for e in (e1, e2))
+    m1, m2 = (_modulus_2048(primary.blocks[e["fi"]].factor, records[e["fi"]].discs[e["ri"]])
+              for e in (e1, e2))
     return abs(m1 - m2) < mpmath.ldexp(1, -2000)
 
 
@@ -159,8 +159,8 @@ def _classes(entries, primary, records, merge=_merge_modulus_classes):
 def _splits_equal_moduli(classes, primary, records) -> bool:
     """Whether two of the classes hold moduli equal at 2048 bits (each class
     is proven equal within, so its first root stands for it)."""
-    moduli = sorted(_modulus_2048(primary.blocks[fi].factor, records[fi].discs[ri],
-                                  records[fi].prec) for (fi, ri), *_ in classes)
+    moduli = sorted(_modulus_2048(primary.blocks[fi].factor, records[fi].discs[ri])
+                    for (fi, ri), *_ in classes)
     with mpmath.workprec(2048):
         return any(b - a < mpmath.ldexp(1, -2000) for a, b in zip(moduli, moduli[1:]))
 
@@ -212,10 +212,10 @@ def test_equal_moduli_and_merges_match_the_reference(pair):
 def test_each_disc_holds_exactly_one_root(q):
     rec = factor_roots(q, 128)
     with mpmath.workprec(256):
-        unit = mpmath.ldexp(1, -(128 + exactlin._DISC_BITS))
+        unit = mpmath.ldexp(1, -rec.discs[0].bits)
         roots = mpmath.polyroots([int(c) for c in reversed(q.coeffs)], maxsteps=400,
                                  extraprec=256)
-        for (x, y, r), (centre, radius) in zip(rec.discs, rec.roots):
+        for (x, y, r, _), (centre, radius) in zip(rec.discs, rec.roots):
             assert r * unit >= radius
             near = [z for z in roots if abs(z - mpmath.mpc(x, y) * unit) <= r * unit]
             assert len(near) == 1
@@ -236,8 +236,8 @@ def test_discs_hold_one_2048_bit_root_where_seeds_coincide(q, prec):
     # the refined discs still hold one root each
     rec = factor_roots(q, prec)
     with mpmath.workprec(2048):
-        unit = mpmath.ldexp(1, -(prec + exactlin._DISC_BITS))
-        for (x, y, r), (_, radius) in zip(rec.discs, rec.roots):
+        unit = mpmath.ldexp(1, -rec.discs[0].bits)
+        for (x, y, r, _), (_, radius) in zip(rec.discs, rec.roots):
             assert r * unit >= radius
             assert len([z for z in _roots_2048(q)
                         if abs(z - mpmath.mpc(x, y) * unit) <= r * unit]) == 1
@@ -256,12 +256,12 @@ def test_named_records():
 
 
 def test_holder_names_only_a_unique_disc():
-    discs = [(0, 0, 1), (3, 0, 1)]
-    assert _holder(discs, (0, 1, 0)) == 0
-    assert _holder(discs, (2, 0, 0)) == 1
-    assert _holder(discs, (1, 0, 1)) is None          # meets both
-    assert _holder(discs, (0, 5, 1)) is None          # meets neither
-    assert _holder(discs, None) is None
+    discs = [Disc(0, 0, 1, 128), Disc(3, 0, 1, 128)]
+    assert Disc(0, 1, 0, 128).holder(discs) == 0
+    assert Disc(2, 0, 0, 128).holder(discs) == 1
+    assert Disc(1, 0, 1, 128).holder(discs) is None          # meets both
+    assert Disc(0, 5, 1, 128).holder(discs) is None          # meets neither
+    assert discs[0].inverse() is None                        # 0 has no image under 1/z
 
 
 def test_near_symmetries_prove_nothing():
@@ -295,8 +295,8 @@ def test_no_convergence_is_a_precision_error():
         factor_roots(q, 128)
     rec = factor_roots(q, 256)
     assert rec.partner == (0, 1, 2)
-    for i, (x1, y1, r1) in enumerate(rec.discs):
-        for x2, y2, r2 in rec.discs[i + 1:]:
+    for i, (x1, y1, r1, _) in enumerate(rec.discs):
+        for x2, y2, r2, _ in rec.discs[i + 1:]:
             assert (x1 - x2) ** 2 + (y1 - y2) ** 2 > (r1 + r2) ** 2
     # the splitting escalates past it, and refuses (the double moduli of the
     # two small roots coincide) with a PrecisionError, not NoConvergence
