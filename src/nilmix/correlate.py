@@ -168,7 +168,9 @@ def _products(factors: list, rows: np.ndarray) -> tuple:
     return re, im
 
 
-def _value(exact: bool, re, im):
+def _value(exact: bool, re, im, at: str = ""):
+    if not (exact or math.isfinite(re) and math.isfinite(im)):
+        raise ArithmeticError(f"correlation at {at} overflows a double")
     return ExactComplex(re, im) if exact else complex(re, im)
 
 
@@ -186,6 +188,7 @@ def _support(g: FourierObservable) -> tuple:
     return bound, base, moduli, _keys(g.freqs, base, moduli)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # _value refuses inf and nan
 def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
                  power: int):
     """<f o a^power, g> = sum_k f_k conj(g_{(M^power)^T k}), exactly.
@@ -214,13 +217,14 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
     zero = Fraction(0) if exact else 0.0
     gr, gi = np.append(g.re, zero)[hit], -np.append(g.im, zero)[hit]    # conj(g) there
     return _value(exact, _ordered_sum(f.re * gr - f.im * gi, zero),
-                  _ordered_sum(f.re * gi + f.im * gr, zero))
+                  _ordered_sum(f.re * gi + f.im * gr, zero), f"power {power}")
 
 
 # ---------------------------------------------------------------------------
 # n-point correlation (meet in the middle)
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def correlation_n(observables: Sequence[FourierObservable],
                   generators: Sequence[RationalMatrix],
                   times: Sequence[Sequence[int]],
@@ -259,7 +263,7 @@ def correlation_n(observables: Sequence[FourierObservable],
             raise ValueError("matrix has non-integer entries")
         mts.append(a.nums)
 
-    zero = Fraction(0) if exact else 0.0
+    zero, at = Fraction(0) if exact else 0.0, f"times {[tuple(map(int, z)) for z in times]}"
     sizes = [len(f) for f in observables]
     if 0 in sizes:
         return _value(exact, zero, zero)
@@ -301,7 +305,7 @@ def correlation_n(observables: Sequence[FourierObservable],
         np.add.at(ta_im, ids_a[rows], im)
     if not half_b:                 # one factor: the value is the zero sum's entry
         a = ids_b[0]
-        return _value(exact, ta_re[a], ta_im[a]) if in_a[a] else _value(exact, zero, zero)
+        return _value(exact, ta_re[a], ta_im[a], at) if in_a[a] else _value(exact, zero, zero)
     acc_re = acc_im = zero
     for rows in _matched_blocks(ids_b, in_a):
         br, bi = _products([observables[i] for i in half_b], rows)
@@ -309,7 +313,7 @@ def correlation_n(observables: Sequence[FourierObservable],
         ar, ai = ta_re[a], ta_im[a]
         acc_re = _ordered_sum(ar * br - ai * bi, acc_re)
         acc_im = _ordered_sum(ar * bi + ai * br, acc_im)
-    return _value(exact, acc_re, acc_im)
+    return _value(exact, acc_re, acc_im, at)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,14 @@ representative has positive first nonzero coordinate).
 
 Two scan engines produce the identical ball minimum:
 
-* a literal full scan over one cached symmetry-reduced grid of the ball
-  (built exactly, with its squared norms, by ``_half_ball``, which also
-  serves the density counts; cached in the narrowest integer dtype beside
-  its float64 norm powers) for balls up to a size threshold: every point is
-  screened in float64, block by block, against a proven rounding bound that
-  holds in any summation order, and only the points that could still
-  attain the minimum are evaluated, exactly (Python-int keys over one
-  common denominator) for rational directions on small balls, otherwise in
-  80-bit extended floats;
+* a literal full scan for balls up to a size threshold, over the cached
+  lines of the ball (the points that share their first d - 1 coordinates,
+  whose prefixes ``_half_ball``, which also serves the density counts,
+  builds exactly): a closed-form float64 bound per line, with a proven
+  rounding margin, skips the lines that cannot reach the minimum, and the
+  points that could still attain it are evaluated exactly (Python-int keys
+  over one common denominator) for rational directions on small balls,
+  otherwise in 80-bit extended floats;
 * a pruned scan for large balls: after a seed full scan out to a small
   radius s, a lattice point that could still attain the running minimum C
   must satisfy |m . v| <= C / max(||p||, s)^dimE for the dominant direction
@@ -58,7 +57,7 @@ _EXACT_SCAN_LIMIT = 40_000         # lattice points; rational directions get an 
                                    # here and the rounded-down extended value beyond, as always
 _FLOAT_DOWN = 1.0 - 1e-13          # directed-rounding margin on reported minima
 _LONG = np.longdouble
-_SCREEN_BLOCK = 1 << 15            # grid rows screened per float64 block
+_SCREEN_BLOCK = 1 << 15            # points (or lines x t^2 candidates) per float64 block
 
 
 @dataclass
@@ -150,19 +149,25 @@ def _half_ball(dim: int, r_sq: int, dtype) -> tuple:
 
 
 @lru_cache(maxsize=4)
-def _lattice_ball(dim: int, radius: float):
-    """Symmetry-reduced ball grid in lexicographic order, in the narrowest signed
-    integer dtype that holds its coordinates, and its float64 norm powers
-    ||m||^d, raised from the exact integer norms (read-only: cached and shared
-    by both engines): the half ball of _radius_sq(radius) without its zero row.
-    """
+def _lattice_ball(dim: int, radius: float) -> tuple:
+    """The lines of the half ball of _radius_sq(radius) without its zero row,
+    cached and read-only: prefixes p (exact float64 rows), ||p||^2, the range
+    lo..hi of the last coordinate (y >= 1 on p = 0) and the least norm power
+    max(||p||^2, 1)^(d/2).  Expanded in order, y increasing, they are its rows."""
     r_sq = _radius_sq(radius)
-    # -isqrt - 1: a signed type that holds -b also holds +b (b = 128 needs int16)
-    rows, norms = _half_ball(dim, r_sq, np.min_scalar_type(-math.isqrt(r_sq) - 1))
-    grid, npow = rows[1:], _ipow_half(norms[1:].astype(np.float64), dim)
-    for a in (grid, npow):
+    pre, nsq = _half_ball(dim - 1, r_sq, np.float64)
+    hi = np.sqrt((r_sq - nsq).astype(np.float64)).astype(np.int64)
+    nsq = nsq.astype(np.float64)
+    lines = pre, nsq, np.where(nsq > 0, -hi, 1), hi, _ipow_half(np.maximum(nsq, 1.0), dim)
+    for a in lines:
         a.setflags(write=False)
-    return grid, npow
+    return lines
+
+
+def _expand(hi: np.ndarray, keep: np.ndarray, end: np.ndarray, rows: np.ndarray) -> tuple:
+    """Line index and y of rows of the lines keep, expanded in order (end: cumulative sizes)."""
+    k = np.searchsorted(end, rows, side="right")
+    return keep[k], hi[keep[k]] - (end[k] - 1 - rows)
 
 
 def _lex_best(grid: np.ndarray, f: np.ndarray):
@@ -191,56 +196,75 @@ def _minimum(pts: np.ndarray, vs, dim: int):
 
 def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list] = None):
     """Minimum, lexicographic argmin and point count of f over the ball, screened
-    in float64: the exact f^2 of the rational rows exact if given (vs_arr then
-    holds their float64 roundings), else the extended-precision f of vs_arr.
+    in float64 line by line: the exact f^2 of the rational rows exact if given
+    (vs_arr then holds their float64 roundings), else the extended-precision f
+    of vs_arr.
 
-    Every point is first evaluated in float64, in blocks of _SCREEN_BLOCK rows
-    of the narrow integer grid, each cast exactly to float64 (npow: the norm
-    powers ||m||^d; v64: vs_arr rounded to float64).  Let u = 2^-53,
-    the unit roundoff of float64 (the longdouble one is no larger), and
-    gamma_k = k u / (1 - k u).  Against the exact F(m) = ||m||^d sum_j |m . v_j|
-    of the directions v_j, rational or longdouble, to first order in u:
-
-    * rounding any real v_j to float64 moves m . v_j by at most u sum_i |m_i v_ji|;
-    * a d-term dot product (any order, with or without FMA) is off by at most
-      gamma_d sum_i |m_i v_ji|, and sum_i |m_i v_ji| <= ||m|| ||v_j||;
-    * the t-term sum of the nonnegative |m . v_j| is off by gamma_(t-1) of itself;
-    * npow raises the exact integer ||m||^2 in at most d + 1 roundings
-      (_ipow_half: squarings, products, one sqrt): relative error gamma_(d+1);
-    * the final product rounds once more.
-
-    None of these bounds depends on the order of a sum or on the block, so
-    float64 and longdouble each miss F(m) by at most
-    (2d + t + 2) u ||m||^(d+1) sum_j ||v_j||, and ||m|| <= R, hence
+    f64 at a ball point m = (p, y) is ||m||^d sum_j |p . v_j[:-1] + y v_j[-1]|,
+    with v_j rounded to float64 and ||m||^2 exact.  Let u = 2^-53 (the
+    longdouble unit roundoff is no larger).  Against the exact
+    F(m) = ||m||^d sum_j |m . v_j| of the directions v_j, rational or
+    longdouble, to first order in u: rounding v_j to float64 moves m . v_j by
+    at most u sum_i |m_i v_ji|, a d-term dot product (any order, with or
+    without FMA) by d u sum_i |m_i v_ji| <= d u ||m|| ||v_j||; the t-term sum
+    is off by (t - 1) u of itself, the norm power (_ipow_half: at most d + 1
+    roundings) by (d + 1) u, and the product rounds once more.  So float64 and
+    longdouble each miss F(m) by at most (2d + t + 2) u ||m||^(d+1) sum_j ||v_j||
+    in any order of summation, and ||m|| <= R, hence
 
         |f64(m) - F(m)|, |f64(m) - f_longdouble(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
 
     with e = max(1e-12, (2d + t + 2) 2^-50), at least twice the summed
     first-order bounds (2d + t + 2) 2^-52; the slack covers the second-order
-    terms and the rounding of sum_j ||v_j|| and of the threshold below
+    terms and the rounding of sum_j ||v_j|| and of the thresholds below
     (u times a value of the same scale).  Underflow adds at most ~(d + t) 2^-1074 R^(d+1), inside the
-    floor 1e-280 on sum_j ||v_j||.  Every row attaining the minimum L of F
-    (rational rows) or of f_longdouble then has f64 <= L + err <= min(f64) + 2 err
-    and is kept; a direction beyond the float64 range makes err or min(f64)
-    non-finite and keeps every row.  On the kept rows, as int64, _minimum
-    evaluates element by element exactly as it would over the whole ball, so
-    the minimum and argmin are bit-identical.
+    floor 1e-280 on sum_j ||v_j||.
+
+    On the line of p, ||m||^2 >= max(||p||^2, 1) and S(y) = sum_j |m . v_j| is
+    convex and piecewise linear, least on the integers of [lo, hi] next to a
+    zero y*_j = -(p . v_j[:-1]) / v_j[-1] clipped to [lo, hi].  The line's
+    bound B is max(||p||^2, 1)^(d/2) times the least float64 S at c_j and
+    min(c_j + 1, hi), c_j the floor of each float64 y*_j so clipped (NaN read
+    as lo).  Their errors delta_j, |v_j[-1]| delta_j <= (d + 3) u R ||v_j||, add at most
+    2 sum_j |v_j[-1]| delta_j to the least S (a v_j[-1] below 2^-1022, which
+    float64 holds only subnormal, moves S by < 2^-1021 R along the whole
+    line), so B exceeds a lower bound of F on the line by at most
+    (4d + t + 8) u R^(d+1) sum_j ||v_j|| <= err.  With U the least f64 at
+    these points, a minimizer of F has B <= U + 2 err on its line, one of
+    f_longdouble B <= U + 4 err: lines with B > U + 4 err are skipped.  The
+    others' points are evaluated in float64, in blocks of _SCREEN_BLOCK rows,
+    and every point attaining the minimum L of F (rational rows) or of
+    f_longdouble has f64 <= L + err <= min(f64) + 2 err and is kept; NaN
+    compares false, so a direction beyond the float64 range keeps every
+    point.  On the kept rows, as int64, _minimum evaluates element by element
+    exactly as it would over the whole ball, so the minimum and argmin are
+    bit-identical.
     """
-    grid, npow = _lattice_ball(dim, radius)
+    pre, nsq, lo, hi, low_pow = _lattice_ball(dim, radius)
     v64 = vs_arr.astype(np.float64)
-    f64 = np.empty(len(grid))
-    for start in range(0, len(grid), _SCREEN_BLOCK):
-        block = slice(start, start + _SCREEN_BLOCK)
-        d = v64 @ grid[block].astype(np.float64).T   # exact cast: |coordinates| < 2^53
-        f = np.abs(d[0], out=f64[block])
-        for row in d[1:]:                            # the sum over the t directions
-            f += np.abs(row, out=row)
-        f *= npow[block]
+    a, b = v64[:, :-1], v64[:, -1:]
     e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50)
     err = e * (radius + 1.0) ** (dim + 1) * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
-    keep = np.flatnonzero(~(f64 > f64.min() + 2.0 * err))
-    val, arg = _minimum(grid[keep].astype(np.int64), vs_arr if exact is None else exact, dim)
-    return val, arg, len(grid)
+    bound, u, step = np.empty(len(lo)), np.inf, max(1, _SCREEN_BLOCK // len(v64) ** 2)
+    for blk in (slice(i, i + step) for i in range(0, len(lo), step)):
+        s = a @ pre[blk].T                         # row j: p . v_j[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.floor(np.fmin(np.fmax(-s / b, lo[blk]), hi[blk]))
+        y = np.concatenate((y, np.minimum(y + 1, hi[blk])))
+        sums = np.abs(s[:, None] + y * b[:, :, None]).sum(axis=0)
+        bound[blk] = low_pow[blk] * sums.min(axis=0)
+        u = np.minimum(u, (_ipow_half(nsq[blk] + y * y, dim) * sums).min())   # NaN stays
+    keep = np.flatnonzero(~(bound > u + 4.0 * err))
+    end = np.cumsum(hi[keep] - lo[keep] + 1)
+    f64 = np.empty(end[-1])
+    for start in range(0, len(f64), _SCREEN_BLOCK):
+        li, y = _expand(hi, keep, end, np.arange(start, min(start + _SCREEN_BLOCK, len(f64))))
+        sums = np.abs(a @ pre[li].T + y * b).sum(axis=0)
+        f64[start:start + len(y)] = _ipow_half(nsq[li] + y * y, dim) * sums
+    li, y = _expand(hi, keep, end, np.flatnonzero(~(f64 > f64.min() + 2.0 * err)))
+    val, arg = _minimum(np.column_stack((pre[li], y)).astype(np.int64),
+                        vs_arr if exact is None else exact, dim)
+    return val, arg, int((hi - lo).sum()) + len(lo)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,17 @@ def _pow(x: np.ndarray, y) -> np.ndarray:
                        count=x.size).reshape(x.shape)
 
 
+def _square_sum(re: np.ndarray, im: np.ndarray, norm: str, w=None, s=1.0) -> float:
+    """fsum of |re + i im|^2, each times w^s if w is given (powers by _pow);
+    ArithmeticError naming the norm where a power, product or the sum overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return math.fsum((1.0 if w is None else _pow(w, s)) * _pow(np.hypot(re, im), 2))
+    except (OverflowError, FloatingPointError):
+        raise ArithmeticError(f"{norm}: the (weighted) squared coefficient moduli overflow "
+                              "a double") from None
+
+
 def _ordered_sum(a: np.ndarray, start=0.0):
     """start + a[..., 0] + a[..., 1] + ... left to right, as a Python loop adds (np.sum
     adds pairwise): the last entry of the running sum, a scalar for 1-D input."""
@@ -247,7 +258,7 @@ class FourierObservable:
         """||f||_2^2 = sum |c_z|^2 (Plancherel)."""
         if self.exact:
             return sum(self.re * self.re + self.im * self.im, Fraction(0))
-        return math.fsum(_pow(np.hypot(self.re, self.im), 2))
+        return _square_sum(self.re, self.im, "l2 norm")
 
     def to_float(self) -> "FourierObservable":
         return FourierObservable._of(self.dim, self.freqs, *self._parts(False), False) \

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .exactlin import _integral
-from .fourier import FourierObservable, _ordered_sum, _pow
+from .fourier import FourierObservable, _ordered_sum, _pow, _square_sum
 
 __all__ = [
     "ObstructionError",
@@ -259,7 +259,7 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
         on = (sel == i) & small
         per_direction.append(DirectionSolution(
             index=i, direction=v, order=r, phi=phi, norm=math.sqrt(phi.l2_sq()),
-            norm_small=math.sqrt(math.fsum(_pow(np.hypot(vr[on], vi[on]), 2))),
+            norm_small=math.sqrt(_square_sum(vr[on], vi[on], f"small-part norm {i}")),
             predicted_small_bound=bound))
     return FractionalSolution(order=r, mode=mode, directions=list(dirs), split=split,
                               per_direction=per_direction, residual=residual,
@@ -286,7 +286,7 @@ def sobolev_norm(f: FourierObservable, s: float,
         sq = _pow(_dots(f.freqs, _dims(f, directions)), 2).tolist()
         sq = np.fromiter(map(math.fsum, sq), float, len(f))
     w = 1.0 + 4.0 * math.pi ** 2 * sq
-    return math.sqrt(math.fsum(_pow(w, s) * _pow(np.hypot(*f._parts(False)), 2)))
+    return math.sqrt(_square_sum(*f._parts(False), f"Sobolev norm of order {s}", w, s))
 
 
 # ---------------------------------------------------------------------------

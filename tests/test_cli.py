@@ -409,6 +409,43 @@ def test_threshold_square_beyond_the_doubles_exits_1(tmp_path, capsys):
     assert "order 0.25 at cutoff 0.01" in error["message"]
 
 
+@pytest.mark.parametrize("re, z, r, order", [(1e200, [5, 3], 0.5, 1.0), (1.0, [50, 30], 40, 80.0)])
+def test_solve_square_beyond_the_doubles_exits_1(tmp_path, capsys, re, z, r, order):
+    # (1e200)^2, or the weight (1 + 4 pi^2 ||z||^2)^80 of the order-80 norm,
+    # overflows Python's pow: exit 1 with a message naming the norm
+    cfg = {"system": "catmap", "r": r,
+           "observable": {"dim": 2, "coeffs": [{"z": [0, 1], "re": re, "im": 0.0},
+                                               {"z": z, "re": 0.0, "im": 1.0}]}}
+    code, report, _ = run(tmp_path, "solve", cfg)
+    assert (code, report) == (1, None)
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ArithmeticError"
+    assert error["message"] == (f"Sobolev norm of order {order}: the (weighted) squared "
+                                "coefficient moduli overflow a double")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("mode, z, at", [({"powers": [1, 0]}, [1, 0], "power 0"),
+                                         ({"times": [[[1], [2]], [[0], [0]]]}, [-1, 0],
+                                          "times [(0,), (0,)]")])
+def test_correlate_non_finite_value_exits_1(tmp_path, capsys, mode, z, at):
+    # (1e200)^2 overflows a double: exit 1 naming the power or the time tuple,
+    # where report.json held "re": Infinity, which is not JSON.  The two-point
+    # sum pairs f_k with conj(g_k), the n-point one f_k with g_(-k)
+    f, g = ({"dim": 2, "coeffs": [{"z": w, "re": 1e200, "im": 0.0}]} for w in ([1, 0], z))
+    code, report, out = run(tmp_path, "correlate", {"system": "catmap",
+                                                     "observables": [f, g], **mode})
+    assert code == 1
+    for path in out.rglob("report.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "ArithmeticError",
+                     "message": f"correlation at {at} overflows a double"}
+
+
 def test_solve_directions_from_system(tmp_path):
     # without explicit directions the expanding splitting of the system's
     # first generator is used

@@ -60,9 +60,9 @@ def test_exact_resonance():
 
 
 def test_resonance_on_a_ball_edge_of_128():
-    # isqrt(r_sq) = 128: the ball's coordinates need int16, since int8 holds
-    # -128 but not +128.  About 51 900 points take the float full scan, which
-    # must still see the exact zero at (1, 128)
+    # isqrt(r_sq) = 128: about 51 900 points take the float full scan, whose
+    # line screen must keep the line of the exact zero at (1, 128), on the
+    # ball's edge
     cert = diophantine_certificate([[128, -1]], 2, 128.5)
     assert not cert.passed
     assert cert.c_emp == 0
@@ -257,25 +257,24 @@ def test_exact_scan_uses_the_float_engines_ball():
 
 
 def test_lattice_ball_arrays_are_read_only():
-    grid, npow = _lattice_ball(3, 5.0)
-    assert (grid.dtype, npow.dtype) == (np.int8, np.float64)
-    for a in (grid, npow):
+    lines = _lattice_ball(3, 5.0)
+    assert len(lines) == 5
+    for a in lines:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
 
 
-@pytest.mark.parametrize("dim, dtype", [(1, np.int16), (2, np.int16), (3, np.int8),
-                                        (4, np.int8)])
-def test_seed_balls_are_narrow(dim, dtype):
-    # the coordinates in the narrowest signed dtype, plus one float64 norm
-    # power: 12 bytes a point for the d = 4 seed ball, where an int64 grid, its
-    # float64 copy and the powers took 72
-    grid, npow = _lattice_ball(dim, _seed_radius(dim))
-    assert grid.dtype == dtype and grid.flags.c_contiguous
-    # the builder's zero row stays in the grid's base
-    held = grid.base.nbytes + npow.nbytes
-    assert held <= (dim * grid.itemsize + 8) * (len(grid) + 1)
+@pytest.mark.parametrize("dim, n_lines, n_points", [(1, 1, 512), (2, 489, 374998),
+                                                    (3, 4995, 374930), (4, 16116, 373304)])
+def test_seed_balls_hold_lines_not_points(dim, n_lines, n_points):
+    # the prefixes, their squared norms, the two ends of each line and its
+    # least norm power: 8 (d + 3) bytes a line, nothing a point
+    lines = _lattice_ball(dim, _seed_radius(dim))
+    lo, hi = lines[2:4]
+    assert len(lo) == n_lines and int((hi - lo + 1).sum()) == n_points
+    assert sum(a.nbytes for a in lines) == 8 * (dim + 3) * n_lines
+    assert all(a.base is None or a.base.nbytes == a.nbytes for a in lines)
 
 
 def _cube_ball(dim, radius):
@@ -295,16 +294,23 @@ def _longdouble_full_scan(vs_arr, dim, radius):
     return float(f[best]), tuple(int(x) for x in grid[best]), len(grid)
 
 
+def _ball_points(dim, radius):
+    """Every line of the cached ball expanded, in order, by the scan's own expansion."""
+    pre, _, lo, hi, _ = _lattice_ball(dim, radius)
+    end = np.cumsum(hi - lo + 1)
+    li, y = dioph._expand(hi, np.arange(len(lo)), end, np.arange(end[-1]))
+    return np.column_stack((pre[li], y)).astype(np.int64)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_lattice_ball_is_the_cube_ball(dim):
-    # 128.5 and 32768.5: isqrt(r_sq) = 128 and 32768, where the narrowest
-    # signed type holding -b (int8, int16) does not hold +b
+    # 128.5 and 32768.5: isqrt(r_sq) = 128 and 32768, powers of two on the
+    # ball's edge
     edges = {1: (128.5, 32768.5), 2: (128.5,)}.get(dim, ())
     for radius in (1.0, math.sqrt(2), math.sqrt(3), 2.5, 6.0, 13.0 if dim < 5 else 7.0, *edges):
-        grid = _lattice_ball(dim, radius)[0]
+        grid = _ball_points(dim, radius)
         want = _cube_ball(dim, radius)
         assert grid.shape == want.shape and (grid == want).all()
-        assert grid.flags.c_contiguous
 
 
 def _directions(kind, rng, t, dim):
@@ -316,6 +322,12 @@ def _directions(kind, rng, t, dim):
         v[:, 0] = 1.0
     elif kind == "large-norm":
         v = v * 1e8
+    elif kind == "non-finite":
+        # an entry beyond the float64 range: no float64 value ranks a point,
+        # so the screen must expand every line
+        v = np.asarray(v, dtype=np.longdouble)
+        v[0, 0] *= np.longdouble("1e400")
+        return v
     elif kind == "fraction":
         # longdouble quotients: not representable in float64
         return np.array([[np.longdouble(int(rng.integers(-40, 41))) / np.longdouble(q)
@@ -324,14 +336,20 @@ def _directions(kind, rng, t, dim):
     return np.asarray(v, dtype=np.longdouble)
 
 
+def _overflow_allowed(kind):
+    """The float64 cast of a non-finite direction overflows on purpose."""
+    return np.errstate(over="ignore", invalid="ignore") if kind == "non-finite" \
+        else np.errstate()
+
+
 @pytest.mark.parametrize("kind", ["random", "near-rational", "integer-resonant",
-                                  "large-norm", "fraction"])
+                                  "large-norm", "fraction", "non-finite"])
 def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
     # the float64 screen with longdouble survivors must return the very
     # minimum, argmin and count of the all-longdouble scan, exact-zero ties
-    # of resonant directions included.  These balls fit one block; blocks of
-    # 7 rows also put the minimizers behind block boundaries (a norm power
-    # one row off in later blocks passes with one block, not with 7)
+    # of resonant directions included.  The expanded lines fit one block;
+    # blocks of 7 rows also put the minimizers behind block boundaries (a
+    # norm power one row off in later blocks passes with one block, not with 7)
     rng = np.random.default_rng(sum(map(ord, kind)))
     radii = {1: 200.0, 2: 40.5, 3: 11.0, 4: 6.5}
     blocks = (dioph._SCREEN_BLOCK, 7)
@@ -343,7 +361,9 @@ def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
                 want = _longdouble_full_scan(vs, dim, radius)
                 for block in blocks:
                     monkeypatch.setattr(dioph, "_SCREEN_BLOCK", block)
-                    assert _scan_full(vs, dim, radius) == want, (dim, vs, radius, block)
+                    with _overflow_allowed(kind):
+                        got = _scan_full(vs, dim, radius)
+                    assert got == want, (dim, vs, radius, block)
 
 
 # squared radii whose balls hold a multiple of _SCREEN_BLOCK points or just
@@ -352,32 +372,48 @@ def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
     (2, 20857, 1), (2, 20858, 2), (2, 41724, 2), (2, 41725, 3), (2, 44100, 3),
     (3, 900, 2), (4, 182, 3),
 ])
-def test_screen_across_blocks_is_the_longdouble_scan(dim, r_sq, blocks):
+def test_screen_across_blocks_is_the_longdouble_scan(dim, r_sq, blocks, monkeypatch):
     # the blocked screen must keep every row that can attain the minimum,
-    # wherever the block boundaries cut the ball
+    # wherever the block boundaries cut the ball; a non-finite direction
+    # expands every line, so its points fill exactly `blocks` blocks
     radius = math.sqrt(r_sq)
     assert _radius_sq(radius) == r_sq
-    count = len(_lattice_ball(dim, radius)[0])
+    count = len(_ball_points(dim, radius))
     assert -(-count // dioph._SCREEN_BLOCK) == blocks
+    evaluations = []
+    expand = dioph._expand
+    monkeypatch.setattr(dioph, "_expand", lambda hi, keep, end, rows:
+                        evaluations.append(len(rows)) or expand(hi, keep, end, rows))
     rng = np.random.default_rng(r_sq)
-    for kind in ("random", "near-rational", "integer-resonant"):
+    for kind in ("random", "near-rational", "integer-resonant", "non-finite"):
         for t in (1, 2, 3):
             vs = _directions(kind, rng, t, dim)
-            assert _scan_full(vs, dim, radius) == \
-                _longdouble_full_scan(vs, dim, radius), (kind, vs)
+            evaluations.clear()
+            with _overflow_allowed(kind):
+                got = _scan_full(vs, dim, radius)
+            assert got == _longdouble_full_scan(vs, dim, radius), (kind, vs)
+            if kind == "non-finite":
+                # every point of the ball in blocks, then the kept rows
+                assert sum(evaluations[:-1]) == count and len(evaluations) == blocks + 1
 
 
 def test_exact_screen_across_blocks(monkeypatch):
-    # the exact path's balls stay under one block, so a smaller block makes
-    # its screen cross boundaries: a rational direction against the exact
-    # reference and integer directions, exact in longdouble too, against the
-    # longdouble scan
-    monkeypatch.setattr(dioph, "_SCREEN_BLOCK", 1 << 12)
+    # the exact path's expanded lines stay under one block, so blocks of 7
+    # rows make its screen cross boundaries: a rational direction against the
+    # exact reference and integer directions, exact in longdouble too, against
+    # the longdouble scan
+    monkeypatch.setattr(dioph, "_SCREEN_BLOCK", 7)
+    evaluations = []
+    expand = dioph._expand
+    monkeypatch.setattr(dioph, "_expand", lambda hi, keep, end, rows:
+                        evaluations.append(len(rows)) or expand(hi, keep, end, rows))
     vs = [[Fraction(41, 7), Fraction(-29, 3)]]
     assert _exact_scan(vs, 2, 112.0) == _recursive_exact_scan(vs, 2, 112.0)
+    assert len(evaluations) > 3
+    evaluations.clear()
     vs = [[1, 2, 3], [2, -1, 5]]
     fsq, arg, count = _exact_scan(vs, 3, 21.0)
-    assert count > 4 << 12
+    assert len(evaluations) > 3
     val, ld_arg, ld_count = _longdouble_full_scan(np.asarray(vs, dtype=np.longdouble), 3, 21.0)
     assert (Fraction(val) ** 2, ld_arg, ld_count) == (fsq, arg, count)
 
@@ -401,6 +437,45 @@ def test_screen_keeps_few_rows_for_extended_precision(monkeypatch):
     val, arg, count = _scan_full(vs, 2, _seed_radius(2))
     assert (arg, count) == ((0, 1), 374998)
     assert len(sizes) == 1 and sizes[0] <= 300
+
+
+def _structural_sets():
+    """The distinct normalized block_max, block_min, w_plus and w_minus rows
+    of catmap, cubic3, two random conjugates and companion(x^4 - 4x^2 + x + 1)."""
+    sets = {}
+    for m in (CAT, CUBIC, random_ergodic_gl3(0), random_ergodic_gl3(1),
+              RationalMatrix.companion(IntPolynomial([1, 1, -4, 0, 1]))):
+        split = lyapunov_data(m)
+        for rows in (split.block_max(), split.block_min(), split.w_plus(), split.w_minus()):
+            vs = dioph._normalize_rows(rows)
+            sets[vs.shape, vs.tobytes()] = vs
+    return list(sets.values())
+
+
+def test_line_screen_on_the_seed_balls_is_the_longdouble_scan(monkeypatch):
+    # the structural direction sets on their seed balls, as certify scans
+    # them: the very minimum, argmin and count of the all-longdouble scan,
+    # with at most 1 % of the lines expanded and at most 3000 rows left for
+    # the extended evaluation, so a weakened line bound fails here instead
+    # of showing only as a slowdown
+    expanded, rows = [], []
+    expand, minimum = dioph._expand, dioph._minimum
+    monkeypatch.setattr(dioph, "_expand", lambda hi, keep, end, r: expanded.append(len(keep))
+                        or expand(hi, keep, end, r))
+    monkeypatch.setattr(dioph, "_minimum",
+                        lambda pts, vs, dim: rows.append(len(pts)) or minimum(pts, vs, dim))
+    sets = _structural_sets()
+    assert sorted(vs.shape for vs in sets) == [(1, 2)] * 2 + [(1, 3)] * 6 + [(1, 4)] * 2 \
+        + [(2, 3)] * 3 + [(2, 4)] * 2
+    for vs in sets:
+        dim = vs.shape[1]
+        radius = _seed_radius(dim)
+        vs = np.asarray(vs, dtype=np.longdouble)
+        expanded.clear()
+        rows.clear()
+        assert _scan_full(vs, dim, radius) == _longdouble_full_scan(vs, dim, radius), vs
+        assert max(expanded) <= len(_lattice_ball(dim, radius)[2]) // 100, (vs, expanded)
+        assert rows == [rows[0]] and rows[0] <= 3000, (vs, rows)
 
 
 def test_resonant_float_direction():
@@ -605,9 +680,16 @@ def test_integer_shell_forms_are_the_fraction_forms(args):
 @pytest.mark.parametrize("dim, radius", [(1, 5000.0), (2, 300.0), (3, 45.5), (4, 19.0),
                                          (5, 10.0), (6, 6.5)])
 def test_lattice_ball_norm_powers_are_the_row_sums(dim, radius):
-    grid, npow = _lattice_ball(dim, radius)
-    gf = grid.astype(np.float64)
-    assert npow.tobytes() == _ipow_half((gf * gf).sum(axis=1), dim).tobytes()
+    # each line's squared norm is its prefix's, its last coordinate reaches
+    # isqrt(r_sq - ||p||^2), and its least norm power is raised from
+    # max(||p||^2, 1) (y >= 1 on the zero prefix)
+    pre, nsq, lo, hi, low_pow = _lattice_ball(dim, radius)
+    r_sq = _radius_sq(radius)
+    sums = [sum(int(x) ** 2 for x in p) for p in pre]
+    assert nsq.tolist() == sums
+    assert hi.tolist() == [math.isqrt(r_sq - n) for n in sums]
+    assert lo[0] == 1 and (lo[1:] == -hi[1:]).all()
+    assert low_pow.tobytes() == _ipow_half(np.maximum((pre * pre).sum(axis=1), 1.0), dim).tobytes()
 
 
 def test_normalized_rows_are_divided_float_by_float():
