@@ -25,11 +25,12 @@ Two scan engines produce the identical ball minimum:
   v, where p are the coordinates of m off the largest axis of v.  Split by
   ||p|| into dyadic shells, these candidates lie in one thin ellipsoid per
   shell, whose lattice points are enumerated (LLL reduction in exact
-  integers, then a vectorized Fincke-Pohst search) and admitted by the same
-  float64 test that decided them when the scan swept every p.  Every
-  candidate at or below the seed minimum is provably evaluated.  Work and
-  memory follow the number of candidates; a scan whose candidate bound
-  exceeds a fixed limit raises MemoryError before it allocates.
+  integers, then a vectorized Fincke-Pohst search, one pass over consecutive
+  shells whose box bounds sum to at most _SCREEN_BLOCK, a larger shell alone)
+  and admitted by the same float64 test that decided them when the scan
+  swept every p.  Every candidate at or below the seed minimum is provably
+  evaluated.  Work and memory follow the number of candidates; a scan whose
+  candidate bound exceeds a fixed limit raises MemoryError before it allocates.
 """
 
 from __future__ import annotations
@@ -329,24 +330,28 @@ def _lll(gram: Sequence) -> tuple:
     return h, dets, lam
 
 
-def _enumerate(dn: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """One of each pair +-x of integer x with sum_i dn_i (x_i + sum_{k>i} mu_ki x_k)^2 <= 1.
+def _enumerate(dn: np.ndarray, mu: np.ndarray) -> tuple:
+    """One of each pair +-x of integer x with sum_i dn_si (x_i + sum_{k>i} mu_ski x_k)^2 <= 1
+    in each of S forms (dn of shape (S, d), mu (S, d, d)), and each row's form s.
 
     Fincke-Pohst enumeration, level by level from the outermost coordinate:
-    each level is one numpy step over all open nodes, and each node adds one
-    integer range.  Of x and -x only the one whose outermost nonzero
-    coordinate is positive is kept (and x = 0).  Budgets and ranges are
-    widened by ``_ENUM_SLACK``, far beyond the float64 rounding of a
-    size-reduced basis, so no point is lost; a few beyond the bound come too.
+    each level is one numpy step over the open nodes of all S forms (consecutive
+    shells, together within ``_SCREEN_BLOCK``), and each node adds one integer
+    range, so the rows come form by form, each in the order of its own pass;
+    a lone form's rows carry no index (s is 0).  Of x and -x only the one whose
+    outermost nonzero coordinate is positive is kept (and x = 0).  Budgets and
+    ranges are widened by ``_ENUM_SLACK``, far beyond the float64 rounding of
+    a size-reduced basis, so no point is lost; a few beyond the bound come too.
     """
-    n = len(dn)
-    xs = np.zeros((1, n), dtype=np.int64)
-    zero = np.ones(1, dtype=bool)          # nodes whose coordinates so far are all 0
-    part = np.zeros(1)
-    cen = np.zeros((1, n))                 # cen[:, j] = sum_{k set} mu_kj x_k
+    s, n = dn.shape
+    shell = np.arange(s) if s > 1 else 0
+    xs = np.zeros((s, n), dtype=np.int64)
+    zero = np.ones(s, dtype=bool)          # nodes whose coordinates so far are all 0
+    part = np.zeros(s)
+    cen = np.zeros((s, n))                 # cen[:, j] = sum_{k set} mu_kj x_k
     for i in range(n - 1, -1, -1):
         c = cen[:, i]
-        w = np.sqrt(np.maximum(1.0 + _ENUM_SLACK - part, 0.0) / dn[i]) + _ENUM_SLACK
+        w = np.sqrt(np.maximum(1.0 + _ENUM_SLACK - part, 0.0) / dn[shell, i]) + _ENUM_SLACK
         lo = np.ceil(-c - w).astype(np.int64)
         lo[zero] = np.maximum(lo[zero], 0)
         cnt = np.maximum(np.floor(-c + w).astype(np.int64) - lo + 1, 0)
@@ -354,11 +359,32 @@ def _enumerate(dn: np.ndarray, mu: np.ndarray) -> np.ndarray:
         x = lo[node] + np.arange(len(node)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         xs = xs[node]
         xs[:, i] = x
+        shell = shell[node] if s > 1 else 0
         if i:
             zero = zero[node] & (x == 0)
-            part = part[node] + dn[i] * (x + c[node]) ** 2
-            cen = cen[node] + x[:, None] * mu[i]
-    return xs
+            part = part[node] + dn[shell, i] * (x + c[node]) ** 2
+            cen = cen[node] + x[:, None] * mu[shell, i]
+    return xs, shell
+
+
+def _shell_points(forms: list, bounds: list, other_axes: list) -> list:
+    """The enumerated points of each shell's ellipsoid that lie in the shell, in
+    order: consecutive shells whose box bounds sum to at most _SCREEN_BLOCK share
+    one enumeration and one basis product, and a larger shell goes alone."""
+    starts, total = [], math.inf
+    for k, b in enumerate(bounds):
+        if total + b > _SCREEN_BLOCK:
+            starts.append(k)
+            total = 0.0
+        total += b
+    chunks = []
+    for a, z in zip(starts, starts[1:] + [len(forms)]):
+        n_lo, n_hi, basis, dn, mu = map(np.array, zip(*forms[a:z]))
+        pts, shell = _enumerate(dn, mu)      # rebound: the product frees the coordinates
+        pts = pts @ basis[0] if z - a == 1 else (pts[:, None] @ basis[shell])[:, 0]
+        n_sq = (pts[:, other_axes] ** 2).sum(axis=1)
+        chunks.append(pts[(n_sq > n_lo[shell]) & (n_sq <= n_hi[shell])])
+    return chunks
 
 
 def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) -> list:
@@ -416,21 +442,13 @@ def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float
 
     u = [Fraction(float(x)) / Fraction(float(piv_ax)) for x in piv]
     forms = _shell_forms(u, ax, c_cur / abs(float(piv_ax)), seed_radius, radius)
-    # every level of an enumeration has at most this many nodes (box bound)
-    estimate = sum(float(np.prod(np.floor(2 * (np.sqrt((1 + _ENUM_SLACK) / dn)
-                                               + _ENUM_SLACK)) + 1))
-                   for _, _, _, dn, _ in forms)
-    if estimate > _ENUM_LIMIT:
+    # every level of a shell's enumeration has at most this many nodes (box bound)
+    dns = np.array([dn for *_, dn, _ in forms])
+    bounds = np.prod(np.floor(2 * (np.sqrt((1 + _ENUM_SLACK) / dns) + _ENUM_SLACK)) + 1, axis=1)
+    if (estimate := sum(bounds)) > _ENUM_LIMIT:
         raise MemoryError(f"pruned scan in d={dim} to R={radius:g} would enumerate "
                           f"~{estimate:.3g} candidates (limit {_ENUM_LIMIT:.3g})")
-
-    chunks = []
-    for n_lo, n_hi, basis, dn, mu in forms:
-        pts = _enumerate(dn, mu) @ basis
-        sub = pts[:, other_axes]
-        n_sq = (sub * sub).sum(axis=1)
-        chunks.append(pts[(n_sq > n_lo) & (n_sq <= n_hi)])
-    pts = np.vstack(chunks)
+    pts = np.vstack(_shell_points(forms, bounds.tolist(), other_axes))
 
     # the admission test of the (d-1)-ball sweep, which decides every
     # candidate in float64 with explicit slack; the objective is evaluated in

@@ -176,16 +176,21 @@ class FractionalSolution:
         return self.residual <= 1e-12 * max(f.max_abs(), 1e-300)
 
 
-def _symbols(d: np.ndarray, r: float, mode: str) -> tuple:
-    """Parts of the mode-wise symbol |2 pi d|^r, or (2 pi i d)^r, by Python's
-    scalar pow in solving order; a zero symbol raises as dividing by it does."""
+def _symbols(d: np.ndarray, r: float, mode: str, freqs: np.ndarray) -> tuple:
+    """Parts of the mode-wise symbol |2 pi d|^r, or (2 pi i d)^r, at the frequencies
+    freqs by Python's scalar pow in solving order; a zero symbol raises as dividing
+    by it does, and one beyond the doubles raises ArithmeticError naming it."""
     if mode == "modulus":
         bases, n = np.abs(_TWO_PI * d).tolist(), r
     else:
         bases, n = [1j * _TWO_PI * x for x in d.tolist()], int(round(r))
     out = []
-    for b in bases:
-        out.append(b ** n)
+    for k, b in enumerate(bases):
+        try:
+            out.append(b ** n)
+        except OverflowError:
+            raise ArithmeticError(f"{mode} symbol of order {r} at frequency "
+                                  f"{tuple(freqs[k].tolist())} overflows a double") from None
         if not out[-1]:
             raise ZeroDivisionError("complex division by zero")
     out = np.array(out, dtype=complex)      # a float symbol divides as complex(d, 0.0)
@@ -230,7 +235,7 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
         if all(isinstance(x, (int, Fraction)) for x in v):
             resonant[sel == i] = _orthogonal(f.freqs[rows[sel == i]], v)
     stop = int(resonant.argmax()) if resonant.any() else len(rows)
-    sr, si = _symbols(d[:stop], r, mode)
+    sr, si = _symbols(d[:stop], r, mode, f.freqs[rows[:stop]])
     if stop < len(rows):
         raise ObstructionError(tuple(f.freqs[rows[stop]].tolist()), int(sel[stop]))
     cr, ci = (p[rows] for p in f._parts(False))

@@ -1,12 +1,13 @@
-"""Reference only: the pruned scan's shell forms and the row normalization
-in `Fraction` and Python-float arithmetic.
+"""Reference only: the pruned scan's shell forms, its per-shell enumeration
+and the row normalization, as the library computed them before.
 
 `dioph._shell_forms` builds each shell's Gram matrix on integers over one
 common scale (n_hi q D^2, with u over one denominator D and 1/t^2 = p / q),
-and `dioph._normalize_rows` divides whole arrays.  The versions here build
-the form entry by entry in `Fraction`s and scale it by the least common
-denominator, and divide one Python float at a time, as the library did
-before; the differential tests require equal bytes.
+`dioph._enumerate` runs the Fincke-Pohst levels of several consecutive
+shells in one pass, and `dioph._normalize_rows` divides whole arrays.  The
+versions here build the form entry by entry in `Fraction`s and scale it by
+the least common denominator, enumerate one shell per call, and divide one
+Python float at a time; the differential tests require equal bytes.
 """
 
 import math
@@ -43,6 +44,41 @@ def shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) -
         forms.append((n_lo, n_hi, np.array(h, dtype=np.int64), dn, mu))
         n_lo, hi = n_hi, 2 * hi
     return forms
+
+
+def enumerate_shell(dn: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """One of each pair +-x of integer x with sum_i dn_i (x_i + sum_{k>i} mu_ki x_k)^2 <= 1,
+    by Fincke-Pohst levels over the nodes of this one form."""
+    n = len(dn)
+    xs = np.zeros((1, n), dtype=np.int64)
+    zero = np.ones(1, dtype=bool)
+    part = np.zeros(1)
+    cen = np.zeros((1, n))
+    for i in range(n - 1, -1, -1):
+        c = cen[:, i]
+        w = np.sqrt(np.maximum(1.0 + _ENUM_SLACK - part, 0.0) / dn[i]) + _ENUM_SLACK
+        lo = np.ceil(-c - w).astype(np.int64)
+        lo[zero] = np.maximum(lo[zero], 0)
+        cnt = np.maximum(np.floor(-c + w).astype(np.int64) - lo + 1, 0)
+        node = np.repeat(np.arange(len(cnt)), cnt)
+        x = lo[node] + np.arange(len(node)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        xs = xs[node]
+        xs[:, i] = x
+        if i:
+            zero = zero[node] & (x == 0)
+            part = part[node] + dn[i] * (x + c[node]) ** 2
+            cen = cen[node] + x[:, None] * mu[i]
+    return xs
+
+
+def shell_points(forms: list, other_axes: list) -> list:
+    """Each shell's enumerated points inside the shell, one enumeration per shell."""
+    chunks = []
+    for n_lo, n_hi, basis, dn, mu in forms:
+        pts = enumerate_shell(dn, mu) @ basis
+        n_sq = (pts[:, other_axes] ** 2).sum(axis=1)
+        chunks.append(pts[(n_sq > n_lo) & (n_sq <= n_hi)])
+    return chunks
 
 
 def normalize_rows(rows) -> list:

@@ -424,6 +424,22 @@ def test_solve_square_beyond_the_doubles_exits_1(tmp_path, capsys, re, z, r, ord
                                 "coefficient moduli overflow a double")
 
 
+@pytest.mark.parametrize("mode", ["modulus", "signed"])
+def test_solve_symbol_beyond_the_doubles_exits_1(tmp_path, capsys, mode):
+    # |2 pi z.v|^300 at z = (50, 30) overflows Python's pow (a float in
+    # modulus mode, a complex in signed mode): exit 1 naming the order, the
+    # mode and the frequency, not a bare OverflowError
+    cfg = {"system": "catmap", "r": 300, "mode": mode,
+           "observable": {"dim": 2, "coeffs": [{"z": [0, 1], "re": 1.0, "im": 0.0},
+                                               {"z": [50, 30], "re": 0.0, "im": 1.0}]}}
+    code, report, _ = run(tmp_path, "solve", cfg)
+    assert (code, report) == (1, None)
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "ArithmeticError",
+                     "message": f"{mode} symbol of order 300.0 at frequency (50, 30) "
+                                "overflows a double"}
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

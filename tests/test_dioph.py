@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from unittest import mock
 
 import nilmix
@@ -652,8 +652,8 @@ _ENTRY = st.one_of(
 
 
 @st.composite
-def _shell_inputs(draw):
-    dim = draw(st.integers(2, 6))
+def _shell_inputs(draw, min_dim=2, max_dim=6):
+    dim = draw(st.integers(min_dim, max_dim))
     ax = draw(st.integers(0, dim - 1))
     piv = draw(st.sampled_from([1.0, -1.0]) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
     row = [draw(_ENTRY) for _ in range(dim)]
@@ -675,6 +675,77 @@ def test_integer_shell_forms_are_the_fraction_forms(args):
         assert (lo, hi) == (lo_w, hi_w)
         assert basis.dtype == basis_w.dtype and (basis == basis_w).all()
         assert dn.tobytes() == dn_w.tobytes() and mu.tobytes() == mu_w.tobytes()
+
+
+def _box_bounds(forms):
+    """Each shell's box bound, as the pruned scan sizes its enumeration."""
+    return [float(np.prod(np.floor(2 * (np.sqrt((1 + dioph._ENUM_SLACK) / dn)
+                                        + dioph._ENUM_SLACK)) + 1)) for *_, dn, _ in forms]
+
+
+def _recorded_enumerations(monkeypatch):
+    """The shell count of every `_enumerate` call and the shell index it returned."""
+    calls, enumerate_ = [], dioph._enumerate
+
+    def record(dn, mu):
+        xs, shell = enumerate_(dn, mu)
+        calls.append((len(dn), shell))
+        return xs, shell
+
+    monkeypatch.setattr(dioph, "_enumerate", record)
+    return calls
+
+
+# the golden direction in d = 2 (eight shells in groups of 1, 1 and 6) and a
+# near-rational direction in d = 4 (groups of 2, 1 and 1, two shells beyond the block)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_shell_inputs(1, 4), st.one_of(st.integers(1, 4096), st.just(dioph._SCREEN_BLOCK)))
+@example(([Fraction(1), Fraction(PHI_INV)], 0, 500.0, 25.0, 3000.0), 400)
+@example(([Fraction(1), Fraction(355, 113), Fraction(1, 2), Fraction(0.3)], 1, 5.0, 5.0, 40.0), 400)
+def test_grouped_enumeration_is_one_enumeration_per_shell(args, block):
+    # after each row's shell filter the grouped enumeration yields exactly the
+    # rows of one per-shell enumeration, shell by shell in order; consecutive
+    # shells share a call while their box bounds sum to at most the block
+    forms = dioph._shell_forms(*args)
+    bounds = _box_bounds(forms)
+    assume(sum(bounds) <= 2e5)
+    other_axes = [j for j in range(len(args[0])) if j != args[1]]
+    with mock.patch.object(dioph, "_SCREEN_BLOCK", block), \
+            mock.patch.object(dioph, "_enumerate", wraps=dioph._enumerate) as enum:
+        got = np.vstack(dioph._shell_points(forms, bounds, other_axes))
+    want = np.vstack(dioph_reference.shell_points(forms, other_axes))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
+    k = 0
+    for call in enum.call_args_list:
+        n = len(call.args[0])
+        assert n == 1 or sum(bounds[k:k + n]) <= block
+        assert k + n == len(forms) or sum(bounds[k:k + n + 1]) > block
+        k += n
+    assert k == len(forms)
+
+
+def test_each_pruned_scan_is_one_enumeration(monkeypatch):
+    # the four pruned scans of cubic3 at R = 1000 each enumerate all of their
+    # shells in one call, which carries each row's shell index
+    calls = _recorded_enumerations(monkeypatch)
+    with mock.patch.object(dioph, "_scan_pruned", wraps=dioph._scan_pruned) as pruned:
+        certify_structural_subspaces(CUBIC, 1000)
+    assert pruned.call_count == len(calls) == 4
+    assert all(n > 1 and isinstance(shell, np.ndarray) for n, shell in calls)
+
+
+def test_a_shell_beyond_the_block_is_enumerated_alone(monkeypatch):
+    # a plane of exact zeros in d = 4: the first shell's box bound, 175 616,
+    # exceeds the block, so it and each later shell go alone, without shell indices
+    calls = _recorded_enumerations(monkeypatch)
+    cert = diophantine_certificate([[1.0, 1.0, 0.0, 0.0]], 4, 30)
+    assert (cert.points_scanned, cert.argmin, cert.passed) == (413347, (0, 0, 0, 1), False)
+    forms = dioph._shell_forms([Fraction(1), Fraction(1), Fraction(0), Fraction(0)], 0,
+                               1e-300, _seed_radius(4), 30)
+    assert _box_bounds(forms)[0] > dioph._SCREEN_BLOCK
+    assert calls == [(1, 0)] * len(calls) and len(calls) > 1
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 5000.0), (2, 300.0), (3, 45.5), (4, 19.0),
