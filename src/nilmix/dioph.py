@@ -16,9 +16,8 @@ Two scan engines produce the identical ball minimum:
   whose prefixes ``_half_ball``, which also serves the density counts,
   builds exactly): a closed-form float64 bound per line, with a proven
   rounding margin, skips the lines that cannot reach the minimum, and the
-  points that could still attain it are evaluated exactly (Python-int keys
-  over one common denominator) for rational directions on small balls,
-  otherwise in 80-bit extended floats;
+  points that could still attain it are evaluated exactly, in Python-int
+  keys over one common denominator (a float64 direction is a dyadic rational);
 * a pruned scan for large balls: after a seed full scan out to a small
   radius s, a lattice point that could still attain the running minimum C
   must satisfy |m . v| <= C / max(||p||, s)^dimE for the dominant direction
@@ -28,9 +27,10 @@ Two scan engines produce the identical ball minimum:
   integers, then a vectorized Fincke-Pohst search, one pass over consecutive
   shells whose box bounds sum to at most _SCREEN_BLOCK, a larger shell alone)
   and admitted by the same float64 test that decided them when the scan
-  swept every p.  Every candidate at or below the seed minimum is provably
-  evaluated.  Work and memory follow the number of candidates; a scan whose
-  candidate bound exceeds a fixed limit raises MemoryError before it allocates.
+  swept every p, then screened and evaluated like the full scan's points.
+  Every candidate at or below the seed minimum is provably evaluated.  Work
+  and memory follow the number of candidates; a scan whose candidate bound
+  exceeds a fixed limit raises MemoryError before it allocates.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactlin import RationalMatrix, _integral, _rref, integer_kernel, lyapunov_data
+from .exactlin import (RationalMatrix, _int_einsum, _integral, _rref, integer_kernel,
+                       lyapunov_data)
 from .nilalg import NilpotentAlgebra, abelian_algebra, is_ergodic
 
 __all__ = [
@@ -54,10 +55,7 @@ __all__ = [
 ]
 
 _FULL_SCAN_LIMIT = 3_000_000       # lattice points; beyond this the pruned engine runs
-_EXACT_SCAN_LIMIT = 40_000         # lattice points; rational directions get an exact c_emp up to
-                                   # here and the rounded-down extended value beyond, as always
-_FLOAT_DOWN = 1.0 - 1e-13          # directed-rounding margin on reported minima
-_LONG = np.longdouble
+_FLOAT_DOWN = 1.0 - 1e-13          # directed-rounding margin on reported float-direction minima
 _SCREEN_BLOCK = 1 << 15            # points (or lines x t^2 candidates) per float64 block
 
 
@@ -67,7 +65,7 @@ class DiophantineCertificate:
     dim_ambient: int
     radius: float
     c_emp: float                      # certified-down empirical constant
-    c_emp_sq_exact: Optional[Fraction]  # exact (||m||^2)^d * (sum|m.v|)^2 when rational
+    c_emp_sq_exact: Optional[Fraction]  # exact (||m||^2)^d (sum|m.v|)^2; None for float directions
     argmin: tuple
     passed: bool                      # True iff no exact resonance found (c_emp > 0)
     points_scanned: int
@@ -103,11 +101,11 @@ def _is_rational_input(vs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Full scan (float64 screen; exact or 80-bit extended survivors)
+# Full scan (float64 screen; exact survivors)
 # ---------------------------------------------------------------------------
 
 def _ipow_half(nsq: np.ndarray, dim: int) -> np.ndarray:
-    """nsq^(dim/2) by repeated multiplication (longdouble ** is slow)."""
+    """nsq^(dim/2) by repeated squaring and a sqrt: at most dim + 1 roundings, in a fixed order."""
     out = np.ones_like(nsq)
     half = nsq
     e = dim // 2
@@ -178,74 +176,80 @@ def _lex_best(grid: np.ndarray, f: np.ndarray):
     return f[best_i], tuple(int(x) for x in grid[best_i])
 
 
-def _minimum(pts: np.ndarray, vs, dim: int):
-    """Minimum of f over the points pts and its lexicographic argmin: for a
-    longdouble array vs, f in 80-bit extended precision as a float; for rational
-    rows vs, the exact f^2, the least Python-int key (||m||^2)^d (sum_i |m . W_i|)^2
-    of their integer numerators W over one common denominator den, over den^2."""
-    if isinstance(vs, np.ndarray):
-        g = pts.astype(_LONG)
-        val, arg = _lex_best(pts, _ipow_half((g * g).sum(axis=1), dim)
-                             * np.abs(g @ vs.T).sum(axis=1))
-        return float(val), arg
-    w, den = _integral(vs)
-    p = pts.astype(object)
-    s = np.abs(p @ w.T).sum(axis=1)
-    key, arg = _lex_best(pts, (p * p).sum(axis=1) ** dim * s * s)
+def _sqrt_nearest(q: Fraction) -> float:
+    """The double nearest sqrt(q), ties to even, for a Fraction q >= 0: the isqrt of
+    q 4^k (a root of at least 2^54) with a sticky bit, rounded once by Python ints."""
+    k = max(0, (110 - q.numerator.bit_length() + q.denominator.bit_length()) // 2)
+    n, rest = divmod(q.numerator << 2 * k, q.denominator)
+    r = math.isqrt(n)
+    return (2 * r + (rest != 0 or r * r != n)) / (1 << k + 1)   # int / int rounds correctly
+
+
+def _minimum(pts: np.ndarray, rows: list, dim: int):
+    """Exact minimum of f^2 over the points pts and its lexicographic argmin: the
+    least Python-int key (||m||^2)^d (sum_j |m . W_j|)^2 of the rows' integer
+    numerators W over one common denominator den, over den^2.  The sums are
+    int64 where they provably fit, and a zero sum (f = 0) needs no keys."""
+    w, den = _integral(rows)
+    s = np.abs(_int_einsum("pi,ji->pj", pts, w, sums=len(w))).sum(axis=1)
+    if s.min() == 0:
+        return Fraction(0), _lex_best(pts, s)[1]
+    key, arg = _lex_best(pts, (pts * pts).sum(1).astype(object) ** dim * s.astype(object) ** 2)
     return Fraction(key, den * den), arg
 
 
-def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list] = None):
-    """Minimum, lexicographic argmin and point count of f over the ball, screened
-    in float64 line by line: the exact f^2 of the rational rows exact if given
-    (vs_arr then holds their float64 roundings), else the extended-precision f
-    of vs_arr.
+def _screen(rows: list, dim: int, radius: float) -> tuple:
+    """The rows' float64 copy v64 and the proven bound err on |f64 - F| over the ball."""
+    v64 = np.array([[float(x) for x in r] for r in rows])
+    e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50) * (radius + 1.0) ** (dim + 1)
+    return v64, e * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
 
-    f64 at a ball point m = (p, y) is ||m||^d sum_j |p . v_j[:-1] + y v_j[-1]|,
-    with v_j rounded to float64 and ||m||^2 exact.  Let u = 2^-53 (the
-    longdouble unit roundoff is no larger).  Against the exact
-    F(m) = ||m||^d sum_j |m . v_j| of the directions v_j, rational or
-    longdouble, to first order in u: rounding v_j to float64 moves m . v_j by
-    at most u sum_i |m_i v_ji|, a d-term dot product (any order, with or
-    without FMA) by d u sum_i |m_i v_ji| <= d u ||m|| ||v_j||; the t-term sum
-    is off by (t - 1) u of itself, the norm power (_ipow_half: at most d + 1
-    roundings) by (d + 1) u, and the product rounds once more.  So float64 and
-    longdouble each miss F(m) by at most (2d + t + 2) u ||m||^(d+1) sum_j ||v_j||
-    in any order of summation, and ||m|| <= R, hence
 
-        |f64(m) - F(m)|, |f64(m) - f_longdouble(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
+def _near_min(f64: np.ndarray, err: float) -> np.ndarray:
+    """Indices of f64 <= min(f64) + 2 err, the rows that can attain the minimum (NaN: all)."""
+    return np.flatnonzero(~(f64 > f64.min() + 2.0 * err))
 
-    with e = max(1e-12, (2d + t + 2) 2^-50), at least twice the summed
-    first-order bounds (2d + t + 2) 2^-52; the slack covers the second-order
-    terms and the rounding of sum_j ||v_j|| and of the thresholds below
-    (u times a value of the same scale).  Underflow adds at most ~(d + t) 2^-1074 R^(d+1), inside the
-    floor 1e-280 on sum_j ||v_j||.
+
+def _scan_full(rows: list, dim: int, radius: float):
+    """Exact minimum f^2, lexicographic argmin and point count of f over the
+    ball for rational rows (Fractions, or float64 values as Fractions),
+    screened line by line in float64 with their float64 copy v64 (_screen).
+
+    f64 at m = (p, y) is ||m||^d sum_j |p . v_j[:-1] + y v_j[-1]|, with ||m||^2
+    exact.  Let u = 2^-53.  Against the exact F(m) = ||m||^d sum_j |m . v_j|,
+    to first order in u: rounding v_j moves m . v_j by at most
+    u sum_i |m_i v_ji|, a d-term dot product (any order, with or without FMA)
+    by d u sum_i |m_i v_ji| <= d u ||m|| ||v_j||; the t-term sum is off by
+    (t - 1) u of itself, the norm power (_ipow_half) by (d + 1) u, and the
+    product rounds once more.  So in any order of summation, as ||m|| <= R,
+
+        |f64(m) - F(m)| <= err = e (R + 1)^(d + 1) sum_j ||v_j||_2
+
+    with e = max(1e-12, (2d + t + 2) 2^-50), twice the summed first-order
+    bounds or more: the slack covers the second-order terms and the rounding
+    of sum_j ||v_j|| and of the thresholds below.  Underflow adds at most
+    ~(d + t) 2^-1074 R^(d+1), inside the floor 1e-280 on sum_j ||v_j||.
 
     On the line of p, ||m||^2 >= max(||p||^2, 1) and S(y) = sum_j |m . v_j| is
     convex and piecewise linear, least on the integers of [lo, hi] next to a
     zero y*_j = -(p . v_j[:-1]) / v_j[-1] clipped to [lo, hi].  The line's
     bound B is max(||p||^2, 1)^(d/2) times the least float64 S at c_j and
     min(c_j + 1, hi), c_j the floor of each float64 y*_j so clipped (NaN read
-    as lo).  Their errors delta_j, |v_j[-1]| delta_j <= (d + 3) u R ||v_j||, add at most
-    2 sum_j |v_j[-1]| delta_j to the least S (a v_j[-1] below 2^-1022, which
-    float64 holds only subnormal, moves S by < 2^-1021 R along the whole
-    line), so B exceeds a lower bound of F on the line by at most
-    (4d + t + 8) u R^(d+1) sum_j ||v_j|| <= err.  With U the least f64 at
-    these points, a minimizer of F has B <= U + 2 err on its line, one of
-    f_longdouble B <= U + 4 err: lines with B > U + 4 err are skipped.  The
-    others' points are evaluated in float64, in blocks of _SCREEN_BLOCK rows,
-    and every point attaining the minimum L of F (rational rows) or of
-    f_longdouble has f64 <= L + err <= min(f64) + 2 err and is kept; NaN
-    compares false, so a direction beyond the float64 range keeps every
-    point.  On the kept rows, as int64, _minimum evaluates element by element
-    exactly as it would over the whole ball, so the minimum and argmin are
-    bit-identical.
+    as lo).  Their errors delta_j, |v_j[-1]| delta_j <= (d + 3) u R ||v_j||, add
+    at most 2 sum_j |v_j[-1]| delta_j to the least S (a subnormal v_j[-1] moves
+    S by < 2^-1021 R along the line), so B exceeds a lower bound of F on the
+    line by at most (4d + t + 8) u R^(d+1) sum_j ||v_j|| <= err.  With U the
+    least f64 at these points, the minimum L of F is at most U + err, and a
+    minimizer's line has B <= L + err <= U + 2 err: lines with B > U + 2 err
+    are skipped.  The points of the others are evaluated in float64, in
+    blocks of _SCREEN_BLOCK rows; every point attaining L has f64 <= L + err
+    <= min(f64) + 2 err and is kept (_near_min), then evaluated exactly
+    (_minimum).  A NaN or an infinite err (float64 products beyond the double
+    range) keeps every line and point.
     """
     pre, nsq, lo, hi, low_pow = _lattice_ball(dim, radius)
-    v64 = vs_arr.astype(np.float64)
+    v64, err = _screen(rows, dim, radius)
     a, b = v64[:, :-1], v64[:, -1:]
-    e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50)
-    err = e * (radius + 1.0) ** (dim + 1) * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
     bound, u, step = np.empty(len(lo)), np.inf, max(1, _SCREEN_BLOCK // len(v64) ** 2)
     for blk in (slice(i, i + step) for i in range(0, len(lo), step)):
         s = a @ pre[blk].T                         # row j: p . v_j[:-1]
@@ -255,17 +259,16 @@ def _scan_full(vs_arr: np.ndarray, dim: int, radius: float, exact: Optional[list
         sums = np.abs(s[:, None] + y * b[:, :, None]).sum(axis=0)
         bound[blk] = low_pow[blk] * sums.min(axis=0)
         u = np.minimum(u, (_ipow_half(nsq[blk] + y * y, dim) * sums).min())   # NaN stays
-    keep = np.flatnonzero(~(bound > u + 4.0 * err))
+    keep = np.flatnonzero(~(bound > u + 2.0 * err))
     end = np.cumsum(hi[keep] - lo[keep] + 1)
     f64 = np.empty(end[-1])
     for start in range(0, len(f64), _SCREEN_BLOCK):
         li, y = _expand(hi, keep, end, np.arange(start, min(start + _SCREEN_BLOCK, len(f64))))
         sums = np.abs(a @ pre[li].T + y * b).sum(axis=0)
         f64[start:start + len(y)] = _ipow_half(nsq[li] + y * y, dim) * sums
-    li, y = _expand(hi, keep, end, np.flatnonzero(~(f64 > f64.min() + 2.0 * err)))
-    val, arg = _minimum(np.column_stack((pre[li], y)).astype(np.int64),
-                        vs_arr if exact is None else exact, dim)
-    return val, arg, int((hi - lo).sum()) + len(lo)
+    li, y = _expand(hi, keep, end, _near_min(f64, err))
+    fsq, arg = _minimum(np.column_stack((pre[li], y)).astype(np.int64), rows, dim)
+    return fsq, arg, int((hi - lo).sum()) + len(lo)
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +430,20 @@ def _shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) 
     return forms
 
 
-def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float):
-    val, arg, count = _scan_full(vs_arr, dim, min(radius, seed_radius))
+def _scan_pruned(rows: list, dim: int, radius: float, seed_radius: float):
+    fsq, arg, count = _scan_full(rows, dim, min(radius, seed_radius))
     if radius <= seed_radius:
-        return val, arg, count
-    c_cur = val * (1 + 1e-9) + 1e-300
+        return fsq, arg, count
+    c_cur = _sqrt_nearest(fsq) * (1 + 1e-9) + 1e-300
 
     # pivot: coordinate axis and direction with the largest |component|
-    flat = np.abs(vs_arr)
-    vi, ax = np.unravel_index(np.argmax(flat), flat.shape)
-    piv = vs_arr[vi]
-    piv_ax = piv[ax]
+    v64, err = _screen(rows, dim, radius)
+    vi, ax = np.unravel_index(np.argmax(np.abs(v64)), v64.shape)
+    piv, piv_ax = v64[vi], float(v64[vi, ax])
     other_axes = [j for j in range(dim) if j != ax]
 
-    u = [Fraction(float(x)) / Fraction(float(piv_ax)) for x in piv]
-    forms = _shell_forms(u, ax, c_cur / abs(float(piv_ax)), seed_radius, radius)
+    u = [Fraction(float(x)) / Fraction(piv_ax) for x in piv]
+    forms = _shell_forms(u, ax, c_cur / abs(piv_ax), seed_radius, radius)
     # every level of a shell's enumeration has at most this many nodes (box bound)
     dns = np.array([dn for *_, dn, _ in forms])
     bounds = np.prod(np.floor(2 * (np.sqrt((1 + _ENUM_SLACK) / dns) + _ENUM_SLACK)) + 1, axis=1)
@@ -451,28 +453,27 @@ def _scan_pruned(vs_arr: np.ndarray, dim: int, radius: float, seed_radius: float
     pts = np.vstack(_shell_points(forms, bounds.tolist(), other_axes))
 
     # the admission test of the (d-1)-ball sweep, which decides every
-    # candidate in float64 with explicit slack; the objective is evaluated in
-    # extended precision on the survivors.  sub_f is C-ordered like the
+    # candidate in float64 with explicit slack.  sub_f is C-ordered like the
     # sweep's ball: BLAS rounds an F-ordered matrix-vector product
     # differently, and a resonant candidate is decided by its last bit
     sub_f = np.ascontiguousarray(pts[:, other_axes], dtype=np.float64)
     sub_norm_f64 = (sub_f ** 2).sum(axis=1)
     denom = np.maximum(np.sqrt(sub_norm_f64), float(seed_radius))
-    denom_pow = _ipow_half(denom * denom, dim)
-    tau = float(c_cur) / denom_pow
-    proj = sub_f @ np.asarray(piv[other_axes], dtype=np.float64)
-    center = -proj / float(piv_ax)
-    width = tau / abs(float(piv_ax)) * (1 + 1e-9) + np.abs(center) * 1e-12 + 1e-290
+    tau = c_cur / _ipow_half(denom * denom, dim)
+    center = -(sub_f @ piv[other_axes]) / piv_ax
+    width = tau / abs(piv_ax) * (1 + 1e-9) + np.abs(center) * 1e-12 + 1e-290
     cand_f = pts[:, ax].astype(np.float64)
     r_sq = radius * radius + 1e-9
     keep = (np.abs(cand_f - center) <= width) & (sub_norm_f64 + cand_f ** 2 <= r_sq)
     pts = pts[keep & pts.any(axis=1)]
     if len(pts) == 0:
-        return val, arg, count
+        return fsq, arg, count
     # every +-m pair was enumerated once, in one shell: no duplicates
     pts = np.where(_first_sign(pts)[:, None] < 0, -pts, pts)
-    val, arg = min((val, arg), _minimum(pts, vs_arr, dim))
-    return val, arg, count + len(pts)
+    # the full scan's screen at radius R (err holds in any order of summation)
+    f64 = _ipow_half((pts * pts).sum(axis=1) * 1.0, dim) * np.abs(pts @ v64.T).sum(axis=1)
+    fsq, arg = min((fsq, arg), _minimum(pts[_near_min(f64, err)], rows, dim))
+    return fsq, arg, count + len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +486,8 @@ def diophantine_certificate(directions: Sequence[Sequence], dim_ambient: int,
     vs = [list(v) for v in directions]
     if not vs or any(len(v) != dim_ambient for v in vs):
         raise ValueError("directions must be nonzero vectors of the ambient dimension")
+    if not all(math.isfinite(float(x)) for v in vs for x in v):
+        raise ValueError("direction entries must be finite")
     if any(all(float(x) == 0.0 for x in v) for v in vs):
         raise ValueError("zero direction vector")
     if radius < 1:
@@ -495,21 +498,17 @@ def diophantine_certificate(directions: Sequence[Sequence], dim_ambient: int,
         raise MemoryError(f"scan in d={dim_ambient} to R={radius:g} would enumerate "
                           f"~{n_points:.3g} candidates (limit {_ENUM_LIMIT:.3g})")
 
-    vs_arr = np.array([[float(x) for x in v] for v in vs], dtype=_LONG)
-    if _is_rational_input(vs) and n_points <= _EXACT_SCAN_LIMIT:
-        fsq, arg, count = _scan_full(vs_arr, dim_ambient, radius, exact=vs)
-        return DiophantineCertificate(vs, dim_ambient, float(radius), math.sqrt(float(fsq)),
-                                      fsq, arg, fsq > 0, count)
+    # a float64 direction is the dyadic rational it holds: every scan is exact
+    rational = _is_rational_input(vs)
+    rows = vs if rational else [[Fraction(float(x)) for x in v] for v in vs]
     if n_points <= _FULL_SCAN_LIMIT:
-        val, arg, count = _scan_full(vs_arr, dim_ambient, radius)
+        fsq, arg, count = _scan_full(rows, dim_ambient, radius)
     else:
-        val, arg, count = _scan_pruned(vs_arr, dim_ambient, radius,
+        fsq, arg, count = _scan_pruned(rows, dim_ambient, radius,
                                        seed_radius=_seed_radius(dim_ambient))
-    c = float(val) * _FLOAT_DOWN
-    resonance = c < 1e-290
-    return DiophantineCertificate(vs, dim_ambient, float(radius),
-                                  0.0 if resonance else c, None, arg,
-                                  not resonance, count)
+    c = math.sqrt(float(fsq)) if rational else _sqrt_nearest(fsq) * _FLOAT_DOWN
+    return DiophantineCertificate(vs, dim_ambient, float(radius), c,
+                                  fsq if rational else None, arg, fsq != 0, count)
 
 
 def _seed_radius(dim: int) -> float:

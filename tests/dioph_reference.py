@@ -1,5 +1,10 @@
-"""Reference only: the pruned scan's shell forms, its per-shell enumeration
-and the row normalization, as the library computed them before.
+"""Reference only: the whole-ball exact scan, the pruned scan's shell forms,
+its per-shell enumeration and the row normalization, as the library computed
+them before.
+
+`full_scan` evaluates the exact f^2 at every point of the cube-built half
+ball, with no screen, and breaks ties by comparing the points as lists, so
+they go to the lexicographically least point.
 
 `dioph._shell_forms` builds each shell's Gram matrix on integers over one
 common scale (n_hi q D^2, with u over one denominator D and 1/t^2 = p / q),
@@ -16,6 +21,22 @@ from fractions import Fraction
 import numpy as np
 
 from nilmix.dioph import _ENUM_SLACK, _lll, _radius_sq
+
+from density_reference import cube_half_ball
+
+
+def full_scan(rows: list, dim: int, radius: float) -> tuple:
+    """`(f^2, argmin, count)` of f(m) = ||m||^d sum_j |m . v_j| over the nonzero
+    canonical points of the ball, for rows of ints or Fractions: f^2 is a
+    Fraction, (||m||^2)^d (sum_j |m . W_j|)^2 / D^2 with W the rows scaled to
+    integers by the lcm D of their denominators."""
+    grid = cube_half_ball(dim, _radius_sq(radius))[1:]
+    den = math.lcm(*(Fraction(x).denominator for r in rows for x in r))
+    w = np.array([[int(Fraction(x) * den) for x in r] for r in rows], dtype=object)
+    s = np.abs(grid.astype(object) @ w.T).sum(axis=1)
+    key = (grid * grid).sum(axis=1).astype(object) ** dim * s * s
+    least = key.min()
+    return Fraction(least, den * den), tuple(min(grid[key == least].tolist())), len(grid)
 
 
 def shell_forms(u: list, ax: int, c: float, seed_radius: float, radius: float) -> list:

@@ -102,6 +102,14 @@ def test_rejects_bad_input():
         diophantine_certificate([[0, 0]], 2, 10)
     with pytest.raises(ValueError):
         diophantine_certificate([[1, 0]], 2, 0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            diophantine_certificate([[1.0, bad]], 2, 10)
+
+
+def _fractions(v):
+    """Float64 rows as the exact Fractions that the scans take."""
+    return [[Fraction(float(x)) for x in r] for r in v]
 
 
 def test_pruned_scan_matches_full_scan():
@@ -109,19 +117,19 @@ def test_pruned_scan_matches_full_scan():
     for trial in range(6):
         v = rng.normal(size=(1, 3))
         v /= np.max(np.abs(v))
-        vs = np.asarray(v, dtype=np.longdouble)
+        vs = _fractions(v)
         full_val, full_arg, _ = _scan_full(vs, 3, 60.0)
         pr_val, pr_arg, count = _scan_pruned(vs, 3, 60.0, seed_radius=17.0)
         assert pr_arg == full_arg
-        assert pr_val == pytest.approx(full_val, rel=1e-15)
+        assert pr_val == full_val
         assert count == 10239
 
 
 def test_pruned_scan_matches_full_scan_2d():
-    vs = np.asarray([[1.0, PHI_INV]], dtype=np.longdouble)
+    vs = _fractions([[1.0, PHI_INV]])
     full_val, full_arg, _ = _scan_full(vs, 2, 700.0)
     pr_val, pr_arg, count = _scan_pruned(vs, 2, 700.0, seed_radius=25.0)
-    assert pr_arg == full_arg and pr_val == pytest.approx(full_val, rel=1e-15)
+    assert pr_arg == full_arg and pr_val == full_val
     assert count == 980
 
 
@@ -136,11 +144,11 @@ def test_pruned_scan_near_rational_direction():
         v /= np.max(np.abs(v))
         if trial % 3 == 0:
             v[0] = np.array([1.0, 355.0 / 113.0, 0.5]) * (0.9 + 0.2 * rng.random())
-        vs = np.asarray(v, dtype=np.longdouble)
+        vs = _fractions(v)
         f_val, f_arg, _ = _scan_full(vs, 3, 70.0)
         p_val, p_arg, count = _scan_pruned(vs, 3, 70.0, seed_radius=9.0)
         assert p_arg == f_arg
-        assert p_val == pytest.approx(f_val, rel=1e-14)
+        assert p_val == f_val
         assert count == counts[trial]
 
 
@@ -160,16 +168,15 @@ def test_pruned_scan_is_exactly_the_full_scan(dim, radius, seed_radius, counts):
              rng.integers(-3, 4, size=(1, dim)) / 3 + np.eye(dim)[:1],
              np.array([[1.0, PHI_INV] + [0.0] * (dim - 2)])]
     for v, want in zip(cases, counts):
-        vs = np.asarray(v / np.max(np.abs(v)), dtype=np.longdouble)
+        vs = _fractions(v / np.max(np.abs(v)))
         full_val, full_arg, _ = _scan_full(vs, dim, radius)
         pr_val, pr_arg, count = _scan_pruned(vs, dim, radius, seed_radius)
         assert (pr_val, pr_arg, count) == (full_val, full_arg, want)
 
 
 def _exact_scan(vs, dim, radius):
-    """The full scan with exact survivors, as diophantine_certificate runs it."""
-    return _scan_full(np.array([[float(x) for x in v] for v in vs], dtype=np.longdouble),
-                      dim, radius, exact=[[Fraction(x) for x in v] for v in vs])
+    """The full scan of rational rows, as diophantine_certificate runs it."""
+    return _scan_full([[Fraction(x) for x in v] for v in vs], dim, radius)
 
 
 @pytest.mark.parametrize("dim, vs, radius, seed_radius, want", [
@@ -180,10 +187,10 @@ def _exact_scan(vs, dim, radius):
 ])
 def test_pruned_scan_matches_exact_scan(dim, vs, radius, seed_radius, want):
     fsq, exact_arg, _ = _exact_scan(vs, dim, radius)
-    val, arg, count = _scan_pruned(np.asarray(vs, dtype=np.longdouble), dim, radius,
+    val, arg, count = _scan_pruned([[Fraction(x) for x in v] for v in vs], dim, radius,
                                    seed_radius)
     assert arg == exact_arg
-    assert Fraction(val) ** 2 == fsq
+    assert val == fsq
     assert count == want
 
 
@@ -253,7 +260,7 @@ def test_exact_scan_uses_the_float_engines_ball():
     vs = [[Fraction(1), Fraction(2, 3), Fraction(5)]]
     fsq, arg, count = _exact_scan(vs, 3, math.sqrt(3))
     assert count == 13
-    assert count == _scan_full(np.asarray(vs, dtype=np.longdouble), 3, math.sqrt(3))[2]
+    assert count == _scan_full(_fractions(vs), 3, math.sqrt(3))[2]
 
 
 def test_lattice_ball_arrays_are_read_only():
@@ -281,17 +288,6 @@ def _cube_ball(dim, radius):
     # the former ball builder, kept as the reference: the canonical half of
     # the cube cut to the ball, without its zero row
     return cube_half_ball(dim, _radius_sq(radius))[1:]
-
-
-def _longdouble_full_scan(vs_arr, dim, radius):
-    # the former float engine, kept as the reference: the objective in
-    # longdouble over every point of the cube-built ball, lexicographic ties
-    grid = _cube_ball(dim, radius)
-    g = grid.astype(np.longdouble)
-    f = _ipow_half((g * g).sum(axis=1), dim) * np.abs(g @ vs_arr.T).sum(axis=1)
-    ties = np.nonzero(f == f.min())[0]
-    best = ties[np.lexsort(grid[ties].T[::-1])[0]]
-    return float(f[best]), tuple(int(x) for x in grid[best]), len(grid)
 
 
 def _ball_points(dim, radius):
@@ -323,21 +319,19 @@ def _directions(kind, rng, t, dim):
     elif kind == "large-norm":
         v = v * 1e8
     elif kind == "non-finite":
-        # an entry beyond the float64 range: no float64 value ranks a point,
-        # so the screen must expand every line
-        v = np.asarray(v, dtype=np.longdouble)
-        v[0, 0] *= np.longdouble("1e400")
-        return v
+        # a finite entry whose float64 square overflows: the screen's error
+        # bound is inf, no float64 value ranks a point, and the screen must
+        # expand every line
+        v[0, 0] *= 1e300
     elif kind == "fraction":
-        # longdouble quotients: not representable in float64
-        return np.array([[np.longdouble(int(rng.integers(-40, 41))) / np.longdouble(q)
-                          for q in rng.choice([3, 7, 12, 97], size=dim)]
-                         for _ in range(t)])
-    return np.asarray(v, dtype=np.longdouble)
+        # quotients not representable in float64
+        return [[Fraction(int(rng.integers(-40, 41)), int(q))
+                 for q in rng.choice([3, 7, 12, 97], size=dim)] for _ in range(t)]
+    return _fractions(v)
 
 
 def _overflow_allowed(kind):
-    """The float64 cast of a non-finite direction overflows on purpose."""
+    """The float64 products of an overflowing direction overflow on purpose."""
     return np.errstate(over="ignore", invalid="ignore") if kind == "non-finite" \
         else np.errstate()
 
@@ -345,9 +339,9 @@ def _overflow_allowed(kind):
 @pytest.mark.parametrize("kind", ["random", "near-rational", "integer-resonant",
                                   "large-norm", "fraction", "non-finite"])
 def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
-    # the float64 screen with longdouble survivors must return the very
-    # minimum, argmin and count of the all-longdouble scan, exact-zero ties
-    # of resonant directions included.  The expanded lines fit one block;
+    # (named for the reference it had) the float64 screen with exact
+    # survivors must return the very minimum, argmin and count of the exact
+    # whole-ball scan, exact-zero ties of resonant directions included.  The expanded lines fit one block;
     # blocks of 7 rows also put the minimizers behind block boundaries (a
     # norm power one row off in later blocks passes with one block, not with 7)
     rng = np.random.default_rng(sum(map(ord, kind)))
@@ -358,7 +352,7 @@ def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
             for _ in range(2):
                 vs = _directions(kind, rng, t, dim)
                 radius = radii[dim] * (0.6 + 0.4 * rng.random())
-                want = _longdouble_full_scan(vs, dim, radius)
+                want = dioph_reference.full_scan(vs, dim, radius)
                 for block in blocks:
                     monkeypatch.setattr(dioph, "_SCREEN_BLOCK", block)
                     with _overflow_allowed(kind):
@@ -374,7 +368,7 @@ def test_screened_full_scan_is_the_longdouble_scan(kind, monkeypatch):
 ])
 def test_screen_across_blocks_is_the_longdouble_scan(dim, r_sq, blocks, monkeypatch):
     # the blocked screen must keep every row that can attain the minimum,
-    # wherever the block boundaries cut the ball; a non-finite direction
+    # wherever the block boundaries cut the ball; an overflowing direction
     # expands every line, so its points fill exactly `blocks` blocks
     radius = math.sqrt(r_sq)
     assert _radius_sq(radius) == r_sq
@@ -391,17 +385,16 @@ def test_screen_across_blocks_is_the_longdouble_scan(dim, r_sq, blocks, monkeypa
             evaluations.clear()
             with _overflow_allowed(kind):
                 got = _scan_full(vs, dim, radius)
-            assert got == _longdouble_full_scan(vs, dim, radius), (kind, vs)
+            assert got == dioph_reference.full_scan(vs, dim, radius), (kind, vs)
             if kind == "non-finite":
                 # every point of the ball in blocks, then the kept rows
                 assert sum(evaluations[:-1]) == count and len(evaluations) == blocks + 1
 
 
 def test_exact_screen_across_blocks(monkeypatch):
-    # the exact path's expanded lines stay under one block, so blocks of 7
-    # rows make its screen cross boundaries: a rational direction against the
-    # exact reference and integer directions, exact in longdouble too, against
-    # the longdouble scan
+    # the expanded lines of these scans stay under one block, so blocks of 7
+    # rows make the screen cross boundaries: a rational direction against the
+    # recursive reference and integer directions against the whole-ball one
     monkeypatch.setattr(dioph, "_SCREEN_BLOCK", 7)
     evaluations = []
     expand = dioph._expand
@@ -414,16 +407,18 @@ def test_exact_screen_across_blocks(monkeypatch):
     vs = [[1, 2, 3], [2, -1, 5]]
     fsq, arg, count = _exact_scan(vs, 3, 21.0)
     assert len(evaluations) > 3
-    val, ld_arg, ld_count = _longdouble_full_scan(np.asarray(vs, dtype=np.longdouble), 3, 21.0)
-    assert (Fraction(val) ** 2, ld_arg, ld_count) == (fsq, arg, count)
+    assert dioph_reference.full_scan(vs, 3, 21.0) == (fsq, arg, count)
 
 
 def test_screen_keeps_the_rows_float64_misranks():
-    # longdouble 2/3 lies above 2/3 and its float64 rounding below it, so
-    # f(1, -1) = 2 |1 - y| < f(0, 1) = y in longdouble and the reverse in float64
-    vs = np.array([[np.longdouble(1), np.longdouble(2) / np.longdouble(3)]])
-    assert _scan_full(vs, 2, 2.0) == _longdouble_full_scan(vs, 2, 2.0)
-    assert _scan_full(vs, 2, 2.0)[1] == (1, -1)
+    # fl(2/3) lies below 2/3, so with y = 2/3 the exact f(1, -1) = 2 |1 - y|
+    # = 2/3 = f(0, 1) = y, a tie that the lexicographic rule gives to (0, 1),
+    # while float64 ranks (1, -1) strictly above (0, 1); with y' = 2/3 + 2^-60
+    # exactly, f(1, -1) < f(0, 1) and float64 ranks them the other way
+    for y, want in ((Fraction(2, 3), (0, 1)), (Fraction(2, 3) + Fraction(1, 2 ** 60), (1, -1))):
+        vs = [[Fraction(1), y]]
+        assert _scan_full(vs, 2, 2.0) == dioph_reference.full_scan(vs, 2, 2.0)
+        assert _scan_full(vs, 2, 2.0)[1] == want
 
 
 def test_screen_keeps_few_rows_for_extended_precision(monkeypatch):
@@ -433,8 +428,7 @@ def test_screen_keeps_few_rows_for_extended_precision(monkeypatch):
     minimum = dioph._minimum
     monkeypatch.setattr(dioph, "_minimum",
                         lambda pts, vs, dim: sizes.append(len(pts)) or minimum(pts, vs, dim))
-    vs = np.asarray([[1.0, PHI_INV]], dtype=np.longdouble)
-    val, arg, count = _scan_full(vs, 2, _seed_radius(2))
+    val, arg, count = _scan_full(_fractions([[1.0, PHI_INV]]), 2, _seed_radius(2))
     assert (arg, count) == ((0, 1), 374998)
     assert len(sizes) == 1 and sizes[0] <= 300
 
@@ -454,10 +448,10 @@ def _structural_sets():
 
 def test_line_screen_on_the_seed_balls_is_the_longdouble_scan(monkeypatch):
     # the structural direction sets on their seed balls, as certify scans
-    # them: the very minimum, argmin and count of the all-longdouble scan,
-    # with at most 1 % of the lines expanded and at most 3000 rows left for
-    # the extended evaluation, so a weakened line bound fails here instead
-    # of showing only as a slowdown
+    # them: (named for the reference it had) the very minimum, argmin and
+    # count of the exact whole-ball scan, with at most 1 % of the lines
+    # expanded and at most 3000 rows left for the exact evaluation, so a
+    # weakened line bound fails here instead of showing only as a slowdown
     expanded, rows = [], []
     expand, minimum = dioph._expand, dioph._minimum
     monkeypatch.setattr(dioph, "_expand", lambda hi, keep, end, r: expanded.append(len(keep))
@@ -470,12 +464,95 @@ def test_line_screen_on_the_seed_balls_is_the_longdouble_scan(monkeypatch):
     for vs in sets:
         dim = vs.shape[1]
         radius = _seed_radius(dim)
-        vs = np.asarray(vs, dtype=np.longdouble)
+        vs = _fractions(vs)
         expanded.clear()
         rows.clear()
-        assert _scan_full(vs, dim, radius) == _longdouble_full_scan(vs, dim, radius), vs
+        assert _scan_full(vs, dim, radius) == dioph_reference.full_scan(vs, dim, radius), vs
         assert max(expanded) <= len(_lattice_ball(dim, radius)[2]) // 100, (vs, expanded)
         assert rows == [rows[0]] and rows[0] <= 3000, (vs, rows)
+
+
+@pytest.mark.parametrize("vs", [[[0.0, 0.0, 1.0], [1.0, PHI_INV, 0.0]],
+                                [[1.0, PHI_INV, 0.0, 0.0], [0.0, 0.0, 1.0, PHI_INV]]],
+                         ids=["heisenberg-cat", "product-t2xt2"])
+def test_pruned_screen_keeps_few_rows(vs, monkeypatch):
+    # golden rows as the certify pins scan them at R = 200: the pruned scan
+    # admits 62 814 candidates, which all reached the evaluation unscreened.
+    # The float64 screen must leave at most 3000 rows for the exact evaluation
+    sizes = []
+    minimum = dioph._minimum
+    monkeypatch.setattr(dioph, "_minimum",
+                        lambda pts, rows, dim: sizes.append(len(pts)) or minimum(pts, rows, dim))
+    dim = len(vs[0])
+    seed = _scan_full(_fractions(vs), dim, _seed_radius(dim))
+    sizes.clear()
+    fsq, arg, count = _scan_pruned(_fractions(vs), dim, 200.0, _seed_radius(dim))
+    assert count - seed[2] == 62814
+    assert len(sizes) == 2 and max(sizes) <= 3000, sizes
+
+
+@st.composite
+def _certificate_inputs(draw):
+    dim = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 3))
+    entry = draw(st.sampled_from([_ENTRY, _RESONANT, _WIDE]))
+    vs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=t, max_size=t))
+    assume(all(any(x != 0 for x in v) for v in vs))
+    radius = draw(st.floats(1.0, {1: 60.0, 2: 16.0, 3: 7.0, 4: 4.5}[dim]))
+    return vs, dim, radius, draw(st.floats(1.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_certificate_inputs(), st.booleans())
+@example(([[1.0, PHI_INV]], 2, 15.5, 2.0), True)
+@example(([[Fraction(2, 3), Fraction(1)], [Fraction(1), Fraction(-1)]], 2, 9.0, 1.5), True)
+def test_certificate_is_the_exact_whole_ball_minimum(args, pruned):
+    # float and rational directions, on either engine (the pruned one out of
+    # a small seed ball): the argmin and verdict of the exact whole-ball
+    # scan; a rational set reports its f^2 and sqrt(float(f^2)), a float set
+    # the correctly rounded sqrt(f^2) rounded down once more
+    vs, dim, radius, seed_radius = args
+    limit = 0 if pruned else dioph._FULL_SCAN_LIMIT
+    with mock.patch.object(dioph, "_FULL_SCAN_LIMIT", limit), \
+            mock.patch.object(dioph, "_seed_radius", lambda d: seed_radius), \
+            mock.patch.object(dioph, "_scan_pruned", wraps=dioph._scan_pruned) as scan:
+        cert = diophantine_certificate(vs, dim, radius)
+    assert scan.called == pruned
+    rational = all(isinstance(x, Fraction) for v in vs for x in v)
+    fsq, arg, count = dioph_reference.full_scan(vs if rational else _fractions(vs), dim, radius)
+    assert (cert.argmin, cert.passed) == (arg, fsq != 0)
+    if rational:
+        assert cert.c_emp_sq_exact == fsq and cert.c_emp == math.sqrt(float(fsq))
+    else:
+        assert cert.c_emp_sq_exact is None
+        assert cert.c_emp == dioph._sqrt_nearest(fsq) * dioph._FLOAT_DOWN
+        assert Fraction(cert.c_emp) ** 2 <= fsq
+    if not pruned:
+        assert cert.points_scanned == count
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(lambda n, d, e: Fraction(n, d) * Fraction(2) ** e, st.integers(1, 2 ** 120),
+                 st.integers(1, 2 ** 120), st.integers(-2150, 2050)))
+# f^2 of w_plus of random_ergodic_gl3(8) and (0) (conjugates of cubic3) at
+# R = 1000, where sqrt(float(f^2)) is one ulp low, and one where it is one ulp high
+@example(Fraction(1412835309879874747221336576522841, 5192296858534827628530496329220096))
+@example(Fraction(113351635801329151057867176651225, 324518553658426726783156020576256))
+@example(Fraction(876530370897624792988863517373089, 1298074214633706907132624082305024))
+# exact midpoints, ties to even (down, then up), and the least subnormal
+@example((1 + Fraction(1, 2 ** 53)) ** 2)
+@example((1 + Fraction(3, 2 ** 53)) ** 2)
+@example(Fraction(1, 2 ** 2148))
+def test_sqrt_nearest_is_correctly_rounded(q):
+    # q lies between the squares of the midpoints from the root to its two
+    # neighbouring doubles, and on a midpoint the root's last bit is even
+    assume(Fraction(1, 2 ** 2148) <= q < Fraction(2) ** 2046)
+    y = dioph._sqrt_nearest(q)
+    below = Fraction(y) + Fraction(math.nextafter(y, 0.0))
+    above = Fraction(y) + Fraction(math.nextafter(y, math.inf))
+    assert below * below <= 4 * q <= above * above
+    if 4 * q in (below * below, above * above):
+        assert int(Fraction(y) / Fraction(math.ulp(y))) % 2 == 0
 
 
 def test_resonant_float_direction():
@@ -779,7 +856,7 @@ def _scans(m, radius):
         report = certify_structural_subspaces(m, radius)
     # every scan here is pruned, and each seeds itself with one full scan
     assert full.call_count == pruned.call_count
-    sets = [(c.args[0].shape, c.args[0].astype(np.float64).tobytes())
+    sets = [(np.shape(c.args[0]), np.array(c.args[0], dtype=np.float64).tobytes())
             for c in pruned.call_args_list]
     return report, sets
 
