@@ -202,7 +202,8 @@ def _screen(rows: list, dim: int, radius: float) -> tuple:
     """The rows' float64 copy v64 and the proven bound err on |f64 - F| over the ball."""
     v64 = np.array([[float(x) for x in r] for r in rows])
     e = max(1e-12, (2 * dim + len(v64) + 2) * 2.0 ** -50) * (radius + 1.0) ** (dim + 1)
-    return v64, e * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
+    with np.errstate(over="ignore"):        # a norm beyond the doubles: err is inf
+        return v64, e * max(float(np.linalg.norm(v64, axis=1).sum()), 1e-280)
 
 
 def _near_min(f64: np.ndarray, err: float) -> np.ndarray:
@@ -486,7 +487,11 @@ def diophantine_certificate(directions: Sequence[Sequence], dim_ambient: int,
     vs = [list(v) for v in directions]
     if not vs or any(len(v) != dim_ambient for v in vs):
         raise ValueError("directions must be nonzero vectors of the ambient dimension")
-    if not all(math.isfinite(float(x)) for v in vs for x in v):
+    try:
+        finite = all(math.isfinite(float(x)) for v in vs for x in v)
+    except OverflowError:
+        raise ValueError("a direction entry is beyond the double range") from None
+    if not finite:
         raise ValueError("direction entries must be finite")
     if any(all(float(x) == 0.0 for x in v) for v in vs):
         raise ValueError("zero direction vector")

@@ -87,8 +87,15 @@ Coefficient = Union[complex, ExactComplex]
 
 
 def _pow(x: np.ndarray, y) -> np.ndarray:
-    """x ** y entrywise by the scalar libm pow, as Python's float ** rounds
-    (numpy's power differs in the last bit, even for y = 2)."""
+    """x ** y entrywise.  A square is the IEEE product x * x, correctly rounded on
+    every platform (glibc's pow(x, 2) differs from it for about 1 in 1000 doubles),
+    and raises FloatingPointError where it overflows.  Any other power (the Sobolev
+    weight w^s) maps the scalar libm pow, as Python's float ** rounds, as do the
+    solver's symbols and the bump profile's exp elsewhere: no exact rule fixes those
+    bits, so they stay pinned to libm (numpy's power and exp differ in the last bit)."""
+    if y == 2:
+        with np.errstate(over="raise"):
+            return x * x
     return np.fromiter(map(pow, x.ravel().tolist(), repeat(y)), dtype=np.float64,
                        count=x.size).reshape(x.shape)
 

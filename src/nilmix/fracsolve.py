@@ -14,12 +14,15 @@ returns their values (an array of the same shape, or a scalar, which
 broadcasts: `lambda x: 1.0` is the constant profile), or a list of (x, y)
 samples, interpolated linearly.  Each sweep integrates one dyadic ladder
 of cells for all its cutoffs, calling the profile once per refinement level
-of a cell; no cell outlives the call.  The squares g(x)^2 are taken by
-libm's scalar `pow` (`fourier._pow`), as Python's float ** rounds: numpy's
-power, and x * x, differ from it in the last bit for some doubles, and
-every reported value is pinned to the bit.  A profile that needs `exp` or
-another transcendental takes it from libm (`math.exp` mapped over the
-points) for the same reason.
+on the midpoints of every cell still refining (at most _MAX_POINTS points a
+call); no cell outlives the call.  Every square, g(x)^2 and the norms', is
+the IEEE product x * x (`fourier._pow`), correctly rounded on every
+platform.  Other powers stay on libm's scalar `pow`, as Python's float **
+rounds: the Sobolev weight w^s (s != 2), and the solver's symbols
+|2 pi z.v|^r at every order (x * x at r = 2 would move solve's pins).  A
+profile that needs `exp` or another transcendental takes it from libm
+(`math.exp` mapped over the points), as numpy's `exp` differs from it in the
+last bit for some doubles, and every reported value is pinned to the bit.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _REL_TOL = 1e-6        # relative convergence tolerance of each threshold quadrature cell
+_MAX_POINTS = 1 << 16  # a cell's finest midpoint count, and the most points a profile call takes
 
 
 class ObstructionError(ArithmeticError):
@@ -229,7 +233,7 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
     sel, d = split.selector[rows], split.dots[rows]
     # resonant: z.v = 0 exactly for a rational v, else |z.v| < 1e-15 ||z|| ||v||
     zn = np.sqrt(_ordered_sum(_pow(f.freqs[rows].astype(np.float64), 2)))
-    vn = np.array([math.sqrt(sum(float(x) ** 2 for x in v)) for v in dirs])
+    vn = np.array([math.sqrt(sum(float(x) * float(x) for x in v)) for v in dirs])
     resonant = np.abs(d) < 1e-15 * zn * vn[sel]
     for i, v in enumerate(dirs):
         if all(isinstance(x, (int, Fraction)) for x in v):
@@ -317,52 +321,65 @@ def _dyadic_integrals(g: Callable[[np.ndarray], np.ndarray], orders: tuple,
     """integral over h <= |x| <= 1 of g(x)^2 |x|^{-2r} dx per cutoff h, a tuple over
     the orders r.  One ladder of cells [b/2, b] and their mirror images runs down to
     the smallest cutoff; a cutoff h in (b/2, b) adds the cell [h, b] to the totals
-    of the whole cells above it.  Every sum runs in order of decreasing |x|."""
+    of the whole cells above it.  The cells are listed first and integrated
+    together; every sum runs in order of decreasing |x|."""
     if not all(0 < h < 1 for h in cutoffs):
         raise ValueError("need 0 < h < 1")
-
-    def add(totals: tuple, a: float, b: float) -> tuple:
-        cells = zip(_cell_quadrature(g, orders, a, b), _cell_quadrature(g, orders, -b, -a))
-        return tuple(t + c + m for t, (c, m) in zip(totals, cells))
-
-    out = {}
-    totals = (0.0,) * len(orders)
+    steps = []                      # (a, b, whether [a, b] is a whole cell)
     b, low = 1.0, min(cutoffs, default=1.0)
     while b > low:
-        for h in set(cutoffs):
-            if b / 2.0 < h < b:
-                out[h] = add(totals, h, b)
+        steps += [(h, b, False) for h in set(cutoffs) if b / 2.0 < h < b]
         b /= 2.0
         if b >= low:
-            totals = out[b] = add(totals, b, 2.0 * b)
+            steps.append((b, 2.0 * b, True))
+    vals = _cell_quadratures(g, orders, [c for a, b, _ in steps for c in ((a, b), (-b, -a))])
+    out = {}                        # the totals down to a, per lower end a of a step
+    totals = (0.0,) * len(orders)
+    for (a, _, whole), cell, mirror in zip(steps, vals[::2], vals[1::2]):
+        out[a] = tuple(t + c + m for t, c, m in zip(totals, cell, mirror))
+        if whole:
+            totals = out[a]
     return [out[h] for h in cutoffs]
 
 
-def _cell_quadrature(g: Callable[[np.ndarray], np.ndarray], orders: tuple, a: float,
-                     b: float) -> tuple:
-    """Composite midpoint rule for g(x)^2 |x|^{-2r} on [a, b], for each order r.
-    The point count doubles until two successive values of an order agree to
-    _REL_TOL, and that order keeps its value; the ladder stops when every
-    order has one, or at 2^16 points.  g is called once per refinement, on
-    the array of midpoints, and its squares serve every order."""
+def _cell_quadratures(g: Callable[[np.ndarray], np.ndarray], orders: tuple,
+                      cells: list) -> list:
+    """Composite midpoint rule for g(x)^2 |x|^{-2r} on each cell [a, b], for each
+    order r.  A cell's point count doubles until two successive values of an order
+    agree to _REL_TOL, and that order keeps its value; the cell stops when every
+    order has one, or at _MAX_POINTS points.  Each level integrates the cells still
+    refining together: g is called on their midpoints as one flat array of at most
+    _MAX_POINTS points, and each cell's row of the C-ordered (cells, n) values sums
+    as its own 1-D array would.  The squares serve every order; a finite g(x) whose
+    square overflows makes the cell's refining orders inf (_report refuses them)."""
+    a, b = np.array(cells, dtype=np.float64).reshape(-1, 2).T
+    vals = np.full((len(cells), len(orders)), math.nan)
+    refining = np.ones(vals.shape, dtype=bool)
     n = 32
-    vals = [None] * len(orders)
-    refining = list(range(len(orders)))
-    while refining and n <= 1 << 16:
-        xs = a + (b - a) * (np.arange(n) + 0.5) / n
-        try:
-            sq = _pow(np.asarray(g(xs), dtype=np.float64), 2)
-        except OverflowError:           # g(x)^2 is beyond the doubles: _report refuses inf
-            return tuple(math.inf if i in refining else v for i, v in enumerate(vals))
-        ax = np.abs(xs)
-        for i in refining[:]:
+    while n <= _MAX_POINTS and refining.any():
+        live = np.flatnonzero(refining.any(axis=1))
+        step = max(1, _MAX_POINTS // n)
+        for start in range(0, len(live), step):
+            rows = live[start:start + step]
+            xs = a[rows, None] + (b - a)[rows, None] * (np.arange(n) + 0.5) / n
+            y = np.asarray(g(xs.ravel()), dtype=np.float64)
+            y = np.broadcast_to(y, (xs.size,)).reshape(xs.shape)
             with np.errstate(over="ignore", invalid="ignore"):   # _report refuses inf, nan
-                out = float((sq * ax ** (-2.0 * orders[i])).sum() * (b - a) / n)
-            if vals[i] is not None and abs(out - vals[i]) <= _REL_TOL * max(abs(out), 1e-300):
-                refining.remove(i)
-            vals[i] = out
+                sq = y * y              # fourier._pow's square, overflow flagged per cell
+                over = (np.isinf(sq) & np.isfinite(y)).any(axis=1)
+                ax = np.abs(xs)
+                for i, r in enumerate(orders):
+                    on = refining[rows, i] & ~over
+                    k = rows[on]
+                    out = (sq[on] * ax[on] ** (-2.0 * r)).sum(axis=1) * (b - a)[k] / n
+                    refining[k, i] = ~(np.abs(out - vals[k, i])
+                                       <= _REL_TOL * np.maximum(np.abs(out), 1e-300))
+                    vals[k, i] = out
+            k = rows[over]
+            vals[k] = np.where(refining[k], math.inf, vals[k])
+            refining[k] = False
         n *= 2
-    return tuple(vals)
+    return vals.tolist()
 
 
 @dataclass

@@ -4,7 +4,8 @@ These are the earlier implementations, kept as the reference the array
 code in `nilmix.fourier` and `nilmix.fracsolve` is checked against bit for
 bit: an observable is a dict frequency tuple -> coefficient, every
 operation is a Python loop over it, and the solver inverts one mode at a
-time.
+time.  Squares are the IEEE product x * x, as in the library; every other
+power is Python's float ** (libm's pow).
 """
 
 import json
@@ -101,7 +102,7 @@ class DictObservable:
     def l2_sq(self):
         if self.exact:
             return sum((c.abs_sq() for c in self.coeffs.values()), Fraction(0))
-        return math.fsum(abs(c) ** 2 for _, c in self.items())
+        return math.fsum(abs(c) * abs(c) for _, c in self.items())
 
     def to_float(self):
         return DictObservable(self.dim, {z: complex(c) for z, c in self.coeffs.items()})
@@ -161,8 +162,8 @@ def _divisor(z, v, d, r, mode):
     if exact_dot is not None:
         resonant = exact_dot == 0
     else:
-        zn = math.sqrt(sum(float(x) ** 2 for x in z))
-        vn = math.sqrt(sum(float(x) ** 2 for x in v))
+        zn = math.sqrt(sum(float(x) * float(x) for x in z))
+        vn = math.sqrt(sum(float(x) * float(x) for x in v))
         resonant = abs(d) < 1e-15 * zn * vn
     if resonant:
         return None
@@ -213,8 +214,10 @@ def sobolev_norm(f, s, directions=None):
     terms = []
     for z, c in f.items():
         if directions is None:
-            w = 1.0 + 4.0 * math.pi ** 2 * sum(float(x) ** 2 for x in z)
+            w = 1.0 + 4.0 * math.pi ** 2 * sum(float(x) * float(x) for x in z)
         else:
-            w = 1.0 + 4.0 * math.pi ** 2 * math.fsum(_dot(z, v) ** 2 for v in directions)
-        terms.append((w ** s) * abs(complex(c)) ** 2)
+            dots = [_dot(z, v) for v in directions]
+            w = 1.0 + 4.0 * math.pi ** 2 * math.fsum(d * d for d in dots)
+        m = abs(complex(c))
+        terms.append((w * w if s == 2 else w ** s) * (m * m))
     return math.sqrt(math.fsum(terms))

@@ -105,6 +105,17 @@ def test_rejects_bad_input():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             diophantine_certificate([[1.0, bad]], 2, 10)
+    for huge in (10 ** 400, Fraction(10 ** 400)):
+        with pytest.raises(ValueError, match="beyond the double range"):
+            diophantine_certificate([[huge, 1]], 2, 10)
+
+
+def test_huge_entry_certifies_without_a_warning():
+    # the float64 row norm of (1e300, 1) overflows: err is inf and every line is
+    # kept, and no RuntimeWarning reaches the caller (the suite makes one an error)
+    cert = diophantine_certificate([[1e300, 1.0]], 2, 10)
+    assert (cert.argmin, cert.passed) == ((0, 1), True)
+    assert cert.c_emp == pytest.approx(1.0)
 
 
 def _fractions(v):

@@ -312,21 +312,23 @@ def test_threshold_sampled_profile():
 
 def test_threshold_sweep_computes_each_cell_once(tmp_path):
     # the default sweep (3 cutoffs x the refinements h, h/4, h/16) walks one
-    # dyadic ladder with 64 distinct cells, and each cell integrates all three
-    # orders on one refinement ladder, so the profile is evaluated 362 times
-    # (918 with a ladder per order)
+    # dyadic ladder with 64 distinct cells; each refinement level integrates
+    # every cell still refining in one profile call, from (64, 32) points up to
+    # (46, 1024) and (2, 2048): 7 calls for the 111 616 points that took 362
+    # calls with one call per level of each cell
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"profile": "bump"}))
-    quadrature = fracsolve._cell_quadrature
-    points = []
+    bump, points = cli._bump, []
 
-    def counted(g, *args):
-        return quadrature(lambda x: points.append(len(x)) or g(x), *args)
+    def counted(x):
+        points.append(len(x))
+        return bump(x)
 
-    with mock.patch.object(fracsolve, "_cell_quadrature", side_effect=counted) as quadratures:
+    with mock.patch.dict(cli._PROFILES, bump=counted):
         assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert quadratures.call_count == 64
-    assert len(points) == 362
+    assert len(points) == 7
+    assert sum(points) == 111616
+    assert max(points) <= 1 << 16 == fracsolve._MAX_POINTS
 
 
 def test_sampled_profiles_share_cells():
@@ -369,6 +371,21 @@ def test_threshold_refuses_a_square_beyond_the_doubles():
     assert type(info.value) is ArithmeticError
 
 
+def test_a_square_overflow_stops_only_its_cell():
+    # g(x)^2 overflows on |x| < 2^-6 only, in the same profile calls as the
+    # other cells: the cutoffs above keep the reference's bits, the one below
+    # reads inf (which threshold_sweep refuses)
+    def g(x):
+        return np.where(np.abs(x) < 2.0 ** -6, 1e200, np.cos(x))
+
+    orders, cutoffs = (0.25, 0.75), (0.5, 2.0 ** -5, 0.1)
+    got = fracsolve._dyadic_integrals(g, orders, cutoffs + (1e-3,))
+    assert got[-1] == (math.inf, math.inf)
+    for h, vals in zip(cutoffs, got):
+        assert [_bits(v) for v in vals] == [_bits(threshold_reference.dyadic_integral(
+            g, r, h, fracsolve._REL_TOL, fracsolve._MAX_POINTS)) for r in orders]
+
+
 _XS = np.linspace(-1, 1, 81)
 # below |x| ~ 1e-3 the cells of "oscillating" refine up to the 2^16-point cap
 _PROFILES = {**cli._PROFILES,
@@ -386,28 +403,38 @@ _CUTOFFS = (st.sampled_from([1e-2, 1e-4, 1e-6]) | st.floats(1e-6, 0.9)
 
 
 @settings(max_examples=30, deadline=None)
-@example([0.75, 0.25, 0.75], [1e-4], "oscillating")
-@example([0.5, 0.1], [0.5, 2.0 ** -7, 1e-4, 2.0 ** -7], "sampled")
-@example([0.25], [0.75, 1e-3, 0.5, 0.75], "bump")
+@example([0.75, 0.25, 0.75], [1e-4], "oscillating", fracsolve._MAX_POINTS)
+@example([0.75, 0.25], [1e-4], "oscillating", 1000)
+@example([0.5, 0.1], [0.5, 2.0 ** -7, 1e-4, 2.0 ** -7], "sampled", 32)
+@example([0.25], [0.75, 1e-3, 0.5, 0.75], "bump", fracsolve._MAX_POINTS)
 @given(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.05, 1.2),
                 min_size=1, max_size=4),
        st.lists(_CUTOFFS, min_size=1, max_size=4),
-       st.sampled_from(sorted(_PROFILES)))
-def test_threshold_sweep_matches_one_ladder_per_order(orders, cutoffs, name):
-    profile = _PROFILES[name]
-    g = fracsolve._profile_callable(profile)
-    sweep = threshold_sweep(profile, orders, cutoffs)
+       st.sampled_from(sorted(_PROFILES)),
+       st.sampled_from([32, 1000, fracsolve._MAX_POINTS]))
+def test_threshold_sweep_matches_one_ladder_per_order(orders, cutoffs, name, cap):
+    # cap bounds both a cell's point count and the points of one profile call
+    g = fracsolve._profile_callable(_PROFILES[name])
+    points = []
+
+    def profile(x):
+        points.append(len(x))
+        return g(x)
+
+    with mock.patch.object(fracsolve, "_MAX_POINTS", cap):
+        sweep = threshold_sweep(profile, orders, cutoffs)
+        single = schrodinger_threshold(_PROFILES[name], orders[0], cutoffs[0])
+    assert max(points) <= cap
     assert len(sweep) == len(cutoffs)
     for h, reports in zip(cutoffs, sweep):
         hs = [h, h / 4.0, h / 16.0]
         assert len(reports) == len(orders)
         for r, rep in zip(orders, reports):
-            vals = [threshold_reference.dyadic_integral(g, r, hk, fracsolve._REL_TOL)
+            vals = [threshold_reference.dyadic_integral(g, r, hk, fracsolve._REL_TOL, cap)
                     for hk in hs]
             want = fracsolve._report(r, hs, vals)
             assert [_bits(v) for _, v in rep.refinement] == [_bits(v) for v in vals]
             assert (rep.order, rep.cutoff, rep.verdict, rep.details) == \
                 (r, h, want.verdict, want.details)
-    single = schrodinger_threshold(profile, orders[0], cutoffs[0])
     assert [_bits(v) for _, v in single.refinement] == \
         [_bits(v) for _, v in sweep[0][0].refinement]

@@ -184,7 +184,7 @@ def test_solver_matches_the_per_mode_loop(case):
 
 
 @COMMON
-@given(solver_cases(), st.sampled_from([0, 0.5, 1, 2.25]))
+@given(solver_cases(), st.sampled_from([0, 0.5, 1, 2, 2.25]))
 def test_sobolev_norm_matches_the_dict_store(case, s):
     f, fr, dirs, _, _ = case
     assert _bits(sobolev_norm(f, s)) == _bits(ref.sobolev_norm(fr, s))
@@ -200,14 +200,14 @@ def test_split_adds_the_divisors_exactly_rounded():
     assert_same(sp.small, ref.split_small_divisor(ref.DictObservable(1, {(1,): 1.0}), dirs)[1])
 
 
-def test_squares_round_by_libm_pow():
-    # x * x and libm's pow(x, 2) round these differently
+def test_squares_are_the_ieee_product():
+    # glibc's pow(x, 2) rounds this modulus' square one ulp away from x * x;
+    # the library squares by the IEEE product, correctly rounded on every libm
     c = 0.5474666735740321 + 0.8816578983073478j
-    assert abs(c) ** 2 != abs(c) * abs(c)
     big = 3 * 2 ** 60 + 12345
     coeffs = {(big, 7): 1.0, (-big + 99, big // 3): 0.5 - 0.25j, (3, 1): c}
     f, fr = FourierObservable(2, coeffs), ref.DictObservable(2, coeffs)
-    assert _bits(FourierObservable(2, {(3, 1): c}).l2_sq()) == _bits(abs(c) ** 2)
+    assert _bits(FourierObservable(2, {(3, 1): c}).l2_sq()) == _bits(abs(c) * abs(c))
     assert _bits(f.l2_sq()) == _bits(fr.l2_sq())
     for s in (0.5, 1, 3):
         assert _bits(sobolev_norm(f, s)) == _bits(ref.sobolev_norm(fr, s))
