@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .catalog import System, get_system
 from .correlate import (
+    DEFAULT_BUDGET,
     CorrelationSeries,
     correlation2,
     correlation_n,
@@ -438,7 +439,7 @@ def _cmd_correlate(cfg, outdir, seed):
     _check_keys(cfg, {"system", "observables", "times", "powers", "fit_rate",
                       "budget"}, "correlate config")
     system = _load_system(cfg)
-    budget = _number(cfg, "budget", 10_000_000, int)
+    budget = _number(cfg, "budget", DEFAULT_BUDGET, int)
     if budget < 1:
         raise ConfigError(f"bad 'budget' {budget}: must be a positive integer")
     obs_list = cfg.get("observables")

@@ -7,8 +7,9 @@ contribute.  Frequencies are transported exactly (they grow exponentially
 in the time; int64 where a bound proves it cannot overflow) and compared
 through residue keys modulo as many 61-bit primes as the largest coordinate
 requires, so that congruent keys mean equal frequencies: resonance detection
-is never subject to rounding or overflow.  Each join sorts the keys of both
-its sides once; a group of equal keys met from both sides is a resonance.
+is never subject to rounding or overflow.  One join serves both correlations
+(the two-point one is its case of two factors): it sorts the keys of both its
+sides once, and a group of equal keys met from both sides is a resonance.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class BudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Exact transport and residue keys
+# Exact transport, residue keys and the resonance sum
 # ---------------------------------------------------------------------------
 
 def _transport(freqs: np.ndarray, mt: Sequence[Sequence[int]]) -> np.ndarray:
@@ -174,99 +175,113 @@ def _value(exact: bool, re, im, at: str = ""):
     return ExactComplex(re, im) if exact else complex(re, im)
 
 
-# ---------------------------------------------------------------------------
-# Two-point correlation
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=1)
-def _support(g: FourierObservable) -> tuple:
-    """g's largest |coordinate|, packing base, moduli and frequency keys, kept
-    for a series of powers (observables are read-only): a transported
-    frequency within the bound differs from g's by at most twice the bound."""
-    bound = int(np.abs(g.freqs).max()) if len(g) else 0
-    base, moduli = _packing(g.dim, 2 * bound)
-    return bound, base, moduli, _keys(g.freqs, base, moduli)
-
-
 @np.errstate(over="ignore", invalid="ignore")     # _value refuses inf and nan
+def _resonance_sum(factors: list, freqs: list, half_a: list, half_b: list, exact: bool,
+                   at: str):
+    """sum of prod_i c_i(k_i) over the tuples of one row k_i of each factor
+    whose frequencies freqs[i][k_i] (as transported) sum to zero.
+
+    The enumeration meets in the middle: the partial sums of half_a and the
+    negated partial sums of half_b get exact residue keys, and one sort of
+    the keys groups them; a group with rows of both halves is a resonance.
+    Coefficients are multiplied only on matched rows: each first-half group's
+    coefficients are added in enumeration order, then the terms of the result
+    in the second half's enumeration order, so float values equal those of
+    the plain nested loop bit for bit, whatever order the sort leaves equal
+    keys in.
+    """
+    # a first-half sum differs from another one, or from a negated
+    # second-half sum, by at most twice the sum of the largest coordinates
+    base, moduli = _packing(freqs[0].shape[1], 2 * sum(
+        max(int(k.max(initial=0)), -int(k.min(initial=0))) for k in freqs))
+    keys = [_keys(k, base, moduli) for k in freqs]
+    # one group per distinct key: a group with rows on both sides is a resonance
+    ids, first = _group(_join_column(keys, half_a, half_b, j, p) for j, p in enumerate(moduli))
+    del keys
+    prod_a = math.prod(len(freqs[i]) for i in half_a)
+    ids_a, ids_b = ids[:prod_a], ids[prod_a:]
+    in_a, in_b = np.zeros(len(first), dtype=bool), np.zeros(len(first), dtype=bool)
+    in_a[ids_a], in_b[ids_b] = True, True
+
+    # each matched first-half sum's coefficients, added in enumeration order
+    kind = object if exact else np.float64
+    ta_re, ta_im = np.zeros(len(first), dtype=kind), np.zeros(len(first), dtype=kind)
+    for rows in _matched_blocks(ids_a, in_b):
+        re, im = _products([factors[i] for i in half_a], rows)
+        np.add.at(ta_re, ids_a[rows], re)
+        np.add.at(ta_im, ids_a[rows], im)
+    if not half_b:                 # one factor: the value is the zero sum's entry
+        a = ids_b[0]
+        return _value(exact, ta_re[a], ta_im[a], at) if in_a[a] else _value(exact, 0, 0)
+    acc_re = acc_im = Fraction(0) if exact else 0.0
+    for rows in _matched_blocks(ids_b, in_a):
+        br, bi = _products([factors[i] for i in half_b], rows)
+        a = ids_b[rows]
+        ar, ai = ta_re[a], ta_im[a]
+        acc_re = _ordered_sum(ar * br - ai * bi, acc_re)
+        acc_im = _ordered_sum(ar * bi + ai * br, acc_im)
+    return _value(exact, acc_re, acc_im, at)
+
+
+# ---------------------------------------------------------------------------
+# Correlations
+# ---------------------------------------------------------------------------
+
 def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
                  power: int):
     """<f o a^power, g> = sum_k f_k conj(g_{(M^power)^T k}), exactly.
 
-    The conjugate convention is <u, v> = integral of u * conj(v).  The
-    terms are added in f's frequency order; a frequency outside g's support
-    contributes f_k * conj(0).
+    The conjugate convention is <u, v> = integral of u * conj(v).  The value
+    is the resonance sum of two halves, conj(g) and then f transported by the
+    power, so its terms are added in f's frequency order.
     """
     if f.dim != g.dim or f.dim != m.dim:
         raise ValueError("dimension mismatch")
     if not m.is_unimodular_integer():
         raise ValueError("need an integer matrix with determinant +-1")
-    mt = (m ** power).nums
     exact = f.exact and g.exact
-    if not exact:
-        f, g = (h.to_float() if h.exact else h for h in (f, g))
-    bound, base, moduli, keys = _support(g)
-    freqs = _transport(f.freqs, mt)
+    f, g = (h.to_float() if h.exact and not exact else h for h in (f, g))
+    freqs = _transport(f.freqs, (m ** power).nums)
+    # only a transported frequency within g's largest |coordinate| can meet g's
+    bound = int(np.abs(g.freqs).max(initial=0))
     near = np.flatnonzero(((freqs <= bound) & (freqs >= -bound)).all(axis=1))
-    hit = np.full(len(f), -1)                # -1: the appended zero coefficient
-    near_keys = _keys(freqs[near], base, moduli)
-    ids, _ = _group(np.concatenate(pair) for pair in zip(keys, near_keys))
-    row_of_id = np.full(len(ids), -1)            # g's rows are distinct
-    row_of_id[ids[:len(g)]] = np.arange(len(g))
-    hit[near] = row_of_id[ids[len(g):]]
-    zero = Fraction(0) if exact else 0.0
-    gr, gi = np.append(g.re, zero)[hit], -np.append(g.im, zero)[hit]    # conj(g) there
-    return _value(exact, _ordered_sum(f.re * gr - f.im * gi, zero),
-                  _ordered_sum(f.re * gi + f.im * gr, zero), f"power {power}")
+    conj = g.conjugate()
+    return _resonance_sum([conj, f._take(near)], [conj.freqs, freqs[near]], [0], [1], exact,
+                          f"power {power}")
 
 
-# ---------------------------------------------------------------------------
-# n-point correlation (meet in the middle)
-# ---------------------------------------------------------------------------
-
-@np.errstate(over="ignore", invalid="ignore")
 def correlation_n(observables: Sequence[FourierObservable],
                   generators: Sequence[RationalMatrix],
                   times: Sequence[Sequence[int]],
                   budget: int = DEFAULT_BUDGET):
     """integral of prod_i f_i(alpha(z_i) x) dx, by exact resonance summation.
 
-    Sums prod_i f_i(k_i) over tuples with sum_i (d alpha(z_i))^T k_i = 0.
-    The enumeration meets in the middle: the factors split into two halves
-    of balanced size, and every partial sum of a half gets exact residue
-    keys.  One join groups the first half's sums together with the second
-    half's negated sums, by one sort of their keys: a group that holds rows
-    of both halves is a resonance.  Coefficients are multiplied only on
-    matched rows: each first-half group's coefficients are added in
-    enumeration order, then the terms of the result in the second half's
-    enumeration order, so float values equal those of the plain nested
-    loop bit for bit, whatever order the sort leaves equal keys in.
+    Sums prod_i f_i(k_i) over tuples with sum_i (d alpha(z_i))^T k_i = 0, the
+    factors split into two halves of balanced size (see _resonance_sum).
+    BudgetError when the halves have more than budget partial sums together.
     """
     n = len(observables)
     if n < 1 or len(times) != n:
         raise ValueError("need one time per observable")
     check_commuting(list(generators))
-    dim = observables[0].dim
-    if any(f.dim != dim for f in observables):
+    if len({f.dim for f in observables}) > 1:
         raise ValueError("observables live on different lattices")
 
     exact = all(f.exact for f in observables)
-    if not exact:
-        observables = [f.to_float() if f.exact else f for f in observables]
-    mts = []
-    for z in times:
+    observables = [f.to_float() if f.exact and not exact else f for f in observables]
+    freqs = []
+    for f, z in zip(observables, times):
         z = tuple(int(t) for t in z)
         if len(z) != len(generators):
             raise ValueError("time vectors must match the number of generators")
         a = action_matrix(generators, z)
         if not a.is_integer():
             raise ValueError("matrix has non-integer entries")
-        mts.append(a.nums)
+        freqs.append(_transport(f.freqs, a.nums))
 
-    zero, at = Fraction(0) if exact else 0.0, f"times {[tuple(map(int, z)) for z in times]}"
     sizes = [len(f) for f in observables]
     if 0 in sizes:
-        return _value(exact, zero, zero)
+        return _value(exact, 0, 0)
     order = sorted(range(n), key=lambda i: sizes[i])
     half_a: list[int] = []
     half_b: list[int] = []
@@ -282,38 +297,8 @@ def correlation_n(observables: Sequence[FourierObservable],
         raise BudgetError(
             f"resonance enumeration needs {prod_a + prod_b} partial sums "
             f"(budget {budget}); shrink the supports or raise the budget")
-
-    freqs = [_transport(f.freqs, mt) for f, mt in zip(observables, mts)]
-    # a first-half sum differs from another one, or from a negated
-    # second-half sum, by at most twice the sum of the largest coordinates
-    base, moduli = _packing(dim, 2 * sum(max(int(k.max()), -int(k.min())) for k in freqs))
-    keys = [_keys(k, base, moduli) for k in freqs]
-    del freqs
-    # one group per distinct key: a group with rows on both sides is a resonance
-    ids, first = _group(_join_column(keys, half_a, half_b, j, p) for j, p in enumerate(moduli))
-    del keys
-    ids_a, ids_b = ids[:prod_a], ids[prod_a:]
-    in_a, in_b = np.zeros(len(first), dtype=bool), np.zeros(len(first), dtype=bool)
-    in_a[ids_a], in_b[ids_b] = True, True
-
-    # each matched first-half sum's coefficients, added in enumeration order
-    kind = object if exact else np.float64
-    ta_re, ta_im = np.zeros(len(first), dtype=kind), np.zeros(len(first), dtype=kind)
-    for rows in _matched_blocks(ids_a, in_b):
-        re, im = _products([observables[i] for i in half_a], rows)
-        np.add.at(ta_re, ids_a[rows], re)
-        np.add.at(ta_im, ids_a[rows], im)
-    if not half_b:                 # one factor: the value is the zero sum's entry
-        a = ids_b[0]
-        return _value(exact, ta_re[a], ta_im[a], at) if in_a[a] else _value(exact, zero, zero)
-    acc_re = acc_im = zero
-    for rows in _matched_blocks(ids_b, in_a):
-        br, bi = _products([observables[i] for i in half_b], rows)
-        a = ids_b[rows]
-        ar, ai = ta_re[a], ta_im[a]
-        acc_re = _ordered_sum(ar * br - ai * bi, acc_re)
-        acc_im = _ordered_sum(ar * bi + ai * br, acc_im)
-    return _value(exact, acc_re, acc_im, at)
+    return _resonance_sum(observables, freqs, half_a, half_b, exact,
+                          f"times {[tuple(map(int, z)) for z in times]}")
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def _scan_full(rows: list, dim: int, radius: float):
     bound, u, step = np.empty(len(lo)), np.inf, max(1, _SCREEN_BLOCK // len(v64) ** 2)
     for blk in (slice(i, i + step) for i in range(0, len(lo), step)):
         s = a @ pre[blk].T                         # row j: p . v_j[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # inf is clipped
             y = np.floor(np.fmin(np.fmax(-s / b, lo[blk]), hi[blk]))
         y = np.concatenate((y, np.minimum(y + 1, hi[blk])))
         sums = np.abs(s[:, None] + y * b[:, :, None]).sum(axis=0)

@@ -12,6 +12,7 @@ observables are built straight from arrays.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -100,15 +101,22 @@ def _pow(x: np.ndarray, y) -> np.ndarray:
                        count=x.size).reshape(x.shape)
 
 
-def _square_sum(re: np.ndarray, im: np.ndarray, norm: str, w=None, s=1.0) -> float:
-    """fsum of |re + i im|^2, each times w^s if w is given (powers by _pow);
-    ArithmeticError naming the norm where a power, product or the sum overflows."""
+@contextlib.contextmanager
+def _overflow_refused(norm: str):
+    """Raise on float overflow inside, as ArithmeticError naming the norm."""
     try:
         with np.errstate(over="raise"):
-            return math.fsum((1.0 if w is None else _pow(w, s)) * _pow(np.hypot(re, im), 2))
+            yield
     except (OverflowError, FloatingPointError):
         raise ArithmeticError(f"{norm}: the (weighted) squared coefficient moduli overflow "
                               "a double") from None
+
+
+def _square_sum(re: np.ndarray, im: np.ndarray, norm: str, w=None, s=1.0) -> float:
+    """fsum of |re + i im|^2, each times w^s if w is given (powers by _pow);
+    ArithmeticError naming the norm where a power, product or the sum overflows."""
+    with _overflow_refused(norm):
+        return math.fsum((1.0 if w is None else _pow(w, s)) * _pow(np.hypot(re, im), 2))
 
 
 def _ordered_sum(a: np.ndarray, start=0.0):

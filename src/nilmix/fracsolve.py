@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .exactlin import _integral
-from .fourier import FourierObservable, _ordered_sum, _pow, _square_sum
+from .fourier import FourierObservable, _ordered_sum, _overflow_refused, _pow, _square_sum
 
 __all__ = [
     "ObstructionError",
@@ -73,10 +73,12 @@ class ObstructionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def _dims(f: FourierObservable, directions: Sequence[Sequence]) -> list:
-    """The directions as tuples, each with one entry per coordinate of f."""
+    """The directions as tuples of finite entries, one per coordinate of f."""
     dirs = [tuple(v) for v in directions]
     if any(len(v) != f.dim for v in dirs):
         raise ValueError(f"every direction needs {f.dim} entries, one per frequency coordinate")
+    if not all(abs(x) < math.inf for v in dirs for x in v):     # exact for ints and Fractions
+        raise ValueError("direction entries must be finite")
     return dirs
 
 
@@ -233,7 +235,7 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
     sel, d = split.selector[rows], split.dots[rows]
     # resonant: z.v = 0 exactly for a rational v, else |z.v| < 1e-15 ||z|| ||v||
     zn = np.sqrt(_ordered_sum(_pow(f.freqs[rows].astype(np.float64), 2)))
-    vn = np.array([math.sqrt(sum(float(x) * float(x) for x in v)) for v in dirs])
+    vn = np.array([math.hypot(*map(float, v)) for v in dirs])
     resonant = np.abs(d) < 1e-15 * zn * vn[sel]
     for i, v in enumerate(dirs):
         if all(isinstance(x, (int, Fraction)) for x in v):
@@ -289,13 +291,15 @@ def sobolev_norm(f: FourierObservable, s: float,
     """
     if s < 0:
         raise ValueError("order must be >= 0")
-    if directions is None:
-        sq = _ordered_sum(_pow(f.freqs.astype(np.float64), 2))
-    else:
-        sq = _pow(_dots(f.freqs, _dims(f, directions)), 2).tolist()
-        sq = np.fromiter(map(math.fsum, sq), float, len(f))
-    w = 1.0 + 4.0 * math.pi ** 2 * sq
-    return math.sqrt(_square_sum(*f._parts(False), f"Sobolev norm of order {s}", w, s))
+    norm = f"Sobolev norm of order {s}"
+    with _overflow_refused(norm):          # the weights overflow as the sum would
+        if directions is None:
+            sq = _ordered_sum(_pow(f.freqs.astype(np.float64), 2))
+        else:
+            sq = _pow(_dots(f.freqs, _dims(f, directions)), 2).tolist()
+            sq = np.fromiter(map(math.fsum, sq), float, len(f))
+        w = 1.0 + 4.0 * math.pi ** 2 * sq
+    return math.sqrt(_square_sum(*f._parts(False), norm, w, s))
 
 
 # ---------------------------------------------------------------------------

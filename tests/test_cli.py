@@ -374,6 +374,16 @@ def test_solve_roundtrip(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+def test_solve_with_direction_entries_of_1e200(tmp_path):
+    # the sum of the squared entries overflows; the modes are far from resonant
+    cfg = {"observable": {"dim": 2, "coeffs": [{"z": z, "re": 1.0, "im": 0.0}
+                                               for z in ([1, 0], [0, 1], [2, 3])]},
+           "directions": [[1e200, 1e200]], "r": 0.5}
+    code, report, _ = run(tmp_path, "solve", cfg)
+    assert code == 0
+    assert report["result"]["reconstruction_ok"] is True
+
+
 def test_threshold_runs(tmp_path):
     cfg = {"profile": "one", "orders": [0.25, 0.5], "cutoffs": [1e-4]}
     code, report, _ = run(tmp_path, "threshold", cfg)

@@ -492,6 +492,31 @@ def test_correlation2_matches_the_loop():
             _same(correlation2(a, b, CAT, power), reference_correlation2(a, b, CAT, power))
 
 
+def test_correlation2_joins_on_two_moduli(monkeypatch):
+    # g holds f's modes transported by CAT^35 (coordinates near 2^50) and
+    # five unmatched modes near 2^40: the two-point keys need two moduli
+    rng = np.random.default_rng(35)
+    f = _random_observable(rng, 2, 3, 12)
+    mt = (CAT ** 35).to_int_array()
+    g = {_transport_ref(mt, k): complex(rng.normal(), rng.normal()) for k in f.frequencies()}
+    g.update({(int(a), int(b)): complex(rng.normal(), rng.normal())
+              for a, b in (1 << 40) + rng.integers(-999, 1000, size=(5, 2))})
+    g = obs(g)
+    assert 49 <= max(abs(x) for z in g.frequencies() for x in z).bit_length() <= 51
+    packing, counts = correlate._packing, []
+
+    def counted(dim, bound):
+        base, moduli = packing(dim, bound)
+        counts.append(len(moduli))
+        return base, moduli
+
+    monkeypatch.setattr(correlate, "_packing", counted)
+    for power in (34, 35, 36, -35):
+        _same(correlation2(f, g, CAT, power), reference_correlation2(f, g, CAT, power))
+    assert correlation2(f, g, CAT, 35)
+    assert counts and set(counts) == {2}
+
+
 def test_group_splits_by_every_column():
     # rows share an id exactly when they agree on every key column; a
     # column is read only while some group still holds several rows

@@ -517,6 +517,7 @@ def _certificate_inputs(draw):
 @given(_certificate_inputs(), st.booleans())
 @example(([[1.0, PHI_INV]], 2, 15.5, 2.0), True)
 @example(([[Fraction(2, 3), Fraction(1)], [Fraction(1), Fraction(-1)]], 2, 9.0, 1.5), True)
+@example(([[1.0, 2.225073858507203e-309]], 2, 1.0, 1.0), False)   # -1 / v[-1] overflows
 def test_certificate_is_the_exact_whole_ball_minimum(args, pruned):
     # float and rational directions, on either engine (the pruned one out of
     # a small seed ball): the argmin and verdict of the exact whole-ball

@@ -226,6 +226,27 @@ def test_zero_direction_is_refused_up_front():
             solve_fractional(f, [(1.0, PHI_INV), zero], 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_direction_entries_are_refused(bad):
+    # a NaN entry solved to NaN phis with residual 0.0; an infinite one
+    # multiplied 0 by inf
+    f = obs(2, {(1, 0): 1.0, (0, 1): 1.0})
+    for call in (lambda: split_small_divisor(f, [[bad, 1.0]]),
+                 lambda: solve_fractional(f, [[bad, 1.0]], 0.5),
+                 lambda: sobolev_norm(f, 1, [[bad, 1.0]]),
+                 lambda: project_torus_factor(f, [[bad, 1.0]])):
+        with pytest.raises(ValueError, match="direction entries must be finite"):
+            call()
+
+
+def test_huge_direction_entries_are_not_resonant():
+    # ||v||^2 = 2e320 is beyond the doubles, ||v|| is not; every |z.v| is at
+    # least 1e160, far from the resonance locus
+    f = obs(2, {(1, 0): 1.0, (0, 1): 1.0, (2, 3): 0.5})
+    sol = solve_fractional(f, [(1e160, 1e160)], 0.5)
+    assert sol.reconstruction_ok(f)
+
+
 def test_signed_fractional_order_is_refused_up_front():
     # only the mean is there, so no mode is ever inverted
     with pytest.raises(ValueError, match="integer order"):
@@ -263,6 +284,16 @@ def test_partial_below_full_unit_direction():
     f = obs(2, {tuple(z): complex(*rng.normal(size=2))
                 for z in rng.integers(-9, 10, size=(30, 2))})
     assert sobolev_norm(f, 2, directions=unit) <= sobolev_norm(f, 2) + 1e-12
+
+
+@pytest.mark.parametrize("s, direction", [(1, (1e200, 1.0)), (0.5, (3e153, 0.0))])
+def test_sobolev_directional_weight_beyond_the_doubles(s, direction):
+    # (z.v)^2 = 1e400 overflows, and so does the weight 1 + 4 pi^2 (3e153)^2:
+    # the norm refuses both, as it refuses an overflowing full-form sum
+    f = obs(2, {(1, 0): 1.0, (0, 1): 1.0})
+    with pytest.raises(ArithmeticError, match=rf"^Sobolev norm of order {s}: the \(weighted\) "
+                                              "squared coefficient moduli overflow a double$"):
+        sobolev_norm(f, s, [direction])
 
 
 # ---------------------------------------------------------------------------
