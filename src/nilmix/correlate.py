@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -325,7 +325,6 @@ class SeriesEntry:
 class CorrelationSeries:
     entries: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    fit: Optional["DecayFit"] = None
 
     def append(self, times, value):
         self.entries.append(SeriesEntry.build(times, value))
@@ -370,11 +369,9 @@ def decay_fit(series: CorrelationSeries, rate: float) -> DecayFit:
     except OverflowError:
         gap = max(e.gap for e in series.entries)
         raise ValueError(f"rate {rate} at gap {gap}: e^(|rate| gap) overflows a double") from None
-    fit = DecayFit(c_fit=float(c_fit), slope=float(slope), intercept=float(intercept),
-                   r_squared=r2, rate=float(rate), envelope_satisfied=ok,
-                   n_used=len(pts))
-    series.fit = fit
-    return fit
+    return DecayFit(c_fit=float(c_fit), slope=float(slope), intercept=float(intercept),
+                    r_squared=r2, rate=float(rate), envelope_satisfied=ok,
+                    n_used=len(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -1339,13 +1339,10 @@ def _lyapunov_attempt(m: RationalMatrix, det: Fraction, prec: int) -> LyapunovSp
 
 
 def _invariance_residual(m_f: np.ndarray, basis: np.ndarray) -> float:
-    q, _ = np.linalg.qr(basis.T)
-    worst = 0.0
-    for v in basis:
-        w = m_f @ v
-        res = w - q @ (q.T @ w)
-        worst = max(worst, float(np.linalg.norm(res) / np.linalg.norm(v)))
-    return worst
+    """The largest distance from M v to the span of the orthonormal rows of
+    basis, over those rows v: the largest column norm of R - B^T (B R), R = M B^T."""
+    r = m_f @ basis.T
+    return float(np.linalg.norm(r - basis.T @ (basis @ r), axis=0).max())
 
 
 def _merge_modulus_classes(entries, primary, records):

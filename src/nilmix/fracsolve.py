@@ -82,18 +82,29 @@ def _dims(f: FourierObservable, directions: Sequence[Sequence]) -> list:
     return dirs
 
 
+def _floats(dirs: list) -> np.ndarray:
+    """The directions as float64 rows, each entry converted once."""
+    try:
+        return np.array([[float(x) for x in v] for v in dirs], dtype=np.float64)
+    except OverflowError:
+        raise ValueError("a direction entry is beyond the double range") from None
+
+
 def _check_solve(f: FourierObservable, directions: Sequence[Sequence], r: float,
-                 mode: str) -> list:
-    """solve_fractional's arguments, checked once up front; returns the directions."""
+                 mode: str) -> tuple:
+    """solve_fractional's arguments, checked once up front; returns the
+    directions and their float64 rows."""
     if r <= 0:
         raise ValueError("order must be positive")
     if mode not in ("modulus", "signed"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "signed" and abs(r - round(r)) > 1e-12:
         raise ValueError("signed mode needs an integer order")
-    if not all(any(map(float, v)) for v in directions):
+    dirs = _dims(f, directions)
+    rows = _floats(dirs)
+    if not all(v.any() for v in rows):
         raise ValueError("zero direction vector")
-    return _dims(f, directions)
+    return dirs, rows
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +116,11 @@ def _orthogonal(freqs: np.ndarray, v: Sequence) -> np.ndarray:
     return freqs.astype(object).dot(_integral([Fraction(x) for x in v])[0]) == 0
 
 
-def _dots(freqs: np.ndarray, directions: list) -> np.ndarray:
-    """(m, t) float z.v_i of each row and direction, added coordinate by coordinate."""
-    dots = [_ordered_sum(freqs * np.array([float(b) for b in v])) for v in directions]
-    return np.array(dots).reshape(len(directions), len(freqs)).T
+def _dots(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, t) float z.v_i of each frequency and direction row, added coordinate
+    by coordinate."""
+    dots = [_ordered_sum(freqs * v) for v in rows]
+    return np.array(dots).reshape(len(rows), len(freqs)).T
 
 
 def project_torus_factor(f: FourierObservable, directions: Sequence[Sequence]) \
@@ -135,14 +147,14 @@ class SmallDivisorSplit:
 
 def split_small_divisor(f: FourierObservable, directions: Sequence[Sequence]) \
         -> SmallDivisorSplit:
-    return _split(f, _dims(f, directions))[0]
+    return _split(f, _floats(_dims(f, directions)))[0]
 
 
-def _split(f: FourierObservable, dirs: list) -> tuple:
-    """The split, and the mask of f's large rows."""
-    if not dirs:
+def _split(f: FourierObservable, rows: np.ndarray) -> tuple:
+    """The split by the float64 direction rows, and the mask of f's large rows."""
+    if not len(rows):
         raise ValueError("need at least one direction")
-    dots = _dots(f.freqs, dirs)
+    dots = _dots(f.freqs, rows)
     sizes = np.abs(dots)
     origin = ~f.freqs.any(axis=1)
     best = sizes.argmax(axis=1)    # first index attaining max_j |z.v_j| (hence >= the average)
@@ -224,8 +236,8 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
     The modes are solved as arrays, large ones first, then small ones,
     with Python's float rounding throughout.
     """
-    dirs = _check_solve(f, directions, r, mode)
-    split, large = _split(f, dirs)
+    dirs, vs = _check_solve(f, directions, r, mode)
+    split, large = _split(f, vs)
     dropped_mean = bool(len(split.zero_mode))
     if dropped_mean:
         warnings.warn("observable has a nonzero mean; the invariant mode is dropped",
@@ -235,7 +247,7 @@ def solve_fractional(f: FourierObservable, directions: Sequence[Sequence], r: fl
     sel, d = split.selector[rows], split.dots[rows]
     # resonant: z.v = 0 exactly for a rational v, else |z.v| < 1e-15 ||z|| ||v||
     zn = np.sqrt(_ordered_sum(_pow(f.freqs[rows].astype(np.float64), 2)))
-    vn = np.array([math.hypot(*map(float, v)) for v in dirs])
+    vn = np.array([math.hypot(*v) for v in vs.tolist()])
     resonant = np.abs(d) < 1e-15 * zn * vn[sel]
     for i, v in enumerate(dirs):
         if all(isinstance(x, (int, Fraction)) for x in v):
@@ -296,7 +308,7 @@ def sobolev_norm(f: FourierObservable, s: float,
         if directions is None:
             sq = _ordered_sum(_pow(f.freqs.astype(np.float64), 2))
         else:
-            sq = _pow(_dots(f.freqs, _dims(f, directions)), 2).tolist()
+            sq = _pow(_dots(f.freqs, _floats(_dims(f, directions))), 2).tolist()
             sq = np.fromiter(map(math.fsum, sq), float, len(f))
         w = 1.0 + 4.0 * math.pi ** 2 * sq
     return math.sqrt(_square_sum(*f._parts(False), norm, w, s))

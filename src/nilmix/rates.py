@@ -191,10 +191,6 @@ class TimeTuple:
         return TimeTuple(ts)
 
     @property
-    def n(self) -> int:
-        return len(self.times)
-
-    @property
     def rank(self) -> int:
         return len(self.times[0])
 
@@ -202,19 +198,8 @@ class TimeTuple:
     def gap(self) -> float:
         return min(math.dist(a, b) for a, b in itertools.combinations(self.times, 2))
 
-    @property
-    def max_gap(self) -> float:
-        return max(math.dist(a, b) for a, b in itertools.combinations(self.times, 2))
-
     def scaled(self, t: int) -> "TimeTuple":
         return TimeTuple(tuple(tuple(t * x for x in z) for z in self.times))
-
-    def direction(self) -> tuple:
-        flat = [float(x) for z in self.times for x in z]
-        norm = math.sqrt(sum(x * x for x in flat))
-        if norm == 0:
-            raise ValueError("zero time tuple has no direction")
-        return tuple(x / norm for x in flat)
 
 
 @dataclass
@@ -286,43 +271,32 @@ def _is_bad_difference(w: tuple, generators: Sequence[RationalMatrix]) -> bool:
                for q, _ in factor_over_q(char_poly(action_matrix(blk.restricted, w))))
 
 
-class _BadDifferenceTest:
-    """Float prefilter + exact confirmation for functional kernels.
+def _bad_mask(ws: np.ndarray, generators: Sequence[RationalMatrix],
+              func_arr: np.ndarray) -> np.ndarray:
+    """Per integer row w of ws: does some nonzero functional (a row of
+    func_arr) vanish at w?  The zero row is always bad.
 
     |chi(w)| well away from zero (beyond the certified error budget)
     proves w is not in the kernel; only near-zero values reach the exact
     per-block factorization.  The functionals are linear and
     |mu^g| = 1 exactly when |mu| = 1, so w is bad exactly when its
     primitive direction w / gcd(w) is: one confirmation per direction.
+    The mask is even in w.
     """
-
-    def __init__(self, generators, funcs):
-        self.generators = list(generators)
-        self.func_arr = np.array([f.exponents for f in funcs], dtype=float)
-        self.cache: dict = {}
-
-    def bad_mask(self, ws: np.ndarray) -> np.ndarray:
-        """Per integer row w of ws: does some nonzero functional vanish at w?
-        The zero row is always bad."""
-        mask = ~ws.any(axis=1)
-        if self.func_arr.size == 0:
-            return mask
-        vals = _abs_min(ws.astype(float) @ self.func_arr.T)
-        budget = 1e-9 * (1.0 + np.abs(ws).sum(axis=1))
-        unclear = np.flatnonzero((vals <= budget) & ~mask)
-        if len(unclear) == 0:
-            return mask
-        prim = ws[unclear] // np.gcd.reduce(ws[unclear], axis=1)[:, None]
-        prim *= _first_sign(prim)[:, None]
-        keys, inv = np.unique(prim, axis=0, return_inverse=True)
-        flags = np.array([self._confirm(tuple(int(x) for x in k)) for k in keys])
-        mask[unclear] = flags[inv.ravel()]
+    mask = ~ws.any(axis=1)
+    if func_arr.size == 0:
         return mask
-
-    def _confirm(self, key: tuple) -> bool:
-        if key not in self.cache:
-            self.cache[key] = _is_bad_difference(key, self.generators)
-        return self.cache[key]
+    vals = _abs_min(ws.astype(float) @ func_arr.T)
+    budget = 1e-9 * (1.0 + np.abs(ws).sum(axis=1))
+    unclear = np.flatnonzero((vals <= budget) & ~mask)
+    if len(unclear) == 0:
+        return mask
+    prim = ws[unclear] // np.gcd.reduce(ws[unclear], axis=1)[:, None]
+    prim *= _first_sign(prim)[:, None]
+    keys, inv = np.unique(prim, axis=0, return_inverse=True)
+    flags = np.array([_is_bad_difference(tuple(int(x) for x in k), generators) for k in keys])
+    mask[unclear] = flags[inv.ravel()]
+    return mask
 
 
 def _hyperplane_normals(funcs, n: int) -> list[np.ndarray]:
@@ -539,10 +513,12 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
     plus the directional-margin threshold delta(eps) by Monte Carlo + bisection.
 
     A tuple is bad iff some pairwise difference kills a nonzero Lyapunov
-    functional (float prefilter, exact integer confirmation).  For n = 2
-    the count sums, over bad differences w, the exact lattice count of the
-    shifted ball; n >= 3 enumerates the ball directly (size-capped).  Both
-    count on the half ball, as every count is symmetric under x -> -x.
+    functional (float prefilter, exact integer confirmation), decided once
+    on the differences of the radius ball.  For n = 2 the count sums, over
+    bad differences w, the exact lattice count of the shifted ball; n >= 3
+    enumerates the ball directly (size-capped) and looks each pair
+    difference up in the bad ones.  Both count on the half ball, as every
+    count is symmetric under x -> -x.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -570,29 +546,31 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         raise ValueError(f"the ball of radius {radius:g} in Z^{dim_total} holds more than "
                          f"{_DIRECT_LIMIT} points, too many for direct enumeration")
     funcs = [f for f in lyapunov_functionals(list(generators)) if not f.is_zero()]
-    bad = _BadDifferenceTest(generators, funcs)
+    func_arr = np.array([f.exponents for f in funcs], dtype=float)
+    # every difference of two ball points, up to sign: ||x - y||^2 <= 2 r_sq;
+    # ws[0] = 0 is bad and its own negative
+    ws, wn = _half_ball(ell, 2 * r_sq, np.int64)
+    bad = _bad_mask(ws, generators, func_arr)
 
     if n == 2:
         method = "difference-weighted exact count"
-        # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2;
-        # ws[0] = 0 is bad and its own negative
-        ws, wn = _half_ball(ell, 2 * r_sq, np.int64)
-        bad_rows = bad.bad_mask(ws)
-        counts = _coset_counts(ws[bad_rows], (r_sq - wn[bad_rows] / 2.0) / 2.0)
+        # (z, z - w) lies in the ball iff ||z - w/2||^2 <= (r_sq - ||w||^2/2) / 2
+        counts = _coset_counts(ws[bad], (r_sq - wn[bad] / 2.0) / 2.0)
         bad_total = 2 * int(counts.sum()) - int(counts[0])
     else:
         method = "direct enumeration"
         grid, _ = _half_ball(dim_total, r_sq, np.int64)
-        # pairwise differences packed into one int64 key per row, first
-        # coordinate most significant (lexicographic key order)
-        span = 4 * math.isqrt(r_sq) + 1
-        place = span ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+        # int64 keys x @ place, first coordinate most significant, are
+        # linear: slots a, b give a pair difference d the key a - b.  Its
+        # digits |d_k| <= 2 isqrt(r_sq) are balanced, as are those of the
+        # rows of ws, so the key's sign is _first_sign(d), and |a - b| is
+        # the key of the row of ws that stands for +-d
+        place = (4 * math.isqrt(r_sq) + 1) ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+        bad_keys = ws[bad] @ place
+        slots = [grid[:, i * ell:(i + 1) * ell] @ place for i in range(n)]
         bad_rows = np.zeros(len(grid), dtype=bool)
-        for i, j in itertools.combinations(range(n), 2):
-            diffs = grid[:, i * ell:(i + 1) * ell] - grid[:, j * ell:(j + 1) * ell]
-            _, first, inv = np.unique((diffs + span // 2) @ place,
-                                      return_index=True, return_inverse=True)
-            bad_rows |= bad.bad_mask(diffs[first])[inv]
+        for a, b in itertools.combinations(slots, 2):
+            bad_rows |= np.isin(np.abs(a - b), bad_keys)
         bad_total = 2 * int(bad_rows.sum()) - 1     # the zero tuple is bad
 
     good_fraction = 1.0 - bad_total / total
@@ -614,7 +592,7 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
             # unit functional is |chi(w)| / (sqrt(2) ||z||): count per
             # difference w with a capped effective radius; the zero
             # difference has margin 0
-            func_unit = bad.func_arr / np.linalg.norm(bad.func_arr, axis=1, keepdims=True)
+            func_unit = func_arr / np.linalg.norm(func_arr, axis=1, keepdims=True)
             nz = np.flatnonzero(wn > 0)
             mv = _abs_min(ws[nz].astype(float) @ func_unit.T)
             nz, mv = nz[mv > 0], mv[mv > 0]

@@ -16,7 +16,9 @@ blocked margin table must hold the same doubles.
 `cube_half_ball` cuts the canonical half ball out of the whole cube, and
 `full_ball_density` counts bad tuples and thick directions over the whole
 ball (every difference w for n = 2, every point for n >= 3), as
-`density_estimate` did before it counted one point of each pair +-x.
+`density_estimate` did before it counted one point of each pair +-x.  For
+n >= 3 it decides every pair's differences itself, as `density_estimate`
+did before it looked them up in the bad rows of the n = 2 difference set.
 """
 
 import itertools
@@ -146,13 +148,13 @@ def full_ball_density(generators, n: int, radius: float, delta: float):
     ell = len(generators)
     r_sq = rates._radius_sq(radius)
     funcs = [f for f in lyapunov_functionals(list(generators)) if not f.is_zero()]
-    bad = rates._BadDifferenceTest(generators, funcs)
+    func_arr = np.array([f.exponents for f in funcs], dtype=float)
     normals = rates._hyperplane_normals(funcs, n)
     total = rates._ball_count(n * ell, r_sq)
     if n == 2:
         ws = full_ball_points(ell, 2 * r_sq)
         wn = (ws * ws).sum(axis=1)
-        bad_rows = bad.bad_mask(ws)
+        bad_rows = rates._bad_mask(ws, generators, func_arr)
         bad_total = int(rates._coset_counts(ws[bad_rows],
                                             (r_sq - wn[bad_rows] / 2.0) / 2.0).sum())
     else:
@@ -161,13 +163,14 @@ def full_ball_density(generators, n: int, radius: float, delta: float):
         grid = full_ball_points(n * ell, r_sq)
         bad_rows = np.zeros(len(grid), dtype=bool)
         for i, j in itertools.combinations(range(n), 2):
-            bad_rows |= bad.bad_mask(grid[:, i * ell:(i + 1) * ell] - grid[:, j * ell:(j + 1) * ell])
+            diffs = grid[:, i * ell:(i + 1) * ell] - grid[:, j * ell:(j + 1) * ell]
+            bad_rows |= rates._bad_mask(diffs, generators, func_arr)
         bad_total = int(bad_rows.sum())
     thick = None
     if not normals:
         return bad_total, thick
     if n == 2 and delta > 0:
-        func_unit = bad.func_arr / np.linalg.norm(bad.func_arr, axis=1, keepdims=True)
+        func_unit = func_arr / np.linalg.norm(func_arr, axis=1, keepdims=True)
         nz = np.flatnonzero(wn > 0)
         mv = np.abs(ws[nz].astype(float) @ func_unit.T).min(axis=1)
         nz, mv = nz[mv > 0], mv[mv > 0]

@@ -3,8 +3,9 @@ src/nilmix is named somewhere else.
 
 A name counts as used when it appears, outside its own definition, as an
 identifier, an attribute, an imported name or a string constant (such as an
-``__all__`` entry).  A method counts only as an attribute or a string, so a
-local variable of the same name does not hide an uncalled method.  Public
+``__all__`` entry).  A method counts only as an attribute, so neither a
+local variable nor a string of the same name (a config key, say) hides an
+uncalled method.  Public
 names may be used from src/, tests/ or demos/; a private ``_name`` only from
 src/ or demos/, since a helper that only tests call belongs in the tests.
 Dunder names are used implicitly and are not checked.
@@ -32,15 +33,15 @@ def _definitions(tree: ast.Module) -> list:
 
 
 def _mentions(tree: ast.AST, method: bool) -> Counter:
-    """Names mentioned in tree; for a method only attributes and strings count."""
+    """Names mentioned in tree; for a method only attributes count."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names[node.value] += 1
         elif method:
             continue
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
         elif isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.alias):

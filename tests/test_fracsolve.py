@@ -239,6 +239,19 @@ def test_non_finite_direction_entries_are_refused(bad):
             call()
 
 
+@pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400)], ids=["int", "fraction"])
+@pytest.mark.parametrize("call", [lambda f, v: split_small_divisor(f, v),
+                                  lambda f, v: solve_fractional(f, v, 0.5),
+                                  lambda f, v: sobolev_norm(f, 1, v)],
+                         ids=["split", "solve", "sobolev"])
+def test_direction_entries_beyond_the_doubles_are_refused(call, big):
+    # the float conversion overflows: a bare OverflowError, or a Sobolev norm
+    # blaming the coefficients; diophantine_certificate refuses it alike
+    f = obs(2, {(1, 0): 1.0, (0, 1): 1.0})
+    with pytest.raises(ValueError, match="^a direction entry is beyond the double range$"):
+        call(f, [(big, 1)])
+
+
 def test_huge_direction_entries_are_not_resonant():
     # ||v||^2 = 2e320 is beyond the doubles, ||v|| is not; every |z.v| is at
     # least 1e160, far from the resonance locus

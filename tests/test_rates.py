@@ -283,12 +283,12 @@ def test_shifted_ball_counts_match_integer_brute_force(dim):
 def test_bad_mask_matches_exact_test(name):
     gens = list(get_system(name).generators)
     funcs = [f for f in lyapunov_functionals(gens) if not f.is_zero()]
-    test = rates._BadDifferenceTest(gens, funcs)
+    func_arr = np.array([f.exponents for f in funcs], dtype=float)
     rng = random.Random(7)
     base = [(0, 1), (1, -1), (0, 0)] + [(rng.randint(-6, 6), rng.randint(-6, 6))
                                         for _ in range(8)]
     ws = sorted({(k * a, k * b) for a, b in base for k in (1, 2, -3)})
-    got = test.bad_mask(np.array(ws, dtype=np.int64)).tolist()
+    got = rates._bad_mask(np.array(ws, dtype=np.int64), gens, func_arr).tolist()
     assert got == [rates._is_bad_difference(w, gens) for w in ws]
     assert got[ws.index((0, 0))]
 
@@ -316,6 +316,17 @@ def test_density_confirms_each_primitive_direction_once():
     with mock.patch.object(rates, "_is_bad_difference",
                            wraps=rates._is_bad_difference) as exact:
         density_estimate(gens, 2, 50, 0.05, samples=10_000)
+    keys = [c.args[0] for c in exact.call_args_list]
+    assert sorted(keys) == [(0, 1), (1, -1)]
+
+
+def test_density_n3_confirms_each_primitive_direction_once():
+    # n >= 3 looks its pair differences up in the bad rows of the n = 2
+    # difference set, decided once: no direction is confirmed twice
+    gens = list(get_system("product-t2xt2").generators)
+    with mock.patch.object(rates, "_is_bad_difference",
+                           wraps=rates._is_bad_difference) as exact:
+        density_estimate(gens, 3, 4, 0.05, samples=10_000)
     keys = [c.args[0] for c in exact.call_args_list]
     assert sorted(keys) == [(0, 1), (1, -1)]
 
