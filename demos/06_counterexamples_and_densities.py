@@ -40,15 +40,14 @@ print("   constant forever: the invariant block never mixes")
 
 print("\ndensity of hyperplane-avoiding pairs (cat map, n = 2):")
 for radius in (25, 50, 100, 200):
-    rep = density_estimate([catmap.matrix], 2, radius, 0.05, samples=100_000)
+    rep = density_estimate([catmap.matrix], 2, radius, 0.05)
     print(f"   R = {radius:>3}: good fraction = {rep.good_fraction:.6f} "
           f"({rep.bad_points} bad of {rep.total_points})")
 
 print("\nsame for the rank-2 cubic-unit action:")
 cubic2 = get_system("cubic-rank2")
 for radius in (25, 50, 100):
-    rep = density_estimate(list(cubic2.generators), 2, radius, 0.05,
-                           samples=100_000)
+    rep = density_estimate(list(cubic2.generators), 2, radius, 0.05)
     print(f"   R = {radius:>3}: good fraction = {rep.good_fraction:.6f} "
           f"(delta({rep.eps}) = {rep.delta:.4f}, "
           f"thick fraction {rep.thick_fraction:.4f})")

@@ -11,10 +11,10 @@ good time-tuple sets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,10 +42,7 @@ __all__ = [
     "theta",
     "DensityReport",
     "density_estimate",
-    "DEFAULT_DENSITY_SEED",
 ]
-
-DEFAULT_DENSITY_SEED = 0x6E696C6D
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +322,7 @@ def _abs_min(prod: np.ndarray) -> np.ndarray:
     return out
 
 
-# the Monte Carlo margin table holds 8 bytes per sample (plus the partition's
-# copy of it); the samples are drawn and reduced in blocks of _MARGIN_BLOCK rows
-_SAMPLES_LIMIT = 100_000_000
-_MARGIN_BLOCK = 1 << 14
-# a delta(eps) sweep over one seed reads one table: a few tables of at most
-# _MEMO_SAMPLES samples (32 MB each) are kept
-_MARGIN_MEMO = 4
-_MEMO_SAMPLES = 1 << 22
+_MARGIN_BLOCK = 1 << 14     # rows of the thick count's lattice directions at once
 
 
 def _blocks(count: int) -> list:
@@ -347,68 +337,17 @@ def _blocks(count: int) -> list:
 
 def _unit_margins(rows, count: int, normals: np.ndarray) -> np.ndarray:
     """Per point u of a set of count points: the smallest |<u / ||u||, v>|
-    over the rows v of normals, as float64.
-
-    rows(start, stop) returns the points start, ..., stop - 1 as a writable
-    float64 array (it is normalized in place), and is called once per block
-    of _blocks(count), in order: each block is normalized, multiplied and
-    reduced with the per-row expressions of a whole-array pass, so the
-    margins do not depend on the block size.
-    """
+    over the rows v of normals, as float64.  rows(start, stop) returns the
+    points start, ..., stop - 1 as a writable float64 array, normalized in
+    place; each block of _blocks(count) is normalized, multiplied and reduced
+    with the per-row expressions of a whole-array pass, so the margins do not
+    depend on the block size."""
     out = np.empty(count)
     for start, stop in _blocks(count):
         u = rows(start, stop)
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         out[start:stop] = _abs_min(u @ normals.T)
     return out
-
-
-@functools.lru_cache(maxsize=_MARGIN_MEMO)
-def _margin_table(seed, samples: int, dim_total: int, normals: bytes,
-                  shape: tuple) -> np.ndarray:
-    """The read-only margins of `samples` directions drawn uniformly on the
-    sphere of R^dim_total from default_rng(seed) against the float64 unit
-    normals of the given bytes and shape; +inf everywhere without normals.
-
-    The blocks of _blocks(samples) are drawn in order from the one stream
-    into two buffers in turn: a worker thread draws block k + 1 into one
-    (the Generator releases the GIL while it fills) while _unit_margins
-    reduces block k in the other, so the doubles are those of one
-    standard_normal array.  Memoized on an int seed (see _sample_margins):
-    a delta(eps) sweep over one seed draws its samples once.
-    """
-    nv = np.frombuffer(normals).reshape(shape)
-    if len(nv) == 0:
-        out = np.full(samples, np.inf)
-    else:
-        from concurrent.futures import ThreadPoolExecutor   # imported here: start-up loads no pool
-
-        rng, blocks = np.random.default_rng(seed), _blocks(samples)
-        bufs = np.empty((2, max(stop - start for start, stop in blocks), dim_total))
-
-        def draw(k):
-            return rng.standard_normal(out=bufs[k % 2, :blocks[k][1] - blocks[k][0]])
-
-        def rows(start, stop):      # block len(drawn) - 1; the one before is reduced
-            u = drawn[-1].result()
-            if len(drawn) < len(blocks):
-                drawn.append(worker.submit(draw, len(drawn)))
-            return u
-
-        with ThreadPoolExecutor(1) as worker:
-            drawn = [worker.submit(draw, 0)]
-            out = _unit_margins(rows, samples, nv)
-    out.flags.writeable = False
-    return out
-
-
-def _sample_margins(seed, samples: int, dim_total: int, normals: np.ndarray) -> np.ndarray:
-    """_margin_table of the normal rows; only an int seed and a table of at
-    most _MEMO_SAMPLES samples are memoized (seed None draws fresh entropy)."""
-    key = (seed, samples, dim_total, normals.tobytes(), normals.shape)
-    if isinstance(seed, int) and samples <= _MEMO_SAMPLES:
-        return _margin_table(*key)
-    return _margin_table.__wrapped__(*key)
 
 
 def _sorted_norms(coords: list, kmax: int) -> np.ndarray:
@@ -470,26 +409,91 @@ def _coset_counts(ws: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _margin_threshold(margins: np.ndarray, eps: float) -> float:
-    """The largest dyadic delta (a multiple of 2^-48 below 1, as 48 halvings
-    of [0, 1] reach) with sample measure mean(margins < delta) <= eps, for
-    0 <= eps and at least one margin.
+_GRID = 1 << 48             # delta(eps) is a multiple of 2^-48 below 1
+_SLAB_BITS = 128            # arcsin and pi are bounded in units of 2^-128
 
-    That fraction, count / N in float64, is <= eps exactly when count <= cut,
-    the largest such c in [0, N]; and at most cut margins are < delta exactly
-    when the cut-th smallest, s, is >= delta (NaN sorts last and is never <
-    delta, so it stands for +inf).  So delta is s rounded down to that grid.
-    """
-    size = len(margins)
-    cut = min(size, math.floor(eps * size))
-    while cut < size and (cut + 1) / size <= eps:
-        cut += 1
-    while cut > 0 and cut / size > eps:
-        cut -= 1
-    s = float(np.partition(margins, cut)[cut]) if cut < size else math.inf
-    if math.isnan(s):
-        s = math.inf
-    return min(math.floor(min(s, 1.0) * 2.0 ** 48), 2 ** 48 - 1) / 2.0 ** 48
+
+def _slab_coefficients(dim: int) -> list:
+    """The p_i of P(s) = sum_i p_i s^i with which the slab {|<u, v>| < x} of
+    the unit sphere of R^dim (u uniform, v a unit vector, 0 <= x < 1) has
+    measure I_(x^2)(1/2, (dim - 1)/2): x P(1 - x^2) for odd dim, (2 / pi)
+    (arcsin x + x sqrt(1 - x^2) P(1 - x^2)) for even dim.  By parts from F_0
+    = x or F_(-1/2) = arcsin x, F_a(x) = int_0^x (1 - t^2)^a dt has (2a + 1)
+    F_a = x (1 - x^2)^a + 2a F_(a-1), here with a = (dim - 3) / 2."""
+    c = [Fraction(math.comb(2 * i, i), 4 ** i) for i in range((dim - 1) // 2)]
+    return c if dim % 2 else [1 / ((2 * i + 1) * x) for i, x in enumerate(c)]
+
+
+def _atan_bounds(num: int, den: int) -> tuple:
+    """(lo, hi) with lo <= atan(num / den) 2^_SLAB_BITS <= hi, for 0 <=
+    num / den <= 1/5: the alternating series, its powers rounded down (off
+    by less than k + 1 units after k steps, each term by less than 2),
+    until a power rounds to 0; the first term left out bounds the rest."""
+    total, power, k = 0, (num << _SLAB_BITS) // den, 0
+    while power:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power = power * num * num // (den * den)
+        k += 1
+    return total - 3 * k - 1, total + 3 * k + 1
+
+
+def _admissible_delta(normals: np.ndarray, eps: float) -> float:
+    """delta(eps) for the bad hyperplanes with the float64 unit normals given
+    as rows: the largest delta on the grid with K mu(delta / ||v||) <= eps
+    proven, mu the slab measure (_slab_coefficients), K the rows distinct up
+    to sign (bit for bit, first nonzero entry positive), ||v||^2 the least
+    squared row length.  The union of the K slabs {|<u, v>| < delta}
+    measures at most K mu: delta is admissible, and delta(eps) when K = 1.
+    eps >= 1 is vacuous (0); no normals leave nothing bad (the top).
+
+    A float64 bisection guesses the grid point; exact tests gallop from it
+    until one point fits and the next does not (K mu increases).  They are
+    exact for odd dim; for even dim arcsin x = 2 atan(x / (1 + sqrt(1 -
+    x^2))), the angle halved to t <= 1/8 by t -> t / (1 + sqrt(1 + t^2)),
+    and x sqrt(1 - x^2) are bounded above, pi (Machin) below: a comparison
+    closer than that fails."""
+    if eps >= 1.0 or not len(normals):
+        return 0.0 if eps >= 1.0 else (_GRID - 1) / _GRID
+    rows = {row.tobytes(): row for row in normals * _first_sign(normals)[:, None] + 0.0}
+    count, dim, coeffs = len(rows), normals.shape[1], _slab_coefficients(normals.shape[1])
+    # exact from the doubles; 1 far within 2^-47, so delta / ||v|| < 1 on the grid
+    norm_sq = min(sum(Fraction(x) ** 2 for x in row.tolist()) for row in rows.values())
+    floats, unit = [float(c) for c in coeffs], 1 / (_GRID * math.sqrt(norm_sq))
+    one, pi = 1 << _SLAB_BITS, 16 * _atan_bounds(1, 5)[0] - 4 * _atan_bounds(1, 239)[1]
+
+    def estimate(k):
+        x = k * unit
+        p = sum(c * (1.0 - x * x) ** i for i, c in enumerate(floats))
+        return count * (x * p if dim % 2 else
+                        2 / math.pi * (math.asin(x) + x * math.sqrt(1.0 - x * x) * p))
+
+    def root(q):                    # floor(sqrt(q) 2^_SLAB_BITS)
+        return math.isqrt((q.numerator << 2 * _SLAB_BITS) // q.denominator)
+
+    def fits(k):
+        x_sq = Fraction(k * k, _GRID * _GRID) / norm_sq
+        p = sum(c * (1 - x_sq) ** i for i, c in enumerate(coeffs))
+        if dim % 2:                 # count x P(s) <= eps, squared
+            return count * count * x_sq * p * p <= Fraction(eps) ** 2
+        t, halvings = -(-(root(x_sq) + 1) * one // (one + root(1 - x_sq))), 1
+        while 8 * t > one:
+            t, halvings = -(-t * one // (one + math.isqrt(one * one + t * t))), halvings + 1
+        arcsin = _atan_bounds(t, one)[1] << halvings
+        return 2 * count * (arcsin + (root(x_sq * (1 - x_sq)) + 1) * p) <= Fraction(eps) * pi
+
+    lo = 0
+    for bit in reversed(range(48)):
+        lo += (1 << bit) * (estimate(lo + (1 << bit)) <= eps)
+    # gallop until lo fits (mu(0) = 0) and hi does not (or is past the grid)
+    hi, step = lo + 1, 1
+    while lo and not fits(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi < _GRID and fits(hi):
+        lo, hi, step = hi, min(hi + step, _GRID), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo / _GRID
 
 
 _DIRECT_LIMIT = 3_000_000
@@ -507,10 +511,10 @@ def _fewest_points(dim: int, radius: float) -> float:
 
 
 def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float,
-                     eps: float, samples: int = 1_000_000,
-                     seed: int = DEFAULT_DENSITY_SEED) -> DensityReport:
+                     eps: float) -> DensityReport:
     """Exact density of hyperplane-avoiding time n-tuples in the radius ball,
-    plus the directional-margin threshold delta(eps) by Monte Carlo + bisection.
+    plus the directional-margin threshold delta(eps) in closed form
+    (_admissible_delta).
 
     A tuple is bad iff some pairwise difference kills a nonzero Lyapunov
     functional (float prefilter, exact integer confirmation), decided once
@@ -526,11 +530,6 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
         raise ValueError("radius must be >= 0")
     if not eps >= 0:
         raise ValueError("eps must be >= 0")
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    if samples > _SAMPLES_LIMIT:
-        raise ValueError(f"samples {samples} is more than the {_SAMPLES_LIMIT} "
-                         "Monte Carlo directions the margin table holds in memory")
     ell = len(generators)
     dim_total = n * ell
     r_sq = _radius_sq(radius)
@@ -575,12 +574,10 @@ def density_estimate(generators: Sequence[RationalMatrix], n: int, radius: float
 
     good_fraction = 1.0 - bad_total / total
 
-    # delta(eps): bisection on the Monte Carlo spherical measure of the
-    # delta-neighborhood of the bad directions; a vacuous requirement
-    # (eps >= 1) keeps the full set with delta = 0
+    # delta(eps): a proven bound on the spherical measure of the
+    # delta-neighborhood of the bad directions
     normals = np.array(_hyperplane_normals(funcs, n)).reshape(-1, dim_total)
-    delta = 0.0 if eps >= 1.0 else \
-        _margin_threshold(_sample_margins(seed, int(samples), dim_total, normals), eps)
+    delta = _admissible_delta(normals, eps)
 
     # fraction of lattice directions with margin >= delta
     thick = 1.0 if eps >= 1.0 else None

@@ -3,15 +3,12 @@ before, kept as test references.
 
 `shifted_ball_counts` recurses over the leading coordinate with the float
 steps of a scalar recursion; `offset_ball_count` convolves one shifted copy
-per coordinate offset; `bisection_delta` runs the 48-step bisection on the
-sample fraction `np.mean(margins < mid)`.  The fast paths in `rates` must
-give the same integers and the same double.  `shifted_ball_brute` is the
-integer oracle for all of them.
+per coordinate offset.  The fast paths in `rates` must give the same
+integers.  `shifted_ball_brute` is the integer oracle for all of them.
 
-`whole_array_margins` draws every Monte Carlo direction in one array and
 `whole_array_directions` normalizes every lattice point in one array, as
-`density_estimate` did before it drew and reduced them in blocks; the
-blocked margin table must hold the same doubles.
+`density_estimate` did before it reduced them in blocks; the blocked
+margins must hold the same doubles.
 
 `cube_half_ball` cuts the canonical half ball out of the whole cube, and
 `full_ball_density` counts bad tuples and thick directions over the whole
@@ -81,29 +78,6 @@ def offset_ball_count(dim: int, r_sq: int) -> int:
             nxt[x2:] += acc[: r_sq + 1 - x2]
         acc = nxt
     return int(acc.sum())
-
-
-def bisection_delta(margins: np.ndarray, eps: float) -> float:
-    """The largest dyadic delta (48 halvings of [0, 1]) whose sample measure
-    mean(margins < delta) stays <= eps."""
-    lo, hi = 0.0, 1.0
-    for _ in range(48):
-        mid = (lo + hi) / 2.0
-        if float(np.mean(margins < mid)) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def whole_array_margins(seed, samples: int, dim_total: int, normals: np.ndarray) -> np.ndarray:
-    """Per direction u of samples drawn by default_rng(seed).normal on the
-    sphere of R^dim_total: min over the rows v of normals of |<u, v>|."""
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(int(samples), dim_total))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    prod = u @ normals.T if len(normals) else np.full((int(samples), 1), np.inf)
-    return np.abs(prod).min(axis=1)
 
 
 def whole_array_directions(points: np.ndarray, normals: np.ndarray) -> np.ndarray:

@@ -291,7 +291,7 @@ def test_criterion_8_counterexamples():
 
 def test_criterion_9_densities():
     with Criterion(9, "good time-tuple densities", 60.0):
-        rep = density_estimate([CAT], 2, 200, 0.05, samples=200_000)
+        rep = density_estimate([CAT], 2, 200, 0.05)
         diagonal = sum(1 for t in range(-300, 301) if 2 * t * t <= 200 * 200)
         assert rep.bad_points == diagonal     # exact diagonal-count oracle
         assert rep.good_fraction >= 0.995
@@ -299,8 +299,7 @@ def test_criterion_9_densities():
         system = get_system("cubic-rank2")
         fractions = []
         for radius in (25, 50, 100):
-            r = density_estimate(list(system.generators), 2, radius, 0.05,
-                                 samples=200_000)
+            r = density_estimate(list(system.generators), 2, radius, 0.05)
             fractions.append(r.good_fraction)
         assert fractions == sorted(fractions)
         assert fractions[-1] >= 0.95

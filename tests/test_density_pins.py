@@ -1,12 +1,14 @@
 """Byte pins of the density command's outputs.
 
-Each case runs one `density` through `cli.main` with a fixed Monte Carlo
-seed and compares the sha256 of report.json and density.csv with a recorded
-digest.  The cases cover the n = 2 difference-weighted count (rank 1 and
-rank 2, the thick count included), the n = 3 direct enumeration, a sweep of
-delta(eps) over one seed, the vacuous eps = 1 and an n = 4 case whose
-Monte Carlo directions live in dimension 8.  A change to how lattice
-points are counted or how delta(eps) is found must leave these bytes alone.
+Each case runs one `density` through `cli.main` and compares the sha256 of
+report.json and density.csv with a recorded digest.  The cases cover the
+n = 2 difference-weighted count (rank 1 and rank 2, the thick count
+included), the n = 3 direct enumeration, a sweep of delta(eps), the vacuous
+eps = 1 and an n = 4 case whose directions live in dimension 8.  The
+configs keep their `samples` key and a `--seed`, which the command accepts,
+checks and records (report.json embeds both) while delta(eps) is in closed
+form.  A change to how lattice points are counted or how delta(eps) is
+found must leave these bytes alone.
 """
 
 import hashlib
@@ -43,51 +45,51 @@ _CASES = {
 _DIGESTS = {
     'catmap-eps0.02': {
         'density.csv':
-            '13ab0b486ec9541f2e1fd48724426606d98cb2c92029687df9c0024fe978f36b',
+            '292a1dfac227f6e39095e6ab8dac91ea4c376e26eabbe11210d4e7617ac0f6e8',
         'report.json':
-            '7b86c6a3bfa3469613a3081ebe8038549041da996f99f6de02e1546d80f7e20c',
+            '17d520075df73209cc75d97fa8d64c9d76e008719d7e275bb05d7de34fef3832',
     },
     'catmap-eps0.1': {
         'density.csv':
-            '3573de9b2392397f253fac877ca61c270df41ef1eeaa806ea9a54849e39677b0',
+            '93c0a776db3333d36b952898c21480c37ecb0273ff96a5ae50294023e56e085e',
         'report.json':
-            '959fdba3bebfe16533e246471bd7703a5c163d1d7ca0f3b80426701ed21833be',
+            '95a3cf8bb598af7e865fd5e820861e6c37f75b75ed7c878a93c30565e049cb11',
     },
     'catmap-eps0.3': {
         'density.csv':
-            '36badfc4f1d102fba741f34f8d4ff69221f9ca0a12c771ff72d5d12d5b88c485',
+            'fa221bfcaf608f8c281342c9e0ad0e59c2b41f0805f55d851106b82e5d9d73d6',
         'report.json':
-            '516e064a76dd157c9797c34c23f74323927714399daa8b6c86241264d34d9396',
+            'c99deec23237453edbc850d4d36afb0f417517bcc736e659bd8ca5bb32993dc9',
     },
     'catmap-n2-R200': {
         'density.csv':
-            'f51377ff49dc10af613190b86e359ed1c390e9e2ebd56aa542e0f590e03534c2',
+            'e2f4c4dd0e1a05dc3937a28e25dc2e3b1742ed45cfc0507e8d3767c4d9ec5f2d',
         'report.json':
-            '19bf06a6a15ab6e1ffa3aa7294d8170059af79f8c981541641d859a1d8b055d5',
+            '5a1dd1f7881246f3fb6ec92c256a2f8f2dee46a195c271ec34c594905be3087a',
     },
     'catmap-n3-R12': {
         'density.csv':
-            '5bf7b0f229b3455c3bde0da2c98468b7f0dea75cca72b8bead5510191a0ea371',
+            '70f2de2cdd8af0ee9c006e9d3800870762cd3b6a1144cbf2f6a85af38b5051c0',
         'report.json':
-            '4c13d68e2a7c6032a7ea19e2afbe5400e7119d1516a9ec10166d2c0f7f04c777',
+            '3c3300399e330a487022114158c93456d49818bfccb33aae70e704bc1173102f',
     },
     'catmap-n3-R6': {
         'density.csv':
-            '511b97185942c81feb0bd132b8231443c7ddb47601e951782b7a23b48ac94644',
+            'a7f5702e867089025385fe83f5ceee5cf2dc835de01e0aae39d5b2982f113f69',
         'report.json':
-            '80b7af100876701aeeb48a64f611cdc31686e42a2328b27caf0ce3808b34fa5e',
+            'fe4396af2eca22d85ed9c43568458fb6458c12db85b98db45a7c4d01fcaf0604',
     },
     'cubic-rank2-R100': {
         'density.csv':
-            'a98816f8da563afa83a78f0f70e3c688a327c3a6826f6ee0499e15d952a3711b',
+            '0a221a41204ab52573c38eb5d2e840e4b06ee4df55741b17d54c1657e414ed6b',
         'report.json':
-            '5deaa75c36c8f12796c8b6954388b97ad24bf5209b234976a4dc53248b92b557',
+            'c0f4767352c1cc6335d8e709be3adcac40f8c00a64f7c0c58cce4604c3c4414d',
     },
     'cubic-rank2-R50': {
         'density.csv':
-            '6547945d1a8ca54396500e90bdd411fe1baaa6ca07668990b6cbccc2d19d0ead',
+            '654d9531bc68bf26fed1db563a3cf9c791accb00e0014e23e136d951adb08b45',
         'report.json':
-            'ade3b69300f03d3d08746ee11a0be2142065e4a97130e3e640fece0d0aa0bce4',
+            '714bc274c3295839e5db9063ea8d034df7278b0ab74c66840f9b5fc47f60ced9',
     },
     'cubic-rank2-eps1': {
         'density.csv':
@@ -97,15 +99,15 @@ _DIGESTS = {
     },
     'cubic-rank2-n4-R3': {
         'density.csv':
-            'd46a37d982e0297933724999421283fc6801a312edc3c16e7202d1929249de1b',
+            'c592c93df3e0a24637b32024a0893ded39385ebff8970267c09b81413056361d',
         'report.json':
-            'b9c145d81ede106f586fcc5aeac54f4e898788dcd07d649766aa32361bd17540',
+            '4cbc26297fa7c065249726e559cde661797dd070f5574eac89d464bfa18be6e7',
     },
     'product-t2xt2-R25': {
         'density.csv':
-            'f67e56f6a8c0f1f28e2ce93de74748b8770a6624a5d129bda4e7a0efae95be94',
+            '03b7fe375de4eeb61d2842fab449a20f5f18d1ac2ca4ea4b1df41279a867fc91',
         'report.json':
-            '2780e69aa81fb1b39738e086785c44068cf7d391e50888b54959dbba10f33767',
+            'c985ca4b7cc523539bccee20220a671e15f2316835fd252bd873b2a9650d132c',
     },
 }
 

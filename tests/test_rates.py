@@ -1,7 +1,12 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -186,7 +191,7 @@ def test_theta_positive_implies_regular_pairs():
 # ---------------------------------------------------------------------------
 
 def test_density_rank_one_diagonal_oracle():
-    rep = density_estimate([CAT], 2, 200, 0.05, samples=100_000)
+    rep = density_estimate([CAT], 2, 200, 0.05)
     diagonal = sum(1 for t in range(-300, 301) if 2 * t * t <= 200 * 200)
     assert rep.bad_points == diagonal
     assert rep.good_fraction == pytest.approx(1 - diagonal / rep.total_points)
@@ -194,14 +199,14 @@ def test_density_rank_one_diagonal_oracle():
 
 
 def test_density_monotone_radius():
-    vals = [density_estimate([CAT], 2, r, 0.05, samples=20_000).good_fraction
+    vals = [density_estimate([CAT], 2, r, 0.05).good_fraction
             for r in (10, 50, 200)]
     assert vals == sorted(vals)
 
 
 def test_density_exceeds_inverse_radius_bound():
     for r in (20, 50, 120):
-        rep = density_estimate([CAT], 2, r, 0.1, samples=20_000)
+        rep = density_estimate([CAT], 2, r, 0.1)
         assert rep.good_fraction > 1 - 5 / r
 
 
@@ -209,7 +214,7 @@ def test_density_direct_vs_weighted_cross_check():
     # n = 2 runs the difference-weighted counter; n = 2 with tiny radius can
     # be replayed by the direct enumerator via n = 2 on a 2-ball with the
     # same generators encoded twice (structural cross-check on small balls)
-    rep = density_estimate([CAT], 2, 9, 0.2, samples=10_000)
+    rep = density_estimate([CAT], 2, 9, 0.2)
     # direct recount
     import itertools
     bad = ok = 0
@@ -225,7 +230,7 @@ def test_density_direct_vs_weighted_cross_check():
 
 
 def test_density_n3_direct():
-    rep = density_estimate([CAT], 3, 12, 0.2, samples=10_000)
+    rep = density_estimate([CAT], 3, 12, 0.2)
     assert rep.method == "direct enumeration"
     # oracle: fraction of (z1, z2, z3) with all coordinates distinct
     import itertools
@@ -240,14 +245,14 @@ def test_density_n3_direct():
 
 
 def test_density_trivial_eps():
-    rep = density_estimate([CAT], 2, 30, 1.0, samples=10_000)
+    rep = density_estimate([CAT], 2, 30, 1.0)
     assert rep.delta == 0.0
     assert rep.thick_fraction == 1.0
 
 
 def test_density_cubic_rank2():
     reps = [density_estimate(list(get_system("cubic-rank2").generators), 2, r,
-                             0.05, samples=50_000) for r in (25, 50)]
+                             0.05) for r in (25, 50)]
     assert reps[0].good_fraction <= reps[1].good_fraction
     assert reps[1].good_fraction >= 0.95
 
@@ -255,7 +260,7 @@ def test_density_cubic_rank2():
 def test_density_radius_rounds_like_certify():
     # sqrt(3) ** 2 is 2.9999999999999996; the ball of radius sqrt(3) holds
     # all 27 points of {-1, 0, 1}^3
-    rep = density_estimate([CAT], 3, math.sqrt(3), 0.2, samples=1000)
+    rep = density_estimate([CAT], 3, math.sqrt(3), 0.2)
     assert rep.total_points == 27
 
 
@@ -297,7 +302,7 @@ def test_density_product_bad_points_oracle():
     # every (z1, z2) of the ball, each distinct difference decided by the
     # exact per-difference test: no prefilter, no shifted-ball counts
     gens = list(get_system("product-t2xt2").generators)
-    rep = density_estimate(gens, 2, 6, 0.2, samples=10_000)
+    rep = density_estimate(gens, 2, 6, 0.2)
     verdict = {}
     total = bad = 0
     for z in itertools.product(range(-6, 7), repeat=4):
@@ -315,7 +320,7 @@ def test_density_confirms_each_primitive_direction_once():
     gens = list(get_system("product-t2xt2").generators)
     with mock.patch.object(rates, "_is_bad_difference",
                            wraps=rates._is_bad_difference) as exact:
-        density_estimate(gens, 2, 50, 0.05, samples=10_000)
+        density_estimate(gens, 2, 50, 0.05)
     keys = [c.args[0] for c in exact.call_args_list]
     assert sorted(keys) == [(0, 1), (1, -1)]
 
@@ -326,7 +331,7 @@ def test_density_n3_confirms_each_primitive_direction_once():
     gens = list(get_system("product-t2xt2").generators)
     with mock.patch.object(rates, "_is_bad_difference",
                            wraps=rates._is_bad_difference) as exact:
-        density_estimate(gens, 3, 4, 0.05, samples=10_000)
+        density_estimate(gens, 3, 4, 0.05)
     keys = [c.args[0] for c in exact.call_args_list]
     assert sorted(keys) == [(0, 1), (1, -1)]
 
@@ -348,7 +353,7 @@ def test_density_bad_points_match_theta_flags(name, want):
         i, j = sorted((index[z[:2]], index[z[2:]]))
         bad += i == j or not regular[(i, j)]
     assert bad == want
-    assert density_estimate(gens, 2, 6, 0.2, samples=10_000).bad_points == want
+    assert density_estimate(gens, 2, 6, 0.2).bad_points == want
 
 
 def test_bad_difference_divides_out_the_root_of_unity_core():
@@ -370,10 +375,32 @@ CORE_FAMILY = [RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
 def test_density_with_root_of_unity_core_runs_warning_free():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = density_estimate(CORE_FAMILY, 2, 10, 0.05, samples=20_000, seed=1)
+        rep = density_estimate(CORE_FAMILY, 2, 10, 0.05)
     assert 0 < rep.bad_points < rep.total_points
     assert 0 < rep.delta < 0.5
     assert rep.thick_fraction > 0.5
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # start-up loads no pool, and a density call, delta(eps) included, starts
+    # no thread and loads none
+    script = """
+import json, sys, threading
+import nilmix.cli
+pools = [m for m in ("concurrent.futures", "queue") if m in sys.modules]
+threads = threading.active_count()
+from nilmix.catalog import get_system
+from nilmix.rates import density_estimate
+density_estimate(list(get_system("cubic-rank2").generators), 2, 10, 0.05)
+print(json.dumps([pools, threads, threading.active_count(),
+                  "concurrent.futures" in sys.modules]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    pools, before, after, futures = json.loads(res.stdout)
+    assert pools == [] and after == before and not futures
 
 
 def test_theta_flags_exactly_the_wall_of_the_core_family():

@@ -470,7 +470,7 @@ def test_cat_powers_escalate_when_a_root_disc_reaches_zero(k, bits):
     assert split.w_plus().shape == split.w_minus().shape == (1, 2)
     assert [f.exponents for f in lyapunov_functionals([m])] == \
         [(b.exponent,) for b in split.blocks]
-    rep = density_estimate([m], 2, 20.0, 0.05, 10000)
+    rep = density_estimate([m], 2, 20.0, 0.05)
     assert (rep.bad_points, rep.total_points) == (29, 1257)
 
 
@@ -597,7 +597,7 @@ def test_families_on_rotated_equal_moduli_answer(q):
     m = RationalMatrix.companion(q)
     funcs = lyapunov_functionals([m])
     assert [len(f.exponents) for f in funcs] == [1, 1]
-    report = density_estimate([m], 2, 20.0, 0.05, 10000)
+    report = density_estimate([m], 2, 20.0, 0.05)
     assert (report.total_points, report.bad_points) == (1257, 29)
 
 

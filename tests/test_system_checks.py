@@ -303,7 +303,7 @@ def test_rates_refuse_noncommuting_families():
     with pytest.raises(ValueError, match="commute"):
         rates.theta(algebra, _NONCOMMUTING, rates.TimeTuple.of((0, 0), (1, 0)))
     with pytest.raises(ValueError, match="commute"):
-        rates.density_estimate(_NONCOMMUTING, 2, 3.0, 0.1, samples=10)
+        rates.density_estimate(_NONCOMMUTING, 2, 3.0, 0.1)
 
 
 _ANALYZE = """
