@@ -21,8 +21,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -205,11 +205,15 @@ def _atomic_write(path: str, text: str):
                 return
     except OSError:
         pass
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-nilmix-")
+    while True:     # the kernel applies the umask to 0o666, as open() does
+        tmp = os.path.join(directory, ".tmp-nilmix-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.umask(mask := os.umask(0))   # mkstemp makes 0600: give the mode open() would
-            os.fchmod(fd, 0o666 & ~mask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -383,12 +387,18 @@ def _cmd_solve(cfg, outdir, seed):
                   for d in sol.per_direction],
         "certificate_c_emp": cert.c_emp,
     }
-    # the bytes csv.writer would write: no field needs quoting
-    rows = [f"{d.index},{' '.join(map(str, z))},{re!r},{im!r}\n" for d in sol.per_direction
-            for z, re, im in zip(d.phi.freqs.tolist(), d.phi.re.tolist(), d.phi.im.tolist())]
-    _atomic_write(os.path.join(outdir, "solution.csv"),
-                  "direction_index,frequency,re,im\n" + "".join(rows))
+    _atomic_write(os.path.join(outdir, "solution.csv"), "direction_index,frequency,re,im\n"
+                  + "".join(_solution_rows(d.index, d.phi) for d in sol.per_direction))
     return out
+
+
+def _solution_rows(index: int, phi: FourierObservable) -> str:
+    """solution.csv's rows of one direction: the bytes csv.writer would write (no
+    field needs quoting), by one % format.  %d writes str of an int, %r repr of a
+    float (its shortest round-trip digits)."""
+    row = f"{index}," + " ".join(["%d"] * phi.dim) + ",%r,%r\n"
+    cols = phi.freqs.T.tolist() + [phi.re.tolist(), phi.im.tolist()]
+    return row * len(phi) % tuple(chain.from_iterable(zip(*cols)))
 
 
 def _bump(x: np.ndarray) -> np.ndarray:

@@ -245,6 +245,8 @@ def correlation2(f: FourierObservable, g: FourierObservable, m: RationalMatrix,
     # only a transported frequency within g's largest |coordinate| can meet g's
     bound = int(np.abs(g.freqs).max(initial=0))
     near = np.flatnonzero(((freqs <= bound) & (freqs >= -bound)).all(axis=1))
+    if not (len(near) and len(g)):       # no term: the join's empty sum
+        return _value(exact, 0, 0)
     conj = g.conjugate()
     return _resonance_sum([conj, f._take(near)], [conj.freqs, freqs[near]], [0], [1], exact,
                           f"power {power}")

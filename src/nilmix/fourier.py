@@ -22,6 +22,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .exactlin import _int_einsum
+
 __all__ = ["FourierObservable", "ExactComplex", "real_cosine", "real_sine"]
 
 
@@ -196,7 +198,7 @@ class FourierObservable:
         return ExactComplex() if self.exact else 0j
 
     def support_radius(self) -> float:
-        return math.sqrt(max((self.freqs.astype(object) ** 2).sum(axis=1), default=0))
+        return math.sqrt(int(_int_einsum("ij,ij->i", self.freqs, self.freqs).max(initial=0)))
 
     def mean(self) -> Coefficient:
         return self[tuple([0] * self.dim)]
@@ -366,10 +368,10 @@ def _json_parts(data) -> tuple:
             or not all(issubclass(t, dict) for t in set(map(type, entries))) \
             or set().union(*entries) - {"z", "re", "im"}:
         raise ValueError("'coeffs' must be a list of entries with keys z, re, im")
-    re, im = ([e.get(k, 0.0) for e in entries] for k in ("re", "im"))
+    re, im = (list(map(dict.get, entries, repeat(k), repeat(0.0))) for k in ("re", "im"))
     if not _all_numbers(re + im):
         raise ValueError("coefficient parts 're', 'im' must be finite numbers")
-    return data.get("dim"), [e.get("z") for e in entries], re, im
+    return data.get("dim"), list(map(dict.get, entries, repeat("z"))), re, im
 
 
 def _checked(dim, zs: list, re: list, im: list, exact: bool) -> tuple:

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -158,7 +160,10 @@ def _split(f: FourierObservable, rows: np.ndarray) -> tuple:
     sizes = np.abs(dots)
     origin = ~f.freqs.any(axis=1)
     best = sizes.argmax(axis=1)    # first index attaining max_j |z.v_j| (hence >= the average)
-    large = ~origin & (np.fromiter(map(math.fsum, sizes.tolist()), float, len(f)) >= 1.0)
+    # the correctly rounded sum of the sizes: for one or two, their IEEE sum
+    total = sizes.sum(axis=1) if len(rows) <= 2 else \
+        np.fromiter(map(math.fsum, sizes.tolist()), float, len(f))
+    large = ~origin & (total >= 1.0)
     return SmallDivisorSplit(
         f._take(large), f._take(~origin & ~large), f._take(origin),
         np.where(origin, -1, best), np.where(origin, 0.0, dots[np.arange(len(f)), best]),
@@ -201,18 +206,21 @@ def _symbols(d: np.ndarray, r: float, mode: str, freqs: np.ndarray) -> tuple:
     if mode == "modulus":
         bases, n = np.abs(_TWO_PI * d).tolist(), r
     else:
-        bases, n = [1j * _TWO_PI * x for x in d.tolist()], int(round(r))
-    out = []
-    for k, b in enumerate(bases):
+        bases, n = list(map(operator.mul, repeat(1j * _TWO_PI), d.tolist())), int(round(r))
+    try:                    # a float symbol divides as complex(d, 0.0)
+        out = np.fromiter(map(pow, bases, repeat(n)), dtype=complex, count=len(bases))
+        if out.all():
+            return out.real, out.imag
+    except OverflowError:
+        pass
+    for k, b in enumerate(bases):           # some symbol fails: raise at the first
         try:
-            out.append(b ** n)
+            symbol = b ** n
         except OverflowError:
             raise ArithmeticError(f"{mode} symbol of order {r} at frequency "
                                   f"{tuple(freqs[k].tolist())} overflows a double") from None
-        if not out[-1]:
+        if not symbol:
             raise ZeroDivisionError("complex division by zero")
-    out = np.array(out, dtype=complex)      # a float symbol divides as complex(d, 0.0)
-    return out.real, out.imag
 
 
 def _quot(ar, ai, br, bi) -> tuple:

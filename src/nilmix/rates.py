@@ -297,20 +297,23 @@ def _bad_mask(ws: np.ndarray, generators: Sequence[RationalMatrix],
 
 
 def _hyperplane_normals(funcs, n: int) -> list[np.ndarray]:
-    """Unit normals of the bad direction loci in R^{n*l}.
+    """Unit normals of the bad direction loci in R^{n*l}, each once up to sign.
 
     Each nonzero functional chi and pair i < j contributes the locus
     chi(z_i - z_j) = 0, whose normal embeds chi at slot i and -chi at j.
+    A normal is kept with its first nonzero entry positive, and only the
+    first of the rows equal bit for bit (-chi gives chi's normals again).
     """
-    normals = []
+    normals = {}
     for f in funcs:
         v = np.array(f.exponents, dtype=float)
         for i, j in itertools.combinations(range(n), 2):
             nv = np.zeros(n * len(f.exponents))
             nv[i * len(f.exponents):(i + 1) * len(f.exponents)] = v
             nv[j * len(f.exponents):(j + 1) * len(f.exponents)] = -v
-            normals.append(nv / np.linalg.norm(nv))
-    return normals
+            nv = nv / np.linalg.norm(nv) * _first_sign(nv[None])[0] + 0.0
+            normals.setdefault(nv.tobytes(), nv)
+    return list(normals.values())
 
 
 def _abs_min(prod: np.ndarray) -> np.ndarray:
@@ -440,9 +443,9 @@ def _atan_bounds(num: int, den: int) -> tuple:
 def _admissible_delta(normals: np.ndarray, eps: float) -> float:
     """delta(eps) for the bad hyperplanes with the float64 unit normals given
     as rows: the largest delta on the grid with K mu(delta / ||v||) <= eps
-    proven, mu the slab measure (_slab_coefficients), K the rows distinct up
-    to sign (bit for bit, first nonzero entry positive), ||v||^2 the least
-    squared row length.  The union of the K slabs {|<u, v>| < delta}
+    proven, mu the slab measure (_slab_coefficients), K the number of rows
+    (distinct up to sign, as _hyperplane_normals makes them), ||v||^2 the
+    least squared row length.  The union of the K slabs {|<u, v>| < delta}
     measures at most K mu: delta is admissible, and delta(eps) when K = 1.
     eps >= 1 is vacuous (0); no normals leave nothing bad (the top).
 
@@ -454,10 +457,9 @@ def _admissible_delta(normals: np.ndarray, eps: float) -> float:
     closer than that fails."""
     if eps >= 1.0 or not len(normals):
         return 0.0 if eps >= 1.0 else (_GRID - 1) / _GRID
-    rows = {row.tobytes(): row for row in normals * _first_sign(normals)[:, None] + 0.0}
-    count, dim, coeffs = len(rows), normals.shape[1], _slab_coefficients(normals.shape[1])
+    count, dim, coeffs = len(normals), normals.shape[1], _slab_coefficients(normals.shape[1])
     # exact from the doubles; 1 far within 2^-47, so delta / ||v|| < 1 on the grid
-    norm_sq = min(sum(Fraction(x) ** 2 for x in row.tolist()) for row in rows.values())
+    norm_sq = min(sum(Fraction(x) ** 2 for x in row) for row in normals.tolist())
     floats, unit = [float(c) for c in coeffs], 1 / (_GRID * math.sqrt(norm_sq))
     one, pi = 1 << _SLAB_BITS, 16 * _atan_bounds(1, 5)[0] - 4 * _atan_bounds(1, 239)[1]
 

@@ -7,11 +7,14 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilmix import cli, fourier
 from nilmix.cli import main
 from nilmix.exactlin import RationalMatrix
+from nilmix.fracsolve import solve_fractional
 from nilmix.nilalg import NilpotentAlgebra
 
 
@@ -374,6 +377,54 @@ def test_solve_roundtrip(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+def _reference_rows(index, phi) -> str:
+    """solution.csv's rows of one direction as one f-string per mode formats them."""
+    return "".join(f"{index},{' '.join(map(str, z))},{re!r},{im!r}\n" for z, re, im
+                   in zip(phi.freqs.tolist(), phi.re.tolist(), phi.im.tolist()))
+
+
+_EDGE_PARTS = [-0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 1.7976931348623157e308]
+
+
+@st.composite
+def _solution_blocks(draw):
+    dim = draw(st.integers(1, 4))
+    coord = st.integers(-(2 ** 62 - 1), 2 ** 62 - 1)
+    zs = draw(st.lists(st.tuples(*[coord] * dim), max_size=10, unique=True))
+    part = st.one_of(st.sampled_from(_EDGE_PARTS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    re, im = (draw(st.lists(part, min_size=len(zs), max_size=len(zs))) for _ in "ri")
+    freqs = np.array(zs, dtype=np.int64).reshape(len(zs), dim)
+    return draw(st.integers(0, 12)), fourier.FourierObservable._of(
+        dim, freqs, np.array(re, dtype=np.float64), np.array(im, dtype=np.float64), False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solution_blocks())
+@example((3, fourier.FourierObservable._of(2, np.zeros((0, 2), dtype=np.int64),
+                                           np.zeros(0), np.zeros(0), False)))
+@example((0, fourier.FourierObservable._of(
+    4, np.array([[2 ** 62 - 1, -(2 ** 62 - 1), 0, -1]]), np.array([-0.0]),
+    np.array([5e-324]), False)))
+def test_solution_rows_are_the_per_mode_format(block):
+    # one % format per direction writes the bytes of str(int) and repr(float)
+    index, phi = block
+    assert cli._solution_rows(index, phi) == _reference_rows(index, phi)
+
+
+def test_solution_csv_is_the_per_mode_format(tmp_path):
+    cfg = {"observable": {"dim": 2, "coeffs": [{"z": z, "re": re, "im": im} for z, re, im in
+                                               (([1, 0], 1.0, -0.0), ([0, 1], 1e22, 5e-324),
+                                                ([2, 3], 0.1, 1e16), ([-5, 7], -2.5, 0.0))]},
+           "directions": [[1.0, 0.6180339887498949], [0.25, -1.0]], "r": 0.5}
+    code, _, out = run(tmp_path, "solve", cfg)
+    assert code == 0
+    f = fourier.FourierObservable.from_json_dict(cfg["observable"])
+    sol = solve_fractional(f, [tuple(v) for v in cfg["directions"]], 0.5)
+    assert (out / "solution.csv").read_text() == "direction_index,frequency,re,im\n" + "".join(
+        _reference_rows(d.index, d.phi) for d in sol.per_direction)
+
+
 def test_solve_with_direction_entries_of_1e200(tmp_path):
     # the sum of the squared entries overflows; the modes are far from resonant
     cfg = {"observable": {"dim": 2, "coeffs": [{"z": z, "re": 1.0, "im": 0.0}
@@ -605,6 +656,27 @@ def test_written_files_take_the_umask(tmp_path, umask, mode):
     out = tmp_path / "out"
     assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == {
         "report.json": mode, "exponents.csv": mode}
+
+
+def test_writing_a_report_never_calls_umask(tmp_path):
+    # reading the umask sets it for a moment, and a file another thread
+    # creates meanwhile would ignore it
+    with mock.patch.object(os, "umask", side_effect=AssertionError("os.umask called")) as spy:
+        assert run(tmp_path, "analyze", {"system": "catmap"})[0] == 0
+    assert spy.call_count == 0
+
+
+def test_a_taken_temp_name_is_drawn_again(tmp_path):
+    # another writer's temp file is left alone, and a fresh name is drawn
+    taken = tmp_path / (".tmp-nilmix-" + "00" * 8)
+    taken.write_text("another writer's")
+    names = [b"\0" * 8, b"\1" * 8]
+    with mock.patch.object(os, "urandom", side_effect=names) as spy:
+        cli._atomic_write(str(tmp_path / "report.json"), "{}\n")
+    assert spy.call_count == 2
+    assert (tmp_path / "report.json").read_text() == "{}\n"
+    assert taken.read_text() == "another writer's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "report.json"]
 
 
 _NO_SYMPY_SCRIPT = """

@@ -492,6 +492,34 @@ def test_correlation2_matches_the_loop():
             _same(correlation2(a, b, CAT, power), reference_correlation2(a, b, CAT, power))
 
 
+def _joined(f, g, m, power):
+    """correlation2's join of conj(g) and f transported, run whatever the supports."""
+    exact = f.exact and g.exact
+    f, g = (h.to_float() if h.exact and not exact else h for h in (f, g))
+    conj = g.conjugate()
+    freqs = correlate._transport(f.freqs, (m ** power).nums)
+    return correlate._resonance_sum([conj, f], [conj.freqs, freqs], [0], [1], exact, "")
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_correlation2_without_terms_is_the_joins_empty_sum(exact, monkeypatch):
+    # CAT^12 carries (1, 0) to (75025, 46368), far outside g's box, and an
+    # empty observable has no term: the value is the join's empty sum, with
+    # no join (g's conjugate is never built)
+    f, g = real_cosine(2, (1, 0)), real_sine(2, (0, 1))
+    if not exact:
+        f, g = f.to_float(), g.to_float()
+    empty = FourierObservable(2, {}, exact=exact)
+    cases = [(f, g, 12), (f, g, -9), (f, empty, 0), (empty, g, 3), (empty, empty, 1),
+             (f.to_float(), g, 12)]
+    want = [_joined(a, b, CAT, p) for a, b, p in cases]
+    monkeypatch.setattr(FourierObservable, "conjugate", lambda self: pytest.fail("joined"))
+    for (a, b, p), w in zip(cases, want):
+        _same(correlation2(a, b, CAT, p), w)
+    assert [type(w) for w in want] == [ExactComplex if exact else complex] * 5 + [complex]
+    assert not any(want)
+
+
 def test_correlation2_joins_on_two_moduli(monkeypatch):
     # g holds f's modes transported by CAT^35 (coordinates near 2^50) and
     # five unmatched modes near 2^40: the two-point keys need two moduli

@@ -57,6 +57,7 @@ def test_delta_is_the_betainc_bound_on_the_grid(system, n):
     rows = _distinct(normals)
     count, dim = len(rows), normals.shape[1]
     assert count == _SLAB_COUNTS.get((system, n), count)
+    assert len(normals) == count            # each normal is emitted once up to sign
     if not rows:                            # nothing is bad: the top of the grid
         assert rates._admissible_delta(normals, 0.05) == 1 - 2.0 ** -48
         return

@@ -252,6 +252,29 @@ def test_direction_entries_beyond_the_doubles_are_refused(call, big):
         call(f, [(big, 1)])
 
 
+_SYMBOL_FREQS = np.array([[1, 0], [2, 0], [3, 0], [4, 0]])
+
+
+@pytest.mark.parametrize("mode, r", [("modulus", 2.5), ("signed", 3)])
+def test_symbol_overflow_names_the_first_overflowing_frequency(mode, r):
+    # the symbols are taken in one pass; the error still names the first
+    # mode whose symbol leaves the doubles, not a later one
+    d = np.array([1.0, 1e50, 1e200, 1e300])
+    with pytest.raises(ArithmeticError, match=rf"^{mode} symbol of order {r} at frequency "
+                                              r"\(3, 0\) overflows a double$"):
+        fracsolve._symbols(d, r, mode, _SYMBOL_FREQS)
+
+
+@pytest.mark.parametrize("mode, r", [("modulus", 2.5), ("signed", 3)])
+def test_a_zero_symbol_before_an_overflow_divides_by_zero(mode, r):
+    d = np.array([1.0, 0.0, 1e200, 2.0])
+    with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+        fracsolve._symbols(d, r, mode, _SYMBOL_FREQS)
+    d = np.array([1.0, 1e200, 0.0, 2.0])        # the overflow comes first
+    with pytest.raises(ArithmeticError, match=r"at frequency \(2, 0\) overflows"):
+        fracsolve._symbols(d, r, mode, _SYMBOL_FREQS)
+
+
 def test_huge_direction_entries_are_not_resonant():
     # ||v||^2 = 2e320 is beyond the doubles, ||v|| is not; every |z.v| is at
     # least 1e160, far from the resonance locus

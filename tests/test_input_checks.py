@@ -13,6 +13,7 @@ that are not objects, and the numpy scalars a mapping may hold.
 
 import math
 import sys
+from collections import OrderedDict
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -185,3 +186,37 @@ def test_edge_values_get_the_reference_verdict():
         assert _outcome(fourier._json_parts, lambda *p: fourier._checked(*p, False),
                         data) == _outcome(ref.json_parts,
                                           lambda *p: ref.checked(*p, False), data)
+
+
+def test_malformed_wire_entries_keep_their_messages():
+    # the parts are read by one C-level map per key; each defect is still
+    # refused with the message the per-entry reader gave
+    entries_msg = "'coeffs' must be a list of entries with keys z, re, im"
+    parts_msg = "coefficient parts 're', 'im' must be finite numbers"
+    for coeffs, message in (
+            ([{"z": [1], "re": 1.0}, [[1], 1.0, 0.0]], entries_msg),
+            ([{"z": [1], "re": 1.0}, "z"], entries_msg),
+            ([{"z": [1], "re": 1.0, "phase": 0.0}], entries_msg),
+            ([{"z": [1], "re": True}], parts_msg),
+            ([{"z": [1], "re": 1.0, "im": False}], parts_msg),
+            ([{"z": [1], "re": "1.0"}], parts_msg),
+            ([{"z": [1], "im": "0"}], parts_msg)):
+        data = {"dim": 1, "coeffs": coeffs}
+        for json_parts in (fourier._json_parts, ref.json_parts):
+            try:
+                json_parts(data)
+            except ValueError as e:
+                assert str(e) == message
+            else:
+                raise AssertionError(f"{json_parts.__module__} accepted {coeffs!r}")
+
+
+def test_missing_wire_parts_read_as_zero():
+    coeffs = [{"z": [1, 0], "re": 2.5}, OrderedDict([("im", -1.5), ("z", [0, 1])]),
+              OrderedDict([("z", [2, 2])]), {"im": 3.0, "z": [-1, 4], "re": 0.25}]
+    dim, zs, re, im = fourier._json_parts({"dim": 2, "coeffs": coeffs})
+    assert (dim, zs) == (2, [[1, 0], [0, 1], [2, 2], [-1, 4]])
+    assert (re, im) == ([2.5, 0.0, 0.0, 0.25], [0.0, -1.5, 0.0, 3.0])
+    assert [type(x) for x in re + im] == [float] * 8
+    f = fourier.FourierObservable.from_json_dict({"dim": 2, "coeffs": coeffs})
+    assert f.coeffs == {(-1, 4): 0.25 + 3j, (0, 1): -1.5j, (1, 0): 2.5 + 0j}

@@ -198,6 +198,11 @@ def test_split_adds_the_divisors_exactly_rounded():
     sp = split_small_divisor(f, dirs)
     assert (len(sp.large), len(sp.small)) == (0, 1)
     assert_same(sp.small, ref.split_small_divisor(ref.DictObservable(1, {(1,): 1.0}), dirs)[1])
+    # two sizes add to 1 - 2^-54, a tie that rounds to even: 1.0, so the mode is large
+    dirs = [(0.9999999999999999,), (5.551115123125783e-17,)]
+    sp = split_small_divisor(f, dirs)
+    assert (len(sp.large), len(sp.small)) == (1, 0)
+    assert_same(sp.large, ref.split_small_divisor(ref.DictObservable(1, {(1,): 1.0}), dirs)[0])
 
 
 def test_squares_are_the_ieee_product():
