@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exactlin import IntPolynomial, RationalMatrix
 from .nilalg import (
@@ -95,6 +95,7 @@ def system_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
+@cache
 def get_system(name: str) -> System:
     try:
         return _BUILDERS[name]()

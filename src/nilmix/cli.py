@@ -118,6 +118,8 @@ def _load_system(cfg: dict) -> System:
     # dim is an index bound, typed as layers and bracket indices are: never a bool
     if type(dim) is not int or not isinstance(gens, list) or not gens:
         raise ConfigError("inline system needs integer 'dim' and nonempty 'generators'")
+    if dim < 1:
+        raise ConfigError(f"bad 'dim' {dim}: must be a positive integer")
     # the shape before the algebra, whose dense dim^3 check is costly at a large dim
     if not all(isinstance(g, list) and len(g) == dim
                and all(isinstance(row, list) and len(row) == dim for row in g) for g in gens):
@@ -131,7 +133,7 @@ def _load_system(cfg: dict) -> System:
     brackets = entry.get("brackets", [])
     if not isinstance(brackets, list):
         raise ConfigError(f"bad 'brackets' {brackets!r}: must be a list")
-    entries = {}
+    entries = []
     for item in brackets:
         if not isinstance(item, dict):
             raise ConfigError(f"bad brackets entry {item!r}: must be an object")
@@ -141,12 +143,11 @@ def _load_system(cfg: dict) -> System:
             raise ConfigError(f"bad brackets entry {item}: 'i', 'j', 'k' must be "
                               f"integers in [0, {dim})")
         try:
-            entries.setdefault((idx[0], idx[1]), {})[idx[2]] = Fraction(str(item["value"]))
+            entries.append((*idx, Fraction(str(item["value"]))))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"bad brackets entry {item}: {e!r}")
-    algebra = NilpotentAlgebra.from_sparse(dim, layers, entries)
-    if not algebra.diagnostics.ok:
-        raise ConfigError(f"inline algebra invalid: {algebra.diagnostics.failures()}")
+    algebra_key = (dim, tuple(layers), tuple(entries))
+    _checked_algebra(*algebra_key)          # an invalid algebra is refused first
     try:
         mats = tuple(RationalMatrix(g) for g in gens)
     except (TypeError, ValueError) as e:
@@ -155,7 +156,28 @@ def _load_system(cfg: dict) -> System:
     bad = [x for g in gens for row in g for x in row if not _is_number(x, integral=True)]
     if bad:
         raise ConfigError(f"bad generator entry {bad[0]!r}: must be an integer")
-    system = System(entry.get("name", "inline"), algebra, mats, "inline system")
+    return _checked_system(str(entry.get("name", "inline")), algebra_key, mats)
+
+
+# the last inline algebras and systems checked, keyed on config values (a system's name
+# is only a label); brackets keep config order, as a later (j, i) overwrites (i, j)
+_SYSTEM_MEMO = 8
+
+
+@functools.lru_cache(maxsize=_SYSTEM_MEMO)
+def _checked_algebra(dim: int, layers: tuple, brackets: tuple) -> NilpotentAlgebra:
+    entries = {}
+    for i, j, k, value in brackets:
+        entries.setdefault((i, j), {})[k] = value
+    algebra = NilpotentAlgebra.from_sparse(dim, layers, entries)
+    if not algebra.diagnostics.ok:
+        raise ConfigError(f"inline algebra invalid: {algebra.diagnostics.failures()}")
+    return algebra
+
+
+@functools.lru_cache(maxsize=_SYSTEM_MEMO)
+def _checked_system(name: str, algebra_key: tuple, mats: tuple) -> System:
+    system = System(name, _checked_algebra(*algebra_key), mats, "inline system")
     if system.generator_failures:
         raise ConfigError(f"generators are not lattice automorphisms: {system.generator_failures}")
     try:

@@ -243,15 +243,16 @@ def validate_automorphism(algebra: NilpotentAlgebra, m: RationalMatrix) -> Diagn
     diag.record("unimodular", integer and abs(det) == 1,
                 f"determinant {det}" if integer else "not integer")
 
-    n = algebra.dim
-    c = algebra.nums
-    a = m.nums
-    # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k =
-    # sum_l a[k, l] c[i, j, l], over the denominators m.den^2 and m.den
-    lhs = _int_einsum("iqk,qj->ijk", _int_einsum("pi,pqk->iqk", a, c), a)
-    rhs = _int_einsum("kl,ijl->ijk", a * m.den, c)
-    i, j = np.ogrid[:n, :n]
-    bad = _first((lhs != rhs).any(axis=2) & (i < j))
+    c, a, n = algebra.nums, m.nums, m.dim
+    # [m e_i, m e_j]_k = sum_pq a[p, i] a[q, j] c[p, q, k] and (m [e_i, e_j])_k = sum_l
+    # a[k, l] c[i, j, l], over m.den^2 and m.den: only bracket inputs p, q, outputs l count
+    p, q, out = (c.any(axis=axes) for axes in ((1, 2), (0, 2), (0, 1)))
+    bad = None
+    if out.any():
+        lhs = _int_einsum("iqk,qj->ijk", _int_einsum("pi,pqk->iqk", a[p], c[np.ix_(p, q)]), a[q])
+        rhs = _int_einsum("kl,ijl->ijk", a[:, out] * m.den, c[:, :, out])
+        i, j = np.ogrid[:n, :n]
+        bad = _first((lhs != rhs).any(axis=2) & (i < j))
     diag.record("bracket_preserved", bad is None,
                 f"[Me_{bad[0]}, Me_{bad[1]}] != M[e_{bad[0]}, e_{bad[1]}]" if bad else "")
     return diag

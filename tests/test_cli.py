@@ -342,6 +342,14 @@ def test_integral_float_generator_entries_run(tmp_path):
     assert report["result"]["ergodic"] is True
 
 
+@pytest.mark.parametrize("dim, generators", [(0, [[]]), (-1, [[[1]]])])
+def test_inline_dim_below_1_is_refused(tmp_path, capsys, dim, generators):
+    code, report, _ = run(tmp_path, "analyze",
+                          {"system": {"dim": dim, "generators": generators}})
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == f"config error: bad 'dim' {dim}: must be a positive integer\n"
+
+
 def test_analyze_family_with_root_of_unity_core(tmp_path):
     # CAT + 1 and CAT^2 + 1 share the core e3: one exact zero functional
     gens = [[[2, 1, 0], [1, 1, 0], [0, 0, 1]], [[5, 3, 0], [3, 2, 0], [0, 0, 1]]]

@@ -3,7 +3,9 @@
 `functools.lru_cache` and `functools.cache` key an argument on its hash.  A
 callable, and a nilmix class that keeps `object.__hash__` (such as
 `FourierObservable` or `NilpotentAlgebra`), hashes by identity, not by what
-it computes or holds: an equal copy misses the memo, a function closing over
+it computes or holds, and so does a dataclass whose generated `__hash__`
+reaches such an object through a field (such as `catalog.System` through
+its `algebra`): an equal copy misses the memo, a function closing over
 state that changes between calls would get the first call's results back,
 and the memo keeps the object, and all it holds, alive.  So no function
 decorated with either may take a parameter annotated `Callable`, directly
@@ -12,6 +14,7 @@ with such a class.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,12 +46,20 @@ def _callable_aliases(tree: ast.Module) -> set:
 
 
 def _identity_hashed() -> set:
-    """Names of the classes defined in nilmix that hash by object.__hash__."""
-    return {name for modname, mod in list(sys.modules.items())
-            if modname == "nilmix" or modname.startswith("nilmix.")
-            for name, cls in vars(mod).items()
-            if isinstance(cls, type) and cls.__module__ == modname
-            and cls.__hash__ is object.__hash__}
+    """Names of the classes defined in nilmix that hash by object.__hash__, or
+    by a dataclass's generated __hash__ over a field annotated with such a
+    class (as `System`'s reaches its `algebra`)."""
+    classes = {name: cls for modname, mod in list(sys.modules.items())
+               if modname == "nilmix" or modname.startswith("nilmix.")
+               for name, cls in vars(mod).items()
+               if isinstance(cls, type) and cls.__module__ == modname}
+    hashed = {name for name, cls in classes.items() if cls.__hash__ is object.__hash__}
+    # a field enters the generated hash unless hash=False (or compare=False)
+    return hashed | {name for name, cls in classes.items()
+                     if dataclasses.is_dataclass(cls) and cls.__hash__ is not None
+                     and any(_names(ast.parse(f.type, mode="eval")) & hashed
+                             for f in dataclasses.fields(cls)
+                             if (f.compare if f.hash is None else f.hash))}
 
 
 def _memo_params():
@@ -75,6 +86,6 @@ def test_no_memo_takes_a_callable():
 
 def test_no_memo_takes_an_identity_hashed_object():
     classes = _identity_hashed()
-    assert {"FourierObservable", "NilpotentAlgebra"} <= classes
+    assert {"FourierObservable", "NilpotentAlgebra", "System"} <= classes
     keyed = [where for _, where, names in _memo_params() if names & classes]
     assert not keyed, "memoized on an object's identity:\n" + "\n".join(keyed)

@@ -14,8 +14,10 @@ are random integer and rational ones, unimodular or not, rational
 matrices that preserve a Heisenberg bracket, and catalog automorphisms
 conjugated by elementary matrices, which can break the bracket.
 
-A system is checked once, where it enters: an inline one when the CLI
-loads it, a catalog one only when analyze reports its checks.
+A system is checked once per process, where it enters: an inline one when
+the CLI first loads it, a catalog one only when analyze first reports its
+checks.  The memos that keep them key on the config's values, never on an
+object, and keep no failure.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import system_reference as ref
-from nilmix import nilalg, rates
+from nilmix import cli, nilalg, rates
 from nilmix.catalog import get_system, system_names
 from nilmix.cli import main
 from nilmix.exactlin import RationalMatrix, _int_einsum, _integral
@@ -231,6 +233,15 @@ def test_first_offenders_are_named():
     assert diag.checks["bracket_preserved"] == (False, "[Me_0, Me_1] != M[e_0, e_1]")
 
 
+def test_abelian_bracket_check_contracts_nothing():
+    # only bracket inputs and outputs enter the contractions: none on a torus
+    m = RationalMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    for algebra, calls in ((nilalg.abelian_algebra(3), 0), (nilalg.heisenberg_algebra(), 3)):
+        with mock.patch.object(nilalg, "_int_einsum", wraps=_int_einsum) as spy:
+            assert nilalg.validate_automorphism(algebra, m).ok
+        assert spy.call_count == calls
+
+
 @pytest.mark.parametrize("name", system_names())
 def test_catalog_systems_pass_the_full_check(name):
     # classify and the rates trust the catalog, so it is checked here
@@ -270,11 +281,27 @@ def _run(tmp_path, command, cfg) -> int:
     return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
+def _clear_memos():
+    cli._checked_algebra.cache_clear()
+    cli._checked_system.cache_clear()
+
+
+def _checks_after(tmp_path, spies, runs) -> list:
+    """The call count of each spied check over the commands runs, each of
+    which must succeed."""
+    for spy in spies.values():
+        spy.reset_mock()
+    for command, cfg in runs:
+        assert _run(tmp_path, command, cfg) == 0
+    return [spy.call_count for spy in spies.values()]
+
+
 def test_inline_analyze_checks_once(tmp_path, spies):
     # a rank-2 family on the Heisenberg algebra: CAT + 1 and CAT^2 + 1
     system = {"dim": 3, "layers": [2, 1], "brackets": [{"i": 0, "j": 1, "k": 2, "value": 1}],
               "generators": [[[2, 1, 0], [1, 1, 0], [0, 0, 1]],
                              [[5, 3, 0], [3, 2, 0], [0, 0, 1]]]}
+    _clear_memos()
     assert _run(tmp_path, "analyze", {"system": system}) == 0
     assert spies["validate_algebra"].call_count == 1
     assert spies["central_series"].call_count == 1
@@ -282,17 +309,111 @@ def test_inline_analyze_checks_once(tmp_path, spies):
     report = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert report["central_series_dims"] == [3, 1, 0]
     assert all(report["algebra_checks"].values())
+    # checked once per process: the same system again is not checked again
+    runs = [("analyze", {"system": system}), ("rates", {"system": system}),
+            ("analyze", {"system": system})]
+    assert _checks_after(tmp_path, spies, runs) == [0] * len(_SPIED)
 
 
 def test_catalog_analyze_checks_once_and_rates_not_at_all(tmp_path, spies):
+    get_system.cache_clear()
     assert _run(tmp_path, "analyze", {"system": "product-t2xt2"}) == 0
     assert spies["validate_algebra"].call_count == 1
     assert spies["central_series"].call_count == 1
     assert spies["validate_automorphism"].call_count == 2
-    for spy in spies.values():
-        spy.reset_mock()
-    assert _run(tmp_path, "rates", {"system": "cubic3"}) == 0
-    assert [spy.call_count for spy in spies.values()] == [0] * len(_SPIED)
+    assert _checks_after(tmp_path, spies, [("rates", {"system": "cubic3"})]) == [0] * len(_SPIED)
+    runs = [("analyze", {"system": "product-t2xt2"}), ("rates", {"system": "product-t2xt2"}),
+            ("analyze", {"system": "product-t2xt2"})]
+    assert _checks_after(tmp_path, spies, runs) == [0] * len(_SPIED)
+
+
+def _inline(generators, brackets=(), layers=None, **fields) -> dict:
+    dim = len(generators[0])
+    return {"system": {"dim": dim, "layers": layers or [dim], "brackets": list(brackets),
+                       "generators": generators, **fields}}
+
+
+_CAT3 = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
+_HEIS = dict(layers=[2, 1], brackets=[{"i": 0, "j": 1, "k": 2, "value": 1}])
+
+
+def test_bracket_order_is_part_of_the_algebra_key():
+    # a later (1, 0) entry overwrites an earlier (0, 1) one, and the other way round
+    pair = [{"i": 0, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 0, "k": 2, "value": 2}]
+    _clear_memos()
+    nums = []
+    for brackets in (pair, pair[::-1]):
+        system = cli._load_system(_inline([_CAT3], brackets, layers=[2, 1]))
+        entries = {}
+        for b in brackets:
+            entries.setdefault((b["i"], b["j"]), {})[b["k"]] = b["value"]
+        built = NilpotentAlgebra.from_sparse(3, (2, 1), entries)
+        assert np.array_equal(system.algebra.nums, built.nums)
+        assert system.algebra.den == built.den
+        nums.append(system.algebra.nums)
+    assert not np.array_equal(*nums)
+
+
+def test_integral_float_entries_share_the_system_and_strings_are_refused(tmp_path, capsys):
+    _clear_memos()
+    reports = []
+    for two in (2, 2.0):
+        assert _run(tmp_path, "analyze", _inline([[[two, 1], [1, 1]]])) == 0
+        reports.append(json.loads((tmp_path / "out" / "report.json").read_text())["result"])
+    assert reports[0] == reports[1]
+    assert cli._checked_system.cache_info().currsize == 1
+    capsys.readouterr()
+    assert _run(tmp_path, "analyze", _inline([[["2", 1], [1, 1]]])) == 2
+    assert capsys.readouterr().err == ("config error: bad generator entry '2': "
+                                       "must be an integer\n")
+
+
+@pytest.mark.parametrize("cfg, check, message", [
+    (_inline([[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], **_HEIS), "validate_automorphism",
+     "generators are not lattice automorphisms"),
+    # a bracket into the first layer
+    (_inline([_CAT3], _HEIS["brackets"], layers=[3]), "validate_algebra",
+     "inline algebra invalid"),
+    (_inline([[[1, 1], [0, 1]], [[1, 0], [1, 1]]]), "check_commuting",
+     "generators do not commute"),
+], ids=["bracket-not-preserved", "invalid-algebra", "noncommuting"])
+def test_a_failing_system_is_refused_every_time(tmp_path, capsys, spies, cfg, check, message):
+    _clear_memos()
+    errors = []
+    for _ in range(3):
+        spies[check].reset_mock()
+        assert _run(tmp_path, "analyze", cfg) == 2
+        assert spies[check].call_count >= 1          # checked again: nothing was stored
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2] and message in errors[0]
+    assert cli._checked_system.cache_info().currsize == 0
+
+
+def test_toral_systems_of_one_dim_share_one_algebra_check(tmp_path, spies):
+    _clear_memos()
+    for m in ([[2, 1], [1, 1]], [[3, 2], [1, 1]]):
+        assert _run(tmp_path, "analyze", _inline([m])) == 0
+    assert spies["validate_algebra"].call_count == 1
+    assert spies["validate_automorphism"].call_count == 2
+
+
+def test_heisenberg_and_abelian_algebras_are_checked_apart(tmp_path, spies):
+    _clear_memos()
+    dims = []
+    for extra in (_HEIS, {}):
+        assert _run(tmp_path, "analyze", _inline([_CAT3], **extra)) == 0
+        dims.append(json.loads((tmp_path / "out" / "report.json").read_text())
+                    ["result"]["central_series_dims"])
+    assert spies["validate_algebra"].call_count == 2
+    assert dims == [[3, 1, 0], [3, 0]]
+
+
+def test_system_memos_have_a_fixed_size():
+    _clear_memos()
+    for n in range(1, 2 * cli._SYSTEM_MEMO + 1):   # one algebra and system per dim
+        cli._load_system(_inline([[[int(i == j) for j in range(n)] for i in range(n)]]))
+        for memo in (cli._checked_algebra, cli._checked_system):
+            assert memo.cache_info().currsize == min(n, cli._SYSTEM_MEMO)
 
 
 _NONCOMMUTING = [RationalMatrix([[1, 1], [0, 1]]), RationalMatrix([[1, 0], [1, 1]])]
